@@ -18,12 +18,13 @@ func writeSample(t *testing.T, corrupt func(*telemetry.Manifest)) string {
 	c := telemetry.NewCampaign(reg, 2)
 	c.CellDone(telemetry.CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
+		Key:         "k1",
 		WallSeconds: 0.1, Cycles: 1000, Insts: 900,
 		PortUtilization: 0.5, PortRejectRate: 0.1,
 	})
 	c.CellDone(telemetry.CellSample{
 		Machine: "2-port", Workload: "compress", ConfigJSON: []byte(`{"ports":2}`),
-		Failed: true, Error: "experiments: deadline exceeded",
+		Key: "k2", Failed: true, Error: "experiments: deadline exceeded",
 		PortUtilization: -1, PortRejectRate: -1,
 	})
 	m := c.BuildManifest(telemetry.ManifestInfo{
@@ -91,6 +92,7 @@ func TestCorruptManifestRejected(t *testing.T) {
 		{"schema", func(m *telemetry.Manifest) { m.Schema = "v0" }, "schema"},
 		{"totals", func(m *telemetry.Manifest) { m.Totals.SimCycles += 7 }, "disagree"},
 		{"outcome", func(m *telemetry.Manifest) { m.Cells[0].Outcome = "maybe" }, "outcome"},
+		{"cell_key", func(m *telemetry.Manifest) { m.Cells[1].CellKey = m.Cells[0].CellKey }, "both simulated cell key"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

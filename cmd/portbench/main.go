@@ -343,7 +343,7 @@ func run(args []string, out io.Writer) error {
 		benchPathUsed = path
 	}
 	if *traceOut != "" {
-		if err := writeTrace(out, runner, sink, *traceOut); err != nil {
+		if err := writeTrace(out, runner, *traceOut); err != nil {
 			return err
 		}
 	}

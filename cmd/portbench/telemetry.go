@@ -89,6 +89,7 @@ func cellSample(ev experiments.CellEvent) telemetry.CellSample {
 		Machine:         ev.Machine,
 		Workload:        ev.Workload,
 		ConfigJSON:      ev.ConfigJSON,
+		Key:             ev.Key,
 		MemoHit:         ev.MemoHit,
 		StoreHit:        ev.StoreHit,
 		WallSeconds:     ev.WallSeconds,
@@ -124,17 +125,11 @@ func cellSample(ev experiments.CellEvent) telemetry.CellSample {
 
 // telemetrySink owns the optional observability surfaces of a portbench
 // run: the live-metrics registry and HTTP server, the campaign
-// accumulator behind /metrics and the manifest, the progress printer,
-// and the lane count learned for the traced cell.
+// accumulator behind /metrics and the manifest, and the progress printer.
 type telemetrySink struct {
 	camp    *telemetry.Campaign
 	srv     *telemetry.Server
 	printer *progressPrinter
-
-	traceWorkload string
-	traceMachine  string
-	laneMu        sync.Mutex
-	traceLanes    int
 
 	// cpiRows collects each distinct cell's frozen CPI stack for the
 	// end-of-run table (-cpistack). Memo hits are skipped — the first
@@ -216,13 +211,8 @@ func newTelemetrySink(runner *experiments.Runner, spec experiments.Spec,
 			})
 	}
 	sink.printer = newProgressPrinter(mode, os.Stderr, planned, sink.camp)
-	if spec.Trace != nil {
-		sink.traceWorkload = spec.Trace.Workload
-		sink.traceMachine = spec.Trace.Machine
-	}
 	runner.SetCellObserver(func(ev experiments.CellEvent) {
 		s := cellSample(ev)
-		sink.noteLanes(s)
 		sink.noteCPI(s)
 		sink.camp.CellDone(s)
 		sink.printer.cellDone(s)
@@ -315,30 +305,6 @@ func (t *telemetrySink) cpiTable() *stats.Table {
 	return tbl
 }
 
-// noteLanes remembers the traced cell's port slots per cycle, which
-// becomes the lane count of the trace's per-port track group.
-func (t *telemetrySink) noteLanes(s telemetry.CellSample) {
-	if s.Workload != t.traceWorkload || s.Machine != t.traceMachine || s.Failed {
-		return
-	}
-	m, err := config.FromJSON(s.ConfigJSON)
-	if err != nil {
-		return
-	}
-	t.laneMu.Lock()
-	if t.traceLanes == 0 {
-		t.traceLanes = core.SlotsPerCycle(m.Ports)
-	}
-	t.laneMu.Unlock()
-}
-
-// lanes returns the learned lane count (0 if the traced cell never ran).
-func (t *telemetrySink) lanes() int {
-	t.laneMu.Lock()
-	defer t.laneMu.Unlock()
-	return t.traceLanes
-}
-
 // close shuts the metrics endpoint down, first holding it open for the
 // requested grace period so external scrapers (CI smoke tests, a curl in
 // another terminal) can observe the finished campaign. Shutdown is
@@ -361,18 +327,18 @@ func (t *telemetrySink) close(hold time.Duration) {
 
 // writeTrace converts the runner's captured flight-recorder events into
 // a Chrome trace-event JSON file for Perfetto / chrome://tracing.
-func writeTrace(out io.Writer, runner *experiments.Runner, sink *telemetrySink, path string) error {
+func writeTrace(out io.Writer, runner *experiments.Runner, path string) error {
 	cap := runner.Trace()
 	if cap == nil {
 		fmt.Fprintf(os.Stderr, "telemetry: trace cell %s@%s never ran; no trace written\n",
-			sink.traceWorkload, sink.traceMachine)
+			runner.Spec().Trace.Workload, runner.Spec().Trace.Machine)
 		return nil
 	}
 	trace, err := telemetry.BuildTrace(cap.Events, telemetry.TraceMeta{
 		Machine:  cap.Machine,
 		Workload: cap.Workload,
 		Seed:     cap.Seed,
-		Lanes:    sink.lanes(),
+		Lanes:    cap.Lanes,
 		Dropped:  cap.Dropped,
 		Total:    cap.Total,
 	})

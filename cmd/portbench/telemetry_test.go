@@ -146,6 +146,38 @@ func TestTraceFlagWiring(t *testing.T) {
 	}
 }
 
+// TestTraceFollowsCellKey traces F1's compress@1-port, which is a memo hit
+// of T2's compress@baseline-1port (the same machine under another name).
+// The trace must still be written, and must equal the trace of a run in
+// which that cell owns the simulation, CPI-stack track included.
+func TestTraceFollowsCellKey(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(only, name string) []byte {
+		path := filepath.Join(dir, name)
+		out, err := runPB(t, "-quick", "-insts", "2000", "-only", only, "-cpistack",
+			"-trace-out", path, "-trace-cell", "compress@1-port")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "trace written: "+path) {
+			t.Fatalf("-only %s: trace confirmation missing:\n%s", only, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	joined := trace("T2,F1", "joined.trace.json")
+	owned := trace("F1", "owned.trace.json")
+	if !bytes.Contains(joined, []byte(`"port lane 0"`)) {
+		t.Error("trace of a memo-hit cell lacks the expected track structure")
+	}
+	if !bytes.Equal(joined, owned) {
+		t.Error("trace of a memo-hit cell differs from the trace of the same cell simulated directly")
+	}
+}
+
 // TestTraceCellNeverRan checks a trace filter that matches no suite cell
 // degrades to a warning, not an error or an empty file.
 func TestTraceCellNeverRan(t *testing.T) {

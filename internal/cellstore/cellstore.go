@@ -58,7 +58,7 @@ func (e *StoreError) Error() string {
 		fmt.Fprintf(&b, " %s", e.Path)
 	}
 	if e.Key != nil {
-		fmt.Fprintf(&b, " (%s on %s)", e.Key.Workload, e.Key.Machine)
+		fmt.Fprintf(&b, " (cell %s)", e.Key.ID())
 	}
 	fmt.Fprintf(&b, ": %v", e.Err)
 	if e.Quarantined != "" {

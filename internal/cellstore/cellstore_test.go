@@ -10,22 +10,33 @@ import (
 	"time"
 )
 
-// testKey returns a valid cell identity for tests.
+// hashOf is ContentHash for test fixtures, which always marshal.
+func hashOf(v any) string {
+	h, err := ContentHash(v)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// testKey returns a valid cell identity for tests; the workload name
+// stands in for its stream's content.
 func testKey(workload string) Key {
 	return Key{
-		ConfigHash: HashConfig([]byte(`{"name":"baseline"}`)),
-		Machine:    "baseline",
-		Workload:   workload,
-		Seed:       42,
-		Insts:      40_000,
+		Config: hashOf(`{"ports":1}`),
+		Stream: hashOf(workload),
+		Seed:   42,
+		Insts:  40_000,
 	}
 }
 
 // testEntry returns a valid result entry.
 func testEntry(workload string) *Entry {
 	return &Entry{
-		Key:    testKey(workload),
-		Result: json.RawMessage(`{"cycles":123,"insts":456}`),
+		Key:      testKey(workload),
+		Machine:  "baseline",
+		Workload: workload,
+		Result:   json.RawMessage(`{"cycles":123,"insts":456}`),
 	}
 }
 
@@ -123,9 +134,8 @@ func TestPutIsDeterministic(t *testing.T) {
 func TestKeyIdentity(t *testing.T) {
 	base := testKey("compress")
 	mutations := []func(*Key){
-		func(k *Key) { k.ConfigHash = HashConfig([]byte("other")) },
-		func(k *Key) { k.Machine = "dual" },
-		func(k *Key) { k.Workload = "eqntott" },
+		func(k *Key) { k.Config = hashOf("other") },
+		func(k *Key) { k.Stream = hashOf("eqntott") },
 		func(k *Key) { k.Seed = 43 },
 		func(k *Key) { k.Insts = 50_000 },
 		func(k *Key) { k.Fault = "panic:compress:100" },
@@ -302,7 +312,7 @@ func TestScanVisitsEntriesInStableOrder(t *testing.T) {
 	var order1, order2 []string
 	collect := func(dst *[]string) func(*Entry) error {
 		return func(e *Entry) error {
-			*dst = append(*dst, e.Key.Workload)
+			*dst = append(*dst, e.Workload)
 			return nil
 		}
 	}
@@ -476,13 +486,13 @@ func TestFaultRateSchedule(t *testing.T) {
 	}
 }
 
-// TestHashConfigWidth pins the manifest-compatible hash shape.
-func TestHashConfigWidth(t *testing.T) {
-	h := HashConfig([]byte(`{"name":"baseline"}`))
-	if len(h) != 12 {
-		t.Errorf("HashConfig width = %d hex chars, want 12", len(h))
+// TestContentHashWidth pins the key-component hash shape.
+func TestContentHashWidth(t *testing.T) {
+	h := hashOf(`{"ports":1}`)
+	if len(h) != 32 {
+		t.Errorf("ContentHash width = %d hex chars, want 32", len(h))
 	}
-	if h == HashConfig([]byte(`{"name":"dual"}`)) {
-		t.Error("distinct configs hash identically")
+	if h == hashOf(`{"ports":2}`) {
+		t.Error("distinct documents hash identically")
 	}
 }

@@ -1,8 +1,9 @@
 // Package cellstore is the durable, content-addressed store behind the
 // experiment engine's in-process memo: one file per finished cell, keyed
-// by the (machine-config hash, workload, seed, insts) identity the
-// manifest layer computes, so a killed campaign resumes with only its
-// unfinished cells re-simulated.
+// by the cell's content identity (machine-config hash, instruction-stream
+// hash, seed, insts, fault), so a killed campaign resumes with only its
+// unfinished cells re-simulated. Display names are labels on an entry,
+// never part of its identity.
 //
 // The store is deliberately ignorant of the simulator: entries carry an
 // opaque JSON payload (portlint's layerimports analyzer forbids this
@@ -13,7 +14,7 @@
 //   - Crash-safe writes: every Put lands via temp file + fsync + atomic
 //     rename (+ directory fsync), so a process killed mid-Put leaves at
 //     worst an ignorable temp file, never a half-visible entry.
-//   - Per-entry integrity: entries are wrapped in a portsim-cell/v1
+//   - Per-entry integrity: entries are wrapped in a portsim-cell/v2
 //     envelope carrying a SHA-256 checksum of the body; any mismatch —
 //     torn write, bit rot, truncation — is detected on read.
 //   - Quarantine, not crash: a corrupt entry is renamed to *.corrupt,
@@ -29,27 +30,25 @@ import (
 )
 
 // Schema identifies the on-disk envelope format. Bump the suffix on any
-// incompatible change; unknown schemas quarantine on read.
-const Schema = "portsim-cell/v1"
+// incompatible change; unknown schemas quarantine on read. v2 keys cells
+// by content instead of by display name: no v2 key addresses a v1 entry,
+// so a v1 store's cells re-simulate on first use.
+const Schema = "portsim-cell/v2"
 
-// Key is the identity of one experiment cell. It mirrors the identity the
-// manifest layer computes — the short config hash plus the cell
-// coordinates — extended with the fault descriptor for poisoned cells so
-// an injected failure can never be restored into a clean campaign (or
-// vice versa).
+// Key is the content-addressed identity of one experiment cell: what the
+// simulator actually runs, and nothing it does not. The experiments layer
+// uses the same Key for its in-process memo, its core pool (Config) and
+// its trace-arena registry (Stream), so a cell is the same cell at every
+// level of lookup. Two cells that differ only in display names share a
+// Key and are simulated once.
 type Key struct {
-	// ConfigHash fingerprints the machine-configuration JSON, same
-	// algorithm and width as the manifest layer's config_hash (SHA-256,
-	// first 6 bytes, hex).
-	ConfigHash string `json:"config_hash"`
-	// Machine is the configuration's display name. It is part of the
-	// identity: two presets could hash identically only by sharing every
-	// parameter AND the name (the name is inside the config JSON), but
-	// keeping it in the key makes entries self-describing under Scan.
-	Machine string `json:"machine"`
-	// Workload is the built-in workload name. Ad-hoc mutated profiles are
-	// never stored — their identity lives outside the config hash.
-	Workload string `json:"workload"`
+	// Config fingerprints the machine configuration with its display name
+	// cleared (its ContentHash).
+	Config string `json:"config,omitempty"`
+	// Stream fingerprints the instruction stream: the workload profile
+	// with its name and description cleared, plus the process count and
+	// quantum of a multiprogrammed stream.
+	Stream string `json:"stream"`
 	// Seed and Insts pin the generator seed and instruction budget.
 	Seed  int64  `json:"seed"`
 	Insts uint64 `json:"insts"`
@@ -58,28 +57,30 @@ type Key struct {
 	Fault string `json:"fault,omitempty"`
 }
 
-// HashConfig fingerprints one machine-configuration JSON document exactly
-// as the manifest layer does (telemetry.HashConfig): SHA-256, first 6
-// bytes, hex. Duplicated here rather than imported so the store stays
-// free of the telemetry layer; a cross-package test pins the equality.
-func HashConfig(cfgJSON []byte) string {
-	sum := sha256.Sum256(cfgJSON)
-	return hex.EncodeToString(sum[:6])
+// ContentHash fingerprints v's canonical JSON for a Key component:
+// SHA-256, first 16 bytes, hex.
+func ContentHash(v any) (string, error) {
+	doc, err := json.Marshal(v)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(doc)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:]), nil
 }
 
-// ID returns the entry's content address: SHA-256 over the canonical JSON
-// of the key, truncated to 16 bytes of hex. It is the base of the entry's
-// filename.
+// ID returns the entry's content address, the ContentHash of the key. It
+// is the base of the entry's filename.
 func (k Key) ID() string {
-	doc, err := json.Marshal(k)
+	id, err := ContentHash(k)
 	if err != nil {
 		// Key is a struct of plain strings and integers; Marshal cannot
 		// fail on it. Guard anyway so a future field type keeps the
 		// invariant visible.
 		panic(fmt.Sprintf("cellstore: key not marshalable: %v", err))
 	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:16])
+	return id
 }
 
 // Failure is the stored form of a deterministic cell failure. The
@@ -101,6 +102,11 @@ type Failure struct {
 // (opaque payload owned by the experiments layer) or Failure.
 type Entry struct {
 	Key Key `json:"key"`
+	// Machine and Workload label the cell that wrote the entry, so entries
+	// stay self-describing under Scan. They are not identity: a later cell
+	// under other names but with the same Key restores this entry.
+	Machine  string `json:"machine,omitempty"`
+	Workload string `json:"workload,omitempty"`
 	// Result is the successful cell's encoded result; nil for failures.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Failure is the failed cell's stored error; nil for results.
@@ -109,8 +115,8 @@ type Entry struct {
 
 // Validate checks the entry's structural invariant.
 func (e *Entry) Validate() error {
-	if e.Key.Workload == "" || e.Key.ConfigHash == "" {
-		return fmt.Errorf("cellstore: entry missing workload or config hash")
+	if e.Key.Config == "" || e.Key.Stream == "" {
+		return fmt.Errorf("cellstore: entry missing config or stream hash")
 	}
 	if e.Key.Insts == 0 {
 		return fmt.Errorf("cellstore: entry has a zero instruction budget")

@@ -13,19 +13,22 @@ import (
 func FuzzDecodeEntry(f *testing.F) {
 	valid, err := EncodeEntry(&Entry{
 		Key: Key{
-			ConfigHash: HashConfig([]byte(`{"name":"baseline"}`)),
-			Machine:    "baseline",
-			Workload:   "compress",
-			Seed:       42,
-			Insts:      40_000,
+			Config: hashOf(`{"ports":1}`),
+			Stream: hashOf("compress"),
+			Seed:   42,
+			Insts:  40_000,
 		},
-		Result: json.RawMessage(`{"cycles":123}`),
+		Machine:  "baseline",
+		Workload: "compress",
+		Result:   json.RawMessage(`{"cycles":123}`),
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	failure, err := EncodeEntry(&Entry{
-		Key: Key{ConfigHash: "abcdef012345", Machine: "dual", Workload: "eqntott", Seed: 7, Insts: 1000},
+		Key:      Key{Config: "abcdef012345", Stream: "0123456789ab", Seed: 7, Insts: 1000},
+		Machine:  "dual",
+		Workload: "eqntott",
 		Failure: &Failure{
 			Message:  "experiments: cell panicked: boom",
 			Panicked: true,
@@ -42,7 +45,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
-	f.Add([]byte(`{"schema":"portsim-cell/v1","checksum":"sha256:00","entry":{}}`))
+	f.Add([]byte(`{"schema":"` + Schema + `","checksum":"sha256:00","entry":{}}`))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0xff})
 
@@ -78,11 +81,10 @@ func FuzzDecodeEntry(f *testing.F) {
 // and always leaves the store usable.
 func FuzzGetNeverPanics(f *testing.F) {
 	k := Key{
-		ConfigHash: HashConfig([]byte(`{"name":"baseline"}`)),
-		Machine:    "baseline",
-		Workload:   "compress",
-		Seed:       42,
-		Insts:      40_000,
+		Config: hashOf(`{"ports":1}`),
+		Stream: hashOf("compress"),
+		Seed:   42,
+		Insts:  40_000,
 	}
 	valid, err := EncodeEntry(&Entry{Key: k, Result: json.RawMessage(`{"cycles":1}`)})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"portsim/internal/config"
+	"portsim/internal/core"
 	"portsim/internal/diag"
 	"portsim/internal/workload"
 )
@@ -76,6 +77,38 @@ func TestStepDoesNotAllocateWithRecorder(t *testing.T) {
 			}
 			if depth > 0 && rec.Len() == 0 {
 				t.Error("armed recorder captured no events")
+			}
+		})
+	}
+}
+
+// TestResultAllocations pins the per-cell cost of building a Result: the
+// counter set is sized once (resultCounters covers every counter written)
+// and the data-dependent counter names are precomputed, so the count is a
+// small constant independent of how many counters a machine reports
+// (it was 31-38 when the set grew per counter and the names were built
+// per call).
+func TestResultAllocations(t *testing.T) {
+	const maxAllocs = 7
+	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort(), config.Banked(8)} {
+		m := m
+		t.Run(m.Name, func(t *testing.T) {
+			g, err := workload.New(mustProfile(t, "database"), 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(&m, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20_000; i++ {
+				c.step()
+			}
+			if n, limit := len(c.result().Counters.Names()), resultCounters+core.SlotsPerCycle(m.Ports); n > limit {
+				t.Errorf("result wrote %d counters, more than the %d it sizes for", n, limit)
+			}
+			if avg := testing.AllocsPerRun(100, func() { c.result() }); avg > maxAllocs {
+				t.Errorf("result allocates %v objects; want at most %d", avg, maxAllocs)
 			}
 		})
 	}

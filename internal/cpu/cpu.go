@@ -69,7 +69,7 @@ type robEntry struct {
 	// memory operations.
 	dispatchedAt uint64
 
-	// readyCache memoises the entry's operand-readiness (operandsReadyAt,
+	// readyCache memoises the entry's operand-readiness (both operands,
 	// or the address operand alone for stores) so the per-cycle issue and
 	// skip scans compare one cached word instead of re-reading the ready
 	// files. The cache is valid while readyGen matches Core.readyGen: a
@@ -726,9 +726,13 @@ func (c *Core) step() {
 	c.cycle++
 }
 
+// resultCounters bounds the counters result writes besides the port's
+// per-slot grant buckets: core, memory, per-class and fixed port counters.
+const resultCounters = 26 + isa.NumClasses + 22
+
 // result assembles the Result from the counters.
 func (c *Core) result() *Result {
-	s := stats.NewSet()
+	s := stats.NewSetSize(resultCounters + core.SlotsPerCycle(c.cfg.Ports))
 	s.Add(stats.Cycles, c.cycle)
 	s.Add(stats.Instructions, c.committed)
 	s.Add(stats.InstsUser, c.userInsts)

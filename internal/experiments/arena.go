@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 
-	"portsim/internal/config"
+	"portsim/internal/cellstore"
 	"portsim/internal/cpu"
 	"portsim/internal/trace"
 	"portsim/internal/workload"
@@ -36,15 +35,6 @@ const DefaultArenaBudget int64 = 512 << 20
 // live generator would not — with or without the multiprogram interleaver
 // in between.
 const arenaSlack = cpu.StreamChunk
-
-// arenaKey identifies one materialised trace: the full profile (as
-// canonical JSON — the kernel-intensity sweep runs mutated profiles that
-// share a name) plus the generator seed and the materialised length.
-type arenaKey struct {
-	profile string
-	seed    int64
-	n       uint64
-}
 
 // arenaEntry is one registry slot. refs counts live cursors plus, during
 // the build, the building caller — an entry under construction is never
@@ -80,7 +70,7 @@ type arenaRegistry struct {
 	budget int64
 
 	mu      sync.Mutex
-	entries map[arenaKey]*arenaEntry
+	entries map[cellstore.Key]*arenaEntry
 	bytes   int64
 	clock   uint64
 
@@ -88,19 +78,20 @@ type arenaRegistry struct {
 }
 
 func newArenaRegistry(budget int64) *arenaRegistry {
-	return &arenaRegistry{budget: budget, entries: make(map[arenaKey]*arenaEntry)}
+	return &arenaRegistry{budget: budget, entries: make(map[cellstore.Key]*arenaEntry)}
 }
 
 // acquire returns a cursor over the materialised (profile, seed) trace of n
 // instructions plus a release closure, or (nil, nil, nil) when the byte
-// budget forces this cell onto live generation. Concurrent acquires of the
-// same key share one build: the first caller materialises, the rest wait.
+// budget forces this cell onto live generation. The trace is keyed by the
+// machine-less cellKey of its content, so profiles that differ only in
+// name share one arena. Concurrent acquires of the same key share one
+// build: the first caller materialises, the rest wait.
 func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*trace.Cursor, func(), error) {
-	profJSON, err := json.Marshal(prof)
+	key, err := cellKey(nil, streamSpec{prof: prof}, seed, n, "")
 	if err != nil {
 		return nil, nil, err
 	}
-	key := arenaKey{profile: string(profJSON), seed: seed, n: n}
 	need := int64(n) * trace.BytesPerInst
 	ar.mu.Lock()
 	if e, ok := ar.entries[key]; ok {
@@ -148,7 +139,7 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 
 // release drops one reference. Failed builds are purged as soon as the last
 // holder lets go so they neither consume budget nor pin the error.
-func (ar *arenaRegistry) release(key arenaKey, e *arenaEntry) {
+func (ar *arenaRegistry) release(key cellstore.Key, e *arenaEntry) {
 	ar.mu.Lock()
 	e.refs--
 	if e.refs == 0 && e.err != nil {
@@ -162,7 +153,7 @@ func (ar *arenaRegistry) release(key arenaKey, e *arenaEntry) {
 // map scan accumulates a minimum over unique lastUse stamps, so iteration
 // order cannot affect the victim.
 func (ar *arenaRegistry) evictOne() bool {
-	var victimKey arenaKey
+	var victimKey cellstore.Key
 	var victim *arenaEntry
 	for k, e := range ar.entries {
 		if e.refs == 0 && (victim == nil || e.lastUse < victim.lastUse) {
@@ -208,71 +199,52 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 // length keeps single-program and multiprogram cells on the same arenas.
 func (r *Runner) arenaLen() uint64 { return r.spec.Insts + arenaSlack }
 
-// profileStream returns the cell's instruction stream: a cursor over the
-// shared arena when the registry can hold the trace, the live generator
-// otherwise. The release closure is nil on the live path.
-func (r *Runner) profileStream(prof workload.Profile, seed int64) (trace.Stream, func(), error) {
-	if r.arenas != nil {
-		cur, release, err := r.arenas.acquire(prof, seed, r.arenaLen())
+// openStream returns the cell's instruction stream and its release
+// closure: cursors over the shared arenas when the registry holds every
+// process's trace, live generation otherwise. A multiprogrammed stream
+// replays the quantum interleave over per-process cursors —
+// instruction-identical to the live NewMultiprogram stream (golden-tested
+// in internal/workload) — and falls back to live generation wholesale.
+// On error nothing stays acquired.
+func (r *Runner) openStream(s streamSpec) (stream trace.Stream, release func(), err error) {
+	seed, procs := r.spec.Seed, max(s.processes, 1)
+	var cursors []*trace.Cursor
+	var releases []func()
+	releaseAll := func() {
+		for _, rel := range releases {
+			rel()
+		}
+	}
+	defer func() {
+		if err != nil {
+			releaseAll()
+		}
+	}()
+	for i := 0; r.arenas != nil && i < procs; i++ {
+		cur, rel, err := r.arenas.acquire(s.prof, seed+int64(i)*workload.SeedStride, r.arenaLen())
 		if err != nil {
 			return nil, nil, err
 		}
-		if cur != nil {
-			return cur, release, nil
+		if cur == nil {
+			break
 		}
+		cursors, releases = append(cursors, cur), append(releases, rel)
 	}
-	gen, err := workload.New(prof, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gen, nil, nil
-}
-
-// runMultiprogram simulates one multiprogrammed cell. When the registry
-// holds arenas for every process's trace, the quantum interleave replays
-// over per-process cursors — instruction-identical to the live
-// NewMultiprogram stream (golden-tested in internal/workload) — otherwise
-// the cell falls back to live generation wholesale.
-func (r *Runner) runMultiprogram(m config.Machine, prof workload.Profile, processes, quantumMean int, what string) (*cpu.Result, error) {
-	if r.arenas != nil {
-		cursors := make([]*trace.Cursor, 0, processes)
-		releases := make([]func(), 0, processes)
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
-		complete := true
-		for i := 0; i < processes; i++ {
-			cur, rel, err := r.arenas.acquire(prof, r.spec.Seed+int64(i)*workload.SeedStride, r.arenaLen())
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			if cur == nil {
-				complete = false
-				break
-			}
-			cursors = append(cursors, cur)
-			releases = append(releases, rel)
-		}
-		if complete {
-			mp, err := workload.NewMultiprogramReplay(cursors, quantumMean, r.spec.Seed)
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			res, err := r.runStream(m, mp, what)
-			releaseAll()
-			return res, err
-		}
+	switch {
+	case len(cursors) < procs:
 		releaseAll()
+		releases = nil
+		if s.processes == 0 {
+			stream, err = workload.New(s.prof, seed)
+		} else {
+			stream, err = workload.NewMultiprogram(s.prof, s.processes, s.quantum, seed)
+		}
+	case s.processes == 0:
+		stream = cursors[0]
+	default:
+		stream, err = workload.NewMultiprogramReplay(cursors, s.quantum, seed)
 	}
-	mp, err := workload.NewMultiprogram(prof, processes, quantumMean, r.spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return r.runStream(m, mp, what)
+	return stream, releaseAll, err
 }
 
 // ParseArenaBudget parses a -arena-budget flag value: a byte size with an

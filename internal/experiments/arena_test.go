@@ -7,8 +7,8 @@ import (
 )
 
 // arenaTestSpec is a small campaign that still covers both runner stream
-// paths: single-program cells (F1 memoised sweep) and the multiprogrammed
-// interleave (A6, never memoised).
+// paths: single-program cells (F1's sweep) and the multiprogrammed
+// interleave (A6).
 func arenaTestSpec(budget int64) Spec {
 	return Spec{Workloads: []string{"compress"}, Insts: 6_000, Seed: 42, ArenaBudget: budget}
 }

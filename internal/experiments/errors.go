@@ -26,9 +26,10 @@ type CellError struct {
 	Machine config.Machine
 	// Workload is the workload (or mutated-profile) name.
 	Workload string
-	// Profile is set when the cell ran an ad-hoc mutated profile rather
-	// than a named built-in workload (the kernel-intensity sweep); a repro
-	// bundle needs it to rebuild the same stream.
+	// Profile is the single-program cell's profile, which may be a mutated
+	// one with no built-in name (the kernel-intensity sweep); a repro
+	// bundle needs it to rebuild the same stream. Nil for multiprogrammed
+	// cells.
 	Profile *workload.Profile
 	// Seed and Insts are the generator seed and instruction budget.
 	Seed  int64

@@ -503,7 +503,8 @@ func F7KernelIntensity(r *Runner) ([]F7Row, *stats.Table, error) {
 			prof.Kernel.EveryMean = pt.every
 		}
 		for _, m := range machines {
-			cells = append(cells, func() (*cpu.Result, error) { return r.runProfile(m, prof) })
+			c := cellReq{m: m, workload: prof.Name, streamSpec: streamSpec{prof: prof}}
+			cells = append(cells, func() (*cpu.Result, error) { return r.run(c) })
 		}
 	}
 	results, err := r.runAll(cells)
@@ -846,9 +847,9 @@ func A6Multiprogramming(r *Runner) ([]A6Row, *stats.Table, error) {
 	var cells []cell
 	for _, n := range levels {
 		for _, m := range machines {
-			cells = append(cells, func() (*cpu.Result, error) {
-				return r.runMultiprogram(m, prof, n, quantum, fmt.Sprintf("compress-x%d", n))
-			})
+			c := cellReq{m: m, workload: fmt.Sprintf("compress-x%d", n),
+				streamSpec: streamSpec{prof: prof, processes: n, quantum: quantum}}
+			cells = append(cells, func() (*cpu.Result, error) { return r.run(c) })
 		}
 	}
 	results, err := r.runAll(cells)

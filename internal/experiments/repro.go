@@ -97,7 +97,7 @@ func (b *Bundle) Replay() (*cpu.Result, error) {
 		Fault:          b.Fault,
 	})
 	if b.Profile != nil {
-		return r.runProfile(b.Machine, *b.Profile)
+		return r.run(cellReq{m: b.Machine, workload: b.Workload, streamSpec: streamSpec{prof: *b.Profile}})
 	}
 	return r.Run(b.Machine, b.Workload)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -13,6 +12,7 @@ import (
 
 	"portsim/internal/cellstore"
 	"portsim/internal/config"
+	"portsim/internal/core"
 	"portsim/internal/cpu"
 	"portsim/internal/cpustack"
 	"portsim/internal/diag"
@@ -43,7 +43,7 @@ type Spec struct {
 	// -inject. Healthy workloads are unaffected.
 	Fault *Fault
 	// Trace, when non-nil, arms a deep flight recorder for the first
-	// simulation of the named cell so its tail can be exported as a
+	// submission of the named cell so its tail can be exported as a
 	// Perfetto trace (portbench -trace-out). All other cells run exactly
 	// as without it, so tables stay byte-identical.
 	Trace *TraceSpec
@@ -98,6 +98,8 @@ type TraceCapture struct {
 	Workload string
 	// Seed is the spec's workload seed.
 	Seed int64
+	// Lanes is the traced machine's port slots per cycle (track lanes).
+	Lanes int
 	// Events is the recorder tail in recording (cycle) order.
 	Events []diag.Event
 	// Dropped counts events lost to ring wraparound before the tail;
@@ -110,11 +112,15 @@ type TraceCapture struct {
 // observer installed with SetCellObserver. One event fires per cell
 // submission: memo hits report the cached result with MemoHit set.
 type CellEvent struct {
-	// Machine and Workload identify the cell. ConfigJSON is the machine
-	// configuration as simulated (after fault arming, if any).
+	// Machine and Workload label the cell as submitted. ConfigJSON is the
+	// machine configuration (as simulated, after fault arming, for the
+	// cell that ran it).
 	Machine    string
 	Workload   string
 	ConfigJSON []byte
+	// Key is the cell's content address (cellstore.Key.ID), shared by
+	// every submission of one simulation whatever its labels.
+	Key string
 	// MemoHit marks a cell satisfied from the memo cache without
 	// simulating.
 	MemoHit bool
@@ -168,29 +174,30 @@ func QuickSpec() Spec {
 }
 
 // memoEntry is one singleflight slot in the runner's memo cache: the first
-// caller of a key owns the simulation and everyone else blocks on done.
+// caller of a cell key owns the simulation and everyone else blocks on done.
 type memoEntry struct {
 	done chan struct{}
 	res  *cpu.Result
 	err  error
 }
 
-// Runner executes simulations and memoises results, since several
-// experiments share machine configurations. It is safe for concurrent use:
-// the memo cache is singleflight (a duplicate configuration waits for the
-// in-flight simulation instead of re-running it) and the work accumulators
-// are atomic.
+// Runner executes simulations and memoises results by content (cellKey),
+// since the paper's sweeps share their base points under many names. It is
+// safe for concurrent use: the memo cache is singleflight (a duplicate cell
+// waits for the in-flight simulation instead of re-running it) and the work
+// accumulators are atomic.
 type Runner struct {
 	spec     Spec
 	parallel int
 
 	mu    sync.Mutex
-	cache map[string]*memoEntry
+	cache map[cellstore.Key]*memoEntry
 
-	// Core pool: finished cores keyed by machine-config JSON, reset and
-	// reused by later cells with the identical configuration so a campaign
-	// does not reallocate cache tags, predictor tables and register files
-	// per cell. Cores from failed or panicked cells are never returned.
+	// Core pool: finished cores keyed by the name-free machine-config hash
+	// (cellstore.Key.Config), reset and reused by later cells with the same
+	// configuration so a campaign does not reallocate cache tags, predictor
+	// tables and register files per cell. Cores from failed or panicked
+	// cells are never returned.
 	poolMu   sync.Mutex
 	pool     map[string][]*cpu.Core
 	poolHits atomic.Uint64
@@ -240,7 +247,7 @@ func NewRunner(spec Spec) *Runner {
 	r := &Runner{
 		spec:     spec,
 		parallel: parallel,
-		cache:    make(map[string]*memoEntry),
+		cache:    make(map[cellstore.Key]*memoEntry),
 		pool:     make(map[string][]*cpu.Core),
 	}
 	budget := spec.ArenaBudget
@@ -293,13 +300,6 @@ func (r *Runner) SetCellObserver(fn func(CellEvent), now func() time.Time) {
 	r.obsMu.Unlock()
 }
 
-// cellObserver returns the current observer and clock.
-func (r *Runner) cellObserver() (func(CellEvent), func() time.Time) {
-	r.obsMu.Lock()
-	defer r.obsMu.Unlock()
-	return r.observer, r.obsNow
-}
-
 // SetCellStartObserver installs a callback invoked when a cell enters
 // simulation, carrying the cell's live CPI stack (when armed) so a status
 // plane can report running cells. Memo and store hits never fire it.
@@ -308,13 +308,6 @@ func (r *Runner) SetCellStartObserver(fn func(CellStart)) {
 	r.obsMu.Lock()
 	r.startObs = fn
 	r.obsMu.Unlock()
-}
-
-// cellStartObserver returns the current start observer.
-func (r *Runner) cellStartObserver() func(CellStart) {
-	r.obsMu.Lock()
-	defer r.obsMu.Unlock()
-	return r.startObs
 }
 
 // emitCellStart delivers one start notification under the observer lock.
@@ -337,13 +330,22 @@ func (r *Runner) Experiment() string {
 	return name
 }
 
-// emitCell delivers one observer event under the observer lock.
-func (r *Runner) emitCell(ev CellEvent) {
+// emitCell delivers one observer event under the observer lock, filling in
+// the cell's labels, key and, unless set, configuration.
+func (r *Runner) emitCell(c *cellReq, key cellstore.Key, ev CellEvent) {
 	r.obsMu.Lock()
-	if r.observer != nil {
-		r.observer(ev)
+	defer r.obsMu.Unlock()
+	if r.observer == nil {
+		return
 	}
-	r.obsMu.Unlock()
+	ev.Machine, ev.Workload, ev.Key = c.m.Name, c.workload, key.ID()
+	if ev.ConfigJSON == nil {
+		ev.ConfigJSON, _ = c.m.ToJSON()
+	}
+	if ev.CPIStack == nil && ev.Result != nil {
+		ev.CPIStack = ev.Result.CPIStack
+	}
+	r.observer(ev)
 }
 
 // Trace returns the captured trace of the Spec.Trace cell, or nil when no
@@ -354,11 +356,10 @@ func (r *Runner) Trace() *TraceCapture {
 	return r.traceCap
 }
 
-// armTrace claims the campaign's single trace slot when the cell matches
-// Spec.Trace, returning the deep recorder to simulate with. Only the
-// first matching simulation captures; memoisation guarantees the first
-// simulation of a (machine, workload) pair is the one whose result every
-// table sees.
+// armTrace claims the campaign's single trace slot when the cell's labels
+// match Spec.Trace, returning the deep recorder to simulate with. Only the
+// first matching submission captures: an owner records as it runs, and a
+// memo hit replays its key (see run).
 func (r *Runner) armTrace(machineName, workloadName string) *diag.Recorder {
 	t := r.spec.Trace
 	if t == nil || t.Workload != workloadName {
@@ -381,12 +382,13 @@ func (r *Runner) armTrace(machineName, workloadName string) *diag.Recorder {
 }
 
 // captureTrace stores the traced cell's tail for Trace().
-func (r *Runner) captureTrace(rec *diag.Recorder, machineName, workloadName string) {
+func (r *Runner) captureTrace(rec *diag.Recorder, m *config.Machine, workloadName string) {
 	r.traceMu.Lock()
 	r.traceCap = &TraceCapture{
-		Machine:  machineName,
+		Machine:  m.Name,
 		Workload: workloadName,
 		Seed:     r.spec.Seed,
+		Lanes:    core.SlotsPerCycle(m.Ports),
 		Events:   rec.Events(),
 		Dropped:  rec.Dropped(),
 		Total:    rec.Total(),
@@ -402,41 +404,99 @@ func (r *Runner) SimulatedCycles() uint64 { return r.simCycles.Load() }
 // every non-memoised run this runner has executed.
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInsts.Load() }
 
-// Run simulates one workload on one machine, reusing a previous result for
-// the identical configuration. Concurrent calls with the same configuration
-// share one simulation: the first caller runs it, the rest wait for it.
-// Failures are memoised like results: the simulator is deterministic, so a
-// failed cell would fail identically on every retry, and caching the
-// CellError means the whole campaign reports one failure per distinct cell
-// instead of re-dying once per experiment that shares the configuration.
+// streamSpec names a cell's instruction stream: a profile run alone or,
+// with processes > 0, as a quantum-interleaved multiprogram (A6).
+type streamSpec struct {
+	prof               workload.Profile
+	processes, quantum int
+}
+
+// cellReq is one experiment cell as submitted: the machine, the stream it
+// runs, and the workload label it reports under (a workload name, F7's
+// database-k-* profile name, A6's compress-xN). Labels never reach the
+// model, so they are not part of the cell's identity (cellKey).
+type cellReq struct {
+	m        config.Machine
+	workload string
+	streamSpec
+}
+
+// cellKey is the one content-addressed cell identity of a campaign: the
+// memo and the store key on all of it, the core pool on its Config, and
+// the arena registry on a machine-less key (nil m) per process trace.
+// Display names (Machine.Name, Profile.Name, Profile.Description) never
+// reach the model, so they are cleared and renamed cells are one
+// simulation. fault is the spec's fault descriptor when it poisons the
+// cell.
+func cellKey(m *config.Machine, s streamSpec, seed int64, insts uint64, fault string) (k cellstore.Key, err error) {
+	k = cellstore.Key{Seed: seed, Insts: insts, Fault: fault}
+	if m != nil {
+		anon := *m
+		anon.Name = ""
+		if k.Config, err = cellstore.ContentHash(&anon); err != nil {
+			return k, err
+		}
+	}
+	s.prof.Name, s.prof.Description = "", ""
+	k.Stream, err = cellstore.ContentHash(struct {
+		Profile   workload.Profile
+		Processes int `json:",omitempty"`
+		Quantum   int `json:",omitempty"`
+	}{s.prof, s.processes, s.quantum})
+	return k, err
+}
+
+// reproProfile is the (possibly mutated) profile a repro bundle replays;
+// nil for multiprogrammed cells, whose stream a bundle cannot describe.
+func (c *cellReq) reproProfile() *workload.Profile {
+	if c.processes > 0 {
+		return nil
+	}
+	p := c.prof
+	return &p
+}
+
+// Run simulates one workload on one machine through the runner's single
+// cell path (see run).
 func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error) {
-	cfgJSON, err := m.ToJSON()
+	prof, ok := workload.ByName(workloadName)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown workload %q", workloadName)
+	}
+	return r.run(cellReq{m: m, workload: workloadName, streamSpec: streamSpec{prof: prof}})
+}
+
+// run is the one entry path of every cell — named workloads, mutated
+// profiles and multiprogrammed streams alike: memo → store → simulate →
+// Put, keyed by cellKey. Concurrent submissions of a key share one
+// simulation. Failures are memoised like results: the simulator is
+// deterministic, so the campaign reports one failure per distinct cell
+// instead of re-dying once per experiment that shares it.
+func (r *Runner) run(c cellReq) (*cpu.Result, error) {
+	fault := ""
+	if r.spec.Fault.applies(c.workload) {
+		fault = r.spec.Fault.String()
+	}
+	key, err := cellKey(&c.m, c.streamSpec, r.spec.Seed, r.spec.Insts, fault)
 	if err != nil {
 		return nil, err
 	}
-	key := workloadName + "\x00" + string(cfgJSON)
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
 		<-e.done
-		ev := CellEvent{
-			Machine:    m.Name,
-			Workload:   workloadName,
-			ConfigJSON: cfgJSON,
-			MemoHit:    true,
-			Result:     e.res,
-			Err:        e.err,
+		// The owner may have run under other names; a trace requested by
+		// this cell's names replays the key, reproducing that run exactly.
+		if rec := r.armTrace(c.m.Name, c.workload); rec != nil {
+			r.runStream(&c, key, rec, false)
 		}
-		if e.res != nil {
-			ev.CPIStack = e.res.CPIStack
-		}
-		r.emitCell(ev)
+		r.emitCell(&c, key, CellEvent{MemoHit: true, Result: e.res, Err: e.err})
 		return e.res, e.err
 	}
 	e := &memoEntry{done: make(chan struct{})}
 	r.cache[key] = e
 	r.mu.Unlock()
-	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(m, cfgJSON, workloadName) })
+	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(&c, key) })
 	return e.res, e.err
 }
 
@@ -446,8 +506,8 @@ func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error)
 // fixing the memo-poisoning bug where a panicking owner closed e.done with
 // res == nil, err == nil and every waiter received a silent nil result
 // forever. runStream contains panics with full cell context; this recover
-// is the backstop for panics outside the simulation itself (workload
-// resolution, result accounting).
+// is the backstop for panics outside the simulation itself (stream setup,
+// result accounting).
 func (r *Runner) fill(e *memoEntry, run func() (*cpu.Result, error)) {
 	defer close(e.done)
 	defer func() {
@@ -464,67 +524,25 @@ func (r *Runner) fill(e *memoEntry, run func() (*cpu.Result, error)) {
 	e.res, e.err = run()
 }
 
-// runWorkload resolves a workload name and simulates it (no memoisation).
-func (r *Runner) runWorkload(m config.Machine, workloadName string) (*cpu.Result, error) {
-	prof, ok := workload.ByName(workloadName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", workloadName)
-	}
-	return r.runProfile(m, prof)
-}
-
-// runProfile simulates an explicit profile (used by the kernel-intensity
-// sweep, which mutates profiles); results are not memoised. The stream is
-// an arena cursor when the registry holds this trace, the live generator
-// otherwise — identical instruction sequences either way.
-func (r *Runner) runProfile(m config.Machine, prof workload.Profile) (*cpu.Result, error) {
-	stream, release, err := r.profileStream(prof, r.spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if release != nil {
-		defer release()
-	}
-	res, err := r.runStream(m, stream, prof.Name)
-	if err != nil {
-		// The profile is ad hoc (no workload.ByName entry), so a repro
-		// bundle must carry it verbatim.
-		var ce *CellError
-		if errors.As(err, &ce) && ce.Profile == nil {
-			p := prof
-			ce.Profile = &p
-		}
-	}
-	return res, err
-}
-
 // acquireCore returns a core for the machine, reusing a pooled one (reset
-// for the new stream) when an identical configuration has already finished
-// a cell. The returned key re-pools the core via releaseCore; an empty key
-// means the core is not poolable (fault-armed cells mutate their machine
-// configuration mid-construction, so their cores are built and dropped).
-func (r *Runner) acquireCore(m *config.Machine, stream trace.Stream, poolable bool) (*cpu.Core, string, error) {
-	if !poolable {
-		c, err := cpu.New(m, stream)
-		return c, "", err
-	}
-	cfgJSON, err := m.ToJSON()
-	if err != nil {
-		return nil, "", err
-	}
-	key := string(cfgJSON)
-	r.poolMu.Lock()
-	if cores := r.pool[key]; len(cores) > 0 {
-		c := cores[len(cores)-1]
-		r.pool[key] = cores[:len(cores)-1]
+// for the new stream) when a cell with the same name-free configuration
+// (cellstore.Key.Config) has already finished. An empty key means the core
+// is not poolable: fault-armed cells mutate their machine configuration, so
+// their cores are built and dropped.
+func (r *Runner) acquireCore(m *config.Machine, stream trace.Stream, key string) (*cpu.Core, error) {
+	if key != "" {
+		r.poolMu.Lock()
+		if cores := r.pool[key]; len(cores) > 0 {
+			c := cores[len(cores)-1]
+			r.pool[key] = cores[:len(cores)-1]
+			r.poolMu.Unlock()
+			r.poolHits.Add(1)
+			return c, c.Reset(stream)
+		}
 		r.poolMu.Unlock()
-		r.poolHits.Add(1)
-		return c, key, c.Reset(stream)
+		r.poolMiss.Add(1)
 	}
-	r.poolMu.Unlock()
-	r.poolMiss.Add(1)
-	c, err := cpu.New(m, stream)
-	return c, key, err
+	return cpu.New(m, stream)
 }
 
 // releaseCore returns a healthy core to the pool. The per-key depth is
@@ -547,23 +565,34 @@ func (r *Runner) PoolStats() (hits, misses uint64) {
 	return r.poolHits.Load(), r.poolMiss.Load()
 }
 
-// runStream simulates an arbitrary stream (not memoised). This is the cell
+// runStream opens the cell's stream and simulates it. This is the cell
 // crash boundary: a panic anywhere in the simulation — the stream, the
 // pipeline model, the memory system — is contained here into a CellError
 // carrying the machine configuration, the cell identity, the stack, and
 // the flight recorder's tail. Simulation errors (deadline, watchdog stall)
 // are wrapped into CellErrors with the same context, minus the stack.
-func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (res *cpu.Result, err error) {
+// observed is false for the trace replay of a memoised cell, which is
+// neither counted nor reported.
+func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorder, observed bool) (res *cpu.Result, err error) {
+	stream, release, err := r.openStream(c.streamSpec)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	// A trace-armed cell gets the deep recorder; otherwise the ordinary
-	// forensic ring, armed only when requested or fault-poisoned.
-	traceRec := r.armTrace(m.Name, what)
+	// forensic ring, armed only when requested or fault-poisoned. Arming a
+	// fault mutates the cell's private machine copy, so its core never
+	// pools.
+	m := c.m
 	rec := traceRec
-	poolable := !r.spec.Fault.applies(what)
-	if rec == nil && (r.spec.FlightRecorder || !poolable) {
+	poolKey := key.Config
+	armed := r.spec.Fault.applies(c.workload)
+	if rec == nil && (r.spec.FlightRecorder || armed) {
 		rec = diag.NewRecorder(0)
 	}
-	if !poolable {
+	if armed {
 		stream = r.spec.Fault.arm(&m, stream)
+		poolKey = ""
 	}
 	cellErr := func(stack string, cause error) *CellError {
 		events := rec.Events()
@@ -574,7 +603,8 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 		}
 		return &CellError{
 			Machine:  m,
-			Workload: what,
+			Workload: c.workload,
+			Profile:  c.reproProfile(),
 			Seed:     r.spec.Seed,
 			Insts:    r.spec.Insts,
 			Stack:    stack,
@@ -589,13 +619,19 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 	if r.spec.CPIStack {
 		stack = cpustack.NewStack()
 	}
+	var obs func(CellEvent)
+	var obsNow func() time.Time
+	var startObs func(CellStart)
+	if observed {
+		r.obsMu.Lock()
+		obs, obsNow, startObs = r.observer, r.obsNow, r.startObs
+		r.obsMu.Unlock()
+	}
 	// The observer defer is registered before the recover defer, so on a
 	// panic it runs after recovery has turned the panic into res/err and
 	// reports the cell's final outcome. The trace is captured on every
 	// path — a trace of the failing cell is exactly what a diagnosis
 	// wants.
-	obs, obsNow := r.cellObserver()
-	startObs := r.cellStartObserver()
 	var cfgJSON []byte
 	if obs != nil || startObs != nil {
 		cfgJSON, _ = m.ToJSON()
@@ -606,23 +642,16 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 	}
 	defer func() {
 		if traceRec != nil {
-			r.captureTrace(traceRec, m.Name, what)
+			r.captureTrace(traceRec, &m, c.workload)
 		}
 		if obs == nil {
 			return
 		}
-		ev := CellEvent{
-			Machine:    m.Name,
-			Workload:   what,
-			ConfigJSON: cfgJSON,
-			Result:     res,
-			Err:        err,
-			CPIStack:   stack.Snapshot(),
-		}
+		ev := CellEvent{ConfigJSON: cfgJSON, Result: res, Err: err, CPIStack: stack.Snapshot()}
 		if obsNow != nil {
 			ev.WallSeconds = obsNow().Sub(cellStart).Seconds()
 		}
-		r.emitCell(ev)
+		r.emitCell(c, key, ev)
 	}()
 	defer func() {
 		if p := recover(); p != nil {
@@ -633,20 +662,19 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 	if startObs != nil {
 		r.emitCellStart(CellStart{
 			Machine:    m.Name,
-			Workload:   what,
+			Workload:   c.workload,
 			ConfigJSON: cfgJSON,
 			Experiment: r.Experiment(),
 			Stack:      stack,
 		})
 	}
 	simulate := func() {
-		var c *cpu.Core
-		var key string
-		c, key, err = r.acquireCore(&m, stream, poolable)
+		var core *cpu.Core
+		core, err = r.acquireCore(&m, stream, poolKey)
 		if err != nil {
 			return
 		}
-		res, err = c.Run(cpu.Options{
+		res, err = core.Run(cpu.Options{
 			MaxInstructions: r.spec.Insts,
 			DeadlineCycles:  cpu.DeadlineFor(r.spec.Insts),
 			StallCycles:     cpu.DefaultStallCycles,
@@ -658,12 +686,14 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 			// The failed core is dropped, not pooled: its state is part
 			// of the failure evidence and may be wedged.
 			res = nil
-			err = cellErr("", fmt.Errorf("experiments: %s on %s: %w", what, m.Name, err))
+			err = cellErr("", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
 			return
 		}
-		r.simCycles.Add(res.Cycles)
-		r.simInsts.Add(res.Instructions)
-		r.releaseCore(key, c)
+		if observed {
+			r.simCycles.Add(res.Cycles)
+			r.simInsts.Add(res.Instructions)
+		}
+		r.releaseCore(poolKey, core)
 	}
 	if obs != nil || startObs != nil {
 		// With a telemetry plane attached, label the simulation goroutine
@@ -671,9 +701,9 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 		// experiment. Labels never influence results; the plain path
 		// stays completely untouched when observability is off.
 		pprof.Do(context.Background(), pprof.Labels(
-			"cell", cellstore.HashConfig(cfgJSON),
+			"cell", key.ID(),
 			"experiment", r.Experiment(),
-			"workload", what,
+			"workload", c.workload,
 			"machine", m.Name,
 		), func(context.Context) { simulate() })
 	} else {

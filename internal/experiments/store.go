@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"portsim/internal/cellstore"
-	"portsim/internal/config"
 	"portsim/internal/cpu"
 	"portsim/internal/cpustack"
 	"portsim/internal/stats"
@@ -116,67 +115,37 @@ func (e *restoredError) Is(target error) bool {
 	return e.panicked && target == ErrCellPanic
 }
 
-// storeKey computes the cell's durable identity. The fault descriptor is
-// part of the key whenever the spec poisons this workload, so a cell that
-// failed under -inject can never be restored into a clean campaign (or a
-// clean result into a poisoned one).
-func (r *Runner) storeKey(machineName string, cfgJSON []byte, workloadName string) cellstore.Key {
-	k := cellstore.Key{
-		ConfigHash: cellstore.HashConfig(cfgJSON),
-		Machine:    machineName,
-		Workload:   workloadName,
-		Seed:       r.spec.Seed,
-		Insts:      r.spec.Insts,
-	}
-	if r.spec.Fault.applies(workloadName) {
-		k.Fault = r.spec.Fault.String()
-	}
-	return k
-}
-
 // runDurable is the store layer between the memo and the simulator: consult
 // the store, restore on a hit, otherwise simulate and persist the outcome.
 // It runs only in the memo owner's fill path, so the store sees each
 // distinct cell once per campaign regardless of parallelism.
-func (r *Runner) runDurable(m config.Machine, cfgJSON []byte, workloadName string) (*cpu.Result, error) {
+func (r *Runner) runDurable(c *cellReq, key cellstore.Key) (*cpu.Result, error) {
 	st := r.spec.Store
-	if st == nil {
-		return r.runWorkload(m, workloadName)
-	}
-	key := r.storeKey(m.Name, cfgJSON, workloadName)
-	if entry, _ := st.Get(key); entry != nil {
-		res, err, decErr := r.restoreEntry(entry, m, workloadName)
-		if decErr == nil {
-			// Store hits skip runStream, so its observer defer never runs;
-			// deliver the cell event here with StoreHit set.
-			ev := CellEvent{
-				Machine:    m.Name,
-				Workload:   workloadName,
-				ConfigJSON: cfgJSON,
-				StoreHit:   true,
-				Result:     res,
-				Err:        err,
+	if st != nil {
+		if entry, _ := st.Get(key); entry != nil {
+			res, err, decErr := r.restoreEntry(entry, c)
+			if decErr == nil {
+				// Store hits never reach runStream's observer; report here.
+				r.emitCell(c, key, CellEvent{StoreHit: true, Result: res, Err: err})
+				return res, err
 			}
-			if res != nil {
-				ev.CPIStack = res.CPIStack
-			}
-			r.emitCell(ev)
-			return res, err
+			// The envelope verified but the experiments-layer payload did
+			// not decode (e.g. written by an incompatible build). Quarantine
+			// it and fall through to a fresh simulation.
+			st.Quarantine(key, decErr)
 		}
-		// The envelope verified but the experiments-layer payload did not
-		// decode (e.g. written by an incompatible build). Quarantine it and
-		// fall through to a fresh simulation.
-		st.Quarantine(key, decErr)
 	}
-	res, err := r.runWorkload(m, workloadName)
-	r.putEntry(st, key, res, err)
+	res, err := r.runStream(c, key, r.armTrace(c.m.Name, c.workload), true)
+	if st != nil {
+		r.putEntry(st, c, key, res, err)
+	}
 	return res, err
 }
 
 // restoreEntry rebuilds the cell outcome from a stored entry. The third
 // return is non-nil when the payload is undecodable (the caller
 // quarantines); otherwise exactly one of res/err is set.
-func (r *Runner) restoreEntry(entry *cellstore.Entry, m config.Machine, workloadName string) (*cpu.Result, error, error) {
+func (r *Runner) restoreEntry(entry *cellstore.Entry, c *cellReq) (*cpu.Result, error, error) {
 	if entry.Failure != nil {
 		f := entry.Failure
 		// Rebuild the CellError from the coordinates at hand. Wedge-mode
@@ -184,12 +153,14 @@ func (r *Runner) restoreEntry(entry *cellstore.Entry, m config.Machine, workload
 		// re-arm the knob so the restored failure reports the configuration
 		// as simulated. The flight-recorder events are forensics of the
 		// original run and are not persisted — the stack is.
-		if r.spec.Fault.applies(workloadName) && r.spec.Fault.Mode == FaultWedge {
+		m := c.m
+		if r.spec.Fault.applies(c.workload) && r.spec.Fault.Mode == FaultWedge {
 			m.Ports.FaultStuckDrain = true
 		}
 		return nil, &CellError{
 			Machine:  m,
-			Workload: workloadName,
+			Workload: c.workload,
+			Profile:  c.reproProfile(),
 			Seed:     entry.Key.Seed,
 			Insts:    entry.Key.Insts,
 			Stack:    f.Stack,
@@ -203,14 +174,14 @@ func (r *Runner) restoreEntry(entry *cellstore.Entry, m config.Machine, workload
 	return res, nil, nil
 }
 
-// putEntry persists one finished cell. Results always store; failures store
-// only when they are deterministic cell failures (CellError) — anything
-// else (say, an unknown workload name) is a configuration error that costs
-// nothing to rediscover. Put errors are advisory: the store quarantines,
-// retries and degrades on its own, and a campaign never fails over
-// durability.
-func (r *Runner) putEntry(st *cellstore.Store, key cellstore.Key, res *cpu.Result, err error) {
-	e := cellstore.Entry{Key: key}
+// putEntry persists one finished cell under its key, labelled with the
+// names it ran under. Results always store; failures store only when they
+// are deterministic cell failures (CellError) — anything else is a
+// configuration error that costs nothing to rediscover. Put errors are
+// advisory: the store quarantines, retries and degrades on its own, and a
+// campaign never fails over durability.
+func (r *Runner) putEntry(st *cellstore.Store, c *cellReq, key cellstore.Key, res *cpu.Result, err error) {
+	e := cellstore.Entry{Key: key, Machine: c.m.Name, Workload: c.workload}
 	switch {
 	case err == nil:
 		raw, encErr := encodeResult(res)

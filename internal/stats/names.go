@@ -1,6 +1,10 @@
 package stats
 
-import "fmt"
+import (
+	"fmt"
+
+	"portsim/internal/isa"
+)
 
 // This file is the canonical counter vocabulary of the simulator. Every
 // counter written into a stats.Set by non-test code is named here (or built
@@ -98,9 +102,33 @@ func PortRejects(s *Set) uint64 {
 // ClassCounter names the per-instruction-class commit counter for an
 // isa.Class string (e.g. "class.load"). The only data-dependent counter
 // family next to GrantBucket; counterhygiene treats calls to these
-// constructors as canonical names.
-func ClassCounter(class string) string { return "class." + class }
+// constructors as canonical names. Both return precomputed names for the
+// values the simulator writes, so building a result does not allocate
+// them.
+func ClassCounter(class string) string {
+	if name, ok := classCounters[class]; ok {
+		return name
+	}
+	return "class." + class
+}
 
 // GrantBucket names the port-grant histogram counter for cycles that
 // granted exactly n accesses.
-func GrantBucket(n int) string { return fmt.Sprintf("port.cycles_with_%d_grants", n) }
+func GrantBucket(n int) string {
+	if n >= 0 && n < len(grantBuckets) {
+		return grantBuckets[n]
+	}
+	return fmt.Sprintf("port.cycles_with_%d_grants", n)
+}
+
+var classCounters, grantBuckets = func() (map[string]string, []string) {
+	classes := make(map[string]string, isa.NumClasses)
+	for c := isa.Class(0); int(c) < isa.NumClasses; c++ {
+		classes[c.String()] = "class." + c.String()
+	}
+	grants := make([]string, 17)
+	for n := range grants {
+		grants[n] = fmt.Sprintf("port.cycles_with_%d_grants", n)
+	}
+	return classes, grants
+}()

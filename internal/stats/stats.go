@@ -18,8 +18,12 @@ type Set struct {
 }
 
 // NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]uint64)}
+func NewSet() *Set { return NewSetSize(0) }
+
+// NewSetSize returns an empty counter set with room for n counters, so a
+// producer that knows its counter count fills it without regrowing.
+func NewSetSize(n int) *Set {
+	return &Set{counters: make(map[string]uint64, n), order: make([]string, 0, n)}
 }
 
 // Add increments the named counter by n, creating it if necessary.

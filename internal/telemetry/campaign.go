@@ -20,6 +20,8 @@ type CellSample struct {
 	Machine    string
 	Workload   string
 	ConfigJSON []byte
+	// Key is the cell's content address (see ManifestCell.CellKey).
+	Key string
 
 	MemoHit bool
 	// StoreHit marks a cell restored from the durable cell store. Like a
@@ -225,6 +227,7 @@ func (c *Campaign) CellDone(s CellSample) {
 		Workload:    s.Workload,
 		Machine:     s.Machine,
 		ConfigHash:  HashConfig(s.ConfigJSON),
+		CellKey:     s.Key,
 		Outcome:     OutcomeOK,
 		MemoHit:     s.MemoHit,
 		StoreHit:    s.StoreHit,

@@ -27,6 +27,10 @@ type ManifestCell struct {
 	Workload   string `json:"workload"`
 	Machine    string `json:"machine"`
 	ConfigHash string `json:"config_hash"`
+	// CellKey is the cell's content address (cellstore.Key.ID): the
+	// machine and stream it ran with display names cleared, plus seed,
+	// budget and fault. Cells sharing a key are one simulation.
+	CellKey string `json:"cell_key,omitempty"`
 	// Outcome is OutcomeOK or OutcomeFailed.
 	Outcome string `json:"outcome"`
 	// MemoHit marks a cell satisfied from the runner's memo cache; its
@@ -183,6 +187,7 @@ func (m *Manifest) Validate() error {
 	}
 	want := ManifestTotals{WallSeconds: m.Totals.WallSeconds}
 	wantCPI := map[string]uint64{}
+	simulated := map[string]int{} // cell key -> index of the cell that simulated it
 	for i, c := range m.Cells {
 		where := fmt.Sprintf("manifest: cell %d (%s on %s)", i, c.Workload, c.Machine)
 		if c.Workload == "" || c.Machine == "" {
@@ -209,6 +214,12 @@ func (m *Manifest) Validate() error {
 		}
 		if c.MemoHit && c.StoreHit {
 			return fmt.Errorf("%s: both memo_hit and store_hit set", where)
+		}
+		if c.CellKey != "" && !c.MemoHit && !c.StoreHit {
+			if j, dup := simulated[c.CellKey]; dup {
+				return fmt.Errorf("%s: cells %d and %d both simulated cell key %s", where, j, i, c.CellKey)
+			}
+			simulated[c.CellKey] = i
 		}
 		if c.CPIStack != nil {
 			snap, err := cpustack.FromMap(c.CPIStack)

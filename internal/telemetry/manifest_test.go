@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"portsim/internal/cellstore"
 )
 
 func sampleCampaign() *Campaign {
@@ -15,22 +13,24 @@ func sampleCampaign() *Campaign {
 	c := NewCampaign(reg, 4)
 	c.CellDone(CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
+		Key:         "k-compress-1",
 		WallSeconds: 0.5, Cycles: 10_000, Insts: 8_000,
 		PortUtilization: 0.4, PortRejectRate: 0.2,
 	})
 	c.CellDone(CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
-		MemoHit: true, Cycles: 10_000, Insts: 8_000,
+		Key: "k-compress-1", MemoHit: true, Cycles: 10_000, Insts: 8_000,
 		PortUtilization: 0.4, PortRejectRate: 0.2,
 	})
 	c.CellDone(CellSample{
 		Machine: "2-port", Workload: "eqntott", ConfigJSON: []byte(`{"ports":2}`),
+		Key:         "k-eqntott-2",
 		WallSeconds: 0.25, Cycles: 5_000, Insts: 4_500,
 		PortUtilization: 0.3, PortRejectRate: 0.05,
 	})
 	c.CellDone(CellSample{
 		Machine: "2-port", Workload: "compress", ConfigJSON: []byte(`{"ports":2}`),
-		Failed: true, Error: "experiments: deadline exceeded",
+		Key: "k-compress-2", Failed: true, Error: "experiments: deadline exceeded",
 		PortUtilization: -1, PortRejectRate: -1,
 	})
 	return c
@@ -88,21 +88,23 @@ func TestManifestOrderInsensitive(t *testing.T) {
 	c := NewCampaign(reg, 4)
 	c.CellDone(CellSample{
 		Machine: "2-port", Workload: "compress", ConfigJSON: []byte(`{"ports":2}`),
-		Failed: true, Error: "experiments: deadline exceeded",
+		Key: "k-compress-2", Failed: true, Error: "experiments: deadline exceeded",
 		PortUtilization: -1, PortRejectRate: -1,
 	})
 	c.CellDone(CellSample{
 		Machine: "2-port", Workload: "eqntott", ConfigJSON: []byte(`{"ports":2}`),
+		Key:         "k-eqntott-2",
 		WallSeconds: 0.25, Cycles: 5_000, Insts: 4_500,
 		PortUtilization: 0.3, PortRejectRate: 0.05,
 	})
 	c.CellDone(CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
-		MemoHit: true, Cycles: 10_000, Insts: 8_000,
+		Key: "k-compress-1", MemoHit: true, Cycles: 10_000, Insts: 8_000,
 		PortUtilization: 0.4, PortRejectRate: 0.2,
 	})
 	c.CellDone(CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
+		Key:         "k-compress-1",
 		WallSeconds: 0.5, Cycles: 10_000, Insts: 8_000,
 		PortUtilization: 0.4, PortRejectRate: 0.2,
 	})
@@ -329,14 +331,24 @@ func TestWriteManifestRefusesInvalid(t *testing.T) {
 	}
 }
 
-// TestHashConfigMatchesCellstore pins the deliberate duplication: the
-// durable cell store computes config hashes with its own copy of this
-// algorithm (it must not import the telemetry layer), and resume identity
-// depends on the two never drifting apart.
-func TestHashConfigMatchesCellstore(t *testing.T) {
-	for _, doc := range []string{`{}`, `{"name":"baseline-1port","ports":1}`, ""} {
-		if got, want := cellstore.HashConfig([]byte(doc)), HashConfig([]byte(doc)); got != want {
-			t.Errorf("HashConfig(%q): cellstore %s, telemetry %s", doc, got, want)
+// TestValidateRejectsDuplicateSimulatedKeys pins the identity check: two
+// cells that both simulated the same cell key mean the memo failed to
+// join them, whatever their display names.
+func TestValidateRejectsDuplicateSimulatedKeys(t *testing.T) {
+	m := sampleCampaign().BuildManifest(sampleInfo())
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The memo hit shares its owner's key; only simulated duplicates fail.
+	var sim []int
+	for i, c := range m.Cells {
+		if !c.MemoHit && !c.StoreHit {
+			sim = append(sim, i)
 		}
+	}
+	m.Cells[sim[1]].CellKey = m.Cells[sim[0]].CellKey
+	err := m.Validate()
+	if err == nil || !strings.Contains(err.Error(), "both simulated cell key") {
+		t.Fatalf("duplicate simulated key accepted: %v", err)
 	}
 }

@@ -1,5 +1,7 @@
 package workload
 
+import "slices"
+
 // Data-region base addresses. User regions sit low, kernel data high;
 // everything is disjoint from the code ranges in generator.go.
 const (
@@ -164,13 +166,19 @@ func Profiles() []Profile {
 
 // ByName returns the named profile.
 func ByName(name string) (Profile, bool) {
-	for _, p := range Profiles() {
+	for _, p := range builtins {
 		if p.Name == name {
+			// Clone the region tables: the caller owns its copy.
+			p.Regions = slices.Clone(p.Regions)
+			p.Kernel.Regions = slices.Clone(p.Kernel.Regions)
 			return p, true
 		}
 	}
 	return Profile{}, false
 }
+
+// builtins is the profile table ByName copies from, built once.
+var builtins = Profiles()
 
 // Names lists the profile names in table order.
 func Names() []string {
