@@ -19,24 +19,43 @@ import (
 	"portsim/internal/config"
 )
 
-// Line states.
+// Line states, held in the low stateBits bits of a way's stamp.
 const (
-	stateInvalid uint8 = iota
+	stateInvalid uint64 = iota
 	stateClean
 	stateDirty
+
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
 )
 
+// A way is one tag slot: its tag, and a stamp packing the LRU clock of
+// its last touch above its line state (clock<<stateBits | state). Two words
+// with no padding keep a pooled core's tag arrays at 16 bytes per line.
+// Stamps compare in clock order: the state bits sit below the clock, and no
+// two valid ways share a clock tick. The clock advances once per access, so
+// it cannot come near 2^62.
 type way struct {
 	tag   uint64
-	state uint8
-	lru   uint64
+	stamp uint64
+}
+
+func (w *way) state() uint64 { return w.stamp & stateMask }
+
+// touch records an access at clock, dirtying the line on a write.
+func (w *way) touch(clock uint64, write bool) {
+	st := w.state()
+	if write {
+		st = stateDirty
+	}
+	w.stamp = clock<<stateBits | st
 }
 
 // Level is the tag/state cache model. It is not safe for concurrent use;
 // the simulator is single-threaded by design (cycle-driven determinism).
 type Level struct {
 	geom    config.CacheGeom
-	sets    [][]way
+	ways    []way // set s occupies ways[s*Assoc : (s+1)*Assoc]
 	setMask uint64
 	offBits uint
 	clock   uint64
@@ -70,12 +89,12 @@ func NewLevel(geom config.CacheGeom) (*Level, error) {
 	for 1<<offBits < geom.LineBytes {
 		offBits++
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*geom.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*geom.Assoc : (i+1)*geom.Assoc]
-	}
-	return &Level{geom: geom, sets: sets, setMask: uint64(nsets - 1), offBits: offBits}, nil
+	return &Level{
+		geom:    geom,
+		ways:    make([]way, nsets*geom.Assoc),
+		setMask: uint64(nsets - 1),
+		offBits: offBits,
+	}, nil
 }
 
 // Reset invalidates every line and zeroes the statistics, restoring the
@@ -83,9 +102,7 @@ func NewLevel(geom config.CacheGeom) (*Level, error) {
 // does not fire: a reset is a teardown, not a replacement). Pooled
 // simulations reuse the tag arrays across runs through this.
 func (l *Level) Reset() {
-	for _, set := range l.sets {
-		clear(set)
-	}
+	clear(l.ways)
 	l.clock = 0
 	l.hits, l.misses, l.writebacks, l.evictions = 0, 0, 0, 0
 }
@@ -96,42 +113,43 @@ func (l *Level) Geom() config.CacheGeom { return l.geom }
 // LineAddr returns addr rounded down to its line.
 func (l *Level) LineAddr(addr uint64) uint64 { return addr &^ (uint64(l.geom.LineBytes) - 1) }
 
-func (l *Level) setIndex(addr uint64) uint64 { return (addr >> l.offBits) & l.setMask }
-
 func (l *Level) tagOf(addr uint64) uint64 { return addr >> l.offBits }
+
+// setBase returns the flat index of the first way of addr's set.
+func (l *Level) setBase(addr uint64) int {
+	return int((addr>>l.offBits)&l.setMask) * l.geom.Assoc
+}
+
+// find returns the flat index of the valid way holding addr's line, or -1.
+func (l *Level) find(addr uint64) int {
+	base := l.setBase(addr)
+	set := l.ways[base : base+l.geom.Assoc]
+	tag := l.tagOf(addr)
+	for i := range set {
+		if set[i].tag == tag && set[i].state() != stateInvalid {
+			return base + i
+		}
+	}
+	return -1
+}
 
 // Lookup probes the cache for addr. On a hit it refreshes LRU state and, for
 // write accesses, marks the line dirty. It returns whether the line was
 // present.
 func (l *Level) Lookup(addr uint64, write bool) bool {
-	set := l.sets[l.setIndex(addr)]
-	tag := l.tagOf(addr)
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			l.clock++
-			set[i].lru = l.clock
-			if write {
-				set[i].state = stateDirty
-			}
-			l.hits++
-			return true
-		}
+	i := l.find(addr)
+	if i < 0 {
+		l.misses++
+		return false
 	}
-	l.misses++
-	return false
+	l.clock++
+	l.ways[i].touch(l.clock, write)
+	l.hits++
+	return true
 }
 
 // Contains probes without updating LRU or statistics.
-func (l *Level) Contains(addr uint64) bool {
-	set := l.sets[l.setIndex(addr)]
-	tag := l.tagOf(addr)
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (l *Level) Contains(addr uint64) bool { return l.find(addr) >= 0 }
 
 // Install brings the line containing addr into the cache (dirty if the
 // triggering access was a write, per write-allocate). If a valid line is
@@ -139,33 +157,38 @@ func (l *Level) Contains(addr uint64) bool {
 // (requiring a writeback). Installing an already-present line just refreshes
 // its state.
 func (l *Level) Install(addr uint64, write bool) (victimAddr uint64, victimDirty bool, evicted bool) {
-	setIdx := l.setIndex(addr)
-	set := l.sets[setIdx]
+	_, victimAddr, victimDirty, evicted = l.install(addr, write)
+	return victimAddr, victimDirty, evicted
+}
+
+// install is Install that also returns the flat index of the way now
+// holding addr's line.
+func (l *Level) install(addr uint64, write bool) (idx int, victimAddr uint64, victimDirty bool, evicted bool) {
+	base := l.setBase(addr)
+	set := l.ways[base : base+l.geom.Assoc]
 	tag := l.tagOf(addr)
 	l.clock++
 	victim := 0
 	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			set[i].lru = l.clock
-			if write {
-				set[i].state = stateDirty
-			}
-			return 0, false, false
+		st := set[i].state()
+		if st != stateInvalid && set[i].tag == tag {
+			set[i].touch(l.clock, write)
+			return base + i, 0, false, false
 		}
-		if set[i].state == stateInvalid {
+		if st == stateInvalid {
 			victim = i
 			// Keep scanning: the line might still be present in a
 			// later way, which must win over filling a hole.
 			continue
 		}
-		if set[victim].state != stateInvalid && set[i].lru < set[victim].lru {
+		if set[victim].state() != stateInvalid && set[i].stamp < set[victim].stamp {
 			victim = i
 		}
 	}
 	v := &set[victim]
-	if v.state != stateInvalid {
+	if st := v.state(); st != stateInvalid {
 		victimAddr = l.lineAddrFromTag(v.tag)
-		victimDirty = v.state == stateDirty
+		victimDirty = st == stateDirty
 		evicted = true
 		l.evictions++
 		if victimDirty {
@@ -176,35 +199,32 @@ func (l *Level) Install(addr uint64, write bool) (victimAddr uint64, victimDirty
 		}
 	}
 	v.tag = tag
-	v.lru = l.clock
+	st := stateClean
 	if write {
-		v.state = stateDirty
-	} else {
-		v.state = stateClean
+		st = stateDirty
 	}
-	return victimAddr, victimDirty, evicted
+	v.stamp = l.clock<<stateBits | st
+	return base + victim, victimAddr, victimDirty, evicted
 }
 
 // Invalidate removes the line containing addr if present, returning whether
 // it was present and dirty. The OnEvict hook fires for invalidations too.
 func (l *Level) Invalidate(addr uint64) (present, dirty bool) {
-	set := l.sets[l.setIndex(addr)]
-	tag := l.tagOf(addr)
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			dirty = set[i].state == stateDirty
-			set[i].state = stateInvalid
-			l.evictions++
-			if dirty {
-				l.writebacks++
-			}
-			if l.OnEvict != nil {
-				l.OnEvict(l.LineAddr(addr))
-			}
-			return true, dirty
-		}
+	i := l.find(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	w := &l.ways[i]
+	dirty = w.state() == stateDirty
+	w.stamp &^= stateMask // stateInvalid
+	l.evictions++
+	if dirty {
+		l.writebacks++
+	}
+	if l.OnEvict != nil {
+		l.OnEvict(l.LineAddr(addr))
+	}
+	return true, dirty
 }
 
 func (l *Level) lineAddrFromTag(tag uint64) uint64 { return tag << l.offBits }

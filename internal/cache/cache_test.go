@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"portsim/internal/config"
 )
@@ -177,5 +178,14 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	victim, _, _ := l.Install(0x80, false)
 	if victim != 0x00 {
 		t.Errorf("victim = %#x; Contains must not refresh LRU", victim)
+	}
+}
+
+// TestWayIsTwoWords pins the tag-array footprint: a way is its tag and a
+// stamp that packs the LRU clock above the line state. A pooled core holds
+// one way per line of its L1s and L2, so growing it grows every campaign.
+func TestWayIsTwoWords(t *testing.T) {
+	if got := unsafe.Sizeof(way{}); got != 16 {
+		t.Errorf("way is %d bytes, want 16", got)
 	}
 }

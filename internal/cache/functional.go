@@ -18,12 +18,13 @@ type Store interface {
 
 // Functional is a data-carrying write-back write-allocate cache over a
 // backing Store. It reuses Level for tags, state and replacement, and adds
-// per-way data arrays. Its purpose is correctness testing: any sequence of
-// Read/Write calls must be indistinguishable from the same calls applied to
-// the Store directly (after a final Flush).
+// one data line per way, indexed like the Level's flat way array. Its
+// purpose is correctness testing: any sequence of Read/Write calls must be
+// indistinguishable from the same calls applied to the Store directly
+// (after a final Flush).
 type Functional struct {
 	level   *Level
-	data    [][]byte // indexed [set*assoc+way][LineBytes]
+	data    []byte // way i's line is data[i*LineBytes : (i+1)*LineBytes]
 	backing Store
 }
 
@@ -37,65 +38,35 @@ func NewFunctional(geom config.CacheGeom, backing Store) (*Functional, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := geom.Sets() * geom.Assoc
-	data := make([][]byte, n)
-	raw := make([]byte, n*geom.LineBytes)
-	for i := range data {
-		data[i] = raw[i*geom.LineBytes : (i+1)*geom.LineBytes]
-	}
-	f := &Functional{level: level, data: data, backing: backing}
-	return f, nil
+	data := make([]byte, len(level.ways)*geom.LineBytes)
+	return &Functional{level: level, data: data, backing: backing}, nil
 }
 
 // Level exposes the underlying tag/state model (for statistics).
 func (f *Functional) Level() *Level { return f.level }
 
-func (f *Functional) wayData(addr uint64) []byte {
-	setIdx := f.level.setIndex(addr)
-	set := f.level.sets[setIdx]
-	tag := f.level.tagOf(addr)
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			return f.data[int(setIdx)*f.level.geom.Assoc+i]
-		}
-	}
-	return nil
+// line returns the data of flat way i.
+func (f *Functional) line(i int) []byte {
+	n := f.level.geom.LineBytes
+	return f.data[i*n : (i+1)*n]
 }
 
 // ensure brings the line containing addr into the cache, writing back any
 // dirty victim, and returns the line's data slice.
 func (f *Functional) ensure(addr uint64, write bool) []byte {
-	if d := f.wayData(addr); d != nil {
+	if i := f.level.find(addr); i >= 0 {
 		f.level.Lookup(addr, write) // refresh LRU/dirty and count the hit
-		return d
+		return f.line(i)
 	}
 	f.level.Lookup(addr, write) // count the miss
-	lineAddr := f.level.LineAddr(addr)
-	setIdx := f.level.setIndex(addr)
-	// Capture the victim's data before Install overwrites the way: find
-	// which way Install will pick by replicating its choice through the
-	// returned victim address.
-	victimAddr, victimDirty, evicted := f.level.Install(addr, write)
-	// Locate the way now holding our tag.
-	set := f.level.sets[setIdx]
-	tag := f.level.tagOf(addr)
-	wayIdx := -1
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			wayIdx = i
-			break
-		}
-	}
-	if wayIdx < 0 {
-		panic("cache: line vanished immediately after install")
-	}
-	d := f.data[int(setIdx)*f.level.geom.Assoc+wayIdx]
-	// The way Install selected is the one now holding our tag; its data
-	// array still holds the victim's bytes, so write them back first.
+	i, victimAddr, victimDirty, evicted := f.level.install(addr, write)
+	d := f.line(i)
+	// The way install selected still holds the victim's bytes, so write
+	// them back before the fill overwrites them.
 	if evicted && victimDirty {
 		f.backing.WriteAt(victimAddr, d)
 	}
-	f.backing.ReadAt(lineAddr, d)
+	f.backing.ReadAt(f.level.LineAddr(addr), d)
 	return d
 }
 
@@ -137,13 +108,11 @@ func (f *Functional) checkSpan(addr uint64, n int) error {
 // Flush writes every dirty line back to the store and invalidates the whole
 // cache. After Flush, the store holds the complete memory image.
 func (f *Functional) Flush() {
-	for setIdx, set := range f.level.sets {
-		for i := range set {
-			if set[i].state == stateDirty {
-				lineAddr := f.level.lineAddrFromTag(set[i].tag)
-				f.backing.WriteAt(lineAddr, f.data[setIdx*f.level.geom.Assoc+i])
-			}
-			set[i].state = stateInvalid
+	for i := range f.level.ways {
+		w := &f.level.ways[i]
+		if w.state() == stateDirty {
+			f.backing.WriteAt(f.level.lineAddrFromTag(w.tag), f.line(i))
 		}
+		w.stamp &^= stateMask // stateInvalid
 	}
 }

@@ -114,6 +114,7 @@ type MemPort struct {
 	// ports do not change the per-miss cost — only how much other traffic
 	// it displaces.
 	pendingRefills []refillWindow
+	refillDue      uint64 // earliest pendingRefills at, NeverEvent when none
 	refillDebt     int
 	refillCycles   uint64
 
@@ -160,6 +161,7 @@ func NewMemPort(cfg config.Ports, sys *mem.System) *MemPort {
 		sb:        NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
 		wide:      cfg.WidthBytes > 8,
 		grantHist: stats.NewHistogram(SlotsPerCycle(cfg) + 1),
+		refillDue: NeverEvent,
 	}
 	if cfg.Banks > 1 {
 		p.banked = true
@@ -201,6 +203,7 @@ func (p *MemPort) Reset() {
 	}
 	p.bankConflicts = 0
 	p.pendingRefills = p.pendingRefills[:0]
+	p.refillDue = NeverEvent
 	p.refillDebt = 0
 	p.refillCycles = 0
 	p.loadPortAccesses, p.storePortAccesses = 0, 0
@@ -231,19 +234,24 @@ func (p *MemPort) BeginCycle(now uint64) {
 	// Refills whose data has arrived add to the port debt; the debt is
 	// paid before any load or store may use the port (array writes cannot
 	// be deferred indefinitely in this model).
-	kept := p.pendingRefills[:0]
-	for _, r := range p.pendingRefills {
-		if r.at <= now {
-			if p.banked {
-				p.bankDebt[r.bank] += r.cycles
+	if p.refillDue <= now {
+		kept := p.pendingRefills[:0]
+		due := NeverEvent
+		for _, r := range p.pendingRefills {
+			if r.at <= now {
+				if p.banked {
+					p.bankDebt[r.bank] += r.cycles
+				} else {
+					p.refillDebt += r.cycles
+				}
 			} else {
-				p.refillDebt += r.cycles
+				kept = append(kept, r)
+				due = min(due, r.at)
 			}
-		} else {
-			kept = append(kept, r)
 		}
+		p.pendingRefills = kept
+		p.refillDue = due
 	}
-	p.pendingRefills = kept
 	if p.banked {
 		for i := range p.bankBusy {
 			p.bankBusy[i] = false
@@ -301,6 +309,7 @@ func (p *MemPort) noteMiss(addr uint64, r mem.AccessResult) {
 		w.bank = p.bankOf(addr)
 	}
 	p.pendingRefills = append(p.pendingRefills, w) //portlint:ignore hotpathclosure bounded by outstanding MSHR fills; BeginCycle drains via pendingRefills[:0], so the backing array stops growing at its high-water mark
+	p.refillDue = min(p.refillDue, w.at)
 }
 
 // portFree reports whether any access slot remains this cycle (for banked
@@ -588,10 +597,8 @@ func (p *MemPort) NextEvent(now uint64) uint64 {
 			next = t
 		}
 	}
-	for i := range p.pendingRefills {
-		if p.pendingRefills[i].at < next {
-			next = p.pendingRefills[i].at
-		}
+	if p.refillDue < next {
+		next = p.refillDue
 	}
 	if t := p.lbs.NextEvent(now); t < next {
 		next = t

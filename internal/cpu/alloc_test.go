@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"portsim/internal/config"
@@ -111,5 +112,29 @@ func TestResultAllocations(t *testing.T) {
 				t.Errorf("result allocates %v objects; want at most %d", avg, maxAllocs)
 			}
 		})
+	}
+}
+
+// TestNewFootprint bounds the heap one core costs to build. A pooled core
+// stays resident for a whole campaign, and its cache tag arrays dominate:
+// with 16-byte ways in one flat array per level, config.Baseline() builds
+// in 337 KiB, so the bound fails if a way or a per-set header comes back.
+func TestNewFootprint(t *testing.T) {
+	const maxBytes = 360 << 10
+	g, err := workload.New(mustProfile(t, "compress"), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := config.Baseline()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(&m, g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+		t.Errorf("cpu.New(config.Baseline()) allocated %d bytes; want at most %d", got, maxBytes)
 	}
 }

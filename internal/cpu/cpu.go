@@ -817,7 +817,9 @@ func (c *Core) commit() {
 			}
 		}
 		c.retire(e)
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		if c.robHead++; c.robHead == len(c.rob) {
+			c.robHead = 0
+		}
 		c.robCount--
 	}
 }

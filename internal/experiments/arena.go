@@ -25,7 +25,7 @@ import (
 
 // DefaultArenaBudget is the registry's byte budget when Spec.ArenaBudget is
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
-// trace costs ~9 MB) with room to spare.
+// trace costs ~6.6 MB) with room to spare.
 const DefaultArenaBudget int64 = 512 << 20
 
 // arenaSlack is how many instructions past the committed-instruction budget

@@ -1,18 +1,24 @@
 package experiments
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"portsim/internal/config"
 )
 
-// fakeClock is a deterministic time source for observer tests.
+// fakeClock is a deterministic time source for observer tests. The
+// runner's workers read it concurrently.
 type fakeClock struct {
-	t time.Time
+	mu sync.Mutex
+	t  time.Time
 }
 
 func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.t = c.t.Add(125 * time.Millisecond)
 	return c.t
 }
@@ -125,9 +131,9 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 	}
 
 	observed := NewRunner(spec)
-	count := 0
+	var count atomic.Int64
 	clock := &fakeClock{t: time.Unix(0, 0)}
-	observed.SetCellObserver(func(CellEvent) { count++ }, clock.now)
+	observed.SetCellObserver(func(CellEvent) { count.Add(1) }, clock.now)
 	_, gotTable, err := F1PortCount(observed)
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +142,8 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 		t.Errorf("observer changed the table:\n--- without ---\n%s\n--- with ---\n%s", wantTable, gotTable)
 	}
 	// F1 sweeps 3 machines over 2 workloads = 6 submissions.
-	if count != 6 {
-		t.Errorf("observer fired %d times, want 6", count)
+	if n := count.Load(); n != 6 {
+		t.Errorf("observer fired %d times, want 6", n)
 	}
 }
 

@@ -67,6 +67,7 @@ type mshrEntry struct {
 type mshrFile struct {
 	limit int         // 0 means unlimited
 	fills []mshrEntry // outstanding fills, oldest first
+	due   uint64      // earliest done among fills, neverEvent when none
 }
 
 func newMSHRFile(limit int) *mshrFile {
@@ -74,20 +75,27 @@ func newMSHRFile(limit int) *mshrFile {
 	if capHint <= 0 {
 		capHint = 8
 	}
-	return &mshrFile{limit: limit, fills: make([]mshrEntry, 0, capHint)}
+	return &mshrFile{limit: limit, fills: make([]mshrEntry, 0, capHint), due: neverEvent}
 }
 
-// expire drops completed fills, preserving the order of the survivors.
+// expire drops completed fills, preserving the order of the survivors. It
+// returns at once while the earliest fill is still in flight.
 //
 //portlint:hotpath
 func (f *mshrFile) expire(now uint64) {
+	if f.due > now {
+		return
+	}
 	kept := f.fills[:0]
+	due := neverEvent
 	for _, e := range f.fills {
 		if e.done > now {
 			kept = append(kept, e)
+			due = min(due, e.done)
 		}
 	}
 	f.fills = kept
+	f.due = due
 }
 
 // outstanding returns the fill-completion cycle for a line if one is in
@@ -104,7 +112,7 @@ func (f *mshrFile) outstanding(lineAddr uint64) (uint64, bool) {
 }
 
 // reset drops every outstanding fill.
-func (f *mshrFile) reset() { f.fills = f.fills[:0] }
+func (f *mshrFile) reset() { f.fills, f.due = f.fills[:0], neverEvent }
 
 // full reports whether a new fill cannot be accepted.
 func (f *mshrFile) full() bool { return f.limit > 0 && len(f.fills) >= f.limit }
@@ -112,6 +120,7 @@ func (f *mshrFile) full() bool { return f.limit > 0 && len(f.fills) >= f.limit }
 // add records a new outstanding fill.
 func (f *mshrFile) add(lineAddr, done uint64) {
 	f.fills = append(f.fills, mshrEntry{line: lineAddr, done: done}) //portlint:ignore hotpathclosure fills is preallocated to the MSHR limit and callers check full() first, so append never grows past its construction-time capacity
+	f.due = min(f.due, done)
 }
 
 // AccessResult describes the outcome of a hierarchy access.

@@ -98,6 +98,46 @@ func TestSystemMSHRExhaustion(t *testing.T) {
 	}
 }
 
+// TestMSHRFreesOnFillCycle pins the cycle an MSHR frees: a fill completing
+// at cycle d holds its register through d-1 and releases it at d, however
+// many earlier accesses found nothing yet due.
+func TestMSHRFreesOnFillCycle(t *testing.T) {
+	m := config.Baseline()
+	m.L1D.MSHRs = 2
+	s, err := NewSystem(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitLat := uint64(m.L1D.HitLatency)
+	r1 := s.DataAccess(0, 0x10000, false)
+	r2 := s.DataAccess(0, 0x20000, false)
+	if !r1.Accepted || !r2.Accepted {
+		t.Fatal("miss refused with free MSHRs")
+	}
+	d1, d2 := r1.Ready-hitLat, r2.Ready-hitLat
+	if d2 <= d1 {
+		t.Fatalf("fills complete at %d and %d; want the second later", d1, d2)
+	}
+	for now := uint64(1); now < d1; now++ {
+		if got := s.OutstandingDataMisses(now); got != 2 {
+			t.Fatalf("cycle %d: %d outstanding misses, want 2", now, got)
+		}
+	}
+	// The third line shares the first's page, so no walk delays it.
+	if s.DataAccess(d1-1, 0x10040, false).Accepted {
+		t.Fatalf("third miss accepted at cycle %d, before the first fill lands", d1-1)
+	}
+	if got := s.OutstandingDataMisses(d1); got != 1 {
+		t.Fatalf("cycle %d: %d outstanding misses, want 1", d1, got)
+	}
+	if !s.DataAccess(d1, 0x10040, false).Accepted {
+		t.Fatalf("third miss refused at cycle %d, when the first fill landed", d1)
+	}
+	if got := s.OutstandingDataMisses(d2); got != 1 {
+		t.Fatalf("cycle %d: %d outstanding misses, want 1", d2, got)
+	}
+}
+
 func TestSystemUnlimitedMSHRs(t *testing.T) {
 	m := config.Baseline()
 	m.L1D.MSHRs = 0

@@ -18,12 +18,16 @@ type TLB struct {
 	clock    uint64
 	penalty  uint64
 
-	// mru is the index of the last entry hit or filled. Page locality
-	// makes consecutive translations land on the same entry, so checking
-	// it first turns the common case into one compare instead of a full
-	// associative scan. Pure fast path: hit/miss outcomes, LRU stamps and
-	// victim choice are identical to the scan below.
-	mru int
+	// hint is a direct-mapped guess over the fully associative entries:
+	// hint[vpn&hintMask] is the entry that last hit or filled a page with
+	// those low VPN bits. A hint is used only after that entry's valid bit
+	// and VPN check out, so a stale or colliding hint costs the scan below,
+	// never a wrong answer. The page last hit or filled always finds itself
+	// here, so the hint also serves back-to-back lookups of one page. Pure
+	// fast path: hit/miss outcomes, LRU stamps and victim choice are
+	// identical to the scan's.
+	hint     []int32
+	hintMask uint64
 
 	hits, misses uint64
 }
@@ -48,10 +52,17 @@ func NewTLB(cfg config.TLB) (*TLB, error) {
 			return nil, fmt.Errorf("mem: TLB miss penalty must be positive")
 		}
 	}
+	// Four hint slots per entry keep colliding resident pages rare.
+	nhint := 1
+	for nhint < 4*cfg.Entries {
+		nhint <<= 1
+	}
 	return &TLB{
 		pageBits: uint(cfg.PageBits),
 		entries:  make([]tlbEntry, cfg.Entries),
 		penalty:  uint64(cfg.MissPenalty),
+		hint:     make([]int32, nhint),
+		hintMask: uint64(nhint - 1),
 	}, nil
 }
 
@@ -67,8 +78,9 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	}
 	vpn := addr >> t.pageBits
 	t.clock++
-	if m := &t.entries[t.mru]; m.valid && m.vpn == vpn {
-		m.lru = t.clock
+	h := &t.hint[vpn&t.hintMask]
+	if e := &t.entries[*h]; e.valid && e.vpn == vpn {
+		e.lru = t.clock
 		t.hits++
 		return 0
 	}
@@ -76,7 +88,7 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 		e := &t.entries[i]
 		if e.valid && e.vpn == vpn {
 			e.lru = t.clock
-			t.mru = i
+			*h = int32(i)
 			t.hits++
 			return 0
 		}
@@ -96,7 +108,7 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	}
 	t.misses++
 	t.entries[victim] = tlbEntry{vpn: vpn, lru: t.clock, valid: true}
-	t.mru = victim
+	*h = int32(victim)
 	return t.penalty
 }
 
@@ -112,8 +124,8 @@ func (t *TLB) FlushAll() {
 // just-constructed state for pooled reuse.
 func (t *TLB) Reset() {
 	clear(t.entries)
+	clear(t.hint)
 	t.clock = 0
-	t.mru = 0
 	t.hits, t.misses = 0, 0
 }
 

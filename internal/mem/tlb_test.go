@@ -124,3 +124,103 @@ func TestSystemTLBDisabledIsFree(t *testing.T) {
 		t.Error("disabled DTLB reports enabled")
 	}
 }
+
+// scanTLB is the reference TLB the hinted one must match: an MRU check,
+// then a full associative scan, with no hint table.
+type scanTLB struct {
+	pageBits     uint
+	entries      []tlbEntry
+	clock        uint64
+	penalty      uint64
+	mru          int
+	hits, misses uint64
+}
+
+func (t *scanTLB) Translate(addr uint64) uint64 {
+	vpn := addr >> t.pageBits
+	t.clock++
+	if m := &t.entries[t.mru]; m.valid && m.vpn == vpn {
+		m.lru = t.clock
+		t.hits++
+		return 0
+	}
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid && e.vpn == vpn {
+			e.lru = t.clock
+			t.mru = i
+			t.hits++
+			return 0
+		}
+	}
+	victim := 0
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.valid {
+			victim = i
+			continue
+		}
+		if t.entries[victim].valid && e.lru < t.entries[victim].lru {
+			victim = i
+		}
+	}
+	t.misses++
+	t.entries[victim] = tlbEntry{vpn: vpn, lru: t.clock, valid: true}
+	t.mru = victim
+	return t.penalty
+}
+
+// TestTLBHintMatchesScan replays VPN streams built to collide in the hint
+// table — pages that share their low VPN bits, working sets just above and
+// below the entry count, flushes and resets — through the hinted TLB and
+// the reference scan, and requires identical penalties, statistics and
+// entry arrays (so identical victims and LRU stamps) after every lookup.
+func TestTLBHintMatchesScan(t *testing.T) {
+	const pageBits = 12
+	for _, entries := range []int{1, 3, 48, 64} {
+		tl := newTLB(t, entries, pageBits, 20)
+		ref := &scanTLB{pageBits: pageBits, entries: make([]tlbEntry, entries), penalty: 20}
+		stride := tl.hintMask + 1 // VPNs this far apart share a hint slot
+		rng := uint64(0x9e3779b97f4a7c15)
+		for step := 0; step < 20_000; step++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			var vpn uint64
+			switch step / 2_000 % 4 {
+			case 0: // a working set of colliding pages, one hint slot
+				vpn = 5 + stride*(rng%uint64(entries+2))
+			case 1: // colliding pages spread over a few slots
+				vpn = rng%4 + stride*(rng>>8%uint64(2*entries+1))
+			case 2: // a resident working set with locality
+				vpn = rng % uint64(entries)
+			default: // scattered pages
+				vpn = rng >> 20
+			}
+			addr := vpn<<pageBits | rng&0xfff
+			if got, want := tl.Translate(addr), ref.Translate(addr); got != want {
+				t.Fatalf("entries=%d step %d vpn %#x: penalty %d, reference %d", entries, step, vpn, got, want)
+			}
+			if tl.Hits() != ref.hits || tl.Misses() != ref.misses {
+				t.Fatalf("entries=%d step %d: hits/misses %d/%d, reference %d/%d",
+					entries, step, tl.Hits(), tl.Misses(), ref.hits, ref.misses)
+			}
+			for i := range ref.entries {
+				if tl.entries[i] != ref.entries[i] {
+					t.Fatalf("entries=%d step %d: entry %d = %+v, reference %+v",
+						entries, step, i, tl.entries[i], ref.entries[i])
+				}
+			}
+			switch step {
+			case 7_000, 15_000:
+				tl.FlushAll()
+				for i := range ref.entries {
+					ref.entries[i].valid = false
+				}
+			case 11_000:
+				tl.Reset()
+				*ref = scanTLB{pageBits: pageBits, entries: make([]tlbEntry, entries), penalty: 20}
+			}
+		}
+	}
+}

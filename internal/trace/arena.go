@@ -1,6 +1,10 @@
 package trace
 
-import "portsim/internal/isa"
+import (
+	"fmt"
+
+	"portsim/internal/isa"
+)
 
 // An Arena is an immutable, materialised dynamic instruction trace in
 // struct-of-arrays layout. Sweeps that vary only the machine axis replay
@@ -8,7 +12,7 @@ import "portsim/internal/isa"
 // generator per cell, and the packed metadata lets the core's fetch stage
 // reduce its per-instruction control tests to mask/flag operations.
 //
-// Every stored word is machine-independent: PCs, addresses, targets and
+// Every stored word is machine-independent: PCs, operand words and
 // register names come straight from the generator, and the metadata byte
 // only restates properties of the instruction itself (its class kind, and
 // whether the committed path redirects at it — isa.Inst.Redirects, which
@@ -19,16 +23,20 @@ import "portsim/internal/isa"
 // Arenas are append-once: Materialize fills one and nothing mutates it
 // afterwards, so any number of Cursors — across goroutines — may read it
 // concurrently without synchronisation.
+//
+// An instruction's class uses at most one of isa.Inst's Addr and Target,
+// so the arena keeps one operand word per instruction: the data address
+// for loads and stores (MetaMem set), the control target for every other
+// class.
 type Arena struct {
-	pc     []uint64
-	addr   []uint64
-	target []uint64
-	class  []uint8
-	dest   []uint8
-	src1   []uint8
-	src2   []uint8
-	size   []uint8
-	meta   []uint8
+	pc    []uint64
+	op    []uint64
+	class []uint8
+	dest  []uint8
+	src1  []uint8
+	src2  []uint8
+	size  []uint8
+	meta  []uint8
 }
 
 // Metadata flag bits, one byte per instruction. MetaRedirect is the
@@ -43,25 +51,26 @@ const (
 	MetaRedirect = 1 << 4
 )
 
-// BytesPerInst is the arena storage cost per instruction: three 64-bit
-// words (pc, addr, target) plus six bytes (class, three registers, size,
+// BytesPerInst is the arena storage cost per instruction: two 64-bit
+// words (pc, operand) plus six bytes (class, three registers, size,
 // metadata). Byte budgets divide by this.
-const BytesPerInst = 3*8 + 6
+const BytesPerInst = 2*8 + 6
 
 // Materialize drains up to n instructions from s into a new arena, using
 // the stream's batch interface when it has one. A shorter arena means the
-// stream ended early.
+// stream ended early. It panics on an instruction that sets the operand
+// field its class does not use (Target on a load or store, Addr on any
+// other class): the arena could not replay it exactly.
 func Materialize(s Stream, n int) *Arena {
 	a := &Arena{
-		pc:     make([]uint64, 0, n),
-		addr:   make([]uint64, 0, n),
-		target: make([]uint64, 0, n),
-		class:  make([]uint8, 0, n),
-		dest:   make([]uint8, 0, n),
-		src1:   make([]uint8, 0, n),
-		src2:   make([]uint8, 0, n),
-		size:   make([]uint8, 0, n),
-		meta:   make([]uint8, 0, n),
+		pc:    make([]uint64, 0, n),
+		op:    make([]uint64, 0, n),
+		class: make([]uint8, 0, n),
+		dest:  make([]uint8, 0, n),
+		src1:  make([]uint8, 0, n),
+		src2:  make([]uint8, 0, n),
+		size:  make([]uint8, 0, n),
+		meta:  make([]uint8, 0, n),
 	}
 	if b, ok := s.(Batcher); ok {
 		var buf [128]isa.Inst
@@ -96,8 +105,15 @@ func (a *Arena) push(in *isa.Inst) {
 	if in.Kernel {
 		m |= MetaKernel
 	}
+	op := in.Target
 	if in.Class.IsMem() {
 		m |= MetaMem
+		op = in.Addr
+		if in.Target != 0 {
+			panic(fmt.Sprintf("trace: %v at pc %#x sets Target %#x", in.Class, in.PC, in.Target))
+		}
+	} else if in.Addr != 0 {
+		panic(fmt.Sprintf("trace: %v at pc %#x sets Addr %#x", in.Class, in.PC, in.Addr))
 	}
 	if in.Class.IsCtrl() {
 		m |= MetaCtrl
@@ -106,8 +122,7 @@ func (a *Arena) push(in *isa.Inst) {
 		m |= MetaRedirect
 	}
 	a.pc = append(a.pc, in.PC)
-	a.addr = append(a.addr, in.Addr)
-	a.target = append(a.target, in.Target)
+	a.op = append(a.op, op)
 	a.class = append(a.class, uint8(in.Class))
 	a.dest = append(a.dest, uint8(in.Dest))
 	a.src1 = append(a.src1, uint8(in.Src1))
@@ -127,11 +142,12 @@ func (a *Arena) Bytes() int64 { return int64(len(a.pc)) * BytesPerInst }
 //portlint:hotpath
 func (a *Arena) PCs() []uint64 { return a.pc }
 
-// Targets exposes the packed control-transfer targets (zero for non-control
-// instructions).
+// Targets exposes the packed operand words: the control-transfer target of
+// every instruction outside MetaMem (zero for non-control classes), and the
+// data address of loads and stores.
 //
 //portlint:hotpath
-func (a *Arena) Targets() []uint64 { return a.target }
+func (a *Arena) Targets() []uint64 { return a.op }
 
 // Classes exposes the packed instruction classes as raw bytes.
 //
@@ -149,9 +165,12 @@ func (a *Arena) Meta() []uint8 { return a.meta }
 //portlint:hotpath
 func (a *Arena) Inst(i int, in *isa.Inst) {
 	m := a.meta[i]
+	// mem is all ones for loads and stores and zero otherwise: a mask, not
+	// a branch, because classes interleave too irregularly to predict.
+	mem := -uint64(m & MetaMem / MetaMem)
 	in.PC = a.pc[i]
-	in.Addr = a.addr[i]
-	in.Target = a.target[i]
+	in.Addr = a.op[i] & mem
+	in.Target = a.op[i] &^ mem
 	in.Class = isa.Class(a.class[i])
 	in.Dest = isa.Reg(a.dest[i])
 	in.Src1 = isa.Reg(a.src1[i])

@@ -170,3 +170,37 @@ func TestCursorDoesNotAllocate(t *testing.T) {
 		t.Errorf("Arena.Inst allocates %v objects/call; want 0", avg)
 	}
 }
+
+// TestMaterializeRejectsUnusedOperand pins the operand-word rule: an arena
+// keeps one operand per instruction, so an instruction that sets the field
+// its class does not use cannot be replayed exactly and must not be
+// captured — through the batch path or the scalar one.
+func TestMaterializeRejectsUnusedOperand(t *testing.T) {
+	cases := []struct {
+		name string
+		in   isa.Inst
+	}{
+		{"load with target", isa.Inst{PC: 0x40_0000, Class: isa.Load, Addr: 0x1000, Size: 8, Target: 0x40_0040}},
+		{"store with target", isa.Inst{PC: 0x40_0000, Class: isa.Store, Addr: 0x1000, Size: 4, Target: 0x40_0040}},
+		{"branch with addr", isa.Inst{PC: 0x40_0000, Class: isa.Branch, Target: 0x40_0040, Addr: 0x1000}},
+		{"alu with addr", isa.Inst{PC: 0x40_0000, Class: isa.IntALU, Addr: 0x1000}},
+	}
+	for _, c := range cases {
+		prog := append(arenaTestProgram(20), c.in)
+		for _, s := range []Stream{NewSliceStream(prog), scalarStream{NewSliceStream(prog)}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Materialize(%T) accepted it", c.name, s)
+					}
+				}()
+				Materialize(s, len(prog))
+			}()
+		}
+	}
+}
+
+// scalarStream hides a stream's batch interface.
+type scalarStream struct{ s Stream }
+
+func (s scalarStream) Next(in *isa.Inst) bool { return s.s.Next(in) }
