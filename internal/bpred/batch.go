@@ -4,14 +4,12 @@ import "portsim/internal/isa"
 
 // Op is one control instruction of a fetch group presented to PredictGroup:
 // the trace coordinates the predictors need going in, and the prediction
-// outcome coming out. Index is caller-owned (the fetch stage records the
-// op's position within its group) and is not interpreted here.
+// outcome coming out.
 type Op struct {
 	PC     uint64
 	Target uint64
 	Class  isa.Class
 	Taken  bool
-	Index  int
 
 	// Outcome, filled by PredictGroup.
 	Mispredicted bool

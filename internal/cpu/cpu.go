@@ -232,15 +232,6 @@ type Core struct {
 	batchBuf           []isa.Inst
 	batchPos, batchLen int
 
-	// Arena fast path. When the stream is a *trace.Cursor, fetch consumes
-	// whole fetch groups straight from the arena's packed arrays
-	// (fetchArena): line-boundary and redirect checks become mask/flag
-	// tests on precomputed metadata and the predictors train once per
-	// group. fetchOps is the reusable scratch the group's control
-	// instructions are staged in for bpred.Unit.PredictGroup.
-	cursor   *trace.Cursor
-	fetchOps []bpred.Op
-
 	// Reorder buffer as a ring.
 	rob       []robEntry
 	robHead   int
@@ -410,13 +401,10 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		curFetchLine: ^uint64(0),
 		sqGen:        1,
 	}
-	if cur, ok := stream.(*trace.Cursor); ok {
-		c.cursor = cur
-	} else if b, ok := stream.(trace.Batcher); ok {
+	if b, ok := stream.(trace.Batcher); ok {
 		c.batcher = b
 		c.batchBuf = make([]isa.Inst, streamChunk)
 	}
-	c.fetchOps = make([]bpred.Op, cfg.Core.FetchWidth)
 	c.intReady = make([]uint64, cfg.Core.IntPhysRegs)
 	c.fpReady = make([]uint64, cfg.Core.FPPhysRegs)
 	c.intWaiter = make([]int32, cfg.Core.IntPhysRegs)
@@ -459,10 +447,7 @@ func (c *Core) Reset(stream trace.Stream) error {
 	c.stream = stream
 	c.cycle, c.seq = 0, 0
 	c.batcher = nil
-	c.cursor = nil
-	if cur, ok := stream.(*trace.Cursor); ok {
-		c.cursor = cur
-	} else if b, ok := stream.(trace.Batcher); ok {
+	if b, ok := stream.(trace.Batcher); ok {
 		c.batcher = b
 		if c.batchBuf == nil {
 			c.batchBuf = make([]isa.Inst, streamChunk)
@@ -626,10 +611,11 @@ func (c *Core) Run(opts Options) (*Result, error) {
 // streamChunk is how many instructions a batched stream refill pulls.
 const streamChunk = 128
 
-// StreamChunk is streamChunk for consumers sizing finite replay streams:
-// the core may pull up to one refill past the committed-instruction limit,
-// so a replayed trace needs this much slack beyond the budget to stay
-// indistinguishable from an endless generator.
+// StreamChunk is streamChunk for consumers that pull streams the way the
+// core does. A refill may read ahead of fetch, but fetch never asks for an
+// instruction past the committed-instruction limit, so a replayed trace
+// exactly as long as the budget is indistinguishable from an endless
+// generator.
 const StreamChunk = streamChunk
 
 // streamNext delivers the next stream instruction, through the chunk buffer
@@ -657,22 +643,12 @@ func (c *Core) streamNext(in *isa.Inst) bool {
 //
 //portlint:hotpath
 func (c *Core) fbPush(f fetchedInst) {
-	*c.fbSlot() = f
-}
-
-// fbSlot reserves the next fetch-buffer slot and returns it for in-place
-// construction, sparing the arena fast path fbPush's whole-struct copy.
-// Callers must check fbCount < len(fetchBuf) first; slots are reused, so
-// every field must be (re)written.
-//
-//portlint:hotpath
-func (c *Core) fbSlot() *fetchedInst {
 	i := c.fbHead + c.fbCount
 	if n := len(c.fetchBuf); i >= n {
 		i -= n
 	}
+	c.fetchBuf[i] = f
 	c.fbCount++
-	return &c.fetchBuf[i]
 }
 
 // fbFront returns the oldest fetched instruction. Callers must check

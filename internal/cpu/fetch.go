@@ -4,7 +4,6 @@ import (
 	"portsim/internal/bpred"
 	"portsim/internal/diag"
 	"portsim/internal/isa"
-	"portsim/internal/trace"
 )
 
 // fetch pulls up to FetchWidth instructions from the stream into the fetch
@@ -29,10 +28,6 @@ func (c *Core) fetch() {
 		return
 	}
 	c.wrongPathPC = 0
-	if c.cursor != nil {
-		c.fetchArena()
-		return
-	}
 	lineMask := ^uint64(uint64(c.cfg.L1I.LineBytes) - 1)
 	fetched := 0
 	for fetched < c.cfg.Core.FetchWidth && c.fbCount < len(c.fetchBuf) {
@@ -99,135 +94,6 @@ func (c *Core) fetch() {
 	}
 }
 
-// fetchArena is fetch's arena fast path: one whole fetch group per call,
-// consumed straight from the cursor's packed arrays. The group's extent
-// comes from precomputed metadata — the line-boundary check is a mask test
-// on the PC array and the group-ending redirect test is one flag bit — and
-// the branch predictors run over the group's control instructions in a
-// single PredictGroup call. The group fetched, every predictor update and
-// every counter are exactly what the per-instruction loop in fetch would
-// have produced for the same trace; the arena on/off CI diff holds this to
-// byte identity.
-//
-//portlint:hotpath
-func (c *Core) fetchArena() {
-	n := c.cfg.Core.FetchWidth
-	if space := len(c.fetchBuf) - c.fbCount; space < n {
-		n = space
-	}
-	if n <= 0 {
-		return
-	}
-	if c.limitReached() {
-		return
-	}
-	if c.maxInsts > 0 {
-		if left := c.maxInsts - c.seq; uint64(n) > left { //portlint:ignore cyclemath limitReached() above returned false, so c.seq < c.maxInsts here
-			n = int(left)
-		}
-	}
-	a := c.cursor.Arena()
-	pos := c.cursor.Pos()
-	if rem := a.Len() - pos; rem == 0 {
-		c.streamDone = true
-		return
-	} else if rem < n {
-		n = rem
-	}
-	pcs := a.PCs()
-	metas := a.Meta()
-	lineMask := ^uint64(uint64(c.cfg.L1I.LineBytes) - 1)
-	line := pcs[pos] & lineMask
-	if line != c.curFetchLine {
-		r := c.sys.InstFetch(c.cycle, pcs[pos])
-		if !r.Accepted {
-			c.fetchBlockedTil = c.cycle + 1
-			return
-		}
-		c.curFetchLine = line
-		if r.Ready > c.cycle+uint64(c.cfg.L1I.HitLatency) {
-			// Instruction-cache miss: deliver when the line arrives.
-			c.fetchBlockedTil = r.Ready
-			return
-		}
-	}
-	// Group extent: cut (exclusive) at the first line crossing, cut
-	// (inclusive) after the first redirecting control instruction, staging
-	// the group's control ops for the batch predictor as we go.
-	targets := a.Targets()
-	classes := a.Classes()
-	nops := 0
-	for i := 0; i < n; i++ {
-		p := pos + i
-		if i > 0 && pcs[p]&lineMask != line {
-			// One instruction line per cycle: the group ends at the
-			// boundary; the crossing instruction starts the next group.
-			n = i
-			break
-		}
-		m := metas[p]
-		if m&trace.MetaCtrl == 0 {
-			continue
-		}
-		c.fetchOps[nops] = bpred.Op{
-			PC:     pcs[p],
-			Target: targets[p],
-			Class:  isa.Class(classes[p]),
-			Taken:  m&trace.MetaTaken != 0,
-			Index:  i,
-		}
-		nops++
-		if m&trace.MetaRedirect != 0 {
-			// The committed path leaves the fall-through here: whether
-			// predicted or not, nothing behind it fetches this cycle.
-			n = i + 1
-			break
-		}
-	}
-	stop := -1
-	if k := c.pred.PredictGroup(c.fetchOps[:nops]); k > 0 {
-		if op := &c.fetchOps[k-1]; op.Mispredicted || op.Serialize {
-			n = op.Index + 1
-			stop = k - 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		c.seq++
-		f := c.fbSlot()
-		f.seq = c.seq
-		f.mispredicted = false
-		f.serialize = false
-		a.Inst(pos+i, &f.inst)
-		if stop >= 0 && i == c.fetchOps[stop].Index {
-			f.mispredicted = c.fetchOps[stop].Mispredicted
-			f.serialize = c.fetchOps[stop].Serialize
-		}
-		if c.rec != nil {
-			c.rec.Record(c.cycle, diag.EventFetch, f.seq, f.inst.PC)
-		}
-	}
-	c.cursor.Advance(n)
-	if stop >= 0 {
-		// Fetch stops until this instruction resolves (branch) or commits
-		// (syscall).
-		ender := &c.fetchOps[stop]
-		c.stallSeq = c.seq
-		c.stallOnCommit = ender.Serialize
-		if ender.Mispredicted && c.cfg.Core.WrongPathFetch {
-			var last isa.Inst
-			a.Inst(pos+n-1, &last)
-			c.wrongPathPC = wrongPathStart(&last)
-		}
-		return
-	}
-	if metas[pos+n-1]&trace.MetaRedirect != 0 {
-		// Correctly predicted taken: the group ends; fetch resumes at the
-		// target next cycle. Invalidate the line tracker so the target
-		// line is fetched fresh.
-		c.curFetchLine = ^uint64(0)
-	}
-}
-
 // wrongPathStart picks the address the front end would (wrongly) have
 // fetched from: the fall-through when the branch was actually taken, the
 // stale target otherwise.
@@ -250,43 +116,8 @@ func wrongPathStart(in *isa.Inst) uint64 {
 // speculatively updated, repair-on-mispredict history register.
 func (c *Core) predict(f *fetchedInst) {
 	in := &f.inst
-	switch in.Class {
-	case isa.Branch:
-		predTaken := c.pred.Dir.Predict(in.PC)
-		if predTaken != in.Taken {
-			f.mispredicted = true
-		} else if in.Taken {
-			// Direction right, but fetch can only redirect with a
-			// target from the BTB.
-			tgt, ok := c.pred.BTB.Lookup(in.PC)
-			if !ok || tgt != in.Target {
-				f.mispredicted = true
-			}
-		}
-		c.pred.Dir.Update(in.PC, in.Taken)
-		if in.Taken {
-			c.pred.BTB.Insert(in.PC, in.Target)
-		}
-	case isa.Jump:
-		tgt, ok := c.pred.BTB.Lookup(in.PC)
-		if !ok || tgt != in.Target {
-			f.mispredicted = true
-		}
-		c.pred.BTB.Insert(in.PC, in.Target)
-	case isa.Call:
-		tgt, ok := c.pred.BTB.Lookup(in.PC)
-		if !ok || tgt != in.Target {
-			f.mispredicted = true
-		}
-		c.pred.BTB.Insert(in.PC, in.Target)
-		c.pred.RAS.Push(in.FallThrough())
-	case isa.Return:
-		tgt, ok := c.pred.RAS.Pop()
-		if !ok || tgt != in.Target {
-			f.mispredicted = true
-		}
-	case isa.Syscall:
-		// Kernel entry serialises the pipeline.
-		f.serialize = true
-	}
+	op := [1]bpred.Op{{PC: in.PC, Target: in.Target, Class: in.Class, Taken: in.Taken}}
+	c.pred.PredictGroup(op[:])
+	f.mispredicted = op[0].Mispredicted
+	f.serialize = op[0].Serialize
 }

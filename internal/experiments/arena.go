@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"portsim/internal/cellstore"
-	"portsim/internal/cpu"
 	"portsim/internal/trace"
 	"portsim/internal/workload"
 )
@@ -27,14 +26,6 @@ import (
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
 // trace costs ~6.6 MB) with room to spare.
 const DefaultArenaBudget int64 = 512 << 20
-
-// arenaSlack is how many instructions past the committed-instruction budget
-// each arena materialises. The core's batched stream refills pull up to
-// cpu.StreamChunk instructions ahead of the fetch limit, so the extra tail
-// guarantees a replayed cursor never reports exhaustion where the endless
-// live generator would not — with or without the multiprogram interleaver
-// in between.
-const arenaSlack = cpu.StreamChunk
 
 // arenaEntry is one registry slot. refs counts live cursors plus, during
 // the build, the building caller — an entry under construction is never
@@ -195,9 +186,12 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 }
 
 // arenaLen is the materialised length of every arena in this campaign: the
-// per-cell instruction budget plus the core's read-ahead slack. One shared
-// length keeps single-program and multiprogram cells on the same arenas.
-func (r *Runner) arenaLen() uint64 { return r.spec.Insts + arenaSlack }
+// per-cell instruction budget. Fetch stops asking for instructions once it
+// reaches the budget, so a single-program replay never runs dry inside it.
+// A multiprogram replay runs dry only when one process has supplied the
+// whole budget, which is at or past the fetch limit. One shared length
+// keeps single-program and multiprogram cells on the same arenas.
+func (r *Runner) arenaLen() uint64 { return r.spec.Insts }
 
 // openStream returns the cell's instruction stream and its release
 // closure: cursors over the shared arenas when the registry holds every

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"portsim/internal/trace"
 	"portsim/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 
 	// A budget of exactly two arenas: some A6 levels (up to 8 processes)
 	// must fall back while single-program cells replay.
-	twoArenas := 2 * int64(arenaTestSpec(0).Insts+arenaSlack) * 30
+	twoArenas := 2 * int64(arenaTestSpec(0).Insts) * trace.BytesPerInst
 	partial, partialRunner := runArenaCampaign(t, twoArenas)
 	pst, _ := partialRunner.ArenaStats()
 	if pst.Fallbacks == 0 {
@@ -100,7 +101,7 @@ func TestArenaRegistryEviction(t *testing.T) {
 		t.Fatal("compress workload missing")
 	}
 	const n = 1_000
-	reg := newArenaRegistry(2 * n * 30) // room for two arenas
+	reg := newArenaRegistry(2 * n * trace.BytesPerInst) // room for two arenas
 	c1, rel1, err := reg.acquire(prof, 1, n)
 	if err != nil || c1 == nil {
 		t.Fatalf("acquire seed 1: %v %v", c1, err)

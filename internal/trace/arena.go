@@ -9,16 +9,14 @@ import (
 // An Arena is an immutable, materialised dynamic instruction trace in
 // struct-of-arrays layout. Sweeps that vary only the machine axis replay
 // one arena through many Cursors instead of re-running the workload
-// generator per cell, and the packed metadata lets the core's fetch stage
-// reduce its per-instruction control tests to mask/flag operations.
+// generator per cell.
 //
 // Every stored word is machine-independent: PCs, operand words and
 // register names come straight from the generator, and the metadata byte
-// only restates properties of the instruction itself (its class kind, and
-// whether the committed path redirects at it — isa.Inst.Redirects, which
-// depends on the class and the trace's taken bit, never on predictor or
-// cache state). Nothing in an arena encodes a fetch width, a line size or
-// a predictor decision, so one arena serves every machine configuration.
+// only restates properties of the instruction itself (its taken and kernel
+// bits and its class kind), never predictor or cache state. Nothing in an
+// arena encodes a fetch width, a line size or a predictor decision, so one
+// arena serves every machine configuration.
 //
 // Arenas are append-once: Materialize fills one and nothing mutates it
 // afterwards, so any number of Cursors — across goroutines — may read it
@@ -39,16 +37,12 @@ type Arena struct {
 	meta  []uint8
 }
 
-// Metadata flag bits, one byte per instruction. MetaRedirect is the
-// precomputed isa.Inst.Redirects bit: the committed path leaves the
-// fall-through at this instruction (unconditional control, or a taken
-// branch).
+// Metadata flag bits, one byte per instruction.
 const (
-	MetaTaken    = 1 << 0
-	MetaKernel   = 1 << 1
-	MetaMem      = 1 << 2
-	MetaCtrl     = 1 << 3
-	MetaRedirect = 1 << 4
+	MetaTaken  = 1 << 0
+	MetaKernel = 1 << 1
+	MetaMem    = 1 << 2
+	MetaCtrl   = 1 << 3
 )
 
 // BytesPerInst is the arena storage cost per instruction: two 64-bit
@@ -118,9 +112,6 @@ func (a *Arena) push(in *isa.Inst) {
 	if in.Class.IsCtrl() {
 		m |= MetaCtrl
 	}
-	if in.Redirects() {
-		m |= MetaRedirect
-	}
 	a.pc = append(a.pc, in.PC)
 	a.op = append(a.op, op)
 	a.class = append(a.class, uint8(in.Class))
@@ -185,34 +176,11 @@ func (a *Arena) Inst(i int, in *isa.Inst) {
 func (a *Arena) NewCursor() *Cursor { return &Cursor{a: a} }
 
 // Cursor replays an arena from the beginning. It implements Stream and
-// Batcher with zero allocations, and additionally exposes its position so
-// consumers that understand arenas (the core's fetch stage) can read the
-// packed arrays directly and advance in whole fetch groups.
+// Batcher with zero allocations.
 type Cursor struct {
 	a   *Arena
 	pos int
 }
-
-// Arena returns the backing arena.
-//
-//portlint:hotpath
-func (c *Cursor) Arena() *Arena { return c.a }
-
-// Pos returns the index of the next instruction to replay.
-//
-//portlint:hotpath
-func (c *Cursor) Pos() int { return c.pos }
-
-// Remaining returns how many instructions are left.
-//
-//portlint:hotpath
-func (c *Cursor) Remaining() int { return len(c.a.pc) - c.pos }
-
-// Advance consumes n instructions without decoding them. The caller must
-// not advance past the arena's length.
-//
-//portlint:hotpath
-func (c *Cursor) Advance(n int) { c.pos += n }
 
 // Next implements Stream.
 //

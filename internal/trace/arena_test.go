@@ -92,7 +92,6 @@ func TestArenaReplayMatchesSource(t *testing.T) {
 			{"kernel", MetaKernel, in.Kernel},
 			{"mem", MetaMem, in.Class.IsMem()},
 			{"ctrl", MetaCtrl, in.Class.IsCtrl()},
-			{"redirect", MetaRedirect, in.Redirects()},
 		}
 		for _, c := range checks {
 			if got := meta[i]&c.bit != 0; got != c.want {

@@ -92,8 +92,9 @@ func NewMultiprogram(prof Profile, processes, quantumMean int, seed int64) (*Mul
 // from the same seeded source as the live constructor's, so the interleave
 // is instruction-identical until a cursor runs out. Cursors are finite:
 // unlike live generators the replay ends (Next returns false) when the
-// current process's trace is exhausted, so callers must size the arenas
-// past the instruction budget they will consume.
+// current process's trace is exhausted. A process supplies at most as many
+// instructions as the interleave emits, so arenas as long as the
+// instruction budget the caller will consume are enough.
 func NewMultiprogramReplay(procs []*trace.Cursor, quantumMean int, seed int64) (*Multiprogram, error) {
 	if len(procs) < 1 {
 		return nil, fmt.Errorf("workload: need at least one process")
