@@ -42,8 +42,8 @@
 //
 // Observability (all opt-in, see README.md "Observability"): -listen
 // serves live campaign metrics over HTTP (/metrics Prometheus text,
-// /vars JSON, /healthz, /campaign live campaign status, /debug/pprof
-// runtime profiles with per-cell labels); -manifest writes a
+// /healthz, /campaign live campaign status, /debug/pprof runtime
+// profiles with per-cell labels); -manifest writes a
 // portsim-manifest/v1 run manifest; -trace-out captures one cell's
 // pipeline events as a Chrome trace-event JSON for Perfetto; -cpistack
 // arms per-cell cycle accounting (CPI stacks: a table after the suite,
@@ -88,7 +88,6 @@ func run(args []string, out io.Writer) error {
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (<=0: GOMAXPROCS); tables are byte-identical at any setting")
 		arena     = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off/0 disables); tables are byte-identical at any setting")
 		flightrec = fs.Bool("flightrec", false, "arm the per-cell pipeline flight recorder (failure forensics)")
-		noSkip    = fs.Bool("no-skip", false, "step every simulated cycle instead of event-driven fast-forward; tables are byte-identical either way")
 		inject    = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge")
 		repro     = fs.String("repro", "", "replay a repro bundle file instead of running the suite")
 		reproDir  = fs.String("repro-dir", ".", "directory for repro bundles written on cell failure")
@@ -99,7 +98,7 @@ func run(args []string, out io.Writer) error {
 
 		cpistack = fs.Bool("cpistack", false, "collect per-cell cycle-accounting CPI stacks: table after the suite, cpi_stack in -manifest, portsim_cpi_* on /metrics; tables are byte-identical either way")
 
-		listen     = fs.String("listen", "", "serve live campaign metrics over HTTP on this address (/metrics, /vars, /healthz, /campaign, /debug/pprof)")
+		listen     = fs.String("listen", "", "serve live campaign metrics over HTTP on this address (/metrics, /healthz, /campaign, /debug/pprof)")
 		manifest   = fs.String("manifest", "", "write a portsim-manifest/v1 run manifest (JSON) to this path")
 		hold       = fs.Duration("hold", 0, "keep the -listen endpoint up this long after the suite finishes")
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto) of one cell to this path")
@@ -130,7 +129,6 @@ func run(args []string, out io.Writer) error {
 	spec.Seed = *seed
 	spec.Parallel = *parallel
 	spec.FlightRecorder = *flightrec
-	spec.NoSkip = *noSkip
 	spec.CPIStack = *cpistack
 	budget, err := experiments.ParseArenaBudget(*arena)
 	if err != nil {

@@ -1,6 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// NeverEvent is the completion cycle of a timed cache with nothing
+// scheduled (the store buffer's nextExpiry, the port's refillDue): no
+// simulated cycle reaches it, so a "now >= due" test never fires.
+const NeverEvent uint64 = math.MaxUint64
 
 // maxChunkBytes bounds the port width the store buffer supports; entries
 // carry fixed-size arrays to keep the simulator allocation-free.
@@ -58,15 +66,14 @@ type StoreBuffer struct {
 
 	// nextExpiry caches the minimum drainDone over issued entries
 	// (NeverEvent when none are issued) so Expire can prove "nothing to
-	// remove" without walking the buffer, and so the event-driven clock
-	// can ask when the next completion lands.
+	// remove" without walking the buffer.
 	nextExpiry uint64
 
 	// drainCand memoises NextDrain's answer between mutations: the scan
 	// reads only chunkAddr, issued and n, so the result stays valid until
 	// Insert, MarkIssued, Expire compaction or Reset touches them. The
-	// arbiter and the event-driven clock both ask every cycle while the
-	// buffer sits waiting, which without the memo is a quadratic rescan.
+	// arbiter asks every cycle while the buffer sits waiting, which without
+	// the memo is a quadratic rescan.
 	drainCand      int
 	drainCandValid bool
 
@@ -293,27 +300,6 @@ func (b *StoreBuffer) HoldActive(i int, now uint64) bool {
 	return now < b.insertedAt[i]+combineHoldCycles
 }
 
-// NextExpiry returns the cycle the earliest in-flight drain completes, or
-// NeverEvent when nothing is issued. Expiry frees a buffer slot (and, in
-// data-carrying mode, retires bytes to the cache), so it is a clock event.
-func (b *StoreBuffer) NextExpiry() uint64 { return b.nextExpiry }
-
-// NextDrainEligible returns the first cycle at or after now at which the
-// drain candidate (NextDrain) is willing to compete for a port slot:
-// now itself when one is ready, the end of its combining hold when the hold
-// policy is deferring it, or NeverEvent when nothing awaits drain. Whether
-// the port actually grants the slot that cycle is the arbiter's business.
-func (b *StoreBuffer) NextDrainEligible(now uint64) uint64 {
-	i := b.NextDrain()
-	if i < 0 {
-		return NeverEvent
-	}
-	if b.HoldActive(i, now) {
-		return b.insertedAt[i] + combineHoldCycles
-	}
-	return now
-}
-
 // LatestDrainDone returns the largest completion cycle over issued entries,
 // or 0 when none are in flight. End-of-run draining uses it to fast-forward
 // past every write already on its way to the cache.
@@ -374,14 +360,6 @@ func (b *StoreBuffer) Expire(now uint64) []SBEntry {
 func (b *StoreBuffer) SampleOccupancy() {
 	b.occupancySamples++
 	b.occupancySum += uint64(b.n)
-}
-
-// SkipOccupancySamples accounts for samples cycles of unchanged occupancy in
-// one step, so a fast-forwarded clock produces the same utilisation stats as
-// ticking through the gap.
-func (b *StoreBuffer) SkipOccupancySamples(samples uint64) {
-	b.occupancySamples += samples
-	b.occupancySum += uint64(b.n) * samples
 }
 
 // Len returns the number of occupying entries.

@@ -8,14 +8,13 @@ import (
 
 // This file is the cycle-accounting layer: when Options.CPIStack arms a
 // stack, every simulated cycle is attributed to exactly one cpustack
-// bucket, and the bucket sum equals the cycle count exactly — with cycle
-// skipping on or off, serial or parallel. The discipline mirrors
-// internal/diag: a nil stack costs the run one pointer test per stepped
-// cycle and nothing in step() itself, and an armed stack charges through
-// preallocated atomic counters, so the AllocsPerRun proofs hold either
-// way.
+// bucket, and the bucket sum equals the cycle count exactly, serial or
+// parallel. The discipline mirrors internal/diag: a nil stack costs the
+// run one pointer test per cycle and nothing in step() itself, and an
+// armed stack charges through preallocated atomic counters, so the
+// AllocsPerRun proofs hold either way.
 //
-// Attribution precedence for a stepped cycle (first match wins; DESIGN.md
+// Attribution precedence for a cycle (first match wins; DESIGN.md
 // "CPI stacks" records the rationale):
 //
 //  1. an instruction committed                     → useful
@@ -29,13 +28,8 @@ import (
 //  9. head dispatched, operands not ready          → issue.operand-wait
 // 10. reorder buffer empty                         → fetch-starved
 //
-// A skipped gap applies the same rules to its (constant) machine state;
-// the only conditions that can flip mid-gap — the DRAM channel freeing,
-// the muldiv unit freeing — are split at the exact boundary cycle, so the
-// per-bucket totals are identical to stepping the gap. skipped-inert is
-// reserved for a gap the classifier cannot attribute; conservation holds
-// regardless, and the bucket makes the attribution hole visible instead
-// of hiding it under a named cause.
+// The end-of-run store-buffer drain, which runs after the last stepped
+// cycle, is charged whole to store-buffer-full (see Run).
 
 // acctSnap is the pre-step counter snapshot classifyStepped diffs against.
 type acctSnap struct {
@@ -140,72 +134,4 @@ func (c *Core) muldivQueued(h *robEntry, t uint64) bool {
 		return t < c.fpDivFreeAt
 	}
 	return false
-}
-
-// acctGap attributes a skipped gap of n cycles ending at target
-// (exclusive). Every cycle in the gap is inert — no commit, no port
-// offer, no state transition — so the stepped classifier's outcome is
-// constant across it except for the two clock-crossing conditions (DRAM
-// channel freeing, muldiv unit freeing), which are split at their exact
-// boundary. Called from skipTo before the clock advances, so c.cycle is
-// still the gap's first cycle.
-//
-//portlint:hotpath
-func (c *Core) acctGap(n uint64, target uint64) {
-	if c.robCount == 0 {
-		c.acct.Charge(cpustack.FetchStarved, n)
-		return
-	}
-	h := &c.rob[c.robHead]
-	switch h.state {
-	case stateDone:
-		if h.inst.Class == isa.Store && h.doneAt <= c.cycle {
-			// nextEventCycle only lets a done head into a gap when the
-			// store buffer refuses its commit.
-			c.acct.Charge(cpustack.StoreBufferFull, n)
-		} else {
-			c.acct.Charge(cpustack.SkippedInert, n)
-		}
-	case stateIssued:
-		switch h.inst.Class {
-		case isa.Load, isa.Store:
-			// The channel can free mid-gap (no accesses start inside a
-			// gap, so busyUntil is constant): split bandwidth vs fill
-			// wait exactly where stepping would.
-			c.chargeSplit(c.sys.DRAMBusyUntil(), target, n,
-				cpustack.MemDRAMBandwidth, cpustack.MemFillWait)
-		case isa.IntMul, isa.IntDiv, isa.FPMul, isa.FPDiv:
-			c.acct.Charge(cpustack.IssueDivider, n)
-		default:
-			c.acct.Charge(cpustack.CommitStall, n)
-		}
-	default: // stateDispatched
-		switch h.inst.Class {
-		case isa.IntMul, isa.IntDiv:
-			c.chargeSplit(c.intDivFreeAt, target, n,
-				cpustack.IssueDivider, cpustack.IssueOperandWait)
-		case isa.FPMul, isa.FPDiv:
-			c.chargeSplit(c.fpDivFreeAt, target, n,
-				cpustack.IssueDivider, cpustack.IssueOperandWait)
-		default:
-			c.acct.Charge(cpustack.IssueOperandWait, n)
-		}
-	}
-}
-
-// chargeSplit charges the gap [c.cycle, target) across a boundary: cycles
-// before boundary go to the before bucket, the rest to after. The stepped
-// classifier tests "t < boundary", so the split reproduces it exactly.
-//
-//portlint:hotpath
-func (c *Core) chargeSplit(boundary, target, n uint64, before, after cpustack.Bucket) {
-	switch {
-	case boundary <= c.cycle:
-		c.acct.Charge(after, n)
-	case boundary >= target:
-		c.acct.Charge(before, n)
-	default:
-		c.acct.Charge(before, boundary-c.cycle)
-		c.acct.Charge(after, target-boundary)
-	}
 }

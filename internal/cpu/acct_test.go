@@ -11,7 +11,7 @@ import (
 
 // acctRun simulates one bounded cell with accounting armed and returns the
 // result plus the frozen stack.
-func acctRun(t *testing.T, m config.Machine, prof string, noSkip bool) (*Result, *cpustack.Snapshot) {
+func acctRun(t *testing.T, m config.Machine, prof string) (*Result, *cpustack.Snapshot) {
 	t.Helper()
 	g, err := workload.New(mustProfile(t, prof), 42)
 	if err != nil {
@@ -26,11 +26,10 @@ func acctRun(t *testing.T, m config.Machine, prof string, noSkip bool) (*Result,
 		MaxInstructions: 8_000,
 		DeadlineCycles:  DeadlineFor(8_000),
 		StallCycles:     DefaultStallCycles,
-		NoSkip:          noSkip,
 		CPIStack:        stack,
 	})
 	if err != nil {
-		t.Fatalf("%s on %s (noskip=%v): %v", prof, m.Name, noSkip, err)
+		t.Fatalf("%s on %s: %v", prof, m.Name, err)
 	}
 	if res.CPIStack == nil {
 		t.Fatalf("%s on %s: armed run returned nil CPIStack", prof, m.Name)
@@ -42,34 +41,21 @@ func acctRun(t *testing.T, m config.Machine, prof string, noSkip bool) (*Result,
 }
 
 // TestCPIStackConservation is the tentpole invariant over every machine
-// preset × skip on/off: the attribution buckets partition the run's
-// cycles exactly, and the per-bucket totals are identical whether the
-// clock stepped every cycle or fast-forwarded over inert gaps.
+// preset: the attribution buckets partition the run's cycles exactly.
+// Every cycle is stepped and classified, so nothing lands in the
+// skipped-inert bucket.
 func TestCPIStackConservation(t *testing.T) {
 	for _, preset := range config.PresetNames() {
 		m := config.Presets[preset]()
 		t.Run(preset, func(t *testing.T) {
-			resSkip, stackSkip := acctRun(t, m, "compress", false)
-			resStep, stackStep := acctRun(t, m, "compress", true)
-			if err := stackSkip.CheckConservation(resSkip.Cycles); err != nil {
-				t.Errorf("skip on: %v", err)
+			res, stack := acctRun(t, m, "compress")
+			if err := stack.CheckConservation(res.Cycles); err != nil {
+				t.Error(err)
 			}
-			if err := stackStep.CheckConservation(resStep.Cycles); err != nil {
-				t.Errorf("skip off: %v", err)
+			if got := stack.Get(cpustack.SkippedInert); got != 0 {
+				t.Errorf("%d cycles charged to skipped-inert; want 0", got)
 			}
-			if resSkip.Cycles != resStep.Cycles {
-				t.Fatalf("cycle counts diverge with accounting armed: skip %d, step %d",
-					resSkip.Cycles, resStep.Cycles)
-			}
-			if *stackSkip != *stackStep {
-				for b := cpustack.Bucket(0); b < cpustack.NumBuckets; b++ {
-					if stackSkip.Get(b) != stackStep.Get(b) {
-						t.Errorf("bucket %s: skip %d, step %d",
-							b, stackSkip.Get(b), stackStep.Get(b))
-					}
-				}
-			}
-			if stackSkip.Get(cpustack.Useful) == 0 {
+			if stack.Get(cpustack.Useful) == 0 {
 				t.Error("no cycles attributed to useful work")
 			}
 		})
@@ -118,7 +104,7 @@ func TestCPIStackDoesNotPerturbResults(t *testing.T) {
 // attribution must track the independently counted commit stalls.
 func TestCPIStackAttributionSanity(t *testing.T) {
 	m := config.Baseline() // 2-entry store buffer: commit stalls guaranteed
-	res, stack := acctRun(t, m, "compress", false)
+	res, stack := acctRun(t, m, "compress")
 	if got := stack.Get(cpustack.StoreBufferFull); got == 0 {
 		t.Error("baseline run attributed zero cycles to store-buffer-full")
 	}
@@ -169,9 +155,9 @@ func TestStepDoesNotAllocateWithCPIStack(t *testing.T) {
 }
 
 // TestCPIStackGapClassifierCoversWedge drives the fault-injected wedge
-// (store buffer stuck mid-drain) and checks the wedged cycles land in the
-// named store-buffer bucket, not in useful work: the watchdog kills the
-// run, and the live stack — the caller-owned half of Options.CPIStack —
+// (store buffer stuck mid-drain) and checks the commit gap it opens lands
+// in the named store-buffer bucket, not in useful work: the watchdog kills
+// the run, and the live stack — the caller-owned half of Options.CPIStack —
 // still carries the attribution of everything up to the abort.
 func TestCPIStackGapClassifierCoversWedge(t *testing.T) {
 	m := config.Baseline()
@@ -205,24 +191,5 @@ func TestCPIStackGapClassifierCoversWedge(t *testing.T) {
 	// Partial-run conservation: every charge matched a simulated cycle.
 	if got := stack.Total(); got != c.Cycle() {
 		t.Errorf("aborted run leaks cycles: buckets %d, clock %d", got, c.Cycle())
-	}
-}
-
-// TestCPIStackSeedsVary widens the equivalence check across workloads and
-// seeds on the machine the paper proposes.
-func TestCPIStackSkipIdentityAcrossWorkloads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skip-identity sweep is not short")
-	}
-	for _, prof := range []string{"eqntott", "database", "pmake"} {
-		m := config.BestSingle()
-		t.Run(prof, func(t *testing.T) {
-			_, stackSkip := acctRun(t, m, prof, false)
-			_, stackStep := acctRun(t, m, prof, true)
-			if *stackSkip != *stackStep {
-				t.Errorf("stacks diverge between skip and step:\nskip: %v\nstep: %v",
-					stackSkip.Buckets, stackStep.Buckets)
-			}
-		})
 	}
 }

@@ -25,53 +25,46 @@ func arenaFor(t *testing.T, name string, seed int64, insts uint64) *trace.Arena 
 // of arena replay: simulating from an arena cursor exactly as long as the
 // budget must produce the identical Result, counter for counter, as
 // simulating the endless live generator. Covered machines include the
-// wrong-path-fetch model (whose stall-time I-cache pollution depends on
-// exact group endings) and both skip modes.
+// wrong-path-fetch model, whose stall-time I-cache pollution depends on
+// exact group endings.
 func TestRunCursorMatchesGenerator(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
 	wrongPath.Name = "wrong-path"
 	wrongPath.Core.WrongPathFetch = true
 	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort(), wrongPath}
+	opts := Options{
+		MaxInstructions: insts,
+		DeadlineCycles:  DeadlineFor(insts),
+		StallCycles:     DefaultStallCycles,
+	}
 	for _, m := range machines {
 		m := m
-		for _, noSkip := range []bool{false, true} {
-			name := m.Name
-			if noSkip {
-				name += "/noskip"
-			}
-			t.Run(name, func(t *testing.T) {
-				for _, wl := range []string{"compress", "database"} {
-					gen, err := workload.New(mustProfile(t, wl), 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := Options{
-						MaxInstructions: insts,
-						DeadlineCycles:  DeadlineFor(insts),
-						StallCycles:     DefaultStallCycles,
-						NoSkip:          noSkip,
-					}
-					liveCore, err := New(&m, gen)
-					if err != nil {
-						t.Fatal(err)
-					}
-					live, err := liveCore.Run(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cursorCore, err := New(&m, arenaFor(t, wl, 42, insts).NewCursor())
-					if err != nil {
-						t.Fatal(err)
-					}
-					replay, err := cursorCore.Run(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					compareResults(t, wl, live, replay)
+		t.Run(m.Name, func(t *testing.T) {
+			for _, wl := range []string{"compress", "database"} {
+				gen, err := workload.New(mustProfile(t, wl), 42)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				liveCore, err := New(&m, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live, err := liveCore.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursorCore, err := New(&m, arenaFor(t, wl, 42, insts).NewCursor())
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay, err := cursorCore.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, wl, live, replay)
+			}
+		})
 	}
 }
 
@@ -91,45 +84,38 @@ func TestBatchedMatchesNextOnly(t *testing.T) {
 	wrongPath := config.Baseline()
 	wrongPath.Name = "wrong-path"
 	wrongPath.Core.WrongPathFetch = true
+	opts := Options{
+		MaxInstructions: insts,
+		DeadlineCycles:  DeadlineFor(insts),
+		StallCycles:     DefaultStallCycles,
+	}
 	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), wrongPath} {
 		m := m
-		for _, noSkip := range []bool{false, true} {
-			name := m.Name
-			if noSkip {
-				name += "/noskip"
+		t.Run(m.Name, func(t *testing.T) {
+			for _, wl := range []string{"compress", "database"} {
+				a := arenaFor(t, wl, 42, insts)
+				batchedCore, err := New(&m, a.NewCursor())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalarCore, err := New(&m, nextOnly{a.NewCursor()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batchedCore.batcher == nil || scalarCore.batcher != nil {
+					t.Fatal("the cursor must be read in chunks and the wrapper one instruction at a time")
+				}
+				batched, err := batchedCore.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalar, err := scalarCore.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, wl, batched, scalar)
 			}
-			t.Run(name, func(t *testing.T) {
-				opts := Options{
-					MaxInstructions: insts,
-					DeadlineCycles:  DeadlineFor(insts),
-					StallCycles:     DefaultStallCycles,
-					NoSkip:          noSkip,
-				}
-				for _, wl := range []string{"compress", "database"} {
-					a := arenaFor(t, wl, 42, insts)
-					batchedCore, err := New(&m, a.NewCursor())
-					if err != nil {
-						t.Fatal(err)
-					}
-					scalarCore, err := New(&m, nextOnly{a.NewCursor()})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if batchedCore.batcher == nil || scalarCore.batcher != nil {
-						t.Fatal("the cursor must be read in chunks and the wrapper one instruction at a time")
-					}
-					batched, err := batchedCore.Run(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					scalar, err := scalarCore.Run(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					compareResults(t, wl, batched, scalar)
-				}
-			})
-		}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"portsim/internal/diag"
 	"portsim/internal/isa"
 	"portsim/internal/trace"
+	"portsim/internal/workload"
 )
 
 // TestNewRejectsNilStream pins the constructor hardening: a nil stream is a
@@ -124,6 +125,108 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
+// coldLoadChain builds a serial chain of loads: each load's address operand
+// is the previous load's destination, and every address lands on a fresh
+// page 8KB further on, so each commit waits out a DTLB walk plus a full
+// memory-hierarchy miss (~60+ cycles) with nothing else to do.
+func coldLoadChain(n int) []isa.Inst {
+	insts := make([]isa.Inst, n)
+	for i := range insts {
+		insts[i] = isa.Inst{
+			PC:    uint64(0x1000 + (i%8)*4),
+			Class: isa.Load,
+			Dest:  1,
+			Src1:  1,
+			Addr:  0x4000_0000 + uint64(i)*0x2000,
+			Size:  8,
+		}
+	}
+	return insts
+}
+
+// TestWatchdogCountsSteppedEvents pins what Options.StallCycles counts:
+// cycles without a commit. A serial cold-load chain opens >50-cycle commit
+// gaps, so a 40-cycle budget trips ErrStall mid-gap. A budget of exactly
+// the longest commit-free stretch (measured from the recorder's commit
+// stamps) completes and one cycle less trips, and the default budget
+// leaves the run's timing identical to an unguarded one.
+func TestWatchdogCountsSteppedEvents(t *testing.T) {
+	m := config.Baseline()
+	insts := coldLoadChain(30)
+	run := func(stallCycles uint64, rec *diag.Recorder) (*Result, error) {
+		t.Helper()
+		c, err := New(&m, trace.NewSliceStream(insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Run(Options{StallCycles: stallCycles, DeadlineCycles: 1_000_000, Recorder: rec})
+	}
+	if _, err := run(40, nil); !errors.Is(err, ErrStall) {
+		t.Errorf("40-cycle budget: err = %v, want ErrStall (each cold load stalls commit for >40 cycles)", err)
+	}
+
+	rec := diag.NewRecorder(0)
+	unguarded, err := run(0, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cycles 0..first-1 carry no commit; between commits on cycles a < b,
+	// the b-a-1 cycles in between carry none. Each load waits on the one
+	// before it, so no two commits share a cycle.
+	var longest, next uint64
+	for _, e := range rec.Events() {
+		if e.Kind != diag.EventCommit {
+			continue
+		}
+		if e.Cycle-next > longest {
+			longest = e.Cycle - next
+		}
+		next = e.Cycle + 1
+	}
+	if longest <= 40 {
+		t.Fatalf("longest commit-free stretch is %d cycles; the chain should open >40-cycle gaps", longest)
+	}
+	if _, err := run(longest, nil); err != nil {
+		t.Errorf("budget of %d cycles (the longest commit-free stretch): err = %v, want success", longest, err)
+	}
+	if _, err := run(longest-1, nil); !errors.Is(err, ErrStall) {
+		t.Errorf("budget of %d cycles (one under the longest stretch): err = %v, want ErrStall", longest-1, err)
+	}
+
+	guarded, err := run(DefaultStallCycles, nil)
+	if err != nil {
+		t.Fatalf("default budget: %v", err)
+	}
+	if guarded.Instructions != uint64(len(insts)) {
+		t.Errorf("default budget committed %d insts, want %d", guarded.Instructions, len(insts))
+	}
+	if guarded.Cycles != unguarded.Cycles {
+		t.Errorf("watchdog perturbed a healthy run: %d cycles guarded, %d unguarded", guarded.Cycles, unguarded.Cycles)
+	}
+}
+
+// TestDeadlineIdenticalUnderSkip pins where the deadline guard fires: the
+// loop checks the clock before every cycle, so a run over its budget stops
+// at exactly DeadlineCycles+1.
+func TestDeadlineIdenticalUnderSkip(t *testing.T) {
+	const deadline = 5_000
+	m := config.Baseline()
+	g, err := workload.New(mustProfile(t, "compress"), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(&m, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(Options{DeadlineCycles: deadline}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if got := c.Cycle(); got != deadline+1 {
+		t.Errorf("deadline fired at cycle %d, want %d", got, deadline+1)
+	}
+}
+
 // TestStallDiagnosisOnDrainedCore checks the healthy-core rendering.
 func TestStallDiagnosisOnDrainedCore(t *testing.T) {
 	m := config.Baseline()
@@ -167,25 +270,45 @@ func TestFlightRecorderCapturesPipelineEvents(t *testing.T) {
 }
 
 // TestRunWithoutRecorderMatchesRecordedRun is the zero-overhead-when-disabled
-// guarantee in its observable form: the recorder must not perturb timing.
+// guarantee in its observable form: the recorder must not perturb the
+// simulation. A short program and two workloads on the machine the paper
+// proposes must report every counter identically with and without one.
 func TestRunWithoutRecorderMatchesRecordedRun(t *testing.T) {
-	m := config.Baseline()
-	insts := prog([]isa.Class{isa.Load, isa.Store, isa.IntALU, isa.Load}, []uint64{0x2000, 0x2008, 0x2010})
-	runWith := func(rec *diag.Recorder) *Result {
+	const insts = 15_000
+	program := prog([]isa.Class{isa.Load, isa.Store, isa.IntALU, isa.Load}, []uint64{0x2000, 0x2008, 0x2010})
+	compare := func(what string, m config.Machine, stream func() trace.Stream, opts Options) {
 		t.Helper()
-		c, err := New(&m, trace.NewSliceStream(insts))
-		if err != nil {
-			t.Fatal(err)
+		runWith := func(rec *diag.Recorder) *Result {
+			t.Helper()
+			c, err := New(&m, stream())
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Recorder = rec
+			res, err := c.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		res, err := c.Run(Options{Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
+		plain, recorded := runWith(nil), runWith(diag.NewRecorder(0))
+		if a, b := plain.Counters.String(), recorded.Counters.String(); a != b {
+			t.Errorf("%s: recorder perturbed the counters:\n--- off ---\n%s\n--- on ---\n%s", what, a, b)
 		}
-		return res
 	}
-	plain, recorded := runWith(nil), runWith(diag.NewRecorder(0))
-	if plain.Cycles != recorded.Cycles || plain.Instructions != recorded.Instructions {
-		t.Errorf("recorder perturbed the simulation: %d cycles/%d insts vs %d/%d",
-			plain.Cycles, plain.Instructions, recorded.Cycles, recorded.Instructions)
+	compare("program", config.Baseline(), func() trace.Stream { return trace.NewSliceStream(program) }, Options{})
+	for _, wl := range []string{"compress", "database"} {
+		stream := func() trace.Stream {
+			g, err := workload.New(mustProfile(t, wl), 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		compare(wl, config.BestSingle(), stream, Options{
+			MaxInstructions: insts,
+			DeadlineCycles:  DeadlineFor(insts),
+			StallCycles:     DefaultStallCycles,
+		})
 	}
 }

@@ -121,25 +121,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// ObserveN records n identical samples of value v in one step, exactly as n
-// Observe(v) calls would. The event-driven clock uses it to log a whole
-// skipped gap of zero-grant cycles without ticking through them.
-func (h *Histogram) ObserveN(v, n uint64) {
-	if n == 0 {
-		return
-	}
-	if v < uint64(len(h.buckets)) {
-		h.buckets[v] += n
-	} else {
-		h.overflow += n
-	}
-	h.count += n
-	h.sum += v * n
-	if v > h.max {
-		h.max = v
-	}
-}
-
 // Reset zeroes every bucket and summary statistic, restoring the
 // just-constructed state while keeping the bucket array.
 func (h *Histogram) Reset() {

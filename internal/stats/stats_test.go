@@ -111,38 +111,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveN checks that a batched observation is
-// indistinguishable from the equivalent run of single observations — the
-// property skipTo relies on when it logs a whole inert gap of zero-grant
-// cycles in one call — and that n=0 is a strict no-op.
-func TestHistogramObserveN(t *testing.T) {
-	batched := NewHistogram(4)
-	single := NewHistogram(4)
-	for _, c := range []struct{ v, n uint64 }{{0, 1000}, {2, 3}, {9, 5}, {3, 0}} {
-		batched.ObserveN(c.v, c.n)
-		for i := uint64(0); i < c.n; i++ {
-			single.Observe(c.v)
-		}
-	}
-	if batched.Count() != single.Count() || batched.Sum() != single.Sum() || batched.Max() != single.Max() {
-		t.Errorf("ObserveN summary (count=%d sum=%d max=%d) diverges from Observe loop (count=%d sum=%d max=%d)",
-			batched.Count(), batched.Sum(), batched.Max(), single.Count(), single.Sum(), single.Max())
-	}
-	for b := uint64(0); b < 4; b++ {
-		if batched.Bucket(b) != single.Bucket(b) {
-			t.Errorf("bucket %d: ObserveN %d, Observe loop %d", b, batched.Bucket(b), single.Bucket(b))
-		}
-	}
-	if batched.Overflow() != single.Overflow() {
-		t.Errorf("overflow: ObserveN %d, Observe loop %d", batched.Overflow(), single.Overflow())
-	}
-	empty := NewHistogram(4)
-	empty.ObserveN(2, 0)
-	if empty.Count() != 0 || empty.Max() != 0 {
-		t.Errorf("ObserveN(v, 0) mutated the histogram: count=%d max=%d", empty.Count(), empty.Max())
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(2)
 	if h.Mean() != 0 || h.Fraction(0) != 0 || h.Max() != 0 {

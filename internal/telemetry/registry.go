@@ -1,6 +1,6 @@
 // Package telemetry is the observability layer over a portsim campaign: a
-// live metrics registry served over HTTP (Prometheus text, expvar-style
-// JSON, health), a Chrome trace-event exporter for flight-recorder tails
+// live metrics registry served over HTTP (Prometheus text, health, live
+// campaign status), a Chrome trace-event exporter for flight-recorder tails
 // (Perfetto / chrome://tracing), and machine-readable run manifests tying
 // every table to its exact inputs.
 //

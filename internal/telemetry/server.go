@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,11 +11,11 @@ import (
 )
 
 // Server publishes a registry over HTTP: /metrics (Prometheus text),
-// /vars (expvar-style JSON), /healthz (liveness), /campaign (live
-// campaign status) and /debug/pprof (runtime profiles, with simulations
-// labelled by cell and experiment). It is the opt-in side channel behind
-// `portbench -listen`; nothing in the simulator ever talks to it —
-// scrapes only read registry snapshots and campaign atomics.
+// /healthz (liveness), /campaign (live campaign status) and /debug/pprof
+// (runtime profiles, with simulations labelled by cell and experiment).
+// It is the opt-in side channel behind `portbench -listen`; nothing in
+// the simulator ever talks to it — scrapes only read registry snapshots
+// and campaign atomics.
 type Server struct {
 	ln       net.Listener
 	srv      *http.Server
@@ -37,7 +36,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	s := &Server{ln: ln, reg: reg, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/vars", s.handleVars)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/campaign", s.handleCampaign)
 	// pprof does not register itself here: the package-level handlers go to
@@ -85,44 +83,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WritePrometheus(w, s.reg.Snapshot())
-}
-
-// handleVars renders the snapshot as a single JSON object keyed by metric
-// name, in the spirit of expvar: scalars for counters and gauges, an
-// object with buckets/sum/count for histograms. Non-finite gauge values
-// are stringified, since JSON has no Inf/NaN.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	snap := s.reg.Snapshot()
-	vars := make(map[string]any, len(snap))
-	for _, m := range snap {
-		switch m.Kind {
-		case string(kindCounter):
-			vars[m.Name] = m.IntValue
-		case string(kindGauge):
-			if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
-				vars[m.Name] = formatFloat(m.Value)
-			} else {
-				vars[m.Name] = m.Value
-			}
-		case string(kindHistogram):
-			buckets := make([]map[string]any, len(m.Buckets))
-			for i, b := range m.Buckets {
-				buckets[i] = map[string]any{
-					"le":         formatBound(b.UpperBound),
-					"cumulative": b.Cumulative,
-				}
-			}
-			vars[m.Name] = map[string]any{
-				"buckets": buckets,
-				"sum":     m.Sum,
-				"count":   m.Count,
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(vars)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
