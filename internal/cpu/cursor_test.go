@@ -26,7 +26,8 @@ func arenaFor(t *testing.T, name string, seed int64, insts uint64) *trace.Arena 
 // budget must produce the identical Result, counter for counter, as
 // simulating the endless live generator. Covered machines include the
 // wrong-path-fetch model, whose stall-time I-cache pollution depends on
-// exact group endings.
+// exact group endings. Each machine's case is named noskip: the core steps
+// every cycle and never jumps the clock ahead.
 func TestRunCursorMatchesGenerator(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
@@ -41,29 +42,31 @@ func TestRunCursorMatchesGenerator(t *testing.T) {
 	for _, m := range machines {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
-			for _, wl := range []string{"compress", "database"} {
-				gen, err := workload.New(mustProfile(t, wl), 42)
-				if err != nil {
-					t.Fatal(err)
+			t.Run("noskip", func(t *testing.T) {
+				for _, wl := range []string{"compress", "database"} {
+					gen, err := workload.New(mustProfile(t, wl), 42)
+					if err != nil {
+						t.Fatal(err)
+					}
+					liveCore, err := New(&m, gen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					live, err := liveCore.Run(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cursorCore, err := New(&m, arenaFor(t, wl, 42, insts).NewCursor())
+					if err != nil {
+						t.Fatal(err)
+					}
+					replay, err := cursorCore.Run(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, wl, live, replay)
 				}
-				liveCore, err := New(&m, gen)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live, err := liveCore.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cursorCore, err := New(&m, arenaFor(t, wl, 42, insts).NewCursor())
-				if err != nil {
-					t.Fatal(err)
-				}
-				replay, err := cursorCore.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareResults(t, wl, live, replay)
-			}
+			})
 		})
 	}
 }
@@ -78,7 +81,8 @@ func (n nextOnly) Next(in *isa.Inst) bool { return n.s.Next(in) }
 // TestBatchedMatchesNextOnly pins the one calling-convention choice left in
 // the front end: streamNext takes NextBatch chunks from a trace.Batcher and
 // calls Next once per instruction on any other stream. One arena replayed
-// both ways must produce the identical Result, counter for counter.
+// both ways must produce the identical Result, counter for counter. As in
+// TestRunCursorMatchesGenerator, each machine's case runs as noskip.
 func TestBatchedMatchesNextOnly(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
@@ -92,29 +96,31 @@ func TestBatchedMatchesNextOnly(t *testing.T) {
 	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), wrongPath} {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
-			for _, wl := range []string{"compress", "database"} {
-				a := arenaFor(t, wl, 42, insts)
-				batchedCore, err := New(&m, a.NewCursor())
-				if err != nil {
-					t.Fatal(err)
+			t.Run("noskip", func(t *testing.T) {
+				for _, wl := range []string{"compress", "database"} {
+					a := arenaFor(t, wl, 42, insts)
+					batchedCore, err := New(&m, a.NewCursor())
+					if err != nil {
+						t.Fatal(err)
+					}
+					scalarCore, err := New(&m, nextOnly{a.NewCursor()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batchedCore.batcher == nil || scalarCore.batcher != nil {
+						t.Fatal("the cursor must be read in chunks and the wrapper one instruction at a time")
+					}
+					batched, err := batchedCore.Run(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					scalar, err := scalarCore.Run(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, wl, batched, scalar)
 				}
-				scalarCore, err := New(&m, nextOnly{a.NewCursor()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if batchedCore.batcher == nil || scalarCore.batcher != nil {
-					t.Fatal("the cursor must be read in chunks and the wrapper one instruction at a time")
-				}
-				batched, err := batchedCore.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scalar, err := scalarCore.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareResults(t, wl, batched, scalar)
-			}
+			})
 		})
 	}
 }
