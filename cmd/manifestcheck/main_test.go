@@ -53,21 +53,47 @@ func writeSample(t *testing.T, corrupt func(*telemetry.Manifest)) string {
 	return path
 }
 
-func TestValidManifestSummarised(t *testing.T) {
-	path := writeSample(t, nil)
-	var b strings.Builder
-	if err := run([]string{path}, &b); err != nil {
+// withRetiredField copies the manifest at path into a new file that also
+// carries "bench_json", the artifact path manifests recorded while portbench
+// still wrote a throughput json of its own. Archived manifests keep it.
+func withRetiredField(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		"valid portsim-manifest/v1",
-		"cells 2 (1 simulated, 0 memo hits, 0 store hits, 1 failed)",
-		"FAILED compress @ 2-port: experiments: deadline exceeded",
-		"repro bundle: portbench-repro-2-port-compress.json",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["bench_json"] = "throughput.json"
+	if data, err = json.MarshalIndent(doc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(t.TempDir(), "LEGACY_MANIFEST.json")
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return legacy
+}
+
+func TestValidManifestSummarised(t *testing.T) {
+	current := writeSample(t, nil)
+	for _, path := range []string{current, withRetiredField(t, current)} {
+		var b strings.Builder
+		if err := run([]string{path}, &b); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, want := range []string{
+			"valid portsim-manifest/v1",
+			"cells 2 (1 simulated, 0 memo hits, 0 store hits, 1 failed)",
+			"FAILED compress @ 2-port: experiments: deadline exceeded",
+			"repro bundle: portbench-repro-2-port-compress.json",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("summary missing %q:\n%s", want, out)
+			}
 		}
 	}
 }

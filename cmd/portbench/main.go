@@ -61,7 +61,6 @@ import (
 	"strings"
 	"time"
 
-	"portsim/internal/benchfmt"
 	"portsim/internal/cellstore"
 	"portsim/internal/diag"
 	"portsim/internal/experiments"
@@ -108,7 +107,6 @@ func run(args []string, out io.Writer) error {
 		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memprofile   = fs.String("memprofile", "", "write a post-GC heap profile to this file at exit")
 		allocprofile = fs.String("allocprofile", "", "write an allocation profile (every malloc since start) to this file at exit")
-		benchjson    = fs.String("benchjson", "", "write machine-readable throughput json: a .json filename, or a directory for BENCH_<date>.json")
 	)
 	var progress progressMode
 	fs.Var(&progress, "progress", "report completed cells on stderr: rich status line, or plain for one line per cell")
@@ -207,8 +205,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "portbench: %d workloads x %d instructions, seed %d\n\n",
 		len(spec.Workloads), spec.Insts, spec.Seed)
 	runner := experiments.NewRunner(spec)
-	bench := newBenchRecorder(runner)
-	suiteMallocs := mallocs()
 	start := time.Now()
 
 	type experiment struct {
@@ -263,9 +259,7 @@ func run(args []string, out io.Writer) error {
 		}
 		ranIDs = append(ranIDs, e.id)
 		runner.SetExperiment(e.id)
-		bench.begin()
 		table, err := e.run()
-		bench.end(e.id)
 		if err != nil {
 			// One poisoned cell must not abandon the campaign: record the
 			// failure, keep rendering every healthy table, and report the
@@ -329,17 +323,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, line)
 	}
-	benchPathUsed := ""
-	if *benchjson != "" {
-		now := time.Now()
-		path := benchPath(*benchjson, now)
-		report := bench.report(spec, runner.Parallel(), elapsed, mallocs()-suiteMallocs, now) //portlint:ignore cyclemath runtime.MemStats.Mallocs is monotonic
-		if err := benchfmt.Write(path, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "bench json written: %s\n", path)
-		benchPathUsed = path
-	}
 	if *traceOut != "" {
 		if err := writeTrace(out, runner, *traceOut); err != nil {
 			return err
@@ -359,7 +342,6 @@ func run(args []string, out io.Writer) error {
 			Workloads:   spec.Workloads,
 			Parallel:    runner.Parallel(),
 			Experiments: ranIDs,
-			BenchJSON:   benchPathUsed,
 			TraceOut:    *traceOut,
 			Bundles:     bundles,
 			WallSeconds: elapsed.Seconds(),

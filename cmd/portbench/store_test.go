@@ -172,10 +172,10 @@ func TestStoreManifestRecordsResume(t *testing.T) {
 // when the environment says so: it runs the suite with the parent's args
 // and is SIGKILLed partway through.
 func TestStoreChild(t *testing.T) {
-	if os.Getenv("PORTBENCH_STORE_CHILD") != "1" {
+	if os.Getenv("PORTSIM_STORE_CHILD") != "1" {
 		t.Skip("helper for TestKillAndResume")
 	}
-	if err := run(strings.Split(os.Getenv("PORTBENCH_STORE_ARGS"), "\x1f"), os.Stdout); err != nil {
+	if err := run(strings.Split(os.Getenv("PORTSIM_STORE_ARGS"), "\x1f"), os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -190,8 +190,8 @@ func TestKillAndResume(t *testing.T) {
 
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestStoreChild$", "-test.v")
 	cmd.Env = append(os.Environ(),
-		"PORTBENCH_STORE_CHILD=1",
-		"PORTBENCH_STORE_ARGS="+strings.Join(args, "\x1f"))
+		"PORTSIM_STORE_CHILD=1",
+		"PORTSIM_STORE_ARGS="+strings.Join(args, "\x1f"))
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

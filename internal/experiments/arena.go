@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -272,10 +273,13 @@ func ParseArenaBudget(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
+	bytes := v * float64(mult)
+	// Converting NaN, an infinity or anything from 2^63 up to int64 has an
+	// implementation-dependent result, negative on amd64, which reads as "off".
+	if err != nil || !(bytes >= 0 && bytes < math.MaxInt64) {
 		return 0, fmt.Errorf("experiments: arena budget %q is not a byte size", s)
 	}
-	n := int64(v * float64(mult))
+	n := int64(bytes)
 	if n <= 0 {
 		return -1, nil
 	}

@@ -162,6 +162,9 @@ func TestParseArenaBudget(t *testing.T) {
 		{"12b", 12, false},
 		{"banana", 0, true},
 		{"-5m", 0, true},
+		{"inf", 0, true},
+		{"NaN", 0, true},
+		{"1e30", 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseArenaBudget(c.in)

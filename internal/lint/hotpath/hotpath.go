@@ -3,8 +3,9 @@
 // //portlint:hotpath directive in their doc comment run once (or more) per
 // simulated cycle across every cell of every experiment; a single heap
 // allocation there multiplies into millions per campaign and shows up
-// directly in the BENCH_*.json allocs/1k-cycles trajectory. Inside a marked
-// function (and any function literal it contains) the analyzer flags:
+// directly in the benchmark's allocs_per_1k_cycles metric (bench/, which CI
+// gates against a checked-in reference). Inside a marked function (and any
+// function literal it contains) the analyzer flags:
 //
 //   - calls into package fmt, except inside the arguments of a panic call:
 //     formatting allocates, but a panicking cycle loop is already off the

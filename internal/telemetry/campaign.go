@@ -406,7 +406,6 @@ type ManifestInfo struct {
 	Workloads   []string
 	Parallel    int
 	Experiments []string
-	BenchJSON   string
 	TraceOut    string
 	Bundles     []string
 	WallSeconds float64
@@ -479,7 +478,6 @@ func (c *Campaign) BuildManifest(info ManifestInfo) *Manifest {
 		Parallel:    info.Parallel,
 		Experiments: info.Experiments,
 		ConfigHash:  campaignHash(info, distinct),
-		BenchJSON:   info.BenchJSON,
 		TraceOut:    info.TraceOut,
 		Bundles:     info.Bundles,
 		Store:       info.Store,

@@ -92,9 +92,8 @@ type Manifest struct {
 
 	// Artifact paths, as written (possibly relative to the working
 	// directory of the run).
-	BenchJSON string   `json:"bench_json,omitempty"`
-	TraceOut  string   `json:"trace_out,omitempty"`
-	Bundles   []string `json:"bundles,omitempty"`
+	TraceOut string   `json:"trace_out,omitempty"`
+	Bundles  []string `json:"bundles,omitempty"`
 
 	// Store summarises the durable cell store when the campaign ran with
 	// one (-store); nil otherwise.

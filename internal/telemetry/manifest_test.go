@@ -45,7 +45,6 @@ func sampleInfo() ManifestInfo {
 		Workloads:   []string{"compress", "eqntott"},
 		Parallel:    4,
 		Experiments: []string{"T2", "F1"},
-		BenchJSON:   "BENCH_ci.json",
 		WallSeconds: 1.5,
 	}
 }
