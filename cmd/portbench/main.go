@@ -116,6 +116,11 @@ func run(args []string, out io.Writer) error {
 	if *repro != "" {
 		return runRepro(*repro, out)
 	}
+	selected, err := parseOnly(*only)
+	if err != nil {
+		return err
+	}
+	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
 	spec := experiments.DefaultSpec()
 	if *quick {
@@ -184,14 +189,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-trace-cell and -trace-depth need -trace-out")
 	}
 
-	selected := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
-			selected[id] = true
-		}
-	}
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
-
 	prof, err := startProfiles(*cpuprofile, *memprofile, *allocprofile)
 	if err != nil {
 		return err
@@ -207,41 +204,11 @@ func run(args []string, out io.Writer) error {
 	runner := experiments.NewRunner(spec)
 	start := time.Now()
 
-	type experiment struct {
-		id  string
-		run func() (*stats.Table, error)
-	}
-	suite := []experiment{
-		{"T1", func() (*stats.Table, error) { return experiments.T1Baseline(), nil }},
-		{"T2", func() (*stats.Table, error) { _, t, err := experiments.T2Characterisation(runner); return t, err }},
-		{"F1", func() (*stats.Table, error) { _, t, err := experiments.F1PortCount(runner); return t, err }},
-		{"F2", func() (*stats.Table, error) { _, t, err := experiments.F2BufferDepth(runner); return t, err }},
-		{"F3", func() (*stats.Table, error) { _, t, err := experiments.F3PortWidth(runner); return t, err }},
-		{"F4", func() (*stats.Table, error) { _, t, err := experiments.F4LineBuffers(runner); return t, err }},
-		{"F5", func() (*stats.Table, error) { _, t, err := experiments.F5StoreCombining(runner); return t, err }},
-		{"F6", func() (*stats.Table, error) { _, t, err := experiments.F6Headline(runner); return t, err }},
-		{"T3", func() (*stats.Table, error) { _, t, err := experiments.T3PortUtilisation(runner); return t, err }},
-		{"T4", func() (*stats.Table, error) { _, t, err := experiments.T4GrantDistribution(runner); return t, err }},
-		{"F7", func() (*stats.Table, error) { _, t, err := experiments.F7KernelIntensity(runner); return t, err }},
-		{"A1", func() (*stats.Table, error) { _, t, err := experiments.A1Ablation(runner); return t, err }},
-		{"A2", func() (*stats.Table, error) { _, t, err := experiments.A2Banking(runner); return t, err }},
-		{"A3", func() (*stats.Table, error) { _, t, err := experiments.A3Prefetch(runner); return t, err }},
-		{"A4", func() (*stats.Table, error) { _, t, err := experiments.A4MemSpeculation(runner); return t, err }},
-		{"A5", func() (*stats.Table, error) { _, t, err := experiments.A5WritePolicy(runner); return t, err }},
-		{"A6", func() (*stats.Table, error) { _, t, err := experiments.A6Multiprogramming(runner); return t, err }},
-		{"A7", func() (*stats.Table, error) { _, t, err := experiments.A7ArbitrationPolicy(runner); return t, err }},
-		{"A8", func() (*stats.Table, error) { _, t, err := experiments.A8WrongPathFetch(runner); return t, err }},
-	}
-
 	// Telemetry is strictly opt-in: with every flag off the runner's
 	// observer slot stays nil and no campaign state exists at all.
 	var sink *telemetrySink
 	if progress != progressOff || *listen != "" || *manifest != "" || *traceOut != "" || *cpistack {
-		ids := make([]string, 0, len(suite))
-		for _, e := range suite {
-			ids = append(ids, e.id)
-		}
-		s, err := newTelemetrySink(runner, spec, plannedCells(spec, ids, want), progress, *listen, store)
+		s, err := newTelemetrySink(runner, spec, plannedCells(spec, want), progress, *listen, store)
 		if err != nil {
 			return err
 		}
@@ -249,7 +216,6 @@ func run(args []string, out io.Writer) error {
 		defer sink.close(*hold)
 	}
 
-	ran := 0
 	var failed []string
 	var failures []error
 	var ranIDs []string
@@ -259,7 +225,7 @@ func run(args []string, out io.Writer) error {
 		}
 		ranIDs = append(ranIDs, e.id)
 		runner.SetExperiment(e.id)
-		table, err := e.run()
+		table, err := e.run(runner)
 		if err != nil {
 			// One poisoned cell must not abandon the campaign: record the
 			// failure, keep rendering every healthy table, and report the
@@ -267,7 +233,6 @@ func run(args []string, out io.Writer) error {
 			failed = append(failed, e.id)
 			failures = append(failures, fmt.Errorf("%s: %w", e.id, err))
 			fmt.Fprintf(out, "%s: FAILED: %v\n\n", e.id, err)
-			ran++
 			continue
 		}
 		if *csv {
@@ -275,10 +240,6 @@ func run(args []string, out io.Writer) error {
 		} else {
 			fmt.Fprintln(out, table.String())
 		}
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment matches -only=%q", *only)
 	}
 	if sink != nil {
 		sink.printer.finish()
@@ -396,6 +357,75 @@ func run(args []string, out io.Writer) error {
 			len(failed), strings.Join(failed, ","), cells)
 	}
 	return nil
+}
+
+// experiment is one table of the suite: its id and the driver that
+// renders it on the campaign's runner.
+type experiment struct {
+	id  string
+	run func(*experiments.Runner) (*stats.Table, error)
+}
+
+// suite is every experiment in campaign order.
+var suite = []experiment{
+	{"T1", func(*experiments.Runner) (*stats.Table, error) { return experiments.T1Baseline(), nil }},
+	{"T2", tableOf(experiments.T2Characterisation)},
+	{"F1", tableOf(experiments.F1PortCount)},
+	{"F2", tableOf(experiments.F2BufferDepth)},
+	{"F3", tableOf(experiments.F3PortWidth)},
+	{"F4", tableOf(experiments.F4LineBuffers)},
+	{"F5", tableOf(experiments.F5StoreCombining)},
+	{"F6", tableOf(experiments.F6Headline)},
+	{"T3", tableOf(experiments.T3PortUtilisation)},
+	{"T4", tableOf(experiments.T4GrantDistribution)},
+	{"F7", tableOf(experiments.F7KernelIntensity)},
+	{"A1", tableOf(experiments.A1Ablation)},
+	{"A2", tableOf(experiments.A2Banking)},
+	{"A3", tableOf(experiments.A3Prefetch)},
+	{"A4", tableOf(experiments.A4MemSpeculation)},
+	{"A5", tableOf(experiments.A5WritePolicy)},
+	{"A6", tableOf(experiments.A6Multiprogramming)},
+	{"A7", tableOf(experiments.A7ArbitrationPolicy)},
+	{"A8", tableOf(experiments.A8WrongPathFetch)},
+}
+
+// tableOf adapts an experiment driver, which also returns its rows, to the
+// suite's signature.
+func tableOf[R any](driver func(*experiments.Runner) (R, *stats.Table, error)) func(*experiments.Runner) (*stats.Table, error) {
+	return func(r *experiments.Runner) (*stats.Table, error) {
+		_, t, err := driver(r)
+		return t, err
+	}
+}
+
+// parseOnly turns a -only list into the set of selected experiment ids
+// (case-insensitive; empty selects every experiment). Every id must name
+// an experiment: a typo fails the run before anything is built, instead of
+// silently running the rest.
+func parseOnly(list string) (map[string]bool, error) {
+	valid := make(map[string]bool, len(suite))
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		valid[e.id] = true
+		ids[i] = e.id
+	}
+	selected := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(strings.ToUpper(id))
+		switch {
+		case id == "":
+		case valid[id]:
+			selected[id] = true
+		default:
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-only: unknown experiment id(s) %s (valid: %s)",
+			strings.Join(unknown, ","), strings.Join(ids, ","))
+	}
+	return selected, nil
 }
 
 // reportFailures prints each distinct cell failure's forensic detail and

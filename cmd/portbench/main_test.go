@@ -47,6 +47,24 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownExperimentAmongKnownRejected checks that one typo in an -only
+// list fails the run before any table renders, naming the unknown ids and
+// the valid ones, instead of silently running the rest.
+func TestUnknownExperimentAmongKnownRejected(t *testing.T) {
+	out, err := runPB(t, "-quick", "-insts", "5000", "-only", "F6,x1, Z9")
+	if err == nil {
+		t.Fatal("-only F6,x1,Z9 accepted")
+	}
+	for _, frag := range []string{"X1,Z9", "T1,T2,F1", "A8"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q does not name %q", err, frag)
+		}
+	}
+	if out != "" {
+		t.Errorf("output before the id check:\n%s", out)
+	}
+}
+
 func TestHeaderReportsSpec(t *testing.T) {
 	out, err := runPB(t, "-quick", "-insts", "4000", "-seed", "9", "-only", "T1")
 	if err != nil {

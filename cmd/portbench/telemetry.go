@@ -52,12 +52,12 @@ func cellsPerExperiment(w int) map[string]int {
 }
 
 // plannedCells counts the cells the selected experiments will submit.
-func plannedCells(spec experiments.Spec, ids []string, want func(string) bool) int {
+func plannedCells(spec experiments.Spec, want func(string) bool) int {
 	per := cellsPerExperiment(len(spec.Workloads))
 	total := 0
-	for _, id := range ids {
-		if want(id) {
-			total += per[id]
+	for _, e := range suite {
+		if want(e.id) {
+			total += per[e.id]
 		}
 	}
 	return total

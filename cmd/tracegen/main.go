@@ -111,6 +111,10 @@ func genCmd(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *insts == 0 {
+		// An empty trace is unreadable by stat and has no bytes/inst.
+		return fmt.Errorf("-insts must be positive")
+	}
 	prof, ok := workload.ByName(*name)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (have %v)", *name, workload.Names())

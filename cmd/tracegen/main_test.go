@@ -95,3 +95,17 @@ func TestErrors(t *testing.T) {
 		t.Error("garbage trace accepted by profile")
 	}
 }
+
+// TestGenRejectsZeroBudget checks that gen refuses an empty trace before
+// creating its output file: stat rejects an empty trace, and its bytes per
+// instruction would print as +Inf.
+func TestGenRejectsZeroBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.bin")
+	out, err := runTG(t, "gen", "-workload", "eqntott", "-insts", "0", "-o", path)
+	if err == nil {
+		t.Fatalf("gen -insts 0 accepted: %s", out)
+	}
+	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+		t.Errorf("gen -insts 0 left %s behind (stat: %v)", path, statErr)
+	}
+}

@@ -37,10 +37,9 @@ const Schema = "portsim-cell/v2"
 
 // Key is the content-addressed identity of one experiment cell: what the
 // simulator actually runs, and nothing it does not. The experiments layer
-// uses the same Key for its in-process memo, its core pool (Config) and
-// its trace-arena registry (Stream), so a cell is the same cell at every
-// level of lookup. Two cells that differ only in display names share a
-// Key and are simulated once.
+// uses the same Key for its in-process memo and its trace-arena registry
+// (Stream), so a cell is the same cell at every level of lookup. Two cells
+// that differ only in display names share a Key and are simulated once.
 type Key struct {
 	// Config fingerprints the machine configuration with its display name
 	// cleared (its ContentHash).

@@ -422,17 +422,56 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 
 // Reset restores the core — pipeline, renamer, predictors, port subsystem,
 // memory hierarchy — to exactly the state New would have produced for the
-// same configuration, rewired to a fresh stream. Every backing array is
-// reused, so a pooled simulation pays no per-cell allocation for the large
-// structures (cache tags, predictor tables, register files). The caller
-// must guarantee the machine configuration is unchanged; the equivalence
-// with a freshly constructed core is what TestResetMatchesFresh checks.
+// same configuration, rewired to a fresh stream: Retarget to the core's own
+// machine.
 func (c *Core) Reset(stream trace.Stream) error {
+	_, err := c.Retarget(c.cfg, stream)
+	return err
+}
+
+// sameShape reports whether a core built for machine a has the arrays
+// machine b needs: the same caches, TLBs, memory timing and predictor, and
+// the same sizes for the ROB, store queue, fetch buffer and register files.
+// L1D.WriteThrough is a policy, not a size, so it is left out.
+func sameShape(a, b *config.Machine) bool {
+	l1dA, l1dB := a.L1D, b.L1D
+	l1dA.WriteThrough, l1dB.WriteThrough = false, false
+	return a.L1I == b.L1I && l1dA == l1dB && a.Mem == b.Mem &&
+		a.ITLB == b.ITLB && a.DTLB == b.DTLB && a.Pred == b.Pred &&
+		a.Core.ROBEntries == b.Core.ROBEntries &&
+		a.Core.StoreQueueEntries == b.Core.StoreQueueEntries &&
+		a.Core.FetchWidth == b.Core.FetchWidth &&
+		a.Core.IntPhysRegs == b.Core.IntPhysRegs &&
+		a.Core.FPPhysRegs == b.Core.FPPhysRegs
+}
+
+// Retarget rewires a finished core to machine cfg and a fresh stream,
+// restoring exactly the state New(cfg, stream) would produce while reusing
+// every backing array, so a pooled simulation pays no per-cell allocation
+// for the large structures (cache tags, predictor tables, register files).
+// It applies only when cfg has the core's array shape (sameShape); it
+// returns false otherwise and leaves the core untouched. The port
+// subsystem is reset in place when cfg.Ports is unchanged and rebuilt
+// otherwise. The equivalence with a freshly built core is what
+// TestRetargetMatchesFresh checks.
+func (c *Core) Retarget(cfg *config.Machine, stream trace.Stream) (bool, error) {
 	if stream == nil {
-		return errors.New("cpu: nil instruction stream")
+		return false, errors.New("cpu: nil instruction stream")
+	}
+	if err := cfg.Validate(); err != nil {
+		return false, err
+	}
+	if !sameShape(c.cfg, cfg) {
+		return false, nil
 	}
 	c.sys.Reset()
-	c.port.Reset()
+	c.sys.SetL1DWriteThrough(cfg.L1D.WriteThrough)
+	if cfg.Ports == c.cfg.Ports {
+		c.port.Reset()
+	} else {
+		c.port = core.NewMemPort(cfg.Ports, c.sys) // re-installs the L1D eviction hook
+	}
+	c.cfg = cfg
 	c.pred.Reset()
 	c.stream = stream
 	c.cycle, c.seq = 0, 0
@@ -498,7 +537,7 @@ func (c *Core) Reset(stream trace.Stream) error {
 	c.fetchStallCycles, c.robFullCycles = 0, 0
 	c.commitStallSB = 0
 	c.classCount = [isa.NumClasses]uint64{}
-	return nil
+	return true, nil
 }
 
 // Port exposes the memory-port subsystem for inspection.

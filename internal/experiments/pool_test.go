@@ -6,47 +6,64 @@ import (
 	"portsim/internal/config"
 )
 
-// TestPoolReusesCoresIdentically exercises the runner's core pool directly:
-// several workloads on the same machine configuration share one pooled core
-// (distinct workloads defeat the memo cache, so each Run is a real
-// simulation), and the pooled results must match a pool-cold runner's
-// bit-for-bit.
+// poolMachines are the campaign's machine kinds the pool must retarget
+// between: the port arrangements of F1/F6 and A2, and the three policy
+// flags of A4 (speculative loads), A5 (write-through) and A8 (wrong-path
+// fetch).
+func poolMachines() []config.Machine {
+	spec := config.Baseline()
+	spec.Name = "mem-speculation"
+	spec.Core.SpeculativeLoads = true
+	spec.Core.ViolationPenalty = 8
+	wt := config.Baseline()
+	wt.Name = "write-through"
+	wt.L1D.WriteThrough = true
+	wp := config.Baseline()
+	wp.Name = "wrong-path-fetch"
+	wp.Core.WrongPathFetch = true
+	return []config.Machine{
+		config.Baseline(), config.BestSingle(), config.DualPort(), config.Banked(4), wt, spec, wp,
+	}
+}
+
+// TestPoolReusesCoresIdentically runs every campaign machine kind on every
+// quick workload through one serial runner, whose single pooled core is
+// retargeted from cell to cell: it must build exactly one core, and every
+// cell must match a pool-free runner's result counter for counter.
 func TestPoolReusesCoresIdentically(t *testing.T) {
 	spec := QuickSpec()
-	spec.Parallel = 1 // serialise so every cell after the first can hit the pool
+	spec.Insts = 20_000
+	spec.Parallel = 1 // one worker: every cell after the first draws the pooled core
 	warm := NewRunner(spec)
-	m := config.Baseline()
-	type key struct{ cycles, insts uint64 }
-	got := make(map[string]key)
+	machines := poolMachines()
+	cells := 0
 	for _, w := range spec.Workloads {
-		res, err := warm.Run(m, w)
-		if err != nil {
-			t.Fatal(err)
+		for _, m := range machines {
+			got, err := warm.Run(m, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells++
+			// A fresh runner per cell can never reuse a core; its result is
+			// the pool-free reference.
+			cold := NewRunner(spec)
+			want, err := cold.Run(m, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, _ := cold.PoolStats(); h != 0 {
+				t.Fatalf("cold runner somehow hit its pool (%d)", h)
+			}
+			if got.Cycles != want.Cycles || got.Instructions != want.Instructions ||
+				got.Counters.String() != want.Counters.String() {
+				t.Fatalf("%s on %s: pooled result differs from pool-free:\npooled:\n%s\npool-free:\n%s",
+					w, m.Name, got.Counters, want.Counters)
+			}
 		}
-		got[w] = key{res.Cycles, res.Instructions}
 	}
-	hits, misses := warm.PoolStats()
-	if hits == 0 {
-		t.Fatalf("pool never hit across %d distinct cells (misses=%d)", len(spec.Workloads), misses)
-	}
-	if misses == 0 {
-		t.Fatal("pool reported zero misses; the first cell must build a core")
-	}
-
-	// A fresh runner per workload can never reuse a core; its results are
-	// the pool-free reference.
-	for _, w := range spec.Workloads {
-		cold := NewRunner(spec)
-		res, err := cold.Run(m, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h, _ := cold.PoolStats(); h != 0 {
-			t.Fatalf("cold runner somehow hit its pool (%d)", h)
-		}
-		if got[w] != (key{res.Cycles, res.Instructions}) {
-			t.Fatalf("%s: pooled result %+v differs from pool-cold %+v", w, got[w], key{res.Cycles, res.Instructions})
-		}
+	if hits, misses := warm.PoolStats(); misses != 1 || hits != uint64(cells-1) {
+		t.Fatalf("pool: %d hits, %d misses over %d cells; want one core built and %d reuses",
+			hits, misses, cells, cells-1)
 	}
 }
 
@@ -91,7 +108,7 @@ func TestFaultArmedCellsIsolatedFromUnarmed(t *testing.T) {
 	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, nil)
 	m := config.Baseline()
 
-	// Healthy cell first: simulates and pools one core for this config.
+	// Healthy cell first: simulates and pools one core.
 	cleanRes, err := r.Run(m, cleanW)
 	if err != nil {
 		t.Fatal(err)

@@ -188,13 +188,14 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[cellstore.Key]*memoEntry
 
-	// Core pool: finished cores keyed by the name-free machine-config hash
-	// (cellstore.Key.Config), reset and reused by later cells with the same
-	// configuration so a campaign does not reallocate cache tags, predictor
-	// tables and register files per cell. Cores from failed or panicked
-	// cells are never returned.
+	// Core pool: a free list of at most parallel finished cores. Every
+	// machine of the campaign shares one array shape and differs only in
+	// its ports and policy flags, so a later cell retargets whichever core
+	// it pops (cpu.Core.Retarget) instead of allocating cache tags,
+	// predictor tables and register files. Cores from failed, panicked or
+	// fault-armed cells are never returned.
 	poolMu   sync.Mutex
-	pool     map[string][]*cpu.Core
+	pool     []*cpu.Core
 	poolHits atomic.Uint64
 	poolMiss atomic.Uint64
 
@@ -243,7 +244,6 @@ func NewRunner(spec Spec) *Runner {
 		spec:     spec,
 		parallel: parallel,
 		cache:    make(map[cellstore.Key]*memoEntry),
-		pool:     make(map[string][]*cpu.Core),
 	}
 	budget := spec.ArenaBudget
 	if budget == 0 {
@@ -417,8 +417,8 @@ type cellReq struct {
 }
 
 // cellKey is the one content-addressed cell identity of a campaign: the
-// memo and the store key on all of it, the core pool on its Config, and
-// the arena registry on a machine-less key (nil m) per process trace.
+// memo and the store key on all of it, and the arena registry on a
+// machine-less key (nil m) per process trace.
 // Display names (Machine.Name, Profile.Name, Profile.Description) never
 // reach the model, so they are cleared and renamed cells are one
 // simulation. fault is the spec's fault descriptor when it poisons the
@@ -519,37 +519,41 @@ func (r *Runner) fill(e *memoEntry, run func() (*cpu.Result, error)) {
 	e.res, e.err = run()
 }
 
-// acquireCore returns a core for the machine, reusing a pooled one (reset
-// for the new stream) when a cell with the same name-free configuration
-// (cellstore.Key.Config) has already finished. An empty key means the core
-// is not poolable: fault-armed cells mutate their machine configuration, so
-// their cores are built and dropped.
-func (r *Runner) acquireCore(m *config.Machine, stream trace.Stream, key string) (*cpu.Core, error) {
-	if key != "" {
+// acquireCore returns a core for the machine: a pooled one retargeted to
+// it when the pool holds one of the same array shape, else a new one. A
+// popped core of another shape is dropped; the new core takes its place
+// on release. Unpooled cells (fault-armed ones, whose arming mutates the
+// machine) neither draw nor count.
+func (r *Runner) acquireCore(m *config.Machine, stream trace.Stream, pooled bool) (*cpu.Core, error) {
+	if pooled {
+		var c *cpu.Core
 		r.poolMu.Lock()
-		if cores := r.pool[key]; len(cores) > 0 {
-			c := cores[len(cores)-1]
-			r.pool[key] = cores[:len(cores)-1]
-			r.poolMu.Unlock()
-			r.poolHits.Add(1)
-			return c, c.Reset(stream)
+		if n := len(r.pool); n > 0 {
+			c = r.pool[n-1]
+			r.pool = r.pool[:n-1]
 		}
 		r.poolMu.Unlock()
+		if c != nil {
+			ok, err := c.Retarget(m, stream)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				r.poolHits.Add(1)
+				return c, nil
+			}
+		}
 		r.poolMiss.Add(1)
 	}
 	return cpu.New(m, stream)
 }
 
-// releaseCore returns a healthy core to the pool. The per-key depth is
-// bounded by the worker count: beyond that, extra cores could never be in
-// use simultaneously anyway.
-func (r *Runner) releaseCore(key string, c *cpu.Core) {
-	if key == "" {
-		return
-	}
+// releaseCore returns a healthy core to the pool, which holds at most one
+// core per worker: no more can ever be in use at once.
+func (r *Runner) releaseCore(c *cpu.Core) {
 	r.poolMu.Lock()
-	if len(r.pool[key]) < r.parallel {
-		r.pool[key] = append(r.pool[key], c)
+	if len(r.pool) < r.parallel {
+		r.pool = append(r.pool, c)
 	}
 	r.poolMu.Unlock()
 }
@@ -580,14 +584,12 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 	// pools.
 	m := c.m
 	rec := traceRec
-	poolKey := key.Config
 	armed := r.spec.Fault.applies(c.workload)
 	if rec == nil && (r.spec.FlightRecorder || armed) {
 		rec = diag.NewRecorder(0)
 	}
 	if armed {
 		stream = r.spec.Fault.arm(&m, stream)
-		poolKey = ""
 	}
 	cellErr := func(stack string, cause error) *CellError {
 		events := rec.Events()
@@ -665,7 +667,7 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 	}
 	simulate := func() {
 		var core *cpu.Core
-		core, err = r.acquireCore(&m, stream, poolKey)
+		core, err = r.acquireCore(&m, stream, !armed)
 		if err != nil {
 			return
 		}
@@ -687,7 +689,9 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 			r.simCycles.Add(res.Cycles)
 			r.simInsts.Add(res.Instructions)
 		}
-		r.releaseCore(poolKey, core)
+		if !armed {
+			r.releaseCore(core)
+		}
 	}
 	if obs != nil || startObs != nil {
 		// With a telemetry plane attached, label the simulation goroutine

@@ -214,6 +214,11 @@ func (s *System) DRAMAccesses() uint64 { return s.dram.Accesses() }
 //portlint:hotpath
 func (s *System) DRAMBusy(now uint64) bool { return s.dram.nextFree > now }
 
+// SetL1DWriteThrough sets the L1 data cache's write policy
+// (config.CacheGeom.WriteThrough). The policy sizes nothing, so a core
+// retargeted to a machine that differs only in it keeps its hierarchy.
+func (s *System) SetL1DWriteThrough(on bool) { s.l1dWriteThrough = on }
+
 // Reset restores the whole hierarchy — caches, TLBs, MSHR files, DRAM — to
 // its just-constructed state, reusing every backing array. Pooled
 // simulations call this between cells so a campaign does not reallocate
