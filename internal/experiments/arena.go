@@ -25,7 +25,7 @@ import (
 
 // DefaultArenaBudget is the registry's byte budget when Spec.ArenaBudget is
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
-// trace costs ~6.6 MB) with room to spare.
+// trace costs ~2.6 MB) with room to spare.
 const DefaultArenaBudget int64 = 512 << 20
 
 // arenaEntry is one registry slot. refs counts live cursors plus, during
@@ -78,13 +78,15 @@ func newArenaRegistry(budget int64) *arenaRegistry {
 // budget forces this cell onto live generation. The trace is keyed by the
 // machine-less cellKey of its content, so profiles that differ only in
 // name share one arena. Concurrent acquires of the same key share one
-// build: the first caller materialises, the rest wait.
+// build: the first caller materialises, the rest wait. A build reserves
+// the arena's worst-case footprint and, once built, charges what it
+// actually holds.
 func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*trace.Cursor, func(), error) {
 	key, err := cellKey(nil, streamSpec{prof: prof}, seed, n, "")
 	if err != nil {
 		return nil, nil, err
 	}
-	need := int64(n) * trace.BytesPerInst
+	need := trace.MaxBytes(n)
 	ar.mu.Lock()
 	if e, ok := ar.entries[key]; ok {
 		e.refs++
@@ -99,10 +101,11 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 		}
 		return e.arena.NewCursor(), func() { ar.release(key, e) }, nil
 	}
-	// Make room: evict idle arenas, least recently used first.
-	for ar.bytes+need > ar.budget && ar.evictOne() {
+	// Make room: evict idle arenas, least recently used first. need may be
+	// math.MaxInt64, so compare against the room left rather than add.
+	for need > ar.budget-ar.bytes && ar.evictOne() {
 	}
-	if ar.bytes+need > ar.budget {
+	if need > ar.budget-ar.bytes {
 		ar.fallbacks++
 		ar.mu.Unlock()
 		return nil, nil, nil
@@ -120,6 +123,11 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 		e.err = genErr
 	} else {
 		e.arena = trace.Materialize(gen, int(n))
+		actual := e.arena.Bytes()
+		ar.mu.Lock()
+		ar.bytes += actual - e.bytes
+		e.bytes = actual
+		ar.mu.Unlock()
 	}
 	close(e.ready)
 	if e.err != nil {

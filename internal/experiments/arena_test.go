@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"portsim/internal/trace"
@@ -52,9 +53,10 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 		t.Errorf("tables diverge between arenas on and off:\n--- arenas on ---\n%s\n--- arenas off ---\n%s", want, off)
 	}
 
-	// A budget of exactly two arenas: some A6 levels (up to 8 processes)
-	// must fall back while single-program cells replay.
-	twoArenas := 2 * int64(arenaTestSpec(0).Insts) * trace.BytesPerInst
+	// A budget of exactly two arenas — one built, plus the reservation the
+	// next build makes — so some A6 levels (up to 8 processes) must fall
+	// back while single-program cells replay.
+	twoArenas := arenaBytes(t, 42, arenaTestSpec(0).Insts) + trace.MaxBytes(arenaTestSpec(0).Insts)
 	partial, partialRunner := runArenaCampaign(t, twoArenas)
 	pst, _ := partialRunner.ArenaStats()
 	if pst.Fallbacks == 0 {
@@ -63,6 +65,20 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 	if partial != want {
 		t.Errorf("tables diverge under partial fallback:\n--- arenas on ---\n%s\n--- partial ---\n%s", want, partial)
 	}
+}
+
+// arenaBytes is the footprint of compress's n-instruction trace for seed.
+func arenaBytes(t *testing.T, seed int64, n uint64) int64 {
+	t.Helper()
+	prof, ok := workload.ByName("compress")
+	if !ok {
+		t.Fatal("compress workload missing")
+	}
+	gen, err := workload.New(prof, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.Materialize(gen, int(n)).Bytes()
 }
 
 // TestArenaRegistrySharing pins the generate-once property: a sweep that
@@ -101,7 +117,13 @@ func TestArenaRegistryEviction(t *testing.T) {
 		t.Fatal("compress workload missing")
 	}
 	const n = 1_000
-	reg := newArenaRegistry(2 * n * trace.BytesPerInst) // room for two arenas
+	// Room for two arenas: the largest of the three built, plus the
+	// reservation the second build makes before it charges its own size.
+	var largest int64
+	for seed := int64(1); seed <= 3; seed++ {
+		largest = max(largest, arenaBytes(t, seed, n))
+	}
+	reg := newArenaRegistry(largest + trace.MaxBytes(n))
 	c1, rel1, err := reg.acquire(prof, 1, n)
 	if err != nil || c1 == nil {
 		t.Fatalf("acquire seed 1: %v %v", c1, err)
@@ -140,6 +162,30 @@ func TestArenaRegistryEviction(t *testing.T) {
 	rel2()
 	rel2b()
 	rel3()
+}
+
+// TestArenaRegistryHugeReservation: a trace too long for any budget —
+// even one whose byte count overflows an int64 — falls back to live
+// generation and leaves nothing charged.
+func TestArenaRegistryHugeReservation(t *testing.T) {
+	prof, ok := workload.ByName("compress")
+	if !ok {
+		t.Fatal("compress workload missing")
+	}
+	reg := newArenaRegistry(DefaultArenaBudget)
+	for _, n := range []uint64{math.MaxUint64, math.MaxInt64, 1 << 62, uint64(DefaultArenaBudget)} {
+		cur, rel, err := reg.acquire(prof, 42, n)
+		if err != nil {
+			t.Fatalf("acquire(%d): %v", n, err)
+		}
+		if cur != nil || rel != nil {
+			t.Fatalf("acquire(%d) built an arena inside a %d-byte budget", n, DefaultArenaBudget)
+		}
+	}
+	st := reg.stats()
+	if st.Bytes != 0 || st.Count != 0 || st.Builds != 0 || st.Fallbacks != 4 {
+		t.Errorf("stats after oversized acquires: %+v", st)
+	}
 }
 
 // TestParseArenaBudget covers the flag grammar.

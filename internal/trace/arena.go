@@ -2,42 +2,82 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 
 	"portsim/internal/isa"
 )
 
-// An Arena is an immutable, materialised dynamic instruction trace in
-// struct-of-arrays layout. Sweeps that vary only the machine axis replay
-// one arena through many Cursors instead of re-running the workload
-// generator per cell.
+// An Arena is an immutable, materialised dynamic instruction trace. Sweeps
+// that vary only the machine axis replay one arena through many Cursors
+// instead of re-running the workload generator per cell.
 //
 // Every stored word is machine-independent: PCs, operand words and
-// register names come straight from the generator, and the metadata byte
-// only restates properties of the instruction itself (its taken and kernel
-// bits and its class kind), never predictor or cache state. Nothing in an
-// arena encodes a fetch width, a line size or a predictor decision, so one
-// arena serves every machine configuration.
+// register names come straight from the generator, and the flag bits only
+// restate properties of the instruction itself (its taken and kernel bits,
+// whether its class touches memory, whether it redirects fetch), never
+// predictor or cache state. Nothing in an arena encodes a fetch width, a
+// line size or a predictor decision, so one arena serves every machine
+// configuration.
 //
 // Arenas are append-once: Materialize fills one and nothing mutates it
 // afterwards, so any number of Cursors — across goroutines — may read it
 // concurrently without synchronisation.
 //
-// An instruction's class uses at most one of isa.Inst's Addr and Target,
-// so the arena keeps one operand word per instruction: the data address
-// for loads and stores (MetaMem set), the control target for every other
-// class.
+// # Layout
+//
+// Each instruction is one packed 32-bit word (see the pk constants) plus
+// zero, one or two 64-bit words in a shared array, in stream order:
+//
+//   - its PC, only where it differs from the previous instruction's
+//     NextPC (the first instruction's predecessor continues to PC 0);
+//   - its operand, only where it is nonzero. An instruction's class uses
+//     at most one of isa.Inst's Addr and Target, so one operand word
+//     serves both: the data address of loads and stores (is-mem bit
+//     set), the control target of every other class.
+//
+// The word array ends in one zero pad word, so a cursor reads the next
+// word unconditionally and masks it away when the presence bit is clear.
+// In the built-in workloads' traces only the first instruction stores its
+// PC and over 40% of instructions have no operand, so an arena costs
+// under 9 bytes per instruction, and never more than MaxBytes.
 type Arena struct {
-	pc    []uint64
-	op    []uint64
-	class []uint8
-	dest  []uint8
-	src1  []uint8
-	src2  []uint8
-	size  []uint8
-	meta  []uint8
+	packed []uint32
+	words  []uint64
+
+	// expand builds cols, the column view the PCs, Targets, Classes, Meta
+	// and Inst accessors return, on first use.
+	expand sync.Once
+	cols   *columns
 }
 
-// Metadata flag bits, one byte per instruction.
+// Packed instruction word layout, least significant bit first: the class,
+// the three registers, a size code (0 for size 0, else log2(size)+1), then
+// single-bit flags.
+const (
+	pkClassBits = 4
+	pkRegBits   = 6
+	pkSizeBits  = 3
+
+	pkDestShift = pkClassBits
+	pkSrc1Shift = pkDestShift + pkRegBits
+	pkSrc2Shift = pkSrc1Shift + pkRegBits
+	pkSizeShift = pkSrc2Shift + pkRegBits
+
+	pkTakenBit     = pkSizeShift + pkSizeBits
+	pkKernelBit    = pkTakenBit + 1
+	pkMemBit       = pkKernelBit + 1
+	pkRedirectsBit = pkMemBit + 1
+	pkHasPCBit     = pkRedirectsBit + 1 // the PC is in the word array
+	pkHasOpBit     = pkHasPCBit + 1     // the operand is in the word array
+
+	pkClassMask = 1<<pkClassBits - 1
+	pkRegMask   = 1<<pkRegBits - 1
+	pkSizeMask  = 1<<pkSizeBits - 1
+)
+
+// Metadata flag bits of the bytes Meta returns.
 const (
 	MetaTaken  = 1 << 0
 	MetaKernel = 1 << 1
@@ -45,63 +85,79 @@ const (
 	MetaCtrl   = 1 << 3
 )
 
-// BytesPerInst is the arena storage cost per instruction: two 64-bit
-// words (pc, operand) plus six bytes (class, three registers, size,
-// metadata). Byte budgets divide by this.
-const BytesPerInst = 2*8 + 6
+// maxBytesPerInst is the largest per-instruction cost: the packed word
+// plus a stored PC and a stored operand.
+const maxBytesPerInst = 4 + 2*8
+
+// MaxBytes returns the largest footprint an arena of n instructions can
+// have, or math.MaxInt64 when that does not fit in an int64. Budgets
+// reserve it before a build and charge Bytes after.
+func MaxBytes(n uint64) int64 {
+	const pad = 8
+	if n > (math.MaxInt64-pad)/maxBytesPerInst {
+		return math.MaxInt64
+	}
+	return int64(n)*maxBytesPerInst + pad
+}
+
+// wordChunk is how many 64-bit words Materialize allocates at a time: the
+// word count is unknown until the stream is drained, and chunks copied
+// once into an exact array leave the arena no spare capacity and no more
+// garbage than the words themselves, unlike a slice grown by append.
+const wordChunk = 4096
 
 // Materialize drains up to n instructions from s into a new arena, using
 // the stream's batch interface when it has one. A shorter arena means the
-// stream ended early. It panics on an instruction that sets the operand
-// field its class does not use (Target on a load or store, Addr on any
-// other class): the arena could not replay it exactly.
+// stream ended early. It panics on an instruction the arena could not
+// replay exactly: one that sets the operand field its class does not use
+// (Target on a load or store, Addr on any other class), or a class,
+// register or size the packed word cannot hold.
 func Materialize(s Stream, n int) *Arena {
-	a := &Arena{
-		pc:    make([]uint64, 0, n),
-		op:    make([]uint64, 0, n),
-		class: make([]uint8, 0, n),
-		dest:  make([]uint8, 0, n),
-		src1:  make([]uint8, 0, n),
-		src2:  make([]uint8, 0, n),
-		size:  make([]uint8, 0, n),
-		meta:  make([]uint8, 0, n),
-	}
-	if b, ok := s.(Batcher); ok {
+	b := &builder{packed: make([]uint32, 0, n)}
+	if bs, ok := s.(Batcher); ok {
 		var buf [128]isa.Inst
-		for len(a.pc) < n {
-			want := n - len(a.pc)
-			if want > len(buf) {
-				want = len(buf)
-			}
-			got := b.NextBatch(buf[:want])
+		for len(b.packed) < n {
+			want := min(n-len(b.packed), len(buf))
+			got := bs.NextBatch(buf[:want])
 			for i := 0; i < got; i++ {
-				a.push(&buf[i])
+				b.push(&buf[i])
 			}
 			if got < want {
 				break
 			}
 		}
-		return a
+		return b.arena()
 	}
 	var in isa.Inst
-	for len(a.pc) < n && s.Next(&in) {
-		a.push(&in)
+	for len(b.packed) < n && s.Next(&in) {
+		b.push(&in)
 	}
-	return a
+	return b.arena()
+}
+
+// builder accumulates an arena: the packed words directly, the word array
+// in fixed chunks.
+type builder struct {
+	packed []uint32
+	chunks [][]uint64 // full chunks, in order
+	cur    []uint64   // the chunk being filled
+	next   uint64     // NextPC of the last instruction pushed
 }
 
 // push appends one instruction.
-func (a *Arena) push(in *isa.Inst) {
-	var m uint8
-	if in.Taken {
-		m |= MetaTaken
+func (b *builder) push(in *isa.Inst) {
+	if in.Class > pkClassMask || in.Dest > pkRegMask || in.Src1 > pkRegMask || in.Src2 > pkRegMask {
+		panic(fmt.Sprintf("trace: %v at pc %#x does not fit the packed word (class %d, registers %d %d %d)",
+			in.Class, in.PC, uint8(in.Class), in.Dest, in.Src1, in.Src2))
 	}
-	if in.Kernel {
-		m |= MetaKernel
+	if in.Size > 8 || in.Size&(in.Size-1) != 0 {
+		panic(fmt.Sprintf("trace: %v at pc %#x has size %d, not 0, 1, 2, 4 or 8", in.Class, in.PC, in.Size))
 	}
+	x := uint32(in.Class) | uint32(in.Dest)<<pkDestShift | uint32(in.Src1)<<pkSrc1Shift |
+		uint32(in.Src2)<<pkSrc2Shift | uint32(bits.Len8(in.Size))<<pkSizeShift
 	op := in.Target
 	if in.Class.IsMem() {
-		m |= MetaMem
+		x |= 1 << pkMemBit
 		op = in.Addr
 		if in.Target != 0 {
 			panic(fmt.Sprintf("trace: %v at pc %#x sets Target %#x", in.Class, in.PC, in.Target))
@@ -109,66 +165,148 @@ func (a *Arena) push(in *isa.Inst) {
 	} else if in.Addr != 0 {
 		panic(fmt.Sprintf("trace: %v at pc %#x sets Addr %#x", in.Class, in.PC, in.Addr))
 	}
-	if in.Class.IsCtrl() {
-		m |= MetaCtrl
+	if in.Taken {
+		x |= 1 << pkTakenBit
 	}
-	a.pc = append(a.pc, in.PC)
-	a.op = append(a.op, op)
-	a.class = append(a.class, uint8(in.Class))
-	a.dest = append(a.dest, uint8(in.Dest))
-	a.src1 = append(a.src1, uint8(in.Src1))
-	a.src2 = append(a.src2, uint8(in.Src2))
-	a.size = append(a.size, in.Size)
-	a.meta = append(a.meta, m)
+	if in.Kernel {
+		x |= 1 << pkKernelBit
+	}
+	if in.Redirects() {
+		x |= 1 << pkRedirectsBit
+	}
+	if in.PC != b.next {
+		x |= 1 << pkHasPCBit
+		b.word(in.PC)
+	}
+	if op != 0 {
+		x |= 1 << pkHasOpBit
+		b.word(op)
+	}
+	b.next = in.NextPC()
+	b.packed = append(b.packed, x)
+}
+
+// word appends one word to the word array.
+func (b *builder) word(w uint64) {
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.chunks = append(b.chunks, b.cur)
+		}
+		b.cur = make([]uint64, 0, wordChunk)
+	}
+	b.cur = append(b.cur, w)
+}
+
+// arena assembles the word array, with its pad word, and returns the
+// finished arena.
+func (b *builder) arena() *Arena {
+	words := make([]uint64, 0, len(b.chunks)*wordChunk+len(b.cur)+1)
+	for _, c := range b.chunks {
+		words = append(words, c...)
+	}
+	words = append(append(words, b.cur...), 0)
+	return &Arena{packed: b.packed, words: words}
 }
 
 // Len returns the number of instructions held.
-func (a *Arena) Len() int { return len(a.pc) }
+func (a *Arena) Len() int { return len(a.packed) }
 
-// Bytes returns the arena's storage footprint.
-func (a *Arena) Bytes() int64 { return int64(len(a.pc)) * BytesPerInst }
+// Bytes returns the arena's storage footprint: four bytes per instruction
+// plus eight per stored word, the pad included, counting any room
+// Materialize reserved for instructions a stream ended without.
+func (a *Arena) Bytes() int64 { return int64(cap(a.packed))*4 + int64(cap(a.words))*8 }
 
-// PCs exposes the packed instruction addresses.
+// decode unpacks the instruction with packed word x into in. w indexes its
+// first word in words and next is its predecessor's NextPC; decode returns
+// the index past its words and its own NextPC.
 //
 //portlint:hotpath
-func (a *Arena) PCs() []uint64 { return a.pc }
+func decode(x uint32, words []uint64, w int, next uint64, in *isa.Inst) (int, uint64) {
+	// Masks, not branches: which words are present varies too irregularly
+	// to predict. The pad word keeps words[w] in range at the end.
+	hasPC := int(x >> pkHasPCBit & 1)
+	pcMask := -uint64(hasPC)
+	in.PC = words[w]&pcMask | next&^pcMask
+	w += hasPC
+	hasOp := int(x >> pkHasOpBit & 1)
+	op := words[w] & -uint64(hasOp)
+	w += hasOp
+	// Field by field: a composite literal builds the struct on the stack
+	// and copies it out, stalling on store forwarding.
+	mem := -uint64(x >> pkMemBit & 1)
+	in.Addr = op & mem
+	in.Target = op &^ mem
+	in.Class = isa.Class(x & pkClassMask)
+	in.Dest = isa.Reg(x >> pkDestShift & pkRegMask)
+	in.Src1 = isa.Reg(x >> pkSrc1Shift & pkRegMask)
+	in.Src2 = isa.Reg(x >> pkSrc2Shift & pkRegMask)
+	in.Size = uint8(1 << (x >> pkSizeShift & pkSizeMask) >> 1)
+	in.Taken = x>>pkTakenBit&1 != 0
+	in.Kernel = x>>pkKernelBit&1 != 0
+	redirect := -uint64(x >> pkRedirectsBit & 1)
+	return w, op&redirect | in.FallThrough()&^redirect
+}
 
-// Targets exposes the packed operand words: the control-transfer target of
-// every instruction outside MetaMem (zero for non-control classes), and the
-// data address of loads and stores.
-//
-//portlint:hotpath
-func (a *Arena) Targets() []uint64 { return a.op }
+// columns is an arena expanded into one column per field the accessors
+// below expose.
+type columns struct {
+	pc, op      []uint64
+	class, meta []uint8
+}
 
-// Classes exposes the packed instruction classes as raw bytes.
-//
-//portlint:hotpath
-func (a *Arena) Classes() []uint8 { return a.class }
+// columns returns the arena's column view, expanding it on first call.
+// The simulator never calls it: cursors decode the packed layout directly.
+func (a *Arena) columns() *columns {
+	a.expand.Do(func() {
+		n := a.Len()
+		c := &columns{pc: make([]uint64, n), op: make([]uint64, n), class: make([]uint8, n), meta: make([]uint8, n)}
+		cur := a.NewCursor()
+		var in isa.Inst
+		for i := 0; cur.Next(&in); i++ {
+			var m uint8
+			if in.Taken {
+				m |= MetaTaken
+			}
+			if in.Kernel {
+				m |= MetaKernel
+			}
+			if in.Class.IsMem() {
+				m |= MetaMem
+			}
+			if in.Class.IsCtrl() {
+				m |= MetaCtrl
+			}
+			c.pc[i], c.op[i], c.class[i], c.meta[i] = in.PC, in.Addr|in.Target, uint8(in.Class), m
+		}
+		a.cols = c
+	})
+	return a.cols
+}
 
-// Meta exposes the packed per-instruction metadata flag bytes.
-//
-//portlint:hotpath
-func (a *Arena) Meta() []uint8 { return a.meta }
+// PCs returns every instruction's address, expanding the arena into
+// columns on first call.
+func (a *Arena) PCs() []uint64 { return a.columns().pc }
+
+// Targets returns every instruction's operand word: the control-transfer
+// target outside MetaMem (zero for non-control classes), the data address
+// of loads and stores. It expands the arena into columns on first call.
+func (a *Arena) Targets() []uint64 { return a.columns().op }
+
+// Classes returns every instruction's class as a raw byte, expanding the
+// arena into columns on first call.
+func (a *Arena) Classes() []uint8 { return a.columns().class }
+
+// Meta returns every instruction's Meta flag byte, expanding the arena
+// into columns on first call.
+func (a *Arena) Meta() []uint8 { return a.columns().meta }
 
 // Inst decodes instruction i into in, exactly as the originating stream
-// produced it.
-//
-//portlint:hotpath
+// produced it. Random access needs the column view, which the first call
+// builds; replay belongs to a Cursor.
 func (a *Arena) Inst(i int, in *isa.Inst) {
-	m := a.meta[i]
-	// mem is all ones for loads and stores and zero otherwise: a mask, not
-	// a branch, because classes interleave too irregularly to predict.
-	mem := -uint64(m & MetaMem / MetaMem)
-	in.PC = a.pc[i]
-	in.Addr = a.op[i] & mem
-	in.Target = a.op[i] &^ mem
-	in.Class = isa.Class(a.class[i])
-	in.Dest = isa.Reg(a.dest[i])
-	in.Src1 = isa.Reg(a.src1[i])
-	in.Src2 = isa.Reg(a.src2[i])
-	in.Size = a.size[i]
-	in.Taken = m&MetaTaken != 0
-	in.Kernel = m&MetaKernel != 0
+	c := a.columns()
+	words := [2]uint64{c.pc[i], c.op[i]}
+	decode(a.packed[i]|1<<pkHasPCBit|1<<pkHasOpBit, words[:], 0, 0, in)
 }
 
 // NewCursor returns a fresh replay position over the arena. Cursors are
@@ -178,18 +316,20 @@ func (a *Arena) NewCursor() *Cursor { return &Cursor{a: a} }
 // Cursor replays an arena from the beginning. It implements Stream and
 // Batcher with zero allocations.
 type Cursor struct {
-	a   *Arena
-	pos int
+	a    *Arena
+	pos  int    // next instruction
+	w    int    // its first word in the word array
+	next uint64 // its predecessor's NextPC
 }
 
 // Next implements Stream.
 //
 //portlint:hotpath
 func (c *Cursor) Next(in *isa.Inst) bool {
-	if c.pos >= len(c.a.pc) {
+	if c.pos >= len(c.a.packed) {
 		return false
 	}
-	c.a.Inst(c.pos, in)
+	c.w, c.next = decode(c.a.packed[c.pos], c.a.words, c.w, c.next, in)
 	c.pos++
 	return true
 }
@@ -198,13 +338,34 @@ func (c *Cursor) Next(in *isa.Inst) bool {
 //
 //portlint:hotpath
 func (c *Cursor) NextBatch(dst []isa.Inst) int {
-	n := len(c.a.pc) - c.pos
-	if n > len(dst) {
-		n = len(dst)
+	n := min(len(c.a.packed)-c.pos, len(dst))
+	packed, dst := c.a.packed[c.pos:c.pos+n], dst[:n]
+	words, w, next := c.a.words, c.w, c.next
+	for i, x := range packed {
+		// decode's body, by hand. The compiler will not inline decode:
+		// calling it made batched replay about a fifth slower, and
+		// splitting it into inlinable pieces spilled registers.
+		in := &dst[i]
+		hasPC := int(x >> pkHasPCBit & 1)
+		pcMask := -uint64(hasPC)
+		in.PC = words[w]&pcMask | next&^pcMask
+		w += hasPC
+		hasOp := int(x >> pkHasOpBit & 1)
+		op := words[w] & -uint64(hasOp)
+		w += hasOp
+		mem := -uint64(x >> pkMemBit & 1)
+		in.Addr = op & mem
+		in.Target = op &^ mem
+		in.Class = isa.Class(x & pkClassMask)
+		in.Dest = isa.Reg(x >> pkDestShift & pkRegMask)
+		in.Src1 = isa.Reg(x >> pkSrc1Shift & pkRegMask)
+		in.Src2 = isa.Reg(x >> pkSrc2Shift & pkRegMask)
+		in.Size = uint8(1 << (x >> pkSizeShift & pkSizeMask) >> 1)
+		in.Taken = x>>pkTakenBit&1 != 0
+		in.Kernel = x>>pkKernelBit&1 != 0
+		redirect := -uint64(x >> pkRedirectsBit & 1)
+		next = op&redirect | in.FallThrough()&^redirect
 	}
-	for i := 0; i < n; i++ {
-		c.a.Inst(c.pos+i, &dst[i])
-	}
-	c.pos += n
+	c.pos, c.w, c.next = c.pos+n, w, next
 	return n
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"portsim/internal/isa"
@@ -50,20 +51,90 @@ func arenaTestProgram(n int) []isa.Inst {
 	return insts
 }
 
+// irregularProgram is arenaTestProgram(n) with what a generated trace
+// rarely or never carries written over it: PCs that break from the previous
+// instruction's NextPC at the first, a middle and the last instruction, PC
+// and operand words at or above 2^32, every size, registers 0 and 63, and
+// the taken and kernel bits on classes that do not use them.
+func irregularProgram(n int) []isa.Inst {
+	prog := arenaTestProgram(n)
+	prog[0].PC = 0x1_0000_0000
+	prog[n/2].PC = 0xffff_ffff_ffff_fff0
+	prog[n-1].PC = 0x40_0000
+	edges := []isa.Inst{
+		{Class: isa.Load, Dest: 63, Src1: 0, Addr: 0x7fff_0000_0000, Size: 1},
+		{Class: isa.Store, Src1: 63, Src2: 63, Addr: 0xdead_beef_0002, Size: 2},
+		{Class: isa.Load, Dest: 1, Src1: 63, Addr: 0x8_0000_0004, Size: 4, Kernel: true},
+		{Class: isa.Store, Src1: 0, Src2: 0, Addr: 0x1_0000_0008, Size: 8, Taken: true},
+		{Class: isa.Load, Dest: 63, Src1: 62, Size: 8}, // a zero operand on a load
+		{Class: isa.IntALU, Dest: 63, Src1: 63, Src2: 63, Taken: true, Kernel: true},
+		{Class: isa.Nop, Size: 8},
+		{Class: isa.Jump, Target: 0x1_2345_6780},
+		{Class: isa.Branch, Src1: 63, Taken: true, Target: 0xffff_ffff_0000_0000},
+		{Class: isa.Call, Target: 0}, // a redirect to PC 0 stores neither word
+		{Class: isa.Return, Target: 0x40_1000, Kernel: true},
+		{Class: isa.FPDiv, Dest: 63, Src1: 32, Src2: 63},
+	}
+	for i, e := range edges {
+		at := n/4 + 3*i
+		e.PC = prog[at].PC
+		prog[at] = e
+	}
+	return prog
+}
+
+// layoutBytes is the packed layout's arithmetic for prog: four bytes per
+// instruction, eight per PC that breaks from the previous instruction's
+// NextPC and per nonzero operand, and eight for the pad word.
+func layoutBytes(prog []isa.Inst) int64 {
+	bytes, next := int64(8), uint64(0)
+	for i := range prog {
+		in := &prog[i]
+		bytes += 4
+		if in.PC != next {
+			bytes += 8
+		}
+		if in.Addr|in.Target != 0 {
+			bytes += 8
+		}
+		next = in.NextPC()
+	}
+	return bytes
+}
+
 // TestArenaReplayMatchesSource is the arena's core contract: a cursor over
 // a materialised stream replays instruction-for-instruction what the
-// source stream produced, via Next and via NextBatch in awkward chunk
-// sizes, and the precomputed metadata bits restate the instruction's own
-// properties exactly.
+// source stream produced, via Next, via NextBatch in awkward chunk sizes
+// and via random-access Inst, on a program that follows NextPC and on one
+// that breaks every assumption the packed layout leans on; the arena costs
+// exactly the layout's arithmetic; and the metadata bits restate the
+// instruction's own properties exactly.
 func TestArenaReplayMatchesSource(t *testing.T) {
 	const n = 5_000
-	want := arenaTestProgram(n)
+	for _, prog := range []struct {
+		name string
+		want []isa.Inst
+	}{
+		{"regular", arenaTestProgram(n)},
+		{"irregular", irregularProgram(n)},
+	} {
+		t.Run(prog.name, func(t *testing.T) {
+			checkReplay(t, prog.want)
+		})
+	}
+}
+
+func checkReplay(t *testing.T, want []isa.Inst) {
+	n := len(want)
 	a := Materialize(NewSliceStream(want), n)
 	if a.Len() != n {
 		t.Fatalf("Len = %d, want %d", a.Len(), n)
 	}
-	if a.Bytes() != int64(n)*BytesPerInst {
-		t.Fatalf("Bytes = %d, want %d", a.Bytes(), int64(n)*BytesPerInst)
+	if got, exact := a.Bytes(), layoutBytes(want); got != exact {
+		t.Fatalf("Bytes = %d, want %d", got, exact)
+	}
+	if a.Bytes() > MaxBytes(uint64(n)) {
+		t.Fatalf("Bytes = %d exceeds MaxBytes %d", a.Bytes(), MaxBytes(uint64(n)))
 	}
 
 	cur := a.NewCursor()
@@ -78,6 +149,34 @@ func TestArenaReplayMatchesSource(t *testing.T) {
 	}
 	if cur.Next(&got) {
 		t.Fatal("cursor yielded past the arena's end")
+	}
+
+	batched := a.NewCursor()
+	chunks := []int{1, 3, 7, 64, 128, 1000}
+	var replay []isa.Inst
+	for i := 0; len(replay) < n; i++ {
+		buf := make([]isa.Inst, chunks[i%len(chunks)])
+		k := batched.NextBatch(buf)
+		replay = append(replay, buf[:k]...)
+		if k < len(buf) {
+			break
+		}
+	}
+	if len(replay) != n {
+		t.Fatalf("NextBatch drained %d instructions, want %d", len(replay), n)
+	}
+	for i := range want {
+		if replay[i] != want[i] {
+			t.Fatalf("batched instruction %d diverged:\n source %+v\n replay %+v", i, want[i], replay[i])
+		}
+	}
+
+	// Random access, backwards so no decode can lean on its predecessor.
+	for i := n - 1; i >= 0; i-- {
+		a.Inst(i, &got)
+		if got != want[i] {
+			t.Fatalf("Inst(%d) diverged:\n source %+v\n replay %+v", i, want[i], got)
+		}
 	}
 
 	meta := a.Meta()
@@ -98,25 +197,28 @@ func TestArenaReplayMatchesSource(t *testing.T) {
 				t.Fatalf("instruction %d meta %s = %v, want %v", i, c.name, got, c.want)
 			}
 		}
-	}
-
-	batched := a.NewCursor()
-	chunks := []int{1, 3, 7, 64, 128, 1000}
-	var replay []isa.Inst
-	for i := 0; len(replay) < n; i++ {
-		buf := make([]isa.Inst, chunks[i%len(chunks)])
-		k := batched.NextBatch(buf)
-		replay = append(replay, buf[:k]...)
-		if k < len(buf) {
-			break
+		if a.PCs()[i] != in.PC || a.Targets()[i] != in.Addr|in.Target || a.Classes()[i] != uint8(in.Class) {
+			t.Fatalf("instruction %d columns diverged from %+v", i, *in)
 		}
 	}
-	if len(replay) != n {
-		t.Fatalf("NextBatch drained %d instructions, want %d", len(replay), n)
+}
+
+// TestMaxBytes pins the worst-case reservation and its saturation.
+func TestMaxBytes(t *testing.T) {
+	cases := []struct {
+		n    uint64
+		want int64
+	}{
+		{0, 8},
+		{1, 28},
+		{300_000, 6_000_008},
+		{(math.MaxInt64 - 8) / 20, 9_223_372_036_854_775_788}, // the largest n that fits
+		{(math.MaxInt64-8)/20 + 1, math.MaxInt64},
+		{math.MaxUint64, math.MaxInt64},
 	}
-	for i := range want {
-		if replay[i] != want[i] {
-			t.Fatalf("batched instruction %d diverged", i)
+	for _, c := range cases {
+		if got := MaxBytes(c.n); got != c.want {
+			t.Errorf("MaxBytes(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }
@@ -173,7 +275,8 @@ func TestCursorDoesNotAllocate(t *testing.T) {
 // TestMaterializeRejectsUnusedOperand pins the operand-word rule: an arena
 // keeps one operand per instruction, so an instruction that sets the field
 // its class does not use cannot be replayed exactly and must not be
-// captured — through the batch path or the scalar one.
+// captured — through the batch path or the scalar one. Nor may a class,
+// register or size the packed word has no bits for.
 func TestMaterializeRejectsUnusedOperand(t *testing.T) {
 	cases := []struct {
 		name string
@@ -183,6 +286,13 @@ func TestMaterializeRejectsUnusedOperand(t *testing.T) {
 		{"store with target", isa.Inst{PC: 0x40_0000, Class: isa.Store, Addr: 0x1000, Size: 4, Target: 0x40_0040}},
 		{"branch with addr", isa.Inst{PC: 0x40_0000, Class: isa.Branch, Target: 0x40_0040, Addr: 0x1000}},
 		{"alu with addr", isa.Inst{PC: 0x40_0000, Class: isa.IntALU, Addr: 0x1000}},
+		{"class 16", isa.Inst{PC: 0x40_0000, Class: 16}},
+		{"class 255", isa.Inst{PC: 0x40_0000, Class: 255}},
+		{"dest 64", isa.Inst{PC: 0x40_0000, Class: isa.IntALU, Dest: 64}},
+		{"src1 64", isa.Inst{PC: 0x40_0000, Class: isa.IntALU, Src1: 64}},
+		{"src2 255", isa.Inst{PC: 0x40_0000, Class: isa.IntALU, Src2: 255}},
+		{"size 3", isa.Inst{PC: 0x40_0000, Class: isa.Load, Dest: 1, Addr: 0x1000, Size: 3}},
+		{"size 16", isa.Inst{PC: 0x40_0000, Class: isa.Store, Addr: 0x1000, Size: 16}},
 	}
 	for _, c := range cases {
 		prog := append(arenaTestProgram(20), c.in)
