@@ -24,9 +24,11 @@ func stripArenas(out string) string {
 // TestArenaOnOffByteIdentical is the CLI-level statement of the tentpole
 // guarantee: every table is byte-identical with trace arenas on (default),
 // off, and squeezed into a budget that forces fallbacks — serial and
-// parallel.
+// parallel. At 20000 instructions every A6 level switches processes, and
+// the squeezed budget is too small for a whole trace but holds A6's
+// per-process prefixes, so that run both falls back and replays.
 func TestArenaOnOffByteIdentical(t *testing.T) {
-	base := []string{"-quick", "-insts", "4000", "-only", "T2,F1,A6"}
+	base := []string{"-quick", "-insts", "20000", "-only", "T2,F1,A6"}
 	on, err := runPB(t, base...)
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +46,12 @@ func TestArenaOnOffByteIdentical(t *testing.T) {
 	if stripArenas(on) != stripArenas(off) {
 		t.Errorf("arenas-on output diverged from arenas-off:\n--- on ---\n%s\n--- off ---\n%s", on, off)
 	}
-	tight, err := runPB(t, append(base, "-arena-budget", "200kb")...)
+	tight, err := runPB(t, append(base, "-arena-budget", "300kb")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tight, "fallbacks") {
-		t.Errorf("tight budget produced no fallbacks:\n%s", tight)
+	if !strings.Contains(tight, "fallbacks") || strings.Contains(tight, "arenas: 0 built") {
+		t.Errorf("tight budget did not both fall back and replay:\n%s", tight)
 	}
 	if stripArenas(tight) != stripArenas(off) {
 		t.Errorf("fallback output diverged from arenas-off:\n--- tight ---\n%s\n--- off ---\n%s", tight, off)

@@ -87,6 +87,10 @@ func profileCmd(args []string, out io.Writer) error {
 		}
 		title = *in
 	} else {
+		if *insts == 0 {
+			// Profiling no instructions would print an empty report.
+			return fmt.Errorf("-insts must be positive")
+		}
 		prof, ok := workload.ByName(*name)
 		if !ok {
 			return fmt.Errorf("unknown workload %q (have %v)", *name, workload.Names())

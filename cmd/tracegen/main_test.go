@@ -109,3 +109,15 @@ func TestGenRejectsZeroBudget(t *testing.T) {
 		t.Errorf("gen -insts 0 left %s behind (stat: %v)", path, statErr)
 	}
 }
+
+// TestProfileRejectsZeroBudget checks that profile refuses to profile no
+// instructions from a generator instead of printing an empty report.
+func TestProfileRejectsZeroBudget(t *testing.T) {
+	out, err := runTG(t, "profile", "-workload", "pmake", "-insts", "0")
+	if err == nil {
+		t.Fatalf("profile -insts 0 accepted: %s", out)
+	}
+	if out != "" {
+		t.Errorf("profile -insts 0 printed a report: %s", out)
+	}
+}

@@ -153,6 +153,41 @@ func (a *worklistAudit) check(c *Core) error {
 	return nil
 }
 
+// stepAudited runs insts instructions of workload w (seed 42) on machine m
+// one cycle at a time, failing the test at the first cycle after which
+// audit reports an error, and returns the drained core.
+func stepAudited(t *testing.T, m config.Machine, w string, insts uint64, audit func(*Core) error) *Core {
+	t.Helper()
+	g, err := workload.New(mustProfile(t, w), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(&m, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.maxInsts = insts
+	for !c.drained() {
+		c.step()
+		if err := audit(c); err != nil {
+			t.Fatalf("after cycle %d: %v", c.cycle-1, err)
+		}
+	}
+	if c.committed != insts {
+		t.Fatalf("committed %d of %d", c.committed, insts)
+	}
+	return c
+}
+
+// speculativeMachine is the baseline with memory-dependence speculation.
+func speculativeMachine() config.Machine {
+	m := config.Baseline()
+	m.Name = "mem-speculation"
+	m.Core.SpeculativeLoads = true
+	m.Core.ViolationPenalty = 8
+	return m
+}
+
 // TestIssueWorklistsMatchFullScan is the oracle for the two-tier issue
 // scheduler (DESIGN "The two-tier issue scheduler"): stepping one cycle at
 // a time, every dispatched entry a full ROB scan finds must be reachable
@@ -161,36 +196,79 @@ func (a *worklistAudit) check(c *Core) error {
 // published ready times.
 func TestIssueWorklistsMatchFullScan(t *testing.T) {
 	const insts = 30_000
-	spec := config.Baseline()
-	spec.Name = "mem-speculation"
-	spec.Core.SpeculativeLoads = true
-	spec.Core.ViolationPenalty = 8
-	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), spec} {
+	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), speculativeMachine()} {
 		m := m
 		for _, w := range []string{"compress", "database"} {
 			t.Run(m.Name+"/"+w, func(t *testing.T) {
-				g, err := workload.New(mustProfile(t, w), 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := New(&m, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.maxInsts = insts
 				var a worklistAudit
-				for !c.drained() {
-					c.step()
-					if err := a.check(c); err != nil {
-						t.Fatalf("after cycle %d: %v", c.cycle-1, err)
-					}
-				}
-				if c.committed != insts {
-					t.Fatalf("committed %d of %d", c.committed, insts)
-				}
+				c := stepAudited(t, m, w, insts, a.check)
 				if m.Core.SpeculativeLoads && c.memViolations == 0 {
 					t.Error("no memory-order squash: the speculative case tests nothing extra")
 				}
+			})
+		}
+	}
+}
+
+// lsqAudit re-walks, for every dispatched load whose clean disambiguation
+// verdict is cached (lsqCleanGen == sqGen), the older in-flight stores in
+// [sqHead, sqMark): no issued one may overlap the load, and without
+// speculation none may still be unresolved. cached counts the loads it
+// checked, and skipped those among them cached clean past an unresolved
+// store.
+type lsqAudit struct {
+	cached, skipped int
+}
+
+func (a *lsqAudit) check(c *Core) error {
+	mask := uint64(len(c.sqRing) - 1)
+	for off := 0; off < c.robCount; off++ {
+		e := &c.rob[c.robIndex(off)]
+		if e.inst.Class != isa.Load || e.state != stateDispatched || e.lsqCleanGen != c.sqGen {
+			continue
+		}
+		a.cached++
+		addr, sz := e.inst.Addr, uint64(e.inst.Size)
+		unresolved := false
+		for p := c.sqHead; p < e.sqMark; p++ {
+			s := &c.rob[c.sqRing[p&mask]]
+			if s.state == stateDispatched {
+				if !c.cfg.Core.SpeculativeLoads {
+					return fmt.Errorf("load seq %d cached clean behind unresolved store seq %d", e.seq, s.seq)
+				}
+				unresolved = true
+				continue
+			}
+			if b, st := s.inst.Addr, uint64(s.inst.Size); addr < b+st && b < addr+sz {
+				return fmt.Errorf("load seq %d [%#x,+%d) cached clean but issued store seq %d [%#x,+%d) overlaps it",
+					e.seq, addr, sz, s.seq, b, st)
+			}
+		}
+		if unresolved {
+			a.skipped++
+		}
+	}
+	return nil
+}
+
+// TestLSQCleanVerdictMatchesWalk is the oracle for the LSQ's cached clean
+// verdict (robEntry.lsqCleanGen): after every cycle, each load it lets skip
+// the store-queue walk must still be clean by that walk.
+func TestLSQCleanVerdictMatchesWalk(t *testing.T) {
+	const insts = 30_000
+	for _, m := range []config.Machine{config.Baseline(), speculativeMachine()} {
+		m := m
+		for _, w := range []string{"compress", "database"} {
+			t.Run(m.Name+"/"+w, func(t *testing.T) {
+				var a lsqAudit
+				stepAudited(t, m, w, insts, a.check)
+				if a.cached == 0 {
+					t.Error("no load waited with a cached clean verdict: the oracle checked nothing")
+				}
+				if m.Core.SpeculativeLoads && a.skipped == 0 {
+					t.Error("no clean verdict speculated past an unresolved store")
+				}
+				t.Logf("%d cached verdicts checked, %d past an unresolved store", a.cached, a.skipped)
 			})
 		}
 	}

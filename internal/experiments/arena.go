@@ -14,10 +14,11 @@ import (
 
 // This file is the generate-once side of the trace arenas: a refcounted,
 // byte-budgeted registry that materialises each (profile, seed) dynamic
-// trace exactly once and hands every cell of the sweep a zero-alloc cursor
-// over it. The arena itself lives in internal/trace; the registry owns the
-// sharing policy — singleflight builds, LRU eviction of idle arenas, and
-// the fallback to live streaming generation when the budget is exhausted.
+// trace once, as long as the longest prefix any cell has asked of it, and
+// hands every cell of the sweep a zero-alloc cursor over it. The arena
+// itself lives in internal/trace; the registry owns the sharing policy —
+// singleflight builds, LRU eviction of idle arenas, and the fallback to
+// live streaming generation when the budget is exhausted.
 // Cursor replay and live generation are instruction-identical by
 // construction (the arena is a verbatim capture of the same generator), so
 // every experiment table is byte-identical with arenas on, off, or
@@ -25,16 +26,19 @@ import (
 
 // DefaultArenaBudget is the registry's byte budget when Spec.ArenaBudget is
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
-// trace costs ~2.6 MB) with room to spare.
+// trace costs ~1.9 MB) with room to spare.
 const DefaultArenaBudget int64 = 512 << 20
 
 // arenaEntry is one registry slot. refs counts live cursors plus, during
 // the build, the building caller — an entry under construction is never
-// evictable. Waiters block on ready.
+// evictable. Waiters block on ready. n is the prefix length the entry was
+// built for; a replaced entry has left the map but stays charged until
+// its last holder releases it.
 type arenaEntry struct {
 	ready   chan struct{}
 	arena   *trace.Arena
 	err     error
+	n       uint64
 	bytes   int64
 	refs    int
 	lastUse uint64
@@ -42,8 +46,9 @@ type arenaEntry struct {
 
 // ArenaStats is a snapshot of the registry for telemetry and manifests.
 type ArenaStats struct {
-	// Budget is the configured byte budget; Bytes and Count describe the
-	// arenas currently resident.
+	// Budget is the configured byte budget; Count is the number of arenas
+	// the registry serves from, and Bytes what every arena still held
+	// costs, replaced ones included.
 	Budget int64
 	Count  int
 	Bytes  int64
@@ -73,33 +78,42 @@ func newArenaRegistry(budget int64) *arenaRegistry {
 	return &arenaRegistry{budget: budget, entries: make(map[cellstore.Key]*arenaEntry)}
 }
 
-// acquire returns a cursor over the materialised (profile, seed) trace of n
-// instructions plus a release closure, or (nil, nil, nil) when the byte
-// budget forces this cell onto live generation. The trace is keyed by the
-// machine-less cellKey of its content, so profiles that differ only in
-// name share one arena. Concurrent acquires of the same key share one
+// acquire returns a cursor over the first n instructions of the
+// materialised (profile, seed) trace plus a release closure, or
+// (nil, nil, nil) when the byte budget forces this cell onto live
+// generation. The trace is keyed by the machine-less cellKey of its
+// content, without a length, so profiles that differ only in name share
+// one arena, and an arena of any length serves every request for as many
+// instructions or fewer. A longer request builds a longer arena that
+// replaces the short one. Concurrent acquires of the same key share one
 // build: the first caller materialises, the rest wait. A build reserves
 // the arena's worst-case footprint and, once built, charges what it
-// actually holds.
+// actually holds. A request for no instructions gets an empty cursor and
+// touches nothing.
 func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*trace.Cursor, func(), error) {
-	key, err := cellKey(nil, streamSpec{prof: prof}, seed, n, "")
+	if n == 0 {
+		// A process the interleave never reaches needs no arena.
+		return new(trace.Arena).NewCursor(), func() {}, nil
+	}
+	key, err := cellKey(nil, streamSpec{prof: prof}, seed, 0, "")
 	if err != nil {
 		return nil, nil, err
 	}
 	need := trace.MaxBytes(n)
 	ar.mu.Lock()
-	if e, ok := ar.entries[key]; ok {
-		e.refs++
+	old, ok := ar.entries[key]
+	if ok && old.n >= n {
+		old.refs++
 		ar.clock++
-		e.lastUse = ar.clock
+		old.lastUse = ar.clock
 		ar.hits++
 		ar.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			ar.release(key, e)
-			return nil, nil, e.err
+		<-old.ready
+		if old.err != nil {
+			ar.release(key, old)
+			return nil, nil, old.err
 		}
-		return e.arena.NewCursor(), func() { ar.release(key, e) }, nil
+		return old.arena.NewCursor(), func() { ar.release(key, old) }, nil
 	}
 	// Make room: evict idle arenas, least recently used first. need may be
 	// math.MaxInt64, so compare against the room left rather than add.
@@ -110,7 +124,11 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 		ar.mu.Unlock()
 		return nil, nil, nil
 	}
-	e := &arenaEntry{ready: make(chan struct{}), bytes: need, refs: 1}
+	if ok && ar.entries[key] == old && old.refs == 0 {
+		// The shorter arena is replaced below and nothing holds it.
+		ar.bytes -= old.bytes
+	}
+	e := &arenaEntry{ready: make(chan struct{}), n: n, bytes: need, refs: 1}
 	ar.clock++
 	e.lastUse = ar.clock
 	ar.entries[key] = e
@@ -137,16 +155,23 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 	return e.arena.NewCursor(), func() { ar.release(key, e) }, nil
 }
 
-// release drops one reference. Failed builds are purged as soon as the last
-// holder lets go so they neither consume budget nor pin the error.
+// release drops one reference. A failed build leaves the map, and a
+// replaced arena stops being charged, as soon as the last holder lets go,
+// so neither consumes budget nor pins its memory or error.
 func (ar *arenaRegistry) release(key cellstore.Key, e *arenaEntry) {
 	ar.mu.Lock()
+	defer ar.mu.Unlock()
 	e.refs--
-	if e.refs == 0 && e.err != nil {
-		delete(ar.entries, key)
-		ar.bytes -= e.bytes
+	if e.refs > 0 {
+		return
 	}
-	ar.mu.Unlock()
+	if ar.entries[key] == e {
+		if e.err == nil {
+			return // resident until evicted
+		}
+		delete(ar.entries, key)
+	}
+	ar.bytes -= e.bytes
 }
 
 // evictOne drops the least recently used idle arena. Caller holds mu. The
@@ -194,18 +219,69 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 	return r.arenas.stats(), true
 }
 
-// arenaLen is the materialised length of every arena in this campaign: the
-// per-cell instruction budget. Fetch stops asking for instructions once it
-// reaches the budget, so a single-program replay never runs dry inside it.
-// A multiprogram replay runs dry only when one process has supplied the
-// whole budget, which is at or past the fetch limit. One shared length
-// keeps single-program and multiprogram cells on the same arenas.
-func (r *Runner) arenaLen() uint64 { return r.spec.Insts }
+// arenaLen returns the prefix of each process's trace a multiprogram
+// stream asks the registry for, or nil when every trace the stream reads
+// is asked for the whole per-cell instruction budget: a single program, or
+// a runner without arenas. Fetch stops asking for instructions at the
+// budget, so a replay never runs dry inside it, and a read-ahead past the
+// budget only finds an arena's end.
+//
+// A multiprogram's quantum interleave pulls only part of the budget from
+// each process (workload.ProcessDemand). Every level of two or more
+// processes draws the same quanta from the seed and hands quantum j to
+// process j mod level, so a process's quanta at a level are a subset of
+// its quanta at any level that divides it. Process i of a cell of two or
+// more processes is therefore asked for its demand at the smallest
+// divisor of the cell's level that is at least two and above i: that
+// covers the cell's own demand, and cells of a sweep over divisible
+// levels (A6: 2, 4, 8) ask the same length of every process they share,
+// so each trace is built once whichever cell starts first. A single
+// process replays the whole budget.
+func (r *Runner) arenaLen(s streamSpec) ([]uint64, error) {
+	if s.processes == 0 || r.arenas == nil {
+		return nil, nil
+	}
+	lens := make([]uint64, s.processes)
+	for i := range lens {
+		level := max(i+1, min(s.processes, 2))
+		for s.processes%level != 0 {
+			level++
+		}
+		demand, err := r.processDemand(level, s.quantum)
+		if err != nil {
+			return nil, err
+		}
+		lens[i] = demand[i]
+	}
+	return lens, nil
+}
+
+// processDemand returns workload.ProcessDemand at the spec's seed and
+// budget, computed once per (processes, quantum).
+func (r *Runner) processDemand(processes, quantum int) ([]uint64, error) {
+	r.demandMu.Lock()
+	defer r.demandMu.Unlock()
+	key := [2]int{processes, quantum}
+	if d, ok := r.demands[key]; ok {
+		return d, nil
+	}
+	d, err := workload.ProcessDemand(processes, quantum, r.spec.Seed, r.spec.Insts)
+	if err != nil {
+		return nil, err
+	}
+	if r.demands == nil {
+		r.demands = make(map[[2]int][]uint64)
+	}
+	r.demands[key] = d
+	return d, nil
+}
 
 // openStream returns the cell's instruction stream and its release
 // closure: cursors over the shared arenas when the registry holds every
-// process's trace, live generation otherwise. A multiprogrammed stream
-// replays the quantum interleave over per-process cursors —
+// process's trace, live generation otherwise. Each process's arena is
+// asked for the prefix the cell replays (arenaLen), and the registry
+// serves that from any arena at least as long. A multiprogrammed
+// stream replays the quantum interleave over per-process cursors —
 // instruction-identical to the live NewMultiprogram stream (golden-tested
 // in internal/workload) — and falls back to live generation wholesale.
 // On error nothing stays acquired.
@@ -223,8 +299,16 @@ func (r *Runner) openStream(s streamSpec) (stream trace.Stream, release func(), 
 			releaseAll()
 		}
 	}()
+	demand, err := r.arenaLen(s)
+	if err != nil {
+		return nil, nil, err
+	}
 	for i := 0; r.arenas != nil && i < procs; i++ {
-		cur, rel, err := r.arenas.acquire(s.prof, seed+int64(i)*workload.SeedStride, r.arenaLen())
+		n := r.spec.Insts
+		if demand != nil {
+			n = demand[i]
+		}
+		cur, rel, err := r.arenas.acquire(s.prof, seed+int64(i)*workload.SeedStride, n)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,18 +1,24 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"portsim/internal/config"
+	"portsim/internal/isa"
 	"portsim/internal/trace"
 	"portsim/internal/workload"
 )
 
 // arenaTestSpec is a small campaign that still covers both runner stream
 // paths: single-program cells (F1's sweep) and the multiprogrammed
-// interleave (A6).
+// interleave (A6), long enough at seed 42 for every A6 level to switch
+// processes.
 func arenaTestSpec(budget int64) Spec {
-	return Spec{Workloads: []string{"compress"}, Insts: 6_000, Seed: 42, ArenaBudget: budget}
+	return Spec{Workloads: []string{"compress"}, Insts: 20_000, Seed: 42, ArenaBudget: budget}
 }
 
 // runArenaCampaign renders the F1 and A6 tables for one arena budget.
@@ -53,14 +59,14 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 		t.Errorf("tables diverge between arenas on and off:\n--- arenas on ---\n%s\n--- arenas off ---\n%s", want, off)
 	}
 
-	// A budget of exactly two arenas — one built, plus the reservation the
-	// next build makes — so some A6 levels (up to 8 processes) must fall
-	// back while single-program cells replay.
-	twoArenas := arenaBytes(t, 42, arenaTestSpec(0).Insts) + trace.MaxBytes(arenaTestSpec(0).Insts)
-	partial, partialRunner := runArenaCampaign(t, twoArenas)
+	// A budget one byte short of a whole trace's reservation: every
+	// single-program cell, and A6's one-process level, must fall back,
+	// while the other A6 levels replay per-process prefixes.
+	belowOneTrace := trace.MaxBytes(arenaTestSpec(0).Insts) - 1
+	partial, partialRunner := runArenaCampaign(t, belowOneTrace)
 	pst, _ := partialRunner.ArenaStats()
-	if pst.Fallbacks == 0 {
-		t.Fatalf("expected budget-forced fallbacks at %d bytes: %+v", twoArenas, pst)
+	if pst.Fallbacks == 0 || pst.Builds == 0 {
+		t.Fatalf("expected both fallbacks and replays at %d bytes: %+v", belowOneTrace, pst)
 	}
 	if partial != want {
 		t.Errorf("tables diverge under partial fallback:\n--- arenas on ---\n%s\n--- partial ---\n%s", want, partial)
@@ -84,9 +90,10 @@ func arenaBytes(t *testing.T, seed int64, n uint64) int64 {
 // TestArenaRegistrySharing pins the generate-once property: a sweep that
 // simulates the same workload on many machines materialises its trace
 // exactly once, and parallel execution neither duplicates builds nor
-// changes the totals.
+// changes the totals. A6's levels then add one prefix per extra process,
+// however many of its cells start at once.
 func TestArenaRegistrySharing(t *testing.T) {
-	for _, parallel := range []int{1, 8} {
+	for _, parallel := range []int{1, 16} {
 		spec := arenaTestSpec(0)
 		spec.Parallel = parallel
 		r := NewRunner(spec)
@@ -105,6 +112,14 @@ func TestArenaRegistrySharing(t *testing.T) {
 		}
 		if st.Count != 1 || st.Bytes == 0 || st.Bytes > st.Budget {
 			t.Errorf("parallel=%d: implausible residency: %+v", parallel, st)
+		}
+		if _, _, err := A6Multiprogramming(r); err != nil {
+			t.Fatal(err)
+		}
+		// At 20000 instructions every one of A6's seven extra processes
+		// supplies part of the interleave.
+		if st, _ := r.ArenaStats(); st.Builds != 8 || st.Count != 8 {
+			t.Errorf("parallel=%d: F1 and A6 built %d arenas and kept %d, want 8 of each", parallel, st.Builds, st.Count)
 		}
 	}
 }
@@ -162,6 +177,122 @@ func TestArenaRegistryEviction(t *testing.T) {
 	rel2()
 	rel2b()
 	rel3()
+}
+
+// replayPrefix drains n instructions from cur and checks them against a
+// fresh compress generator for seed.
+func replayPrefix(t *testing.T, cur *trace.Cursor, seed int64, n int) {
+	t.Helper()
+	prof, _ := workload.ByName("compress")
+	gen, err := workload.New(prof, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got isa.Inst
+	for i := 0; i < n; i++ {
+		gen.Next(&want)
+		if !cur.Next(&got) {
+			t.Fatalf("cursor ended at %d of %d", i, n)
+		}
+		if got != want {
+			t.Fatalf("instruction %d diverged:\n live   %+v\n replay %+v", i, want, got)
+		}
+	}
+}
+
+// TestArenaRegistryPrefixes pins the content-only key: a longer arena
+// serves a shorter request without a build, a longer request replaces a
+// shorter arena (which stays charged while a cursor holds it), a request
+// for nothing touches the registry not at all, and the byte count returns
+// to zero once everything is released and evicted.
+func TestArenaRegistryPrefixes(t *testing.T) {
+	prof, ok := workload.ByName("compress")
+	if !ok {
+		t.Fatal("compress workload missing")
+	}
+	reg := newArenaRegistry(DefaultArenaBudget)
+	check := func(when string, builds, hits uint64, count int, bytes int64) {
+		t.Helper()
+		st := reg.stats()
+		if st.Builds != builds || st.Hits != hits || st.Count != count || st.Bytes != bytes {
+			t.Fatalf("%s: stats %+v, want %d builds, %d hits, %d arenas, %d bytes",
+				when, st, builds, hits, count, bytes)
+		}
+	}
+	acquire := func(n uint64) (*trace.Cursor, func()) {
+		t.Helper()
+		cur, rel, err := reg.acquire(prof, 1, n)
+		if err != nil || cur == nil {
+			t.Fatalf("acquire(%d): %v %v", n, cur, err)
+		}
+		return cur, rel
+	}
+	b500, b2000, b4000 := arenaBytes(t, 1, 500), arenaBytes(t, 1, 2_000), arenaBytes(t, 1, 4_000)
+
+	short, relShort := acquire(500)
+	check("first build", 1, 0, 1, b500)
+	long, relLong := acquire(2_000)
+	check("a longer request replaces the held short arena", 2, 0, 1, b500+b2000)
+	mid, relMid := acquire(1_000)
+	check("a shorter request replays the long arena", 2, 1, 1, b500+b2000)
+	replayPrefix(t, short, 1, 500)
+	replayPrefix(t, long, 1, 2_000)
+	replayPrefix(t, mid, 1, 1_000)
+	relShort()
+	check("the replaced arena's last release", 2, 1, 1, b2000)
+	empty, relEmpty := acquire(0)
+	if empty.Next(new(isa.Inst)) {
+		t.Error("a request for no instructions yielded one")
+	}
+	relEmpty()
+	check("an empty request", 2, 1, 1, b2000)
+	relLong()
+	relMid()
+	check("all released", 2, 1, 1, b2000)
+	longer, relLonger := acquire(4_000)
+	check("a longer request replaces the idle arena", 3, 1, 1, b4000)
+	replayPrefix(t, longer, 1, 4_000)
+	relLonger()
+	reg.mu.Lock()
+	for reg.evictOne() {
+	}
+	reg.mu.Unlock()
+	check("all evicted", 3, 1, 0, 0)
+}
+
+// TestShortCellFails plants an arena shorter than the campaign's budget
+// under the key a cell replays: the cell's stream ends early, and the cell
+// must fail naming the workload, the machine and both counts instead of
+// rendering a truncated row.
+func TestShortCellFails(t *testing.T) {
+	const insts, planted = 5_000, 1_000
+	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: insts, Seed: 42})
+	prof, _ := workload.ByName("compress")
+	gen, err := workload.New(prof, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := trace.Materialize(gen, planted)
+	key, err := cellKey(nil, streamSpec{prof: prof}, 42, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan struct{})
+	close(ready)
+	r.arenas.entries[key] = &arenaEntry{ready: ready, arena: short, n: insts, bytes: short.Bytes()}
+	r.arenas.bytes += short.Bytes()
+
+	m := config.Baseline()
+	res, err := r.Run(m, "compress")
+	var ce *CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("short cell returned %v, %v; want a CellError", res, err)
+	}
+	for _, want := range []string{"compress", m.Name, fmt.Sprint(planted), fmt.Sprint(insts)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
 }
 
 // TestArenaRegistryHugeReservation: a trace too long for any budget —

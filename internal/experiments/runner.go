@@ -232,6 +232,11 @@ type Runner struct {
 	// arenas is the shared trace-arena registry (see arena.go); nil when
 	// disabled by Spec.ArenaBudget or an unbounded instruction budget.
 	arenas *arenaRegistry
+
+	// demands caches workload.ProcessDemand at the spec's seed and budget
+	// per (processes, quantum), for arenaLen.
+	demandMu sync.Mutex
+	demands  map[[2]int][]uint64
 }
 
 // NewRunner returns a runner for the spec.
@@ -683,6 +688,15 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 			// of the failure evidence and may be wedged.
 			res = nil
 			err = cellErr("", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
+			return
+		}
+		if r.spec.Insts > 0 && res.Instructions < r.spec.Insts {
+			// Every runner stream is endless or an arena at least as long
+			// as the cell's demand, so a short run is a sizing bug; its
+			// row would render truncated numbers as if they were whole.
+			err = cellErr("", fmt.Errorf("experiments: %s on %s: stream ended after %d of %d instructions",
+				c.workload, m.Name, res.Instructions, r.spec.Insts))
+			res = nil
 			return
 		}
 		if observed {

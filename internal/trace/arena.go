@@ -23,28 +23,34 @@ import (
 //
 // Arenas are append-once: Materialize fills one and nothing mutates it
 // afterwards, so any number of Cursors — across goroutines — may read it
-// concurrently without synchronisation.
+// concurrently without synchronisation. The zero Arena holds no
+// instructions.
 //
 // # Layout
 //
 // Each instruction is one packed 32-bit word (see the pk constants) plus
-// zero, one or two 64-bit words in a shared array, in stream order:
+// its stored values in a shared array of 32-bit words, in stream order:
 //
 //   - its PC, only where it differs from the previous instruction's
 //     NextPC (the first instruction's predecessor continues to PC 0);
 //   - its operand, only where it is nonzero. An instruction's class uses
-//     at most one of isa.Inst's Addr and Target, so one operand word
+//     at most one of isa.Inst's Addr and Target, so one operand value
 //     serves both: the data address of loads and stores (is-mem bit
 //     set), the control target of every other class.
 //
-// The word array ends in one zero pad word, so a cursor reads the next
-// word unconditionally and masks it away when the presence bit is clear.
-// In the built-in workloads' traces only the first instruction stores its
-// PC and over 40% of instructions have no operand, so an arena costs
-// under 9 bytes per instruction, and never more than MaxBytes.
+// A stored value takes one word when every value the instruction stores
+// is below 2^32. Otherwise the packed word's wide bit is set and each of
+// its stored values takes two words, low half first.
+//
+// The word array ends in two zero pad words, so a cursor reads the next
+// word (or pair, for a wide instruction) unconditionally and masks it away
+// when the presence bit is clear. In the built-in workloads' traces only
+// the first instruction stores its PC, over 40% of instructions have no
+// operand, and every address fits in one word, so an arena costs under
+// 6.5 bytes per instruction, and never more than MaxBytes.
 type Arena struct {
 	packed []uint32
-	words  []uint64
+	words  []uint32
 
 	// expand builds cols, the column view the PCs, Targets, Classes, Meta
 	// and Inst accessors return, on first use.
@@ -71,6 +77,7 @@ const (
 	pkRedirectsBit = pkMemBit + 1
 	pkHasPCBit     = pkRedirectsBit + 1 // the PC is in the word array
 	pkHasOpBit     = pkHasPCBit + 1     // the operand is in the word array
+	pkWideBit      = pkHasOpBit + 1     // each stored value takes two words
 
 	pkClassMask = 1<<pkClassBits - 1
 	pkRegMask   = 1<<pkRegBits - 1
@@ -86,25 +93,25 @@ const (
 )
 
 // maxBytesPerInst is the largest per-instruction cost: the packed word
-// plus a stored PC and a stored operand.
+// plus a stored PC and a stored operand, two words each.
 const maxBytesPerInst = 4 + 2*8
 
 // MaxBytes returns the largest footprint an arena of n instructions can
 // have, or math.MaxInt64 when that does not fit in an int64. Budgets
 // reserve it before a build and charge Bytes after.
 func MaxBytes(n uint64) int64 {
-	const pad = 8
+	const pad = 2 * 4
 	if n > (math.MaxInt64-pad)/maxBytesPerInst {
 		return math.MaxInt64
 	}
 	return int64(n)*maxBytesPerInst + pad
 }
 
-// wordChunk is how many 64-bit words Materialize allocates at a time: the
+// wordChunk is how many words Materialize allocates at a time: the
 // word count is unknown until the stream is drained, and chunks copied
 // once into an exact array leave the arena no spare capacity and no more
 // garbage than the words themselves, unlike a slice grown by append.
-const wordChunk = 4096
+const wordChunk = 8192
 
 // Materialize drains up to n instructions from s into a new arena, using
 // the stream's batch interface when it has one. A shorter arena means the
@@ -139,8 +146,8 @@ func Materialize(s Stream, n int) *Arena {
 // in fixed chunks.
 type builder struct {
 	packed []uint32
-	chunks [][]uint64 // full chunks, in order
-	cur    []uint64   // the chunk being filled
+	chunks [][]uint32 // full chunks, in order
+	cur    []uint32   // the chunk being filled
 	next   uint64     // NextPC of the last instruction pushed
 }
 
@@ -174,37 +181,51 @@ func (b *builder) push(in *isa.Inst) {
 	if in.Redirects() {
 		x |= 1 << pkRedirectsBit
 	}
-	if in.PC != b.next {
+	hasPC := in.PC != b.next
+	wide := (hasPC && in.PC > math.MaxUint32) || op > math.MaxUint32
+	if wide {
+		x |= 1 << pkWideBit
+	}
+	if hasPC {
 		x |= 1 << pkHasPCBit
-		b.word(in.PC)
+		b.value(in.PC, wide)
 	}
 	if op != 0 {
 		x |= 1 << pkHasOpBit
-		b.word(op)
+		b.value(op, wide)
 	}
 	b.next = in.NextPC()
 	b.packed = append(b.packed, x)
 }
 
+// value appends one stored value to the word array: its low half, then its
+// high half when the instruction is wide.
+func (b *builder) value(v uint64, wide bool) {
+	b.word(uint32(v))
+	if wide {
+		b.word(uint32(v >> 32))
+	}
+}
+
 // word appends one word to the word array.
-func (b *builder) word(w uint64) {
+func (b *builder) word(w uint32) {
 	if len(b.cur) == cap(b.cur) {
 		if b.cur != nil {
 			b.chunks = append(b.chunks, b.cur)
 		}
-		b.cur = make([]uint64, 0, wordChunk)
+		b.cur = make([]uint32, 0, wordChunk)
 	}
 	b.cur = append(b.cur, w)
 }
 
-// arena assembles the word array, with its pad word, and returns the
+// arena assembles the word array, with its pad words, and returns the
 // finished arena.
 func (b *builder) arena() *Arena {
-	words := make([]uint64, 0, len(b.chunks)*wordChunk+len(b.cur)+1)
+	words := make([]uint32, 0, len(b.chunks)*wordChunk+len(b.cur)+2)
 	for _, c := range b.chunks {
 		words = append(words, c...)
 	}
-	words = append(append(words, b.cur...), 0)
+	words = append(append(words, b.cur...), 0, 0)
 	return &Arena{packed: b.packed, words: words}
 }
 
@@ -212,25 +233,31 @@ func (b *builder) arena() *Arena {
 func (a *Arena) Len() int { return len(a.packed) }
 
 // Bytes returns the arena's storage footprint: four bytes per instruction
-// plus eight per stored word, the pad included, counting any room
-// Materialize reserved for instructions a stream ended without.
-func (a *Arena) Bytes() int64 { return int64(cap(a.packed))*4 + int64(cap(a.words))*8 }
+// and per word, the pad included, counting any room Materialize reserved
+// for instructions a stream ended without.
+func (a *Arena) Bytes() int64 { return int64(cap(a.packed)+cap(a.words)) * 4 }
 
 // decode unpacks the instruction with packed word x into in. w indexes its
 // first word in words and next is its predecessor's NextPC; decode returns
 // the index past its words and its own NextPC.
 //
 //portlint:hotpath
-func decode(x uint32, words []uint64, w int, next uint64, in *isa.Inst) (int, uint64) {
-	// Masks, not branches: which words are present varies too irregularly
-	// to predict. The pad word keeps words[w] in range at the end.
-	hasPC := int(x >> pkHasPCBit & 1)
-	pcMask := -uint64(hasPC)
-	in.PC = words[w]&pcMask | next&^pcMask
-	w += hasPC
-	hasOp := int(x >> pkHasOpBit & 1)
-	op := words[w] & -uint64(hasOp)
-	w += hasOp
+func decode(x uint32, words []uint32, w int, next uint64, in *isa.Inst) (int, uint64) {
+	var op uint64
+	if x>>pkWideBit == 0 {
+		// Masks, not branches: which words are present varies too
+		// irregularly to predict. The pad keeps words[w] in range at the
+		// end.
+		hasPC := int(x >> pkHasPCBit & 1)
+		pcMask := -uint64(hasPC)
+		in.PC = uint64(words[w])&pcMask | next&^pcMask
+		w += hasPC
+		hasOp := int(x >> pkHasOpBit & 1)
+		op = uint64(words[w]) & -uint64(hasOp)
+		w += hasOp
+	} else {
+		in.PC, op, w = decodeWide(x, words, w, next)
+	}
 	// Field by field: a composite literal builds the struct on the stack
 	// and copies it out, stalling on store forwarding.
 	mem := -uint64(x >> pkMemBit & 1)
@@ -245,6 +272,21 @@ func decode(x uint32, words []uint64, w int, next uint64, in *isa.Inst) (int, ui
 	in.Kernel = x>>pkKernelBit&1 != 0
 	redirect := -uint64(x >> pkRedirectsBit & 1)
 	return w, op&redirect | in.FallThrough()&^redirect
+}
+
+// decodeWide reads the stored values of a wide instruction, two words each,
+// and returns its PC, its operand and the index past its words. It sits
+// outside the decode loops: the wide bit is as predictable as it is rare,
+// and reading every value as two masked words made batched replay 1.37x
+// slower on the built-in profiles' arenas.
+func decodeWide(x uint32, words []uint32, w int, next uint64) (pc, op uint64, end int) {
+	hasPC := int(x >> pkHasPCBit & 1)
+	pcMask := -uint64(hasPC)
+	pc = (uint64(words[w])|uint64(words[w+1])<<32)&pcMask | next&^pcMask
+	w += 2 * hasPC
+	hasOp := int(x >> pkHasOpBit & 1)
+	op = (uint64(words[w]) | uint64(words[w+1])<<32) & -uint64(hasOp)
+	return pc, op, w + 2*hasOp
 }
 
 // columns is an arena expanded into one column per field the accessors
@@ -305,8 +347,8 @@ func (a *Arena) Meta() []uint8 { return a.columns().meta }
 // builds; replay belongs to a Cursor.
 func (a *Arena) Inst(i int, in *isa.Inst) {
 	c := a.columns()
-	words := [2]uint64{c.pc[i], c.op[i]}
-	decode(a.packed[i]|1<<pkHasPCBit|1<<pkHasOpBit, words[:], 0, 0, in)
+	words := [4]uint32{uint32(c.pc[i]), uint32(c.pc[i] >> 32), uint32(c.op[i]), uint32(c.op[i] >> 32)}
+	decode(a.packed[i]|1<<pkHasPCBit|1<<pkHasOpBit|1<<pkWideBit, words[:], 0, 0, in)
 }
 
 // NewCursor returns a fresh replay position over the arena. Cursors are
@@ -346,13 +388,18 @@ func (c *Cursor) NextBatch(dst []isa.Inst) int {
 		// calling it made batched replay about a fifth slower, and
 		// splitting it into inlinable pieces spilled registers.
 		in := &dst[i]
-		hasPC := int(x >> pkHasPCBit & 1)
-		pcMask := -uint64(hasPC)
-		in.PC = words[w]&pcMask | next&^pcMask
-		w += hasPC
-		hasOp := int(x >> pkHasOpBit & 1)
-		op := words[w] & -uint64(hasOp)
-		w += hasOp
+		var op uint64
+		if x>>pkWideBit == 0 {
+			hasPC := int(x >> pkHasPCBit & 1)
+			pcMask := -uint64(hasPC)
+			in.PC = uint64(words[w])&pcMask | next&^pcMask
+			w += hasPC
+			hasOp := int(x >> pkHasOpBit & 1)
+			op = uint64(words[w]) & -uint64(hasOp)
+			w += hasOp
+		} else {
+			in.PC, op, w = decodeWide(x, words, w, next)
+		}
 		mem := -uint64(x >> pkMemBit & 1)
 		in.Addr = op & mem
 		in.Target = op &^ mem

@@ -54,13 +54,16 @@ func arenaTestProgram(n int) []isa.Inst {
 // irregularProgram is arenaTestProgram(n) with what a generated trace
 // rarely or never carries written over it: PCs that break from the previous
 // instruction's NextPC at the first, a middle and the last instruction, PC
-// and operand words at or above 2^32, every size, registers 0 and 63, and
-// the taken and kernel bits on classes that do not use them.
+// and operand values at or above 2^32 (alone, together, beside a stored
+// value below 2^32, and on the last instruction, with no operand), every
+// size, registers 0 and 63, and the taken and kernel bits on classes that
+// do not use them.
 func irregularProgram(n int) []isa.Inst {
 	prog := arenaTestProgram(n)
 	prog[0].PC = 0x1_0000_0000
+	prog[n/3] = isa.Inst{PC: 0x50_0000, Class: isa.Load, Dest: 2, Src1: 3, Addr: 0x3_0000_0000, Size: 8}
 	prog[n/2].PC = 0xffff_ffff_ffff_fff0
-	prog[n-1].PC = 0x40_0000
+	prog[n-1] = isa.Inst{PC: 0x2_0000_0000, Class: isa.IntALU, Dest: 1}
 	edges := []isa.Inst{
 		{Class: isa.Load, Dest: 63, Src1: 0, Addr: 0x7fff_0000_0000, Size: 1},
 		{Class: isa.Store, Src1: 63, Src2: 63, Addr: 0xdead_beef_0002, Size: 2},
@@ -84,19 +87,27 @@ func irregularProgram(n int) []isa.Inst {
 }
 
 // layoutBytes is the packed layout's arithmetic for prog: four bytes per
-// instruction, eight per PC that breaks from the previous instruction's
-// NextPC and per nonzero operand, and eight for the pad word.
+// instruction, four per PC that breaks from the previous instruction's
+// NextPC and per nonzero operand (eight each on an instruction that stores
+// a value at or above 2^32), and eight for the pad words.
 func layoutBytes(prog []isa.Inst) int64 {
 	bytes, next := int64(8), uint64(0)
 	for i := range prog {
 		in := &prog[i]
-		bytes += 4
+		var stored []uint64
 		if in.PC != next {
-			bytes += 8
+			stored = append(stored, in.PC)
 		}
-		if in.Addr|in.Target != 0 {
-			bytes += 8
+		if op := in.Addr | in.Target; op != 0 {
+			stored = append(stored, op)
 		}
+		per := int64(4)
+		for _, v := range stored {
+			if v > math.MaxUint32 {
+				per = 8
+			}
+		}
+		bytes += 4 + per*int64(len(stored))
 		next = in.NextPC()
 	}
 	return bytes

@@ -9,8 +9,9 @@ import (
 
 // TestArenaFootprint pins what the packed layout buys, the way a cache test
 // pins a way at two words: every built-in profile's trace, at the campaign
-// benchmark's 40k instructions and seed 42, materialises at no more than 9
-// bytes per instruction (the column layout it replaced spent 22).
+// benchmark's 40k instructions and seed 42, materialises at no more than
+// 6.5 bytes per instruction (the column layout it replaced spent 22, and
+// 64-bit stored values 8.6).
 func TestArenaFootprint(t *testing.T) {
 	const n = 40_000
 	for _, name := range workload.Names() {
@@ -23,8 +24,8 @@ func TestArenaFootprint(t *testing.T) {
 		if a.Len() != n {
 			t.Fatalf("%s: materialised %d instructions, want %d", name, a.Len(), n)
 		}
-		if per := float64(a.Bytes()) / n; per > 9 {
-			t.Errorf("%s: arena costs %.2f bytes per instruction, want <= 9", name, per)
+		if per := float64(a.Bytes()) / n; per > 6.5 {
+			t.Errorf("%s: arena costs %.2f bytes per instruction, want <= 6.5", name, per)
 		} else {
 			t.Logf("%s: %.2f bytes per instruction", name, per)
 		}

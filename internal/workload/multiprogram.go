@@ -62,26 +62,9 @@ type procStream interface {
 // NewMultiprogram builds a multiprogrammed stream of `processes` instances
 // of prof, switching every quantumMean instructions on average.
 func NewMultiprogram(prof Profile, processes, quantumMean int, seed int64) (*Multiprogram, error) {
-	if processes < 1 {
-		return nil, fmt.Errorf("workload: need at least one process")
-	}
-	if quantumMean < 100 {
-		return nil, fmt.Errorf("workload: quantum %d too short to be meaningful", quantumMean)
-	}
-	m := &Multiprogram{
-		rng:         rand.New(rand.NewSource(seed)),
-		quantumMean: quantumMean,
-	}
-	for i := 0; i < processes; i++ {
-		g, err := New(prof, seed+int64(i)*SeedStride)
-		if err != nil {
-			return nil, err
-		}
-		m.procs = append(m.procs, g)
-		m.offsets = append(m.offsets, uint64(i)*processStride)
-	}
-	m.left = m.drawQuantum()
-	return m, nil
+	return newMultiprogram(processes, quantumMean, seed, func(i int) (procStream, error) {
+		return New(prof, seed+int64(i)*SeedStride)
+	})
 }
 
 // NewMultiprogramReplay builds the same interleaved stream as
@@ -92,22 +75,66 @@ func NewMultiprogram(prof Profile, processes, quantumMean int, seed int64) (*Mul
 // from the same seeded source as the live constructor's, so the interleave
 // is instruction-identical until a cursor runs out. Cursors are finite:
 // unlike live generators the replay ends (Next returns false) when the
-// current process's trace is exhausted. A process supplies at most as many
-// instructions as the interleave emits, so arenas as long as the
-// instruction budget the caller will consume are enough.
+// current process's trace is exhausted. Cursor i must therefore hold at
+// least ProcessDemand's count for process i over the instructions the
+// caller will consume.
 func NewMultiprogramReplay(procs []*trace.Cursor, quantumMean int, seed int64) (*Multiprogram, error) {
-	if len(procs) < 1 {
+	return newMultiprogram(len(procs), quantumMean, seed, func(i int) (procStream, error) {
+		return procs[i], nil
+	})
+}
+
+// ProcessDemand returns how many instructions each process supplies to the
+// first n instructions of NewMultiprogram(prof, processes, quantumMean,
+// seed), for any prof: the schedule depends only on the other arguments,
+// and the context-switch markers it injects come from no process. It runs
+// Multiprogram.Next itself over counting stand-ins for the processes, so
+// the count cannot drift from the schedule a replay follows.
+func ProcessDemand(processes, quantumMean int, seed int64, n uint64) ([]uint64, error) {
+	demand := make([]uint64, max(processes, 0))
+	m, err := newMultiprogram(processes, quantumMean, seed, func(i int) (procStream, error) {
+		return (*pullCounter)(&demand[i]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var in isa.Inst
+	for range n {
+		m.Next(&in)
+	}
+	return demand, nil
+}
+
+// pullCounter is ProcessDemand's stand-in for a process: an endless stream
+// that counts the instructions pulled from it into its demand slot.
+type pullCounter uint64
+
+func (c *pullCounter) Next(*isa.Inst) bool {
+	*c++
+	return true
+}
+
+// newMultiprogram validates the schedule's parameters, then builds the
+// interleaver over proc(i) for each of the processes.
+func newMultiprogram(processes, quantumMean int, seed int64, proc func(i int) (procStream, error)) (*Multiprogram, error) {
+	if processes < 1 {
 		return nil, fmt.Errorf("workload: need at least one process")
 	}
 	if quantumMean < 100 {
 		return nil, fmt.Errorf("workload: quantum %d too short to be meaningful", quantumMean)
 	}
 	m := &Multiprogram{
+		procs:       make([]procStream, 0, processes),
+		offsets:     make([]uint64, 0, processes),
 		rng:         rand.New(rand.NewSource(seed)),
 		quantumMean: quantumMean,
 	}
-	for i, c := range procs {
-		m.procs = append(m.procs, c)
+	for i := 0; i < processes; i++ {
+		p, err := proc(i)
+		if err != nil {
+			return nil, err
+		}
+		m.procs = append(m.procs, p)
 		m.offsets = append(m.offsets, uint64(i)*processStride)
 	}
 	m.left = m.drawQuantum()

@@ -151,3 +151,66 @@ func TestMultiprogramProcessesUseDistinctSeeds(t *testing.T) {
 		t.Error("processes executed identical instruction sequences (seeds not separated)")
 	}
 }
+
+// countedProc counts the instructions a multiprogram pulls from one of its
+// processes.
+type countedProc struct {
+	procStream
+	pulls uint64
+}
+
+func (c *countedProc) Next(in *isa.Inst) bool {
+	c.pulls++
+	return c.procStream.Next(in)
+}
+
+// TestProcessDemandMatchesLivePulls checks ProcessDemand against the
+// instructions a live NewMultiprogram actually pulls from each generator
+// while emitting n instructions, for budgets below one mean quantum, off
+// the 128-instruction refill grain, and at the campaign benchmark's and
+// the full campaign's lengths.
+func TestProcessDemandMatchesLivePulls(t *testing.T) {
+	const quantum = 5_000
+	prof, _ := ByName("compress")
+	for _, procs := range []int{1, 2, 3, 8} {
+		for _, seed := range []int64{1, 7, 42} {
+			for _, n := range []uint64{quantum - 1_000, 12_345, 40_000, 300_000} {
+				m, err := NewMultiprogram(prof, procs, quantum, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counted := make([]*countedProc, procs)
+				for i, p := range m.procs {
+					counted[i] = &countedProc{procStream: p}
+					m.procs[i] = counted[i]
+				}
+				var in isa.Inst
+				for range n {
+					m.Next(&in)
+				}
+				demand, err := ProcessDemand(procs, quantum, seed, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sum uint64
+				for i, c := range counted {
+					if demand[i] != c.pulls {
+						t.Errorf("procs=%d seed=%d n=%d: process %d demand %d, live pulls %d",
+							procs, seed, n, i, demand[i], c.pulls)
+					}
+					sum += c.pulls
+				}
+				if sum+m.Switches() != n {
+					t.Errorf("procs=%d seed=%d n=%d: %d pulls and %d switch markers do not make %d instructions",
+						procs, seed, n, sum, m.Switches(), n)
+				}
+			}
+		}
+	}
+	if _, err := ProcessDemand(0, quantum, 1, 10); err == nil {
+		t.Error("ProcessDemand accepted zero processes")
+	}
+	if _, err := ProcessDemand(2, 10, 1, 10); err == nil {
+		t.Error("ProcessDemand accepted a tiny quantum")
+	}
+}

@@ -54,8 +54,9 @@ func TestArenaCursorMatchesGenerator(t *testing.T) {
 }
 
 // TestMultiprogramReplayIdentity pins the multiprogram interleave contract:
-// replaying per-process arena cursors through NewMultiprogramReplay — the
-// quantum schedule, the injected context-switch markers, the address-space
+// replaying per-process arena cursors, each exactly as long as the
+// process's ProcessDemand, through NewMultiprogramReplay — the quantum
+// schedule, the injected context-switch markers, the address-space
 // relocation — produces the identical stream to the live NewMultiprogram
 // generators, for every multiprogramming level the A6 experiment runs.
 func TestMultiprogramReplayIdentity(t *testing.T) {
@@ -71,15 +72,19 @@ func TestMultiprogramReplayIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewMultiprogram: %v", err)
 				}
-				// Each per-process trace needs at most n instructions; the
-				// interleaver never pulls more than it emits.
+				// Each per-process trace holds exactly the process's demand,
+				// so one instruction less anywhere ends the replay early.
+				demand, err := ProcessDemand(procs, quantum, 42, n)
+				if err != nil {
+					t.Fatalf("ProcessDemand: %v", err)
+				}
 				cursors := make([]*trace.Cursor, procs)
 				for i := range cursors {
 					gen, err := New(prof, 42+int64(i)*SeedStride)
 					if err != nil {
 						t.Fatalf("New: %v", err)
 					}
-					cursors[i] = trace.Materialize(gen, n).NewCursor()
+					cursors[i] = trace.Materialize(gen, int(demand[i])).NewCursor()
 				}
 				replay, err := NewMultiprogramReplay(cursors, quantum, 42)
 				if err != nil {
