@@ -58,13 +58,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"portsim/internal/cellstore"
 	"portsim/internal/diag"
 	"portsim/internal/experiments"
-	"portsim/internal/stats"
 	"portsim/internal/telemetry"
 )
 
@@ -116,11 +116,10 @@ func run(args []string, out io.Writer) error {
 	if *repro != "" {
 		return runRepro(*repro, out)
 	}
-	selected, err := parseOnly(*only)
+	chosen, err := parseOnly(*only)
 	if err != nil {
 		return err
 	}
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
 	spec := experiments.DefaultSpec()
 	if *quick {
@@ -180,7 +179,7 @@ func run(args []string, out io.Writer) error {
 		spec.Store = store
 	}
 	if *traceOut != "" {
-		w, m, err := parseTraceCell(*traceCell, spec)
+		w, m, err := parseTraceCell(*traceCell, spec, chosen)
 		if err != nil {
 			return err
 		}
@@ -208,7 +207,11 @@ func run(args []string, out io.Writer) error {
 	// observer slot stays nil and no campaign state exists at all.
 	var sink *telemetrySink
 	if progress != progressOff || *listen != "" || *manifest != "" || *traceOut != "" || *cpistack {
-		s, err := newTelemetrySink(runner, spec, plannedCells(spec, want), progress, *listen, store)
+		planned := 0
+		for _, e := range chosen {
+			planned += len(e.Cells(spec))
+		}
+		s, err := newTelemetrySink(runner, spec, planned, progress, *listen, store)
 		if err != nil {
 			return err
 		}
@@ -219,20 +222,17 @@ func run(args []string, out io.Writer) error {
 	var failed []string
 	var failures []error
 	var ranIDs []string
-	for _, e := range suite {
-		if !want(e.id) {
-			continue
-		}
-		ranIDs = append(ranIDs, e.id)
-		runner.SetExperiment(e.id)
-		table, err := e.run(runner)
+	for _, e := range chosen {
+		ranIDs = append(ranIDs, e.ID)
+		runner.SetExperiment(e.ID)
+		table, err := e.Run(runner)
 		if err != nil {
 			// One poisoned cell must not abandon the campaign: record the
 			// failure, keep rendering every healthy table, and report the
 			// forensics (with repro bundles) after the suite.
-			failed = append(failed, e.id)
-			failures = append(failures, fmt.Errorf("%s: %w", e.id, err))
-			fmt.Fprintf(out, "%s: FAILED: %v\n\n", e.id, err)
+			failed = append(failed, e.ID)
+			failures = append(failures, fmt.Errorf("%s: %w", e.ID, err))
+			fmt.Fprintf(out, "%s: FAILED: %v\n\n", e.ID, err)
 			continue
 		}
 		if *csv {
@@ -359,55 +359,16 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// experiment is one table of the suite: its id and the driver that
-// renders it on the campaign's runner.
-type experiment struct {
-	id  string
-	run func(*experiments.Runner) (*stats.Table, error)
-}
-
-// suite is every experiment in campaign order.
-var suite = []experiment{
-	{"T1", func(*experiments.Runner) (*stats.Table, error) { return experiments.T1Baseline(), nil }},
-	{"T2", tableOf(experiments.T2Characterisation)},
-	{"F1", tableOf(experiments.F1PortCount)},
-	{"F2", tableOf(experiments.F2BufferDepth)},
-	{"F3", tableOf(experiments.F3PortWidth)},
-	{"F4", tableOf(experiments.F4LineBuffers)},
-	{"F5", tableOf(experiments.F5StoreCombining)},
-	{"F6", tableOf(experiments.F6Headline)},
-	{"T3", tableOf(experiments.T3PortUtilisation)},
-	{"T4", tableOf(experiments.T4GrantDistribution)},
-	{"F7", tableOf(experiments.F7KernelIntensity)},
-	{"A1", tableOf(experiments.A1Ablation)},
-	{"A2", tableOf(experiments.A2Banking)},
-	{"A3", tableOf(experiments.A3Prefetch)},
-	{"A4", tableOf(experiments.A4MemSpeculation)},
-	{"A5", tableOf(experiments.A5WritePolicy)},
-	{"A6", tableOf(experiments.A6Multiprogramming)},
-	{"A7", tableOf(experiments.A7ArbitrationPolicy)},
-	{"A8", tableOf(experiments.A8WrongPathFetch)},
-}
-
-// tableOf adapts an experiment driver, which also returns its rows, to the
-// suite's signature.
-func tableOf[R any](driver func(*experiments.Runner) (R, *stats.Table, error)) func(*experiments.Runner) (*stats.Table, error) {
-	return func(r *experiments.Runner) (*stats.Table, error) {
-		_, t, err := driver(r)
-		return t, err
-	}
-}
-
-// parseOnly turns a -only list into the set of selected experiment ids
-// (case-insensitive; empty selects every experiment). Every id must name
-// an experiment: a typo fails the run before anything is built, instead of
-// silently running the rest.
-func parseOnly(list string) (map[string]bool, error) {
-	valid := make(map[string]bool, len(suite))
+// parseOnly returns the experiments a -only list selects, in campaign
+// order (ids are case-insensitive; an empty list selects every
+// experiment). Every id must name an experiment of experiments.Suite: a
+// typo fails the run before anything is built, instead of silently running
+// the rest.
+func parseOnly(list string) ([]experiments.Experiment, error) {
+	suite := experiments.Suite()
 	ids := make([]string, len(suite))
 	for i, e := range suite {
-		valid[e.id] = true
-		ids[i] = e.id
+		ids[i] = e.ID
 	}
 	selected := map[string]bool{}
 	var unknown []string
@@ -415,7 +376,7 @@ func parseOnly(list string) (map[string]bool, error) {
 		id = strings.TrimSpace(strings.ToUpper(id))
 		switch {
 		case id == "":
-		case valid[id]:
+		case slices.Contains(ids, id):
 			selected[id] = true
 		default:
 			unknown = append(unknown, id)
@@ -425,7 +386,9 @@ func parseOnly(list string) (map[string]bool, error) {
 		return nil, fmt.Errorf("-only: unknown experiment id(s) %s (valid: %s)",
 			strings.Join(unknown, ","), strings.Join(ids, ","))
 	}
-	return selected, nil
+	return slices.DeleteFunc(suite, func(e experiments.Experiment) bool {
+		return len(selected) > 0 && !selected[e.ID]
+	}), nil
 }
 
 // reportFailures prints each distinct cell failure's forensic detail and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,50 +24,12 @@ import (
 // testListenHook, when set by a test, receives the bound -listen address.
 var testListenHook func(addr string)
 
-// cellsPerExperiment returns how many cells each experiment submits for a
-// spec with w workloads. Duplicate submissions (memo hits) count: the
-// observer fires once per submission, so these figures are what the
-// planned gauge and the ETA are measured against.
-func cellsPerExperiment(w int) map[string]int {
-	return map[string]int{
-		"T1": 0,     // static table, no simulation
-		"T2": w,     // baseline per workload
-		"F1": 3 * w, // port counts 1,2,4
-		"F2": 6 * w, // store-buffer depths 1..32
-		"F3": 3 * w, // naive widths 8,16,32
-		"F4": 5 * w, // line buffers 0,1,2,4,8
-		"F5": 4 * w, // 2 depths x combining on/off
-		"F6": 3 * w, // single, best-single, dual
-		"T3": w,     // best-single per workload
-		"T4": 3 * w, // 3 machines
-		"F7": 12,    // 4 kernel intensities x 3 machines (database only)
-		"A1": 7 * w, // dual ratio column + 6 ablation configs
-		"A2": 7 * w, // dual ratio column + 6 banking configs
-		"A3": 3 * w, // single, single+pf, best+pf
-		"A4": 2 * w, // conservative, speculative
-		"A5": 3 * w, // write-back, write-through, WT+combining
-		"A6": 12,    // 4 multiprogramming levels x 3 machines (compress only)
-		"A7": 2 * w, // loads-first, stores-first
-		"A8": 2 * w, // idealised, wrong-path
-	}
-}
-
-// plannedCells counts the cells the selected experiments will submit.
-func plannedCells(spec experiments.Spec, want func(string) bool) int {
-	per := cellsPerExperiment(len(spec.Workloads))
-	total := 0
-	for _, e := range suite {
-		if want(e.id) {
-			total += per[e.id]
-		}
-	}
-	return total
-}
-
 // parseTraceCell splits a -trace-cell value ("workload@machine") into its
 // parts; either side may be empty to take the default (first workload of
-// the spec, baseline machine).
-func parseTraceCell(s string, spec experiments.Spec) (workload, machine string, err error) {
+// the spec, baseline machine). The cell must be one the chosen experiments
+// plan to run: a filter that matches none would otherwise run the whole
+// campaign for a trace it never writes.
+func parseTraceCell(s string, spec experiments.Spec, chosen []experiments.Experiment) (workload, machine string, err error) {
 	workload, machine, _ = strings.Cut(s, "@")
 	if workload == "" {
 		if len(spec.Workloads) == 0 {
@@ -77,7 +40,19 @@ func parseTraceCell(s string, spec experiments.Spec) (workload, machine string, 
 	if machine == "" {
 		machine = config.Baseline().Name
 	}
-	return workload, machine, nil
+	var workloads, machines []string
+	for _, e := range chosen {
+		for _, c := range e.Cells(spec) {
+			if c.Workload == workload && c.Machine == machine {
+				return workload, machine, nil
+			}
+			workloads, machines = append(workloads, c.Workload), append(machines, c.Machine)
+		}
+	}
+	slices.Sort(workloads)
+	slices.Sort(machines)
+	return "", "", fmt.Errorf("-trace-cell: the selected experiments run no cell %s@%s (workloads: %s; machines: %s)",
+		workload, machine, strings.Join(slices.Compact(workloads), ", "), strings.Join(slices.Compact(machines), ", "))
 }
 
 // cellSample converts a runner cell event into the telemetry snapshot:

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"portsim/internal/experiments"
 	"portsim/internal/telemetry"
 )
 
@@ -54,7 +56,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 }
 
 // TestManifestMatchesPlannedCells runs the full suite and checks the
-// manifest agrees with the planned-cell arithmetic the ETA and the
+// manifest agrees with the experiments' plans, which the ETA and the
 // planned gauge rely on, and that the document passes its own validator.
 func TestManifestMatchesPlannedCells(t *testing.T) {
 	dir := t.TempDir()
@@ -69,13 +71,15 @@ func TestManifestMatchesPlannedCells(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	per := cellsPerExperiment(len(m.Workloads))
+	spec := experiments.Spec{Workloads: m.Workloads}
 	want := 0
-	for _, id := range m.Experiments {
-		want += per[id]
+	for _, e := range experiments.Suite() {
+		if slices.Contains(m.Experiments, e.ID) {
+			want += len(e.Cells(spec))
+		}
 	}
 	if m.Totals.Cells != want {
-		t.Errorf("manifest holds %d cells, planned arithmetic says %d", m.Totals.Cells, want)
+		t.Errorf("manifest holds %d cells, the plans say %d", m.Totals.Cells, want)
 	}
 	if m.Totals.MemoHits == 0 {
 		t.Error("full suite must share cells through the memo cache")
@@ -178,13 +182,33 @@ func TestTraceFollowsCellKey(t *testing.T) {
 	}
 }
 
-// TestTraceCellNeverRan checks a trace filter that matches no suite cell
-// degrades to a warning, not an error or an empty file.
+// TestTraceCellNeverRan checks a trace filter that matches no cell the
+// selected experiments plan is rejected before anything simulates, naming
+// the workloads and machines they do run: a misspelt workload, an unknown
+// machine, and F7's default cell, whose workload F7 never runs.
 func TestTraceCellNeverRan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cell.trace.json")
-	if _, err := runPB(t, "-quick", "-insts", "2000", "-only", "T2",
-		"-trace-out", path, "-trace-cell", "compress@no-such-machine"); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		only, cell string
+		names      []string
+	}{
+		{"T2", "compres@baseline-1port", []string{"compress, database, eqntott", "baseline-1port"}},
+		{"T2", "compress@no-such-machine", []string{"compress@no-such-machine", "baseline-1port"}},
+		{"F7", "", []string{"database-k-none", "best-single", "dual-port"}},
+	} {
+		out, err := runPB(t, "-quick", "-insts", "2000", "-only", c.only,
+			"-trace-out", path, "-trace-cell", c.cell)
+		if err == nil {
+			t.Fatalf("-only %s -trace-cell %q accepted", c.only, c.cell)
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("-only %s -trace-cell %q: error %q does not name %q", c.only, c.cell, err, name)
+			}
+		}
+		if out != "" {
+			t.Errorf("-only %s -trace-cell %q: output before the check:\n%s", c.only, c.cell, out)
+		}
 	}
 	if _, err := os.Stat(path); err == nil {
 		t.Error("trace file written for a cell that never ran")

@@ -79,8 +79,8 @@ type StoreBuffer struct {
 
 	expired []SBEntry // scratch returned by Expire, reused across cycles
 
-	inserts, combined, drains, forwards, conflicts uint64
-	occupancySamples, occupancySum                 uint64
+	inserts, combined, drains, forwards uint64
+	occupancySamples, occupancySum      uint64
 }
 
 // NewStoreBuffer returns a store buffer of the given capacity for
@@ -116,7 +116,7 @@ func (b *StoreBuffer) Reset() {
 	b.nextSeq = 0
 	b.nextExpiry = NeverEvent
 	b.drainCandValid = false
-	b.inserts, b.combined, b.drains, b.forwards, b.conflicts = 0, 0, 0, 0, 0
+	b.inserts, b.combined, b.drains, b.forwards = 0, 0, 0, 0
 	b.occupancySamples, b.occupancySum = 0, 0
 }
 
@@ -215,7 +215,6 @@ func (b *StoreBuffer) Probe(addr uint64, size int) (forward, conflict bool) {
 			b.forwards++
 			return true, false
 		}
-		b.conflicts++
 		return false, true
 	}
 	return false, false
@@ -368,14 +367,13 @@ func (b *StoreBuffer) Len() int { return b.n }
 // Cap returns the buffer capacity.
 func (b *StoreBuffer) Cap() int { return b.capacity }
 
-// Inserts, Combined, Drains, Forwards and Conflicts return statistics.
+// Inserts, Combined, Drains and Forwards return statistics.
 // StoresPerDrain is the headline combining metric: program stores retired
 // per port write.
-func (b *StoreBuffer) Inserts() uint64   { return b.inserts }
-func (b *StoreBuffer) Combined() uint64  { return b.combined }
-func (b *StoreBuffer) Drains() uint64    { return b.drains }
-func (b *StoreBuffer) Forwards() uint64  { return b.forwards }
-func (b *StoreBuffer) Conflicts() uint64 { return b.conflicts }
+func (b *StoreBuffer) Inserts() uint64  { return b.inserts }
+func (b *StoreBuffer) Combined() uint64 { return b.combined }
+func (b *StoreBuffer) Drains() uint64   { return b.drains }
+func (b *StoreBuffer) Forwards() uint64 { return b.forwards }
 
 // StoresPerDrain returns inserts/drains, zero when nothing drained yet.
 func (b *StoreBuffer) StoresPerDrain() float64 {

@@ -208,17 +208,15 @@ type Core struct {
 	port *core.MemPort
 	pred *bpred.Unit
 
-	stream trace.Stream
-	cycle  uint64
-	seq    uint64
+	cycle uint64
+	seq   uint64
 
-	// Batched stream state. When the stream implements trace.Batcher,
-	// fetch pulls instructions through batchBuf in streamChunk-sized
-	// refills: one dynamic dispatch per chunk instead of one per
-	// instruction. The generators' output is independent of when they are
-	// called, so pulling ahead of the pipeline changes nothing the core
-	// observes.
-	batcher            trace.Batcher
+	// The instruction stream, read through trace.Batched: fetch pulls
+	// instructions through batchBuf in streamChunk-sized refills, one
+	// dynamic dispatch per chunk instead of one per instruction. The
+	// generators' output is independent of when they are called, so pulling
+	// ahead of the pipeline changes nothing the core observes.
+	stream             trace.Batcher
 	batchBuf           []isa.Inst
 	batchPos, batchLen int
 
@@ -379,7 +377,8 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		sys:          sys,
 		port:         core.NewMemPort(cfg.Ports, sys),
 		pred:         pred,
-		stream:       stream,
+		stream:       trace.Batched(stream),
+		batchBuf:     make([]isa.Inst, streamChunk),
 		rob:          make([]robEntry, cfg.Core.ROBEntries),
 		liveList:     make([]int32, cfg.Core.ROBEntries),
 		liveStores:   make([]int32, cfg.Core.StoreQueueEntries),
@@ -390,10 +389,6 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		nextDoneAt:   never,
 		curFetchLine: ^uint64(0),
 		sqGen:        1,
-	}
-	if b, ok := stream.(trace.Batcher); ok {
-		c.batcher = b
-		c.batchBuf = make([]isa.Inst, streamChunk)
 	}
 	c.intReady = make([]uint64, cfg.Core.IntPhysRegs)
 	c.fpReady = make([]uint64, cfg.Core.FPPhysRegs)
@@ -473,15 +468,8 @@ func (c *Core) Retarget(cfg *config.Machine, stream trace.Stream) (bool, error) 
 	}
 	c.cfg = cfg
 	c.pred.Reset()
-	c.stream = stream
+	c.stream = trace.Batched(stream)
 	c.cycle, c.seq = 0, 0
-	c.batcher = nil
-	if b, ok := stream.(trace.Batcher); ok {
-		c.batcher = b
-		if c.batchBuf == nil {
-			c.batchBuf = make([]isa.Inst, streamChunk)
-		}
-	}
 	c.batchPos, c.batchLen = 0, 0
 	clear(c.rob)
 	c.robHead, c.robCount = 0, 0
@@ -624,16 +612,12 @@ const streamChunk = 128
 // generator.
 const StreamChunk = streamChunk
 
-// streamNext delivers the next stream instruction, through the chunk buffer
-// when the stream supports batching.
+// streamNext delivers the next stream instruction through the chunk buffer.
 //
 //portlint:hotpath
 func (c *Core) streamNext(in *isa.Inst) bool {
-	if c.batcher == nil {
-		return c.stream.Next(in)
-	}
 	if c.batchPos == c.batchLen {
-		c.batchLen = c.batcher.NextBatch(c.batchBuf)
+		c.batchLen = c.stream.NextBatch(c.batchBuf)
 		c.batchPos = 0
 		if c.batchLen == 0 {
 			return false

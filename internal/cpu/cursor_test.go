@@ -78,11 +78,12 @@ type nextOnly struct{ s trace.Stream }
 
 func (n nextOnly) Next(in *isa.Inst) bool { return n.s.Next(in) }
 
-// TestBatchedMatchesNextOnly pins the one calling-convention choice left in
-// the front end: streamNext takes NextBatch chunks from a trace.Batcher and
-// calls Next once per instruction on any other stream. One arena replayed
-// both ways must produce the identical Result, counter for counter. As in
-// TestRunCursorMatchesGenerator, each machine's case runs as noskip.
+// TestBatchedMatchesNextOnly pins the front end's one read path:
+// streamNext takes NextBatch chunks from a trace.Batcher, and any other
+// stream reaches it through trace.Batched, whose NextBatch calls Next once
+// per instruction. One arena replayed both ways must produce the identical
+// Result, counter for counter. As in TestRunCursorMatchesGenerator, each
+// machine's case runs as noskip.
 func TestBatchedMatchesNextOnly(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
@@ -99,7 +100,8 @@ func TestBatchedMatchesNextOnly(t *testing.T) {
 			t.Run("noskip", func(t *testing.T) {
 				for _, wl := range []string{"compress", "database"} {
 					a := arenaFor(t, wl, 42, insts)
-					batchedCore, err := New(&m, a.NewCursor())
+					cur := a.NewCursor()
+					batchedCore, err := New(&m, cur)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,8 +109,8 @@ func TestBatchedMatchesNextOnly(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if batchedCore.batcher == nil || scalarCore.batcher != nil {
-						t.Fatal("the cursor must be read in chunks and the wrapper one instruction at a time")
+					if batchedCore.stream != trace.Batcher(cur) {
+						t.Fatal("the cursor must be read in chunks directly, not through the Next adapter")
 					}
 					batched, err := batchedCore.Run(opts)
 					if err != nil {

@@ -210,8 +210,7 @@ func (ar *arenaRegistry) stats() ArenaStats {
 }
 
 // ArenaStats reports the arena registry snapshot; ok is false when arenas
-// are disabled for this runner (negative Spec.ArenaBudget, or a spec with
-// no instruction budget to size arenas by).
+// are disabled for this runner (negative Spec.ArenaBudget).
 func (r *Runner) ArenaStats() (ArenaStats, bool) {
 	if r.arenas == nil {
 		return ArenaStats{}, false

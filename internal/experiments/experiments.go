@@ -1,21 +1,22 @@
-// Package experiments implements the paper's evaluation: one function per
-// reconstructed table or figure (see DESIGN.md's experiment index). Each
-// experiment builds machine variants, runs every workload through the
-// simulator, and renders a paper-style plain-text table plus typed rows for
-// programmatic checks. cmd/portbench and the repository benchmarks are thin
-// wrappers over this package.
+// Package experiments implements the paper's evaluation (see DESIGN.md's
+// experiment index). Suite lists the experiments in campaign order. Each
+// one declares a plan, its grid of streams × machines, once: the plan
+// gives the cells it submits, which portbench counts and checks flags
+// against before anything runs, and its driver runs the plan and derives a
+// paper-style plain-text table plus typed rows for programmatic checks.
+// cmd/portbench and the repository benchmark are thin wrappers over this
+// package.
 //
-// Experiments execute on the Runner's bounded worker pool: every (machine,
-// workload) cell is submitted in the order the serial harness would have
-// visited it, simulated concurrently, and consumed by submission index, so
-// tables and geomeans are byte-identical at any parallelism level.
+// Experiments execute on the Runner's bounded worker pool: every cell of a
+// plan is submitted in a fixed order, simulated concurrently, and read back
+// by (stream, machine), so tables and geomeans are byte-identical at any
+// parallelism level.
 package experiments
 
 import (
 	"fmt"
 
 	"portsim/internal/config"
-	"portsim/internal/cpu"
 	"portsim/internal/stats"
 	"portsim/internal/workload"
 )
@@ -62,23 +63,20 @@ type T2Row struct {
 	BaselineIPC   float64
 }
 
+func t2Plan(s Spec) plan { return onWorkloads(s, config.Baseline()) }
+
 // T2Characterisation measures the workload properties the study depends on
 // (Table 2).
 func T2Characterisation(r *Runner) ([]T2Row, *stats.Table, error) {
 	t := stats.NewTable("T2: workload characterisation (baseline single-port machine)",
 		"workload", "loads", "stores", "branches", "kernel", "L1D miss", "mispred", "IPC")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells, r.runCell(config.Baseline(), w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(t2Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []T2Row
-	for i, w := range workloads {
-		res := results[i]
+	for i, w := range r.spec.Workloads {
+		res := g[i][0]
 		n := float64(res.Instructions)
 		s := res.Counters
 		row := T2Row{
@@ -106,42 +104,33 @@ type F1Row struct {
 	IPC      map[int]float64 // port count -> IPC
 }
 
+// f1Ports are the port counts F1 sweeps.
+var f1Ports = []int{1, 2, 4}
+
+func f1Plan(s Spec) plan {
+	return onWorkloads(s, variants(f1Ports, "%d-port", func(m *config.Machine, n int) { m.Ports.Count = n })...)
+}
+
 // F1PortCount measures IPC against the number of ideal cache ports
 // (Figure 1): the motivation that a single port leaves performance behind.
 func F1PortCount(r *Runner) ([]F1Row, *stats.Table, error) {
-	counts := []int{1, 2, 4}
 	t := stats.NewTable("F1: IPC vs number of cache ports",
 		"workload", "1 port", "2 ports", "4 ports", "1p/2p")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		for _, n := range counts {
-			m := config.Baseline()
-			m.Name = fmt.Sprintf("%d-port", n)
-			m.Ports.Count = n
-			cells = append(cells, r.runCell(m, w))
-		}
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(f1Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []F1Row
-	perCount := map[int][]*cpu.Result{}
-	k := 0
-	for _, w := range workloads {
+	for i, w := range r.spec.Workloads {
 		row := F1Row{Workload: w, IPC: map[int]float64{}}
-		for _, n := range counts {
-			res := results[k]
-			k++
-			row.IPC[n] = res.IPC
-			perCount[n] = append(perCount[n], res)
+		for j, n := range f1Ports {
+			row.IPC[n] = g[i][j].IPC
 		}
 		rows = append(rows, row)
 		t.AddRow(w, stats.Cell(row.IPC[1]), stats.Cell(row.IPC[2]), stats.Cell(row.IPC[4]),
 			stats.Cell(stats.SafeRatio(row.IPC[1], row.IPC[2])))
 	}
-	g1, g2, g4 := geoMeanIPC(perCount[1]), geoMeanIPC(perCount[2]), geoMeanIPC(perCount[4])
+	g1, g2, g4 := geoMeanIPC(g, 0), geoMeanIPC(g, 1), geoMeanIPC(g, 2)
 	t.AddRow("geomean", stats.Cell(g1), stats.Cell(g2), stats.Cell(g4), stats.Cell(stats.SafeRatio(g1, g2)))
 	return rows, t, nil
 }
@@ -155,50 +144,48 @@ type F2Row struct {
 // F2Depths are the store-buffer depths swept by F2.
 var F2Depths = []int{1, 2, 4, 8, 16, 32}
 
+func f2Plan(s Spec) plan {
+	return onWorkloads(s, variants(F2Depths, "sb-%d", func(m *config.Machine, d int) { m.Ports.StoreBufferEntries = d })...)
+}
+
 // F2BufferDepth sweeps the decoupling store-buffer depth on the single-port
 // machine (Figure 2): deeper buffering smooths store bursts away from the
 // port and then saturates.
 func F2BufferDepth(r *Runner) ([]F2Row, *stats.Table, error) {
+	return ipcSweep[F2Row](r, f2Plan(r.spec), F2Depths, "F2: single-port IPC vs store-buffer depth", "sb=%d", true)
+}
+
+// ipcSweep runs a sweep's plan, one machine per value, and derives a row
+// of IPCs per workload under columns named by format, plus a geomean row
+// when asked.
+func ipcSweep[R F2Row | F3Row](r *Runner, p plan, values []int, title, format string, geomean bool) ([]R, *stats.Table, error) {
 	header := []string{"workload"}
-	for _, d := range F2Depths {
-		header = append(header, fmt.Sprintf("sb=%d", d))
+	for _, v := range values {
+		header = append(header, fmt.Sprintf(format, v))
 	}
-	t := stats.NewTable("F2: single-port IPC vs store-buffer depth", header...)
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		for _, d := range F2Depths {
-			m := config.Baseline()
-			m.Name = fmt.Sprintf("sb-%d", d)
-			m.Ports.StoreBufferEntries = d
-			cells = append(cells, r.runCell(m, w))
-		}
-	}
-	results, err := r.runAll(cells)
+	t := stats.NewTable(title, header...)
+	g, err := r.runPlan(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows []F2Row
-	perDepth := map[int][]*cpu.Result{}
-	k := 0
-	for _, w := range workloads {
+	var rows []R
+	for i, w := range r.spec.Workloads {
 		row := F2Row{Workload: w, IPC: map[int]float64{}}
 		rowCells := []string{w}
-		for _, d := range F2Depths {
-			res := results[k]
-			k++
-			row.IPC[d] = res.IPC
-			perDepth[d] = append(perDepth[d], res)
-			rowCells = append(rowCells, stats.Cell(res.IPC))
+		for j, v := range values {
+			row.IPC[v] = g[i][j].IPC
+			rowCells = append(rowCells, stats.Cell(g[i][j].IPC))
 		}
-		rows = append(rows, row)
+		rows = append(rows, R(row))
 		t.AddRow(rowCells...)
 	}
-	rowCells := []string{"geomean"}
-	for _, d := range F2Depths {
-		rowCells = append(rowCells, stats.Cell(geoMeanIPC(perDepth[d])))
+	if geomean {
+		rowCells := []string{"geomean"}
+		for j := range values {
+			rowCells = append(rowCells, stats.Cell(geoMeanIPC(g, j)))
+		}
+		t.AddRow(rowCells...)
 	}
-	t.AddRow(rowCells...)
 	return rows, t, nil
 }
 
@@ -211,46 +198,18 @@ type F3Row struct {
 // F3Widths are the port widths swept.
 var F3Widths = []int{8, 16, 32}
 
+func f3Plan(s Spec) plan {
+	return onWorkloads(s, variants(F3Widths, "naive-%dB", func(m *config.Machine, wd int) { m.Ports.WidthBytes = wd })...)
+}
+
 // F3PortWidth widens the single port WITHOUT load-all line buffers or store
 // combining (Figure 3). The expected result is the paper's motivating
 // observation: width alone is wasted — scalar loads and stores cannot use
 // the extra bytes, so the techniques of F4/F5 are needed to convert width
 // into bandwidth.
 func F3PortWidth(r *Runner) ([]F3Row, *stats.Table, error) {
-	header := []string{"workload"}
-	for _, wd := range F3Widths {
-		header = append(header, fmt.Sprintf("%dB", wd))
-	}
-	t := stats.NewTable("F3: single-port IPC vs naive port width (no load-all, no combining)", header...)
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		for _, wd := range F3Widths {
-			m := config.Baseline()
-			m.Name = fmt.Sprintf("naive-%dB", wd)
-			m.Ports.WidthBytes = wd
-			cells = append(cells, r.runCell(m, w))
-		}
-	}
-	results, err := r.runAll(cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []F3Row
-	k := 0
-	for _, w := range workloads {
-		row := F3Row{Workload: w, IPC: map[int]float64{}}
-		rowCells := []string{w}
-		for _, wd := range F3Widths {
-			res := results[k]
-			k++
-			row.IPC[wd] = res.IPC
-			rowCells = append(rowCells, stats.Cell(res.IPC))
-		}
-		rows = append(rows, row)
-		t.AddRow(rowCells...)
-	}
-	return rows, t, nil
+	return ipcSweep[F3Row](r, f3Plan(r.spec), F3Widths,
+		"F3: single-port IPC vs naive port width (no load-all, no combining)", "%dB", false)
 }
 
 // F4Row holds the load-all sweep for one workload.
@@ -263,6 +222,13 @@ type F4Row struct {
 // F4Buffers are the line-buffer counts swept.
 var F4Buffers = []int{0, 1, 2, 4, 8}
 
+func f4Plan(s Spec) plan {
+	return onWorkloads(s, variants(F4Buffers, "loadall-%d", func(m *config.Machine, n int) {
+		m.Ports.WidthBytes = 32
+		m.Ports.LineBuffers = n
+	})...)
+}
+
 // F4LineBuffers enables the load-all policy on a single 32-byte port and
 // sweeps the number of line buffers (Figure 4).
 func F4LineBuffers(r *Runner) ([]F4Row, *stats.Table, error) {
@@ -271,33 +237,18 @@ func F4LineBuffers(r *Runner) ([]F4Row, *stats.Table, error) {
 		header = append(header, fmt.Sprintf("lb=%d", n), "hit")
 	}
 	t := stats.NewTable("F4: load-all line buffers on a single 32B port (IPC and buffer hit rate)", header...)
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		for _, n := range F4Buffers {
-			m := config.Baseline()
-			m.Name = fmt.Sprintf("loadall-%d", n)
-			m.Ports.WidthBytes = 32
-			m.Ports.LineBuffers = n
-			cells = append(cells, r.runCell(m, w))
-		}
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(f4Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []F4Row
-	k := 0
-	for _, w := range workloads {
+	for i, w := range r.spec.Workloads {
 		row := F4Row{Workload: w, IPC: map[int]float64{}, HitRate: map[int]float64{}}
 		rowCells := []string{w}
-		for _, n := range F4Buffers {
-			res := results[k]
-			k++
-			s := res.Counters
-			served := s.Get(stats.PortLoadsFromLineBuffer)
+		for j, n := range F4Buffers {
+			res := g[i][j]
 			row.IPC[n] = res.IPC
-			row.HitRate[n] = stats.SafeRatio(float64(served), float64(res.Loads))
+			row.HitRate[n] = stats.SafeRatio(float64(res.Counters.Get(stats.PortLoadsFromLineBuffer)), float64(res.Loads))
 			rowCells = append(rowCells, stats.Cell(res.IPC), stats.Percent(row.HitRate[n]))
 		}
 		rows = append(rows, row)
@@ -316,46 +267,44 @@ type F5Row struct {
 // F5Depths are the buffer depths compared with combining on and off.
 var F5Depths = []int{8, 16}
 
+func f5Plan(s Spec) plan {
+	var ms []config.Machine
+	for _, d := range F5Depths {
+		for _, comb := range []bool{false, true} {
+			m := config.Baseline()
+			m.Name = fmt.Sprintf("comb-%v-%d", comb, d)
+			m.Ports.WidthBytes = 32
+			m.Ports.StoreBufferEntries = d
+			m.Ports.StoreCombining = comb
+			ms = append(ms, m)
+		}
+	}
+	return onWorkloads(s, ms...)
+}
+
 // F5StoreCombining measures store combining on a single 32-byte port
 // (Figure 5): IPC and the number of program stores retired per port write.
 func F5StoreCombining(r *Runner) ([]F5Row, *stats.Table, error) {
 	t := stats.NewTable("F5: store combining on a single 32B port",
 		"workload", "off sb=8", "on sb=8", "off sb=16", "on sb=16", "stores/drain (on,16)")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		for _, d := range F5Depths {
-			for _, comb := range []bool{false, true} {
-				m := config.Baseline()
-				m.Name = fmt.Sprintf("comb-%v-%d", comb, d)
-				m.Ports.WidthBytes = 32
-				m.Ports.StoreBufferEntries = d
-				m.Ports.StoreCombining = comb
-				cells = append(cells, r.runCell(m, w))
-			}
-		}
-	}
-	results, err := r.runAll(cells)
+	p := f5Plan(r.spec)
+	g, err := r.runPlan(p)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []F5Row
-	k := 0
-	for _, w := range workloads {
+	for i, w := range r.spec.Workloads {
 		row := F5Row{Workload: w, IPCOff: map[int]float64{}, IPCOn: map[int]float64{}, StoresPerDrain: map[int]float64{}}
-		for _, d := range F5Depths {
-			for _, comb := range []bool{false, true} {
-				res := results[k]
-				k++
-				if comb {
-					row.IPCOn[d] = res.IPC
-					s := res.Counters
-					if drains := s.Get(stats.PortSBDrains); drains > 0 {
-						row.StoresPerDrain[d] = stats.SafeRatio(float64(s.Get(stats.PortSBInserts)), float64(drains))
-					}
-				} else {
-					row.IPCOff[d] = res.IPC
-				}
+		for j, m := range p.machines {
+			res, d := g[i][j], m.Ports.StoreBufferEntries
+			if !m.Ports.StoreCombining {
+				row.IPCOff[d] = res.IPC
+				continue
+			}
+			row.IPCOn[d] = res.IPC
+			s := res.Counters
+			if drains := s.Get(stats.PortSBDrains); drains > 0 {
+				row.StoresPerDrain[d] = stats.SafeRatio(float64(s.Get(stats.PortSBInserts)), float64(drains))
 			}
 		}
 		rows = append(rows, row)
@@ -375,36 +324,28 @@ type F6Row struct {
 	BestOfDual float64 // BestIPC / DualIPC
 }
 
+func f6Plan(s Spec) plan { return onWorkloads(s, headlineMachines()...) }
+
 // F6Headline reproduces the paper's headline result (Figure 6): the
 // technique-equipped single-ported cache against the dual-ported reference.
 // The paper reports 91%; EXPERIMENTS.md records the measured ratio.
 func F6Headline(r *Runner) ([]F6Row, *stats.Table, error) {
 	t := stats.NewTable("F6: headline — single port + techniques vs dual port",
 		"workload", "single", "best-single", "dual", "single/dual", "best/dual")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells,
-			r.runCell(config.Baseline(), w),
-			r.runCell(config.BestSingle(), w),
-			r.runCell(config.DualPort(), w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(f6Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []F6Row
-	var singles, bests, duals []*cpu.Result
-	for i, w := range workloads {
-		s, b, d := results[3*i], results[3*i+1], results[3*i+2]
+	for i, w := range r.spec.Workloads {
+		s, b, d := g[i][0], g[i][1], g[i][2]
 		row := F6Row{Workload: w, SingleIPC: s.IPC, BestIPC: b.IPC, DualIPC: d.IPC,
 			BestOfDual: stats.SafeRatio(b.IPC, d.IPC)}
 		rows = append(rows, row)
-		singles, bests, duals = append(singles, s), append(bests, b), append(duals, d)
 		t.AddRow(w, stats.Cell(s.IPC), stats.Cell(b.IPC), stats.Cell(d.IPC),
 			stats.Percent(stats.SafeRatio(s.IPC, d.IPC)), stats.Percent(row.BestOfDual))
 	}
-	gs, gb, gd := geoMeanIPC(singles), geoMeanIPC(bests), geoMeanIPC(duals)
+	gs, gb, gd := geoMeanIPC(g, 0), geoMeanIPC(g, 1), geoMeanIPC(g, 2)
 	t.AddRow("geomean", stats.Cell(gs), stats.Cell(gb), stats.Cell(gd),
 		stats.Percent(stats.SafeRatio(gs, gd)), stats.Percent(stats.SafeRatio(gb, gd)))
 	return rows, t, nil
@@ -422,23 +363,20 @@ type T3Row struct {
 	RefillShare     float64 // fraction of port grants consumed by refills
 }
 
+func t3Plan(s Spec) plan { return onWorkloads(s, config.BestSingle()) }
+
 // T3PortUtilisation accounts for where the best-single machine's loads come
 // from and what occupies its one port (Table 3).
 func T3PortUtilisation(r *Runner) ([]T3Row, *stats.Table, error) {
 	t := stats.NewTable("T3: best-single port accounting",
 		"workload", "loads cache", "loads line-buf", "loads store-buf", "stores/drain", "port util", "refill share")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells, r.runCell(config.BestSingle(), w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(t3Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []T3Row
-	for i, w := range workloads {
-		res := results[i]
+	for i, w := range r.spec.Workloads {
+		res := g[i][0]
 		s := res.Counters
 		loads := float64(res.Loads)
 		grants := float64(s.Get(stats.PortGrants))
@@ -472,48 +410,47 @@ type F7Row struct {
 	GapRecovered  float64 // (Best-Single)/(Dual-Single)
 }
 
+// f7Points are F7's kernel intensities of the database workload.
+var f7Points = []struct {
+	label string
+	every int // kernel entry cadence; 0 disables
+}{
+	{"none", 0},
+	{"low", 16000},
+	{"medium", 4000},
+	{"high", 1200},
+}
+
+func f7Plan(Spec) plan {
+	streams := make([]planStream, len(f7Points))
+	for i, pt := range f7Points {
+		s := named("database")
+		s.workload = "database-k-" + pt.label
+		s.prof.Name = s.workload
+		if pt.every == 0 {
+			s.prof.Kernel = workload.KernelSpec{}
+		} else {
+			s.prof.Kernel.EveryMean = pt.every
+		}
+		streams[i] = s
+	}
+	return plan{streams: streams, machines: headlineMachines()}
+}
+
 // F7KernelIntensity varies the OS intensity of the database workload and
 // measures how much the techniques recover at each level (Figure 7). The
 // expected shape: kernel episodes disrupt spatial locality and thrash the
 // line buffers, so the techniques help least at the highest OS intensity.
 func F7KernelIntensity(r *Runner) ([]F7Row, *stats.Table, error) {
-	base, ok := workload.ByName("database")
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: database workload missing")
-	}
-	points := []struct {
-		label string
-		every int // kernel entry cadence; 0 disables
-	}{
-		{"none", 0},
-		{"low", 16000},
-		{"medium", 4000},
-		{"high", 1200},
-	}
 	t := stats.NewTable("F7: technique gain vs kernel intensity (database workload)",
 		"intensity", "kernel frac", "single", "best-single", "dual", "best/single", "gap recovered")
-	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort()}
-	var cells []cell
-	for _, pt := range points {
-		prof := base
-		prof.Name = "database-k-" + pt.label
-		if pt.every == 0 {
-			prof.Kernel = workload.KernelSpec{}
-		} else {
-			prof.Kernel.EveryMean = pt.every
-		}
-		for _, m := range machines {
-			c := cellReq{m: m, workload: prof.Name, streamSpec: streamSpec{prof: prof}}
-			cells = append(cells, func() (*cpu.Result, error) { return r.run(c) })
-		}
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(f7Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []F7Row
-	for i, pt := range points {
-		single, best, dual := results[3*i], results[3*i+1], results[3*i+2]
+	for i, pt := range f7Points {
+		single, best, dual := g[i][0], g[i][1], g[i][2]
 		row := F7Row{
 			Label:         pt.label,
 			KernelFrac:    stats.SafeRatio(float64(single.KernelInsts), float64(single.Instructions)),
@@ -545,8 +482,18 @@ type A1Row struct {
 // combining alone, load-all alone, and all combined, against the plain
 // single port and the dual-ported reference.
 func A1Ablation(r *Runner) ([]A1Row, *stats.Table, error) {
-	single := config.Baseline()
+	return ablationTable[A1Row](r, "A1: technique ablation (geomean IPC over all workloads)", a1Configs())
+}
 
+// ablation is one row of A1 or A2: a machine and its label.
+type ablation struct {
+	label string
+	m     config.Machine
+}
+
+// a1Configs are A1's rows: each technique alone, all of them together,
+// and the plain single and dual ports around them.
+func a1Configs() []ablation {
 	buffered := config.Baseline()
 	buffered.Name = "buffered"
 	buffered.Ports.StoreBufferEntries = 16
@@ -562,44 +509,46 @@ func A1Ablation(r *Runner) ([]A1Row, *stats.Table, error) {
 	loadall.Ports.WidthBytes = 32
 	loadall.Ports.LineBuffers = 4
 
-	configs := []struct {
-		label string
-		m     config.Machine
-	}{
-		{"single (none)", single},
+	return []ablation{
+		{"single (none)", config.Baseline()},
 		{"+ deep store buffer", buffered},
 		{"+ combining (wide)", combining},
 		{"+ load-all (wide)", loadall},
 		{"all techniques", config.BestSingle()},
 		{"dual port", config.DualPort()},
 	}
-	workloads := r.Spec().Workloads
-	// Dual first, for the ratio column; duplicate cells join the in-flight
-	// or memoised simulation, so the extra submission is free.
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells, r.runCell(config.DualPort(), w))
+}
+
+func a1Plan(s Spec) plan { return dualLed(s, a1Configs()) }
+
+// dualLed is the plan of an ablation table, submitted machine by machine:
+// the dual port first, for the ratio column, then every row's machine.
+// The leading column repeats cells of the table's own dual-port row, and
+// the repeats join the in-flight or memoised simulation, so they are free.
+func dualLed(s Spec, configs []ablation) plan {
+	p := onWorkloads(s, config.DualPort())
+	for _, c := range configs {
+		p.machines = append(p.machines, c.m)
 	}
-	for _, cfg := range configs {
-		for _, w := range workloads {
-			cells = append(cells, r.runCell(cfg.m, w))
-		}
-	}
-	results, err := r.runAll(cells)
+	p.byMachine = true
+	return p
+}
+
+// ablationTable runs an ablation's plan and derives each row's geomean IPC
+// and its ratio to the leading dual-port column.
+func ablationTable[R A1Row | A2Row](r *Runner, title string, configs []ablation) ([]R, *stats.Table, error) {
+	g, err := r.runPlan(dualLed(r.spec, configs))
 	if err != nil {
 		return nil, nil, err
 	}
-	dualGeo := geoMeanIPC(results[:len(workloads)])
-	t := stats.NewTable("A1: technique ablation (geomean IPC over all workloads)",
-		"configuration", "geomean IPC", "of dual")
-	var rows []A1Row
-	k := len(workloads)
-	for _, cfg := range configs {
-		g := geoMeanIPC(results[k : k+len(workloads)])
-		k += len(workloads)
-		row := A1Row{Label: cfg.label, Geomean: g, OfDual: stats.SafeRatio(g, dualGeo)}
-		rows = append(rows, row)
-		t.AddRow(cfg.label, stats.Cell(g), stats.Percent(row.OfDual))
+	dualGeo := geoMeanIPC(g, 0)
+	t := stats.NewTable(title, "configuration", "geomean IPC", "of dual")
+	var rows []R
+	for j, cfg := range configs {
+		row := A1Row{Label: cfg.label, Geomean: geoMeanIPC(g, j+1)}
+		row.OfDual = stats.SafeRatio(row.Geomean, dualGeo)
+		rows = append(rows, R(row))
+		t.AddRow(cfg.label, stats.Cell(row.Geomean), stats.Percent(row.OfDual))
 	}
 	return rows, t, nil
 }
@@ -618,10 +567,12 @@ type A2Row struct {
 // accesses hit distinct lines, but same-line bursts (exactly the spatial
 // locality load-all exploits) still conflict.
 func A2Banking(r *Runner) ([]A2Row, *stats.Table, error) {
-	configs := []struct {
-		label string
-		m     config.Machine
-	}{
+	return ablationTable[A2Row](r, "A2: banking vs multi-porting vs the paper's techniques (geomean IPC)", a2Configs())
+}
+
+// a2Configs are A2's rows: banked caches between the single and dual ports.
+func a2Configs() []ablation {
+	return []ablation{
 		{"single port", config.Baseline()},
 		{"2 banks", config.Banked(2)},
 		{"4 banks", config.Banked(4)},
@@ -629,34 +580,9 @@ func A2Banking(r *Runner) ([]A2Row, *stats.Table, error) {
 		{"best-single (techniques)", config.BestSingle()},
 		{"dual port", config.DualPort()},
 	}
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells, r.runCell(config.DualPort(), w))
-	}
-	for _, cfg := range configs {
-		for _, w := range workloads {
-			cells = append(cells, r.runCell(cfg.m, w))
-		}
-	}
-	results, err := r.runAll(cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	dualGeo := geoMeanIPC(results[:len(workloads)])
-	t := stats.NewTable("A2: banking vs multi-porting vs the paper's techniques (geomean IPC)",
-		"configuration", "geomean IPC", "of dual")
-	var rows []A2Row
-	k := len(workloads)
-	for _, cfg := range configs {
-		g := geoMeanIPC(results[k : k+len(workloads)])
-		k += len(workloads)
-		row := A2Row{Label: cfg.label, Geomean: g, OfDual: stats.SafeRatio(g, dualGeo)}
-		rows = append(rows, row)
-		t.AddRow(cfg.label, stats.Cell(g), stats.Percent(row.OfDual))
-	}
-	return rows, t, nil
 }
+
+func a2Plan(s Spec) plan { return dualLed(s, a2Configs()) }
 
 // A3Row is one prefetch configuration's result for one workload.
 type A3Row struct {
@@ -672,33 +598,15 @@ type A3Row struct {
 // benefit of prefetching is itself gated by port bandwidth — streaming
 // workloads gain, pointer-chasing ones see mostly wasted fills.
 func A3Prefetch(r *Runner) ([]A3Row, *stats.Table, error) {
-	pf := config.Baseline()
-	pf.Name = "prefetch"
-	pf.Ports.PrefetchNextLine = true
-	pf.Ports.PrefetchDegree = 1
-
-	bestPf := config.BestSingle()
-	bestPf.Name = "best-prefetch"
-	bestPf.Ports.PrefetchNextLine = true
-	bestPf.Ports.PrefetchDegree = 1
-
 	t := stats.NewTable("A3: next-line prefetching through idle port slots",
 		"workload", "single", "single+pf", "best+pf", "pf accuracy")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells,
-			r.runCell(config.Baseline(), w),
-			r.runCell(pf, w),
-			r.runCell(bestPf, w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(a3Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []A3Row
-	for i, w := range workloads {
-		base, withPf, best := results[3*i], results[3*i+1], results[3*i+2]
+	for i, w := range r.spec.Workloads {
+		base, withPf, best := g[i][0], g[i][1], g[i][2]
 		s := withPf.Counters
 		row := A3Row{Workload: w, BaseIPC: base.IPC, PfIPC: withPf.IPC, BestPfIPC: best.IPC}
 		if issued := s.Get(stats.PortPrefetches); issued > 0 {
@@ -711,6 +619,19 @@ func A3Prefetch(r *Runner) ([]A3Row, *stats.Table, error) {
 	return rows, t, nil
 }
 
+func a3Plan(s Spec) plan {
+	pf := config.Baseline()
+	pf.Name = "prefetch"
+	pf.Ports.PrefetchNextLine = true
+	pf.Ports.PrefetchDegree = 1
+
+	bestPf := config.BestSingle()
+	bestPf.Name = "best-prefetch"
+	bestPf.Ports.PrefetchNextLine = true
+	bestPf.Ports.PrefetchDegree = 1
+	return onWorkloads(s, config.Baseline(), pf, bestPf)
+}
+
 // A4Row is the disambiguation comparison for one workload.
 type A4Row struct {
 	Workload        string
@@ -719,32 +640,28 @@ type A4Row struct {
 	ViolationsPerKI float64
 }
 
+func a4Plan(s Spec) plan {
+	spec := config.Baseline()
+	spec.Name = "mem-speculation"
+	spec.Core.SpeculativeLoads = true
+	spec.Core.ViolationPenalty = 8
+	return onWorkloads(s, config.Baseline(), spec)
+}
+
 // A4MemSpeculation compares conservative load/store disambiguation (loads
 // wait for every older store address) against memory-dependence speculation
 // (loads issue past unknown stores and squash on a real conflict) on the
 // single-ported baseline (extension experiment).
 func A4MemSpeculation(r *Runner) ([]A4Row, *stats.Table, error) {
-	spec := config.Baseline()
-	spec.Name = "mem-speculation"
-	spec.Core.SpeculativeLoads = true
-	spec.Core.ViolationPenalty = 8
-
 	t := stats.NewTable("A4: conservative vs speculative memory disambiguation (single port)",
 		"workload", "conservative", "speculative", "speedup", "violations/kI")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells,
-			r.runCell(config.Baseline(), w),
-			r.runCell(spec, w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(a4Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []A4Row
-	for i, w := range workloads {
-		cons, sp := results[2*i], results[2*i+1]
+	for i, w := range r.spec.Workloads {
+		cons, sp := g[i][0], g[i][1]
 		row := A4Row{
 			Workload:        w,
 			Conservative:    cons.IPC,
@@ -768,13 +685,7 @@ type A5Row struct {
 	WBDRAMPerKI float64
 }
 
-// A5WritePolicy contrasts write-back against write-through/no-allocate on
-// the single-ported machine (extension experiment). Write-through multiplies
-// the store traffic reaching the L2 — the design point where combining write
-// buffers were historically indispensable — so the expected shape is:
-// write-back >= write-through, with combining recovering part of the
-// write-through loss.
-func A5WritePolicy(r *Runner) ([]A5Row, *stats.Table, error) {
+func a5Plan(s Spec) plan {
 	wt := config.Baseline()
 	wt.Name = "write-through"
 	wt.L1D.WriteThrough = true
@@ -785,24 +696,25 @@ func A5WritePolicy(r *Runner) ([]A5Row, *stats.Table, error) {
 	wtc.Ports.WidthBytes = 32
 	wtc.Ports.StoreBufferEntries = 16
 	wtc.Ports.StoreCombining = true
+	return onWorkloads(s, config.Baseline(), wt, wtc)
+}
 
+// A5WritePolicy contrasts write-back against write-through/no-allocate on
+// the single-ported machine (extension experiment). Write-through multiplies
+// the store traffic reaching the L2 — the design point where combining write
+// buffers were historically indispensable — so the expected shape is:
+// write-back >= write-through, with combining recovering part of the
+// write-through loss.
+func A5WritePolicy(r *Runner) ([]A5Row, *stats.Table, error) {
 	t := stats.NewTable("A5: write-back vs write-through/no-allocate (single port)",
 		"workload", "write-back", "write-through", "WT+combining", "WB dram/kI", "WT dram/kI")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells,
-			r.runCell(config.Baseline(), w),
-			r.runCell(wt, w),
-			r.runCell(wtc, w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(a5Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []A5Row
-	for i, w := range workloads {
-		wb, plain, comb := results[3*i], results[3*i+1], results[3*i+2]
+	for i, w := range r.spec.Workloads {
+		wb, plain, comb := g[i][0], g[i][1], g[i][2]
 		row := A5Row{
 			Workload:    w,
 			WBPlain:     wb.IPC,
@@ -828,6 +740,21 @@ type A6Row struct {
 	DTLBMissKI float64 // single-port DTLB misses per 1000 instructions
 }
 
+// a6Levels are the compress multiprogramming levels A6 sweeps, switching
+// process every 5000 instructions.
+var a6Levels = []int{1, 2, 4, 8}
+
+func a6Plan(Spec) plan {
+	streams := make([]planStream, len(a6Levels))
+	for i, n := range a6Levels {
+		s := named("compress")
+		s.workload = fmt.Sprintf("compress-x%d", n)
+		s.processes, s.quantum = n, 5000
+		streams[i] = s
+	}
+	return plan{streams: streams, machines: headlineMachines()}
+}
+
 // A6Multiprogramming sweeps the multiprogramming level of the compress
 // workload (extension experiment): context switches between disjoint
 // address spaces cold-start the caches and TLBs, shifting the machine from
@@ -835,30 +762,15 @@ type A6Row struct {
 // techniques can recover — the same direction as F7's kernel-intensity
 // result, by a different mechanism.
 func A6Multiprogramming(r *Runner) ([]A6Row, *stats.Table, error) {
-	prof, ok := workload.ByName("compress")
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: compress workload missing")
-	}
-	const quantum = 5000
 	t := stats.NewTable("A6: multiprogramming level (compress, 5k-instruction quanta)",
 		"processes", "single", "best-single", "dual", "L1D miss", "dtlb miss/kI")
-	levels := []int{1, 2, 4, 8}
-	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort()}
-	var cells []cell
-	for _, n := range levels {
-		for _, m := range machines {
-			c := cellReq{m: m, workload: fmt.Sprintf("compress-x%d", n),
-				streamSpec: streamSpec{prof: prof, processes: n, quantum: quantum}}
-			cells = append(cells, func() (*cpu.Result, error) { return r.run(c) })
-		}
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(a6Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []A6Row
-	for i, n := range levels {
-		single, best, dual := results[3*i], results[3*i+1], results[3*i+2]
+	for i, n := range a6Levels {
+		single, best, dual := g[i][0], g[i][1], g[i][2]
 		s := single.Counters
 		row := A6Row{
 			Processes:  n,
@@ -882,31 +794,27 @@ type A7Row struct {
 	StoresFirst float64
 }
 
+func a7Plan(s Spec) plan {
+	sf := config.Baseline()
+	sf.Name = "stores-first"
+	sf.Ports.StoresFirst = true
+	return onWorkloads(s, config.Baseline(), sf)
+}
+
 // A7ArbitrationPolicy compares load-priority port arbitration (the paper's
 // choice) against store-priority on the single-ported machine (extension
 // experiment). Loads sit on the critical dependence path while committed
 // stores are already architecturally done, so loads-first should win.
 func A7ArbitrationPolicy(r *Runner) ([]A7Row, *stats.Table, error) {
-	sf := config.Baseline()
-	sf.Name = "stores-first"
-	sf.Ports.StoresFirst = true
-
 	t := stats.NewTable("A7: port arbitration — loads-first vs stores-first (single port)",
 		"workload", "loads-first", "stores-first", "ratio")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells,
-			r.runCell(config.Baseline(), w),
-			r.runCell(sf, w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(a7Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []A7Row
-	for i, w := range workloads {
-		lf, s := results[2*i], results[2*i+1]
+	for i, w := range r.spec.Workloads {
+		lf, s := g[i][0], g[i][1]
 		row := A7Row{Workload: w, LoadsFirst: lf.IPC, StoresFirst: s.IPC}
 		rows = append(rows, row)
 		t.AddRow(w, stats.Cell(row.LoadsFirst), stats.Cell(row.StoresFirst),
@@ -923,33 +831,29 @@ type T4Row struct {
 	Frac []float64
 }
 
+func t4Plan(s Spec) plan {
+	p := onWorkloads(s, headlineMachines()...)
+	p.byMachine = true
+	return p
+}
+
 // T4GrantDistribution shows how many port slots each cycle actually uses on
 // the single-, best- and dual-ported machines (Table 4): the burstiness
 // that makes the second port valuable is visible as the mass at the maximum
 // grant count.
 func T4GrantDistribution(r *Runner) ([]T4Row, *stats.Table, error) {
-	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort()}
 	t := stats.NewTable("T4: per-cycle port-grant distribution",
 		"machine", "workload", "0 grants", "1 grant", "2 grants")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, m := range machines {
-		for _, w := range workloads {
-			cells = append(cells, r.runCell(m, w))
-		}
-	}
-	results, err := r.runAll(cells)
+	p := t4Plan(r.spec)
+	res, err := r.runPlan(p)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []T4Row
-	k := 0
-	for _, m := range machines {
+	for j, m := range p.machines {
 		maxG := m.Ports.Count
-		for _, w := range workloads {
-			res := results[k]
-			k++
-			s := res.Counters
+		for i, w := range r.spec.Workloads {
+			s := res[i][j].Counters
 			cycles := float64(s.Get(stats.PortCycles))
 			row := T4Row{Machine: m.Name, Workload: w}
 			rowCells := []string{m.Name, w}
@@ -980,6 +884,13 @@ type A8Row struct {
 	ExtraL1IPerKI float64 // additional L1I misses per 1000 instructions
 }
 
+func a8Plan(s Spec) plan {
+	wp := config.Baseline()
+	wp.Name = "wrong-path-fetch"
+	wp.Core.WrongPathFetch = true
+	return onWorkloads(s, config.Baseline(), wp)
+}
+
 // A8WrongPathFetch turns on wrong-path instruction fetching during branch
 // resolution (extension experiment): the front end keeps pulling the
 // predicted-but-wrong path into the L1I. The effect cuts both ways —
@@ -987,26 +898,15 @@ type A8Row struct {
 // the wrong-path lines act as accidental instruction prefetch; the net IPC
 // effect is small while the extra cache traffic is real.
 func A8WrongPathFetch(r *Runner) ([]A8Row, *stats.Table, error) {
-	wp := config.Baseline()
-	wp.Name = "wrong-path-fetch"
-	wp.Core.WrongPathFetch = true
-
 	t := stats.NewTable("A8: idealised vs wrong-path-polluting fetch (single port)",
 		"workload", "idealised", "wrong-path", "ratio", "extra L1I miss/kI")
-	workloads := r.Spec().Workloads
-	var cells []cell
-	for _, w := range workloads {
-		cells = append(cells,
-			r.runCell(config.Baseline(), w),
-			r.runCell(wp, w))
-	}
-	results, err := r.runAll(cells)
+	g, err := r.runPlan(a8Plan(r.spec))
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []A8Row
-	for i, w := range workloads {
-		ideal, pol := results[2*i], results[2*i+1]
+	for i, w := range r.spec.Workloads {
+		ideal, pol := g[i][0], g[i][1]
 		row := A8Row{
 			Workload:    w,
 			IdealIPC:    ideal.IPC,

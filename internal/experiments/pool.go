@@ -7,20 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"portsim/internal/config"
 	"portsim/internal/cpu"
 )
 
-// cell is one schedulable simulation of an experiment grid: a (machine,
-// workload) pair, a mutated profile, or an ad-hoc stream. Cells must be
-// independent and deterministic — the pool runs them in any order and
+// cell is one schedulable simulation of an experiment's plan. Cells must
+// be independent and deterministic — the pool runs them in any order and
 // merges results by submission index.
 type cell func() (*cpu.Result, error)
-
-// runCell wraps the memoised Run as a cell.
-func (r *Runner) runCell(m config.Machine, workload string) cell {
-	return func() (*cpu.Result, error) { return r.Run(m, workload) }
-}
 
 // runCellContained executes one cell with a panic backstop. The runner's
 // own simulation path (runStream) already contains panics with full cell

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -16,7 +17,6 @@ import (
 	"portsim/internal/cpu"
 	"portsim/internal/cpustack"
 	"portsim/internal/diag"
-	"portsim/internal/stats"
 	"portsim/internal/trace"
 	"portsim/internal/workload"
 )
@@ -230,7 +230,7 @@ type Runner struct {
 	traceCap   *TraceCapture
 
 	// arenas is the shared trace-arena registry (see arena.go); nil when
-	// disabled by Spec.ArenaBudget or an unbounded instruction budget.
+	// disabled by Spec.ArenaBudget.
 	arenas *arenaRegistry
 
 	// demands caches workload.ProcessDemand at the spec's seed and budget
@@ -254,8 +254,7 @@ func NewRunner(spec Spec) *Runner {
 	if budget == 0 {
 		budget = DefaultArenaBudget
 	}
-	// An unbounded run (Insts == 0) cannot size arenas, so it streams live.
-	if budget > 0 && spec.Insts > 0 {
+	if budget > 0 {
 		r.arenas = newArenaRegistry(budget)
 	}
 	return r
@@ -411,14 +410,31 @@ type streamSpec struct {
 	processes, quantum int
 }
 
-// cellReq is one experiment cell as submitted: the machine, the stream it
-// runs, and the workload label it reports under (a workload name, F7's
-// database-k-* profile name, A6's compress-xN). Labels never reach the
-// model, so they are not part of the cell's identity (cellKey).
-type cellReq struct {
-	m        config.Machine
+// planStream is one row of an experiment's plan: the instruction stream its
+// cells run and the workload label they report under (a workload name,
+// F7's database-k-* profile name, A6's compress-xN). Labels never reach the
+// model, so they are not part of a cell's identity (cellKey). err is set
+// when the stream names no workload profile; every cell of the row fails
+// with it.
+type planStream struct {
 	workload string
 	streamSpec
+	err error
+}
+
+// named returns the stream of a workload profile, labelled by its name.
+func named(name string) planStream {
+	prof, ok := workload.ByName(name)
+	if !ok {
+		return planStream{workload: name, err: fmt.Errorf("experiments: unknown workload %q", name)}
+	}
+	return planStream{workload: name, streamSpec: streamSpec{prof: prof}}
+}
+
+// cellReq is one experiment cell as submitted: a stream on a machine.
+type cellReq struct {
+	m config.Machine
+	planStream
 }
 
 // cellKey is the one content-addressed cell identity of a campaign: the
@@ -459,11 +475,7 @@ func (c *cellReq) reproProfile() *workload.Profile {
 // Run simulates one workload on one machine through the runner's single
 // cell path (see run).
 func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error) {
-	prof, ok := workload.ByName(workloadName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", workloadName)
-	}
-	return r.run(cellReq{m: m, workload: workloadName, streamSpec: streamSpec{prof: prof}})
+	return r.run(cellReq{m: m, planStream: named(workloadName)})
 }
 
 // run is the one entry path of every cell — named workloads, mutated
@@ -473,6 +485,14 @@ func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error)
 // deterministic, so the campaign reports one failure per distinct cell
 // instead of re-dying once per experiment that shares it.
 func (r *Runner) run(c cellReq) (*cpu.Result, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	if r.spec.Insts == 0 {
+		// The generators never end and cpu.DeadlineFor(0) turns the
+		// deadline off, so such a cell would simulate forever.
+		return nil, errors.New("experiments: Spec.Insts is 0; a cell needs a positive instruction budget")
+	}
 	fault := ""
 	if r.spec.Fault.applies(c.workload) {
 		fault = r.spec.Fault.String()
@@ -690,7 +710,7 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 			err = cellErr("", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
 			return
 		}
-		if r.spec.Insts > 0 && res.Instructions < r.spec.Insts {
+		if res.Instructions < r.spec.Insts {
 			// Every runner stream is endless or an arena at least as long
 			// as the cell's demand, so a short run is a sizing bug; its
 			// row would render truncated numbers as if they were whole.
@@ -722,13 +742,4 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 		simulate()
 	}
 	return res, err
-}
-
-// geoMeanIPC computes the geometric-mean IPC over per-workload results.
-func geoMeanIPC(results []*cpu.Result) float64 {
-	ipcs := make([]float64, len(results))
-	for i, r := range results {
-		ipcs[i] = r.IPC
-	}
-	return stats.GeoMean(ipcs)
 }

@@ -267,9 +267,6 @@ func (c *Campaign) StoreHits() int { return int(c.storeHits.Value()) }
 // SimCycles returns the simulated-cycle total so far.
 func (c *Campaign) SimCycles() uint64 { return c.simCycles.Value() }
 
-// Elapsed returns the wall time since the campaign started.
-func (c *Campaign) Elapsed() time.Duration { return time.Since(c.start) }
-
 // CampaignStatusSchema identifies the /campaign JSON document format.
 const CampaignStatusSchema = "portsim-campaign/v1"
 

@@ -113,31 +113,25 @@ func MaxBytes(n uint64) int64 {
 // garbage than the words themselves, unlike a slice grown by append.
 const wordChunk = 8192
 
-// Materialize drains up to n instructions from s into a new arena, using
-// the stream's batch interface when it has one. A shorter arena means the
-// stream ended early. It panics on an instruction the arena could not
-// replay exactly: one that sets the operand field its class does not use
-// (Target on a load or store, Addr on any other class), or a class,
-// register or size the packed word cannot hold.
+// Materialize drains up to n instructions from s into a new arena, in
+// chunks through Batched. A shorter arena means the stream ended early. It
+// panics on an instruction the arena could not replay exactly: one that
+// sets the operand field its class does not use (Target on a load or
+// store, Addr on any other class), or a class, register or size the packed
+// word cannot hold.
 func Materialize(s Stream, n int) *Arena {
 	b := &builder{packed: make([]uint32, 0, n)}
-	if bs, ok := s.(Batcher); ok {
-		var buf [128]isa.Inst
-		for len(b.packed) < n {
-			want := min(n-len(b.packed), len(buf))
-			got := bs.NextBatch(buf[:want])
-			for i := 0; i < got; i++ {
-				b.push(&buf[i])
-			}
-			if got < want {
-				break
-			}
+	bs := Batched(s)
+	var buf [128]isa.Inst
+	for len(b.packed) < n {
+		want := min(n-len(b.packed), len(buf))
+		got := bs.NextBatch(buf[:want])
+		for i := 0; i < got; i++ {
+			b.push(&buf[i])
 		}
-		return b.arena()
-	}
-	var in isa.Inst
-	for len(b.packed) < n && s.Next(&in) {
-		b.push(&in)
+		if got < want {
+			break
+		}
 	}
 	return b.arena()
 }

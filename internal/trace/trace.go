@@ -35,6 +35,29 @@ type Batcher interface {
 	NextBatch(dst []isa.Inst) int
 }
 
+// Batched returns s as a Batcher: s itself when it already batches,
+// otherwise a wrapper whose NextBatch calls Next once per instruction, so
+// every consumer reads every stream one way.
+func Batched(s Stream) Batcher {
+	if b, ok := s.(Batcher); ok {
+		return b
+	}
+	return nextBatcher{s}
+}
+
+// nextBatcher adapts a Next-only stream to Batcher.
+type nextBatcher struct{ Stream }
+
+// NextBatch implements Batcher.
+func (n nextBatcher) NextBatch(dst []isa.Inst) int {
+	for i := range dst {
+		if !n.Next(&dst[i]) {
+			return i
+		}
+	}
+	return len(dst)
+}
+
 // SliceStream replays a fixed instruction slice; used heavily in tests to
 // drive the core with hand-built programs.
 type SliceStream struct {
