@@ -5,7 +5,7 @@
 // Usage:
 //
 //	portbench [-quick] [-insts n] [-seed n] [-only T1,F6,...] [-csv]
-//	          [-parallel n] [-arena-budget size] [-progress[=rich|plain]] [-flightrec]
+//	          [-parallel n] [-arena-budget size] [-progress[=rich|plain]]
 //	          [-inject mode:workload[:after]] [-repro-dir dir]
 //	          [-store dir] [-resume] [-inject-store mode[:rate]]
 //	          [-cpistack] [-listen addr] [-manifest path] [-hold d]
@@ -79,17 +79,16 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("portbench", flag.ContinueOnError)
 	var (
-		quick     = fs.Bool("quick", false, "reduced workload set and instruction budget")
-		insts     = fs.Uint64("insts", 0, "override the committed-instruction budget per run")
-		seed      = fs.Int64("seed", 42, "workload generator seed")
-		only      = fs.String("only", "", "comma-separated experiment ids to run (default: all)")
-		csv       = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		parallel  = fs.Int("parallel", 0, "concurrent simulations (<=0: GOMAXPROCS); tables are byte-identical at any setting")
-		arena     = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off/0 disables); tables are byte-identical at any setting")
-		flightrec = fs.Bool("flightrec", false, "arm the per-cell pipeline flight recorder (failure forensics)")
-		inject    = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge")
-		repro     = fs.String("repro", "", "replay a repro bundle file instead of running the suite")
-		reproDir  = fs.String("repro-dir", ".", "directory for repro bundles written on cell failure")
+		quick    = fs.Bool("quick", false, "reduced workload set and instruction budget")
+		insts    = fs.Uint64("insts", 0, "override the committed-instruction budget per run")
+		seed     = fs.Int64("seed", 42, "workload generator seed")
+		only     = fs.String("only", "", "comma-separated experiment ids to run (default: all)")
+		csv      = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		parallel = fs.Int("parallel", 0, "concurrent simulations (<=0: GOMAXPROCS); tables are byte-identical at any setting")
+		arena    = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off/0 disables); tables are byte-identical at any setting")
+		inject   = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge")
+		repro    = fs.String("repro", "", "replay a repro bundle file instead of running the suite")
+		reproDir = fs.String("repro-dir", ".", "directory for repro bundles written on cell failure")
 
 		storeDir    = fs.String("store", "", "durable cell store directory: finished cells are written crash-safely and restored by later runs")
 		resume      = fs.Bool("resume", false, "resume a previous campaign from -store (the store directory must already exist)")
@@ -130,7 +129,6 @@ func run(args []string, out io.Writer) error {
 	}
 	spec.Seed = *seed
 	spec.Parallel = *parallel
-	spec.FlightRecorder = *flightrec
 	spec.CPIStack = *cpistack
 	budget, err := experiments.ParseArenaBudget(*arena)
 	if err != nil {

@@ -61,10 +61,10 @@ type Level struct {
 	clock   uint64
 
 	// Statistics, exported through accessors.
-	hits, misses, writebacks, evictions uint64
+	hits, misses, writebacks uint64
 
 	// OnEvict, when non-nil, is invoked with the line-aligned address of
-	// every line that leaves the cache (replacement or invalidation).
+	// every line that replacement evicts.
 	// internal/core uses it to invalidate load-all line buffers whose
 	// backing line is gone.
 	OnEvict func(lineAddr uint64)
@@ -104,7 +104,7 @@ func NewLevel(geom config.CacheGeom) (*Level, error) {
 func (l *Level) Reset() {
 	clear(l.ways)
 	l.clock = 0
-	l.hits, l.misses, l.writebacks, l.evictions = 0, 0, 0, 0
+	l.hits, l.misses, l.writebacks = 0, 0, 0
 }
 
 // Geom returns the level's geometry.
@@ -190,7 +190,6 @@ func (l *Level) install(addr uint64, write bool) (idx int, victimAddr uint64, vi
 		victimAddr = l.lineAddrFromTag(v.tag)
 		victimDirty = st == stateDirty
 		evicted = true
-		l.evictions++
 		if victimDirty {
 			l.writebacks++
 		}
@@ -207,39 +206,9 @@ func (l *Level) install(addr uint64, write bool) (idx int, victimAddr uint64, vi
 	return base + victim, victimAddr, victimDirty, evicted
 }
 
-// Invalidate removes the line containing addr if present, returning whether
-// it was present and dirty. The OnEvict hook fires for invalidations too.
-func (l *Level) Invalidate(addr uint64) (present, dirty bool) {
-	i := l.find(addr)
-	if i < 0 {
-		return false, false
-	}
-	w := &l.ways[i]
-	dirty = w.state() == stateDirty
-	w.stamp &^= stateMask // stateInvalid
-	l.evictions++
-	if dirty {
-		l.writebacks++
-	}
-	if l.OnEvict != nil {
-		l.OnEvict(l.LineAddr(addr))
-	}
-	return true, dirty
-}
-
 func (l *Level) lineAddrFromTag(tag uint64) uint64 { return tag << l.offBits }
 
-// Hits, Misses, Writebacks and Evictions return access statistics.
+// Hits, Misses and Writebacks return access statistics.
 func (l *Level) Hits() uint64       { return l.hits }
 func (l *Level) Misses() uint64     { return l.misses }
 func (l *Level) Writebacks() uint64 { return l.writebacks }
-func (l *Level) Evictions() uint64  { return l.evictions }
-
-// MissRate returns misses / (hits+misses), zero when no accesses occurred.
-func (l *Level) MissRate() float64 {
-	total := l.hits + l.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(l.misses) / float64(total)
-}

@@ -58,16 +58,6 @@ func TestLookupMissThenHit(t *testing.T) {
 	if l.Hits() != 2 || l.Misses() != 2 {
 		t.Errorf("hits=%d misses=%d, want 2 and 2", l.Hits(), l.Misses())
 	}
-	if got := l.MissRate(); got != 0.5 {
-		t.Errorf("MissRate = %v, want 0.5", got)
-	}
-}
-
-func TestMissRateEmpty(t *testing.T) {
-	l, _ := NewLevel(smallGeom())
-	if l.MissRate() != 0 {
-		t.Error("empty cache miss rate should be 0")
-	}
 }
 
 func TestWriteMakesDirtyAndEvictsAsWriteback(t *testing.T) {
@@ -134,21 +124,6 @@ func TestInstallExistingLineIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	l, _ := NewLevel(smallGeom())
-	l.Install(0x00, true)
-	present, dirty := l.Invalidate(0x00)
-	if !present || !dirty {
-		t.Errorf("Invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
-	if l.Contains(0x00) {
-		t.Error("line survived invalidation")
-	}
-	if present, _ := l.Invalidate(0x00); present {
-		t.Error("double invalidation reported present")
-	}
-}
-
 func TestOnEvictHook(t *testing.T) {
 	l, _ := NewLevel(smallGeom())
 	var evicted []uint64
@@ -156,7 +131,7 @@ func TestOnEvictHook(t *testing.T) {
 	l.Install(0x00, false)
 	l.Install(0x40, false)
 	l.Install(0x80, false) // evicts 0x00
-	l.Invalidate(0x40)
+	l.Install(0xc0, false) // evicts 0x40
 	if len(evicted) != 2 || evicted[0] != 0x00 || evicted[1] != 0x40 {
 		t.Errorf("OnEvict saw %v, want [0x00 0x40]", evicted)
 	}

@@ -169,8 +169,8 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 }
 
 // TestCorruptShapesQuarantine is the corruption table test: every corrupt
-// shape must quarantine (entry renamed *.corrupt, StoreError recorded,
-// miss returned) — never panic, never fail the campaign.
+// shape must quarantine (entry renamed *.corrupt, StoreError logged, miss
+// returned) — never panic, never fail the campaign.
 func TestCorruptShapesQuarantine(t *testing.T) {
 	valid, err := EncodeEntry(testEntry("compress"))
 	if err != nil {
@@ -200,7 +200,14 @@ func TestCorruptShapesQuarantine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := open(t, t.TempDir(), Options{})
+			var logged []*StoreError
+			s := open(t, t.TempDir(), Options{Logf: func(_ string, args ...any) {
+				for _, a := range args {
+					if se, ok := a.(*StoreError); ok {
+						logged = append(logged, se)
+					}
+				}
+			}})
 			k := testKey("compress")
 			path := s.entryPath(k)
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -220,12 +227,11 @@ func TestCorruptShapesQuarantine(t *testing.T) {
 			if st.Quarantined != 1 || st.Misses != 1 {
 				t.Errorf("stats = %+v, want one quarantine counted as a miss", st)
 			}
-			errs := s.Errors()
-			if len(errs) != 1 {
-				t.Fatalf("%d store errors recorded, want 1", len(errs))
+			if len(logged) != 1 {
+				t.Fatalf("%d store errors logged, want 1", len(logged))
 			}
-			if errs[0].Quarantined == "" || errs[0].Op != "get" {
-				t.Errorf("StoreError = %+v, want op=get with quarantine path", errs[0])
+			if logged[0].Quarantined == "" || logged[0].Op != "get" {
+				t.Errorf("StoreError = %+v, want op=get with quarantine path", logged[0])
 			}
 			// A re-Put must replace the quarantined slot and hit again.
 			if err := s.Put(testEntry("compress")); err != nil {

@@ -25,7 +25,6 @@ func TestStoreBufferDrainDoesNotAllocate(t *testing.T) {
 		}
 		cycle += 3
 		b.Expire(cycle)
-		b.SampleOccupancy()
 	}
 	// Warm up so the entries/expired slices reach steady capacity.
 	for i := 0; i < 64; i++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"portsim/internal/config"
+	"portsim/internal/stats"
 )
 
 func bankedPorts(banks int) config.Ports {
@@ -114,8 +115,10 @@ func TestBankedUtilisationDenominator(t *testing.T) {
 	p.TryLoad(0, 0x1020, 8)
 	p.EndCycle(0)
 	p.FinishCycle()
-	if got := p.Utilisation(); got != 0.5 {
-		t.Errorf("Utilisation = %v, want 0.5 (2 of 4 banks)", got)
+	s := report(p)
+	slots := SlotsPerCycle(p.cfg)
+	if got := stats.SafeRatio(float64(s.Get(stats.PortGrants)), float64(s.Get(stats.PortCycles))*float64(slots)); got != 0.5 {
+		t.Errorf("utilisation = %v over %d slots, want 0.5 (2 of 4 banks)", got, slots)
 	}
 }
 

@@ -39,7 +39,7 @@ type LineBufferSet struct {
 
 	clock uint64
 
-	hits, fills, invalidations, misses uint64
+	hits, fills, invalidations uint64
 }
 
 // NewLineBufferSet returns a set of n load-all buffers for chunkBytes-wide
@@ -78,7 +78,6 @@ func (s *LineBufferSet) Lookup(addr uint64) (readyAt uint64, hit bool) {
 			return s.readyAt[i], true
 		}
 	}
-	s.misses++
 	return 0, false
 }
 
@@ -144,27 +143,15 @@ func (s *LineBufferSet) InvalidateLine(lineAddr uint64, lineBytes int) {
 	}
 }
 
-// InvalidateAll empties the set (used at kernel entry in OS-disruption
-// experiments and by tests).
-func (s *LineBufferSet) InvalidateAll() {
-	for i := range s.valid {
-		if s.valid[i] {
-			s.valid[i] = false
-			s.invalidations++
-		}
-	}
-}
-
 // Reset empties the set and zeroes the statistics, restoring the
-// just-constructed state (unlike InvalidateAll, which counts the
-// invalidations as simulated events).
+// just-constructed state.
 func (s *LineBufferSet) Reset() {
 	clear(s.chunkAddr)
 	clear(s.readyAt)
 	clear(s.lru)
 	clear(s.valid)
 	s.clock = 0
-	s.hits, s.fills, s.invalidations, s.misses = 0, 0, 0, 0
+	s.hits, s.fills, s.invalidations = 0, 0, 0
 }
 
 // Size returns the number of buffers.
@@ -181,17 +168,7 @@ func (s *LineBufferSet) Live() int {
 	return n
 }
 
-// Hits, Misses, Fills and Invalidations return statistics.
+// Hits, Fills and Invalidations return statistics.
 func (s *LineBufferSet) Hits() uint64          { return s.hits }
-func (s *LineBufferSet) Misses() uint64        { return s.misses }
 func (s *LineBufferSet) Fills() uint64         { return s.fills }
 func (s *LineBufferSet) Invalidations() uint64 { return s.invalidations }
-
-// HitRate returns hits/(hits+misses), zero when unused.
-func (s *LineBufferSet) HitRate() float64 {
-	total := s.hits + s.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.hits) / float64(total)
-}

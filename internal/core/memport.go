@@ -124,8 +124,10 @@ type MemPort struct {
 	loadsBySource     [3]uint64
 	rejects           [5]uint64
 	cycles            uint64
-	busyGrants        uint64 // total grants, for utilisation
-	grantHist         *stats.Histogram
+	busyGrants        uint64 // total grants over every cycle
+	// grantCounts[g] counts the cycles that granted g access slots; it has
+	// SlotsPerCycle+1 entries, since no cycle grants more than every slot.
+	grantCounts []uint64
 
 	// rec is the optional flight recorder (nil when disabled); it sees
 	// store-drain grants, the port-side events the core cannot observe.
@@ -143,7 +145,7 @@ type refillWindow struct {
 // SlotsPerCycle is the peak accesses per cycle a port arrangement allows:
 // one per bank when banked, otherwise one per port. Exported for the
 // telemetry layer, which renders one trace lane per slot and normalises
-// utilization by it — the same divisor Utilisation uses.
+// utilization by it.
 func SlotsPerCycle(cfg config.Ports) int {
 	if cfg.Banks > 1 {
 		return cfg.Banks
@@ -155,13 +157,13 @@ func SlotsPerCycle(cfg config.Ports) int {
 // configuration must already be validated.
 func NewMemPort(cfg config.Ports, sys *mem.System) *MemPort {
 	p := &MemPort{
-		cfg:       cfg,
-		sys:       sys,
-		lbs:       NewLineBufferSet(cfg.LineBuffers, cfg.WidthBytes),
-		sb:        NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
-		wide:      cfg.WidthBytes > 8,
-		grantHist: stats.NewHistogram(SlotsPerCycle(cfg) + 1),
-		refillDue: NeverEvent,
+		cfg:         cfg,
+		sys:         sys,
+		lbs:         NewLineBufferSet(cfg.LineBuffers, cfg.WidthBytes),
+		sb:          NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
+		wide:        cfg.WidthBytes > 8,
+		grantCounts: make([]uint64, SlotsPerCycle(cfg)+1),
+		refillDue:   NeverEvent,
 	}
 	if cfg.Banks > 1 {
 		p.banked = true
@@ -210,7 +212,7 @@ func (p *MemPort) Reset() {
 	p.loadsBySource = [3]uint64{}
 	p.rejects = [5]uint64{}
 	p.cycles, p.busyGrants = 0, 0
-	p.grantHist.Reset()
+	clear(p.grantCounts)
 	p.lbs.Reset()
 	p.sb.Reset()
 	p.rec = nil
@@ -274,7 +276,6 @@ func (p *MemPort) BeginCycle(now uint64) {
 		p.refillCycles += uint64(pay)
 	}
 	p.sb.Expire(now)
-	p.sb.SampleOccupancy()
 	if p.cfg.StoresFirst {
 		p.drainStores(now)
 	}
@@ -545,7 +546,7 @@ func (p *MemPort) issuePrefetches(now uint64) {
 
 // FinishCycle records end-of-cycle statistics. Call after EndCycle.
 func (p *MemPort) FinishCycle() {
-	p.grantHist.Observe(uint64(p.grants))
+	p.grantCounts[p.grants]++
 }
 
 // PendingStores reports the store-buffer occupancy (entries not yet
@@ -598,27 +599,9 @@ func (p *MemPort) Report(s *stats.Set) {
 	s.Add(stats.PortRefillCycles, p.refillCycles)
 	s.Add(stats.PortPrefetches, p.prefetches)
 	s.Add(stats.PortUsefulPrefetches, p.usefulPrefetch)
-	for v := 0; v <= SlotsPerCycle(p.cfg); v++ {
-		s.Add(stats.GrantBucket(v), p.grantHist.Bucket(uint64(v)))
+	for v, n := range p.grantCounts {
+		s.Add(stats.GrantBucket(v), n)
 	}
-}
-
-// Utilisation returns the mean fraction of access slots (ports or banks)
-// granted per cycle.
-func (p *MemPort) Utilisation() float64 {
-	slots := uint64(SlotsPerCycle(p.cfg))
-	if p.cycles == 0 || slots == 0 {
-		return 0
-	}
-	return float64(p.busyGrants) / float64(p.cycles*slots)
-}
-
-// GrantHistogram returns the per-cycle grant-count histogram.
-func (p *MemPort) GrantHistogram() *stats.Histogram { return p.grantHist }
-
-// LoadsBySource returns the counts of loads satisfied by each source.
-func (p *MemPort) LoadsBySource() (cache, lineBuffer, storeBuffer uint64) {
-	return p.loadsBySource[SourceCache], p.loadsBySource[SourceLineBuffer], p.loadsBySource[SourceStoreBuffer]
 }
 
 // Rejects returns the rejection counts by reason.

@@ -23,6 +23,13 @@ func newPort(t *testing.T, ports config.Ports) (*MemPort, *mem.System) {
 	return NewMemPort(m.Ports, sys), sys
 }
 
+// report returns the counters p contributes to a cell's Result.
+func report(p *MemPort) *stats.Set {
+	s := stats.NewSet()
+	p.Report(s)
+	return s
+}
+
 func singleNarrow() config.Ports {
 	return config.Ports{Count: 1, WidthBytes: 8, StoreBufferEntries: 8, FillBytesPerCycle: 16, StoresCheckLineBuffers: true}
 }
@@ -81,8 +88,8 @@ func TestLoadAllLineBufferSkipsPort(t *testing.T) {
 	if r2.Ready < r.Ready {
 		t.Error("line-buffer data ready before the fill that latched it")
 	}
-	if _, lb, _ := p.LoadsBySource(); lb != 1 {
-		t.Error("line-buffer load not counted")
+	if got := report(p).Get(stats.PortLoadsFromLineBuffer); got != 1 {
+		t.Errorf("line-buffer loads = %d, want 1", got)
 	}
 }
 
@@ -240,8 +247,8 @@ func TestCombiningRetiresManyStoresPerDrain(t *testing.T) {
 	if p.StoreBuffer().Drains() != 1 {
 		t.Fatal("combined entry did not drain in one port write")
 	}
-	if got := p.StoreBuffer().StoresPerDrain(); got != float64(perChunk) {
-		t.Errorf("StoresPerDrain = %v, want %d", got, perChunk)
+	if s := report(p); s.Get(stats.PortSBInserts) != uint64(perChunk) || s.Get(stats.PortSBDrains) != 1 {
+		t.Errorf("%d stores in %d drains, want %d in 1", s.Get(stats.PortSBInserts), s.Get(stats.PortSBDrains), perChunk)
 	}
 }
 
@@ -271,12 +278,45 @@ func TestUtilisationAndHistogram(t *testing.T) {
 		p.EndCycle(cyc)
 		p.FinishCycle()
 	}
-	if got := p.Utilisation(); got != 0.5 {
-		t.Errorf("Utilisation = %v, want 0.5", got)
+	s := report(p)
+	if grants, cycles := s.Get(stats.PortGrants), s.Get(stats.PortCycles); grants != 2 || cycles != 4 {
+		t.Errorf("%d grants in %d cycles, want 2 in 4", grants, cycles)
 	}
-	h := p.GrantHistogram()
-	if h.Bucket(0) != 2 || h.Bucket(1) != 2 {
-		t.Errorf("grant histogram 0:%d 1:%d, want 2 and 2", h.Bucket(0), h.Bucket(1))
+	if s.Get(stats.GrantBucket(0)) != 2 || s.Get(stats.GrantBucket(1)) != 2 {
+		t.Errorf("grant histogram 0:%d 1:%d, want 2 and 2", s.Get(stats.GrantBucket(0)), s.Get(stats.GrantBucket(1)))
+	}
+}
+
+// TestGrantBucketsConserveCycles: every cycle lands in exactly one grant
+// bucket, so the buckets sum to the port's cycles and their weighted sum
+// to its grants, on single, dual and banked ports alike.
+func TestGrantBucketsConserveCycles(t *testing.T) {
+	dual := singleNarrow()
+	dual.Count = 2
+	for _, cfg := range []config.Ports{singleNarrow(), dual, bankedPorts(4), bestSingle()} {
+		p, _ := newPort(t, cfg)
+		rng := rand.New(rand.NewSource(7))
+		for cyc := uint64(0); cyc < 2000; cyc++ {
+			p.BeginCycle(cyc)
+			for i := rng.Intn(4); i > 0; i-- {
+				p.TryLoad(cyc, uint64(rng.Intn(1<<16))&^7, 8)
+			}
+			if rng.Intn(3) == 0 {
+				p.TryCommitStore(cyc, uint64(rng.Intn(1<<16))&^7, 8)
+			}
+			p.EndCycle(cyc)
+			p.FinishCycle()
+		}
+		s := report(p)
+		var cycles, grants uint64
+		for g := 0; g <= SlotsPerCycle(cfg); g++ {
+			cycles += s.Get(stats.GrantBucket(g))
+			grants += uint64(g) * s.Get(stats.GrantBucket(g))
+		}
+		if cycles != s.Get(stats.PortCycles) || grants != s.Get(stats.PortGrants) {
+			t.Errorf("%+v: buckets hold %d cycles and %d grants, counters %d and %d",
+				cfg, cycles, grants, s.Get(stats.PortCycles), s.Get(stats.PortGrants))
+		}
 	}
 }
 

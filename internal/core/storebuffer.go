@@ -80,7 +80,6 @@ type StoreBuffer struct {
 	expired []SBEntry // scratch returned by Expire, reused across cycles
 
 	inserts, combined, drains, forwards uint64
-	occupancySamples, occupancySum      uint64
 }
 
 // NewStoreBuffer returns a store buffer of the given capacity for
@@ -117,7 +116,6 @@ func (b *StoreBuffer) Reset() {
 	b.nextExpiry = NeverEvent
 	b.drainCandValid = false
 	b.inserts, b.combined, b.drains, b.forwards = 0, 0, 0, 0
-	b.occupancySamples, b.occupancySum = 0, 0
 }
 
 // ChunkAddr returns addr rounded down to its aligned chunk.
@@ -282,10 +280,9 @@ func (b *StoreBuffer) MarkIssued(i int, done uint64) {
 	b.drains++
 }
 
-// ChunkAddrAt, MaskAt and SeqAt expose occupying entry i's identity for the
-// port arbiter and its diagnostics.
+// ChunkAddrAt and SeqAt expose occupying entry i's identity for the port
+// arbiter and its diagnostics.
 func (b *StoreBuffer) ChunkAddrAt(i int) uint64 { return b.chunkAddr[i] }
-func (b *StoreBuffer) MaskAt(i int) uint64      { return b.mask[i] }
 func (b *StoreBuffer) SeqAt(i int) uint64       { return b.seq[i] }
 
 // HoldActive reports whether the combining hold policy keeps entry i out of
@@ -355,12 +352,6 @@ func (b *StoreBuffer) Expire(now uint64) []SBEntry {
 	return b.expired[:k]
 }
 
-// SampleOccupancy records the current occupancy for the utilisation stats.
-func (b *StoreBuffer) SampleOccupancy() {
-	b.occupancySamples++
-	b.occupancySum += uint64(b.n)
-}
-
 // Len returns the number of occupying entries.
 func (b *StoreBuffer) Len() int { return b.n }
 
@@ -368,25 +359,7 @@ func (b *StoreBuffer) Len() int { return b.n }
 func (b *StoreBuffer) Cap() int { return b.capacity }
 
 // Inserts, Combined, Drains and Forwards return statistics.
-// StoresPerDrain is the headline combining metric: program stores retired
-// per port write.
 func (b *StoreBuffer) Inserts() uint64  { return b.inserts }
 func (b *StoreBuffer) Combined() uint64 { return b.combined }
 func (b *StoreBuffer) Drains() uint64   { return b.drains }
 func (b *StoreBuffer) Forwards() uint64 { return b.forwards }
-
-// StoresPerDrain returns inserts/drains, zero when nothing drained yet.
-func (b *StoreBuffer) StoresPerDrain() float64 {
-	if b.drains == 0 {
-		return 0
-	}
-	return float64(b.inserts) / float64(b.drains)
-}
-
-// MeanOccupancy returns the average sampled occupancy.
-func (b *StoreBuffer) MeanOccupancy() float64 {
-	if b.occupancySamples == 0 {
-		return 0
-	}
-	return float64(b.occupancySum) / float64(b.occupancySamples)
-}

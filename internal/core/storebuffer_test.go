@@ -85,14 +85,13 @@ func TestStoreBufferCombiningMergesChunk(t *testing.T) {
 	if b.Combined() != 1 || b.Inserts() != 2 {
 		t.Errorf("combined=%d inserts=%d", b.Combined(), b.Inserts())
 	}
-	i := b.NextDrain()
-	if b.MaskAt(i) != 0xffff {
-		t.Errorf("mask = %#x, want 0xffff (bytes 0-15)", b.MaskAt(i))
+	b.MarkIssued(b.NextDrain(), 5)
+	out := b.Expire(10)
+	if len(out) != 1 || out[0].Mask != 0xffff {
+		t.Errorf("expired %+v, want one entry with mask 0xffff (bytes 0-15)", out)
 	}
-	b.MarkIssued(i, 5)
-	b.Expire(10)
-	if got := b.StoresPerDrain(); got != 2 {
-		t.Errorf("StoresPerDrain = %v, want 2", got)
+	if b.Drains() != 1 {
+		t.Errorf("drains = %d, want 1 port write for both stores", b.Drains())
 	}
 }
 
@@ -200,14 +199,25 @@ func TestStoreBufferInsertPanics(t *testing.T) {
 	}
 }
 
+// TestStoreBufferOccupancy: Len, which end-of-run draining and the stall
+// diagnosis read, counts an entry from insert until Expire removes it,
+// including while its write is in flight.
 func TestStoreBufferOccupancy(t *testing.T) {
 	b := NewStoreBuffer(4, 32, false)
-	b.SampleOccupancy()
+	if b.Len() != 0 {
+		t.Fatalf("new buffer Len = %d", b.Len())
+	}
 	b.Insert(0, 0x100, 8, nil)
-	b.SampleOccupancy()
-	b.SampleOccupancy()
-	if got := b.MeanOccupancy(); got != 2.0/3.0 {
-		t.Errorf("MeanOccupancy = %v, want 2/3", got)
+	b.Insert(0, 0x108, 8, nil) // no combining: a second entry
+	if b.Len() != 2 {
+		t.Fatalf("Len = %d after two inserts, want 2", b.Len())
+	}
+	b.MarkIssued(b.NextDrain(), 5)
+	if b.Expire(4); b.Len() != 2 {
+		t.Errorf("Len = %d with one write in flight, want 2", b.Len())
+	}
+	if b.Expire(5); b.Len() != 1 {
+		t.Errorf("Len = %d after the write completed, want 1", b.Len())
 	}
 }
 

@@ -373,27 +373,63 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		cfg:          cfg,
-		sys:          sys,
-		port:         core.NewMemPort(cfg.Ports, sys),
-		pred:         pred,
-		stream:       trace.Batched(stream),
-		batchBuf:     make([]isa.Inst, streamChunk),
-		rob:          make([]robEntry, cfg.Core.ROBEntries),
-		liveList:     make([]int32, cfg.Core.ROBEntries),
-		liveStores:   make([]int32, cfg.Core.StoreQueueEntries),
-		wakeHeap:     make([]wakeEntry, 0, cfg.Core.ROBEntries),
-		issList:      make([]int32, cfg.Core.ROBEntries),
-		sqRing:       make([]int32, pow2AtLeast(cfg.Core.StoreQueueEntries)),
-		fetchBuf:     make([]fetchedInst, 4*cfg.Core.FetchWidth),
-		nextDoneAt:   never,
-		curFetchLine: ^uint64(0),
-		sqGen:        1,
+		cfg:        cfg,
+		sys:        sys,
+		port:       core.NewMemPort(cfg.Ports, sys),
+		pred:       pred,
+		batchBuf:   make([]isa.Inst, streamChunk),
+		rob:        make([]robEntry, cfg.Core.ROBEntries),
+		liveList:   make([]int32, cfg.Core.ROBEntries),
+		liveStores: make([]int32, cfg.Core.StoreQueueEntries),
+		wakeHeap:   make([]wakeEntry, 0, cfg.Core.ROBEntries),
+		issList:    make([]int32, cfg.Core.ROBEntries),
+		sqRing:     make([]int32, pow2AtLeast(cfg.Core.StoreQueueEntries)),
+		fetchBuf:   make([]fetchedInst, 4*cfg.Core.FetchWidth),
+		intReady:   make([]uint64, cfg.Core.IntPhysRegs),
+		fpReady:    make([]uint64, cfg.Core.FPPhysRegs),
+		intFree:    make([]int16, 0, cfg.Core.IntPhysRegs),
+		fpFree:     make([]int16, 0, cfg.Core.FPPhysRegs),
+		intWaiter:  make([]int32, cfg.Core.IntPhysRegs),
+		fpWaiter:   make([]int32, cfg.Core.FPPhysRegs),
 	}
-	c.intReady = make([]uint64, cfg.Core.IntPhysRegs)
-	c.fpReady = make([]uint64, cfg.Core.FPPhysRegs)
-	c.intWaiter = make([]int32, cfg.Core.IntPhysRegs)
-	c.fpWaiter = make([]int32, cfg.Core.FPPhysRegs)
+	c.reset(stream)
+	return c, nil
+}
+
+// reset puts the core-local state — pipeline, renamer, queues, fetch,
+// statistics — in its starting state over a fresh stream. It keeps the
+// configuration, the subsystems and every backing array, so New and
+// Retarget write the initial state in one place.
+func (c *Core) reset(stream trace.Stream) {
+	*c = Core{
+		cfg:          c.cfg,
+		sys:          c.sys,
+		port:         c.port,
+		pred:         c.pred,
+		stream:       trace.Batched(stream),
+		batchBuf:     c.batchBuf,
+		rob:          c.rob,
+		issList:      c.issList,
+		nextDoneAt:   never,
+		liveList:     c.liveList,
+		liveStores:   c.liveStores,
+		wakeHeap:     c.wakeHeap[:0],
+		sqRing:       c.sqRing,
+		sqGen:        1,
+		intReady:     c.intReady,
+		fpReady:      c.fpReady,
+		intFree:      c.intFree[:0],
+		fpFree:       c.fpFree[:0],
+		intWaiter:    c.intWaiter,
+		fpWaiter:     c.fpWaiter,
+		fetchBuf:     c.fetchBuf,
+		curFetchLine: ^uint64(0),
+		lastBucket:   cpustack.NumBuckets,
+	}
+	clear(c.rob)
+	clear(c.intReady)
+	clear(c.fpReady)
+	clear(c.fetchBuf)
 	for i := range c.intWaiter {
 		c.intWaiter[i] = -1
 	}
@@ -406,13 +442,12 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		c.intMap[i] = int16(i)
 		c.fpMap[i] = int16(i)
 	}
-	for i := 32; i < cfg.Core.IntPhysRegs; i++ {
+	for i := 32; i < len(c.intReady); i++ {
 		c.intFree = append(c.intFree, int16(i))
 	}
-	for i := 32; i < cfg.Core.FPPhysRegs; i++ {
+	for i := 32; i < len(c.fpReady); i++ {
 		c.fpFree = append(c.fpFree, int16(i))
 	}
-	return c, nil
 }
 
 // Reset restores the core — pipeline, renamer, predictors, port subsystem,
@@ -468,71 +503,9 @@ func (c *Core) Retarget(cfg *config.Machine, stream trace.Stream) (bool, error) 
 	}
 	c.cfg = cfg
 	c.pred.Reset()
-	c.stream = trace.Batched(stream)
-	c.cycle, c.seq = 0, 0
-	c.batchPos, c.batchLen = 0, 0
-	clear(c.rob)
-	c.robHead, c.robCount = 0, 0
-	c.committed, c.maxInsts = 0, 0
-	c.issCount = 0
-	c.nextDoneAt = never
-	c.liveCount = 0
-	c.liveStoreCount = 0
-	c.wakeHeap = c.wakeHeap[:0]
-	c.sqHead, c.sqTail = 0, 0
-	c.sqGen = 1
-	clear(c.intReady)
-	clear(c.fpReady)
-	for i := range c.intWaiter {
-		c.intWaiter[i] = -1
-	}
-	for i := range c.fpWaiter {
-		c.fpWaiter[i] = -1
-	}
-	c.intFree = c.intFree[:0]
-	c.fpFree = c.fpFree[:0]
-	for i := 0; i < 32; i++ {
-		c.intMap[i] = int16(i)
-		c.fpMap[i] = int16(i)
-	}
-	for i := 32; i < c.cfg.Core.IntPhysRegs; i++ {
-		c.intFree = append(c.intFree, int16(i))
-	}
-	for i := 32; i < c.cfg.Core.FPPhysRegs; i++ {
-		c.fpFree = append(c.fpFree, int16(i))
-	}
-	c.intQCount, c.fpQCount = 0, 0
-	c.lqCount, c.sqCount = 0, 0
-	c.intDivFreeAt, c.fpDivFreeAt = 0, 0
-	c.readyGen = 0
-	clear(c.fetchBuf)
-	c.fbHead, c.fbCount = 0, 0
-	c.fetchBlockedTil = 0
-	c.stallSeq = 0
-	c.stallOnCommit = false
-	c.curFetchLine = ^uint64(0)
-	c.havePending = false
-	c.pending = isa.Inst{}
-	c.streamDone = false
-	c.wrongPathPC, c.wrongPathLines = 0, 0
-	c.lastCommitSeq = 0
-	c.rec = nil
-	c.acct = nil
-	c.lastBucket = cpustack.NumBuckets
-	c.loads, c.stores, c.branches, c.mispredicts = 0, 0, 0, 0
-	c.memViolations, c.lsqForwards = 0, 0
-	c.userInsts, c.kernelInsts = 0, 0
-	c.fetchStallCycles, c.robFullCycles = 0, 0
-	c.commitStallSB = 0
-	c.classCount = [isa.NumClasses]uint64{}
+	c.reset(stream)
 	return true, nil
 }
-
-// Port exposes the memory-port subsystem for inspection.
-func (c *Core) Port() *core.MemPort { return c.port }
-
-// Mem exposes the memory hierarchy for inspection.
-func (c *Core) Mem() *mem.System { return c.sys }
 
 // Cycle returns the current cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }

@@ -200,18 +200,18 @@ func TestStreamEndMidPipeline(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTripThroughCore: a generator stream serialised to the
-// binary trace format and replayed produces the identical simulation result
-// as the live generator.
+// TestTraceRoundTripThroughCore: a generator stream captured into an arena,
+// decoded back to instructions and replayed through a plain slice stream
+// produces the identical simulation result as the live generator.
 func TestTraceRoundTripThroughCore(t *testing.T) {
+	const n = 30_000
 	p, _ := workload.ByName("verilog")
 	g, err := workload.New(p, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tee := trace.NewTee(trace.NewLimit(g, 30_000))
 	m := config.Baseline()
-	c, err := New(&m, tee)
+	c, err := New(&m, trace.NewLimit(g, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +219,18 @@ func TestTraceRoundTripThroughCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay the captured instructions.
+	// Capture the same stream from a fresh generator and replay it.
+	g2, err := workload.New(p, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := trace.Materialize(g2, n)
+	captured := make([]isa.Inst, a.Len())
+	for i := range captured {
+		a.Inst(i, &captured[i])
+	}
 	m2 := config.Baseline()
-	c2, err := New(&m2, trace.NewSliceStream(tee.Captured))
+	c2, err := New(&m2, trace.NewSliceStream(captured))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,19 +112,6 @@ func (b Bucket) String() string {
 // charset, for /metrics series like portsim_cpi_mem_fill_wait_cycles_total.
 func (b Bucket) MetricName() string { return metricNames[b] }
 
-// Group returns the bucket's top taxonomy level: the issue.* buckets
-// report "issue", the mem.* buckets "memory", everything else itself.
-func (b Bucket) Group() string {
-	switch b {
-	case IssuePortReject, IssueOperandWait, IssueDivider:
-		return "issue"
-	case MemMSHRFull, MemDRAMBandwidth, MemFillWait:
-		return "memory"
-	default:
-		return b.String()
-	}
-}
-
 // BucketByName resolves a canonical dotted name back to its Bucket.
 func BucketByName(name string) (Bucket, bool) {
 	for b := Bucket(0); b < NumBuckets; b++ {

@@ -67,9 +67,6 @@ func TestNamesRoundTrip(t *testing.T) {
 		if !metricRe.MatchString(b.MetricName()) {
 			t.Errorf("metric name %q for %s is not metric-safe", b.MetricName(), name)
 		}
-		if b.Group() == "" {
-			t.Errorf("bucket %s has no group", name)
-		}
 	}
 	if _, ok := BucketByName("no-such-bucket"); ok {
 		t.Error("BucketByName accepted an unknown name")

@@ -136,9 +136,6 @@ func (r *Recorder) Record(cycle uint64, kind EventKind, seq, addr uint64) {
 	r.total++
 }
 
-// Enabled reports whether the recorder is live.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Depth returns the ring capacity (zero when disabled).
 func (r *Recorder) Depth() int {
 	if r == nil {

@@ -89,13 +89,13 @@ func ParseBundle(data []byte) (*Bundle, error) {
 // the clean result, proving the failure is gone.
 func (b *Bundle) Replay() (*cpu.Result, error) {
 	r := NewRunner(Spec{
-		Workloads:      []string{b.Workload},
-		Insts:          b.Insts,
-		Seed:           b.Seed,
-		Parallel:       1,
-		FlightRecorder: true,
-		Fault:          b.Fault,
+		Workloads: []string{b.Workload},
+		Insts:     b.Insts,
+		Seed:      b.Seed,
+		Parallel:  1,
+		Fault:     b.Fault,
 	})
+	r.recordAll = true
 	if b.Profile != nil {
 		return r.run(cellReq{m: b.Machine, planStream: planStream{workload: b.Workload, streamSpec: streamSpec{prof: *b.Profile}}})
 	}

@@ -34,10 +34,6 @@ type Spec struct {
 	// deterministic and cells are merged in submission order, so the
 	// rendered tables are byte-identical at any parallelism level.
 	Parallel int
-	// FlightRecorder arms the per-cell pipeline flight recorder so any
-	// cell failure carries its last diag.DefaultDepth events. It is off
-	// by default; cells poisoned by Fault always record regardless.
-	FlightRecorder bool
 	// Fault, when non-nil, poisons every cell of the matching workload —
 	// the fault-injection hook behind the robustness tests and portbench
 	// -inject. Healthy workloads are unaffected.
@@ -184,6 +180,11 @@ type memoEntry struct {
 type Runner struct {
 	spec     Spec
 	parallel int
+
+	// recordAll arms the per-cell pipeline flight recorder on every cell,
+	// so a failure carries its last diag.DefaultDepth events (Bundle.Replay
+	// sets it). Cells poisoned by Spec.Fault always record regardless.
+	recordAll bool
 
 	mu    sync.Mutex
 	cache map[cellstore.Key]*memoEntry
@@ -610,7 +611,7 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 	m := c.m
 	rec := traceRec
 	armed := r.spec.Fault.applies(c.workload)
-	if rec == nil && (r.spec.FlightRecorder || armed) {
+	if rec == nil && (r.recordAll || armed) {
 		rec = diag.NewRecorder(0)
 	}
 	if armed {

@@ -125,6 +125,12 @@ func (r *Runner) runDurable(c *cellReq, key cellstore.Key) (*cpu.Result, error) 
 		if entry, _ := st.Get(key); entry != nil {
 			res, err, decErr := r.restoreEntry(entry, c)
 			if decErr == nil {
+				// The store keeps no events: a trace requested by this
+				// cell re-simulates it unreported, as run does for a memo
+				// hit.
+				if rec := r.armTrace(c.m.Name, c.workload); rec != nil {
+					r.runStream(c, key, rec, false)
+				}
 				// Store hits never reach runStream's observer; report here.
 				r.emitCell(c, key, CellEvent{StoreHit: true, Result: res, Err: err})
 				return res, err

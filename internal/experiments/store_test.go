@@ -85,6 +85,41 @@ func TestStoreColdWarmOffIdentical(t *testing.T) {
 	}
 }
 
+// TestStoreRestoredCellTraces: a traced runner whose traced cell the store
+// restores still captures the trace, by re-simulating that cell unreported,
+// and renders the same table as the cold run without simulating a counted
+// cycle.
+func TestStoreRestoredCellTraces(t *testing.T) {
+	dir := t.TempDir()
+	spec, _ := storeSpec(t, dir)
+	spec.Workloads = []string{"compress"}
+	_, coldTable, err := F1PortCount(NewRunner(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec, st := storeSpec(t, dir)
+	spec.Workloads = []string{"compress"}
+	spec.Trace = &TraceSpec{Workload: "compress"}
+	traced := NewRunner(spec)
+	_, gotTable, err := F1PortCount(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTable.String() != coldTable.String() {
+		t.Errorf("traced warm table differs:\n--- cold ---\n%s\n--- traced warm ---\n%s", coldTable, gotTable)
+	}
+	if s := st.Stats(); s.Hits == 0 || s.Misses != 0 {
+		t.Fatalf("warm store stats = %+v, want every cell restored", s)
+	}
+	if traced.SimulatedCycles() != 0 {
+		t.Errorf("warm run counted %d simulated cycles, want 0", traced.SimulatedCycles())
+	}
+	if c := traced.Trace(); c == nil || len(c.Events) == 0 {
+		t.Fatal("no trace captured for a cell restored from the store")
+	}
+}
+
 // TestStoreHitEmitsCellEvent asserts restored cells reach the telemetry
 // observer with StoreHit set (they bypass runStream's observer defer) and
 // that memo waiters on the same runner still report MemoHit.

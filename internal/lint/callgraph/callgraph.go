@@ -340,9 +340,6 @@ type Closure struct {
 	graph   *Graph
 	entries map[string]*Entry // keyed by types.Func.FullName
 	order   []*Entry
-	// coldStops are the coldpath-annotated functions the propagation
-	// actually stopped at, in visit order.
-	coldStops []*Func
 }
 
 // HotpathClosure computes the closure. scopePackages lists the import paths
@@ -366,7 +363,6 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 		}
 	}
 
-	seenCold := make(map[string]bool)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -377,10 +373,6 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 			}
 			key := callee.Obj.FullName()
 			if callee.Coldpath {
-				if !seenCold[key] {
-					seenCold[key] = true
-					cl.coldStops = append(cl.coldStops, callee)
-				}
 				continue
 			}
 			if _, ok := cl.entries[key]; ok {
@@ -400,9 +392,6 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 // Entries returns the closure in deterministic visit order (roots first, in
 // source order, then breadth-first).
 func (cl *Closure) Entries() []*Entry { return cl.order }
-
-// ColdStops returns the coldpath functions that stopped propagation.
-func (cl *Closure) ColdStops() []*Func { return cl.coldStops }
 
 // Contains returns the closure entry for a function object, or nil.
 func (cl *Closure) Contains(obj *types.Func) *Entry { return cl.entries[obj.FullName()] }

@@ -189,12 +189,8 @@ func expensive() {}
 	if _, in := byName["a.expensive"]; in {
 		t.Error("coldpath must stop propagation before a.expensive")
 	}
-	stops := cl.ColdStops()
-	if len(stops) != 1 || callgraph.DisplayName(stops[0].Obj) != "a.drain" {
-		t.Errorf("cold stops = %v, want [a.drain]", stops)
-	}
-	if stops[0].ColdpathReason == "" {
-		t.Error("coldpath reason not captured")
+	if d := find(t, g, "a.drain"); !d.Coldpath || d.ColdpathReason == "" {
+		t.Errorf("a.drain: coldpath %v, reason %q; want the directive and its reason", d.Coldpath, d.ColdpathReason)
 	}
 }
 

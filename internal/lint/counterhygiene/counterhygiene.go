@@ -3,8 +3,8 @@
 // write and read back by name; a typo on either side produces a silent zero
 // that flows straight into EXPERIMENTS.md. The analyzer enforces:
 //
-//   - Per package: every counter name passed to (*stats.Set).Add/Inc/Get/
-//     Ratio must be a compile-time string constant, or a call to a name
+//   - Per package: every counter name passed to (*stats.Set).Add/Inc/Get
+//     must be a compile-time string constant, or a call to a name
 //     constructor declared in the stats package itself (stats.ClassCounter,
 //     stats.GrantBucket) for the few families whose names are data-
 //     dependent.
@@ -57,10 +57,9 @@ var methodNameArgs = map[string]struct {
 	args  []int
 	write bool
 }{
-	"Add":   {args: []int{0}, write: true},
-	"Inc":   {args: []int{0}, write: true},
-	"Get":   {args: []int{0}, write: false},
-	"Ratio": {args: []int{0, 1}, write: false},
+	"Add": {args: []int{0}, write: true},
+	"Inc": {args: []int{0}, write: true},
+	"Get": {args: []int{0}, write: false},
 }
 
 // Analyzer is the counterhygiene analyzer.

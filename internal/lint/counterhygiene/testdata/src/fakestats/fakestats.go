@@ -22,11 +22,3 @@ func (s *Set) Inc(name string) { s.Add(name, 1) }
 
 // Get returns the named counter's value.
 func (s *Set) Get(name string) uint64 { return s.counters[name] }
-
-// Ratio returns num/den as a float.
-func (s *Set) Ratio(num, den string) float64 {
-	if d := s.Get(den); d != 0 {
-		return float64(s.Get(num)) / float64(d)
-	}
-	return 0
-}

@@ -2,6 +2,10 @@ package lint_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,6 +26,98 @@ func TestRepoClean(t *testing.T) {
 	for _, f := range lint.Active(findings) {
 		t.Errorf("portlint finding on the repository itself: %s", f)
 	}
+}
+
+// testOnlyExportAllowlist names the exported functions kept although only
+// tests call them: independent oracles and fixtures that check production
+// code from the outside.
+var testOnlyExportAllowlist = map[string]bool{
+	"trace.NewSliceStream":         true, // fixture: a Stream over a fixed instruction slice
+	"cache.NewFunctional":          true, // oracle: the flat-array reference the cache levels are fuzzed against
+	"cache.Functional.Read":        true, // oracle: reads back the reference's contents
+	"core.StoreBuffer.ReadForward": true, // oracle hook: byte-exact forwarding in TestStoreBufferByteExactness
+}
+
+// TestNoTestOnlyExports fails on any exported function or method declared
+// under internal/ whose name no non-test file of the module or of bench/
+// uses outside a declaration: production API that only tests read is
+// deleted rather than kept alive by its test. The match is by name, so a
+// method shares its uses with every other identifier of that name.
+func TestNoTestOnlyExports(t *testing.T) {
+	const root = "../.."
+	type export struct{ key, pos string }
+	var exports []export
+	used := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		declared := make(map[*ast.Ident]bool)
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if fn.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+				exports = append(exports, export{f.Name.Name + "." + funcName(fn), fset.Position(fn.Pos()).String()})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := make(map[string]bool)
+	for _, e := range exports {
+		exported[e.key] = true
+		name := e.key[strings.LastIndexByte(e.key, '.')+1:]
+		if !used[name] && !testOnlyExportAllowlist[e.key] {
+			t.Errorf("%s: %s is exported but only tests call it", e.pos, e.key)
+		}
+	}
+	for key := range testOnlyExportAllowlist {
+		if !exported[key] {
+			t.Errorf("allowlisted %s is not declared under internal/; drop it from the allowlist", key)
+		}
+	}
+}
+
+// funcName returns fn's name, qualified by its receiver's type for a method.
+// The module declares no generic types, so a receiver is T or *T.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	return recv.(*ast.Ident).Name + "." + fn.Name.Name
 }
 
 // TestGoVet asserts go vet stays clean, mirroring the CI gate.

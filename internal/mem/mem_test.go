@@ -59,6 +59,13 @@ func TestSystemL1Hit(t *testing.T) {
 	}
 }
 
+// outstandingDataMisses returns the number of L1D fills still in flight at
+// cycle now.
+func outstandingDataMisses(s *System, now uint64) int {
+	s.l1dMSHR.expire(now)
+	return len(s.l1dMSHR.fills)
+}
+
 func TestSystemMSHRMerge(t *testing.T) {
 	s := newSystem(t)
 	r1 := s.DataAccess(0, 0x2000, false)
@@ -69,7 +76,7 @@ func TestSystemMSHRMerge(t *testing.T) {
 	if r2.Ready < r1.Ready {
 		t.Error("merged access completed before the fill it merged into")
 	}
-	if got := s.OutstandingDataMisses(1); got != 1 {
+	if got := outstandingDataMisses(s, 1); got != 1 {
 		t.Errorf("outstanding misses = %d, want 1 (merge must not allocate)", got)
 	}
 }
@@ -119,7 +126,7 @@ func TestMSHRFreesOnFillCycle(t *testing.T) {
 		t.Fatalf("fills complete at %d and %d; want the second later", d1, d2)
 	}
 	for now := uint64(1); now < d1; now++ {
-		if got := s.OutstandingDataMisses(now); got != 2 {
+		if got := outstandingDataMisses(s, now); got != 2 {
 			t.Fatalf("cycle %d: %d outstanding misses, want 2", now, got)
 		}
 	}
@@ -127,13 +134,13 @@ func TestMSHRFreesOnFillCycle(t *testing.T) {
 	if s.DataAccess(d1-1, 0x10040, false).Accepted {
 		t.Fatalf("third miss accepted at cycle %d, before the first fill lands", d1-1)
 	}
-	if got := s.OutstandingDataMisses(d1); got != 1 {
+	if got := outstandingDataMisses(s, d1); got != 1 {
 		t.Fatalf("cycle %d: %d outstanding misses, want 1", d1, got)
 	}
 	if !s.DataAccess(d1, 0x10040, false).Accepted {
 		t.Fatalf("third miss refused at cycle %d, when the first fill landed", d1)
 	}
-	if got := s.OutstandingDataMisses(d2); got != 1 {
+	if got := outstandingDataMisses(s, d2); got != 1 {
 		t.Fatalf("cycle %d: %d outstanding misses, want 1", d2, got)
 	}
 }

@@ -66,9 +66,6 @@ func NewTLB(cfg config.TLB) (*TLB, error) {
 	}, nil
 }
 
-// Enabled reports whether the TLB models anything.
-func (t *TLB) Enabled() bool { return len(t.entries) > 0 }
-
 // Translate looks up the page of addr and returns the page-walk penalty in
 // cycles: zero on a hit (or when disabled), the configured walk latency on
 // a miss (after which the translation is resident).
@@ -112,14 +109,6 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	return t.penalty
 }
 
-// FlushAll invalidates every entry (context-switch style disruption; used
-// by tests and OS-disruption studies).
-func (t *TLB) FlushAll() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-}
-
 // Reset invalidates every entry and zeroes the statistics, restoring the
 // just-constructed state for pooled reuse.
 func (t *TLB) Reset() {
@@ -132,12 +121,3 @@ func (t *TLB) Reset() {
 // Hits and Misses return lookup statistics.
 func (t *TLB) Hits() uint64   { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }
-
-// MissRate returns misses/(hits+misses), zero when unused.
-func (t *TLB) MissRate() float64 {
-	total := t.hits + t.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(total)
-}

@@ -1,6 +1,6 @@
 // Package profile computes reference-stream analytics from dynamic
-// instruction streams: instruction mix, memory footprint, stride and
-// chunk-adjacency distributions, and cold-miss working-set curves. The
+// instruction streams: instruction mix, memory footprint, chunk adjacency,
+// and cold-miss working-set curves. The
 // workload generators are validated against these metrics (they are the
 // statistics the cache-port study actually depends on), and cmd/tracegen
 // exposes them for captured traces.
@@ -33,10 +33,6 @@ type Analysis struct {
 	// Branch behaviour.
 	Branches      uint64
 	TakenBranches uint64
-
-	// strideHist counts |address delta| buckets between consecutive
-	// memory references (log2 buckets, bucket 0 = same address).
-	strideHist *stats.Histogram
 
 	// chunkAdjacent counts consecutive memory references landing in the
 	// same aligned chunk of each tracked size.
@@ -76,7 +72,6 @@ func New(opts Options) *Analysis {
 		opts.ChunkSizes = []uint64{16, 32, 64}
 	}
 	return &Analysis{
-		strideHist:    stats.NewHistogram(33), // log2 buckets 0..32
 		chunkSizes:    opts.ChunkSizes,
 		chunkAdjacent: make([]uint64, len(opts.ChunkSizes)),
 		lines:         make(map[uint64]struct{}),
@@ -111,7 +106,6 @@ func (a *Analysis) Observe(in *isa.Inst) {
 		a.lines[in.Addr/a.lineBytes] = struct{}{}
 		a.pages[in.Addr/a.pageBytes] = struct{}{}
 		if a.haveLast {
-			a.strideHist.Observe(log2Bucket(absDelta(in.Addr, a.lastAddr)))
 			for i, cs := range a.chunkSizes {
 				if in.Addr/cs == a.lastAddr/cs {
 					a.chunkAdjacent[i]++
@@ -133,25 +127,6 @@ func (a *Analysis) Consume(s trace.Stream, max uint64) uint64 {
 		n++
 	}
 	return n
-}
-
-func absDelta(x, y uint64) uint64 {
-	if x > y {
-		return x - y
-	}
-	return y - x
-}
-
-func log2Bucket(d uint64) uint64 {
-	if d == 0 {
-		return 0
-	}
-	b := uint64(1)
-	for d > 1 {
-		d >>= 1
-		b++
-	}
-	return b
 }
 
 // KernelFrac returns the kernel-mode instruction fraction.
@@ -202,19 +177,6 @@ func (a *Analysis) FootprintBytes() uint64 { return uint64(len(a.lines)) * a.lin
 // FootprintPages returns the number of distinct pages touched — the DTLB's
 // working set.
 func (a *Analysis) FootprintPages() int { return len(a.pages) }
-
-// StrideFraction returns the fraction of consecutive reference pairs whose
-// absolute address delta falls in [lo, hi] bytes.
-func (a *Analysis) StrideFraction(lo, hi uint64) float64 {
-	if a.MemRefs < 2 {
-		return 0
-	}
-	var count uint64
-	for b := log2Bucket(lo); b <= log2Bucket(hi) && b < 33; b++ {
-		count += a.strideHist.Bucket(b)
-	}
-	return float64(count) / float64(a.MemRefs-1)
-}
 
 // Report renders the analysis as a plain-text table.
 func (a *Analysis) Report(title string) string {

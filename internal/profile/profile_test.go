@@ -78,30 +78,6 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
-func TestStrideFraction(t *testing.T) {
-	a := New(Options{})
-	for _, addr := range []uint64{0x100, 0x108, 0x110, 0x5110} {
-		in := isa.Inst{PC: 0x1000, Class: isa.Load, Dest: 1, Addr: addr, Size: 8}
-		a.Observe(&in)
-	}
-	// Deltas: 8, 8, 0x5000. Two of three pairs in [1,16].
-	if got := a.StrideFraction(1, 16); got != 2.0/3.0 {
-		t.Errorf("StrideFraction(1,16) = %v, want 2/3", got)
-	}
-	if got := a.StrideFraction(1<<13, 1<<16); got != 1.0/3.0 {
-		t.Errorf("StrideFraction(big) = %v, want 1/3", got)
-	}
-}
-
-func TestLog2Bucket(t *testing.T) {
-	cases := map[uint64]uint64{0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 8: 4, 1 << 20: 21}
-	for d, want := range cases {
-		if got := log2Bucket(d); got != want {
-			t.Errorf("log2Bucket(%d) = %d, want %d", d, got, want)
-		}
-	}
-}
-
 func TestConsumeAndReport(t *testing.T) {
 	p, _ := workload.ByName("eqntott")
 	g, err := workload.New(p, 3)
@@ -156,7 +132,7 @@ func TestGeneratorsMatchIntendedLocality(t *testing.T) {
 func TestEmptyAnalysis(t *testing.T) {
 	a := New(Options{})
 	if a.MemFrac() != 0 || a.TakenRate() != 0 || a.KernelFrac() != 0 ||
-		a.ChunkAdjacency(32) != 0 || a.StrideFraction(1, 8) != 0 {
+		a.ChunkAdjacency(32) != 0 {
 		t.Error("empty analysis returned non-zero rates")
 	}
 }

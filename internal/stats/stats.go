@@ -1,6 +1,6 @@
 // Package stats provides the statistics machinery shared by the simulator:
-// named counters, ratio helpers, bounded histograms, and plain-text table
-// rendering used by the experiment harness to print paper-style tables.
+// named counters, ratio helpers, and plain-text table rendering used by the
+// experiment harness to print paper-style tables.
 package stats
 
 import (
@@ -59,19 +59,6 @@ func SafeRatio(num, den float64) float64 {
 	return num / den
 }
 
-// Ratio returns num/den as a float, with SafeRatio's no-events rule: 0 when
-// the denominator counter never fired.
-func (s *Set) Ratio(num, den string) float64 {
-	return SafeRatio(float64(s.counters[num]), float64(s.counters[den]))
-}
-
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	for _, name := range other.order {
-		s.Add(name, other.counters[name])
-	}
-}
-
 // String renders the set as "name=value" lines sorted by name, primarily for
 // debugging and log output.
 func (s *Set) String() string {
@@ -85,85 +72,6 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, "%s=%d\n", n, s.counters[n])
 	}
 	return b.String()
-}
-
-// Histogram is a fixed-range histogram of non-negative integer samples.
-// Samples at or above the bucket count land in the overflow bucket.
-type Histogram struct {
-	buckets  []uint64
-	overflow uint64
-	count    uint64
-	sum      uint64
-	max      uint64
-}
-
-// NewHistogram returns a histogram with buckets for values 0..n-1 and an
-// overflow bucket for values >= n. It panics if n is not positive, since a
-// histogram without buckets indicates a construction bug.
-func NewHistogram(n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	return &Histogram{buckets: make([]uint64, n)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	if v < uint64(len(h.buckets)) {
-		h.buckets[v]++
-	} else {
-		h.overflow++
-	}
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Reset zeroes every bucket and summary statistic, restoring the
-// just-constructed state while keeping the bucket array.
-func (h *Histogram) Reset() {
-	clear(h.buckets)
-	h.overflow, h.count, h.sum, h.max = 0, 0, 0, 0
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Max returns the largest sample observed (zero when empty).
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Mean returns the arithmetic mean of the samples (zero when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Bucket returns the count of samples with value v, or the overflow count
-// when v is outside the tracked range.
-func (h *Histogram) Bucket(v uint64) uint64 {
-	if v < uint64(len(h.buckets)) {
-		return h.buckets[v]
-	}
-	return h.overflow
-}
-
-// Overflow returns the count of samples at or above the bucket range.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Fraction returns the fraction of samples equal to v (overflow for v out of
-// range); zero when the histogram is empty.
-func (h *Histogram) Fraction(v uint64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Bucket(v)) / float64(h.count)
 }
 
 // GeoMean returns the geometric mean of the values. Non-positive inputs make

@@ -50,9 +50,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a cumulative-bucket histogram over float64 samples, the
 // shape Prometheus expects: counts[i] holds samples <= bounds[i] minus
 // those in earlier buckets, and an implicit +Inf bucket catches the rest.
-// It complements stats.Histogram (fixed-range integer buckets for
-// simulated quantities) with the float ranges host-side telemetry needs
-// — wall seconds, utilization fractions, reject rates.
+// Its float ranges suit host-side telemetry: wall seconds, utilization
+// fractions, reject rates.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds, exclusive of +Inf

@@ -107,27 +107,6 @@ func (l *Limit) Next(in *isa.Inst) bool {
 	return true
 }
 
-// Tee passes a stream through while appending every instruction to a slice,
-// for capturing generator output in tests.
-type Tee struct {
-	inner    Stream
-	Captured []isa.Inst
-}
-
-// NewTee returns a capturing wrapper around inner.
-func NewTee(inner Stream) *Tee { return &Tee{inner: inner} }
-
-// Next implements Stream.
-//
-//portlint:coldpath Tee is a test-capture wrapper; campaigns never put one on the simulated path, so its growing append is not per-cycle work
-func (t *Tee) Next(in *isa.Inst) bool {
-	if !t.inner.Next(in) {
-		return false
-	}
-	t.Captured = append(t.Captured, *in)
-	return true
-}
-
 // Binary format
 //
 // A trace file is the magic string, a format version byte, then a sequence

@@ -68,21 +68,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	tee := NewTee(NewSliceStream(sampleInsts()))
-	var in isa.Inst
-	for tee.Next(&in) {
-	}
-	if len(tee.Captured) != len(sampleInsts()) {
-		t.Errorf("captured %d, want %d", len(tee.Captured), len(sampleInsts()))
-	}
-	for i, got := range tee.Captured {
-		if got != sampleInsts()[i] {
-			t.Errorf("captured inst %d differs", i)
-		}
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	insts := sampleInsts()
 	var buf bytes.Buffer
@@ -308,16 +293,5 @@ func TestReaderRejectsCorruptClass(t *testing.T) {
 	var got isa.Inst
 	if r.Next(&got) || r.Err() == nil {
 		t.Error("corrupt class accepted")
-	}
-}
-
-func TestTeeStopsCleanly(t *testing.T) {
-	tee := NewTee(NewSliceStream(nil))
-	var in isa.Inst
-	if tee.Next(&in) {
-		t.Error("empty tee yielded")
-	}
-	if len(tee.Captured) != 0 {
-		t.Error("empty tee captured instructions")
 	}
 }

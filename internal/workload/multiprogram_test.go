@@ -40,9 +40,6 @@ func TestMultiprogramSingleProcessMatchesGenerator(t *testing.T) {
 			t.Fatalf("inst %d: single-process multiprogram diverged from the raw generator", i)
 		}
 	}
-	if m.Switches() != 0 {
-		t.Errorf("single process context-switched %d times", m.Switches())
-	}
 }
 
 func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
@@ -53,10 +50,14 @@ func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
 	}
 	var in isa.Inst
 	sawOffsets := map[uint64]bool{}
-	syscallMarkers := uint64(0)
+	syscallMarkers, switches := 0, 0
 	for i := 0; i < 100000; i++ {
+		cur := m.current
 		if !m.Next(&in) {
 			t.Fatal("stream ended")
+		}
+		if m.current != cur {
+			switches++
 		}
 		if err := in.Validate(); err != nil {
 			t.Fatalf("inst %d invalid: %v (%v)", i, err, in)
@@ -82,14 +83,11 @@ func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
 	if len(sawOffsets) != 4 {
 		t.Errorf("saw %d process address spaces, want 4", len(sawOffsets))
 	}
-	if m.Switches() < 20 {
-		t.Errorf("only %d switches in 100k instructions at quantum 2000", m.Switches())
+	if switches < 20 {
+		t.Errorf("only %d switches in 100k instructions at quantum 2000", switches)
 	}
-	if syscallMarkers < m.Switches() {
-		t.Errorf("%d switch markers for %d switches", syscallMarkers, m.Switches())
-	}
-	if m.Processes() != 4 {
-		t.Errorf("Processes = %d", m.Processes())
+	if syscallMarkers < switches {
+		t.Errorf("%d switch markers for %d switches", syscallMarkers, switches)
 	}
 }
 
@@ -185,8 +183,13 @@ func TestProcessDemandMatchesLivePulls(t *testing.T) {
 					m.procs[i] = counted[i]
 				}
 				var in isa.Inst
+				var switches uint64
 				for range n {
+					cur := m.current
 					m.Next(&in)
+					if m.current != cur {
+						switches++
+					}
 				}
 				demand, err := ProcessDemand(procs, quantum, seed, n)
 				if err != nil {
@@ -200,9 +203,9 @@ func TestProcessDemandMatchesLivePulls(t *testing.T) {
 					}
 					sum += c.pulls
 				}
-				if sum+m.Switches() != n {
+				if sum+switches != n {
 					t.Errorf("procs=%d seed=%d n=%d: %d pulls and %d switch markers do not make %d instructions",
-						procs, seed, n, sum, m.Switches(), n)
+						procs, seed, n, sum, switches, n)
 				}
 			}
 		}

@@ -102,11 +102,9 @@ func TestMultiprogramReplayIdentity(t *testing.T) {
 						t.Fatalf("instruction %d diverged:\n live   %+v\n replay %+v", i, want, got)
 					}
 				}
-				if live.Switches() != replay.Switches() {
-					t.Errorf("switch count diverged: live %d, replay %d", live.Switches(), replay.Switches())
-				}
-				if live.Emitted() != replay.Emitted() {
-					t.Errorf("emitted count diverged: live %d, replay %d", live.Emitted(), replay.Emitted())
+				if live.current != replay.current || live.left != replay.left {
+					t.Errorf("schedule diverged: live process %d with %d left, replay %d with %d",
+						live.current, live.left, replay.current, replay.left)
 				}
 			})
 		}
