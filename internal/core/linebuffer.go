@@ -46,16 +46,22 @@ type LineBufferSet struct {
 // ports. n == 0 yields a disabled set on which Lookup always misses; that is
 // the baseline (no load-all) configuration.
 func NewLineBufferSet(n int, chunkBytes int) *LineBufferSet {
-	if n < 0 {
-		n = 0
-	}
-	return &LineBufferSet{
-		chunkBytes: uint64(chunkBytes),
-		chunkAddr:  make([]uint64, n),
-		readyAt:    make([]uint64, n),
-		lru:        make([]uint64, n),
-		valid:      make([]bool, n),
-	}
+	s := new(LineBufferSet)
+	s.retarget(n, chunkBytes)
+	return s
+}
+
+// retarget sizes the set as NewLineBufferSet does and empties it, reslicing
+// the per-buffer arrays in place and reallocating them only when n exceeds
+// every size they have held.
+func (s *LineBufferSet) retarget(n int, chunkBytes int) {
+	n = max(n, 0)
+	s.chunkBytes = uint64(chunkBytes)
+	s.chunkAddr = resize(s.chunkAddr, n)
+	s.readyAt = resize(s.readyAt, n)
+	s.lru = resize(s.lru, n)
+	s.valid = resize(s.valid, n)
+	s.Reset()
 }
 
 // ChunkAddr returns addr rounded down to its aligned port-width chunk.

@@ -100,11 +100,10 @@ type MemPort struct {
 	// Banking state (cfg.Banks > 1): the data array is line-interleaved
 	// into single-ported banks; up to one access proceeds per bank per
 	// cycle, and refill debt is owed per bank.
-	banked        bool
-	bankBusy      []bool
-	bankDebt      []int
-	bankMask      uint64
-	bankConflicts uint64
+	banked   bool
+	bankBusy []bool
+	bankDebt []int
+	bankMask uint64
 
 	// Refill bandwidth: a line fill (and a dirty victim's read-out) must
 	// move LineBytes through the FillBytesPerCycle-wide fill path,
@@ -153,27 +152,15 @@ func SlotsPerCycle(cfg config.Ports) int {
 	return cfg.Count
 }
 
-// NewMemPort builds the port subsystem over a memory hierarchy. The machine
-// configuration must already be validated.
+// NewMemPort builds the port subsystem over a memory hierarchy through
+// Retarget. The machine configuration must already be validated.
 func NewMemPort(cfg config.Ports, sys *mem.System) *MemPort {
 	p := &MemPort{
-		cfg:         cfg,
-		sys:         sys,
-		lbs:         NewLineBufferSet(cfg.LineBuffers, cfg.WidthBytes),
-		sb:          NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
-		wide:        cfg.WidthBytes > 8,
-		grantCounts: make([]uint64, SlotsPerCycle(cfg)+1),
-		refillDue:   NeverEvent,
+		sys: sys,
+		lbs: NewLineBufferSet(cfg.LineBuffers, cfg.WidthBytes),
+		sb:  NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
 	}
-	if cfg.Banks > 1 {
-		p.banked = true
-		p.bankBusy = make([]bool, cfg.Banks)
-		p.bankDebt = make([]int, cfg.Banks)
-		p.bankMask = uint64(cfg.Banks - 1)
-	}
-	if cfg.PrefetchNextLine {
-		p.prefetched = make(map[uint64]bool)
-	}
+	p.Retarget(cfg)
 	// A replaced or invalidated cache line must take its latched chunks
 	// with it, or the line buffers would serve data the cache no longer
 	// owns.
@@ -187,35 +174,56 @@ func NewMemPort(cfg config.Ports, sys *mem.System) *MemPort {
 // port-side events.
 func (p *MemPort) SetRecorder(rec *diag.Recorder) { p.rec = rec }
 
-// Reset restores the port subsystem — grants, prefetch state, banking and
-// refill debts, store buffer, line buffers, statistics — to its
-// just-constructed state, reusing every backing structure. Part of the
-// pooled-simulation path; the configuration (and the L1D eviction hook) is
-// retained.
-func (p *MemPort) Reset() {
-	p.grants = 0
-	p.pfHead, p.pfCount = 0, 0
-	if p.prefetched != nil {
-		clear(p.prefetched)
+// Retarget puts the port subsystem in the state NewMemPort(cfg) builds:
+// it takes cfg's port arrangement and resets grants, prefetch state,
+// banking and refill debts, store buffer, line buffers, statistics and
+// the recorder. The arrays cfg sizes (store-buffer entries, line buffers,
+// grant buckets, banks) are resliced in place and grow only past the
+// largest size they have held, so a pooled core moves between port
+// arrangements without allocating. The hierarchy and its L1D eviction
+// hook are kept. cfg must already be validated.
+func (p *MemPort) Retarget(cfg config.Ports) {
+	banks := 0
+	if cfg.Banks > 1 {
+		banks = cfg.Banks
 	}
-	p.prefetches, p.usefulPrefetch = 0, 0
-	for i := range p.bankBusy {
-		p.bankBusy[i] = false
-		p.bankDebt[i] = 0
+	*p = MemPort{
+		cfg:            cfg,
+		sys:            p.sys,
+		lbs:            p.lbs,
+		sb:             p.sb,
+		wide:           cfg.WidthBytes > 8,
+		prefetched:     p.prefetched,
+		banked:         banks > 0,
+		bankBusy:       resize(p.bankBusy, banks),
+		bankDebt:       resize(p.bankDebt, banks),
+		pendingRefills: p.pendingRefills[:0],
+		refillDue:      NeverEvent,
+		grantCounts:    resize(p.grantCounts, SlotsPerCycle(cfg)+1),
 	}
-	p.bankConflicts = 0
-	p.pendingRefills = p.pendingRefills[:0]
-	p.refillDue = NeverEvent
-	p.refillDebt = 0
-	p.refillCycles = 0
-	p.loadPortAccesses, p.storePortAccesses = 0, 0
-	p.loadsBySource = [3]uint64{}
-	p.rejects = [5]uint64{}
-	p.cycles, p.busyGrants = 0, 0
+	if p.banked {
+		p.bankMask = uint64(banks - 1)
+	}
+	clear(p.bankBusy)
+	clear(p.bankDebt)
 	clear(p.grantCounts)
-	p.lbs.Reset()
-	p.sb.Reset()
-	p.rec = nil
+	if cfg.PrefetchNextLine && p.prefetched == nil {
+		p.prefetched = make(map[uint64]bool)
+	}
+	clear(p.prefetched)
+	p.lbs.retarget(cfg.LineBuffers, cfg.WidthBytes)
+	p.sb.retarget(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining)
+}
+
+// resize returns s resliced to n elements, reallocating only when its
+// capacity is short: a retargeted structure's arrays grow to the largest
+// size they have held and are reused below it. Callers clear or overwrite
+// the elements they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // LineBuffers exposes the load-all buffer set (statistics, tests).

@@ -25,7 +25,7 @@ func newPort(t *testing.T, ports config.Ports) (*MemPort, *mem.System) {
 
 // report returns the counters p contributes to a cell's Result.
 func report(p *MemPort) *stats.Set {
-	s := stats.NewSet()
+	s := new(stats.Set)
 	p.Report(s)
 	return s
 }
@@ -346,7 +346,7 @@ func TestReport(t *testing.T) {
 	p.TryCommitStore(0, 0x200, 8)
 	p.EndCycle(0)
 	p.FinishCycle()
-	s := stats.NewSet()
+	s := new(stats.Set)
 	p.Report(s)
 	if s.Get("port.cycles") != 1 {
 		t.Errorf("port.cycles = %d", s.Get("port.cycles"))

@@ -51,8 +51,8 @@ type StoreBuffer struct {
 	combining  bool
 
 	// Parallel per-entry state; index i < n describes occupying entry i.
-	// Slices are allocated at full capacity up front so Insert and the
-	// Expire compaction never grow anything.
+	// Slices are sized to the capacity up front so Insert and the Expire
+	// compaction never grow anything.
 	chunkAddr  []uint64
 	mask       []uint64
 	seq        []uint64
@@ -86,26 +86,32 @@ type StoreBuffer struct {
 // chunkBytes-wide ports. It panics on invalid sizing, which indicates a
 // configuration-validation bug upstream.
 func NewStoreBuffer(capacity, chunkBytes int, combining bool) *StoreBuffer {
+	b := new(StoreBuffer)
+	b.retarget(capacity, chunkBytes, combining)
+	return b
+}
+
+// retarget sizes the buffer as NewStoreBuffer does and empties it. The
+// per-entry arrays are resliced in place and reallocated only when
+// capacity exceeds every size they have held; entries past n are never
+// read, so their stale contents are harmless.
+func (b *StoreBuffer) retarget(capacity, chunkBytes int, combining bool) {
 	if capacity < 1 {
 		panic("core: store buffer capacity must be positive")
 	}
 	if chunkBytes < 8 || chunkBytes > maxChunkBytes || chunkBytes&(chunkBytes-1) != 0 {
 		panic(fmt.Sprintf("core: unsupported chunk width %d", chunkBytes))
 	}
-	return &StoreBuffer{
-		chunkBytes: uint64(chunkBytes),
-		capacity:   capacity,
-		combining:  combining,
-		chunkAddr:  make([]uint64, capacity),
-		mask:       make([]uint64, capacity),
-		seq:        make([]uint64, capacity),
-		insertedAt: make([]uint64, capacity),
-		drainDone:  make([]uint64, capacity),
-		issued:     make([]bool, capacity),
-		data:       make([][maxChunkBytes]byte, capacity),
-		nextExpiry: NeverEvent,
-		expired:    make([]SBEntry, capacity),
-	}
+	b.chunkBytes, b.capacity, b.combining = uint64(chunkBytes), capacity, combining
+	b.chunkAddr = resize(b.chunkAddr, capacity)
+	b.mask = resize(b.mask, capacity)
+	b.seq = resize(b.seq, capacity)
+	b.insertedAt = resize(b.insertedAt, capacity)
+	b.drainDone = resize(b.drainDone, capacity)
+	b.issued = resize(b.issued, capacity)
+	b.data = resize(b.data, capacity)
+	b.expired = resize(b.expired, capacity)
+	b.Reset()
 }
 
 // Reset empties the buffer and zeroes the statistics, restoring the

@@ -481,8 +481,8 @@ func sameShape(a, b *config.Machine) bool {
 // for the large structures (cache tags, predictor tables, register files).
 // It applies only when cfg has the core's array shape (sameShape); it
 // returns false otherwise and leaves the core untouched. The port
-// subsystem is reset in place when cfg.Ports is unchanged and rebuilt
-// otherwise. The equivalence with a freshly built core is what
+// subsystem takes cfg.Ports in place (core.MemPort.Retarget), whatever
+// arrangement it had. The equivalence with a freshly built core is what
 // TestRetargetMatchesFresh checks.
 func (c *Core) Retarget(cfg *config.Machine, stream trace.Stream) (bool, error) {
 	if stream == nil {
@@ -496,11 +496,7 @@ func (c *Core) Retarget(cfg *config.Machine, stream trace.Stream) (bool, error) 
 	}
 	c.sys.Reset()
 	c.sys.SetL1DWriteThrough(cfg.L1D.WriteThrough)
-	if cfg.Ports == c.cfg.Ports {
-		c.port.Reset()
-	} else {
-		c.port = core.NewMemPort(cfg.Ports, c.sys) // re-installs the L1D eviction hook
-	}
+	c.port.Retarget(cfg.Ports)
 	c.cfg = cfg
 	c.pred.Reset()
 	c.reset(stream)

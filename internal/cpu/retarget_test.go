@@ -114,6 +114,34 @@ func TestRetargetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRetargetAllocatesNothing checks that a pooled core moves between
+// port arrangements in place: once one core has run on every campaign
+// variant, so each array the port sizes has reached its largest size,
+// retargeting it through all of them again allocates nothing.
+func TestRetargetAllocatesNothing(t *testing.T) {
+	machines := campaignVariants()
+	c, err := New(&machines[0], retargetStream(t, "compress"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range machines {
+		if ok, err := c.Retarget(&machines[i], retargetStream(t, "compress")); err != nil || !ok {
+			t.Fatalf("%s: Retarget = %v, %v", machines[i].Name, ok, err)
+		}
+		resetRun(t, c, 2_000)
+	}
+	stream := retargetStream(t, "database")
+	if avg := testing.AllocsPerRun(5, func() {
+		for i := range machines {
+			if ok, err := c.Retarget(&machines[i], stream); err != nil || !ok {
+				t.Fatalf("%s: Retarget = %v, %v", machines[i].Name, ok, err)
+			}
+		}
+	}); avg != 0 {
+		t.Errorf("retargeting through %d machines allocates %v objects; want 0", len(machines), avg)
+	}
+}
+
 // shapeField reports whether a leaf path of config.Machine sizes an array
 // a core allocates, so that Retarget must refuse to change it.
 func shapeField(path string) bool {

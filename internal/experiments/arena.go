@@ -78,27 +78,29 @@ func newArenaRegistry(budget int64) *arenaRegistry {
 	return &arenaRegistry{budget: budget, entries: make(map[cellstore.Key]*arenaEntry)}
 }
 
+// arenaKey is the registry key of the (profile, seed) trace of a hashed
+// stream: its profile hash and seed, with no machine and no length.
+func arenaKey(s *streamSpec, seed int64) cellstore.Key {
+	return cellstore.Key{Stream: s.profHash, Seed: seed}
+}
+
 // acquire returns a cursor over the first n instructions of the
-// materialised (profile, seed) trace plus a release closure, or
-// (nil, nil, nil) when the byte budget forces this cell onto live
-// generation. The trace is keyed by the machine-less cellKey of its
-// content, without a length, so profiles that differ only in name share
-// one arena, and an arena of any length serves every request for as many
-// instructions or fewer. A longer request builds a longer arena that
+// materialised (profile, seed) trace of the hashed stream s plus a release
+// closure, or (nil, nil, nil) when the byte budget forces this cell onto
+// live generation. The trace is keyed by arenaKey, so profiles that differ
+// only in name share one arena, and an arena of any length serves every
+// request for as many instructions or fewer. A longer request builds a longer arena that
 // replaces the short one. Concurrent acquires of the same key share one
 // build: the first caller materialises, the rest wait. A build reserves
 // the arena's worst-case footprint and, once built, charges what it
 // actually holds. A request for no instructions gets an empty cursor and
 // touches nothing.
-func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*trace.Cursor, func(), error) {
+func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Cursor, func(), error) {
 	if n == 0 {
 		// A process the interleave never reaches needs no arena.
 		return new(trace.Arena).NewCursor(), func() {}, nil
 	}
-	key, err := cellKey(nil, streamSpec{prof: prof}, seed, 0, "")
-	if err != nil {
-		return nil, nil, err
-	}
+	key := arenaKey(s, seed)
 	need := trace.MaxBytes(n)
 	ar.mu.Lock()
 	old, ok := ar.entries[key]
@@ -136,7 +138,7 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 	ar.builds++
 	ar.mu.Unlock()
 
-	gen, genErr := workload.New(prof, seed)
+	gen, genErr := workload.New(s.prof, seed)
 	if genErr != nil {
 		e.err = genErr
 	} else {
@@ -236,7 +238,7 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 // levels (A6: 2, 4, 8) ask the same length of every process they share,
 // so each trace is built once whichever cell starts first. A single
 // process replays the whole budget.
-func (r *Runner) arenaLen(s streamSpec) ([]uint64, error) {
+func (r *Runner) arenaLen(s *streamSpec) ([]uint64, error) {
 	if s.processes == 0 || r.arenas == nil {
 		return nil, nil
 	}
@@ -284,7 +286,7 @@ func (r *Runner) processDemand(processes, quantum int) ([]uint64, error) {
 // instruction-identical to the live NewMultiprogram stream (golden-tested
 // in internal/workload) — and falls back to live generation wholesale.
 // On error nothing stays acquired.
-func (r *Runner) openStream(s streamSpec) (stream trace.Stream, release func(), err error) {
+func (r *Runner) openStream(s *streamSpec) (stream trace.Stream, release func(), err error) {
 	seed, procs := r.spec.Seed, max(s.processes, 1)
 	var cursors []*trace.Cursor
 	var releases []func()
@@ -307,7 +309,7 @@ func (r *Runner) openStream(s streamSpec) (stream trace.Stream, release func(), 
 		if demand != nil {
 			n = demand[i]
 		}
-		cur, rel, err := r.arenas.acquire(s.prof, seed+int64(i)*workload.SeedStride, n)
+		cur, rel, err := r.arenas.acquire(s, seed+int64(i)*workload.SeedStride, n)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -124,13 +124,20 @@ func TestArenaRegistrySharing(t *testing.T) {
 	}
 }
 
+// hashedStream returns the hashed single-program stream of a workload.
+func hashedStream(t *testing.T, name string) *streamSpec {
+	t.Helper()
+	ps := named(name).hashed()
+	if ps.err != nil {
+		t.Fatal(ps.err)
+	}
+	return &ps.streamSpec
+}
+
 // TestArenaRegistryEviction: idle arenas are dropped, least recently used
 // first, to make room inside the budget; held arenas are never evicted.
 func TestArenaRegistryEviction(t *testing.T) {
-	prof, ok := workload.ByName("compress")
-	if !ok {
-		t.Fatal("compress workload missing")
-	}
+	s := hashedStream(t, "compress")
 	const n = 1_000
 	// Room for two arenas: the largest of the three built, plus the
 	// reservation the second build makes before it charges its own size.
@@ -139,16 +146,16 @@ func TestArenaRegistryEviction(t *testing.T) {
 		largest = max(largest, arenaBytes(t, seed, n))
 	}
 	reg := newArenaRegistry(largest + trace.MaxBytes(n))
-	c1, rel1, err := reg.acquire(prof, 1, n)
+	c1, rel1, err := reg.acquire(s, 1, n)
 	if err != nil || c1 == nil {
 		t.Fatalf("acquire seed 1: %v %v", c1, err)
 	}
-	c2, rel2, err := reg.acquire(prof, 2, n)
+	c2, rel2, err := reg.acquire(s, 2, n)
 	if err != nil || c2 == nil {
 		t.Fatalf("acquire seed 2: %v %v", c2, err)
 	}
 	// Both held: a third must fall back, not evict.
-	c3, _, err := reg.acquire(prof, 3, n)
+	c3, _, err := reg.acquire(s, 3, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +164,7 @@ func TestArenaRegistryEviction(t *testing.T) {
 	}
 	rel1()
 	// Seed 1 idle: now the third fits by evicting it.
-	c3, rel3, err := reg.acquire(prof, 3, n)
+	c3, rel3, err := reg.acquire(s, 3, n)
 	if err != nil || c3 == nil {
 		t.Fatalf("acquire seed 3 after release: %v %v", c3, err)
 	}
@@ -167,7 +174,7 @@ func TestArenaRegistryEviction(t *testing.T) {
 	}
 	// Seed 2 was held throughout: a re-acquire is a hit, not a rebuild.
 	before := reg.stats().Builds
-	c2b, rel2b, err := reg.acquire(prof, 2, n)
+	c2b, rel2b, err := reg.acquire(s, 2, n)
 	if err != nil || c2b == nil {
 		t.Fatalf("re-acquire seed 2: %v %v", c2b, err)
 	}
@@ -206,10 +213,7 @@ func replayPrefix(t *testing.T, cur *trace.Cursor, seed int64, n int) {
 // for nothing touches the registry not at all, and the byte count returns
 // to zero once everything is released and evicted.
 func TestArenaRegistryPrefixes(t *testing.T) {
-	prof, ok := workload.ByName("compress")
-	if !ok {
-		t.Fatal("compress workload missing")
-	}
+	s := hashedStream(t, "compress")
 	reg := newArenaRegistry(DefaultArenaBudget)
 	check := func(when string, builds, hits uint64, count int, bytes int64) {
 		t.Helper()
@@ -221,7 +225,7 @@ func TestArenaRegistryPrefixes(t *testing.T) {
 	}
 	acquire := func(n uint64) (*trace.Cursor, func()) {
 		t.Helper()
-		cur, rel, err := reg.acquire(prof, 1, n)
+		cur, rel, err := reg.acquire(s, 1, n)
 		if err != nil || cur == nil {
 			t.Fatalf("acquire(%d): %v %v", n, cur, err)
 		}
@@ -267,16 +271,13 @@ func TestArenaRegistryPrefixes(t *testing.T) {
 func TestShortCellFails(t *testing.T) {
 	const insts, planted = 5_000, 1_000
 	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: insts, Seed: 42})
-	prof, _ := workload.ByName("compress")
-	gen, err := workload.New(prof, 42)
+	s := hashedStream(t, "compress")
+	gen, err := workload.New(s.prof, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	short := trace.Materialize(gen, planted)
-	key, err := cellKey(nil, streamSpec{prof: prof}, 42, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := arenaKey(s, 42)
 	ready := make(chan struct{})
 	close(ready)
 	r.arenas.entries[key] = &arenaEntry{ready: ready, arena: short, n: insts, bytes: short.Bytes()}
@@ -299,13 +300,10 @@ func TestShortCellFails(t *testing.T) {
 // even one whose byte count overflows an int64 — falls back to live
 // generation and leaves nothing charged.
 func TestArenaRegistryHugeReservation(t *testing.T) {
-	prof, ok := workload.ByName("compress")
-	if !ok {
-		t.Fatal("compress workload missing")
-	}
+	s := hashedStream(t, "compress")
 	reg := newArenaRegistry(DefaultArenaBudget)
 	for _, n := range []uint64{math.MaxUint64, math.MaxInt64, 1 << 62, uint64(DefaultArenaBudget)} {
-		cur, rel, err := reg.acquire(prof, 42, n)
+		cur, rel, err := reg.acquire(s, 42, n)
 		if err != nil {
 			t.Fatalf("acquire(%d): %v", n, err)
 		}

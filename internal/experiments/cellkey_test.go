@@ -58,13 +58,23 @@ func TestCellKeyCoversEveryField(t *testing.T) {
 	if !ok {
 		t.Fatal("database workload missing")
 	}
-	key := func() cellstore.Key {
-		k, err := cellKey(&m, streamSpec{prof: prof}, 42, 40_000, "")
+	// keyOn derives a cell key of m as run does: the stream hashed, the
+	// machine's hash memoised by the runner. One runner serves the whole
+	// field walk, so its memo must tell every mutated machine apart too.
+	keyOn := func(r *Runner, s streamSpec, fault string) cellstore.Key {
+		t.Helper()
+		s, err := s.hashed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := r.cellKey(&m, &s, fault)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return k
 	}
+	r := NewRunner(Spec{Seed: 42, Insts: 40_000})
+	key := func() cellstore.Key { return keyOn(r, streamSpec{prof: prof}, "") }
 	base := key()
 	labels := map[string]bool{"Machine.Name": true, "Profile.Name": true, "Profile.Description": true}
 	visited := 0
@@ -97,10 +107,7 @@ func TestCellKeyCoversEveryField(t *testing.T) {
 		{"insts", streamSpec{prof: prof}, 42, 40_001, ""},
 		{"fault", streamSpec{prof: prof}, 42, 40_000, "wedge:database"},
 	} {
-		got, err := cellKey(&m, o.stream, o.seed, o.insts, o.fault)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := keyOn(NewRunner(Spec{Seed: o.seed, Insts: o.insts}), o.stream, o.fault)
 		if got == base {
 			t.Errorf("%s changed without changing the cell key", o.name)
 		}
@@ -193,5 +200,50 @@ func TestFaultArmedDatabaseNeverJoinsMedium(t *testing.T) {
 			t.Errorf("%s on %s: memo hit %v, err %v; want a clean simulation",
 				ev.Workload, ev.Machine, ev.MemoHit, ev.Err)
 		}
+	}
+}
+
+// TestCellKeyIDsStable pins the content address (Key.ID) of four cells
+// and of one arena trace, as a durable store and a manifest record them.
+// A store names its entries by these IDs, so a change that moved one,
+// however the key is derived, would silently orphan every stored cell.
+func TestCellKeyIDsStable(t *testing.T) {
+	want := map[string]string{
+		"compress@baseline-1port":   "7c1e688f860d26e083ed4e3ef8edf493",
+		"database@best-single":      "dc262d21c5e7094e6c8cb8bd0564f7f9",
+		"database-k-high@dual-port": "7a5a3bccf3ba00831c833bb57fc4da6f",
+		"compress-x4@dual-port":     "1c56d806be8140cb8d1a0ba62e80c692",
+		"arena compress seed 42":    "d404c7dd96efc812915dec95de2a4211",
+	}
+	r := NewRunner(Spec{Insts: 2_000, Seed: 42, Parallel: 1})
+	got := map[string]string{}
+	r.SetCellObserver(func(ev CellEvent) { got[ev.Workload+"@"+ev.Machine] = ev.Key }, nil)
+	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.arenas.entries) != 1 {
+		t.Fatalf("one compress cell built %d arenas, want 1", len(r.arenas.entries))
+	}
+	for k := range r.arenas.entries {
+		got["arena compress seed 42"] = k.ID()
+	}
+	if _, err := r.Run(config.BestSingle(), "database"); err != nil {
+		t.Fatal(err)
+	}
+	stream := func(p plan, label string) planStream {
+		for _, s := range p.streams {
+			if s.workload == label {
+				return s
+			}
+		}
+		t.Fatalf("no %s stream", label)
+		return planStream{}
+	}
+	streams := []planStream{stream(f7Plan(r.spec), "database-k-high"), stream(a6Plan(r.spec), "compress-x4")}
+	if _, err := r.runPlan(plan{streams: streams, machines: []config.Machine{config.DualPort()}}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cell IDs = %v\nwant %v", got, want)
 	}
 }

@@ -33,15 +33,18 @@ func (p plan) each(fn func(s, m int)) {
 }
 
 // runPlan submits every cell of the plan through runAll and returns the
-// results by [stream][machine]; a failed cell's slot stays nil.
+// results by [stream][machine]; a failed cell's slot stays nil. Each
+// stream is hashed once here, for all of its cells.
 func (r *Runner) runPlan(p plan) ([][]*cpu.Result, error) {
 	grid := make([][]*cpu.Result, len(p.streams))
+	streams := make([]planStream, len(p.streams))
 	for s := range grid {
 		grid[s] = make([]*cpu.Result, len(p.machines))
+		streams[s] = p.streams[s].hashed()
 	}
 	var cells []cell
 	p.each(func(s, m int) {
-		c := cellReq{m: p.machines[m], planStream: p.streams[s]}
+		c := cellReq{m: p.machines[m], planStream: streams[s]}
 		cells = append(cells, func() (res *cpu.Result, err error) {
 			res, err = r.run(c)
 			grid[s][m] = res

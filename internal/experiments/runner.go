@@ -105,7 +105,8 @@ type TraceCapture struct {
 type CellEvent struct {
 	// Machine and Workload label the cell as submitted. ConfigJSON is the
 	// machine configuration (as simulated, after fault arming, for the
-	// cell that ran it).
+	// cell that ran it); events of one machine share its bytes, so an
+	// observer must not modify them.
 	Machine    string
 	Workload   string
 	ConfigJSON []byte
@@ -140,7 +141,8 @@ type CellEvent struct {
 // exactly one later CellEvent for the same (machine, workload, config).
 type CellStart struct {
 	// Machine and Workload identify the cell; ConfigJSON is the machine
-	// configuration as simulated (after fault arming, if any).
+	// configuration as simulated (after fault arming, if any), shared
+	// like CellEvent.ConfigJSON.
 	Machine    string
 	Workload   string
 	ConfigJSON []byte
@@ -188,6 +190,12 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[cellstore.Key]*memoEntry
+	// configs memoises each machine's content hash, the cell key's Config,
+	// by the value of the machine with its display name cleared; docs
+	// memoises the configuration document observers receive, by the
+	// machine as labelled. Both are guarded by mu.
+	configs map[config.Machine]string
+	docs    map[config.Machine][]byte
 
 	// Core pool: a free list of at most parallel finished cores. Every
 	// machine of the campaign shares one array shape and differs only in
@@ -250,6 +258,8 @@ func NewRunner(spec Spec) *Runner {
 		spec:     spec,
 		parallel: parallel,
 		cache:    make(map[cellstore.Key]*memoEntry),
+		configs:  make(map[config.Machine]string),
+		docs:     make(map[config.Machine][]byte),
 	}
 	budget := spec.ArenaBudget
 	if budget == 0 {
@@ -332,15 +342,15 @@ func (r *Runner) Experiment() string {
 
 // emitCell delivers one observer event under the observer lock, filling in
 // the cell's labels, key and, unless set, configuration.
-func (r *Runner) emitCell(c *cellReq, key cellstore.Key, ev CellEvent) {
+func (r *Runner) emitCell(c *cellReq, ev CellEvent) {
 	r.obsMu.Lock()
 	defer r.obsMu.Unlock()
 	if r.observer == nil {
 		return
 	}
-	ev.Machine, ev.Workload, ev.Key = c.m.Name, c.workload, key.ID()
+	ev.Machine, ev.Workload, ev.Key = c.m.Name, c.workload, c.keyID()
 	if ev.ConfigJSON == nil {
-		ev.ConfigJSON, _ = c.m.ToJSON()
+		ev.ConfigJSON = r.configDoc(&c.m)
 	}
 	if ev.CPIStack == nil && ev.Result != nil {
 		ev.CPIStack = ev.Result.CPIStack
@@ -405,18 +415,47 @@ func (r *Runner) SimulatedCycles() uint64 { return r.simCycles.Load() }
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInsts.Load() }
 
 // streamSpec names a cell's instruction stream: a profile run alone or,
-// with processes > 0, as a quantum-interleaved multiprogram (A6).
+// with processes > 0, as a quantum-interleaved multiprogram (A6). profHash
+// and hash are its content hashes, derived once by hashed: profHash keys
+// each process's trace in the arena registry (arenaKey), hash is the cell
+// key's Stream.
 type streamSpec struct {
 	prof               workload.Profile
 	processes, quantum int
+	profHash, hash     string
+}
+
+// hashed returns s with its content hashes derived. Display labels
+// (Profile.Name, Profile.Description) never reach the model, so they are
+// cleared and renamed profiles are one stream. A single program's stream
+// hash is its profile hash.
+func (s streamSpec) hashed() (streamSpec, error) {
+	prof := s.prof
+	prof.Name, prof.Description = "", ""
+	hash := func(processes, quantum int) (string, error) {
+		return cellstore.ContentHash(struct {
+			Profile   workload.Profile
+			Processes int `json:",omitempty"`
+			Quantum   int `json:",omitempty"`
+		}{prof, processes, quantum})
+	}
+	var err error
+	if s.profHash, err = hash(0, 0); err != nil {
+		return s, err
+	}
+	s.hash = s.profHash
+	if s.processes != 0 || s.quantum != 0 {
+		s.hash, err = hash(s.processes, s.quantum)
+	}
+	return s, err
 }
 
 // planStream is one row of an experiment's plan: the instruction stream its
 // cells run and the workload label they report under (a workload name,
 // F7's database-k-* profile name, A6's compress-xN). Labels never reach the
 // model, so they are not part of a cell's identity (cellKey). err is set
-// when the stream names no workload profile; every cell of the row fails
-// with it.
+// when the stream names no workload profile or cannot be hashed; every
+// cell of the row fails with it.
 type planStream struct {
 	workload string
 	streamSpec
@@ -432,35 +471,75 @@ func named(name string) planStream {
 	return planStream{workload: name, streamSpec: streamSpec{prof: prof}}
 }
 
-// cellReq is one experiment cell as submitted: a stream on a machine.
+// hashed returns the row with its stream's content hashes derived, unless
+// they already are.
+func (s planStream) hashed() planStream {
+	if s.err == nil && s.hash == "" {
+		s.streamSpec, s.err = s.streamSpec.hashed()
+	}
+	return s
+}
+
+// cellReq is one experiment cell as submitted: a stream on a machine, and
+// the key run derives for it.
 type cellReq struct {
 	m config.Machine
 	planStream
+	key cellstore.Key
+	id  string // key.ID(), once keyID has derived it
+}
+
+// keyID returns the cell's content address, hashed at most once per cell
+// and only when an observer or a profiler label asks for it.
+func (c *cellReq) keyID() string {
+	if c.id == "" {
+		c.id = c.key.ID()
+	}
+	return c.id
 }
 
 // cellKey is the one content-addressed cell identity of a campaign: the
-// memo and the store key on all of it, and the arena registry on a
-// machine-less key (nil m) per process trace.
+// memo and the store key on all of it, the arena registry on arenaKey.
 // Display names (Machine.Name, Profile.Name, Profile.Description) never
 // reach the model, so they are cleared and renamed cells are one
 // simulation. fault is the spec's fault descriptor when it poisons the
-// cell.
-func cellKey(m *config.Machine, s streamSpec, seed int64, insts uint64, fault string) (k cellstore.Key, err error) {
-	k = cellstore.Key{Seed: seed, Insts: insts, Fault: fault}
-	if m != nil {
-		anon := *m
-		anon.Name = ""
-		if k.Config, err = cellstore.ContentHash(&anon); err != nil {
-			return k, err
-		}
+// cell. s must be hashed; the machine's hash is memoised (configHash), so
+// a key derives nothing per cell.
+func (r *Runner) cellKey(m *config.Machine, s *streamSpec, fault string) (cellstore.Key, error) {
+	cfg, err := r.configHash(m)
+	return cellstore.Key{Config: cfg, Stream: s.hash, Seed: r.spec.Seed, Insts: r.spec.Insts, Fault: fault}, err
+}
+
+// configHash returns the content hash of m with its display name cleared,
+// derived once per distinct machine: config.Machine is comparable, so the
+// memo keys on its value.
+func (r *Runner) configHash(m *config.Machine) (string, error) {
+	anon := *m
+	anon.Name = ""
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if h, ok := r.configs[anon]; ok {
+		return h, nil
 	}
-	s.prof.Name, s.prof.Description = "", ""
-	k.Stream, err = cellstore.ContentHash(struct {
-		Profile   workload.Profile
-		Processes int `json:",omitempty"`
-		Quantum   int `json:",omitempty"`
-	}{s.prof, s.processes, s.quantum})
-	return k, err
+	h, err := cellstore.ContentHash(&anon)
+	if err == nil {
+		r.configs[anon] = h
+	}
+	return h, err
+}
+
+// configDoc returns m's configuration document for observers (CellEvent
+// and CellStart ConfigJSON), marshalled once per distinct machine as
+// labelled. Observers share the bytes and must not modify them.
+func (r *Runner) configDoc(m *config.Machine) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	doc, ok := r.docs[*m]
+	if !ok {
+		doc, _ = m.ToJSON()
+		r.docs[*m] = doc
+	}
+	return doc
 }
 
 // reproProfile is the (possibly mutated) profile a repro bundle replays;
@@ -484,8 +563,11 @@ func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error)
 // Put, keyed by cellKey. Concurrent submissions of a key share one
 // simulation. Failures are memoised like results: the simulator is
 // deterministic, so the campaign reports one failure per distinct cell
-// instead of re-dying once per experiment that shares it.
+// instead of re-dying once per experiment that shares it. runPlan hashes
+// each plan row once; a stream submitted unhashed (Run, Bundle.Replay) is
+// hashed here.
 func (r *Runner) run(c cellReq) (*cpu.Result, error) {
+	c.planStream = c.planStream.hashed()
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -498,26 +580,26 @@ func (r *Runner) run(c cellReq) (*cpu.Result, error) {
 	if r.spec.Fault.applies(c.workload) {
 		fault = r.spec.Fault.String()
 	}
-	key, err := cellKey(&c.m, c.streamSpec, r.spec.Seed, r.spec.Insts, fault)
-	if err != nil {
+	var err error
+	if c.key, err = r.cellKey(&c.m, &c.streamSpec, fault); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
+	if e, ok := r.cache[c.key]; ok {
 		r.mu.Unlock()
 		<-e.done
 		// The owner may have run under other names; a trace requested by
 		// this cell's names replays the key, reproducing that run exactly.
 		if rec := r.armTrace(c.m.Name, c.workload); rec != nil {
-			r.runStream(&c, key, rec, false)
+			r.runStream(&c, rec, false)
 		}
-		r.emitCell(&c, key, CellEvent{MemoHit: true, Result: e.res, Err: e.err})
+		r.emitCell(&c, CellEvent{MemoHit: true, Result: e.res, Err: e.err})
 		return e.res, e.err
 	}
 	e := &memoEntry{done: make(chan struct{})}
-	r.cache[key] = e
+	r.cache[c.key] = e
 	r.mu.Unlock()
-	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(&c, key) })
+	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(&c) })
 	return e.res, e.err
 }
 
@@ -598,8 +680,8 @@ func (r *Runner) PoolStats() (hits, misses uint64) {
 // are wrapped into CellErrors with the same context, minus the stack.
 // observed is false for the trace replay of a memoised cell, which is
 // neither counted nor reported.
-func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorder, observed bool) (res *cpu.Result, err error) {
-	stream, release, err := r.openStream(c.streamSpec)
+func (r *Runner) runStream(c *cellReq, traceRec *diag.Recorder, observed bool) (res *cpu.Result, err error) {
+	stream, release, err := r.openStream(&c.streamSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +739,7 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 	// wants.
 	var cfgJSON []byte
 	if obs != nil || startObs != nil {
-		cfgJSON, _ = m.ToJSON()
+		cfgJSON = r.configDoc(&m)
 	}
 	var cellStart time.Time
 	if obs != nil && obsNow != nil {
@@ -674,7 +756,7 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 		if obsNow != nil {
 			ev.WallSeconds = obsNow().Sub(cellStart).Seconds()
 		}
-		r.emitCell(c, key, ev)
+		r.emitCell(c, ev)
 	}()
 	defer func() {
 		if p := recover(); p != nil {
@@ -734,7 +816,7 @@ func (r *Runner) runStream(c *cellReq, key cellstore.Key, traceRec *diag.Recorde
 		// experiment. Labels never influence results; the plain path
 		// stays completely untouched when observability is off.
 		pprof.Do(context.Background(), pprof.Labels(
-			"cell", key.ID(),
+			"cell", c.keyID(),
 			"experiment", r.Experiment(),
 			"workload", c.workload,
 			"machine", m.Name,

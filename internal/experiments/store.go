@@ -86,7 +86,7 @@ func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
 		Branches:     sr.Branches,
 		Mispredicts:  sr.Mispredicts,
 		IPC:          sr.IPC,
-		Counters:     stats.NewSet(),
+		Counters:     stats.NewSetSize(len(sr.CounterNames)),
 	}
 	for i, name := range sr.CounterNames {
 		res.Counters.Add(name, sr.CounterValues[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
@@ -119,31 +119,31 @@ func (e *restoredError) Is(target error) bool {
 // the store, restore on a hit, otherwise simulate and persist the outcome.
 // It runs only in the memo owner's fill path, so the store sees each
 // distinct cell once per campaign regardless of parallelism.
-func (r *Runner) runDurable(c *cellReq, key cellstore.Key) (*cpu.Result, error) {
+func (r *Runner) runDurable(c *cellReq) (*cpu.Result, error) {
 	st := r.spec.Store
 	if st != nil {
-		if entry, _ := st.Get(key); entry != nil {
+		if entry, _ := st.Get(c.key); entry != nil {
 			res, err, decErr := r.restoreEntry(entry, c)
 			if decErr == nil {
 				// The store keeps no events: a trace requested by this
 				// cell re-simulates it unreported, as run does for a memo
 				// hit.
 				if rec := r.armTrace(c.m.Name, c.workload); rec != nil {
-					r.runStream(c, key, rec, false)
+					r.runStream(c, rec, false)
 				}
 				// Store hits never reach runStream's observer; report here.
-				r.emitCell(c, key, CellEvent{StoreHit: true, Result: res, Err: err})
+				r.emitCell(c, CellEvent{StoreHit: true, Result: res, Err: err})
 				return res, err
 			}
 			// The envelope verified but the experiments-layer payload did
 			// not decode (e.g. written by an incompatible build). Quarantine
 			// it and fall through to a fresh simulation.
-			st.Quarantine(key, decErr)
+			st.Quarantine(c.key, decErr)
 		}
 	}
-	res, err := r.runStream(c, key, r.armTrace(c.m.Name, c.workload), true)
+	res, err := r.runStream(c, r.armTrace(c.m.Name, c.workload), true)
 	if st != nil {
-		r.putEntry(st, c, key, res, err)
+		r.putEntry(st, c, res, err)
 	}
 	return res, err
 }
@@ -186,8 +186,8 @@ func (r *Runner) restoreEntry(entry *cellstore.Entry, c *cellReq) (*cpu.Result, 
 // configuration error that costs nothing to rediscover. Put errors are
 // advisory: the store quarantines, retries and degrades on its own, and a
 // campaign never fails over durability.
-func (r *Runner) putEntry(st *cellstore.Store, c *cellReq, key cellstore.Key, res *cpu.Result, err error) {
-	e := cellstore.Entry{Key: key, Machine: c.m.Name, Workload: c.workload}
+func (r *Runner) putEntry(st *cellstore.Store, c *cellReq, res *cpu.Result, err error) {
+	e := cellstore.Entry{Key: c.key, Machine: c.m.Name, Workload: c.workload}
 	switch {
 	case err == nil:
 		raw, encErr := encodeResult(res)

@@ -6,46 +6,62 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Set is a collection of named counters. Counter names are created on first
-// use; the zero value is not usable — construct with NewSet.
+// use; the zero value is an empty set.
+//
+// Names and values sit in two parallel slices in creation order, with no
+// index: a result holds about 70 counters, few enough that a linear scan
+// in Add and Get costs less than a map, and a memoised result keeps one
+// copy of its counters.
 type Set struct {
-	counters map[string]uint64
-	order    []string
+	names  []string
+	values []uint64
 }
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return NewSetSize(0) }
 
 // NewSetSize returns an empty counter set with room for n counters, so a
 // producer that knows its counter count fills it without regrowing.
 func NewSetSize(n int) *Set {
-	return &Set{counters: make(map[string]uint64, n), order: make([]string, 0, n)}
+	return &Set{names: make([]string, 0, n), values: make([]uint64, 0, n)}
+}
+
+// index returns the position of the named counter, or -1.
+func (s *Set) index(name string) int {
+	for i, n := range s.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Add increments the named counter by n, creating it if necessary.
 func (s *Set) Add(name string, n uint64) {
-	if _, ok := s.counters[name]; !ok {
-		s.order = append(s.order, name)
+	if i := s.index(name); i >= 0 {
+		s.values[i] += n
+		return
 	}
-	s.counters[name] += n
+	s.names = append(s.names, name)
+	s.values = append(s.values, n)
 }
 
 // Inc increments the named counter by one.
 func (s *Set) Inc(name string) { s.Add(name, 1) }
 
 // Get returns the value of the named counter (zero if never touched).
-func (s *Set) Get(name string) uint64 { return s.counters[name] }
+func (s *Set) Get(name string) uint64 {
+	if i := s.index(name); i >= 0 {
+		return s.values[i]
+	}
+	return 0
+}
 
 // Names returns the counter names in creation order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
+func (s *Set) Names() []string { return slices.Clone(s.names) }
 
 // SafeRatio returns num/den, or 0 when den is exactly zero. Every rate the
 // experiment harness renders (miss rates, mispredict rates, per-kI counts,
@@ -62,14 +78,14 @@ func SafeRatio(num, den float64) float64 {
 // String renders the set as "name=value" lines sorted by name, primarily for
 // debugging and log output.
 func (s *Set) String() string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
+	order := make([]int, len(s.names))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(names)
+	sort.Slice(order, func(a, b int) bool { return s.names[order[a]] < s.names[order[b]] })
 	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.counters[n])
+	for _, i := range order {
+		fmt.Fprintf(&b, "%s=%d\n", s.names[i], s.values[i])
 	}
 	return b.String()
 }

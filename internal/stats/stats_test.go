@@ -8,7 +8,7 @@ import (
 )
 
 func TestSetBasics(t *testing.T) {
-	s := NewSet()
+	s := new(Set)
 	if got := s.Get("missing"); got != 0 {
 		t.Errorf("untouched counter = %d, want 0", got)
 	}
@@ -33,7 +33,7 @@ func ratio(s *Set, num, den string) float64 {
 }
 
 func TestSetRatio(t *testing.T) {
-	s := NewSet()
+	s := new(Set)
 	s.Add("hits", 3)
 	s.Add("accesses", 4)
 	if got := ratio(s, "hits", "accesses"); got != 0.75 {
@@ -49,7 +49,7 @@ func TestSetRatio(t *testing.T) {
 // the case a cell with zero port accesses produces. The result must be
 // exactly zero, never NaN or Inf leaking into a report table.
 func TestSetRatioZeroDenominator(t *testing.T) {
-	s := NewSet()
+	s := new(Set)
 	s.Add("rejects", 7)
 	s.Add("accesses", 0)
 	got := ratio(s, "rejects", "accesses")
@@ -62,7 +62,7 @@ func TestSetRatioZeroDenominator(t *testing.T) {
 }
 
 func TestSetString(t *testing.T) {
-	s := NewSet()
+	s := new(Set)
 	s.Add("zeta", 1)
 	s.Add("alpha", 2)
 	out := s.String()
@@ -190,7 +190,7 @@ func TestSafeRatio(t *testing.T) {
 }
 
 func TestPortRejects(t *testing.T) {
-	s := NewSet()
+	s := new(Set)
 	if got := PortRejects(s); got != 0 {
 		t.Errorf("empty set rejects = %d, want 0", got)
 	}
