@@ -283,8 +283,10 @@ func (p *MemPort) BeginCycle(now uint64) {
 		p.busyGrants += uint64(pay)
 		p.refillCycles += uint64(pay)
 	}
-	p.sb.Expire(now)
-	if p.cfg.StoresFirst {
+	if now >= p.sb.nextExpiry {
+		p.sb.Expire(now)
+	}
+	if p.cfg.StoresFirst && p.sb.n > 0 {
 		p.drainStores(now)
 	}
 }
@@ -374,12 +376,14 @@ func (p *MemPort) releaseSlot(addr uint64) {
 //
 //portlint:hotpath
 func (p *MemPort) TryLoad(now, addr uint64, size int) LoadResult {
-	if fwd, conflict := p.sb.Probe(addr, size); conflict {
-		p.rejects[RejectStoreConflict]++
-		return LoadResult{}
-	} else if fwd {
-		p.loadsBySource[SourceStoreBuffer]++
-		return LoadResult{Accepted: true, Ready: now + 1, Source: SourceStoreBuffer}
+	if p.sb.n > 0 {
+		if fwd, conflict := p.sb.Probe(addr, size); conflict {
+			p.rejects[RejectStoreConflict]++
+			return LoadResult{}
+		} else if fwd {
+			p.loadsBySource[SourceStoreBuffer]++
+			return LoadResult{Accepted: true, Ready: now + 1, Source: SourceStoreBuffer}
+		}
 	}
 	if readyAt, hit := p.lbs.Lookup(addr); hit {
 		ready := now + 1
@@ -451,7 +455,7 @@ func (p *MemPort) TryCommitStore(now, addr uint64, size int) bool {
 //
 //portlint:hotpath
 func (p *MemPort) EndCycle(now uint64) {
-	if !p.cfg.StoresFirst {
+	if !p.cfg.StoresFirst && p.sb.n > 0 {
 		p.drainStores(now)
 	}
 	if p.cfg.PrefetchNextLine {

@@ -43,8 +43,8 @@ type SBEntry struct {
 // the low indices: the drain-ordering and probe scans touch only the one or
 // two fields they test, so the common walks (chunk address + issued flag)
 // stay in dense cache lines instead of striding over 90-byte records. The
-// 64-byte data images sit in their own array and are only touched by the
-// data-carrying test mode.
+// 64-byte data images sit in their own array and are only touched once an
+// Insert has carried data (carriesData).
 type StoreBuffer struct {
 	chunkBytes uint64
 	capacity   int
@@ -60,6 +60,11 @@ type StoreBuffer struct {
 	drainDone  []uint64 // valid once issued
 	issued     []bool
 	data       [][maxChunkBytes]byte
+
+	// carriesData is set by the first Insert with data since Reset: only
+	// then do Expire and its compaction move the data images. The timing
+	// simulator never passes data, so its buffer never copies them.
+	carriesData bool
 
 	n       int
 	nextSeq uint64
@@ -119,6 +124,7 @@ func (b *StoreBuffer) retarget(capacity, chunkBytes int, combining bool) {
 func (b *StoreBuffer) Reset() {
 	b.n = 0
 	b.nextSeq = 0
+	b.carriesData = false
 	b.nextExpiry = NeverEvent
 	b.drainCandValid = false
 	b.inserts, b.combined, b.drains, b.forwards = 0, 0, 0, 0
@@ -162,6 +168,9 @@ func (b *StoreBuffer) Insert(now, addr uint64, size int, data []byte) (combined 
 	offset := addr - chunk //portlint:ignore cyclemath chunk is addr with low bits masked off, so chunk <= addr
 	mask := maskFor(offset, size)
 	b.inserts++
+	if data != nil {
+		b.carriesData = true
+	}
 	if b.combining {
 		for i := 0; i < b.n; i++ {
 			if b.chunkAddr[i] == chunk && !b.issued[i] {
@@ -317,8 +326,9 @@ func (b *StoreBuffer) LatestDrainDone() uint64 {
 
 // Expire removes issued entries whose cache writes have completed by cycle
 // now, returning them (oldest first) so the caller can apply their data in
-// data-carrying mode. The returned slice aliases internal scratch that the
-// next Expire call overwrites: consume it before calling Expire again.
+// data-carrying mode; otherwise the returned entries' Data is not set. The
+// returned slice aliases internal scratch that the next Expire call
+// overwrites: consume it before calling Expire again.
 //
 //portlint:hotpath
 func (b *StoreBuffer) Expire(now uint64) []SBEntry {
@@ -334,7 +344,9 @@ func (b *StoreBuffer) Expire(now uint64) []SBEntry {
 			out := &b.expired[k]
 			out.ChunkAddr = b.chunkAddr[i]
 			out.Mask = b.mask[i]
-			out.Data = b.data[i]
+			if b.carriesData {
+				out.Data = b.data[i]
+			}
 			k++
 			continue
 		}
@@ -348,7 +360,9 @@ func (b *StoreBuffer) Expire(now uint64) []SBEntry {
 			b.insertedAt[w] = b.insertedAt[i]
 			b.drainDone[w] = b.drainDone[i]
 			b.issued[w] = b.issued[i]
-			b.data[w] = b.data[i]
+			if b.carriesData {
+				b.data[w] = b.data[i]
+			}
 		}
 		w++
 	}

@@ -121,17 +121,15 @@ func (c *Core) classifyHead(t uint64) cpustack.Bucket {
 	}
 }
 
-// muldivQueued reports whether a dispatched head needs the unpipelined
+// muldivQueued reports whether a dispatched head needs an unpipelined
 // multiply/divide unit while it is busy at cycle t — queued behind the
 // divider rather than waiting on operands.
 //
 //portlint:hotpath
 func (c *Core) muldivQueued(h *robEntry, t uint64) bool {
-	switch h.inst.Class {
-	case isa.IntMul, isa.IntDiv:
-		return t < c.intDivFreeAt
-	case isa.FPMul, isa.FPDiv:
-		return t < c.fpDivFreeAt
+	switch u := c.classes[h.inst.Class].unit; u {
+	case uMulDiv, uFPMulDiv:
+		return t < c.unitFreeAt[u]
 	}
 	return false
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"portsim/internal/bpred"
 	"portsim/internal/config"
@@ -36,10 +37,6 @@ import (
 // never is a completion time that has not been scheduled yet.
 const never = math.MaxUint64
 
-// staleGen marks a robEntry readiness cache invalid: readyGen counts up
-// from zero and cannot reach it.
-const staleGen = ^uint64(0)
-
 // entryState tracks an instruction's progress through the backend.
 type entryState uint8
 
@@ -49,70 +46,83 @@ const (
 	stateDone                  // result available
 )
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight instruction, 128 bytes. The fields every issue
+// visit reads (readiness cache, class, dispatch cycle) share its first 64
+// bytes, so a visit that stops at the readiness, attempt-time or unit
+// check touches one cache line.
 type robEntry struct {
-	inst isa.Inst
-	seq  uint64
-
-	state  entryState
-	doneAt uint64 // completion cycle (valid once issued)
-
-	// Renaming.
-	destPhys, prevPhys int16 // -1 when the instruction has no destination
-	src1Phys, src2Phys int16 // -1 when no dependence
-
-	// Memory ordering (loads/stores only).
-	addrReadyAt uint64 // cycle the effective address is known
-	sqMark      uint64 // loads: store-ring tail at dispatch; older stores live in [sqHead, sqMark)
-
-	// dispatchedAt anchors address-generation timing for operand-free
-	// memory operations.
-	dispatchedAt uint64
-
 	// readyCache memoises the entry's operand-readiness (both operands,
 	// or the address operand alone for stores) so the per-cycle issue
 	// scans compare one cached word instead of re-reading the ready
 	// files. The cache is valid while readyGen matches Core.readyGen: a
 	// finite value is final until a memory-order squash bumps the global
 	// generation, and a cached never is parked on the blocking register's
-	// waiter list, whose pop (at publish, in setDestReady) sets readyGen
-	// to staleGen to force the recompute.
+	// waiter list, whose pop (at publish, in wakeWaiters) recomputes it.
 	readyCache uint64
 	readyGen   uint64
 
-	// waitNext links this entry on a register waiter list while onWaitList
-	// (see Core.intWaiter); -1 terminates the list.
-	waitNext   int32
+	inst isa.Inst
+
+	// dispatchedAt anchors address-generation timing for operand-free
+	// memory operations.
+	dispatchedAt uint64
+
+	doneAt uint64 // completion cycle (valid once issued)
+	state  entryState
+
+	// onWaitList records that the entry is linked on a register waiter
+	// list (see Core.waiter) through waitNext; -1 terminates the list.
 	onWaitList bool
-
-	// inLive / inHeap record which issue worklist the entry currently sits
-	// in (Core.liveList / Core.wakeHeap) so routing stays idempotent: a
-	// dispatched entry lives in at most one of {live list, wake heap,
-	// waiter list} plus transiently live+heap after a squash re-route, and
-	// the flags keep double insertion impossible.
-	inLive bool
-	inHeap bool
-
-	// lsqCleanGen caches a load's clean disambiguation verdict: while it
-	// equals Core.sqGen, the scan over older in-flight stores is known to
-	// find no overlap (and, conservatively, no unresolved address), so a
-	// retrying load skips it. Stores leaving the ring cannot dirty a clean
-	// verdict; a store issuing can (its now-known address may overlap), and
-	// that is exactly what bumps sqGen. Zero (the dispatch state) never
-	// matches: sqGen starts at one and counts up.
-	lsqCleanGen uint64
 
 	// Control flow.
 	mispredicted bool // fetch stalled on this instruction until resolution
 	serialize    bool // syscall: fetch resumes only after commit
+
+	waitNext int32
+
+	// Renaming.
+	destPhys, prevPhys int16 // -1 when the instruction has no destination
+	src1Phys, src2Phys int16 // -1 when no dependence
+
+	seq uint64
+
+	// Memory ordering (loads/stores only).
+	addrReadyAt uint64 // cycle the effective address is known
+	sqMark      uint64 // store-ring tail at dispatch; a load's older stores live in [sqHead, sqMark)
+
+	// A load's cached disambiguation verdict (lsqVerdict), taken by a
+	// walk over its older in-flight stores at store generation lsqGen.
+	// A stall or cover verdict also keeps the deciding store's ring
+	// position, lsqPos. The verdict holds while lsqGen equals Core.sqGen
+	// and, unless it is clean, while that store has not committed
+	// (lsqPos >= sqHead): a store issuing is the only event that changes
+	// what the walk finds before its deciding store, and stores commit in
+	// order, so none between the deciding store and the load can leave
+	// first. Zero (the dispatch state) never matches: sqGen starts at one
+	// and counts up.
+	lsqGen     uint64
+	lsqPos     uint64
+	lsqVerdict lsqVerdict
 }
 
-// wakeEntry schedules a dispatched entry's next issue attempt: the ROB
-// slice index and the first cycle the entry could pass issue()'s per-entry
-// gates (Core.wakeHeap is a min-heap on at).
-type wakeEntry struct {
-	at  uint64
-	idx int32
+// lsqVerdict is the outcome of a load's walk over its older in-flight
+// stores.
+type lsqVerdict uint8
+
+const (
+	lsqClean lsqVerdict = iota // no older store overlaps (nor, without speculation, is unresolved)
+	lsqStall                   // wait: an unresolved older store, or a partial overlap
+	lsqCover                   // forward from the store at lsqPos, which covers the load
+)
+
+// sqEntry is one store-ring slot: the store's ROB slice index and the copy
+// of its address, size and issue state that a load's disambiguation walk
+// reads.
+type sqEntry struct {
+	addr   uint64
+	idx    int32
+	size   uint8
+	issued bool // the address is known
 }
 
 // fetchedInst sits in the fetch buffer between fetch and rename.
@@ -227,78 +237,81 @@ type Core struct {
 	committed uint64
 	maxInsts  uint64
 
-	// Issue/complete fast-path bookkeeping. issList/issCount is the
-	// compact (unordered) list of ROB slice indices in stateIssued with a
-	// scheduled (finite) completion — complete()'s worklist, so its scan
-	// touches only entries that can transition instead of the whole ROB.
-	// nextDoneAt is a lower bound on the earliest completion among listed
-	// entries; complete skips its scan entirely while it lies in the
-	// future, which is the common case during long miss shadows. An
-	// address-issued store whose data producer is unscheduled (doneAt ==
-	// never) stays off the list — it cannot complete — until the
-	// producer's publish finalises its doneAt and files it here
-	// (setDestReady), so unknown completions neither force nor pad a
-	// walk. Count-managed at full ROB capacity: no appends on the hot
-	// path.
-	issList    []int32
-	issCount   int
-	nextDoneAt uint64
+	// The issue and completion schedulers (DESIGN.md "The two-tier issue
+	// scheduler"), each a bitset over ROB slice indices. live (non-stores)
+	// and liveStores (stores, which issue on address availability alone in
+	// a second pass) hold the dispatched entries that can attempt issue
+	// now; issue() scans them in ring order from robHead, which is program
+	// order. wake files each entry whose attempt time (operand readiness
+	// mapped through address generation or a busy unpipelined unit) is a
+	// known future cycle; drainWake routes a slot's entries when the clock
+	// reaches it. Entries blocked on an unscheduled producer sit on that
+	// register's waiter list (waiter) and rejoin through the publish in
+	// setDestReady. done files each issued entry with a known
+	// completion time, and complete() promotes a slot's entries when the
+	// clock reaches it; an address-issued store whose data producer is
+	// unscheduled (doneAt == never) stays off it until the producer's
+	// publish finalises its doneAt (setDestReady). lsqWait parks the loads
+	// whose cached disambiguation verdict is a stall until a store issues
+	// or commits (wakeLSQ), the only events that can end one. All five are
+	// allocated with the core (newSched).
+	live, liveStores, lsqWait slotSet
+	wake, done                wheel
 
-	// Two-tier issue worklist. liveList (non-stores) and liveStores
-	// (stores, which issue on address availability alone in a second
-	// pass) hold the program-ordered ROB slice indices of dispatched
-	// entries whose operand readiness has already arrived — the only
-	// entries issue()'s scans visit. Entries whose readiness (or address
-	// generation / divider turn) arrives at a known future cycle wait in
-	// wakeHeap, a binary min-heap keyed on that attempt time; drainWake
-	// moves them to the matching live list when the clock reaches it.
-	// Entries blocked on an unscheduled producer sit on that register's
-	// waiter list (intWaiter/fpWaiter) and rejoin through the publish in
-	// setDestReady. Heap times may go stale-early (a squash raises
-	// readiness, a divider busies up after the push) — the wake then just
-	// re-parks the entry, which is safe because a premature visit of an
-	// unready entry was always a no-op in the single-list scheme too. All
-	// three structures are count-managed at full ROB capacity: no appends
-	// on the hot path.
-	liveList       []int32
-	liveCount      int
-	liveStores     []int32
-	liveStoreCount int
-	wakeHeap       []wakeEntry
-
-	// Store-queue ring: the program-ordered ROB indices of every store
-	// between dispatch and commit. sqHead/sqTail are monotone positions
-	// (occupancy sqTail-sqHead == sqCount); the backing array is a power
-	// of two so position-to-slot is a mask. issueLoad's disambiguation
-	// scan walks [sqHead, load.sqMark) backward — exactly the older
-	// in-flight stores — instead of every older ROB entry.
-	sqRing         []int32
+	// Store-queue ring: every store between dispatch and commit, in
+	// program order. sqHead/sqTail are monotone positions (occupancy
+	// sqTail-sqHead); the backing array is a power of two so
+	// position-to-slot is a mask. A store's position is its sqMark.
+	// lsqWalk walks a load's [sqHead, sqMark) backward — exactly the older
+	// in-flight stores — reading only the ring.
+	sqRing         []sqEntry
 	sqHead, sqTail uint64
 
-	// sqGen is the store-resolution generation backing robEntry.lsqCleanGen
-	// (bumped by issueStore, the only event that can dirty a clean
-	// disambiguation verdict). Starts at one so a zeroed cache never hits.
+	// sqBuckets counts, per bucket of 8-byte granules (granule mod 64),
+	// the in-flight stores that write one, and sqUnresolved the in-flight
+	// stores whose address has not issued. A load whose granules' buckets
+	// are empty overlaps no in-flight store, so unless an unresolved store
+	// must stall it, its walk is clean without visiting the ring
+	// (lsqWalk).
+	sqBuckets    [64]int32
+	sqUnresolved int
+
+	// sqGen is the store-resolution generation backing robEntry.lsqGen
+	// (bumped by issueStore, the only event that can change what a load's
+	// walk finds before its deciding store). Starts at one so a zeroed
+	// cache never hits.
 	sqGen uint64
 
-	// Physical register files: readyAt per register, free lists.
-	intReady, fpReady []uint64
-	intFree, fpFree   []int16
-	intMap, fpMap     [32]int16
+	// Physical registers, integer and floating-point in one index space:
+	// the integer file is [0, IntPhysRegs) and the floating-point file
+	// follows it. ready holds each register's ready cycle and regMap each
+	// architectural register's current mapping; the free lists stay per
+	// file.
+	ready           []uint64
+	intFree, fpFree []int16
+	regMap          [isa.NumArchRegs]int16
 
-	// Waiter lists: for each unpublished physical register, the dispatched
+	// waiter holds, for each unpublished physical register, the dispatched
 	// entries whose readiness cache is parked at never waiting on it,
-	// singly linked through robEntry.waitNext (-1 terminates). setDestReady
-	// pops the destination's list and invalidates exactly those caches —
+	// singly linked through robEntry.waitNext (-1 terminates). The publish
+	// (setDestReady) pops the list and recomputes exactly those caches —
 	// that is what makes a cached never trustworthy between publishes.
-	intWaiter, fpWaiter []int32
+	waiter []int32
 
-	// Issue-queue and load/store-queue occupancy (entries are tracked in
-	// the ROB itself; these counters model the finite structures).
-	intQCount, fpQCount int
-	lqCount, sqCount    int
+	// Per-class rows (classTable) and the machine's queue and unit sizes,
+	// derived from the configuration in reset.
+	classes [isa.NumClasses]classInfo
+	qCap    [numQueues]int
+	unitCap [numUnits]int
 
-	// Functional-unit availability.
-	intDivFreeAt, fpDivFreeAt uint64
+	// Queue occupancy (entries are tracked in the ROB itself; these
+	// counters model the finite structures). qNone counts the in-flight
+	// Nops and Syscalls, which hold no queue.
+	qCount [numQueues]int
+
+	// unitFreeAt is when each unpipelined unit takes its next instruction
+	// (zero for pipelined units).
+	unitFreeAt [numUnits]uint64
 
 	// readyGen is the operand-readiness generation: bumped whenever a
 	// memory-order squash rewrites an already-published ready time, which
@@ -315,8 +328,6 @@ type Core struct {
 	stallSeq        uint64 // seq of the unresolved control inst blocking fetch (0 = none)
 	stallOnCommit   bool   // the blocking instruction releases fetch at commit (syscall)
 	curFetchLine    uint64
-	havePending     bool
-	pending         isa.Inst
 	streamDone      bool
 	wrongPathPC     uint64 // next wrong-path fetch address (0 = none)
 	wrongPathLines  uint64
@@ -335,14 +346,19 @@ type Core struct {
 	acct       *cpustack.Stack
 	lastBucket cpustack.Bucket
 
-	// Statistics.
-	loads, stores, branches, mispredicts uint64
-	memViolations                        uint64
-	lsqForwards                          uint64
-	userInsts, kernelInsts               uint64
-	fetchStallCycles, robFullCycles      uint64
-	commitStallSB                        uint64
-	classCount                           [isa.NumClasses]uint64
+	// Statistics. Loads, stores, branches and user instructions are
+	// derived from classCount and kernelInsts in result.
+	mispredicts                     uint64
+	memViolations                   uint64
+	lsqForwards                     uint64
+	kernelInsts                     uint64
+	fetchStallCycles, robFullCycles uint64
+	commitStallSB                   uint64
+	classCount                      [isa.NumClasses]uint64
+
+	// work holds the deterministic work counters the portsimcount build
+	// tag compiles in (count_on.go); otherwise it is empty.
+	work workCounts
 }
 
 // pow2AtLeast rounds n up to the next power of two so a ring position maps
@@ -372,26 +388,25 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{
-		cfg:        cfg,
-		sys:        sys,
-		port:       core.NewMemPort(cfg.Ports, sys),
-		pred:       pred,
-		batchBuf:   make([]isa.Inst, streamChunk),
-		rob:        make([]robEntry, cfg.Core.ROBEntries),
-		liveList:   make([]int32, cfg.Core.ROBEntries),
-		liveStores: make([]int32, cfg.Core.StoreQueueEntries),
-		wakeHeap:   make([]wakeEntry, 0, cfg.Core.ROBEntries),
-		issList:    make([]int32, cfg.Core.ROBEntries),
-		sqRing:     make([]int32, pow2AtLeast(cfg.Core.StoreQueueEntries)),
-		fetchBuf:   make([]fetchedInst, 4*cfg.Core.FetchWidth),
-		intReady:   make([]uint64, cfg.Core.IntPhysRegs),
-		fpReady:    make([]uint64, cfg.Core.FPPhysRegs),
-		intFree:    make([]int16, 0, cfg.Core.IntPhysRegs),
-		fpFree:     make([]int16, 0, cfg.Core.FPPhysRegs),
-		intWaiter:  make([]int32, cfg.Core.IntPhysRegs),
-		fpWaiter:   make([]int32, cfg.Core.FPPhysRegs),
+	physRegs := cfg.Core.IntPhysRegs + cfg.Core.FPPhysRegs
+	if physRegs > math.MaxInt16+1 {
+		return nil, fmt.Errorf("cpu: %d physical registers exceed the renamer's %d", physRegs, math.MaxInt16+1)
 	}
+	c := &Core{
+		cfg:      cfg,
+		sys:      sys,
+		port:     core.NewMemPort(cfg.Ports, sys),
+		pred:     pred,
+		batchBuf: make([]isa.Inst, streamChunk),
+		rob:      make([]robEntry, cfg.Core.ROBEntries),
+		sqRing:   make([]sqEntry, pow2AtLeast(cfg.Core.StoreQueueEntries)),
+		fetchBuf: make([]fetchedInst, 4*cfg.Core.FetchWidth),
+		ready:    make([]uint64, physRegs),
+		intFree:  make([]int16, 0, cfg.Core.IntPhysRegs),
+		fpFree:   make([]int16, 0, cfg.Core.FPPhysRegs),
+		waiter:   make([]int32, physRegs),
+	}
+	c.live, c.liveStores, c.lsqWait, c.wake, c.done = newSched(cfg.Core.ROBEntries)
 	c.reset(stream)
 	return c, nil
 }
@@ -409,43 +424,46 @@ func (c *Core) reset(stream trace.Stream) {
 		stream:       trace.Batched(stream),
 		batchBuf:     c.batchBuf,
 		rob:          c.rob,
-		issList:      c.issList,
-		nextDoneAt:   never,
-		liveList:     c.liveList,
+		live:         c.live,
 		liveStores:   c.liveStores,
-		wakeHeap:     c.wakeHeap[:0],
+		lsqWait:      c.lsqWait,
+		wake:         c.wake,
+		done:         c.done,
 		sqRing:       c.sqRing,
 		sqGen:        1,
-		intReady:     c.intReady,
-		fpReady:      c.fpReady,
+		classes:      classTable(&c.cfg.Lat),
+		qCap:         queueCaps(&c.cfg.Core),
+		unitCap:      unitCaps(&c.cfg.Core),
+		ready:        c.ready,
 		intFree:      c.intFree[:0],
 		fpFree:       c.fpFree[:0],
-		intWaiter:    c.intWaiter,
-		fpWaiter:     c.fpWaiter,
+		waiter:       c.waiter,
 		fetchBuf:     c.fetchBuf,
 		curFetchLine: ^uint64(0),
 		lastBucket:   cpustack.NumBuckets,
 	}
 	clear(c.rob)
-	clear(c.intReady)
-	clear(c.fpReady)
+	clear(c.live)
+	clear(c.liveStores)
+	clear(c.lsqWait)
+	clear(c.wake.bits)
+	clear(c.done.bits)
+	clear(c.ready)
 	clear(c.fetchBuf)
-	for i := range c.intWaiter {
-		c.intWaiter[i] = -1
+	for i := range c.waiter {
+		c.waiter[i] = -1
 	}
-	for i := range c.fpWaiter {
-		c.fpWaiter[i] = -1
-	}
-	// Architectural registers 0..31 map to physical 0..31 initially; the
-	// rest are free.
+	// Architectural registers map to the first 32 physical registers of
+	// their file initially; the rest are free.
+	fpBase := c.cfg.Core.IntPhysRegs
 	for i := 0; i < 32; i++ {
-		c.intMap[i] = int16(i)
-		c.fpMap[i] = int16(i)
+		c.regMap[i] = int16(i)
+		c.regMap[isa.FPBase+isa.Reg(i)] = int16(fpBase + i)
 	}
-	for i := 32; i < len(c.intReady); i++ {
+	for i := 32; i < fpBase; i++ {
 		c.intFree = append(c.intFree, int16(i))
 	}
-	for i := 32; i < len(c.fpReady); i++ {
+	for i := fpBase + 32; i < len(c.ready); i++ {
 		c.fpFree = append(c.fpFree, int16(i))
 	}
 }
@@ -502,9 +520,6 @@ func (c *Core) Retarget(cfg *config.Machine, stream trace.Stream) (bool, error) 
 	c.reset(stream)
 	return true, nil
 }
-
-// Cycle returns the current cycle.
-func (c *Core) Cycle() uint64 { return c.cycle }
 
 // ErrDeadline reports that a run exceeded its cycle budget, which indicates
 // a model deadlock or a grossly underestimated deadline.
@@ -581,41 +596,6 @@ const streamChunk = 128
 // generator.
 const StreamChunk = streamChunk
 
-// streamNext delivers the next stream instruction through the chunk buffer.
-//
-//portlint:hotpath
-func (c *Core) streamNext(in *isa.Inst) bool {
-	if c.batchPos == c.batchLen {
-		c.batchLen = c.stream.NextBatch(c.batchBuf)
-		c.batchPos = 0
-		if c.batchLen == 0 {
-			return false
-		}
-	}
-	*in = c.batchBuf[c.batchPos]
-	c.batchPos++
-	return true
-}
-
-// fbPush appends one instruction to the fetch-buffer ring. Callers must
-// check fbCount < len(fetchBuf) first.
-//
-//portlint:hotpath
-func (c *Core) fbPush(f fetchedInst) {
-	i := c.fbHead + c.fbCount
-	if n := len(c.fetchBuf); i >= n {
-		i -= n
-	}
-	c.fetchBuf[i] = f
-	c.fbCount++
-}
-
-// fbFront returns the oldest fetched instruction. Callers must check
-// fbCount > 0 first.
-//
-//portlint:hotpath
-func (c *Core) fbFront() *fetchedInst { return &c.fetchBuf[c.fbHead] }
-
 // fbPop removes the oldest fetched instruction.
 //
 //portlint:hotpath
@@ -629,7 +609,7 @@ func (c *Core) fbPop() {
 
 // drained reports that no work remains anywhere in the machine.
 func (c *Core) drained() bool {
-	if c.robCount > 0 || c.fbCount > 0 || c.havePending {
+	if c.robCount > 0 || c.fbCount > 0 {
 		return false
 	}
 	if c.limitReached() {
@@ -667,14 +647,19 @@ const resultCounters = 26 + isa.NumClasses + 22
 
 // result assembles the Result from the counters.
 func (c *Core) result() *Result {
+	// Every committed instruction is a user or a kernel one.
+	users := c.committed
+	if c.kernelInsts <= c.committed {
+		users = c.committed - c.kernelInsts
+	}
 	s := stats.NewSetSize(resultCounters + core.SlotsPerCycle(c.cfg.Ports))
 	s.Add(stats.Cycles, c.cycle)
 	s.Add(stats.Instructions, c.committed)
-	s.Add(stats.InstsUser, c.userInsts)
+	s.Add(stats.InstsUser, users)
 	s.Add(stats.InstsKernel, c.kernelInsts)
-	s.Add(stats.Loads, c.loads)
-	s.Add(stats.Stores, c.stores)
-	s.Add(stats.Branches, c.branches)
+	s.Add(stats.Loads, c.classCount[isa.Load])
+	s.Add(stats.Stores, c.classCount[isa.Store])
+	s.Add(stats.Branches, c.classCount[isa.Branch])
 	s.Add(stats.Mispredicts, c.mispredicts)
 	s.Add(stats.StallFetchCycles, c.fetchStallCycles)
 	s.Add(stats.StallROBFullCycles, c.robFullCycles)
@@ -707,11 +692,11 @@ func (c *Core) result() *Result {
 	return &Result{
 		Cycles:       c.cycle,
 		Instructions: c.committed,
-		UserInsts:    c.userInsts,
+		UserInsts:    users,
 		KernelInsts:  c.kernelInsts,
-		Loads:        c.loads,
-		Stores:       c.stores,
-		Branches:     c.branches,
+		Loads:        c.classCount[isa.Load],
+		Stores:       c.classCount[isa.Store],
+		Branches:     c.classCount[isa.Branch],
 		Mispredicts:  c.mispredicts,
 		IPC:          ipc,
 		Counters:     s,
@@ -732,7 +717,10 @@ func (c *Core) robIndex(off int) int {
 	return i
 }
 
-// commit retires up to CommitWidth completed instructions in program order.
+// commit retires up to CommitWidth completed instructions in program
+// order. Retiring one releases its previous physical mapping, its
+// load/store-queue slot and any fetch stall a serialising instruction
+// owns, and updates the counters.
 //
 //portlint:hotpath
 func (c *Core) commit() {
@@ -742,16 +730,52 @@ func (c *Core) commit() {
 		if e.state != stateDone || e.doneAt > c.cycle {
 			return
 		}
-		if e.inst.Class == isa.Store {
-			if !c.port.TryCommitStore(c.cycle, e.inst.Addr, int(e.inst.Size)) {
+		in := &e.inst
+		if in.Class == isa.Store {
+			if !c.port.TryCommitStore(c.cycle, in.Addr, int(in.Size)) {
 				c.commitStallSB++
 				if c.rec != nil {
-					c.rec.Record(c.cycle, diag.EventStall, e.seq, e.inst.Addr)
+					c.rec.Record(c.cycle, diag.EventStall, e.seq, in.Addr)
 				}
 				return
 			}
 		}
-		c.retire(e)
+		if e.seq <= c.lastCommitSeq {
+			panic(fmt.Sprintf("cpu: commit out of order: seq %d after %d", e.seq, c.lastCommitSeq))
+		}
+		c.lastCommitSeq = e.seq
+		if c.rec != nil {
+			c.rec.Record(c.cycle, diag.EventCommit, e.seq, in.PC)
+		}
+		if e.prevPhys >= 0 {
+			if in.Dest.IsFP() {
+				c.fpFree = append(c.fpFree, e.prevPhys) //portlint:ignore hotpath free-list capacity is FPPhysRegs, fixed at construction; the renamer's conservation law keeps len <= cap
+			} else {
+				c.intFree = append(c.intFree, e.prevPhys) //portlint:ignore hotpath free-list capacity is IntPhysRegs, fixed at construction; the renamer's conservation law keeps len <= cap
+			}
+		}
+		if e.mispredicted {
+			c.mispredicts++
+		}
+		if ci := &c.classes[in.Class]; ci.freeAtCommit {
+			c.qCount[ci.occupy]--
+			if ci.occupy == qStore {
+				c.sqHead++ // in-order commit: the head store is the ring's oldest
+				c.countGranules(in.Addr, in.Size, -1)
+				c.wakeLSQ()
+			}
+		}
+		if e.serialize && c.stallSeq == e.seq {
+			// Syscall: fetch resumes after the drain plus the redirect
+			// bubble.
+			c.stallSeq = 0
+			c.fetchBlockedTil = c.cycle + uint64(c.cfg.Core.MispredictPenalty)
+		}
+		c.committed++
+		c.classCount[in.Class]++
+		if in.Kernel {
+			c.kernelInsts++
+		}
 		if c.robHead++; c.robHead == len(c.rob) {
 			c.robHead = 0
 		}
@@ -759,118 +783,48 @@ func (c *Core) commit() {
 	}
 }
 
-// retire finalises one instruction: trains the predictor in program order,
-// releases the previous physical mapping, releases fetch stalls owned by
-// serialising instructions, and updates counters.
-//
-//portlint:hotpath
-func (c *Core) retire(e *robEntry) {
-	if e.seq <= c.lastCommitSeq {
-		panic(fmt.Sprintf("cpu: commit out of order: seq %d after %d", e.seq, c.lastCommitSeq))
-	}
-	c.lastCommitSeq = e.seq
-	if c.rec != nil {
-		c.rec.Record(c.cycle, diag.EventCommit, e.seq, e.inst.PC)
-	}
-	in := &e.inst
-	if e.prevPhys >= 0 {
-		if in.Dest.IsFP() {
-			c.fpFree = append(c.fpFree, e.prevPhys) //portlint:ignore hotpath free-list capacity is FPPhysRegs, fixed at construction; the renamer's conservation law keeps len <= cap
-		} else {
-			c.intFree = append(c.intFree, e.prevPhys) //portlint:ignore hotpath free-list capacity is IntPhysRegs, fixed at construction; the renamer's conservation law keeps len <= cap
-		}
-	}
-	if e.mispredicted {
-		c.mispredicts++
-	}
-	switch in.Class {
-	case isa.Load:
-		c.lqCount--
-	case isa.Store:
-		c.sqCount--
-		c.sqHead++ // in-order commit: the head store is the ring's oldest
-	}
-	if e.serialize && c.stallSeq == e.seq {
-		// Syscall: fetch resumes after the drain plus the redirect
-		// bubble.
-		c.stallSeq = 0
-		c.fetchBlockedTil = c.cycle + uint64(c.cfg.Core.MispredictPenalty)
-	}
-	c.committed++
-	c.classCount[in.Class]++
-	if in.Kernel {
-		c.kernelInsts++
-	} else {
-		c.userInsts++
-	}
-	switch in.Class {
-	case isa.Load:
-		c.loads++
-	case isa.Store:
-		c.stores++
-	case isa.Branch:
-		c.branches++
-	}
-}
-
-// complete promotes issued entries whose completion time has arrived.
-//
-// The scan is skipped outright when the bookkeeping proves no entry can
-// transition this cycle: nothing is issued, or every issued entry's
-// completion lies later than now (nextDoneAt; an address-issued store
-// whose completion is still unknown carries doneAt == never and is
-// finalised by its data producer's publish, not here). When the scan does
-// run, it walks only issList — the entries actually in stateIssued — and
-// every transition it performs is independent of the others (ready times
-// are published at issue, not completion), so the list's unordered visit
-// is equivalent to the ROB-ordered walk it replaces.
+// complete promotes the issued entries whose completion time has arrived:
+// the done wheel's slot for this cycle. An entry filed early (its doneAt lay
+// past the wheel's horizon) is re-filed instead. Every promotion is
+// independent of the others (ready times are published at issue, not
+// completion), so the slot's order does not matter.
 //
 //portlint:hotpath
 func (c *Core) complete() {
-	if c.issCount == 0 || c.nextDoneAt > c.cycle {
-		return
-	}
-	next := uint64(never)
-	w := 0
-	for k := 0; k < c.issCount; k++ {
-		idx := c.issList[k]
-		e := &c.rob[idx]
-		if e.doneAt <= c.cycle {
+	s := c.done.slot(c.cycle)
+	for k, w := range s {
+		if w == 0 {
+			continue
+		}
+		s[k] = 0
+		for ; w != 0; w &= w - 1 {
+			idx := int32(k<<6 + bits.TrailingZeros64(w))
+			e := &c.rob[idx]
+			if e.doneAt > c.cycle {
+				c.fileDone(e.doneAt, idx)
+				continue
+			}
 			e.state = stateDone
 			if e.mispredicted && c.stallSeq == e.seq && !e.serialize {
 				// Misprediction resolved: redirect fetch.
 				c.stallSeq = 0
 				c.fetchBlockedTil = e.doneAt + uint64(c.cfg.Core.MispredictPenalty)
 			}
-			continue // promoted: leaves the worklist
 		}
-		if e.doneAt < next {
-			next = e.doneAt
-		}
-		c.issList[w] = idx
-		w++
 	}
-	c.issCount = w
-	c.nextDoneAt = next
 }
 
-// noteIssued records that the entry at ROB slice index idx entered
-// stateIssued with completion time doneAt (possibly never, for an
-// address-issued store awaiting its data producer), keeping complete's
-// worklist and its nextDoneAt bound exact.
+// fileDone files the issued entry at ROB slice index idx on the done wheel
+// for its completion time at, which must be finite. A time that has
+// already passed is filed for the next cycle, the first complete() still
+// to run; one past the wheel's horizon is filed at its last slot.
 //
 //portlint:hotpath
-func (c *Core) noteIssued(idx int32, doneAt uint64) {
-	if doneAt == never {
-		// Address-issued store awaiting its data producer: it cannot
-		// complete until the publish finalises doneAt, and setDestReady
-		// files it on the worklist at that moment. Listing it now would
-		// only pad every complete() walk in between.
-		return
+func (c *Core) fileDone(at uint64, idx int32) {
+	if at <= c.cycle {
+		at = c.cycle + 1
+	} else if at >= c.cycle+wheelSlots {
+		at = c.cycle + wheelSlots - 1
 	}
-	c.issList[c.issCount] = idx
-	c.issCount++
-	if doneAt < c.nextDoneAt {
-		c.nextDoneAt = doneAt
-	}
+	c.done.file(at, idx)
 }

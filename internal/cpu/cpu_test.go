@@ -64,41 +64,43 @@ func checkInvariants(t *testing.T, c *Core) {
 	if c.robCount != 0 || c.fbCount != 0 {
 		t.Fatalf("machine not drained: rob=%d fetchBuf=%d", c.robCount, c.fbCount)
 	}
-	if c.lqCount != 0 || c.sqCount != 0 || c.intQCount != 0 || c.fpQCount != 0 {
-		t.Fatalf("queue counters nonzero after drain: lq=%d sq=%d int=%d fp=%d",
-			c.lqCount, c.sqCount, c.intQCount, c.fpQCount)
+	if q := c.qCount; q[qInt] != 0 || q[qFP] != 0 || q[qLoad] != 0 || q[qStore] != 0 {
+		t.Fatalf("queue counters nonzero after drain: int=%d fp=%d lq=%d sq=%d",
+			q[qInt], q[qFP], q[qLoad], q[qStore])
 	}
-	seen := make(map[int16]string)
-	for i, p := range c.intMap {
-		if prev, dup := seen[p]; dup {
-			t.Fatalf("int phys %d mapped twice (%s and r%d)", p, prev, i)
+	// Each file is its own range of the physical index space: the integer
+	// file first, the floating-point file after it.
+	fpBase := int16(c.cfg.Core.IntPhysRegs)
+	for _, f := range []struct {
+		name     string
+		mapped   []int16
+		free     []int16
+		lo, size int16
+	}{
+		{"int", c.regMap[:isa.FPBase], c.intFree, 0, fpBase},
+		{"fp", c.regMap[isa.FPBase:], c.fpFree, fpBase, int16(c.cfg.Core.FPPhysRegs)},
+	} {
+		seen := make(map[int16]string)
+		for i, p := range f.mapped {
+			if prev, dup := seen[p]; dup {
+				t.Fatalf("%s phys %d mapped twice (%s and r%d)", f.name, p, prev, i)
+			}
+			seen[p] = "mapped"
 		}
-		seen[p] = "mapped"
-	}
-	for _, p := range c.intFree {
-		if prev, dup := seen[p]; dup {
-			t.Fatalf("int phys %d is %s and free", p, prev)
+		for _, p := range f.free {
+			if prev, dup := seen[p]; dup {
+				t.Fatalf("%s phys %d is %s and free", f.name, p, prev)
+			}
+			seen[p] = "free"
 		}
-		seen[p] = "free"
-	}
-	if len(seen) != c.cfg.Core.IntPhysRegs {
-		t.Fatalf("int phys registers leaked: %d accounted of %d", len(seen), c.cfg.Core.IntPhysRegs)
-	}
-	seenFP := make(map[int16]bool)
-	for _, p := range c.fpMap {
-		if seenFP[p] {
-			t.Fatal("fp phys mapped twice")
+		for p := range seen {
+			if p < f.lo || p >= f.lo+f.size {
+				t.Fatalf("%s phys %d lies outside its file [%d, %d)", f.name, p, f.lo, f.lo+f.size)
+			}
 		}
-		seenFP[p] = true
-	}
-	for _, p := range c.fpFree {
-		if seenFP[p] {
-			t.Fatal("fp phys mapped and free")
+		if len(seen) != int(f.size) {
+			t.Fatalf("%s phys registers leaked: %d accounted of %d", f.name, len(seen), f.size)
 		}
-		seenFP[p] = true
-	}
-	if len(seenFP) != c.cfg.Core.FPPhysRegs {
-		t.Fatalf("fp phys registers leaked: %d of %d", len(seenFP), c.cfg.Core.FPPhysRegs)
 	}
 }
 

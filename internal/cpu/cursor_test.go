@@ -79,7 +79,7 @@ type nextOnly struct{ s trace.Stream }
 func (n nextOnly) Next(in *isa.Inst) bool { return n.s.Next(in) }
 
 // TestBatchedMatchesNextOnly pins the front end's one read path:
-// streamNext takes NextBatch chunks from a trace.Batcher, and any other
+// fetch takes NextBatch chunks from a trace.Batcher, and any other
 // stream reaches it through trace.Batched, whose NextBatch calls Next once
 // per instruction. One arena replayed both ways must produce the identical
 // Result, counter for counter. As in TestRunCursorMatchesGenerator, each

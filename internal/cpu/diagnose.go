@@ -16,7 +16,7 @@ import (
 func (c *Core) StallDiagnosis() string {
 	if c.robCount == 0 {
 		switch {
-		case c.streamDone && c.fbCount == 0 && !c.havePending:
+		case c.streamDone && c.fbCount == 0:
 			return "stream stall: reorder buffer empty and the instruction stream ended"
 		case c.stallSeq != 0:
 			return fmt.Sprintf("fetch stall: reorder buffer empty, fetch blocked on unresolved control instruction seq %d", c.stallSeq)

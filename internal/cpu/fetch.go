@@ -34,14 +34,20 @@ func (c *Core) fetch() {
 		if c.limitReached() {
 			return
 		}
-		if !c.havePending {
-			if c.streamDone || !c.streamNext(&c.pending) {
+		// Peek at the next stream instruction in the chunk buffer; it is
+		// consumed only once it enters the fetch buffer, so an instruction
+		// held back at a line boundary starts the next group.
+		if c.batchPos == c.batchLen {
+			if c.streamDone {
+				return
+			}
+			c.batchLen, c.batchPos = c.stream.NextBatch(c.batchBuf), 0
+			if c.batchLen == 0 {
 				c.streamDone = true
 				return
 			}
-			c.havePending = true
 		}
-		in := c.pending
+		in := &c.batchBuf[c.batchPos]
 		line := in.PC & lineMask
 		if line != c.curFetchLine {
 			if fetched > 0 {
@@ -63,13 +69,21 @@ func (c *Core) fetch() {
 				return
 			}
 		}
-		c.havePending = false
+		c.batchPos++
 		c.seq++
-		f := fetchedInst{inst: in, seq: c.seq}
-		if in.Class.IsCtrl() {
-			c.predict(&f)
+		// Fill the fetch-buffer slot in place.
+		i := c.fbHead + c.fbCount
+		if n := len(c.fetchBuf); i >= n {
+			i -= n
 		}
-		c.fbPush(f)
+		c.fbCount++
+		f := &c.fetchBuf[i]
+		f.inst = *in
+		f.seq = c.seq
+		f.mispredicted, f.serialize = false, false
+		if in.Class.IsCtrl() {
+			c.predict(f)
+		}
 		if c.rec != nil {
 			c.rec.Record(c.cycle, diag.EventFetch, f.seq, in.PC)
 		}

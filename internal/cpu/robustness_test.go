@@ -22,8 +22,20 @@ func TestNewRejectsNilStream(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOversizedRegisterFiles pins the renamer's limit: physical
+// registers of both files share one int16 index space, so a machine whose
+// files add up past it is an error, not a wrapped index.
+func TestNewRejectsOversizedRegisterFiles(t *testing.T) {
+	m := config.Baseline()
+	m.Core.IntPhysRegs, m.Core.FPPhysRegs = 20_000, 20_000
+	if _, err := New(&m, trace.NewSliceStream(nil)); err == nil || !strings.Contains(err.Error(), "physical registers") {
+		t.Fatalf("New with 40000 physical registers: err = %v, want the renamer's limit", err)
+	}
+}
+
 // TestRetirePanicsOnOutOfOrderCommit covers the ROB's in-order invariant
-// guard: retiring a sequence number at or below the last commit must abort.
+// guard: committing a sequence number at or below the last commit must
+// abort.
 func TestRetirePanicsOnOutOfOrderCommit(t *testing.T) {
 	m := config.Baseline()
 	c, err := New(&m, trace.NewSliceStream(nil))
@@ -39,9 +51,11 @@ func TestRetirePanicsOnOutOfOrderCommit(t *testing.T) {
 			t.Errorf("panic %v, want the commit-order message", p)
 		}
 	}()
-	// lastCommitSeq starts at 0 and seq 0 is never a legal commit, so this
-	// is the smallest out-of-order retire.
-	c.retire(&robEntry{seq: 0})
+	// lastCommitSeq starts at 0 and seq 0 is never a legal commit, so a
+	// completed head entry with seq 0 is the smallest out-of-order retire.
+	c.rob[c.robHead] = robEntry{seq: 0, state: stateDone}
+	c.robCount = 1
+	c.commit()
 }
 
 // wedgedStoreProgram is a store burst against a machine whose store buffer
@@ -222,7 +236,7 @@ func TestDeadlineIdenticalUnderSkip(t *testing.T) {
 	if _, err := c.Run(Options{DeadlineCycles: deadline}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
-	if got := c.Cycle(); got != deadline+1 {
+	if got := c.cycle; got != deadline+1 {
 		t.Errorf("deadline fired at cycle %d, want %d", got, deadline+1)
 	}
 }

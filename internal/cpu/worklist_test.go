@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"portsim/internal/config"
@@ -11,9 +12,10 @@ import (
 
 // worklistAudit holds per-slot membership counts for one full scan.
 type worklistAudit struct {
-	live, heap, wait []int
-	heapAt           []uint64
-	waitPhys         []int16
+	live, wake, done, wait []int
+	lsq                    []int
+	wakeAt, doneAt         []uint64
+	waitPhys               []int16
 }
 
 // scanReadyAt recomputes an entry's operand readiness from the ready files,
@@ -21,9 +23,9 @@ type worklistAudit struct {
 // otherwise.
 func (c *Core) scanReadyAt(e *robEntry) uint64 {
 	if e.inst.Class == isa.Store {
-		return c.srcReadyAt(e.inst.Src1, e.src1Phys)
+		return c.srcReadyAt(e.src1Phys)
 	}
-	return max(c.srcReadyAt(e.inst.Src1, e.src1Phys), c.srcReadyAt(e.inst.Src2, e.src2Phys))
+	return max(c.srcReadyAt(e.src1Phys), c.srcReadyAt(e.src2Phys))
 }
 
 // occupied reports whether ROB slice index idx holds an in-flight entry.
@@ -38,117 +40,156 @@ func (c *Core) occupied(idx int32) bool {
 	return off < c.robCount
 }
 
-// check compares the two-tier scheduler's worklists with a full scan of
-// the ROB. Every dispatched entry must be on a live list, in the wake heap
-// no later than its attempt time recomputed from the ready files, or on
-// the waiter list of an unscheduled producer; no entry may sit in two of
-// them; and each entry's inLive/inHeap/onWaitList flag must match its
-// actual membership.
+// setSlots lists the slots a slotSet holds, in index order.
+func setSlots(s slotSet) []int32 {
+	var out []int32
+	for k, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(k*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
+}
+
+// wheelTime is the cycle a wheel slot stands for once the core has stepped
+// to cycle now: slot now&(wheelSlots-1) is the next one drained, and the
+// others follow it.
+func wheelTime(now uint64, slot int) uint64 {
+	return now + (uint64(slot)-now)&(wheelSlots-1)
+}
+
+// check compares the issue and completion schedulers with a full scan of
+// the ROB. Every dispatched entry must have exactly one of a live bit, a
+// wake-wheel bit no later than its attempt time recomputed from the ready
+// files, a waiter-list link to an unscheduled producer, or an LSQ-wait bit
+// backed by a standing stall verdict. No bit may name
+// a free slot or an entry in the wrong state. Every issued entry with a
+// finite completion time must have exactly one done-wheel bit, no later
+// than that time (or the next cycle, when it has passed); one whose
+// completion is unknown must be a store waiting on its data producer.
 func (a *worklistAudit) check(c *Core) error {
 	n := len(c.rob)
 	if a.live == nil {
-		a.live, a.heap, a.wait = make([]int, n), make([]int, n), make([]int, n)
-		a.heapAt, a.waitPhys = make([]uint64, n), make([]int16, n)
+		a.live, a.wake, a.done, a.wait = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+		a.lsq = make([]int, n)
+		a.wakeAt, a.doneAt, a.waitPhys = make([]uint64, n), make([]uint64, n), make([]int16, n)
 	}
 	clear(a.live)
-	clear(a.heap)
+	clear(a.wake)
+	clear(a.done)
 	clear(a.wait)
+	clear(a.lsq)
 
+	for _, idx := range setSlots(c.lsqWait) {
+		if !c.occupied(idx) {
+			return fmt.Errorf("LSQ wait set holds free slot %d", idx)
+		}
+		e := &c.rob[idx]
+		if e.state != stateDispatched || e.inst.Class != isa.Load || !c.lsqCached(e) || e.lsqVerdict != lsqStall {
+			return fmt.Errorf("LSQ wait set holds seq %d (%v), which has no standing stall verdict", e.seq, e.inst.Class)
+		}
+		a.lsq[idx]++
+	}
 	for _, l := range []struct {
-		list   []int32
+		set    slotSet
 		stores bool
-	}{{c.liveList[:c.liveCount], false}, {c.liveStores[:c.liveStoreCount], true}} {
-		var prev uint64
-		for k, idx := range l.list {
+	}{{c.live, false}, {c.liveStores, true}} {
+		for _, idx := range setSlots(l.set) {
 			if !c.occupied(idx) {
-				return fmt.Errorf("live list holds free slot %d", idx)
+				return fmt.Errorf("live set holds free slot %d", idx)
 			}
 			e := &c.rob[idx]
+			if e.state != stateDispatched {
+				return fmt.Errorf("live set holds seq %d, which left dispatch", e.seq)
+			}
 			if (e.inst.Class == isa.Store) != l.stores {
-				return fmt.Errorf("seq %d (%v) on the wrong live list", e.seq, e.inst.Class)
+				return fmt.Errorf("seq %d (%v) in the wrong live set", e.seq, e.inst.Class)
 			}
-			if k > 0 && e.seq <= prev {
-				return fmt.Errorf("live list out of program order: seq %d after %d", e.seq, prev)
-			}
-			prev = e.seq
 			a.live[idx]++
 		}
 	}
-	for k, w := range c.wakeHeap {
-		if !c.occupied(w.idx) {
-			return fmt.Errorf("wake heap holds free slot %d", w.idx)
-		}
-		if k > 0 && c.wakeHeap[(k-1)/2].at > w.at {
-			return fmt.Errorf("wake heap order broken at %d", k)
-		}
-		a.heap[w.idx]++
-		a.heapAt[w.idx] = w.at
-	}
-	for _, f := range []struct {
-		ready  []uint64
-		waiter []int32
-		fp     bool
-	}{{c.intReady, c.intWaiter, false}, {c.fpReady, c.fpWaiter, true}} {
-		for p, idx := range f.waiter {
-			for steps := 0; idx != -1; steps++ {
-				if steps > n || !c.occupied(idx) {
-					return fmt.Errorf("waiter list of phys %d (fp %v) reaches slot %d", p, f.fp, idx)
-				}
-				if f.ready[p] != never {
-					return fmt.Errorf("waiter list of phys %d (fp %v) survives its publish", p, f.fp)
-				}
-				e := &c.rob[idx]
-				a.wait[idx]++
-				a.waitPhys[idx] = int16(p)
-				idx = e.waitNext
+	for slot := 0; slot < wheelSlots; slot++ {
+		t := wheelTime(c.cycle, slot)
+		for _, idx := range setSlots(c.wake.slot(t)) {
+			if !c.occupied(idx) {
+				return fmt.Errorf("wake wheel holds free slot %d at cycle %d", idx, t)
 			}
+			if e := &c.rob[idx]; e.state != stateDispatched {
+				return fmt.Errorf("wake wheel holds seq %d, which left dispatch", e.seq)
+			}
+			a.wake[idx]++
+			a.wakeAt[idx] = t
+		}
+		for _, idx := range setSlots(c.done.slot(t)) {
+			if !c.occupied(idx) {
+				return fmt.Errorf("done wheel holds free slot %d at cycle %d", idx, t)
+			}
+			if e := &c.rob[idx]; e.state != stateIssued || e.doneAt == never {
+				return fmt.Errorf("done wheel holds seq %d in state %d with doneAt %d", e.seq, e.state, e.doneAt)
+			}
+			a.done[idx]++
+			a.doneAt[idx] = t
+		}
+	}
+	for p, idx := range c.waiter {
+		for steps := 0; idx != -1; steps++ {
+			if steps > n || !c.occupied(idx) {
+				return fmt.Errorf("waiter list of phys %d reaches slot %d", p, idx)
+			}
+			if c.ready[p] != never {
+				return fmt.Errorf("waiter list of phys %d survives its publish", p)
+			}
+			e := &c.rob[idx]
+			a.wait[idx]++
+			a.waitPhys[idx] = int16(p)
+			idx = e.waitNext
 		}
 	}
 
 	for off := 0; off < c.robCount; off++ {
 		idx := c.robIndex(off)
 		e := &c.rob[idx]
-		for _, m := range []struct {
-			name  string
-			flag  bool
-			count int
-		}{{"inLive", e.inLive, a.live[idx]}, {"inHeap", e.inHeap, a.heap[idx]}, {"onWaitList", e.onWaitList, a.wait[idx]}} {
-			if m.count > 1 || m.flag != (m.count == 1) {
-				return fmt.Errorf("seq %d: %s is %v but the entry is listed %d times", e.seq, m.name, m.flag, m.count)
+		if a.wait[idx] > 1 || e.onWaitList != (a.wait[idx] == 1) {
+			return fmt.Errorf("seq %d: onWaitList is %v but the entry is on %d waiter lists", e.seq, e.onWaitList, a.wait[idx])
+		}
+		switch e.state {
+		case stateDispatched:
+			if k := a.live[idx] + a.wake[idx] + a.wait[idx] + a.lsq[idx]; k != 1 {
+				return fmt.Errorf("dispatched seq %d (%v) sits in %d structures (live %d, wake %d, waiting %d, LSQ %d)",
+					e.seq, e.inst.Class, k, a.live[idx], a.wake[idx], a.wait[idx], a.lsq[idx])
 			}
-		}
-		if a.live[idx]+a.heap[idx]+a.wait[idx] > 1 {
-			return fmt.Errorf("seq %d sits in more than one structure (live %d, heap %d, waiting %d)",
-				e.seq, a.live[idx], a.heap[idx], a.wait[idx])
-		}
-		if e.state != stateDispatched {
-			if e.inLive || e.inHeap {
-				return fmt.Errorf("seq %d left dispatch but stays on a worklist", e.seq)
+			if a.wake[idx] == 1 {
+				r := c.scanReadyAt(e)
+				if r == never {
+					return fmt.Errorf("seq %d is on the wake wheel but a producer is unscheduled", e.seq)
+				}
+				if at := c.attemptTime(e, r); a.wakeAt[idx] > at {
+					return fmt.Errorf("seq %d wakes at %d, after its attempt time %d", e.seq, a.wakeAt[idx], at)
+				}
 			}
-			if e.onWaitList && (e.inst.Class != isa.Store || e.doneAt != never || e.src2Phys != a.waitPhys[idx]) {
-				return fmt.Errorf("issued seq %d waits on phys %d, not on its store data", e.seq, a.waitPhys[idx])
+			if a.wait[idx] == 1 {
+				p := a.waitPhys[idx]
+				if p != e.src1Phys && (e.inst.Class == isa.Store || p != e.src2Phys) {
+					return fmt.Errorf("seq %d waits on phys %d, which is none of its operands", e.seq, p)
+				}
 			}
-			continue
-		}
-		if e.inLive {
-			continue
-		}
-		if e.inHeap {
-			if r := c.scanReadyAt(e); r != never {
-				if at := c.attemptTime(e, r); a.heapAt[idx] > at {
-					return fmt.Errorf("seq %d wakes at %d, after its attempt time %d", e.seq, a.heapAt[idx], at)
+		case stateIssued:
+			if e.doneAt == never {
+				if a.done[idx] != 0 || a.wait[idx] != 1 || e.inst.Class != isa.Store || e.src2Phys != a.waitPhys[idx] {
+					return fmt.Errorf("issued seq %d has no completion time and is not a store waiting on its data", e.seq)
 				}
 				continue
 			}
-		}
-		if e.onWaitList {
-			p := a.waitPhys[idx]
-			if p != e.src1Phys && (e.inst.Class == isa.Store || p != e.src2Phys) {
-				return fmt.Errorf("seq %d waits on phys %d, which is none of its operands", e.seq, p)
+			if a.done[idx] != 1 {
+				return fmt.Errorf("issued seq %d is filed %d times on the done wheel", e.seq, a.done[idx])
 			}
-			continue
+			if a.doneAt[idx] > max(e.doneAt, c.cycle) {
+				return fmt.Errorf("seq %d completes at %d but is filed for %d", e.seq, e.doneAt, a.doneAt[idx])
+			}
+			if a.wait[idx] != 0 {
+				return fmt.Errorf("issued seq %d with a completion time still waits", e.seq)
+			}
 		}
-		return fmt.Errorf("dispatched seq %d (%v) is on no worklist the scheduler reaches", e.seq, e.inst.Class)
 	}
 	return nil
 }
@@ -188,15 +229,38 @@ func speculativeMachine() config.Machine {
 	return m
 }
 
-// TestIssueWorklistsMatchFullScan is the oracle for the two-tier issue
-// scheduler (DESIGN "The two-tier issue scheduler"): stepping one cycle at
-// a time, every dispatched entry a full ROB scan finds must be reachable
-// by the scheduler, with membership flags that match the lists. The
+// wideMachine is the baseline with a 100-entry ROB and a 24-entry store
+// queue: its slot bitsets take two words, the second only partly used,
+// and the ROB ring wraps at a slot that is not a word boundary.
+func wideMachine() config.Machine {
+	m := config.Baseline()
+	m.Name = "rob-100"
+	m.Core.ROBEntries = 100
+	m.Core.StoreQueueEntries = 24
+	return m
+}
+
+// farMemoryMachine is the baseline with a DRAM latency past the wheels'
+// horizon, so attempt and completion times land beyond it and are filed
+// early at the horizon.
+func farMemoryMachine() config.Machine {
+	m := config.Baseline()
+	m.Name = "dram-400"
+	m.Mem.DRAMLatency = 400
+	return m
+}
+
+// TestIssueWorklistsMatchFullScan is the oracle for the issue and
+// completion schedulers (DESIGN "The two-tier issue scheduler"): stepping
+// one cycle at a time, every dispatched entry a full ROB scan finds must be
+// reachable by the scheduler, and every issued one by complete(). The
 // speculative-load machine adds the memory-order squash, which moves
-// published ready times.
+// published ready times; the 100-entry ROB covers multi-word bitsets, and
+// the 400-cycle DRAM times past the wheels' horizon.
 func TestIssueWorklistsMatchFullScan(t *testing.T) {
 	const insts = 30_000
-	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), speculativeMachine()} {
+	machines := []config.Machine{config.Baseline(), config.BestSingle(), speculativeMachine(), wideMachine(), farMemoryMachine()}
+	for _, m := range machines {
 		m := m
 		for _, w := range []string{"compress", "database"} {
 			t.Run(m.Name+"/"+w, func(t *testing.T) {
@@ -210,50 +274,77 @@ func TestIssueWorklistsMatchFullScan(t *testing.T) {
 	}
 }
 
-// lsqAudit re-walks, for every dispatched load whose clean disambiguation
-// verdict is cached (lsqCleanGen == sqGen), the older in-flight stores in
-// [sqHead, sqMark): no issued one may overlap the load, and without
-// speculation none may still be unresolved. cached counts the loads it
-// checked, and skipped those among them cached clean past an unresolved
-// store.
+// lsqAudit re-walks, for every dispatched load whose cached disambiguation
+// verdict issueLoad would use (lsqCached), the older in-flight stores in
+// [sqHead, sqMark), oldest first and independently of lsqWalk, and requires
+// the same verdict from the youngest store that decides. It also recounts
+// the walk's granule filter from the store ring. counts tallies the
+// checked verdicts by kind, and skipped the clean ones cached past an
+// unresolved store.
 type lsqAudit struct {
-	cached, skipped int
+	counts  [3]int
+	skipped int
 }
 
 func (a *lsqAudit) check(c *Core) error {
 	mask := uint64(len(c.sqRing) - 1)
+	// The walk's filter: per-bucket granule counts and the unresolved
+	// count, recomputed from the ring.
+	var buckets [64]int32
+	unresolved := 0
+	for p := c.sqHead; p < c.sqTail; p++ {
+		r := &c.sqRing[p&mask]
+		for g := r.addr / 8; g <= (r.addr+uint64(r.size)-1)/8; g++ {
+			buckets[g%64]++
+		}
+		if !r.issued {
+			unresolved++
+		}
+	}
+	if buckets != c.sqBuckets || unresolved != c.sqUnresolved {
+		return fmt.Errorf("store filter holds %v with %d unresolved, the ring gives %v with %d",
+			c.sqBuckets, c.sqUnresolved, buckets, unresolved)
+	}
 	for off := 0; off < c.robCount; off++ {
 		e := &c.rob[c.robIndex(off)]
-		if e.inst.Class != isa.Load || e.state != stateDispatched || e.lsqCleanGen != c.sqGen {
+		if e.inst.Class != isa.Load || e.state != stateDispatched || !c.lsqCached(e) {
 			continue
 		}
-		a.cached++
 		addr, sz := e.inst.Addr, uint64(e.inst.Size)
-		unresolved := false
+		want, pos, unresolved := lsqClean, uint64(0), false
 		for p := c.sqHead; p < e.sqMark; p++ {
-			s := &c.rob[c.sqRing[p&mask]]
-			if s.state == stateDispatched {
-				if !c.cfg.Core.SpeculativeLoads {
-					return fmt.Errorf("load seq %d cached clean behind unresolved store seq %d", e.seq, s.seq)
-				}
-				unresolved = true
-				continue
+			r := &c.sqRing[p&mask]
+			s := &c.rob[r.idx]
+			if r.addr != s.inst.Addr || r.size != s.inst.Size || r.issued != (s.state != stateDispatched) {
+				return fmt.Errorf("store ring position %d disagrees with its store, seq %d", p, s.seq)
 			}
-			if b, st := s.inst.Addr, uint64(s.inst.Size); addr < b+st && b < addr+sz {
-				return fmt.Errorf("load seq %d [%#x,+%d) cached clean but issued store seq %d [%#x,+%d) overlaps it",
-					e.seq, addr, sz, s.seq, b, st)
+			b, st := s.inst.Addr, uint64(s.inst.Size)
+			switch {
+			case s.state == stateDispatched && c.cfg.Core.SpeculativeLoads:
+				unresolved = true
+			case s.state == stateDispatched:
+				want, pos = lsqStall, p
+			case addr < b+st && b < addr+sz && b <= addr && addr+sz <= b+st:
+				want, pos = lsqCover, p
+			case addr < b+st && b < addr+sz:
+				want, pos = lsqStall, p
 			}
 		}
-		if unresolved {
+		if e.lsqVerdict != want || (want != lsqClean && e.lsqPos != pos) {
+			return fmt.Errorf("load seq %d [%#x,+%d) cached verdict %d at store %d, but the walk finds %d at store %d",
+				e.seq, addr, sz, e.lsqVerdict, e.lsqPos, want, pos)
+		}
+		a.counts[want]++
+		if want == lsqClean && unresolved {
 			a.skipped++
 		}
 	}
 	return nil
 }
 
-// TestLSQCleanVerdictMatchesWalk is the oracle for the LSQ's cached clean
-// verdict (robEntry.lsqCleanGen): after every cycle, each load it lets skip
-// the store-queue walk must still be clean by that walk.
+// TestLSQCleanVerdictMatchesWalk is the oracle for the LSQ's cached
+// verdicts (robEntry.lsqVerdict): after every cycle, each verdict a
+// waiting load would act on must equal a fresh walk over its older stores.
 func TestLSQCleanVerdictMatchesWalk(t *testing.T) {
 	const insts = 30_000
 	for _, m := range []config.Machine{config.Baseline(), speculativeMachine()} {
@@ -262,13 +353,14 @@ func TestLSQCleanVerdictMatchesWalk(t *testing.T) {
 			t.Run(m.Name+"/"+w, func(t *testing.T) {
 				var a lsqAudit
 				stepAudited(t, m, w, insts, a.check)
-				if a.cached == 0 {
-					t.Error("no load waited with a cached clean verdict: the oracle checked nothing")
+				if a.counts[lsqClean] == 0 || a.counts[lsqStall] == 0 {
+					t.Errorf("clean %d, stall %d verdicts checked: the oracle misses a kind", a.counts[lsqClean], a.counts[lsqStall])
 				}
 				if m.Core.SpeculativeLoads && a.skipped == 0 {
 					t.Error("no clean verdict speculated past an unresolved store")
 				}
-				t.Logf("%d cached verdicts checked, %d past an unresolved store", a.cached, a.skipped)
+				t.Logf("verdicts checked: %d clean (%d past an unresolved store), %d stall, %d cover",
+					a.counts[lsqClean], a.skipped, a.counts[lsqStall], a.counts[lsqCover])
 			})
 		}
 	}

@@ -84,13 +84,19 @@ func newMSHRFile(limit int) *mshrFile {
 }
 
 // expire drops completed fills, preserving the order of the survivors. It
-// returns at once while the earliest fill is still in flight.
+// returns at once, inlined, while the earliest fill is still in flight.
 //
 //portlint:hotpath
 func (f *mshrFile) expire(now uint64) {
-	if f.due > now {
-		return
+	if f.due <= now {
+		f.expireDue(now)
 	}
+}
+
+// expireDue is expire once a fill has completed.
+//
+//portlint:hotpath
+func (f *mshrFile) expireDue(now uint64) {
 	kept := f.fills[:0]
 	due := neverEvent
 	for _, e := range f.fills {

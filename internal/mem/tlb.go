@@ -19,15 +19,15 @@ type TLB struct {
 	penalty  uint64
 
 	// hint is a direct-mapped guess over the fully associative entries:
-	// hint[vpn&hintMask] is the entry that last hit or filled a page with
-	// those low VPN bits. A hint is used only after that entry's valid bit
-	// and VPN check out, so a stale or colliding hint costs the scan below,
-	// never a wrong answer. The page last hit or filled always finds itself
-	// here, so the hint also serves back-to-back lookups of one page. Pure
-	// fast path: hit/miss outcomes, LRU stamps and victim choice are
-	// identical to the scan's.
-	hint     []int32
-	hintMask uint64
+	// hint[hintSlot(vpn)] is the entry that last hit or filled a page
+	// hashing to that slot. A hint is used only after that entry's valid
+	// bit and VPN check out, so a stale or colliding hint costs the scan
+	// below, never a wrong answer. The page last hit or filled always finds
+	// itself here, so the hint also serves back-to-back lookups of one
+	// page. Pure fast path: hit/miss outcomes, LRU stamps and victim
+	// choice are identical to the scan's.
+	hint      []int32
+	hintShift uint
 
 	hits, misses uint64
 }
@@ -53,16 +53,17 @@ func NewTLB(cfg config.TLB) (*TLB, error) {
 		}
 	}
 	// Four hint slots per entry keep colliding resident pages rare.
-	nhint := 1
+	nhint, shift := 1, uint(64)
 	for nhint < 4*cfg.Entries {
 		nhint <<= 1
+		shift--
 	}
 	return &TLB{
-		pageBits: uint(cfg.PageBits),
-		entries:  make([]tlbEntry, cfg.Entries),
-		penalty:  uint64(cfg.MissPenalty),
-		hint:     make([]int32, nhint),
-		hintMask: uint64(nhint - 1),
+		pageBits:  uint(cfg.PageBits),
+		entries:   make([]tlbEntry, cfg.Entries),
+		penalty:   uint64(cfg.MissPenalty),
+		hint:      make([]int32, nhint),
+		hintShift: shift,
 	}, nil
 }
 
@@ -75,7 +76,7 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	}
 	vpn := addr >> t.pageBits
 	t.clock++
-	h := &t.hint[vpn&t.hintMask]
+	h := &t.hint[t.hintSlot(vpn)]
 	if e := &t.entries[*h]; e.valid && e.vpn == vpn {
 		e.lru = t.clock
 		t.hits++
@@ -108,6 +109,15 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	*h = int32(victim)
 	return t.penalty
 }
+
+// hintMul is the multiplier of a Fibonacci hash. Workload regions start at
+// aligned bases, so their pages share low VPN bits; a hint table indexed
+// by those bits makes a stack page and a heap page evict each other's
+// hints, and every such lookup falls back to the scan.
+const hintMul = 0x9e3779b97f4a7c15
+
+// hintSlot maps a VPN to its hint slot: the top bits of its hash.
+func (t *TLB) hintSlot(vpn uint64) uint64 { return vpn * hintMul >> t.hintShift }
 
 // Reset invalidates every entry and zeroes the statistics, restoring the
 // just-constructed state for pooled reuse.

@@ -156,16 +156,24 @@ func (t *scanTLB) Translate(addr uint64) uint64 {
 }
 
 // TestTLBHintMatchesScan replays VPN streams built to collide in the hint
-// table — pages that share their low VPN bits, working sets just above and
-// below the entry count, flushes and resets — through the hinted TLB and
-// the reference scan, and requires identical penalties, statistics and
-// entry arrays (so identical victims and LRU stamps) after every lookup.
+// table — pages that share a hint slot, working sets just above and below
+// the entry count, flushes and resets — through the hinted TLB and the
+// reference scan, and requires identical penalties, statistics and entry
+// arrays (so identical victims and LRU stamps) after every lookup.
 func TestTLBHintMatchesScan(t *testing.T) {
 	const pageBits = 12
 	for _, entries := range []int{1, 3, 48, 64} {
 		tl := newTLB(t, entries, pageBits, 20)
 		ref := &scanTLB{pageBits: pageBits, entries: make([]tlbEntry, entries), penalty: 20}
-		stride := tl.hintMask + 1 // VPNs this far apart share a hint slot
+		// colliding[s] lists VPNs that share hint slot s, for four slots.
+		var colliding [4][]uint64
+		for vpn, short := uint64(0), 4; short > 0; vpn++ {
+			if s := tl.hintSlot(vpn); s < 4 && len(colliding[s]) <= 2*entries {
+				if colliding[s] = append(colliding[s], vpn); len(colliding[s]) > 2*entries {
+					short--
+				}
+			}
+		}
 		rng := uint64(0x9e3779b97f4a7c15)
 		for step := 0; step < 20_000; step++ {
 			rng ^= rng << 13
@@ -174,9 +182,9 @@ func TestTLBHintMatchesScan(t *testing.T) {
 			var vpn uint64
 			switch step / 2_000 % 4 {
 			case 0: // a working set of colliding pages, one hint slot
-				vpn = 5 + stride*(rng%uint64(entries+2))
+				vpn = colliding[1][rng%uint64(entries+2)]
 			case 1: // colliding pages spread over a few slots
-				vpn = rng%4 + stride*(rng>>8%uint64(2*entries+1))
+				vpn = colliding[rng%4][rng>>8%uint64(2*entries+1)]
 			case 2: // a resident working set with locality
 				vpn = rng % uint64(entries)
 			default: // scattered pages
