@@ -1,9 +1,10 @@
 // Package bpred implements the branch prediction structures of the simulated
-// front end: two-bit saturating-counter direction predictors (bimodal and
-// gshare), a set-associative branch target buffer, and a return-address
-// stack. The paper's processor model follows the MIPS R10000's dynamic
-// prediction; prediction accuracy matters to the port study because
-// mispredictions throttle the memory-reference rate reaching the cache port.
+// front end: a gshare direction predictor of two-bit saturating counters, a
+// set-associative branch target buffer, and a return-address stack. The
+// paper's processor model follows the MIPS R10000's dynamic prediction;
+// prediction accuracy matters to the port study because mispredictions
+// throttle the memory-reference rate reaching the cache port. Every machine
+// the experiments build uses gshare, so it is the only direction predictor.
 package bpred
 
 import (
@@ -11,19 +12,6 @@ import (
 
 	"portsim/internal/config"
 )
-
-// DirPredictor predicts conditional-branch directions and learns from
-// resolved outcomes.
-type DirPredictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome of the branch
-	// at pc. Implementations must be called in program order.
-	Update(pc uint64, taken bool)
-	// Reset restores the predictor to its just-constructed state, so a
-	// pooled simulation can reuse its tables for a fresh run.
-	Reset()
-}
 
 // counter is a two-bit saturating counter: 0,1 predict not-taken; 2,3
 // predict taken.
@@ -44,61 +32,8 @@ func (c counter) train(taken bool) counter {
 	return c
 }
 
-// Static is the trivial predictor: backward taken, forward not-taken is not
-// representable without the target, so it predicts not-taken always. It is
-// the degenerate baseline used in predictor-sensitivity tests.
-type Static struct{}
-
-// Predict always predicts not-taken.
-func (Static) Predict(uint64) bool { return false }
-
-// Update is a no-op.
-func (Static) Update(uint64, bool) {}
-
-// Reset is a no-op.
-func (Static) Reset() {}
-
-// Bimodal is a per-branch table of two-bit counters indexed by PC.
-type Bimodal struct {
-	table []counter
-	mask  uint64
-}
-
-// NewBimodal returns a bimodal predictor with the given table size (must be
-// a power of two).
-func NewBimodal(entries int) (*Bimodal, error) {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("bpred: bimodal table size %d not a power of two", entries)
-	}
-	t := make([]counter, entries)
-	for i := range t {
-		t[i] = 1 // weakly not-taken
-	}
-	return &Bimodal{table: t, mask: uint64(entries - 1)}, nil
-}
-
-func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
-
-// Predict implements DirPredictor.
-func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.index(pc)].taken() }
-
-// Update implements DirPredictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := b.index(pc)
-	b.table[i] = b.table[i].train(taken)
-}
-
-// Reset implements DirPredictor: every counter returns to weakly not-taken,
-// exactly as NewBimodal left it.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 1
-	}
-}
-
 // Gshare XORs a global branch-history register with the PC to index a shared
-// table of two-bit counters. This is the predictor configuration of the
-// baseline machine.
+// table of two-bit counters. It is the direction predictor of every machine.
 type Gshare struct {
 	table    []counter
 	mask     uint64
@@ -128,11 +63,12 @@ func NewGshare(entries, historyBits int) (*Gshare, error) {
 
 func (g *Gshare) index(pc uint64) uint64 { return ((pc >> 2) ^ g.history) & g.mask }
 
-// Predict implements DirPredictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *Gshare) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
 
-// Update implements DirPredictor. The global history is updated with the
-// actual outcome (the model trains at resolution, in program order).
+// Update trains the predictor with the actual outcome of the branch at pc
+// and shifts it into the global history. Calls must come in program order
+// (the model trains at resolution).
 func (g *Gshare) Update(pc uint64, taken bool) {
 	i := g.index(pc)
 	g.table[i] = g.table[i].train(taken)
@@ -142,8 +78,9 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	}
 }
 
-// Reset implements DirPredictor: counters return to weakly not-taken and
-// the global history clears, exactly as NewGshare left them.
+// Reset returns every counter to weakly not-taken and clears the global
+// history, exactly as NewGshare left them, so a pooled simulation can reuse
+// its tables for a fresh run.
 func (g *Gshare) Reset() {
 	for i := range g.table {
 		g.table[i] = 1
@@ -274,9 +211,6 @@ func (r *RAS) Pop() (uint64, bool) {
 	return r.stack[r.pos], true
 }
 
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.top }
-
 // Reset empties the stack, restoring its just-constructed state.
 func (r *RAS) Reset() {
 	clear(r.stack)
@@ -284,10 +218,10 @@ func (r *RAS) Reset() {
 	r.pos = 0
 }
 
-// Unit bundles a direction predictor, BTB and RAS as configured, and is the
-// interface the fetch stage uses.
+// Unit bundles the direction predictor, BTB and RAS as configured, and is
+// the interface the fetch stage uses.
 type Unit struct {
-	Dir DirPredictor
+	Dir *Gshare
 	BTB *BTB
 	RAS *RAS
 }
@@ -302,21 +236,10 @@ func (u *Unit) Reset() {
 }
 
 // New builds a prediction unit from configuration. The configuration is
-// assumed validated (config.Machine.Validate); invalid geometry still
-// returns an error rather than panicking.
+// assumed validated (config.Machine.Validate, the only place that checks
+// Kind); invalid geometry still returns an error rather than panicking.
 func New(cfg config.Predictor) (*Unit, error) {
-	var dir DirPredictor
-	var err error
-	switch cfg.Kind {
-	case "static":
-		dir = Static{}
-	case "bimodal":
-		dir, err = NewBimodal(cfg.TableEntries)
-	case "gshare":
-		dir, err = NewGshare(cfg.TableEntries, cfg.HistoryBits)
-	default:
-		err = fmt.Errorf("bpred: unknown predictor kind %q", cfg.Kind)
-	}
+	dir, err := NewGshare(cfg.TableEntries, cfg.HistoryBits)
 	if err != nil {
 		return nil, err
 	}

@@ -144,9 +144,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // logf emits one store event line when a logger is installed.
 func (s *Store) logf(format string, args ...any) {
 	if s.opts.Logf != nil {

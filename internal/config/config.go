@@ -76,7 +76,10 @@ type Latencies struct {
 
 // Predictor configures branch prediction.
 type Predictor struct {
-	// Kind selects the predictor: "gshare", "bimodal" or "static".
+	// Kind names the direction predictor. "gshare" is its only legal
+	// value: every machine the experiments build uses it. The field stays
+	// so the configuration document, and every cell key hashed from it,
+	// keeps its shape.
 	Kind string `json:"kind"`
 	// TableEntries sizes the pattern-history table (power of two).
 	TableEntries int `json:"table_entries"`
@@ -403,18 +406,14 @@ func (m *Machine) Validate() error {
 			return fmt.Errorf("config: latency %s must be positive", f.name)
 		}
 	}
-	switch m.Pred.Kind {
-	case "gshare", "bimodal", "static":
-	default:
-		return fmt.Errorf("config: unknown predictor kind %q", m.Pred.Kind)
+	if m.Pred.Kind != "gshare" {
+		return fmt.Errorf("config: predictor kind %q unsupported: the only kind is \"gshare\"", m.Pred.Kind)
 	}
-	if m.Pred.Kind != "static" {
-		if !isPow2(m.Pred.TableEntries) {
-			return fmt.Errorf("config: predictor table entries %d not a power of two", m.Pred.TableEntries)
-		}
-		if m.Pred.Kind == "gshare" && (m.Pred.HistoryBits < 1 || m.Pred.HistoryBits > 30) {
-			return fmt.Errorf("config: gshare history bits %d out of range", m.Pred.HistoryBits)
-		}
+	if !isPow2(m.Pred.TableEntries) {
+		return fmt.Errorf("config: predictor table entries %d not a power of two", m.Pred.TableEntries)
+	}
+	if m.Pred.HistoryBits < 1 || m.Pred.HistoryBits > 30 {
+		return fmt.Errorf("config: gshare history bits %d out of range", m.Pred.HistoryBits)
 	}
 	if m.Pred.BTBEntries > 0 {
 		if m.Pred.BTBAssoc <= 0 || m.Pred.BTBEntries%m.Pred.BTBAssoc != 0 || !isPow2(m.Pred.BTBEntries/m.Pred.BTBAssoc) {

@@ -80,6 +80,8 @@ func TestValidateRejects(t *testing.T) {
 		{"negative mispredict", func(m *Machine) { m.Core.MispredictPenalty = -1 }, "mispredict"},
 		{"zero latency", func(m *Machine) { m.Lat.FPDiv = 0 }, "latency"},
 		{"bad predictor", func(m *Machine) { m.Pred.Kind = "oracle" }, "predictor kind"},
+		{"static predictor", func(m *Machine) { m.Pred.Kind = "static" }, `"static"`},
+		{"bimodal predictor", func(m *Machine) { m.Pred.Kind = "bimodal" }, `"bimodal"`},
 		{"non-pow2 PHT", func(m *Machine) { m.Pred.TableEntries = 1000 }, "table entries"},
 		{"history bits", func(m *Machine) { m.Pred.HistoryBits = 0 }, "history bits"},
 		{"bad BTB", func(m *Machine) { m.Pred.BTBEntries = 100; m.Pred.BTBAssoc = 3 }, "BTB"},
@@ -116,8 +118,6 @@ func TestValidateRejects(t *testing.T) {
 
 func TestValidateAcceptsVariants(t *testing.T) {
 	variants := []func(*Machine){
-		func(m *Machine) { m.Pred.Kind = "static"; m.Pred.TableEntries = 0 },
-		func(m *Machine) { m.Pred.Kind = "bimodal"; m.Pred.HistoryBits = 0 },
 		func(m *Machine) { m.Pred.BTBEntries = 0 },
 		func(m *Machine) { m.Ports.WidthBytes = 16 },
 		func(m *Machine) { m.Ports.Count = 8 },
@@ -158,5 +158,13 @@ func TestFromJSONRejects(t *testing.T) {
 	}
 	if _, err := FromJSON(data); err == nil {
 		t.Error("invalid machine accepted through FromJSON")
+	}
+	m = Baseline()
+	m.Pred.Kind = "static"
+	if data, err = m.ToJSON(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromJSON(data); err == nil || !strings.Contains(err.Error(), `"static"`) {
+		t.Errorf("removed predictor kind through FromJSON: err = %v, want one naming \"static\"", err)
 	}
 }

@@ -180,8 +180,8 @@ func TestCPIStackGapClassifierCoversWedge(t *testing.T) {
 	if err == nil {
 		t.Fatal("wedged run did not fail")
 	}
-	sb := stack.Get(cpustack.StoreBufferFull)
-	useful := stack.Get(cpustack.Useful)
+	snap := stack.Snapshot()
+	sb, useful := snap.Buckets[cpustack.StoreBufferFull], snap.Buckets[cpustack.Useful]
 	if sb == 0 {
 		t.Fatal("wedged run attributed zero cycles to store-buffer-full")
 	}

@@ -23,10 +23,10 @@ func TestWorkCountsPinned(t *testing.T) {
 		cycles uint64
 		work   workCounts
 	}{
-		"baseline-1port/compress": {24090, workCounts{liveVisits: 58509, wakeFilings: 12597, sqWalkSteps: 24788, tryLoads: 17750}},
-		"baseline-1port/database": {42047, workCounts{liveVisits: 56624, wakeFilings: 11632, sqWalkSteps: 24311, tryLoads: 24901}},
-		"best-single/compress":    {21631, workCounts{liveVisits: 70094, wakeFilings: 13008, sqWalkSteps: 23232, tryLoads: 19908}},
-		"best-single/database":    {38146, workCounts{liveVisits: 66814, wakeFilings: 12107, sqWalkSteps: 23541, tryLoads: 31680}},
+		"baseline-1port/compress": {24090, workCounts{liveVisits: 58509, wakeFilings: 12597, sqWalkSteps: 55401, tryLoads: 17750}},
+		"baseline-1port/database": {42047, workCounts{liveVisits: 56624, wakeFilings: 11632, sqWalkSteps: 62141, tryLoads: 24901}},
+		"best-single/compress":    {21631, workCounts{liveVisits: 70094, wakeFilings: 13008, sqWalkSteps: 49606, tryLoads: 19908}},
+		"best-single/database":    {38146, workCounts{liveVisits: 66814, wakeFilings: 12107, sqWalkSteps: 57658, tryLoads: 31680}},
 	}
 	for _, m := range []config.Machine{config.Baseline(), config.BestSingle()} {
 		for _, w := range []string{"compress", "database"} {

@@ -267,15 +267,6 @@ type Core struct {
 	sqRing         []sqEntry
 	sqHead, sqTail uint64
 
-	// sqBuckets counts, per bucket of 8-byte granules (granule mod 64),
-	// the in-flight stores that write one, and sqUnresolved the in-flight
-	// stores whose address has not issued. A load whose granules' buckets
-	// are empty overlaps no in-flight store, so unless an unresolved store
-	// must stall it, its walk is clean without visiting the ring
-	// (lsqWalk).
-	sqBuckets    [64]int32
-	sqUnresolved int
-
 	// sqGen is the store-resolution generation backing robEntry.lsqGen
 	// (bumped by issueStore, the only event that can change what a load's
 	// walk finds before its deciding store). Starts at one so a zeroed
@@ -761,7 +752,6 @@ func (c *Core) commit() {
 			c.qCount[ci.occupy]--
 			if ci.occupy == qStore {
 				c.sqHead++ // in-order commit: the head store is the ring's oldest
-				c.countGranules(in.Addr, in.Size, -1)
 				c.wakeLSQ()
 			}
 		}

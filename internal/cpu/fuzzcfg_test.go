@@ -11,7 +11,7 @@ import (
 // randomMachine draws a valid machine configuration exercising every
 // feature dimension: port count/width/banks, buffer depths, combining,
 // line buffers, fill width, prefetching, write policy, TLB sizes, memory
-// speculation, predictor kinds, and structure sizes.
+// speculation, predictor and BTB sizes, and structure sizes.
 func randomMachine(rng *rand.Rand) config.Machine {
 	m := config.Baseline()
 	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
@@ -53,12 +53,7 @@ func randomMachine(rng *rand.Rand) config.Machine {
 		m.Core.ViolationPenalty = pick(4, 8, 16)
 	}
 
-	m.Pred.Kind = []string{"gshare", "bimodal", "static"}[rng.Intn(3)]
-	if m.Pred.Kind == "static" {
-		m.Pred.TableEntries = 0
-	} else {
-		m.Pred.TableEntries = pick(256, 4096)
-	}
+	m.Pred.TableEntries = pick(256, 4096)
 	if rng.Intn(4) == 0 {
 		m.Pred.BTBEntries = 0
 	}

@@ -53,8 +53,6 @@ func (c *Core) dispatch() {
 		if ci.occupy == qStore {
 			c.sqRing[c.sqTail&uint64(len(c.sqRing)-1)] = sqEntry{addr: in.Addr, idx: idx, size: in.Size}
 			c.sqTail++
-			c.countGranules(in.Addr, in.Size, 1)
-			c.sqUnresolved++
 		}
 		if ci.unit == uNone {
 			// No functional unit: completes immediately. Syscall
@@ -430,7 +428,6 @@ func (c *Core) issueStore(e *robEntry, idx int32, fu *fuState) {
 	e.state = stateIssued
 	e.doneAt = c.storeDoneAt(e)
 	c.sqRing[e.sqMark&uint64(len(c.sqRing)-1)].issued = true
-	c.sqUnresolved--
 	c.sqGen++ // this store's address is now known: cached verdicts expire
 	c.wakeLSQ()
 	if e.doneAt == never {
@@ -564,36 +561,6 @@ func (c *Core) wakeLSQ() {
 	}
 }
 
-// granuleBuckets returns the sqBuckets indices of the first and last
-// 8-byte granule an access of size bytes at addr touches; an access of at
-// most 8 bytes touches at most two.
-//
-//portlint:hotpath
-func granuleBuckets(addr uint64, size uint8) (lo, hi uint64) {
-	return addr >> 3 & 63, (addr + uint64(size) - 1) >> 3 & 63
-}
-
-// countGranules adds delta to the sqBuckets of a store's granules: +1 at
-// dispatch, -1 at commit.
-//
-//portlint:hotpath
-func (c *Core) countGranules(addr uint64, size uint8, delta int32) {
-	lo, hi := granuleBuckets(addr, size)
-	c.sqBuckets[lo] += delta
-	if hi != lo {
-		c.sqBuckets[hi] += delta
-	}
-}
-
-// granulesWritten reports whether an in-flight store may write a granule
-// of an access of size bytes at addr.
-//
-//portlint:hotpath
-func (c *Core) granulesWritten(addr uint64, size uint8) bool {
-	lo, hi := granuleBuckets(addr, size)
-	return c.sqBuckets[lo] != 0 || c.sqBuckets[hi] != 0
-}
-
 // lsqCached reports whether a load's cached verdict still holds: no store
 // has issued since the walk, and the deciding store, if any, has not
 // committed.
@@ -615,10 +582,6 @@ func (c *Core) lsqCached(e *robEntry) bool {
 //portlint:hotpath
 func (c *Core) lsqWalk(e *robEntry) {
 	e.lsqGen = c.sqGen
-	if (c.sqUnresolved == 0 || c.cfg.Core.SpeculativeLoads) && !c.granulesWritten(e.inst.Addr, e.inst.Size) {
-		e.lsqVerdict = lsqClean // no in-flight store overlaps the load
-		return
-	}
 	a, sz := e.inst.Addr, uint64(e.inst.Size)
 	mask := uint64(len(c.sqRing) - 1)
 	for p := e.sqMark; p > c.sqHead; {

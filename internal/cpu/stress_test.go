@@ -330,13 +330,13 @@ func TestSpeculativeLoadsHelpIndependentStreams(t *testing.T) {
 	}
 }
 
-// TestWrongPathFetchPollutes: with a static predictor and a taken loop
-// branch, every iteration mispredicts; wrong-path fetching must touch lines
-// the correct path never does.
+// TestWrongPathFetchPollutes: without a BTB, fetch cannot redirect on a
+// taken loop branch, so every iteration mispredicts; wrong-path fetching
+// must touch lines the correct path never does.
 func TestWrongPathFetchPollutes(t *testing.T) {
 	mk := func(wrongPath bool) *Result {
 		m := config.Baseline()
-		m.Pred.Kind = "static"
+		m.Pred.BTBEntries = 0
 		m.Core.WrongPathFetch = wrongPath
 		var insts []isa.Inst
 		for i := 0; i < 200; i++ {

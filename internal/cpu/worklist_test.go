@@ -277,8 +277,7 @@ func TestIssueWorklistsMatchFullScan(t *testing.T) {
 // lsqAudit re-walks, for every dispatched load whose cached disambiguation
 // verdict issueLoad would use (lsqCached), the older in-flight stores in
 // [sqHead, sqMark), oldest first and independently of lsqWalk, and requires
-// the same verdict from the youngest store that decides. It also recounts
-// the walk's granule filter from the store ring. counts tallies the
+// the same verdict from the youngest store that decides. counts tallies the
 // checked verdicts by kind, and skipped the clean ones cached past an
 // unresolved store.
 type lsqAudit struct {
@@ -288,23 +287,6 @@ type lsqAudit struct {
 
 func (a *lsqAudit) check(c *Core) error {
 	mask := uint64(len(c.sqRing) - 1)
-	// The walk's filter: per-bucket granule counts and the unresolved
-	// count, recomputed from the ring.
-	var buckets [64]int32
-	unresolved := 0
-	for p := c.sqHead; p < c.sqTail; p++ {
-		r := &c.sqRing[p&mask]
-		for g := r.addr / 8; g <= (r.addr+uint64(r.size)-1)/8; g++ {
-			buckets[g%64]++
-		}
-		if !r.issued {
-			unresolved++
-		}
-	}
-	if buckets != c.sqBuckets || unresolved != c.sqUnresolved {
-		return fmt.Errorf("store filter holds %v with %d unresolved, the ring gives %v with %d",
-			c.sqBuckets, c.sqUnresolved, buckets, unresolved)
-	}
 	for off := 0; off < c.robCount; off++ {
 		e := &c.rob[c.robIndex(off)]
 		if e.inst.Class != isa.Load || e.state != stateDispatched || !c.lsqCached(e) {

@@ -122,13 +122,6 @@ func BucketByName(name string) (Bucket, bool) {
 	return 0, false
 }
 
-// Names returns the canonical bucket names in reporting order.
-func Names() []string {
-	out := make([]string, NumBuckets)
-	copy(out, names[:])
-	return out
-}
-
 // Stack is a live cycle-attribution accumulator. The zero value is ready
 // to use; a nil *Stack is the disabled state — every method is nil-safe,
 // so callers keep the one-pointer-test discipline of internal/diag. The
@@ -147,14 +140,6 @@ func (s *Stack) Charge(b Bucket, n uint64) {
 		return
 	}
 	s.buckets[b].Add(n)
-}
-
-// Get returns the cycles charged to bucket b so far.
-func (s *Stack) Get(b Bucket) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.buckets[b].Load()
 }
 
 // Total returns the cycles charged across every bucket.
@@ -181,16 +166,6 @@ func (s *Stack) Snapshot() *Snapshot {
 		snap.Buckets[b] = s.buckets[b].Load()
 	}
 	return &snap
-}
-
-// Reset zeroes every bucket (pooled-core reuse).
-func (s *Stack) Reset() {
-	if s == nil {
-		return
-	}
-	for b := range s.buckets {
-		s.buckets[b].Store(0)
-	}
 }
 
 // Snapshot is a frozen CPI stack: plain counters, safe to copy, compare

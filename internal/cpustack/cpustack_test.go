@@ -11,8 +11,7 @@ import (
 func TestNilStackIsDisabled(t *testing.T) {
 	var s *Stack
 	s.Charge(Useful, 10)
-	s.Reset()
-	if s.Total() != 0 || s.Get(Useful) != 0 {
+	if s.Total() != 0 {
 		t.Error("nil stack reports charges")
 	}
 	if s.Snapshot() != nil {
@@ -20,7 +19,7 @@ func TestNilStackIsDisabled(t *testing.T) {
 	}
 }
 
-// TestChargeAndSnapshot checks accumulation, freezing, and reset.
+// TestChargeAndSnapshot checks accumulation and freezing.
 func TestChargeAndSnapshot(t *testing.T) {
 	s := NewStack()
 	s.Charge(Useful, 3)
@@ -40,12 +39,12 @@ func TestChargeAndSnapshot(t *testing.T) {
 	if err := snap.CheckConservation(7); err == nil {
 		t.Fatal("conservation check accepted a leak")
 	}
-	s.Reset()
-	if s.Total() != 0 {
-		t.Error("reset stack still charged")
+	s.Charge(Useful, 5)
+	if s.Total() != 11 {
+		t.Errorf("Total = %d after a further charge, want 11", s.Total())
 	}
 	if snap.Total() != 6 {
-		t.Error("reset mutated an existing snapshot")
+		t.Error("a later charge mutated an existing snapshot")
 	}
 }
 
@@ -70,9 +69,6 @@ func TestNamesRoundTrip(t *testing.T) {
 	}
 	if _, ok := BucketByName("no-such-bucket"); ok {
 		t.Error("BucketByName accepted an unknown name")
-	}
-	if got := len(Names()); got != int(NumBuckets) {
-		t.Errorf("Names() has %d entries, want %d", got, NumBuckets)
 	}
 }
 

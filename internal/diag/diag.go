@@ -136,14 +136,6 @@ func (r *Recorder) Record(cycle uint64, kind EventKind, seq, addr uint64) {
 	r.total++
 }
 
-// Depth returns the ring capacity (zero when disabled).
-func (r *Recorder) Depth() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Len returns the number of retained events.
 func (r *Recorder) Len() int {
 	if r == nil {

@@ -8,7 +8,7 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(1, EventFetch, 2, 3)
-	if r.Len() != 0 || r.Total() != 0 || r.Depth() != 0 {
+	if r.Len() != 0 || r.Total() != 0 {
 		t.Error("nil recorder reports non-zero sizes")
 	}
 	if ev := r.Events(); ev != nil {
@@ -53,8 +53,8 @@ func TestRecorderWrapsOldestFirst(t *testing.T) {
 	if r.Total() != 10 {
 		t.Errorf("total = %d, want 10", r.Total())
 	}
-	if r.Len() != 4 || r.Depth() != 4 {
-		t.Errorf("len/depth = %d/%d, want 4/4", r.Len(), r.Depth())
+	if r.Len() != 4 || len(r.buf) != 4 {
+		t.Errorf("len/depth = %d/%d, want 4/4", r.Len(), len(r.buf))
 	}
 }
 
@@ -124,10 +124,10 @@ func TestEventsReturnsACopy(t *testing.T) {
 }
 
 func TestDefaultDepthApplied(t *testing.T) {
-	if d := NewRecorder(0).Depth(); d != DefaultDepth {
+	if d := len(NewRecorder(0).buf); d != DefaultDepth {
 		t.Errorf("depth = %d, want %d", d, DefaultDepth)
 	}
-	if d := NewRecorder(-3).Depth(); d != DefaultDepth {
+	if d := len(NewRecorder(-3).buf); d != DefaultDepth {
 		t.Errorf("depth = %d, want %d", d, DefaultDepth)
 	}
 }

@@ -392,6 +392,3 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 // Entries returns the closure in deterministic visit order (roots first, in
 // source order, then breadth-first).
 func (cl *Closure) Entries() []*Entry { return cl.order }
-
-// Contains returns the closure entry for a function object, or nil.
-func (cl *Closure) Contains(obj *types.Func) *Entry { return cl.entries[obj.FullName()] }

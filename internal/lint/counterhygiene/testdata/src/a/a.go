@@ -13,7 +13,7 @@ const total = "a.total"
 
 func record(s *stats.Set, class string) {
 	s.Add(total, 3)
-	s.Inc("a.hits")
+	s.Add("a.hits", 1)
 	s.Add(stats.Cycles, 100)
 	s.Add(stats.GrantBucket(2), 1)
 

@@ -9,7 +9,7 @@ const localName = "co.local"
 
 func record(s *stats.Set, class string) {
 	s.Add(stats.Cycles, 1)
-	s.Inc(stats.ClassCounter(class))
-	s.Inc("co.raw")     // want `stringly-typed counter name "co\.raw"`
+	s.Add(stats.ClassCounter(class), 1)
+	s.Add("co.raw", 1)  // want `stringly-typed counter name "co\.raw"`
 	s.Add(localName, 2) // want `counter name constant localName is declared outside`
 }

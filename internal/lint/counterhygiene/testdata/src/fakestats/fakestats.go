@@ -17,8 +17,5 @@ func (s *Set) Add(name string, v uint64) {
 	s.counters[name] += v
 }
 
-// Inc adds one to the named counter.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
 // Get returns the named counter's value.
 func (s *Set) Get(name string) uint64 { return s.counters[name] }

@@ -1,6 +1,6 @@
-// Package lint is the portlint driver: it loads packages, runs the analyzer
-// suite over them, applies //portlint:ignore suppressions and returns the
-// findings in a stable order. Suppressed findings are retained with
+// Package lint is the portlint driver: it runs the analyzer suite over
+// packages loaded by internal/lint/loader, applies //portlint:ignore
+// suppressions and returns the findings in a stable order. Suppressed findings are retained with
 // Suppressed set rather than dropped, so the -json output can carry
 // suppression state and the -suppressions audit can detect stale
 // directives; text output and exit codes consider only active findings.
@@ -24,7 +24,6 @@ import (
 	"portsim/internal/lint/hotpath"
 	"portsim/internal/lint/hotpathclosure"
 	"portsim/internal/lint/layerimports"
-	"portsim/internal/lint/loader"
 	"portsim/internal/lint/maporder"
 	"portsim/internal/lint/recoverhygiene"
 )
@@ -75,16 +74,6 @@ func Active(findings []Finding) []Finding {
 		}
 	}
 	return out
-}
-
-// Run loads the patterns relative to dir and analyzes them with the given
-// analyzers (the full Suite when analyzers is empty).
-func Run(dir string, patterns []string, analyzers ...*analysis.Analyzer) ([]Finding, error) {
-	pkgs, err := loader.Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(pkgs, analyzers...)
 }
 
 // Analyze runs the analyzers over already-loaded packages.

@@ -5,7 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,111 +13,168 @@ import (
 	"testing"
 
 	"portsim/internal/lint"
+	"portsim/internal/lint/loader"
 )
 
 // TestRepoClean asserts the invariant CI gates on: the full analyzer suite
 // reports zero active findings over the module's own packages (suppressed
 // findings are expected — every //portlint:ignore directive shields one).
 func TestRepoClean(t *testing.T) {
-	findings, err := lint.Run("../..", []string{"./..."})
-	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
-	}
-	for _, f := range lint.Active(findings) {
+	for _, f := range lint.Active(analyze(t, "../..")) {
 		t.Errorf("portlint finding on the repository itself: %s", f)
 	}
 }
 
-// testOnlyExportAllowlist names the exported functions kept although only
-// tests call them: independent oracles and fixtures that check production
-// code from the outside.
-var testOnlyExportAllowlist = map[string]bool{
-	"trace.NewSliceStream":         true, // fixture: a Stream over a fixed instruction slice
-	"cache.NewFunctional":          true, // oracle: the flat-array reference the cache levels are fuzzed against
-	"cache.Functional.Read":        true, // oracle: reads back the reference's contents
-	"core.StoreBuffer.ReadForward": true, // oracle hook: byte-exact forwarding in TestStoreBufferByteExactness
-}
-
-// TestNoTestOnlyExports fails on any exported function or method declared
-// under internal/ whose name no non-test file of the module or of bench/
-// uses outside a declaration: production API that only tests read is
-// deleted rather than kept alive by its test. The match is by name, so a
-// method shares its uses with every other identifier of that name.
-func TestNoTestOnlyExports(t *testing.T) {
-	const root = "../.."
-	type export struct{ key, pos string }
-	var exports []export
-	used := make(map[string]bool)
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		declared := make(map[*ast.Ident]bool)
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if fn.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
-				exports = append(exports, export{f.Name.Name + "." + funcName(fn), fset.Position(fn.Pos()).String()})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
+// analyze loads every package under dir and runs the full suite over them,
+// as cmd/portlint does.
+func analyze(t *testing.T, dir string) []lint.Finding {
+	t.Helper()
+	pkgs, err := loader.Load(dir, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exported := make(map[string]bool)
-	for _, e := range exports {
-		exported[e.key] = true
-		name := e.key[strings.LastIndexByte(e.key, '.')+1:]
-		if !used[name] && !testOnlyExportAllowlist[e.key] {
-			t.Errorf("%s: %s is exported but only tests call it", e.pos, e.key)
+	findings, err := lint.Analyze(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
+
+// testOnlyExportAllowlist names the exported functions kept although only
+// tests call them, by types.Func.FullName: independent oracles and fixtures
+// that check production code from the outside.
+var testOnlyExportAllowlist = map[string]bool{
+	"portsim/internal/trace.NewSliceStream":            true, // fixture: a Stream over a fixed instruction slice
+	"portsim/internal/cache.NewFunctional":             true, // oracle: the flat-array reference the cache levels are fuzzed against
+	"(*portsim/internal/cache.Functional).Level":       true, // oracle: the timing level the reference wraps
+	"(*portsim/internal/cache.Functional).Read":        true, // oracle: reads back the reference's contents
+	"(*portsim/internal/cache.Functional).Write":       true, // oracle: writes through the reference
+	"(*portsim/internal/cache.Functional).Flush":       true, // oracle: writes the reference's dirty lines back
+	"portsim/internal/flatmem.New":                     true, // oracle: the flat memory behind the data-carrying store buffer's checks
+	"(*portsim/internal/core.StoreBuffer).ReadForward": true, // oracle hook: byte-exact forwarding in TestStoreBufferByteExactness
+	"portsim/internal/lint/analysistest.Run":           true, // fixture: runs an analyzer over its testdata packages
+}
+
+// stdlibProtocols declares the standard-library interfaces the standard
+// library calls into without a use in the module's files: fmt calls Error
+// and String, errors.Is, errors.As and errors.Unwrap call Is, As and
+// Unwrap, and encoding/json calls MarshalJSON and UnmarshalJSON.
+const stdlibProtocols = `package protocols
+
+type (
+	errorer     interface{ Error() string }
+	stringer    interface{ String() string }
+	iser        interface{ Is(error) bool }
+	aser        interface{ As(any) bool }
+	unwrapper   interface{ Unwrap() error }
+	marshaler   interface{ MarshalJSON() ([]byte, error) }
+	unmarshaler interface{ UnmarshalJSON([]byte) error }
+)
+`
+
+// TestNoTestOnlyExports fails on any exported function or method declared
+// under internal/ that no non-test file of the module or of bench/ uses:
+// production API that only tests read is deleted rather than kept alive by
+// its test. The scan is type-checked (internal/lint/loader) and keyed by
+// types.Func.FullName, as internal/lint/callgraph keys its nodes, so a
+// same-named identifier elsewhere hides nothing. A function is used when
+// a non-test file's Uses or Selections resolves to it. A method is also
+// used when its type implements a used interface method of the same name,
+// or one of stdlibProtocols, because those calls go through the interface.
+func TestNoTestOnlyExports(t *testing.T) {
+	pkgs, err := loader.Load("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := loader.Load("../../bench", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := make(map[string]bool)
+	var ifaceMethods []*types.Func
+	use := func(obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			return
+		}
+		fn = fn.Origin()
+		if key := fn.FullName(); !used[key] {
+			used[key] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods = append(ifaceMethods, fn)
+			}
+		}
+	}
+	for _, pkg := range append(pkgs, bench...) {
+		for _, obj := range pkg.TypesInfo.Uses {
+			use(obj)
+		}
+		for _, sel := range pkg.TypesInfo.Selections {
+			use(sel.Obj())
+		}
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "protocols.go", stdlibProtocols, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocols, err := new(types.Config).Check("protocols", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range protocols.Scope().Names() {
+		iface := protocols.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
+		}
+	}
+	// implements reports whether method m's receiver type satisfies the
+	// interface of a used interface method named like m.
+	implements := func(m *types.Func) bool {
+		recv := m.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		for _, im := range ifaceMethods {
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == m.Name() && (types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)) {
+				return true
+			}
+		}
+		return false
+	}
+	declared := make(map[string]bool)
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "portsim/internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+				key := fn.FullName()
+				declared[key] = true
+				switch live := used[key] || implements(fn); {
+				case live && testOnlyExportAllowlist[key]:
+					t.Errorf("%s: allowlisted %s is used outside tests; drop it from the allowlist", pkg.Fset.Position(fd.Pos()), key)
+				case !live && !testOnlyExportAllowlist[key]:
+					t.Errorf("%s: %s is exported but only tests call it", pkg.Fset.Position(fd.Pos()), key)
+				}
+			}
 		}
 	}
 	for key := range testOnlyExportAllowlist {
-		if !exported[key] {
+		if !declared[key] {
 			t.Errorf("allowlisted %s is not declared under internal/; drop it from the allowlist", key)
 		}
 	}
-}
-
-// funcName returns fn's name, qualified by its receiver's type for a method.
-// The module declares no generic types, so a receiver is T or *T.
-func funcName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil {
-		return fn.Name.Name
-	}
-	recv := fn.Recv.List[0].Type
-	if star, ok := recv.(*ast.StarExpr); ok {
-		recv = star.X
-	}
-	return recv.(*ast.Ident).Name + "." + fn.Name.Name
 }
 
 // TestGoVet asserts go vet stays clean, mirroring the CI gate.
@@ -167,10 +224,7 @@ func main() {
 }
 `)
 
-	findings, err := lint.Run(dir, []string{"./..."})
-	if err != nil {
-		t.Fatalf("lint.Run on scratch module: %v", err)
-	}
+	findings := analyze(t, dir)
 	wantAnalyzers := []string{"cyclemath", "detrand", "floatcmp", "recoverhygiene"}
 	got := make(map[string]int)
 	for _, f := range findings {
@@ -215,10 +269,7 @@ func helperB() {
 }
 `)
 
-	findings, err := lint.Run(dir, []string{"./..."})
-	if err != nil {
-		t.Fatalf("lint.Run on scratch module: %v", err)
-	}
+	findings := analyze(t, dir)
 	wantChain := []string{"hot.step", "hot.helperA", "hot.helperB"}
 	caught := make(map[string]bool)
 	for _, f := range findings {

@@ -49,9 +49,6 @@ func (s *Set) Add(name string, n uint64) {
 	s.values = append(s.values, n)
 }
 
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
 // Get returns the value of the named counter (zero if never touched).
 func (s *Set) Get(name string) uint64 {
 	if i := s.index(name); i >= 0 {

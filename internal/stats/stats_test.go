@@ -12,7 +12,7 @@ func TestSetBasics(t *testing.T) {
 	if got := s.Get("missing"); got != 0 {
 		t.Errorf("untouched counter = %d, want 0", got)
 	}
-	s.Inc("a")
+	s.Add("a", 1)
 	s.Add("a", 4)
 	s.Add("b", 10)
 	if got := s.Get("a"); got != 5 {

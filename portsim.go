@@ -65,8 +65,8 @@ func DualPortConfig() Config { return config.DualPort() }
 // QuadPortConfig returns the idealised four-ported machine.
 func QuadPortConfig() Config { return config.QuadPort() }
 
-// BestSingleConfig returns the paper's proposal: one 32-byte port, a
-// 16-entry combining store buffer and four load-all line buffers.
+// BestSingleConfig returns the paper's proposal: one 16-byte port, a
+// 16-entry combining store buffer and two load-all line buffers.
 func BestSingleConfig() Config { return config.BestSingle() }
 
 // ConfigNames lists the preset names accepted by ConfigByName.

@@ -1,6 +1,7 @@
 package portsim_test
 
 import (
+	"strings"
 	"testing"
 
 	"portsim"
@@ -69,6 +70,13 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.Ports.Count = 0
 	if _, err := portsim.New(cfg, "compress", 1); err == nil {
 		t.Error("invalid config accepted")
+	}
+	for _, kind := range []string{"static", "bimodal"} {
+		cfg := portsim.BaselineConfig()
+		cfg.Pred.Kind = kind
+		if _, err := portsim.New(cfg, "compress", 1); err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("predictor kind %q: err = %v, want one naming the kind", kind, err)
+		}
 	}
 }
 
