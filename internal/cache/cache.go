@@ -52,7 +52,7 @@ func (w *way) touch(clock uint64, write bool) {
 }
 
 // Level is the tag/state cache model. It is not safe for concurrent use;
-// the simulator is single-threaded by design (cycle-driven determinism).
+// the model runs on one goroutine by design (cycle-driven determinism).
 type Level struct {
 	geom    config.CacheGeom
 	ways    []way // set s occupies ways[s*Assoc : (s+1)*Assoc]

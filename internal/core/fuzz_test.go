@@ -24,8 +24,9 @@ func scanDrain(b *StoreBuffer) int {
 
 // FuzzStoreBufferInsert drives a store buffer through an arbitrary byte-coded
 // op sequence and checks the structural invariants that the simulator relies
-// on: occupancy never exceeds capacity, CanAccept never lies (an accepted
-// Insert must not panic), drains only hand out un-issued entries, the
+// on: occupancy never exceeds capacity, Insert refuses a store exactly when
+// CanAccept says it cannot enter and a refusal changes nothing, a merge
+// keeps occupancy, drains only hand out un-issued entries, the
 // counters stay consistent, and after every Insert, MarkIssued, Expire and
 // Reset the memoised NextDrain agrees with scanDrain. Ops are decoded so
 // that every input is a valid call sequence — the fuzzer explores orderings
@@ -69,18 +70,25 @@ func FuzzStoreBufferInsert(f *testing.F) {
 			addr &^= uint64(size - 1)
 			switch op >> 6 {
 			case 0, 1: // insert (twice as likely: pressure matters)
-				if !b.CanAccept(addr, size) {
+				can := b.CanAccept(addr, size)
+				before, inserts := b.Len(), b.Inserts()
+				ok, combined := b.Insert(now, addr, size, nil)
+				if ok != can {
+					t.Fatalf("Insert accepted = %v, CanAccept = %v", ok, can)
+				}
+				if !ok {
+					if b.Len() != before || b.Inserts() != inserts {
+						t.Fatalf("refused Insert changed the buffer: len %d -> %d, inserts %d -> %d", before, b.Len(), inserts, b.Inserts())
+					}
 					continue
 				}
-				before := b.Len()
-				b.Insert(now, addr, size, nil)
 				inserted++
 				drainAgrees("Insert")
 				if b.Len() > b.Cap() {
 					t.Fatalf("occupancy %d exceeds capacity %d", b.Len(), b.Cap())
 				}
-				if b.Len() < before {
-					t.Fatalf("Insert shrank the buffer: %d -> %d", before, b.Len())
+				if grew := b.Len() - before; combined && grew != 0 || !combined && grew != 1 {
+					t.Fatalf("Insert (combined %v) grew the buffer by %d", combined, grew)
 				}
 			case 2: // probe
 				forward, conflict := b.Probe(addr, size)

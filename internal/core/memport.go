@@ -141,6 +141,21 @@ type refillWindow struct {
 	bank   int
 }
 
+// refillRoom is the number of refill windows NewMemPort makes room for:
+// twice the L1D's MSHRs, or 16 when they are unlimited. A window is
+// pending while its fill's data has not landed, and more fills than MSHRs
+// can be in that state: a window stays pending for the hit latency after
+// its MSHR frees, and a TLB walk runs an access's clock ahead of the
+// core's, so MSHRs free early. Twice the MSHRs is the high-water mark of
+// every preset on every built-in workload over 300k instructions at seeds
+// 42 and 7 (16 windows at 8 MSHRs); past it, noteMiss grows the array.
+func refillRoom(mshrs int) int {
+	if mshrs <= 0 {
+		mshrs = 8
+	}
+	return 2 * mshrs
+}
+
 // SlotsPerCycle is the peak accesses per cycle a port arrangement allows:
 // one per bank when banked, otherwise one per port. Exported for the
 // telemetry layer, which renders one trace lane per slot and normalises
@@ -156,9 +171,10 @@ func SlotsPerCycle(cfg config.Ports) int {
 // Retarget. The machine configuration must already be validated.
 func NewMemPort(cfg config.Ports, sys *mem.System) *MemPort {
 	p := &MemPort{
-		sys: sys,
-		lbs: NewLineBufferSet(cfg.LineBuffers, cfg.WidthBytes),
-		sb:  NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
+		sys:            sys,
+		lbs:            NewLineBufferSet(cfg.LineBuffers, cfg.WidthBytes),
+		sb:             NewStoreBuffer(cfg.StoreBufferEntries, cfg.WidthBytes, cfg.StoreCombining),
+		pendingRefills: make([]refillWindow, 0, refillRoom(sys.L1D.Geom().MSHRs)),
 	}
 	p.Retarget(cfg)
 	// A replaced or invalidated cache line must take its latched chunks
@@ -319,7 +335,7 @@ func (p *MemPort) noteMiss(addr uint64, r mem.AccessResult) {
 	if p.banked {
 		w.bank = p.bankOf(addr)
 	}
-	p.pendingRefills = append(p.pendingRefills, w) //portlint:ignore hotpathclosure bounded by outstanding MSHR fills; BeginCycle drains via pendingRefills[:0], so the backing array stops growing at its high-water mark
+	p.pendingRefills = append(p.pendingRefills, w) //portlint:ignore hotpathclosure NewMemPort sizes the array to refillRoom, the measured high-water mark of in-flight fills; BeginCycle drains via pendingRefills[:0], so past that mark it grows once per new high
 	p.refillDue = min(p.refillDue, w.at)
 }
 
@@ -438,10 +454,9 @@ func (p *MemPort) TryLoad(now, addr uint64, size int) LoadResult {
 //
 //portlint:hotpath
 func (p *MemPort) TryCommitStore(now, addr uint64, size int) bool {
-	if !p.sb.CanAccept(addr, size) {
+	if ok, _ := p.sb.Insert(now, addr, size, nil); !ok {
 		return false
 	}
-	p.sb.Insert(now, addr, size, nil)
 	if p.cfg.StoresCheckLineBuffers {
 		p.lbs.InvalidateChunk(addr)
 	}

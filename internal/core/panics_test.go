@@ -61,16 +61,22 @@ func TestInsertPanicsOnDataSizeMismatch(t *testing.T) {
 	b.Insert(0, 0x200, 2, []byte{1, 2})
 }
 
-// TestInsertPanicsWhenFull covers the lost-store guard: inserting past
-// capacity without CanAccept is a simulator bug, not a recoverable state.
-func TestInsertPanicsWhenFull(t *testing.T) {
+// TestInsertRefusesWhenFull covers back-pressure: Insert refuses a store
+// that neither combines nor finds a free slot, exactly when CanAccept
+// reports false, and the refusal changes nothing.
+func TestInsertRefusesWhenFull(t *testing.T) {
 	b := NewStoreBuffer(2, 8, false)
 	b.Insert(0, 0x100, 8, nil)
 	b.Insert(0, 0x200, 8, nil)
 	if b.CanAccept(0x300, 8) {
 		t.Fatal("full buffer claims CanAccept")
 	}
-	wantPanic(t, "Insert on a full store buffer", func() { b.Insert(0, 0x300, 8, nil) })
+	if ok, combined := b.Insert(0, 0x300, 8, nil); ok || combined {
+		t.Fatalf("Insert on a full buffer = (%v, %v), want a refusal", ok, combined)
+	}
+	if b.Len() != 2 || b.Inserts() != 2 || b.Combined() != 0 {
+		t.Errorf("refusal changed the buffer: len %d, inserts %d, combined %d", b.Len(), b.Inserts(), b.Combined())
+	}
 
 	// With combining, the same third store is accepted when it merges into
 	// an existing un-issued chunk even at capacity.
@@ -80,7 +86,13 @@ func TestInsertPanicsWhenFull(t *testing.T) {
 	if !c.CanAccept(0x104, 4) {
 		t.Fatal("combining buffer refuses a mergeable store at capacity")
 	}
-	if !c.Insert(0, 0x104, 4, nil) {
-		t.Error("mergeable store did not combine")
+	if ok, combined := c.Insert(0, 0x104, 4, nil); !ok || !combined {
+		t.Errorf("mergeable store = (%v, %v), want it combined", ok, combined)
+	}
+	// Once the entry issues, its chunk no longer combines, and the full
+	// buffer refuses it like any other.
+	c.MarkIssued(c.NextDrain(), 100)
+	if ok, _ := c.Insert(0, 0x104, 4, nil); ok || c.CanAccept(0x104, 4) {
+		t.Error("store combined into an issued entry of a full buffer")
 	}
 }

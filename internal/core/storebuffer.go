@@ -139,7 +139,8 @@ func maskFor(offset uint64, size int) uint64 {
 
 // CanAccept reports whether a store of size bytes at addr can enter the
 // buffer this cycle: either it combines into an existing un-issued entry for
-// its chunk, or a free slot exists.
+// its chunk, or a free slot exists. Insert makes the same decision itself;
+// CanAccept serves callers that only ask, such as the stall diagnosis.
 func (b *StoreBuffer) CanAccept(addr uint64, size int) bool {
 	if b.combining {
 		chunk := b.ChunkAddr(addr)
@@ -152,12 +153,14 @@ func (b *StoreBuffer) CanAccept(addr uint64, size int) bool {
 	return b.n < b.capacity
 }
 
-// Insert adds a committed store to the buffer. data may be nil (timing-only
-// mode) or exactly size bytes (data-carrying mode). It returns whether the
-// store was merged into an existing entry. Callers must check CanAccept
-// first; Insert panics when the buffer cannot take the store, because a
-// lost store would silently corrupt the simulation.
-func (b *StoreBuffer) Insert(now, addr uint64, size int, data []byte) (combined bool) {
+// Insert offers a committed store to the buffer. data may be nil
+// (timing-only mode) or exactly size bytes (data-carrying mode). In one
+// scan it merges the store into an un-issued entry for its chunk, takes a
+// free slot, or refuses the store when neither exists, exactly when
+// CanAccept would report false. A refused store leaves the buffer and its
+// statistics untouched, and the caller must retry it. combined reports a
+// merge.
+func (b *StoreBuffer) Insert(now, addr uint64, size int, data []byte) (accepted, combined bool) {
 	if size <= 0 || size > 8 {
 		panic(fmt.Sprintf("core: store size %d unsupported", size))
 	}
@@ -167,24 +170,26 @@ func (b *StoreBuffer) Insert(now, addr uint64, size int, data []byte) (combined 
 	chunk := b.ChunkAddr(addr)
 	offset := addr - chunk //portlint:ignore cyclemath chunk is addr with low bits masked off, so chunk <= addr
 	mask := maskFor(offset, size)
-	b.inserts++
-	if data != nil {
-		b.carriesData = true
-	}
 	if b.combining {
 		for i := 0; i < b.n; i++ {
 			if b.chunkAddr[i] == chunk && !b.issued[i] {
 				b.mask[i] |= mask
 				if data != nil {
+					b.carriesData = true
 					copy(b.data[i][offset:], data)
 				}
+				b.inserts++
 				b.combined++
-				return true
+				return true, true
 			}
 		}
 	}
 	if b.n >= b.capacity {
-		panic("core: Insert on a full store buffer; call CanAccept first")
+		return false, false
+	}
+	b.inserts++
+	if data != nil {
+		b.carriesData = true
 	}
 	i := b.n
 	b.n++
@@ -199,7 +204,7 @@ func (b *StoreBuffer) Insert(now, addr uint64, size int, data []byte) (combined 
 		b.data[i] = [maxChunkBytes]byte{}
 		copy(b.data[i][offset:], data)
 	}
-	return false
+	return true, false
 }
 
 // Probe checks a load of size bytes at addr against every occupying entry

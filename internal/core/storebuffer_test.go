@@ -73,10 +73,10 @@ func TestStoreBufferCapacityWithoutCombining(t *testing.T) {
 
 func TestStoreBufferCombiningMergesChunk(t *testing.T) {
 	b := NewStoreBuffer(2, 32, true)
-	if combined := b.Insert(0, 0x100, 8, nil); combined {
+	if _, combined := b.Insert(0, 0x100, 8, nil); combined {
 		t.Error("first store reported combined")
 	}
-	if combined := b.Insert(0, 0x108, 8, nil); !combined {
+	if _, combined := b.Insert(0, 0x108, 8, nil); !combined {
 		t.Error("same-chunk store did not combine")
 	}
 	if b.Len() != 1 {
@@ -183,7 +183,6 @@ func TestStoreBufferInsertPanics(t *testing.T) {
 	b := NewStoreBuffer(1, 32, false)
 	b.Insert(0, 0x100, 8, nil)
 	for _, f := range []func(){
-		func() { b.Insert(0, 0x200, 8, nil) },       // full
 		func() { b.Insert(0, 0x300, 0, nil) },       // zero size
 		func() { b.Insert(0, 0x300, 16, nil) },      // oversized
 		func() { b.Insert(0, 0x300, 4, []byte{1}) }, // data/size mismatch
@@ -319,8 +318,7 @@ func TestStoreBufferByteExactness(t *testing.T) {
 					}
 				}
 			}
-			if b.CanAccept(addr, size) {
-				b.Insert(0, addr, size, data)
+			if ok, _ := b.Insert(0, addr, size, data); ok {
 				ref.WriteAt(addr, data)
 			}
 			if o.Drain {

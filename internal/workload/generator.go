@@ -161,7 +161,8 @@ type Generator struct {
 	user, kern modeState
 	cur        *modeState
 
-	// Call stack of return PCs (with the mode they belong to).
+	// Call stack of return PCs (with the mode they belong to). pushCall
+	// keeps at most maxCallDepth sites, the capacity New gives it.
 	callStack []retSite
 
 	// Register allocation: rotating destination rings plus a recency
@@ -187,8 +188,9 @@ func New(p Profile, seed int64) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{
-		prof: p,
-		rng:  rand.New(rand.NewSource(seed)),
+		prof:      p,
+		rng:       rand.New(rand.NewSource(seed)),
+		callStack: make([]retSite, 0, maxCallDepth),
 	}
 	g.user = newModeState(p.Mix, p.Regions, buildLayout(p.CodeBlocks, p.MeanBlockLen, userCodeBase, 0xABCD), false)
 	if p.Kernel.EveryMean > 0 {

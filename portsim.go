@@ -91,15 +91,22 @@ func WorkloadByName(name string) (Profile, bool) { return workload.ByName(name) 
 
 // Simulation is one machine plus one instruction stream, ready to run. A
 // Simulation is single-use: create a new one for every run.
+//
+// The model runs on the goroutine that calls Run. A simulation of a
+// built-in workload (New, NewFromProfile) generates its instructions on a
+// second goroutine, a bounded ring ahead of the core, which Run starts and
+// stops; the generator's output does not depend on when it is called, so
+// this changes no number. A caller's stream (NewFromStream) is read on the
+// Run goroutine.
 type Simulation struct {
 	core *cpu.Core
 	done bool
-	// endless marks a simulation over a built-in workload generator,
-	// which never exhausts its stream: Run must be given a positive
-	// instruction bound or it would spin until the deadline guard —
-	// and with a zero bound the guard is disabled, so it would never
-	// return at all.
-	endless bool
+	// ahead is the read-ahead over a built-in workload generator, nil
+	// for a caller's stream. The generator never exhausts its stream, so
+	// Run must be given a positive instruction bound or it would spin
+	// until the deadline guard — and with a zero bound the guard is
+	// disabled, so it would never return at all.
+	ahead *trace.ReadAhead
 }
 
 // New builds a simulation of the named built-in workload on the given
@@ -119,11 +126,12 @@ func NewFromProfile(cfg Config, prof Profile, seed int64) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewFromStream(cfg, gen)
+	ahead := trace.NewReadAhead(gen)
+	s, err := NewFromStream(cfg, ahead)
 	if err != nil {
 		return nil, err
 	}
-	s.endless = true
+	s.ahead = ahead
 	return s, nil
 }
 
@@ -147,14 +155,23 @@ func NewFromStream(cfg Config, stream InstructionStream) (*Simulation, error) {
 // of hanging. Runs are guarded by a cycle deadline and a forward-progress
 // watchdog, so a wedged model returns a diagnosed error rather than
 // spinning forever.
+//
+// Over a built-in workload, Run generates at most maxInstructions on a
+// second goroutine, which it starts after checking its arguments and stops
+// before it returns, on every path. Fetch never asks for an instruction
+// past the bound, so a completed Run uses every instruction generated.
 func (s *Simulation) Run(maxInstructions uint64) (*Result, error) {
 	if s.done {
 		return nil, fmt.Errorf("portsim: simulation already ran; create a new one")
 	}
-	if s.endless && maxInstructions == 0 {
+	if s.ahead != nil && maxInstructions == 0 {
 		return nil, fmt.Errorf("portsim: maxInstructions must be positive: the built-in workload generators never end, so an unbounded run would never return")
 	}
 	s.done = true
+	if s.ahead != nil {
+		s.ahead.Start(maxInstructions)
+		defer s.ahead.Stop()
+	}
 	return s.core.Run(cpu.Options{
 		MaxInstructions: maxInstructions,
 		DeadlineCycles:  cpu.DeadlineFor(maxInstructions),
