@@ -21,7 +21,8 @@
 // every healthy table. Each distinct cell failure is reported once with its
 // machine configuration, stack and flight-recorder tail, and a JSON repro
 // bundle is written next to the run (-repro-dir); `portbench -repro` replays
-// a bundle deterministically with the flight recorder armed.
+// a bundle deterministically with the flight recorder armed. Bundles
+// describe every kind of cell, A6's multiprogrammed ones included.
 //
 // Durable campaigns (-store, see EXPERIMENTS.md "Durable campaigns"):
 // every finished cell — result or deterministic failure — is written
@@ -44,11 +45,14 @@
 // serves live campaign metrics over HTTP (/metrics Prometheus text,
 // /healthz, /campaign live campaign status, /debug/pprof runtime
 // profiles with per-cell labels); -manifest writes a
-// portsim-manifest/v1 run manifest; -trace-out captures one cell's
+// portsim-manifest/v1 run manifest; -trace-out replays one planned cell
+// (-trace-cell) from its repro bundle after the suite and writes its
 // pipeline events as a Chrome trace-event JSON for Perfetto; -cpistack
 // arms per-cell cycle accounting (CPI stacks: a table after the suite,
 // cpi_stack sections in the manifest, portsim_cpi_* series on /metrics,
-// a cpi counter track in the Perfetto trace). Tables are byte-identical
+// a cpi counter track in the Perfetto trace). Under -listen, -manifest,
+// -cpistack, -progress or -cpuprofile every simulated cell carries pprof
+// labels (cell, experiment, workload, machine). Tables are byte-identical
 // whether any of these are on or off.
 package main
 
@@ -63,6 +67,7 @@ import (
 	"time"
 
 	"portsim/internal/cellstore"
+	"portsim/internal/config"
 	"portsim/internal/diag"
 	"portsim/internal/experiments"
 	"portsim/internal/telemetry"
@@ -99,7 +104,7 @@ func run(args []string, out io.Writer) error {
 		listen     = fs.String("listen", "", "serve live campaign metrics over HTTP on this address (/metrics, /healthz, /campaign, /debug/pprof)")
 		manifest   = fs.String("manifest", "", "write a portsim-manifest/v1 run manifest (JSON) to this path")
 		hold       = fs.Duration("hold", 0, "keep the -listen endpoint up this long after the suite finishes")
-		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto) of one cell to this path")
+		traceOut   = fs.String("trace-out", "", "after the suite, replay one planned cell and write its Chrome trace-event JSON (Perfetto) to this path")
 		traceCell  = fs.String("trace-cell", "", "cell to trace as workload@machine (default: first workload on the baseline machine)")
 		traceDepth = fs.Int("trace-depth", 0, "trace event-ring depth (default 1Mi events)")
 
@@ -176,12 +181,21 @@ func run(args []string, out io.Writer) error {
 		store = st
 		spec.Store = store
 	}
+	var traced *experiments.Bundle
 	if *traceOut != "" {
-		w, m, err := parseTraceCell(*traceCell, spec, chosen)
-		if err != nil {
-			return err
+		// Either side of workload@machine may be empty: the spec's first
+		// workload, the baseline machine. A cell no selected experiment
+		// plans fails here, before a campaign that could not trace it.
+		w, m, _ := strings.Cut(*traceCell, "@")
+		if w == "" && len(spec.Workloads) > 0 {
+			w = spec.Workloads[0]
 		}
-		spec.Trace = &experiments.TraceSpec{Workload: w, Machine: m, Depth: *traceDepth}
+		if m == "" {
+			m = config.Baseline().Name
+		}
+		if traced, err = experiments.CellBundle(spec, chosen, w, m); err != nil {
+			return fmt.Errorf("-trace-cell: %w", err)
+		}
 	} else if *traceCell != "" || *traceDepth != 0 {
 		return fmt.Errorf("-trace-cell and -trace-depth need -trace-out")
 	}
@@ -204,7 +218,9 @@ func run(args []string, out io.Writer) error {
 	// Telemetry is strictly opt-in: with every flag off the runner's
 	// observer slot stays nil and no campaign state exists at all.
 	var sink *telemetrySink
-	if progress != progressOff || *listen != "" || *manifest != "" || *traceOut != "" || *cpistack {
+	// A CPU profile takes the sink too: its cell observer labels each
+	// simulation with its cell and experiment for go tool pprof -tags.
+	if progress != progressOff || *listen != "" || *manifest != "" || *cpistack || *cpuprofile != "" {
 		planned := 0
 		for _, e := range chosen {
 			planned += len(e.Cells(spec))
@@ -282,8 +298,8 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, line)
 	}
-	if *traceOut != "" {
-		if err := writeTrace(out, runner, *traceOut); err != nil {
+	if traced != nil {
+		if err := writeTrace(out, traced, *traceDepth, *cpistack, *traceOut); err != nil {
 			return err
 		}
 	}
@@ -456,7 +472,7 @@ func runRepro(path string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "replaying %s: %s on %s (seed %d, %d insts)\n",
 		path, bundle.Workload, bundle.Machine.Name, bundle.Seed, bundle.Insts)
-	res, err := bundle.Replay()
+	res, err := bundle.Replay(nil, false)
 	if err != nil {
 		for _, ce := range experiments.CellErrors(err) {
 			fmt.Fprintf(out, "\nCELL ERROR: %s\n%s\n", ce.Error(), diag.FormatEvents(ce.Events))

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"portsim/internal/config"
 	"portsim/internal/core"
 	"portsim/internal/cpustack"
+	"portsim/internal/diag"
 	"portsim/internal/experiments"
 	"portsim/internal/stats"
 	"portsim/internal/telemetry"
@@ -24,36 +23,9 @@ import (
 // testListenHook, when set by a test, receives the bound -listen address.
 var testListenHook func(addr string)
 
-// parseTraceCell splits a -trace-cell value ("workload@machine") into its
-// parts; either side may be empty to take the default (first workload of
-// the spec, baseline machine). The cell must be one the chosen experiments
-// plan to run: a filter that matches none would otherwise run the whole
-// campaign for a trace it never writes.
-func parseTraceCell(s string, spec experiments.Spec, chosen []experiments.Experiment) (workload, machine string, err error) {
-	workload, machine, _ = strings.Cut(s, "@")
-	if workload == "" {
-		if len(spec.Workloads) == 0 {
-			return "", "", fmt.Errorf("trace cell: no workloads in spec")
-		}
-		workload = spec.Workloads[0]
-	}
-	if machine == "" {
-		machine = config.Baseline().Name
-	}
-	var workloads, machines []string
-	for _, e := range chosen {
-		for _, c := range e.Cells(spec) {
-			if c.Workload == workload && c.Machine == machine {
-				return workload, machine, nil
-			}
-			workloads, machines = append(workloads, c.Workload), append(machines, c.Machine)
-		}
-	}
-	slices.Sort(workloads)
-	slices.Sort(machines)
-	return "", "", fmt.Errorf("-trace-cell: the selected experiments run no cell %s@%s (workloads: %s; machines: %s)",
-		workload, machine, strings.Join(slices.Compact(workloads), ", "), strings.Join(slices.Compact(machines), ", "))
-}
+// defaultTraceDepth is -trace-depth's default: deep enough for the full
+// event stream of a quick cell, shallow enough to stay tens of megabytes.
+const defaultTraceDepth = 1 << 20
 
 // cellSample converts a runner cell event into the telemetry snapshot:
 // identity, outcome and the port rates derived from the final counters.
@@ -300,22 +272,25 @@ func (t *telemetrySink) close(hold time.Duration) {
 	}
 }
 
-// writeTrace converts the runner's captured flight-recorder events into
-// a Chrome trace-event JSON file for Perfetto / chrome://tracing.
-func writeTrace(out io.Writer, runner *experiments.Runner, path string) error {
-	cap := runner.Trace()
-	if cap == nil {
-		fmt.Fprintf(os.Stderr, "telemetry: trace cell %s@%s never ran; no trace written\n",
-			runner.Spec().Trace.Workload, runner.Spec().Trace.Machine)
-		return nil
+// writeTrace replays the traced cell's bundle into a depth-event recorder
+// (defaultTraceDepth when not positive) and writes the recorder's tail as
+// a Chrome trace-event JSON file for Perfetto / chrome://tracing. A
+// failing cell is traced too: the campaign has already reported its
+// failure, and the trace is the diagnosis.
+func writeTrace(out io.Writer, b *experiments.Bundle, depth int, cpiStack bool, path string) error {
+	if depth <= 0 {
+		depth = defaultTraceDepth
 	}
-	trace, err := telemetry.BuildTrace(cap.Events, telemetry.TraceMeta{
-		Machine:  cap.Machine,
-		Workload: cap.Workload,
-		Seed:     cap.Seed,
-		Lanes:    cap.Lanes,
-		Dropped:  cap.Dropped,
-		Total:    cap.Total,
+	rec := diag.NewRecorder(depth)
+	_, _ = b.Replay(rec, cpiStack)
+	events := rec.Events()
+	trace, err := telemetry.BuildTrace(events, telemetry.TraceMeta{
+		Machine:  b.Machine.Name,
+		Workload: b.Workload,
+		Seed:     b.Seed,
+		Lanes:    core.SlotsPerCycle(b.Machine.Ports),
+		Dropped:  rec.Dropped(),
+		Total:    rec.Total(),
 	})
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
@@ -328,6 +303,6 @@ func writeTrace(out io.Writer, runner *experiments.Runner, path string) error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	fmt.Fprintf(out, "trace written: %s (%d events, %d dropped; open in ui.perfetto.dev)\n",
-		path, len(cap.Events), cap.Dropped)
+		path, len(events), rec.Dropped())
 	return nil
 }

@@ -284,7 +284,7 @@ func TestShortCellFails(t *testing.T) {
 	r.arenas.bytes += short.Bytes()
 
 	m := config.Baseline()
-	res, err := r.Run(m, "compress")
+	res, err := runCell(r, m, "compress")
 	var ce *CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("short cell returned %v, %v; want a CellError", res, err)

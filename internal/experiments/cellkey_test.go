@@ -124,11 +124,11 @@ func TestRenamedMachineJoinsMemo(t *testing.T) {
 	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, nil)
 	renamed := config.Baseline()
 	renamed.Name = "1-port"
-	first, err := r.Run(config.Baseline(), "compress")
+	first, err := runCell(r, config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.Run(renamed, "compress")
+	second, err := runCell(r, renamed, "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestCellKeyIDsStable(t *testing.T) {
 	r := NewRunner(Spec{Insts: 2_000, Seed: 42, Parallel: 1})
 	got := map[string]string{}
 	r.SetCellObserver(func(ev CellEvent) { got[ev.Workload+"@"+ev.Machine] = ev.Key }, nil)
-	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.arenas.entries) != 1 {
@@ -227,7 +227,7 @@ func TestCellKeyIDsStable(t *testing.T) {
 	for k := range r.arenas.entries {
 		got["arena compress seed 42"] = k.ID()
 	}
-	if _, err := r.Run(config.BestSingle(), "database"); err != nil {
+	if _, err := runCell(r, config.BestSingle(), "database"); err != nil {
 		t.Fatal(err)
 	}
 	stream := func(p plan, label string) planStream {
@@ -245,5 +245,43 @@ func TestCellKeyIDsStable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("cell IDs = %v\nwant %v", got, want)
+	}
+}
+
+// TestPlanLabelsNameOneCellKey pins what CellBundle relies on: across every
+// plan of the suite, each workload@machine label pair names one cell key,
+// so the first planned cell with a pair is the simulation the campaign ran
+// under it.
+func TestPlanLabelsNameOneCellKey(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{{"default", DefaultSpec()}, {"quick", QuickSpec()}} {
+		name, spec := tc.name, tc.spec
+		r := NewRunner(spec)
+		keys := map[PlannedCell]cellstore.Key{}
+		submissions := 0
+		for _, e := range Suite() {
+			p := e.plan(spec)
+			streams := make([]planStream, len(p.streams))
+			for i, s := range p.streams {
+				if streams[i] = s.hashed(); streams[i].err != nil {
+					t.Fatalf("%s %s: %v", name, e.ID, streams[i].err)
+				}
+			}
+			p.each(func(s, m int) {
+				submissions++
+				key, err := r.cellKey(&p.machines[m], &streams[s].streamSpec, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := PlannedCell{Workload: streams[s].workload, Machine: p.machines[m].Name}
+				if prev, ok := keys[label]; ok && prev != key {
+					t.Errorf("%s %s: %s@%s names two cell keys", name, e.ID, label.Workload, label.Machine)
+				}
+				keys[label] = key
+			})
+		}
+		t.Logf("%s: %d submissions, %d labels", name, submissions, len(keys))
 	}
 }

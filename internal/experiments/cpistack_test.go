@@ -24,11 +24,11 @@ func TestCPIStackRidesCellEvents(t *testing.T) {
 	r.SetExperiment("T2")
 
 	m := config.Baseline()
-	res, err := r.Run(m, "compress")
+	res, err := runCell(r, m, "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(m, "compress"); err != nil {
+	if _, err := runCell(r, m, "compress"); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 {
@@ -78,7 +78,7 @@ func TestCPIStackSeesWedgedCell(t *testing.T) {
 	var events []CellEvent
 	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, nil)
 
-	if _, err := r.Run(config.Baseline(), "compress"); err == nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err == nil {
 		t.Fatal("wedged cell succeeded")
 	}
 	if len(events) != 1 {
@@ -138,7 +138,7 @@ func TestCPIStackSurvivesStoreRoundTrip(t *testing.T) {
 	first := NewRunner(spec)
 	var owner []CellEvent
 	first.SetCellObserver(func(ev CellEvent) { owner = append(owner, ev) }, nil)
-	if _, err := first.Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(first, config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
 	if len(owner) != 1 || owner[0].CPIStack == nil {
@@ -149,7 +149,7 @@ func TestCPIStackSurvivesStoreRoundTrip(t *testing.T) {
 	second := NewRunner(spec)
 	var restored []CellEvent
 	second.SetCellObserver(func(ev CellEvent) { restored = append(restored, ev) }, nil)
-	if _, err := second.Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(second, config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
 	if len(restored) != 1 {

@@ -26,11 +26,14 @@ type CellError struct {
 	Machine config.Machine
 	// Workload is the workload (or mutated-profile) name.
 	Workload string
-	// Profile is the single-program cell's profile, which may be a mutated
-	// one with no built-in name (the kernel-intensity sweep); a repro
-	// bundle needs it to rebuild the same stream. Nil for multiprogrammed
-	// cells.
-	Profile *workload.Profile
+	// Profile is the cell's profile, which may be a mutated one with no
+	// built-in name (the kernel-intensity sweep), and Processes and
+	// Quantum its multiprogramming level and mean quantum, zero for a
+	// single program (A6 runs compress-xN); a repro bundle needs all
+	// three to rebuild the same stream.
+	Profile   *workload.Profile
+	Processes int
+	Quantum   int
 	// Seed and Insts are the generator seed and instruction budget.
 	Seed  int64
 	Insts uint64

@@ -5,10 +5,17 @@ import (
 	"testing"
 
 	"portsim/internal/config"
+	"portsim/internal/cpu"
 )
 
 // quickRunner is shared by the shape tests; runs are memoised inside it.
 func quickRunner() *Runner { return NewRunner(QuickSpec()) }
+
+// runCell submits one named workload on one machine through the runner's
+// cell path, as a plan row of its own.
+func runCell(r *Runner, m config.Machine, workloadName string) (*cpu.Result, error) {
+	return r.run(cellReq{m: m, planStream: named(workloadName).hashed()})
+}
 
 func TestT1RendersAllParameters(t *testing.T) {
 	out := T1Baseline().String()
@@ -21,18 +28,18 @@ func TestT1RendersAllParameters(t *testing.T) {
 
 func TestRunnerMemoises(t *testing.T) {
 	r := quickRunner()
-	a, err := r.Run(config.Baseline(), "compress")
+	a, err := runCell(r, config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(config.Baseline(), "compress")
+	b, err := runCell(r, config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("identical run not memoised")
 	}
-	c, err := r.Run(config.DualPort(), "compress")
+	c, err := runCell(r, config.DualPort(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +49,7 @@ func TestRunnerMemoises(t *testing.T) {
 }
 
 func TestRunnerRejectsUnknownWorkload(t *testing.T) {
-	if _, err := quickRunner().Run(config.Baseline(), "doom"); err == nil {
+	if _, err := runCell(quickRunner(), config.Baseline(), "doom"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -53,8 +60,8 @@ func TestT2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(r.Spec().Workloads) {
-		t.Fatalf("%d rows for %d workloads", len(rows), len(r.Spec().Workloads))
+	if len(rows) != len(r.spec.Workloads) {
+		t.Fatalf("%d rows for %d workloads", len(rows), len(r.spec.Workloads))
 	}
 	for _, row := range rows {
 		if row.LoadFrac <= 0.1 || row.LoadFrac > 0.5 {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"portsim/internal/config"
+	"portsim/internal/diag"
 )
 
 // fakeClock is a deterministic time source for observer tests. The
@@ -38,11 +41,11 @@ func TestObserverFiresPerSubmission(t *testing.T) {
 	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, clock.now)
 
 	m := config.Baseline()
-	res1, err := r.Run(m, "compress")
+	res1, err := runCell(r, m, "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.Run(m, "compress")
+	res2, err := runCell(r, m, "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +98,10 @@ func TestObserverSeesFailures(t *testing.T) {
 	var events []CellEvent
 	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, nil)
 
-	if _, err := r.Run(config.Baseline(), "compress"); err == nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err == nil {
 		t.Fatal("poisoned cell succeeded")
 	}
-	if _, err := r.Run(config.Baseline(), "compress"); err == nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err == nil {
 		t.Fatal("memoised poisoned cell succeeded")
 	}
 	if len(events) != 2 {
@@ -147,94 +150,79 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestTraceCapture arms Spec.Trace for one cell and checks the capture:
-// right cell, cycle-sorted events, one capture even when more cells
-// match, and no capture at all for non-matching specs.
-func TestTraceCapture(t *testing.T) {
-	spec := Spec{Workloads: []string{"compress", "eqntott"}, Insts: 5_000, Seed: 42,
-		Trace: &TraceSpec{Workload: "compress", Machine: config.Baseline().Name}}
-	r := NewRunner(spec)
-	if r.Trace() != nil {
-		t.Fatal("capture exists before any simulation")
-	}
-	// eqntott on baseline matches the workload filter but not the cell;
-	// compress on DualPort matches neither.
-	if _, err := r.Run(config.Baseline(), "eqntott"); err != nil {
-		t.Fatal(err)
-	}
-	if r.Trace() != nil {
-		t.Fatal("captured a non-matching workload")
-	}
-	if _, err := r.Run(config.DualPort(), "compress"); err != nil {
-		t.Fatal(err)
-	}
-	if r.Trace() != nil {
-		t.Fatal("captured a non-matching machine")
-	}
-	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
-		t.Fatal(err)
-	}
-	cap1 := r.Trace()
-	if cap1 == nil {
-		t.Fatal("no capture after the matching cell ran")
-	}
-	if cap1.Machine != config.Baseline().Name || cap1.Workload != "compress" || cap1.Seed != 42 {
-		t.Errorf("capture identity = %s/%s seed %d", cap1.Machine, cap1.Workload, cap1.Seed)
-	}
-	if len(cap1.Events) == 0 {
-		t.Fatal("capture has no events")
-	}
-	for i := 1; i < len(cap1.Events); i++ {
-		if cap1.Events[i].Cycle < cap1.Events[i-1].Cycle {
-			t.Fatalf("capture cycle order broken at %d", i)
+// selectExperiments returns the suite's experiments with the given ids.
+func selectExperiments(ids ...string) []Experiment {
+	var exps []Experiment
+	for _, e := range Suite() {
+		if slices.Contains(ids, e.ID) {
+			exps = append(exps, e)
 		}
 	}
-	if cap1.Total != uint64(len(cap1.Events))+cap1.Dropped {
-		t.Errorf("total %d != events %d + dropped %d", cap1.Total, len(cap1.Events), cap1.Dropped)
-	}
+	return exps
 }
 
-// TestTraceDoesNotPerturbResults checks the traced run's table matches an
-// untraced run byte for byte.
-func TestTraceDoesNotPerturbResults(t *testing.T) {
-	spec := Spec{Workloads: []string{"compress"}, Insts: 8_000, Seed: 42}
-	plain := NewRunner(spec)
-	_, wantTable, err := F1PortCount(plain)
+// TestTraceCapture resolves a cell by its labels (CellBundle) and replays
+// it into a recorder: the bundle describes the planned cell, the replay
+// reproduces the campaign's result, and its events are in cycle order. A
+// cell the experiments do not plan fails, naming the ones they do.
+func TestTraceCapture(t *testing.T) {
+	spec := Spec{Workloads: []string{"compress", "eqntott"}, Insts: 5_000, Seed: 42}
+	b, err := CellBundle(spec, selectExperiments("T1", "T2", "F1"), "compress", config.Baseline().Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	spec.Trace = &TraceSpec{Workload: "compress"}
-	traced := NewRunner(spec)
-	_, gotTable, err := F1PortCount(traced)
+	if b.Machine != config.Baseline() || b.Workload != "compress" || b.Seed != 42 || b.Insts != 5_000 {
+		t.Errorf("bundle identity = %s/%s seed %d insts %d", b.Machine.Name, b.Workload, b.Seed, b.Insts)
+	}
+	if b.Profile == nil || b.Processes != 0 || b.Quantum != 0 || b.Fault != nil {
+		t.Errorf("bundle stream = profile %v, %d processes, quantum %d, fault %v", b.Profile, b.Processes, b.Quantum, b.Fault)
+	}
+	rec := diag.NewRecorder(1 << 16)
+	got, err := b.Replay(rec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotTable.String() != wantTable.String() {
-		t.Errorf("tracing changed the table:\n--- without ---\n%s\n--- with ---\n%s", wantTable, gotTable)
+	want, err := runCell(NewRunner(spec), config.Baseline(), "compress")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if traced.Trace() == nil {
-		t.Error("no capture from the traced run")
+	if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
+		t.Errorf("replay ran %d cycles / %d insts, the campaign %d / %d", got.Cycles, got.Instructions, want.Cycles, want.Instructions)
+	}
+	events := rec.Events()
+	if len(events) == 0 {
+		t.Fatal("replay recorded no events")
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Cycle < events[i-1].Cycle {
+			t.Fatalf("event cycle order broken at %d", i)
+		}
+	}
+	if rec.Total() != uint64(len(events))+rec.Dropped() {
+		t.Errorf("total %d != events %d + dropped %d", rec.Total(), len(events), rec.Dropped())
+	}
+	_, err = CellBundle(spec, selectExperiments("T1", "T2"), "compress", config.DualPort().Name)
+	if err == nil || !strings.Contains(err.Error(), "compress, eqntott") || !strings.Contains(err.Error(), config.Baseline().Name) {
+		t.Errorf("unplanned cell: err = %v, want one naming the planned workloads and machines", err)
 	}
 }
 
-// TestTraceDepthOverride bounds the ring and checks wraparound accounting
-// survives into the capture.
+// TestTraceDepthOverride bounds the replay's ring and checks wraparound
+// accounting.
 func TestTraceDepthOverride(t *testing.T) {
-	spec := Spec{Workloads: []string{"compress"}, Insts: 5_000, Seed: 42,
-		Trace: &TraceSpec{Workload: "compress", Depth: 64}}
-	r := NewRunner(spec)
-	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
+	spec := Spec{Workloads: []string{"compress"}, Insts: 5_000, Seed: 42}
+	b, err := CellBundle(spec, selectExperiments("T2"), "compress", config.Baseline().Name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := r.Trace()
-	if c == nil {
-		t.Fatal("no capture")
+	rec := diag.NewRecorder(64)
+	if _, err := b.Replay(rec, false); err != nil {
+		t.Fatal(err)
 	}
-	if len(c.Events) != 64 {
-		t.Errorf("capture holds %d events, want 64", len(c.Events))
+	if n := len(rec.Events()); n != 64 {
+		t.Errorf("recorder holds %d events, want 64", n)
 	}
-	if c.Dropped == 0 {
+	if rec.Dropped() == 0 {
 		t.Error("a 5000-inst cell must overflow a 64-event ring")
 	}
 }

@@ -110,13 +110,13 @@ func TestMemoCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.Run(config.Baseline(), "compress")
+			res, err := runCell(r, config.Baseline(), "compress")
 			if err != nil {
 				t.Errorf("caller %d baseline: %v", i, err)
 				return
 			}
 			baseline[i] = res
-			res, err = r.Run(config.DualPort(), "compress")
+			res, err = runCell(r, config.DualPort(), "compress")
 			if err != nil {
 				t.Errorf("caller %d dual: %v", i, err)
 				return

@@ -55,7 +55,7 @@ func TestPlannedCellsMatchSubmissions(t *testing.T) {
 func TestZeroInstsFails(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewRunner(Spec{Workloads: []string{"compress"}}).Run(config.Baseline(), "compress")
+		_, err := runCell(NewRunner(Spec{Workloads: []string{"compress"}}), config.Baseline(), "compress")
 		done <- err
 	}()
 	select {

@@ -39,7 +39,7 @@ func TestPoolReusesCoresIdentically(t *testing.T) {
 	cells := 0
 	for _, w := range spec.Workloads {
 		for _, m := range machines {
-			got, err := warm.Run(m, w)
+			got, err := runCell(warm, m, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestPoolReusesCoresIdentically(t *testing.T) {
 			// A fresh runner per cell can never reuse a core; its result is
 			// the pool-free reference.
 			cold := NewRunner(spec)
-			want, err := cold.Run(m, w)
+			want, err := runCell(cold, m, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,14 +76,14 @@ func TestPoolSkipsFaultArmedCells(t *testing.T) {
 	spec.Fault = &Fault{Mode: FaultPanic, Workload: spec.Workloads[0], After: 1000}
 	r := NewRunner(spec)
 	m := config.Baseline()
-	if _, err := r.Run(m, spec.Workloads[0]); err == nil {
+	if _, err := runCell(r, m, spec.Workloads[0]); err == nil {
 		t.Fatal("fault-armed cell unexpectedly succeeded")
 	}
 	if hits, misses := r.PoolStats(); hits != 0 || misses != 0 {
 		t.Fatalf("fault-armed cell touched the pool: hits=%d misses=%d", hits, misses)
 	}
 	// A healthy workload on the same runner still pools normally.
-	if _, err := r.Run(m, spec.Workloads[1]); err != nil {
+	if _, err := runCell(r, m, spec.Workloads[1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := r.PoolStats(); misses != 1 {
@@ -109,14 +109,14 @@ func TestFaultArmedCellsIsolatedFromUnarmed(t *testing.T) {
 	m := config.Baseline()
 
 	// Healthy cell first: simulates and pools one core.
-	cleanRes, err := r.Run(m, cleanW)
+	cleanRes, err := runCell(r, m, cleanW)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Armed cell on the SAME base config: must fail (stuck drain trips
 	// the watchdog) and must not draw the pooled healthy core.
-	if _, err := r.Run(m, armedW); err == nil {
+	if _, err := runCell(r, m, armedW); err == nil {
 		t.Fatal("wedge-armed cell unexpectedly succeeded")
 	}
 	if hits, _ := r.PoolStats(); hits != 0 {
@@ -126,10 +126,10 @@ func TestFaultArmedCellsIsolatedFromUnarmed(t *testing.T) {
 	// Re-running both cells must memo-join their own prior outcome, never
 	// cross: the armed key differs from the clean key by workload name
 	// even though the base config JSON is identical.
-	if _, err := r.Run(m, armedW); err == nil {
+	if _, err := runCell(r, m, armedW); err == nil {
 		t.Fatal("armed rerun lost its memoised failure")
 	}
-	again, err := r.Run(m, cleanW)
+	again, err := runCell(r, m, cleanW)
 	if err != nil {
 		t.Fatalf("clean rerun poisoned by armed cell: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestFaultArmedCellsIsolatedFromUnarmed(t *testing.T) {
 	// The healthy result must be bit-identical to a fault-free runner's:
 	// arming one workload may not perturb any other cell.
 	ref := NewRunner(QuickSpec())
-	want, err := ref.Run(m, cleanW)
+	want, err := runCell(ref, m, cleanW)
 	if err != nil {
 		t.Fatal(err)
 	}

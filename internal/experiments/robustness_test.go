@@ -9,6 +9,7 @@ import (
 
 	"portsim/internal/config"
 	"portsim/internal/cpu"
+	"portsim/internal/workload"
 )
 
 // faultSpec is a small spec with one poisoned workload.
@@ -74,7 +75,7 @@ func TestFaultPanicContainedInExperiment(t *testing.T) {
 // containment boundary converts it into a CellError instead of crashing.
 func TestFaultBadInstDrivesStoreBufferPanic(t *testing.T) {
 	r := NewRunner(faultSpec(&Fault{Mode: FaultBadInst, Workload: "compress", After: 500}))
-	_, err := r.Run(config.Baseline(), "compress")
+	_, err := runCell(r, config.Baseline(), "compress")
 	if err == nil {
 		t.Fatal("badinst cell returned no error")
 	}
@@ -95,7 +96,7 @@ func TestFaultBadInstDrivesStoreBufferPanic(t *testing.T) {
 // diagnosis names the wedged resource.
 func TestFaultWedgeDiagnosedByWatchdog(t *testing.T) {
 	r := NewRunner(faultSpec(&Fault{Mode: FaultWedge, Workload: "eqntott"}))
-	_, err := r.Run(config.Baseline(), "eqntott")
+	_, err := runCell(r, config.Baseline(), "eqntott")
 	if err == nil {
 		t.Fatal("wedged cell returned no error")
 	}
@@ -132,7 +133,7 @@ func TestMemoCachesFailures(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.Run(config.Baseline(), "eqntott")
+			res, err := runCell(r, config.Baseline(), "eqntott")
 			if res != nil {
 				t.Errorf("caller %d got a result from a poisoned cell", i)
 			}
@@ -149,7 +150,7 @@ func TestMemoCachesFailures(t *testing.T) {
 		}
 	}
 	// A later sequential call still hits the cached failure.
-	if _, err := r.Run(config.Baseline(), "eqntott"); err != errs[0] {
+	if _, err := runCell(r, config.Baseline(), "eqntott"); err != errs[0] {
 		t.Errorf("sequential retry got %v, want the memoised CellError", err)
 	}
 }
@@ -159,7 +160,8 @@ func TestMemoCachesFailures(t *testing.T) {
 func TestFillContainsPanicBeforeRelease(t *testing.T) {
 	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: 7, Seed: 3, Parallel: 1})
 	e := &memoEntry{done: make(chan struct{})}
-	r.fill(e, func() (*cpu.Result, error) { panic("owner exploded") })
+	c := cellReq{m: config.Baseline(), planStream: named("compress")}
+	r.fill(e, &c, func() (*cpu.Result, error) { panic("owner exploded") })
 	select {
 	case <-e.done:
 	default:
@@ -175,8 +177,9 @@ func TestFillContainsPanicBeforeRelease(t *testing.T) {
 	if !errors.As(e.err, &ce) {
 		t.Fatalf("e.err = %T, want *CellError", e.err)
 	}
-	if ce.Seed != 3 || ce.Insts != 7 {
-		t.Errorf("backstop CellError identity seed=%d insts=%d, want 3/7", ce.Seed, ce.Insts)
+	if ce.Seed != 3 || ce.Insts != 7 || ce.Workload != "compress" || ce.Machine != config.Baseline() || ce.Profile == nil {
+		t.Errorf("backstop CellError identity %s on %s seed=%d insts=%d, want the compress cell on baseline at 3/7",
+			ce.Workload, ce.Machine.Name, ce.Seed, ce.Insts)
 	}
 	if ce.Stack == "" {
 		t.Error("backstop CellError carries no stack")
@@ -189,7 +192,7 @@ func TestFillContainsPanicBeforeRelease(t *testing.T) {
 func TestBundleRoundTripAndDeterministicReplay(t *testing.T) {
 	spec := faultSpec(&Fault{Mode: FaultWedge, Workload: "eqntott"})
 	r := NewRunner(spec)
-	_, err := r.Run(config.Baseline(), "eqntott")
+	_, err := runCell(r, config.Baseline(), "eqntott")
 	ces := CellErrors(err)
 	if len(ces) != 1 {
 		t.Fatalf("setup: %d CellErrors from wedged cell: %v", len(ces), err)
@@ -198,6 +201,11 @@ func TestBundleRoundTripAndDeterministicReplay(t *testing.T) {
 	data, err := BundleFor(ces[0], spec).Encode()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A single program's bundle encodes as it did before bundles could
+	// describe multiprograms.
+	if strings.Contains(string(data), `"processes"`) || strings.Contains(string(data), `"quantum"`) {
+		t.Errorf("single-program bundle encodes multiprogram fields:\n%s", data)
 	}
 	b, err := ParseBundle(data)
 	if err != nil {
@@ -209,7 +217,7 @@ func TestBundleRoundTripAndDeterministicReplay(t *testing.T) {
 
 	replay := func() *CellError {
 		t.Helper()
-		res, err := b.Replay()
+		res, err := b.Replay(nil, false)
 		if err == nil {
 			t.Fatalf("replay did not reproduce; got clean result %+v", res)
 		}
@@ -231,6 +239,67 @@ func TestBundleRoundTripAndDeterministicReplay(t *testing.T) {
 	}
 	if first.Error() != ces[0].Error() {
 		t.Errorf("replay failure %q differs from the original %q", first, ces[0])
+	}
+}
+
+// TestMultiprogramBundleReplays fails A6's two-process compress cell and
+// replays its bundle: the bundle carries the multiprogramming level
+// through Encode and ParseBundle, the replay reproduces the failure, and
+// without the fault it reruns the campaign's two-process stream.
+func TestMultiprogramBundleReplays(t *testing.T) {
+	fault, err := ParseFault("panic:compress-x2:100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 20k instructions span context switches at A6's 5k mean quantum.
+	spec := Spec{Workloads: []string{"compress"}, Insts: 20_000, Seed: 42, Parallel: 1, Fault: fault}
+	_, _, err = A6Multiprogramming(NewRunner(spec))
+	ces := CellErrors(err)
+	if len(ces) == 0 {
+		t.Fatalf("A6 with a poisoned compress-x2 reported no cell failure: %v", err)
+	}
+	ce := ces[0]
+	if ce.Workload != "compress-x2" || ce.Processes != 2 || ce.Quantum != 5000 || ce.Profile == nil {
+		t.Fatalf("CellError stream = %s, %d processes, quantum %d, profile %v", ce.Workload, ce.Processes, ce.Quantum, ce.Profile)
+	}
+	data, err := BundleFor(ce, spec).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseBundle(data)
+	if err != nil {
+		t.Fatalf("ParseBundle on our own Encode output: %v", err)
+	}
+	if b.Processes != 2 || b.Quantum != 5000 {
+		t.Errorf("parsed bundle runs %d processes at quantum %d, want 2 at 5000", b.Processes, b.Quantum)
+	}
+	_, err = b.Replay(nil, false)
+	got := CellErrors(err)
+	if len(got) != 1 {
+		t.Fatalf("replay produced %d CellErrors, want 1: %v", len(got), err)
+	}
+	if got[0].Error() != ce.Error() {
+		t.Errorf("replay failure %q differs from the original %q", got[0], ce)
+	}
+	b.Fault = nil
+	replayed, err := b.Replay(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := spec
+	clean.Fault = nil
+	r := NewRunner(clean)
+	want, err := r.run(cellReq{m: b.Machine, planStream: a6Plan(clean).streams[1].hashed()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := runCell(r, b.Machine, "compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Cycles != want.Cycles || replayed.Cycles == single.Cycles {
+		t.Errorf("clean replay ran %d cycles; compress-x2 runs %d, compress alone %d",
+			replayed.Cycles, want.Cycles, single.Cycles)
 	}
 }
 
@@ -272,6 +341,12 @@ func TestParseBundleRejectsGarbage(t *testing.T) {
 		{"zero insts", encode(func(b *Bundle) { b.Insts = 0 }), "zero instruction budget"},
 		{"unknown workload", encode(func(b *Bundle) { b.Workload = "nope" }), `unknown workload "nope"`},
 		{"bad machine", encode(func(b *Bundle) { b.Machine.Core.ROBEntries = 0 }), "repro bundle machine"},
+		{"negative processes", encode(func(b *Bundle) { b.Processes, b.Quantum = -1, 5000 }), "runs -1 processes"},
+		{"too many processes", encode(func(b *Bundle) { b.Processes, b.Quantum = 65, 5000 }), "runs 65 processes"},
+		{"short quantum", encode(func(b *Bundle) { b.Processes, b.Quantum = 2, 99 }), "quantum 99 is below the minimum"},
+		{"no quantum", encode(func(b *Bundle) { b.Processes = 2 }), "quantum 0 is below the minimum"},
+		{"quantum alone", encode(func(b *Bundle) { b.Quantum = 5000 }), "quantum of 5000 but no processes"},
+		{"processes without profile", encode(func(b *Bundle) { b.Processes, b.Quantum = 2, 5000 }), "carries no profile"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseBundle(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -280,6 +355,10 @@ func TestParseBundleRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ParseBundle(encode(func(*Bundle) {})); err != nil {
 		t.Errorf("valid bundle rejected: %v", err)
+	}
+	prof, _ := workload.ByName("compress")
+	if _, err := ParseBundle(encode(func(b *Bundle) { b.Profile, b.Processes, b.Quantum = &prof, 8, 5000 })); err != nil {
+		t.Errorf("valid multiprogram bundle rejected: %v", err)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"portsim/internal/cellstore"
 	"portsim/internal/config"
-	"portsim/internal/core"
 	"portsim/internal/cpu"
 	"portsim/internal/cpustack"
 	"portsim/internal/diag"
@@ -38,11 +37,6 @@ type Spec struct {
 	// the fault-injection hook behind the robustness tests and portbench
 	// -inject. Healthy workloads are unaffected.
 	Fault *Fault
-	// Trace, when non-nil, arms a deep flight recorder for the first
-	// submission of the named cell so its tail can be exported as a
-	// Perfetto trace (portbench -trace-out). All other cells run exactly
-	// as without it, so tables stay byte-identical.
-	Trace *TraceSpec
 	// Store, when non-nil, is the durable cell store consulted between the
 	// in-process memo and the simulator (lookup order: memo → store →
 	// simulate → Put). A warm store restores finished cells — results and
@@ -64,39 +58,6 @@ type Spec struct {
 	// results — tables are byte-identical on or off — and adds one atomic
 	// charge per simulated cycle when armed.
 	CPIStack bool
-}
-
-// TraceSpec names the one cell whose pipeline events a campaign captures.
-type TraceSpec struct {
-	// Workload is the workload name to match.
-	Workload string
-	// Machine is the machine name to match; empty matches any machine.
-	Machine string
-	// Depth is the recorder ring capacity; DefaultTraceDepth when not
-	// positive.
-	Depth int
-}
-
-// DefaultTraceDepth is the trace recorder's ring capacity: deep enough to
-// hold the full event stream of a quick cell (a few events per cycle over
-// tens of thousands of cycles), shallow enough to stay tens of megabytes.
-const DefaultTraceDepth = 1 << 20
-
-// TraceCapture is the captured tail of the traced cell.
-type TraceCapture struct {
-	// Machine and Workload identify the cell that was captured.
-	Machine  string
-	Workload string
-	// Seed is the spec's workload seed.
-	Seed int64
-	// Lanes is the traced machine's port slots per cycle (track lanes).
-	Lanes int
-	// Events is the recorder tail in recording (cycle) order.
-	Events []diag.Event
-	// Dropped counts events lost to ring wraparound before the tail;
-	// Total is every event recorded.
-	Dropped uint64
-	Total   uint64
 }
 
 // CellEvent describes one finished experiment cell, delivered to the
@@ -183,11 +144,6 @@ type Runner struct {
 	spec     Spec
 	parallel int
 
-	// recordAll arms the per-cell pipeline flight recorder on every cell,
-	// so a failure carries its last diag.DefaultDepth events (Bundle.Replay
-	// sets it). Cells poisoned by Spec.Fault always record regardless.
-	recordAll bool
-
 	mu    sync.Mutex
 	cache map[cellstore.Key]*memoEntry
 	// configs memoises each machine's content hash, the cell key's Config,
@@ -233,11 +189,6 @@ type Runner struct {
 	// pprof labels, set by the driver between sweeps (SetExperiment).
 	experiment atomic.Value // string
 
-	// traceMu guards the single trace capture of a Spec.Trace campaign.
-	traceMu    sync.Mutex
-	traceArmed bool
-	traceCap   *TraceCapture
-
 	// arenas is the shared trace-arena registry (see arena.go); nil when
 	// disabled by Spec.ArenaBudget.
 	arenas *arenaRegistry
@@ -270,9 +221,6 @@ func NewRunner(spec Spec) *Runner {
 	}
 	return r
 }
-
-// Spec returns the runner's spec.
-func (r *Runner) Spec() Spec { return r.spec }
 
 // Parallel returns the effective worker count.
 func (r *Runner) Parallel() int { return r.parallel }
@@ -356,54 +304,6 @@ func (r *Runner) emitCell(c *cellReq, ev CellEvent) {
 		ev.CPIStack = ev.Result.CPIStack
 	}
 	r.observer(ev)
-}
-
-// Trace returns the captured trace of the Spec.Trace cell, or nil when no
-// matching cell has simulated (or tracing was not requested).
-func (r *Runner) Trace() *TraceCapture {
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	return r.traceCap
-}
-
-// armTrace claims the campaign's single trace slot when the cell's labels
-// match Spec.Trace, returning the deep recorder to simulate with. Only the
-// first matching submission captures: an owner records as it runs, and a
-// memo hit replays its key (see run).
-func (r *Runner) armTrace(machineName, workloadName string) *diag.Recorder {
-	t := r.spec.Trace
-	if t == nil || t.Workload != workloadName {
-		return nil
-	}
-	if t.Machine != "" && t.Machine != machineName {
-		return nil
-	}
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	if r.traceArmed {
-		return nil
-	}
-	r.traceArmed = true
-	depth := t.Depth
-	if depth <= 0 {
-		depth = DefaultTraceDepth
-	}
-	return diag.NewRecorder(depth)
-}
-
-// captureTrace stores the traced cell's tail for Trace().
-func (r *Runner) captureTrace(rec *diag.Recorder, m *config.Machine, workloadName string) {
-	r.traceMu.Lock()
-	r.traceCap = &TraceCapture{
-		Machine:  m.Name,
-		Workload: workloadName,
-		Seed:     r.spec.Seed,
-		Lanes:    core.SlotsPerCycle(m.Ports),
-		Events:   rec.Events(),
-		Dropped:  rec.Dropped(),
-		Total:    rec.Total(),
-	}
-	r.traceMu.Unlock()
 }
 
 // SimulatedCycles returns the total simulated cycles across every
@@ -498,6 +398,26 @@ func (c *cellReq) keyID() string {
 	return c.id
 }
 
+// cellError returns the failure of cell c, which ran on m (its machine as
+// simulated, after fault arming) with the flight recorder rec (nil when
+// none was armed), carrying what a repro bundle needs to rebuild the
+// cell's stream.
+func (r *Runner) cellError(c *cellReq, m config.Machine, rec *diag.Recorder, stack string, cause error) *CellError {
+	prof := c.prof
+	return &CellError{
+		Machine:   m,
+		Workload:  c.workload,
+		Profile:   &prof,
+		Processes: c.processes,
+		Quantum:   c.quantum,
+		Seed:      r.spec.Seed,
+		Insts:     r.spec.Insts,
+		Stack:     stack,
+		Events:    rec.Events(),
+		Err:       cause,
+	}
+}
+
 // cellKey is the one content-addressed cell identity of a campaign: the
 // memo and the store key on all of it, the arena registry on arenaKey.
 // Display names (Machine.Name, Profile.Name, Profile.Description) never
@@ -542,32 +462,14 @@ func (r *Runner) configDoc(m *config.Machine) []byte {
 	return doc
 }
 
-// reproProfile is the (possibly mutated) profile a repro bundle replays;
-// nil for multiprogrammed cells, whose stream a bundle cannot describe.
-func (c *cellReq) reproProfile() *workload.Profile {
-	if c.processes > 0 {
-		return nil
-	}
-	p := c.prof
-	return &p
-}
-
-// Run simulates one workload on one machine through the runner's single
-// cell path (see run).
-func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error) {
-	return r.run(cellReq{m: m, planStream: named(workloadName)})
-}
-
 // run is the one entry path of every cell — named workloads, mutated
 // profiles and multiprogrammed streams alike: memo → store → simulate →
 // Put, keyed by cellKey. Concurrent submissions of a key share one
 // simulation. Failures are memoised like results: the simulator is
 // deterministic, so the campaign reports one failure per distinct cell
-// instead of re-dying once per experiment that shares it. runPlan hashes
-// each plan row once; a stream submitted unhashed (Run, Bundle.Replay) is
-// hashed here.
+// instead of re-dying once per experiment that shares it. c's stream must
+// be hashed; runPlan hashes each plan row once.
 func (r *Runner) run(c cellReq) (*cpu.Result, error) {
-	c.planStream = c.planStream.hashed()
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -588,18 +490,13 @@ func (r *Runner) run(c cellReq) (*cpu.Result, error) {
 	if e, ok := r.cache[c.key]; ok {
 		r.mu.Unlock()
 		<-e.done
-		// The owner may have run under other names; a trace requested by
-		// this cell's names replays the key, reproducing that run exactly.
-		if rec := r.armTrace(c.m.Name, c.workload); rec != nil {
-			r.runStream(&c, rec, false)
-		}
 		r.emitCell(&c, CellEvent{MemoHit: true, Result: e.res, Err: e.err})
 		return e.res, e.err
 	}
 	e := &memoEntry{done: make(chan struct{})}
 	r.cache[c.key] = e
 	r.mu.Unlock()
-	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(&c) })
+	r.fill(e, &c, func() (*cpu.Result, error) { return r.runDurable(&c) })
 	return e.res, e.err
 }
 
@@ -608,20 +505,15 @@ func (r *Runner) run(c cellReq) (*cpu.Result, error) {
 // close (LIFO order: recover stores the error first, then done is closed),
 // fixing the memo-poisoning bug where a panicking owner closed e.done with
 // res == nil, err == nil and every waiter received a silent nil result
-// forever. runStream contains panics with full cell context; this recover
-// is the backstop for panics outside the simulation itself (stream setup,
-// result accounting).
-func (r *Runner) fill(e *memoEntry, run func() (*cpu.Result, error)) {
+// forever. runStream contains panics with the recorder's events; this
+// recover is the backstop for panics outside the simulation itself (stream
+// setup, result accounting), reported against cell c as submitted.
+func (r *Runner) fill(e *memoEntry, c *cellReq, run func() (*cpu.Result, error)) {
 	defer close(e.done)
 	defer func() {
 		if p := recover(); p != nil {
 			e.res = nil
-			e.err = &CellError{
-				Seed:  r.spec.Seed,
-				Insts: r.spec.Insts,
-				Stack: string(debug.Stack()),
-				Err:   fmt.Errorf("%w: %v", ErrCellPanic, p),
-			}
+			e.err = r.cellError(c, c.m, nil, string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
 		}
 	}()
 	e.res, e.err = run()
@@ -678,44 +570,24 @@ func (r *Runner) PoolStats() (hits, misses uint64) {
 // carrying the machine configuration, the cell identity, the stack, and
 // the flight recorder's tail. Simulation errors (deadline, watchdog stall)
 // are wrapped into CellErrors with the same context, minus the stack.
-// observed is false for the trace replay of a memoised cell, which is
-// neither counted nor reported.
-func (r *Runner) runStream(c *cellReq, traceRec *diag.Recorder, observed bool) (res *cpu.Result, err error) {
+// rec is nil for campaign cells; Bundle.Replay passes the recorder its
+// replay records into.
+func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err error) {
 	stream, release, err := r.openStream(&c.streamSpec)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	// A trace-armed cell gets the deep recorder; otherwise the ordinary
-	// forensic ring, armed only when requested or fault-poisoned. Arming a
-	// fault mutates the cell's private machine copy, so its core never
-	// pools.
+	// A campaign cell gets the forensic ring only when fault-poisoned.
+	// Arming a fault mutates the cell's private machine copy, so its core
+	// never pools.
 	m := c.m
-	rec := traceRec
 	armed := r.spec.Fault.applies(c.workload)
-	if rec == nil && (r.recordAll || armed) {
+	if rec == nil && armed {
 		rec = diag.NewRecorder(0)
 	}
 	if armed {
 		stream = r.spec.Fault.arm(&m, stream)
-	}
-	cellErr := func(stack string, cause error) *CellError {
-		events := rec.Events()
-		if len(events) > diag.DefaultDepth {
-			// A trace-deep recorder holds ~10^6 events; a failure report
-			// only ever shows the tail, so cap what the error carries.
-			events = events[len(events)-diag.DefaultDepth:]
-		}
-		return &CellError{
-			Machine:  m,
-			Workload: c.workload,
-			Profile:  c.reproProfile(),
-			Seed:     r.spec.Seed,
-			Insts:    r.spec.Insts,
-			Stack:    stack,
-			Events:   events,
-			Err:      cause,
-		}
 	}
 	// Per-cell cycle accounting: a fresh caller-owned stack per cell, so
 	// the live object can be handed to the status plane (CellStart) while
@@ -724,19 +596,12 @@ func (r *Runner) runStream(c *cellReq, traceRec *diag.Recorder, observed bool) (
 	if r.spec.CPIStack {
 		stack = cpustack.NewStack()
 	}
-	var obs func(CellEvent)
-	var obsNow func() time.Time
-	var startObs func(CellStart)
-	if observed {
-		r.obsMu.Lock()
-		obs, obsNow, startObs = r.observer, r.obsNow, r.startObs
-		r.obsMu.Unlock()
-	}
+	r.obsMu.Lock()
+	obs, obsNow, startObs := r.observer, r.obsNow, r.startObs
+	r.obsMu.Unlock()
 	// The observer defer is registered before the recover defer, so on a
 	// panic it runs after recovery has turned the panic into res/err and
-	// reports the cell's final outcome. The trace is captured on every
-	// path — a trace of the failing cell is exactly what a diagnosis
-	// wants.
+	// reports the cell's final outcome.
 	var cfgJSON []byte
 	if obs != nil || startObs != nil {
 		cfgJSON = r.configDoc(&m)
@@ -746,9 +611,6 @@ func (r *Runner) runStream(c *cellReq, traceRec *diag.Recorder, observed bool) (
 		cellStart = obsNow()
 	}
 	defer func() {
-		if traceRec != nil {
-			r.captureTrace(traceRec, &m, c.workload)
-		}
 		if obs == nil {
 			return
 		}
@@ -761,7 +623,7 @@ func (r *Runner) runStream(c *cellReq, traceRec *diag.Recorder, observed bool) (
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
-			err = cellErr(string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
+			err = r.cellError(c, m, rec, string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
 		}
 	}()
 	if startObs != nil {
@@ -790,22 +652,20 @@ func (r *Runner) runStream(c *cellReq, traceRec *diag.Recorder, observed bool) (
 			// The failed core is dropped, not pooled: its state is part
 			// of the failure evidence and may be wedged.
 			res = nil
-			err = cellErr("", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
+			err = r.cellError(c, m, rec, "", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
 			return
 		}
 		if res.Instructions < r.spec.Insts {
 			// Every runner stream is endless or an arena at least as long
 			// as the cell's demand, so a short run is a sizing bug; its
 			// row would render truncated numbers as if they were whole.
-			err = cellErr("", fmt.Errorf("experiments: %s on %s: stream ended after %d of %d instructions",
+			err = r.cellError(c, m, rec, "", fmt.Errorf("experiments: %s on %s: stream ended after %d of %d instructions",
 				c.workload, m.Name, res.Instructions, r.spec.Insts))
 			res = nil
 			return
 		}
-		if observed {
-			r.simCycles.Add(res.Cycles)
-			r.simInsts.Add(res.Instructions)
-		}
+		r.simCycles.Add(res.Cycles)
+		r.simInsts.Add(res.Instructions)
 		if !armed {
 			r.releaseCore(core)
 		}

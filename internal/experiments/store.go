@@ -125,12 +125,6 @@ func (r *Runner) runDurable(c *cellReq) (*cpu.Result, error) {
 		if entry, _ := st.Get(c.key); entry != nil {
 			res, err, decErr := r.restoreEntry(entry, c)
 			if decErr == nil {
-				// The store keeps no events: a trace requested by this
-				// cell re-simulates it unreported, as run does for a memo
-				// hit.
-				if rec := r.armTrace(c.m.Name, c.workload); rec != nil {
-					r.runStream(c, rec, false)
-				}
 				// Store hits never reach runStream's observer; report here.
 				r.emitCell(c, CellEvent{StoreHit: true, Result: res, Err: err})
 				return res, err
@@ -141,7 +135,7 @@ func (r *Runner) runDurable(c *cellReq) (*cpu.Result, error) {
 			st.Quarantine(c.key, decErr)
 		}
 	}
-	res, err := r.runStream(c, r.armTrace(c.m.Name, c.workload), true)
+	res, err := r.runStream(c, nil)
 	if st != nil {
 		r.putEntry(st, c, res, err)
 	}
@@ -163,15 +157,7 @@ func (r *Runner) restoreEntry(entry *cellstore.Entry, c *cellReq) (*cpu.Result, 
 		if r.spec.Fault.applies(c.workload) && r.spec.Fault.Mode == FaultWedge {
 			m.Ports.FaultStuckDrain = true
 		}
-		return nil, &CellError{
-			Machine:  m,
-			Workload: c.workload,
-			Profile:  c.reproProfile(),
-			Seed:     entry.Key.Seed,
-			Insts:    entry.Key.Insts,
-			Stack:    f.Stack,
-			Err:      &restoredError{msg: f.Message, panicked: f.Panicked},
-		}, nil
+		return nil, r.cellError(c, m, nil, f.Stack, &restoredError{msg: f.Message, panicked: f.Panicked}), nil
 	}
 	res, err := decodeResult(entry.Result)
 	if err != nil {

@@ -54,14 +54,14 @@ func sameResult(t *testing.T, got, want *cpu.Result) {
 // core byte-identity contract — and that the warm run simulated nothing.
 func TestStoreColdWarmOffIdentical(t *testing.T) {
 	dir := t.TempDir()
-	off, err := NewRunner(QuickSpec()).Run(config.Baseline(), "compress")
+	off, err := runCell(NewRunner(QuickSpec()), config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spec, st := storeSpec(t, dir)
 	cold := NewRunner(spec)
-	res, err := cold.Run(config.Baseline(), "compress")
+	res, err := runCell(cold, config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestStoreColdWarmOffIdentical(t *testing.T) {
 
 	spec2, st2 := storeSpec(t, dir)
 	warm := NewRunner(spec2)
-	res2, err := warm.Run(config.Baseline(), "compress")
+	res2, err := runCell(warm, config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,48 +85,13 @@ func TestStoreColdWarmOffIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreRestoredCellTraces: a traced runner whose traced cell the store
-// restores still captures the trace, by re-simulating that cell unreported,
-// and renders the same table as the cold run without simulating a counted
-// cycle.
-func TestStoreRestoredCellTraces(t *testing.T) {
-	dir := t.TempDir()
-	spec, _ := storeSpec(t, dir)
-	spec.Workloads = []string{"compress"}
-	_, coldTable, err := F1PortCount(NewRunner(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec, st := storeSpec(t, dir)
-	spec.Workloads = []string{"compress"}
-	spec.Trace = &TraceSpec{Workload: "compress"}
-	traced := NewRunner(spec)
-	_, gotTable, err := F1PortCount(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTable.String() != coldTable.String() {
-		t.Errorf("traced warm table differs:\n--- cold ---\n%s\n--- traced warm ---\n%s", coldTable, gotTable)
-	}
-	if s := st.Stats(); s.Hits == 0 || s.Misses != 0 {
-		t.Fatalf("warm store stats = %+v, want every cell restored", s)
-	}
-	if traced.SimulatedCycles() != 0 {
-		t.Errorf("warm run counted %d simulated cycles, want 0", traced.SimulatedCycles())
-	}
-	if c := traced.Trace(); c == nil || len(c.Events) == 0 {
-		t.Fatal("no trace captured for a cell restored from the store")
-	}
-}
-
 // TestStoreHitEmitsCellEvent asserts restored cells reach the telemetry
 // observer with StoreHit set (they bypass runStream's observer defer) and
 // that memo waiters on the same runner still report MemoHit.
 func TestStoreHitEmitsCellEvent(t *testing.T) {
 	dir := t.TempDir()
 	spec, _ := storeSpec(t, dir)
-	if _, err := NewRunner(spec).Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(NewRunner(spec), config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,10 +99,10 @@ func TestStoreHitEmitsCellEvent(t *testing.T) {
 	r := NewRunner(spec2)
 	var events []CellEvent
 	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, nil)
-	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 {
@@ -158,7 +123,7 @@ func TestStoreFailurePersisted(t *testing.T) {
 	dir := t.TempDir()
 	spec, _ := storeSpec(t, dir)
 	spec.Fault = &Fault{Mode: FaultPanic, Workload: "compress", After: 100}
-	_, err := NewRunner(spec).Run(config.Baseline(), "compress")
+	_, err := runCell(NewRunner(spec), config.Baseline(), "compress")
 	if err == nil {
 		t.Fatal("poisoned cell did not fail")
 	}
@@ -166,7 +131,7 @@ func TestStoreFailurePersisted(t *testing.T) {
 	spec2, st2 := storeSpec(t, dir)
 	spec2.Fault = &Fault{Mode: FaultPanic, Workload: "compress", After: 100}
 	warm := NewRunner(spec2)
-	_, err2 := warm.Run(config.Baseline(), "compress")
+	_, err2 := runCell(warm, config.Baseline(), "compress")
 	if err2 == nil {
 		t.Fatal("restored poisoned cell did not fail")
 	}
@@ -201,12 +166,12 @@ func TestStoreFaultInKey(t *testing.T) {
 	dir := t.TempDir()
 	spec, _ := storeSpec(t, dir)
 	spec.Fault = &Fault{Mode: FaultPanic, Workload: "compress", After: 100}
-	if _, err := NewRunner(spec).Run(config.Baseline(), "compress"); err == nil {
+	if _, err := runCell(NewRunner(spec), config.Baseline(), "compress"); err == nil {
 		t.Fatal("poisoned cell did not fail")
 	}
 
 	clean, st := storeSpec(t, dir)
-	res, err := NewRunner(clean).Run(config.Baseline(), "compress")
+	res, err := runCell(NewRunner(clean), config.Baseline(), "compress")
 	if err != nil || res == nil {
 		t.Fatalf("clean run poisoned by stored fault entry: %v", err)
 	}
@@ -221,7 +186,7 @@ func TestStoreFaultInKey(t *testing.T) {
 func TestStoreQuarantineResimulates(t *testing.T) {
 	dir := t.TempDir()
 	spec, _ := storeSpec(t, dir)
-	want, err := NewRunner(spec).Run(config.Baseline(), "compress")
+	want, err := runCell(NewRunner(spec), config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +206,7 @@ func TestStoreQuarantineResimulates(t *testing.T) {
 
 	spec2, st2 := storeSpec(t, dir)
 	warm := NewRunner(spec2)
-	res, err := warm.Run(config.Baseline(), "compress")
+	res, err := runCell(warm, config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +224,7 @@ func TestStoreQuarantineResimulates(t *testing.T) {
 
 	// Third run: the healed store serves the re-simulated result.
 	spec3, st3 := storeSpec(t, dir)
-	res3, err := NewRunner(spec3).Run(config.Baseline(), "compress")
+	res3, err := runCell(NewRunner(spec3), config.Baseline(), "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +240,13 @@ func TestStoreKeyCoordinates(t *testing.T) {
 	dir := t.TempDir()
 	spec, st := storeSpec(t, dir)
 	r := NewRunner(spec)
-	if _, err := r.Run(config.Baseline(), "compress"); err != nil {
+	if _, err := runCell(r, config.Baseline(), "compress"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(config.Baseline(), "eqntott"); err != nil {
+	if _, err := runCell(r, config.Baseline(), "eqntott"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(config.DualPort(), "compress"); err != nil {
+	if _, err := runCell(r, config.DualPort(), "compress"); err != nil {
 		t.Fatal(err)
 	}
 	if s := st.Stats(); s.Puts != 3 || s.Hits != 0 {
@@ -295,7 +260,7 @@ func TestStoreKeyCoordinates(t *testing.T) {
 	} {
 		spec2, st2 := storeSpec(t, dir)
 		mutate(&spec2)
-		if _, err := NewRunner(spec2).Run(config.Baseline(), "compress"); err != nil {
+		if _, err := runCell(NewRunner(spec2), config.Baseline(), "compress"); err != nil {
 			t.Fatal(err)
 		}
 		if s := st2.Stats(); s.Hits != 0 || s.Misses != 1 {
@@ -319,7 +284,7 @@ func TestStoreDegradedRunsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(spec)
-	res, err := r.Run(config.Baseline(), "compress")
+	res, err := runCell(r, config.Baseline(), "compress")
 	if err != nil || res == nil {
 		t.Fatalf("campaign failed over store trouble: %v", err)
 	}

@@ -25,6 +25,9 @@ const processStride uint64 = 1 << 33
 // replay is instruction-identical to NewMultiprogram's live generators.
 const SeedStride int64 = 7919
 
+// MinQuantum is the shortest mean quantum NewMultiprogram accepts.
+const MinQuantum = 100
+
 // Multiprogram interleaves N independent instances of a profile, switching
 // between them on an exponentially distributed quantum — the
 // multiprogrammed behaviour of the paper's pmake-style workloads, where
@@ -118,7 +121,7 @@ func newMultiprogram(processes, quantumMean int, seed int64, proc func(i int) (p
 	if processes < 1 {
 		return nil, fmt.Errorf("workload: need at least one process")
 	}
-	if quantumMean < 100 {
+	if quantumMean < MinQuantum {
 		return nil, fmt.Errorf("workload: quantum %d too short to be meaningful", quantumMean)
 	}
 	m := &Multiprogram{
