@@ -37,12 +37,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("usage: manifestcheck [-q] MANIFEST.json...")
 	}
 	for _, path := range paths {
-		m, err := telemetry.ReadManifest(path)
+		m, err := telemetry.ReadManifest(path) // its errors name the path
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := m.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return err
 		}
 		if *quiet {
 			continue

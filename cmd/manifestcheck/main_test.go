@@ -14,8 +14,7 @@ import (
 
 func writeSample(t *testing.T, corrupt func(*telemetry.Manifest)) string {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	c := telemetry.NewCampaign(reg, 2)
+	c := telemetry.NewCampaign(2, false, nil)
 	c.CellDone(telemetry.CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
 		Key:         "k1",
@@ -131,21 +130,25 @@ func TestCorruptManifestRejected(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
+			if n := strings.Count(err.Error(), path); n != 1 {
+				t.Errorf("error %q names the manifest %d times, want once", err, n)
+			}
 		})
 	}
 }
 
 func TestMissingAndMalformedFiles(t *testing.T) {
-	if err := run([]string{filepath.Join(t.TempDir(), "absent.json")}, io.Discard); err == nil {
-		t.Error("missing file accepted")
+	absent := filepath.Join(t.TempDir(), "absent.json")
+	if err := run([]string{absent}, io.Discard); err == nil || strings.Count(err.Error(), absent) != 1 {
+		t.Errorf("missing file: error %v, want one naming the path once", err)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := run([]string{bad}, &b); err == nil {
-		t.Error("malformed JSON accepted")
+	if err := run([]string{bad}, &b); err == nil || strings.Count(err.Error(), bad) != 1 {
+		t.Errorf("malformed JSON: error %v, want one naming the path once", err)
 	}
 	if err := run(nil, &b); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Errorf("no-args error = %v", err)

@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) error {
 		csv      = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		parallel = fs.Int("parallel", 0, "concurrent simulations (<=0: GOMAXPROCS); tables are byte-identical at any setting")
 		arena    = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off/0 disables); tables are byte-identical at any setting")
-		inject   = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge")
+		inject   = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge; after counts instructions as fetch's 128-instruction read-ahead pulls them, so a panic fires up to 128 instructions before fetch reaches instruction after+1")
 		repro    = fs.String("repro", "", "replay a repro bundle file instead of running the suite")
 		reproDir = fs.String("repro-dir", ".", "directory for repro bundles written on cell failure")
 
@@ -306,7 +306,7 @@ func run(args []string, out io.Writer) error {
 	cells := 0
 	var bundles []string
 	if len(failures) > 0 {
-		cells, bundles = reportFailures(out, failures, spec, *reproDir)
+		cells, bundles = reportFailures(out, failures, *reproDir)
 	}
 	if *manifest != "" {
 		info := telemetry.ManifestInfo{
@@ -359,7 +359,7 @@ func run(args []string, out io.Writer) error {
 	// between -cpistack on and off strip it with one sed range anchored on
 	// the "CPI stacks" title line.
 	if *cpistack {
-		table := sink.cpiTable()
+		table := cpiTable(sink.camp.Cells())
 		if *csv {
 			fmt.Fprintln(out, table.CSV())
 		} else {
@@ -410,7 +410,7 @@ func parseOnly(list string) ([]experiments.Experiment, error) {
 // bundle paths written (for the run manifest). The memo cache shares one
 // CellError across every experiment that touched the dead cell, so
 // deduplication is by CellError identity.
-func reportFailures(out io.Writer, failures []error, spec experiments.Spec, reproDir string) (int, []string) {
+func reportFailures(out io.Writer, failures []error, reproDir string) (int, []string) {
 	var distinct []*experiments.CellError
 	seen := map[*experiments.CellError]bool{}
 	for _, err := range failures {
@@ -426,7 +426,7 @@ func reportFailures(out io.Writer, failures []error, spec experiments.Spec, repr
 		fmt.Fprintf(out, "\n%s\n", ce.Detail())
 		name := fmt.Sprintf("portbench-repro-%s-%s.json", sanitizeName(ce.Machine.Name), sanitizeName(ce.Workload))
 		path := filepath.Join(reproDir, name)
-		bundle, err := experiments.BundleFor(ce, spec).Encode()
+		bundle, err := ce.Bundle.Encode()
 		if err != nil {
 			fmt.Fprintf(out, "repro bundle not written: %v\n", err)
 			continue

@@ -92,7 +92,8 @@ func (p *progressPrinter) cellDone(s telemetry.CellSample) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	done := p.camp.Done()
+	totals := p.camp.Totals()
+	done := totals.Cells
 	if p.mode == progressPlain {
 		status := ""
 		switch {
@@ -112,7 +113,7 @@ func (p *progressPrinter) cellDone(s telemetry.CellSample) {
 		return
 	}
 	p.last = now
-	p.render(done)
+	p.render(totals)
 }
 
 // render draws the rich status line, padding over the previous one. The
@@ -121,16 +122,17 @@ func (p *progressPrinter) cellDone(s telemetry.CellSample) {
 // full-cost cells used to both deflate the Mcycles/s denominator's
 // meaning and collapse the ETA toward zero whenever a campaign opened on
 // a run of memo hits.
-func (p *progressPrinter) render(done int) {
+func (p *progressPrinter) render(totals telemetry.ManifestTotals) {
+	done := totals.Cells
 	elapsed := p.clock().Sub(p.start)
 	line := fmt.Sprintf("portbench: %d/%d cells", done, p.planned)
 	if elapsed >= rateMinElapsed {
-		line += fmt.Sprintf(" | %.1f Mcycles/s", float64(p.camp.SimCycles())/elapsed.Seconds()/1e6)
+		line += fmt.Sprintf(" | %.1f Mcycles/s", float64(totals.SimCycles)/elapsed.Seconds()/1e6)
 	}
 	// Store hits, like memo hits, finish in microseconds; the per-cell
 	// average must be over cells that actually simulated or a resumed
 	// campaign's opening run of restores collapses the ETA toward zero.
-	simDone := done - p.camp.MemoHits() - p.camp.StoreHits()
+	simDone := done - totals.MemoHits - totals.StoreHits
 	if simDone >= etaMinBasis && done < p.planned && elapsed >= etaMinElapsed {
 		// Assume the remaining cells are all full-cost: a memo hit among
 		// them only makes the estimate finish early, never blow through.
@@ -154,6 +156,6 @@ func (p *progressPrinter) finish() {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.render(p.camp.Done())
+	p.render(p.camp.Totals())
 	fmt.Fprintln(p.w)
 }

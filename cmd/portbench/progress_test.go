@@ -17,8 +17,7 @@ import (
 // the ETA must stay suppressed until that basis is stable, and a near-zero
 // elapsed time must not produce a rate at all.
 func TestRichProgressRateBasis(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	camp := telemetry.NewCampaign(reg, 10)
+	camp := telemetry.NewCampaign(10, false, nil)
 	var buf bytes.Buffer
 	p := newProgressPrinter(progressRich, &buf, 10, camp)
 	cur := time.Unix(1000, 0)
@@ -81,8 +80,7 @@ func TestRichProgressRateBasis(t *testing.T) {
 // simulated cells exist to average over, even when plenty of time has
 // passed.
 func TestRichProgressEtaBasisThreshold(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	camp := telemetry.NewCampaign(reg, 10)
+	camp := telemetry.NewCampaign(10, false, nil)
 	var buf bytes.Buffer
 	p := newProgressPrinter(progressRich, &buf, 10, camp)
 	cur := time.Unix(2000, 0)

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"portsim/internal/cellstore"
@@ -71,96 +69,24 @@ func cellSample(ev experiments.CellEvent) telemetry.CellSample {
 }
 
 // telemetrySink owns the optional observability surfaces of a portbench
-// run: the live-metrics registry and HTTP server, the campaign
-// accumulator behind /metrics and the manifest, and the progress printer.
+// run: the campaign record behind /metrics, /campaign, the manifest and
+// the CPI table, the HTTP server, and the progress printer.
 type telemetrySink struct {
 	camp    *telemetry.Campaign
 	srv     *telemetry.Server
 	printer *progressPrinter
-
-	// cpiRows collects each distinct cell's frozen CPI stack for the
-	// end-of-run table (-cpistack). Memo hits are skipped — the first
-	// delivery of a cell already captured it.
-	cpiMu   sync.Mutex
-	cpiRows map[string]cpiRow
 }
 
-// cpiRow is one line of the CPI-stack table.
-type cpiRow struct {
-	workload, machine, hash string
-	failed                  bool
-	snap                    *cpustack.Snapshot
-}
-
-// newTelemetrySink wires the campaign metrics, the runner's cell
-// observer and, when requested, the HTTP endpoint. The caller only
-// constructs a sink when some telemetry flag is set; otherwise the
-// runner's observer slot stays nil — the zero-cost path.
+// newTelemetrySink wires the campaign record, the runner's cell observers
+// and, when requested, the HTTP endpoint. The caller only constructs a
+// sink when some telemetry flag is set; otherwise the runner's observer
+// slot stays nil — the zero-cost path.
 func newTelemetrySink(runner *experiments.Runner, spec experiments.Spec,
 	planned int, mode progressMode, listen string, store *cellstore.Store) (*telemetrySink, error) {
-	reg := telemetry.NewRegistry()
-	sink := &telemetrySink{
-		camp:    telemetry.NewCampaign(reg, planned),
-		cpiRows: make(map[string]cpiRow),
-	}
-	if spec.CPIStack {
-		sink.camp.EnableCPIStack(reg)
-	}
-	if store != nil {
-		reg.GaugeFunc("portsim_store_quarantined_total",
-			"Corrupt cell-store entries quarantined (moved to *.corrupt) this run.",
-			func() float64 { return float64(store.Stats().Quarantined) })
-		reg.GaugeFunc("portsim_store_degraded",
-			"1 when the cell store has degraded to store-less operation, else 0.",
-			func() float64 {
-				if store.Stats().Degraded {
-					return 1
-				}
-				return 0
-			})
-	}
-	if _, ok := runner.ArenaStats(); ok {
-		reg.GaugeFunc("portsim_arena_count",
-			"Trace arenas resident in the shared registry.",
-			func() float64 {
-				st, _ := runner.ArenaStats()
-				return float64(st.Count)
-			})
-		reg.GaugeFunc("portsim_arena_bytes",
-			"Bytes held by resident trace arenas.",
-			func() float64 {
-				st, _ := runner.ArenaStats()
-				return float64(st.Bytes)
-			})
-		reg.GaugeFunc("portsim_arena_hits_total",
-			"Cell acquisitions served from an already-materialised trace arena.",
-			func() float64 {
-				st, _ := runner.ArenaStats()
-				return float64(st.Hits)
-			})
-		reg.GaugeFunc("portsim_arena_fallbacks_total",
-			"Cell acquisitions that ran from live generation because the arena budget had no room.",
-			func() float64 {
-				st, _ := runner.ArenaStats()
-				return float64(st.Fallbacks)
-			})
-		reg.GaugeFunc("portsim_arena_evictions_total",
-			"Idle trace arenas dropped to make room under the byte budget.",
-			func() float64 {
-				st, _ := runner.ArenaStats()
-				return float64(st.Evictions)
-			})
-		reg.GaugeFunc("portsim_arena_budget_bytes",
-			"Configured trace-arena byte budget.",
-			func() float64 {
-				st, _ := runner.ArenaStats()
-				return float64(st.Budget)
-			})
-	}
+	sink := &telemetrySink{camp: telemetry.NewCampaign(planned, spec.CPIStack, scrapeGauges(runner, store))}
 	sink.printer = newProgressPrinter(mode, os.Stderr, planned, sink.camp)
 	runner.SetCellObserver(func(ev experiments.CellEvent) {
 		s := cellSample(ev)
-		sink.noteCPI(s)
 		sink.camp.CellDone(s)
 		sink.printer.cellDone(s)
 	}, time.Now)
@@ -174,11 +100,10 @@ func newTelemetrySink(runner *experiments.Runner, spec experiments.Spec,
 		})
 	})
 	if listen != "" {
-		srv, err := telemetry.Serve(listen, reg)
+		srv, err := telemetry.Serve(listen, sink.camp)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
-		srv.SetCampaign(sink.camp)
 		sink.srv = srv
 		fmt.Fprintf(os.Stderr, "telemetry: listening on %s\n", srv.Addr())
 		if testListenHook != nil {
@@ -188,66 +113,86 @@ func newTelemetrySink(runner *experiments.Runner, spec experiments.Spec,
 	return sink, nil
 }
 
-// noteCPI records a cell's frozen CPI stack for the end-of-run table. A
-// memo hit re-delivers a stack the first delivery already recorded; a
-// store hit restores one from a previous campaign and is kept.
-func (t *telemetrySink) noteCPI(s telemetry.CellSample) {
-	if s.CPIStack == nil || s.MemoHit {
-		return
+// scrapeGauges lists the /metrics series read at scrape time from outside
+// the campaign record: the cell store's health and the trace-arena
+// registry's state, each present when the run has one.
+func scrapeGauges(runner *experiments.Runner, store *cellstore.Store) []telemetry.Gauge {
+	var gauges []telemetry.Gauge
+	if store != nil {
+		gauges = append(gauges,
+			telemetry.Gauge{
+				Name:  "portsim_store_quarantined_total",
+				Help:  "Corrupt cell-store entries quarantined (moved to *.corrupt) this run.",
+				Value: func() float64 { return float64(store.Stats().Quarantined) },
+			},
+			telemetry.Gauge{
+				Name: "portsim_store_degraded",
+				Help: "1 when the cell store has degraded to store-less operation, else 0.",
+				Value: func() float64 {
+					if store.Stats().Degraded {
+						return 1
+					}
+					return 0
+				},
+			})
 	}
-	key := s.Workload + "\x00" + s.Machine + "\x00" + telemetry.HashConfig(s.ConfigJSON)
-	t.cpiMu.Lock()
-	t.cpiRows[key] = cpiRow{
-		workload: s.Workload,
-		machine:  s.Machine,
-		hash:     telemetry.HashConfig(s.ConfigJSON),
-		failed:   s.Failed,
-		snap:     s.CPIStack,
+	if _, ok := runner.ArenaStats(); ok {
+		arena := func(name, help string, field func(experiments.ArenaStats) float64) telemetry.Gauge {
+			return telemetry.Gauge{Name: name, Help: help, Value: func() float64 {
+				st, _ := runner.ArenaStats()
+				return field(st)
+			}}
+		}
+		gauges = append(gauges,
+			arena("portsim_arena_count", "Trace arenas resident in the shared registry.",
+				func(st experiments.ArenaStats) float64 { return float64(st.Count) }),
+			arena("portsim_arena_bytes", "Bytes held by resident trace arenas.",
+				func(st experiments.ArenaStats) float64 { return float64(st.Bytes) }),
+			arena("portsim_arena_hits_total", "Cell acquisitions served from an already-materialised trace arena.",
+				func(st experiments.ArenaStats) float64 { return float64(st.Hits) }),
+			arena("portsim_arena_fallbacks_total", "Cell acquisitions that ran from live generation because the arena budget had no room.",
+				func(st experiments.ArenaStats) float64 { return float64(st.Fallbacks) }),
+			arena("portsim_arena_evictions_total", "Idle trace arenas dropped to make room under the byte budget.",
+				func(st experiments.ArenaStats) float64 { return float64(st.Evictions) }),
+			arena("portsim_arena_budget_bytes", "Configured trace-arena byte budget.",
+				func(st experiments.ArenaStats) float64 { return float64(st.Budget) }))
 	}
-	t.cpiMu.Unlock()
+	return gauges
 }
 
-// cpiTable renders the collected stacks, one row per distinct cell sorted
-// by (workload, machine, config hash), one percentage column per bucket.
+// cpiTable renders the CPI stacks of a campaign's sorted cells, one row
+// per simulation — a memo hit re-delivers its owner's stack, while a store
+// hit restores one from an earlier campaign and is kept — with one
+// percentage column per bucket. A failed cell shows its partial stack.
 // The title line starts with "CPI stacks" so byte-identity comparisons can
 // strip the block with a single sed range.
-func (t *telemetrySink) cpiTable() *stats.Table {
-	t.cpiMu.Lock()
-	rows := make([]cpiRow, 0, len(t.cpiRows))
-	for _, r := range t.cpiRows {
-		rows = append(rows, r)
-	}
-	t.cpiMu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.workload != b.workload {
-			return a.workload < b.workload
-		}
-		if a.machine != b.machine {
-			return a.machine < b.machine
-		}
-		return a.hash < b.hash
-	})
+func cpiTable(cells []telemetry.ManifestCell) *stats.Table {
 	header := []string{"workload", "machine", "cycles"}
 	for b := cpustack.Bucket(0); b < cpustack.NumBuckets; b++ {
 		header = append(header, b.String())
 	}
 	tbl := stats.NewTable("CPI stacks: % of simulated cycles per attribution bucket", header...)
-	for _, r := range rows {
-		total := r.snap.Total()
-		machine := r.machine
-		if r.failed {
+	for _, c := range cells {
+		if c.MemoHit || c.CPIStack == nil {
+			continue
+		}
+		var total uint64
+		for _, v := range c.CPIStack {
+			total += v
+		}
+		machine := c.Machine
+		if c.Outcome == telemetry.OutcomeFailed {
 			machine += " (failed)"
 		}
-		cells := []string{r.workload, machine, strconv.FormatUint(total, 10)}
+		row := []string{c.Workload, machine, strconv.FormatUint(total, 10)}
 		for b := cpustack.Bucket(0); b < cpustack.NumBuckets; b++ {
 			if total == 0 {
-				cells = append(cells, "-")
+				row = append(row, "-")
 				continue
 			}
-			cells = append(cells, stats.Percent(float64(r.snap.Get(b))/float64(total)))
+			row = append(row, stats.Percent(float64(c.CPIStack[b.String()])/float64(total)))
 		}
-		tbl.AddRow(cells...)
+		tbl.AddRow(row...)
 	}
 	return tbl
 }

@@ -299,8 +299,7 @@ func TestProgressModeParsing(t *testing.T) {
 
 // TestProgressPrinterModes exercises both renderers against a buffer.
 func TestProgressPrinterModes(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	camp := telemetry.NewCampaign(reg, 2)
+	camp := telemetry.NewCampaign(2, false, nil)
 	var plainBuf bytes.Buffer
 	plain := newProgressPrinter(progressPlain, &plainBuf, 2, camp)
 	plain.cellDone(telemetry.CellSample{Workload: "compress", Machine: "baseline-1port"})

@@ -52,10 +52,10 @@ func TestCPIStackConservation(t *testing.T) {
 			if err := stack.CheckConservation(res.Cycles); err != nil {
 				t.Error(err)
 			}
-			if got := stack.Get(cpustack.SkippedInert); got != 0 {
+			if got := stack.Buckets[cpustack.SkippedInert]; got != 0 {
 				t.Errorf("%d cycles charged to skipped-inert; want 0", got)
 			}
-			if stack.Get(cpustack.Useful) == 0 {
+			if stack.Buckets[cpustack.Useful] == 0 {
 				t.Error("no cycles attributed to useful work")
 			}
 		})
@@ -105,7 +105,7 @@ func TestCPIStackDoesNotPerturbResults(t *testing.T) {
 func TestCPIStackAttributionSanity(t *testing.T) {
 	m := config.Baseline() // 2-entry store buffer: commit stalls guaranteed
 	res, stack := acctRun(t, m, "compress")
-	if got := stack.Get(cpustack.StoreBufferFull); got == 0 {
+	if got := stack.Buckets[cpustack.StoreBufferFull]; got == 0 {
 		t.Error("baseline run attributed zero cycles to store-buffer-full")
 	}
 	// The bucket and the counter measure overlapping but distinct things:
@@ -113,8 +113,8 @@ func TestCPIStackAttributionSanity(t *testing.T) {
 	// bumps the counter but is attributed useful (precedence rule 1),
 	// while the end-of-run drain tail lands in the bucket without touching
 	// the counter. Useful + store-buffer-full must cover the counter.
-	sb := stack.Get(cpustack.StoreBufferFull)
-	useful := stack.Get(cpustack.Useful)
+	sb := stack.Buckets[cpustack.StoreBufferFull]
+	useful := stack.Buckets[cpustack.Useful]
 	if ctr := res.Counters.Get(stats.StallCommitStoreBuffer); sb+useful < ctr {
 		t.Errorf("store-buffer-full %d + useful %d < commit-stall counter %d", sb, useful, ctr)
 	}

@@ -174,9 +174,6 @@ type Snapshot struct {
 	Buckets [NumBuckets]uint64
 }
 
-// Get returns the cycles attributed to bucket b.
-func (s *Snapshot) Get(b Bucket) uint64 { return s.Buckets[b] }
-
 // Total returns the sum over every bucket.
 func (s *Snapshot) Total() uint64 {
 	var total uint64

@@ -30,7 +30,7 @@ func TestChargeAndSnapshot(t *testing.T) {
 		t.Fatalf("Total = %d, want 6", got)
 	}
 	snap := s.Snapshot()
-	if snap.Get(Useful) != 4 || snap.Get(MemFillWait) != 2 {
+	if snap.Buckets[Useful] != 4 || snap.Buckets[MemFillWait] != 2 {
 		t.Fatalf("snapshot %v", snap.Buckets)
 	}
 	if err := snap.CheckConservation(6); err != nil {

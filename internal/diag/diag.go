@@ -197,7 +197,7 @@ func (r *Recorder) Events() []Event {
 // reports.
 func FormatEvents(events []Event) string {
 	if len(events) == 0 {
-		return "(no flight-recorder events; recorder disabled for this run)"
+		return "(no flight-recorder events were recorded before the failure)"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "last %d flight-recorder events (oldest first):\n", len(events))

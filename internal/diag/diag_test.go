@@ -151,7 +151,7 @@ func TestFormatEvents(t *testing.T) {
 	if !strings.Contains(s, "cycle 12") || !strings.Contains(s, "port-grant") {
 		t.Errorf("formatted events missing fields:\n%s", s)
 	}
-	if empty := FormatEvents(nil); !strings.Contains(empty, "disabled") {
+	if empty := FormatEvents(nil); !strings.Contains(empty, "no flight-recorder events were recorded") {
 		t.Errorf("empty format = %q", empty)
 	}
 }

@@ -91,8 +91,8 @@ func TestCPIStackSeesWedgedCell(t *testing.T) {
 	if ev.CPIStack == nil {
 		t.Fatal("failed cell carries no CPI stack")
 	}
-	sb := ev.CPIStack.Get(cpustack.StoreBufferFull)
-	useful := ev.CPIStack.Get(cpustack.Useful)
+	sb := ev.CPIStack.Buckets[cpustack.StoreBufferFull]
+	useful := ev.CPIStack.Buckets[cpustack.Useful]
 	if sb == 0 || sb <= useful {
 		t.Errorf("wedge not attributed: store-buffer-full %d, useful %d", sb, useful)
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"portsim/internal/config"
 	"portsim/internal/diag"
-	"portsim/internal/workload"
 )
 
 // ErrCellPanic marks a CellError produced by containing a panic (as opposed
@@ -21,27 +19,17 @@ var ErrCellPanic = errors.New("experiments: cell panicked")
 // (machine, workload) cell died, with what configuration, and what the
 // pipeline was doing at the time.
 type CellError struct {
-	// Machine is the full configuration of the failed cell, as simulated
-	// (fault knobs included), serialisable with Machine.ToJSON.
-	Machine config.Machine
-	// Workload is the workload (or mutated-profile) name.
-	Workload string
-	// Profile is the cell's profile, which may be a mutated one with no
-	// built-in name (the kernel-intensity sweep), and Processes and
-	// Quantum its multiprogramming level and mean quantum, zero for a
-	// single program (A6 runs compress-xN); a repro bundle needs all
-	// three to rebuild the same stream.
-	Profile   *workload.Profile
-	Processes int
-	Quantum   int
-	// Seed and Insts are the generator seed and instruction budget.
-	Seed  int64
-	Insts uint64
+	// Bundle describes the failed cell: its machine as simulated (fault
+	// knobs included, serialisable with Machine.ToJSON), its stream, seed
+	// and budget, and the stream fault that poisoned it, if any. Encoded,
+	// it is the cell's repro bundle.
+	Bundle
 	// Stack is the contained panic's stack trace, empty for ordinary
 	// simulation errors.
 	Stack string
-	// Events is the flight recorder's tail (oldest first), empty when the
-	// recorder was disabled for the run.
+	// Events is the flight recorder's tail (oldest first), empty when no
+	// recorder was armed or the cell failed before its first pipeline
+	// event (a stream fault fires when fetch's read-ahead pulls).
 	Events []diag.Event
 	// Err is the underlying failure; it wraps ErrCellPanic for contained
 	// panics and cpu.ErrStall / cpu.ErrDeadline for aborted simulations.

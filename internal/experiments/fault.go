@@ -41,7 +41,14 @@ type Fault struct {
 	// Workload is the workload/profile name to poison.
 	Workload string `json:"workload"`
 	// After is how many instructions the stream delivers cleanly before
-	// the fault fires (panic and badinst modes).
+	// the fault (panic and badinst modes). The fault acts when the stream
+	// is pulled, as a generator bug would, not when fetch reaches the
+	// instruction: the core pulls cpu.StreamChunk (128) instructions at a
+	// time ahead of fetch, so a panic fires when that read-ahead pulls
+	// instruction After+1, up to 128 instructions before fetch would
+	// reach it, and an After below 128 fires while the first chunk fills,
+	// before any pipeline event. badinst corrupts instruction After+1,
+	// which fails when it commits.
 	After uint64 `json:"after,omitempty"`
 }
 

@@ -226,6 +226,11 @@ func TestRunAllContainsCellPanic(t *testing.T) {
 	if ces[0].Stack == "" {
 		t.Error("contained panic carries no stack trace")
 	}
+	// The closure's cell is unknown here, but portbench still writes its
+	// bundle, which must stay a versioned document.
+	if data, err := ces[0].Bundle.Encode(); err != nil || !strings.Contains(string(data), `"version": 1`) {
+		t.Errorf("backstop bundle (%v) does not encode version 1:\n%s", err, data)
+	}
 	if results[0] == nil || results[2] == nil {
 		t.Errorf("healthy cells lost: results = %v", results)
 	}

@@ -25,8 +25,9 @@ func runCellContained(c cell) (res *cpu.Result, err error) {
 		if p := recover(); p != nil {
 			res = nil
 			err = &CellError{
-				Stack: string(debug.Stack()),
-				Err:   fmt.Errorf("%w: %v", ErrCellPanic, p),
+				Bundle: Bundle{Version: BundleVersion},
+				Stack:  string(debug.Stack()),
+				Err:    fmt.Errorf("%w: %v", ErrCellPanic, p),
 			}
 		}
 	}()

@@ -30,7 +30,7 @@ const maxBundleProcesses = 64
 type Bundle struct {
 	Version int `json:"version"`
 	// Machine is the cell's configuration: as simulated for a failed cell
-	// (BundleFor), as planned for CellBundle.
+	// (CellError), as planned for CellBundle.
 	Machine config.Machine `json:"machine"`
 	// Workload names a built-in workload; Profile overrides it for cells
 	// that ran an ad-hoc mutated profile.
@@ -47,21 +47,16 @@ type Bundle struct {
 	Fault *Fault `json:"fault,omitempty"`
 }
 
-// BundleFor builds a repro bundle from a cell failure and the spec that
-// produced it. Wedge faults already travel inside the machine configuration
-// (FaultStuckDrain); stream faults must be carried explicitly.
-func BundleFor(ce *CellError, spec Spec) *Bundle {
-	b := &Bundle{
-		Version:   BundleVersion,
-		Machine:   ce.Machine,
-		Workload:  ce.Workload,
-		Profile:   ce.Profile,
-		Processes: ce.Processes,
-		Quantum:   ce.Quantum,
-		Seed:      ce.Seed,
-		Insts:     ce.Insts,
-	}
-	if spec.Fault.applies(ce.Workload) {
+// newBundle describes stream ps on machine m under spec: the one way a
+// bundle is filled in, for a planned cell (CellBundle) and for a failed
+// one (Runner.cellError). A wedge fault already travels inside an armed
+// machine (FaultStuckDrain); a stream fault that poisons ps must be
+// carried explicitly.
+func newBundle(spec Spec, m config.Machine, ps *planStream) Bundle {
+	prof := ps.prof
+	b := Bundle{Version: BundleVersion, Machine: m, Workload: ps.workload, Profile: &prof,
+		Processes: ps.processes, Quantum: ps.quantum, Seed: spec.Seed, Insts: spec.Insts}
+	if spec.Fault.applies(ps.workload) {
 		b.Fault = spec.Fault
 	}
 	return b
@@ -82,16 +77,11 @@ func CellBundle(spec Spec, exps []Experiment, workloadName, machineName string) 
 		s := slices.IndexFunc(p.streams, func(ps planStream) bool { return ps.workload == workloadName })
 		m := slices.IndexFunc(p.machines, func(mc config.Machine) bool { return mc.Name == machineName })
 		if s >= 0 && m >= 0 {
-			ps := p.streams[s]
-			if ps.err != nil {
-				return nil, ps.err
+			if err := p.streams[s].err; err != nil {
+				return nil, err
 			}
-			b := &Bundle{Version: BundleVersion, Machine: p.machines[m], Workload: ps.workload, Profile: &ps.prof,
-				Processes: ps.processes, Quantum: ps.quantum, Seed: spec.Seed, Insts: spec.Insts}
-			if spec.Fault.applies(ps.workload) {
-				b.Fault = spec.Fault
-			}
-			return b, nil
+			b := newBundle(spec, p.machines[m], &p.streams[s])
+			return &b, nil
 		}
 		for _, c := range e.Cells(spec) {
 			workloads, machines = append(workloads, c.Workload), append(machines, c.Machine)

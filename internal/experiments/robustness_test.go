@@ -198,7 +198,7 @@ func TestBundleRoundTripAndDeterministicReplay(t *testing.T) {
 		t.Fatalf("setup: %d CellErrors from wedged cell: %v", len(ces), err)
 	}
 
-	data, err := BundleFor(ces[0], spec).Encode()
+	data, err := ces[0].Bundle.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestMultiprogramBundleReplays(t *testing.T) {
 	if ce.Workload != "compress-x2" || ce.Processes != 2 || ce.Quantum != 5000 || ce.Profile == nil {
 		t.Fatalf("CellError stream = %s, %d processes, quantum %d, profile %v", ce.Workload, ce.Processes, ce.Quantum, ce.Profile)
 	}
-	data, err := BundleFor(ce, spec).Encode()
+	data, err := ce.Bundle.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,18 +303,19 @@ func TestMultiprogramBundleReplays(t *testing.T) {
 	}
 }
 
-// TestBundleForCarriesStreamFault checks that stream faults (which live
-// outside the machine config) travel in the bundle, and unrelated faults do
-// not.
-func TestBundleForCarriesStreamFault(t *testing.T) {
+// TestCellErrorCarriesStreamFault checks that stream faults (which live
+// outside the machine config) travel in a failed cell's bundle, and
+// unrelated faults do not.
+func TestCellErrorCarriesStreamFault(t *testing.T) {
 	f := &Fault{Mode: FaultPanic, Workload: "compress", After: 9}
-	ce := &CellError{Machine: config.Baseline(), Workload: "compress", Seed: 1, Insts: 100}
-	if b := BundleFor(ce, Spec{Fault: f}); b.Fault != f {
-		t.Error("matching stream fault not attached to the bundle")
+	r := NewRunner(faultSpec(f))
+	_, err := runCell(r, config.Baseline(), "compress")
+	if ces := CellErrors(err); len(ces) != 1 || ces[0].Fault != f {
+		t.Errorf("poisoned cell's CellErrors %v do not carry the stream fault", ces)
 	}
-	other := &CellError{Machine: config.Baseline(), Workload: "eqntott", Seed: 1, Insts: 100}
-	if b := BundleFor(other, Spec{Fault: f}); b.Fault != nil {
-		t.Error("fault attached to a bundle for an unpoisoned workload")
+	other := r.cellError(&cellReq{m: config.Baseline(), planStream: named("eqntott")}, config.Baseline(), nil, "", errors.New("x"))
+	if other.Fault != nil {
+		t.Error("fault attached to the bundle of an unpoisoned workload")
 	}
 }
 
@@ -388,8 +389,8 @@ func TestParseFault(t *testing.T) {
 // TestCellErrorsWalksJoinedTrees checks extraction through errors.Join and
 // wrapping, with pointer dedup (one memoised failure surfacing twice).
 func TestCellErrorsWalksJoinedTrees(t *testing.T) {
-	ce1 := &CellError{Workload: "a", Err: errors.New("x")}
-	ce2 := &CellError{Workload: "b", Err: errors.New("y")}
+	ce1 := &CellError{Bundle: Bundle{Workload: "a"}, Err: errors.New("x")}
+	ce2 := &CellError{Bundle: Bundle{Workload: "b"}, Err: errors.New("y")}
 	tree := errors.Join(
 		ce1,
 		errors.New("unrelated"),

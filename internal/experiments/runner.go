@@ -400,22 +400,9 @@ func (c *cellReq) keyID() string {
 
 // cellError returns the failure of cell c, which ran on m (its machine as
 // simulated, after fault arming) with the flight recorder rec (nil when
-// none was armed), carrying what a repro bundle needs to rebuild the
-// cell's stream.
+// none was armed), carrying the cell's repro bundle.
 func (r *Runner) cellError(c *cellReq, m config.Machine, rec *diag.Recorder, stack string, cause error) *CellError {
-	prof := c.prof
-	return &CellError{
-		Machine:   m,
-		Workload:  c.workload,
-		Profile:   &prof,
-		Processes: c.processes,
-		Quantum:   c.quantum,
-		Seed:      r.spec.Seed,
-		Insts:     r.spec.Insts,
-		Stack:     stack,
-		Events:    rec.Events(),
-		Err:       cause,
-	}
+	return &CellError{Bundle: newBundle(r.spec, m, &c.planStream), Stack: stack, Events: rec.Events(), Err: cause}
 }
 
 // cellKey is the one content-addressed cell identity of a campaign: the

@@ -1,3 +1,18 @@
+// Package telemetry is the observability layer over a portsim campaign:
+// one record of the campaign's cells (Campaign), rendered as Prometheus
+// text on /metrics, as the live /campaign status document, as the run
+// manifest tying every table to its exact inputs, and as the totals
+// portbench's progress line and CPI table read; the HTTP server that
+// publishes it; and a Chrome trace-event exporter for flight-recorder
+// tails (Perfetto / chrome://tracing).
+//
+// The layering contract, enforced by portlint's layerimports analyzer: the
+// simulator packages (internal/cpu, internal/core, internal/mem) never
+// import this package — telemetry is fed exclusively from end-of-cell
+// stats.Set snapshots and the experiment runner's per-cell observer
+// callback, both outside the hot cycle loop. A campaign with telemetry
+// disabled carries a nil sink everywhere and pays nothing; tables are
+// byte-identical either way.
 package telemetry
 
 import (
@@ -68,32 +83,29 @@ type runningCell struct {
 	stack      *cpustack.Stack
 }
 
-// Campaign accumulates a run's telemetry: the live registry metrics served
-// by -listen and the per-cell rows a manifest is built from. It is safe
-// for concurrent use by the runner's worker pool.
+// cellRow is one completed cell of the record: its manifest row plus the
+// port rates the /metrics histograms bucket (negative when unknown).
+type cellRow struct {
+	ManifestCell
+	portUtilization, portRejectRate float64
+}
+
+// Campaign is the record of a run: the completed cells' rows and the set
+// of running cells, under one mutex. Every surface renders from it —
+// Metrics for /metrics, Status for /campaign, BuildManifest for the
+// manifest, Totals for the progress line, Cells for the CPI table — and
+// adds the rows up with one fold (tally), so the surfaces agree by
+// construction. It is safe for concurrent use by the runner's worker pool
+// and the HTTP scrape goroutine.
 type Campaign struct {
 	start        time.Time
 	startMallocs uint64
-
-	cellsPlanned *Gauge
-	cellsDone    *Counter
-	cellsFailed  *Counter
-	memoHits     *Counter
-	storeHits    *Counter
-	simCycles    *Counter
-	simInsts     *Counter
-	wallHist     *Histogram
-	utilHist     *Histogram
-	rejectHist   *Histogram
-
-	planned int
-
-	// cpiCounters holds one registry counter per accounting bucket once
-	// EnableCPIStack runs; nil while CPI accounting is off.
-	cpiCounters []*Counter
+	planned      int
+	cpiStack     bool
+	gauges       []Gauge
 
 	mu      sync.Mutex
-	cells   []ManifestCell
+	rows    []cellRow
 	running map[string]runningCell
 }
 
@@ -104,73 +116,18 @@ func mallocCount() uint64 {
 	return ms.Mallocs
 }
 
-// NewCampaign registers the campaign metric set on reg and returns the
-// accumulator. planned is the number of cells the selected experiments
-// will submit (0 when unknown).
-func NewCampaign(reg *Registry, planned int) *Campaign {
-	c := &Campaign{
+// NewCampaign returns an empty record. planned is the number of cells the
+// selected experiments will submit (0 when unknown); cpiStack adds one
+// /metrics cycle counter per CPI bucket; gauges follow the campaign's own
+// series on /metrics, read at scrape time.
+func NewCampaign(planned int, cpiStack bool, gauges []Gauge) *Campaign {
+	return &Campaign{
 		start:        time.Now(),
 		startMallocs: mallocCount(),
 		planned:      planned,
+		cpiStack:     cpiStack,
+		gauges:       gauges,
 		running:      make(map[string]runningCell),
-
-		cellsPlanned: reg.Gauge("portsim_cells_planned",
-			"Experiment cells the selected suite will submit."),
-		cellsDone: reg.Counter("portsim_cells_done_total",
-			"Experiment cells completed (simulated, memoised or failed)."),
-		cellsFailed: reg.Counter("portsim_cells_failed_total",
-			"Experiment cells that failed (panic, deadline, watchdog stall)."),
-		memoHits: reg.Counter("portsim_cells_memo_hits_total",
-			"Experiment cells satisfied from the runner's memo cache."),
-		storeHits: reg.Counter("portsim_cells_store_hits_total",
-			"Experiment cells restored from the durable cell store."),
-		simCycles: reg.Counter("portsim_sim_cycles_total",
-			"Simulated cycles across non-memoised cells."),
-		simInsts: reg.Counter("portsim_sim_insts_total",
-			"Committed instructions across non-memoised cells."),
-		wallHist: reg.Histogram("portsim_cell_wall_seconds",
-			"Wall-clock time per simulated (non-memoised) cell.",
-			[]float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 120}),
-		utilHist: reg.Histogram("portsim_port_utilization",
-			"Mean fraction of cache-port slots granted per cycle, one sample per cell.",
-			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}),
-		rejectHist: reg.Histogram("portsim_port_reject_rate",
-			"Fraction of cache-port offers refused, one sample per cell.",
-			[]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1}),
-	}
-	c.cellsPlanned.Set(float64(planned))
-	reg.GaugeFunc("portsim_sim_cycles_per_second",
-		"Simulated cycles per wall second since campaign start.",
-		func() float64 {
-			secs := time.Since(c.start).Seconds()
-			if secs <= 0 {
-				return 0
-			}
-			return float64(c.simCycles.Value()) / secs
-		})
-	reg.GaugeFunc("portsim_allocs_per_1k_cycles",
-		"Heap allocations per thousand simulated cycles since campaign start.",
-		func() float64 {
-			cycles := c.simCycles.Value()
-			if cycles == 0 {
-				return 0
-			}
-			allocs := mallocCount() - c.startMallocs //portlint:ignore cyclemath runtime.MemStats.Mallocs is monotonic and startMallocs sampled the earlier value
-			return float64(allocs) / (float64(cycles) / 1000)
-		})
-	return c
-}
-
-// EnableCPIStack registers one cycle counter per accounting bucket
-// (portsim_cpi_<bucket>_cycles_total) and arms the campaign to fold each
-// simulated cell's breakdown into them. The registry has no label support,
-// so the bucket is part of the metric name.
-func (c *Campaign) EnableCPIStack(reg *Registry) {
-	c.cpiCounters = make([]*Counter, cpustack.NumBuckets)
-	for b := cpustack.Bucket(0); b < cpustack.NumBuckets; b++ {
-		c.cpiCounters[b] = reg.Counter(
-			"portsim_cpi_"+b.MetricName()+"_cycles_total",
-			"Simulated cycles attributed to "+b.String()+" across non-memoised cells.")
 	}
 }
 
@@ -195,77 +152,81 @@ func (c *Campaign) CellStarted(s CellStartSample) {
 	c.mu.Unlock()
 }
 
-// CellDone folds one completed cell into the metrics and the manifest
-// rows.
+// CellDone moves one cell from the running set to the completed rows.
 func (c *Campaign) CellDone(s CellSample) {
-	c.cellsDone.Inc()
-	if s.Failed {
-		c.cellsFailed.Inc()
-	}
-	if s.MemoHit {
-		c.memoHits.Inc()
-	} else if s.StoreHit {
-		c.storeHits.Inc()
-	} else if !s.Failed {
-		c.simCycles.Add(s.Cycles)
-		c.simInsts.Add(s.Insts)
-		c.wallHist.Observe(s.WallSeconds)
-		if s.PortUtilization >= 0 {
-			c.utilHist.Observe(s.PortUtilization)
-		}
-		if s.PortRejectRate >= 0 {
-			c.rejectHist.Observe(s.PortRejectRate)
-		}
-	}
-	if c.cpiCounters != nil && s.CPIStack != nil && !s.MemoHit && !s.StoreHit {
-		for b := cpustack.Bucket(0); b < cpustack.NumBuckets; b++ {
-			c.cpiCounters[b].Add(s.CPIStack.Get(b))
-		}
-	}
-
-	cell := ManifestCell{
-		Workload:    s.Workload,
-		Machine:     s.Machine,
-		ConfigHash:  HashConfig(s.ConfigJSON),
-		CellKey:     s.Key,
-		Outcome:     OutcomeOK,
-		MemoHit:     s.MemoHit,
-		StoreHit:    s.StoreHit,
-		WallSeconds: s.WallSeconds,
-		Cycles:      s.Cycles,
-		Insts:       s.Insts,
-		CPIStack:    s.CPIStack.Map(),
+	row := cellRow{
+		ManifestCell: ManifestCell{
+			Workload:    s.Workload,
+			Machine:     s.Machine,
+			ConfigHash:  HashConfig(s.ConfigJSON),
+			CellKey:     s.Key,
+			Outcome:     OutcomeOK,
+			MemoHit:     s.MemoHit,
+			StoreHit:    s.StoreHit,
+			WallSeconds: s.WallSeconds,
+			Cycles:      s.Cycles,
+			Insts:       s.Insts,
+			CPIStack:    s.CPIStack.Map(),
+		},
+		portUtilization: s.PortUtilization,
+		portRejectRate:  s.PortRejectRate,
 	}
 	if s.Failed {
-		cell.Outcome = OutcomeFailed
-		cell.Error = s.Error
-		if cell.Error == "" {
-			cell.Error = "unknown failure"
+		row.Outcome = OutcomeFailed
+		row.Error = s.Error
+		if row.Error == "" {
+			row.Error = "unknown failure"
 		}
 	}
 	c.mu.Lock()
-	delete(c.running, cellKey(cell.Machine, cell.Workload, cell.ConfigHash))
-	c.cells = append(c.cells, cell)
+	delete(c.running, cellKey(row.Machine, row.Workload, row.ConfigHash))
+	c.rows = append(c.rows, row)
 	c.mu.Unlock()
 }
 
-// Done returns the number of cells completed so far.
-func (c *Campaign) Done() int { return int(c.cellsDone.Value()) }
+// tallyLocked folds the completed rows; c.mu must be held.
+func (c *Campaign) tallyLocked() tally {
+	var t tally
+	for i := range c.rows {
+		t.add(&c.rows[i].ManifestCell)
+	}
+	return t
+}
 
-// MemoHits returns how many completed cells were satisfied from the
-// result memo instead of being simulated. Throughput and ETA estimates
-// must exclude them: a memo hit completes in microseconds, so folding it
-// into a per-cell rate makes the remaining full-cost cells look nearly
-// free.
-func (c *Campaign) MemoHits() int { return int(c.memoHits.Value()) }
+// Totals folds the cells completed so far into the manifest's totals.
+// WallSeconds, which a manifest takes from its caller, stays zero.
+func (c *Campaign) Totals() ManifestTotals {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tallyLocked().ManifestTotals
+}
 
-// StoreHits returns how many completed cells were restored from the durable
-// cell store. Like memo hits, they are excluded from throughput and ETA
-// estimates: a restore costs one file read, not a simulation.
-func (c *Campaign) StoreHits() int { return int(c.storeHits.Value()) }
-
-// SimCycles returns the simulated-cycle total so far.
-func (c *Campaign) SimCycles() uint64 { return c.simCycles.Value() }
+// Cells returns the completed cells' rows sorted by (workload, machine,
+// config hash, memo-hit), so the order is deterministic regardless of
+// worker-pool completion order and each simulated cell precedes its memo
+// hits.
+func (c *Campaign) Cells() []ManifestCell {
+	c.mu.Lock()
+	cells := make([]ManifestCell, len(c.rows))
+	for i := range c.rows {
+		cells[i] = c.rows[i].ManifestCell
+	}
+	c.mu.Unlock()
+	sort.Slice(cells, func(i, j int) bool {
+		a, b := cells[i], cells[j]
+		if a.Workload != b.Workload {
+			return a.Workload < b.Workload
+		}
+		if a.Machine != b.Machine {
+			return a.Machine < b.Machine
+		}
+		if a.ConfigHash != b.ConfigHash {
+			return a.ConfigHash < b.ConfigHash
+		}
+		return !a.MemoHit && b.MemoHit
+	})
+	return cells
+}
 
 // CampaignStatusSchema identifies the /campaign JSON document format.
 const CampaignStatusSchema = "portsim-campaign/v1"
@@ -321,23 +282,16 @@ type CampaignStatus struct {
 
 // Status snapshots the campaign for /campaign. Running cells read their
 // live stacks (atomics — no coordination with the simulating workers);
-// completed cells reuse the manifest rows.
+// completed cells are listed in completion order.
 func (c *Campaign) Status() *CampaignStatus {
 	now := time.Now()
 	st := &CampaignStatus{
 		Schema:         CampaignStatusSchema,
 		ElapsedSeconds: now.Sub(c.start).Seconds(),
 		Planned:        c.planned,
-		Done:           int(c.cellsDone.Value()),
-		Failed:         int(c.cellsFailed.Value()),
-		MemoHits:       int(c.memoHits.Value()),
-		StoreHits:      int(c.storeHits.Value()),
-		SimCycles:      c.simCycles.Value(),
-	}
-	if st.ElapsedSeconds > 0 {
-		st.MCyclesPerSecond = float64(st.SimCycles) / st.ElapsedSeconds / 1e6
 	}
 	c.mu.Lock()
+	t := c.tallyLocked()
 	st.Running = make([]RunningStatus, 0, len(c.running))
 	for _, rc := range c.running {
 		r := RunningStatus{
@@ -354,27 +308,32 @@ func (c *Campaign) Status() *CampaignStatus {
 		}
 		st.Running = append(st.Running, r)
 	}
-	st.Cells = make([]CellStatus, 0, len(c.cells))
-	for _, cell := range c.cells {
+	st.Cells = make([]CellStatus, 0, len(c.rows))
+	for _, row := range c.rows {
 		cs := CellStatus{
-			Workload:    cell.Workload,
-			Machine:     cell.Machine,
-			ConfigHash:  cell.ConfigHash,
-			State:       cell.Outcome,
-			WallSeconds: cell.WallSeconds,
-			Cycles:      cell.Cycles,
-			Error:       cell.Error,
-			CPIStack:    cell.CPIStack,
+			Workload:    row.Workload,
+			Machine:     row.Machine,
+			ConfigHash:  row.ConfigHash,
+			State:       row.Outcome,
+			WallSeconds: row.WallSeconds,
+			Cycles:      row.Cycles,
+			Error:       row.Error,
+			CPIStack:    row.CPIStack,
 		}
 		switch {
-		case cell.MemoHit:
+		case row.MemoHit:
 			cs.State = "memo-hit"
-		case cell.StoreHit:
+		case row.StoreHit:
 			cs.State = "store-hit"
 		}
 		st.Cells = append(st.Cells, cs)
 	}
 	c.mu.Unlock()
+	st.Done, st.Failed, st.MemoHits, st.StoreHits = t.Cells, t.Failed, t.MemoHits, t.StoreHits
+	st.SimCycles = t.SimCycles
+	if st.ElapsedSeconds > 0 {
+		st.MCyclesPerSecond = float64(st.SimCycles) / st.ElapsedSeconds / 1e6
+	}
 	if c.planned > 0 {
 		if pending := c.planned - st.Done - len(st.Running); pending > 0 {
 			st.Pending = pending
@@ -394,7 +353,7 @@ func (c *Campaign) Status() *CampaignStatus {
 }
 
 // ManifestInfo carries the campaign-level fields of a manifest that the
-// accumulator cannot know itself.
+// record cannot know itself.
 type ManifestInfo struct {
 	CreatedAt   time.Time
 	Command     []string
@@ -413,55 +372,17 @@ type ManifestInfo struct {
 	Arenas *ManifestArenas
 }
 
-// BuildManifest assembles the manifest from the accumulated cells. Cells
-// are sorted by (workload, machine, config hash, memo-hit), so the
-// document is deterministic regardless of worker-pool completion order.
+// BuildManifest assembles the manifest from the sorted cells (Cells), so
+// the document is deterministic regardless of completion order.
 func (c *Campaign) BuildManifest(info ManifestInfo) *Manifest {
-	c.mu.Lock()
-	cells := make([]ManifestCell, len(c.cells))
-	copy(cells, c.cells)
-	c.mu.Unlock()
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Machine != b.Machine {
-			return a.Machine < b.Machine
-		}
-		if a.ConfigHash != b.ConfigHash {
-			return a.ConfigHash < b.ConfigHash
-		}
-		return !a.MemoHit && b.MemoHit
-	})
-
-	var totals ManifestTotals
-	totals.WallSeconds = info.WallSeconds
-	var cpi map[string]uint64
+	cells := c.Cells()
+	var t tally
 	distinct := make(map[string]bool)
-	for _, cell := range cells {
-		totals.Cells++
-		distinct[cell.ConfigHash] = true
-		if cell.Outcome == OutcomeFailed {
-			totals.Failed++
-		}
-		switch {
-		case cell.MemoHit:
-			totals.MemoHits++
-		case cell.StoreHit:
-			totals.StoreHits++
-		case cell.Outcome == OutcomeOK:
-			totals.SimCycles += cell.Cycles
-			totals.SimInsts += cell.Insts
-			for name, v := range cell.CPIStack {
-				if cpi == nil {
-					cpi = make(map[string]uint64)
-				}
-				cpi[name] += v
-			}
-		}
+	for i := range cells {
+		t.add(&cells[i])
+		distinct[cells[i].ConfigHash] = true
 	}
-
+	t.WallSeconds = info.WallSeconds
 	return &Manifest{
 		Schema:      ManifestSchema,
 		CreatedAt:   info.CreatedAt.Format(time.RFC3339),
@@ -480,8 +401,8 @@ func (c *Campaign) BuildManifest(info ManifestInfo) *Manifest {
 		Store:       info.Store,
 		Arenas:      info.Arenas,
 		Cells:       cells,
-		Totals:      totals,
-		CPIStack:    cpi,
+		Totals:      t.ManifestTotals,
+		CPIStack:    t.cpi,
 	}
 }
 

@@ -67,6 +67,49 @@ type ManifestTotals struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
+// tally folds cells into a campaign's numbers: the one definition of how
+// they add up, shared by every surface a Campaign renders and by
+// Validate.
+type tally struct {
+	ManifestTotals
+	// cpi aggregates the simulated cells' CPI stacks; nil when none
+	// carries one.
+	cpi map[string]uint64
+}
+
+// add folds in one cell. Only a simulated cell adds work.
+func (t *tally) add(c *ManifestCell) {
+	t.Cells++
+	if c.Outcome == OutcomeFailed {
+		t.Failed++
+	}
+	switch {
+	case c.MemoHit:
+		t.MemoHits++
+	case c.StoreHit:
+		t.StoreHits++
+	}
+	if !c.simulated() {
+		return
+	}
+	t.SimCycles += c.Cycles
+	t.SimInsts += c.Insts
+	for name, v := range c.CPIStack {
+		if t.cpi == nil {
+			t.cpi = make(map[string]uint64)
+		}
+		t.cpi[name] += v
+	}
+}
+
+// simulated reports whether the cell was simulated to completion in this
+// run. Only such cells add cycles, instructions, wall time, port rates
+// and CPI stacks to a campaign's totals: a memo or store hit re-reports
+// an earlier simulation, and a failed cell's counts are partial.
+func (c *ManifestCell) simulated() bool {
+	return !c.MemoHit && !c.StoreHit && c.Outcome == OutcomeOK
+}
+
 // Manifest ties a campaign's outputs back to its exact inputs: seeds,
 // workloads, per-cell configuration hashes and outcomes, and the paths of
 // every artifact the run produced.
@@ -184,8 +227,7 @@ func (m *Manifest) Validate() error {
 	if m.Parallel < 1 {
 		return fmt.Errorf("manifest: parallel %d, want >= 1", m.Parallel)
 	}
-	want := ManifestTotals{WallSeconds: m.Totals.WallSeconds}
-	wantCPI := map[string]uint64{}
+	var want tally
 	simulated := map[string]int{} // cell key -> index of the cell that simulated it
 	for i, c := range m.Cells {
 		where := fmt.Sprintf("manifest: cell %d (%s on %s)", i, c.Workload, c.Machine)
@@ -204,7 +246,6 @@ func (m *Manifest) Validate() error {
 			if c.Error == "" {
 				return fmt.Errorf("%s: outcome failed without an error", where)
 			}
-			want.Failed++
 		default:
 			return fmt.Errorf("%s: unknown outcome %q", where, c.Outcome)
 		}
@@ -231,29 +272,18 @@ func (m *Manifest) Validate() error {
 				}
 			}
 		}
-		switch {
-		case c.MemoHit:
-			want.MemoHits++
-		case c.StoreHit:
-			want.StoreHits++
-		case c.Outcome == OutcomeOK:
-			want.SimCycles += c.Cycles
-			want.SimInsts += c.Insts
-			for name, v := range c.CPIStack {
-				wantCPI[name] += v
-			}
-		}
-		want.Cells++
+		want.add(&m.Cells[i])
 	}
-	if m.Totals != want {
-		return fmt.Errorf("manifest: totals %+v disagree with cells (want %+v)", m.Totals, want)
+	want.WallSeconds = m.Totals.WallSeconds
+	if m.Totals != want.ManifestTotals {
+		return fmt.Errorf("manifest: totals %+v disagree with cells (want %+v)", m.Totals, want.ManifestTotals)
 	}
 	// The aggregate breakdown must re-derive from the cells, and — paired
 	// with the per-cell conservation above — sum to exactly SimCycles.
-	if len(wantCPI) != len(m.CPIStack) {
-		return fmt.Errorf("manifest: cpi_stack has %d buckets, cells sum to %d", len(m.CPIStack), len(wantCPI))
+	if len(want.cpi) != len(m.CPIStack) {
+		return fmt.Errorf("manifest: cpi_stack has %d buckets, cells sum to %d", len(m.CPIStack), len(want.cpi))
 	}
-	for name, v := range wantCPI {
+	for name, v := range want.cpi {
 		if m.CPIStack[name] != v {
 			return fmt.Errorf("manifest: cpi_stack[%s] = %d disagrees with cells (want %d)",
 				name, m.CPIStack[name], v)

@@ -9,8 +9,7 @@ import (
 )
 
 func sampleCampaign() *Campaign {
-	reg := NewRegistry()
-	c := NewCampaign(reg, 4)
+	c := NewCampaign(4, false, nil)
 	c.CellDone(CellSample{
 		Machine: "baseline-1port", Workload: "compress", ConfigJSON: []byte(`{"ports":1}`),
 		Key:         "k-compress-1",
@@ -83,8 +82,7 @@ func TestBuildManifestValidatesAndSorts(t *testing.T) {
 func TestManifestOrderInsensitive(t *testing.T) {
 	a := sampleCampaign().BuildManifest(sampleInfo())
 
-	reg := NewRegistry()
-	c := NewCampaign(reg, 4)
+	c := NewCampaign(4, false, nil)
 	c.CellDone(CellSample{
 		Machine: "2-port", Workload: "compress", ConfigJSON: []byte(`{"ports":2}`),
 		Key: "k-compress-2", Failed: true, Error: "experiments: deadline exceeded",
@@ -205,8 +203,8 @@ func storeCampaign() *Campaign {
 // campaign-level store summary survives the round trip.
 func TestManifestStoreSummary(t *testing.T) {
 	c := storeCampaign()
-	if c.StoreHits() != 1 {
-		t.Fatalf("StoreHits() = %d, want 1", c.StoreHits())
+	if got := c.Totals().StoreHits; got != 1 {
+		t.Fatalf("Totals().StoreHits = %d, want 1", got)
 	}
 	info := sampleInfo()
 	info.Store = &ManifestStore{Dir: "cells", Resumed: true, Hits: 1, Misses: 2, Puts: 2}

@@ -7,13 +7,19 @@ import (
 	"strconv"
 )
 
-// WritePrometheus renders a registry snapshot in the Prometheus text
+// WritePrometheus renders a metric snapshot in the Prometheus text
 // exposition format (version 0.0.4): for every metric a # HELP and # TYPE
 // line, then the samples; histograms expand into cumulative _bucket series
-// with le labels, plus _sum and _count. Metrics appear in registration
-// order, so the body is deterministic for a fixed snapshot.
+// with le labels, plus _sum and _count. Metrics appear in snapshot order,
+// so the body is deterministic for a fixed snapshot. A malformed or
+// repeated metric name is an error: the exposition would be invalid.
 func WritePrometheus(w io.Writer, snap []MetricSnapshot) error {
+	seen := make(map[string]bool, len(snap))
 	for _, m := range snap {
+		if !validMetricName(m.Name) || seen[m.Name] {
+			return fmt.Errorf("telemetry: invalid or duplicate metric name %q", m.Name)
+		}
+		seen[m.Name] = true
 		if m.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.Name, m.Help); err != nil {
 				return err
@@ -23,17 +29,17 @@ func WritePrometheus(w io.Writer, snap []MetricSnapshot) error {
 			return err
 		}
 		switch m.Kind {
-		case string(kindCounter):
+		case kindCounter:
 			if _, err := fmt.Fprintf(w, "%s %d\n", m.Name, m.IntValue); err != nil {
 				return err
 			}
-		case string(kindGauge):
+		case kindGauge:
 			if _, err := fmt.Fprintf(w, "%s %s\n", m.Name, formatFloat(m.Value)); err != nil {
 				return err
 			}
-		case string(kindHistogram):
+		case kindHistogram:
 			for _, b := range m.Buckets {
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.Name, formatBound(b.UpperBound), b.Cumulative); err != nil {
+				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.Name, formatFloat(b.UpperBound), b.Cumulative); err != nil {
 					return err
 				}
 			}
@@ -50,8 +56,28 @@ func WritePrometheus(w io.Writer, snap []MetricSnapshot) error {
 	return nil
 }
 
-// formatFloat renders a sample value the way Prometheus expects: shortest
-// round-trip representation, NaN/Inf spelled out.
+// validMetricName enforces the Prometheus metric-name charset
+// [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validMetricName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i, c := range s {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
+		case c >= '0' && c <= '9':
+			if i == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// formatFloat renders a sample value or bucket bound the way Prometheus
+// expects: shortest round-trip representation, NaN/Inf spelled out.
 func formatFloat(v float64) string {
 	switch {
 	case math.IsNaN(v):
@@ -60,14 +86,6 @@ func formatFloat(v float64) string {
 		return "+Inf"
 	case math.IsInf(v, -1):
 		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// formatBound renders a bucket upper bound for the le label.
-func formatBound(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -12,24 +12,24 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
 
-// goldenSnapshot builds the fixed registry state behind the golden file:
-// one of every metric kind with hand-picked values, so the golden body
-// pins HELP/TYPE lines, counter/gauge formatting, and cumulative histogram
+// goldenSnapshot is the fixed snapshot behind the golden file: one of
+// every metric kind with hand-picked values, so the golden body pins
+// HELP/TYPE lines, counter/gauge formatting, and cumulative histogram
 // expansion all at once.
 func goldenSnapshot() []MetricSnapshot {
-	reg := NewRegistry()
-	c := reg.Counter("portsim_cells_done_total", "Experiment cells completed.")
-	c.Add(37)
-	g := reg.Gauge("portsim_sim_cycles_per_second", "Simulated cycles per wall second.")
-	g.Set(1.25e6)
-	reg.GaugeFunc("portsim_cells_planned", "Cells the suite will submit.", func() float64 { return 126 })
-	h := reg.Histogram("portsim_port_utilization",
-		"Mean fraction of port slots granted per cycle.",
-		[]float64{0.25, 0.5, 0.75})
-	for _, v := range []float64{0.1, 0.3, 0.3, 0.6, 0.9} {
-		h.Observe(v)
+	return []MetricSnapshot{
+		{Name: "portsim_cells_done_total", Help: "Experiment cells completed.", Kind: "counter", IntValue: 37},
+		{Name: "portsim_sim_cycles_per_second", Help: "Simulated cycles per wall second.", Kind: "gauge", Value: 1.25e6},
+		{Name: "portsim_cells_planned", Help: "Cells the suite will submit.", Kind: "gauge", Value: 126},
+		{
+			Name: "portsim_port_utilization", Help: "Mean fraction of port slots granted per cycle.", Kind: "histogram",
+			// Samples 0.1, 0.3, 0.3, 0.6 and 0.9; Sum is their float64
+			// sum, added in that order.
+			Buckets: []BucketSnapshot{{0.25, 1}, {0.5, 3}, {0.75, 4}, {math.Inf(1), 5}},
+			Sum:     2.1999999999999997,
+			Count:   5,
+		},
 	}
-	return reg.Snapshot()
 }
 
 // TestPrometheusGolden pins the /metrics body byte-for-byte. Regenerate

@@ -1,39 +1,37 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 	"time"
 )
 
-// Server publishes a registry over HTTP: /metrics (Prometheus text),
-// /healthz (liveness), /campaign (live campaign status) and /debug/pprof
-// (runtime profiles, with simulations labelled by cell and experiment).
-// It is the opt-in side channel behind `portbench -listen`; nothing in
-// the simulator ever talks to it — scrapes only read registry snapshots
-// and campaign atomics.
+// Server publishes a campaign record over HTTP: /metrics (Prometheus
+// text), /healthz (liveness), /campaign (live campaign status) and
+// /debug/pprof (runtime profiles, with simulations labelled by cell and
+// experiment). It is the opt-in side channel behind `portbench -listen`;
+// nothing in the simulator ever talks to it — scrapes only read the
+// record under its lock and the running cells' stack atomics.
 type Server struct {
-	ln       net.Listener
-	srv      *http.Server
-	reg      *Registry
-	start    time.Time
-	campaign atomic.Pointer[Campaign]
+	ln    net.Listener
+	srv   *http.Server
+	camp  *Campaign
+	start time.Time
 }
 
-// Serve binds addr (host:port; :0 picks a free port) and serves the
-// registry until Close or Shutdown. It returns once the listener is
-// bound, so the caller can report the concrete address before the
-// campaign starts.
-func Serve(addr string, reg *Registry) (*Server, error) {
+// Serve binds addr (host:port; :0 picks a free port) and serves camp
+// until Close or Shutdown. It returns once the listener is bound, so the
+// caller can report the concrete address before the campaign starts.
+func Serve(addr string, camp *Campaign) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, reg: reg, start: time.Now()}
+	s := &Server{ln: ln, camp: camp, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -52,10 +50,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	return s, nil
 }
 
-// SetCampaign attaches the campaign /campaign reports on. Safe to call at
-// any time, including never (the endpoint then reports no campaign).
-func (s *Server) SetCampaign(c *Campaign) { s.campaign.Store(c) }
-
 // Addr returns the bound listen address (concrete even for :0 requests).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
@@ -69,20 +63,22 @@ func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx
 
 // handleCampaign serves the live campaign status document.
 func (s *Server) handleCampaign(w http.ResponseWriter, _ *http.Request) {
-	c := s.campaign.Load()
-	if c == nil {
-		http.Error(w, `{"error":"no campaign attached"}`, http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(c.Status())
+	_ = enc.Encode(s.camp.Status())
 }
 
+// handleMetrics renders the whole exposition before answering, so a
+// malformed metric name fails the scrape instead of truncating its body.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	var body bytes.Buffer
+	if err := WritePrometheus(&body, s.camp.Metrics()); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = WritePrometheus(w, s.reg.Snapshot())
+	_, _ = w.Write(body.Bytes())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -32,9 +32,8 @@ func get(t *testing.T, url string) (int, string) {
 // the -listen endpoint: while cells are still completing, /metrics must
 // serve the campaign gauges and successive scrapes must observe progress.
 func TestServerServesLiveMetricsMidRun(t *testing.T) {
-	reg := NewRegistry()
-	camp := NewCampaign(reg, 64)
-	srv, err := Serve("127.0.0.1:0", reg)
+	camp := NewCampaign(64, false, nil)
+	srv, err := Serve("127.0.0.1:0", camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestServerServesLiveMetricsMidRun(t *testing.T) {
 }
 
 func TestServerHealthz(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := Serve("127.0.0.1:0", NewCampaign(0, false, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestServerHealthz(t *testing.T) {
 }
 
 func TestServeBadAddress(t *testing.T) {
-	if _, err := Serve("256.256.256.256:99999", NewRegistry()); err == nil {
+	if _, err := Serve("256.256.256.256:99999", NewCampaign(0, false, nil)); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }
@@ -127,8 +126,8 @@ func TestServeBadAddress(t *testing.T) {
 // bindable by a new server — no lingering listener, no TIME_WAIT surprise
 // from the server's own socket.
 func TestServerShutdownReleasesPort(t *testing.T) {
-	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
+	camp := NewCampaign(0, false, nil)
+	srv, err := Serve("127.0.0.1:0", camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestServerShutdownReleasesPort(t *testing.T) {
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Error("server still answering after Shutdown")
 	}
-	srv2, err := Serve(addr, reg)
+	srv2, err := Serve(addr, camp)
 	if err != nil {
 		t.Fatalf("rebinding %s after shutdown: %v", addr, err)
 	}
@@ -154,26 +153,17 @@ func TestServerShutdownReleasesPort(t *testing.T) {
 	}
 }
 
-// TestServerCampaignEndpoint covers the live status plane: /campaign is a
-// 404 until a campaign attaches, then reports running cells with their
-// live accounting stacks and completed cells with their frozen ones, and
-// /debug/pprof answers on the same mux.
+// TestServerCampaignEndpoint covers the live status plane: /campaign
+// reports running cells with their live accounting stacks and completed
+// cells with their frozen ones, and /debug/pprof answers on the same mux.
 func TestServerCampaignEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
+	camp := NewCampaign(3, true, nil)
+	srv, err := Serve("127.0.0.1:0", camp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
-
-	if code, _ := get(t, base+"/campaign"); code != http.StatusNotFound {
-		t.Errorf("/campaign without a campaign: status %d, want 404", code)
-	}
-
-	camp := NewCampaign(reg, 3)
-	camp.EnableCPIStack(reg)
-	srv.SetCampaign(camp)
 
 	stack := cpustack.NewStack()
 	stack.Charge(cpustack.Useful, 700)
