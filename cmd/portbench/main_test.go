@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
+
+	"portsim/internal/experiments"
 )
 
 func runPB(t *testing.T, args ...string) (string, error) {
@@ -133,18 +136,42 @@ func TestThroughputReportFinite(t *testing.T) {
 	}
 }
 
+// TestCSVOutput checks the CSV of every table of the quick suite: each
+// has its "# title" line, a header, and rows of exactly the header's column
+// count (csv.Reader holds every record to the first one's field count).
 func TestCSVOutput(t *testing.T) {
-	out, err := runPB(t, "-quick", "-insts", "4000", "-only", "T1", "-csv")
+	out, err := runPB(t, "-quick", "-insts", "2000", "-csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "# T1: baseline machine parameters") {
-		t.Error("CSV title comment missing")
-	}
-	if !strings.Contains(out, "parameter,value") {
-		t.Error("CSV header missing")
+	if !strings.Contains(out, "# T1: baseline machine parameters\nparameter,value\n") {
+		t.Error("T1's CSV title comment or header missing")
 	}
 	if strings.Contains(out, "---") {
 		t.Error("aligned-table separator leaked into CSV mode")
+	}
+	tables := map[string]bool{}
+	for _, block := range strings.Split(out, "\n\n") {
+		title, body, _ := strings.Cut(block, "\n")
+		if !strings.HasPrefix(title, "# ") {
+			continue
+		}
+		id, _, _ := strings.Cut(strings.TrimPrefix(title, "# "), ":")
+		tables[id] = true
+		records, err := csv.NewReader(strings.NewReader(body)).ReadAll()
+		if err != nil {
+			t.Errorf("%s: %v", title, err)
+		} else if len(records) < 2 {
+			t.Errorf("%s: %d CSV records, want a header and rows", title, len(records))
+		}
+	}
+	suite := experiments.Suite()
+	for _, e := range suite {
+		if !tables[e.ID] {
+			t.Errorf("no CSV table for %s", e.ID)
+		}
+	}
+	if len(tables) != len(suite) {
+		t.Errorf("%d CSV tables, want one per experiment (%d)", len(tables), len(suite))
 	}
 }

@@ -59,13 +59,42 @@ func reverseRegs(in *isa.Inst) {
 	in.Dest, in.Src1, in.Src2 = flip(in.Dest), flip(in.Src1), flip(in.Src2)
 }
 
+// identityMachines are the presets plus the campaign's other machine kinds:
+// A3's next-line prefetch on the baseline and best-single machines, A4's
+// speculative loads, A5's write-through L1D, A7's stores-first arbitration
+// and A8's wrong-path fetch.
+func identityMachines() []portsim.Config {
+	var ms []portsim.Config
+	for _, name := range portsim.ConfigNames() {
+		cfg, _ := portsim.ConfigByName(name)
+		ms = append(ms, cfg)
+	}
+	variant := func(m portsim.Config, kind string, set func(*portsim.Config)) portsim.Config {
+		m.Name += "+" + kind
+		set(&m)
+		return m
+	}
+	prefetch := func(m *portsim.Config) { m.Ports.PrefetchNextLine, m.Ports.PrefetchDegree = true, 1 }
+	return append(ms,
+		variant(portsim.BaselineConfig(), "prefetch", prefetch),
+		variant(portsim.BestSingleConfig(), "prefetch", prefetch),
+		variant(portsim.BaselineConfig(), "mem-speculation", func(m *portsim.Config) {
+			m.Core.SpeculativeLoads, m.Core.ViolationPenalty = true, 8
+		}),
+		variant(portsim.BaselineConfig(), "write-through", func(m *portsim.Config) { m.L1D.WriteThrough = true }),
+		variant(portsim.BaselineConfig(), "stores-first", func(m *portsim.Config) { m.Ports.StoresFirst = true }),
+		variant(portsim.BaselineConfig(), "wrong-path-fetch", func(m *portsim.Config) { m.Core.WrongPathFetch = true }),
+	)
+}
+
 // TestModelIdentities runs metamorphic relations over the timing model:
 // transformations of the instruction stream that it must not notice.
 // Shifting data addresses (by 2^40, 2^63, or 1 MiB, a multiple of the L2's
 // set span) or PCs and control targets (by 2^40 or 2^63), or renaming
 // registers within their files, must leave the cycle count and every
 // counter unchanged; clearing every Kernel flag may move only the
-// user/kernel instruction split. A model that special-cases address ranges,
+// user/kernel instruction split. It checks every machine of
+// identityMachines. A model that special-cases address ranges,
 // converts addresses to signed integers or keys a structure by register
 // number breaks one of them.
 func TestModelIdentities(t *testing.T) {
@@ -102,8 +131,8 @@ func TestModelIdentities(t *testing.T) {
 		return res
 	}
 	kernelMoved := false
-	for _, name := range portsim.ConfigNames() {
-		cfg, _ := portsim.ConfigByName(name)
+	for _, cfg := range identityMachines() {
+		name := cfg.Name
 		for _, w := range []string{"compress", "database", "mp3d"} {
 			base := run(cfg, w, func(*isa.Inst) {})
 			for _, rel := range relations {

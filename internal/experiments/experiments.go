@@ -3,7 +3,8 @@
 // one declares a plan, its grid of streams × machines, once: the plan
 // gives the cells it submits, which portbench counts and checks flags
 // against before anything runs, and its driver runs the plan and derives a
-// paper-style plain-text table plus typed rows for programmatic checks.
+// paper-style table from the results. The table's entries keep their
+// numbers, so checks read them back with stats.Table.Value.
 // cmd/portbench and the repository benchmark are thin wrappers over this
 // package.
 //
@@ -17,6 +18,7 @@ import (
 	"fmt"
 
 	"portsim/internal/config"
+	"portsim/internal/cpu"
 	"portsim/internal/stats"
 	"portsim/internal/workload"
 )
@@ -51,57 +53,114 @@ func T1Baseline() *stats.Table {
 	return t
 }
 
-// T2Row characterises one workload on the baseline machine.
-type T2Row struct {
-	Workload      string
-	LoadFrac      float64
-	StoreFrac     float64
-	BranchFrac    float64
-	KernelFrac    float64
-	L1DMissRate   float64
-	MispredictPct float64
-	BaselineIPC   float64
+// tabulate runs the plan and adds a row per stream to t: the stream's
+// label, then the entries derive computes from its results by machine. It
+// returns the results by [stream][machine] with the table.
+func (r *Runner) tabulate(p plan, t *stats.Table, labels []string, derive func(res []*cpu.Result) []stats.Entry) ([][]*cpu.Result, *stats.Table, error) {
+	g, err := r.runPlan(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, res := range g {
+		t.AddEntries([]string{labels[i]}, derive(res)...)
+	}
+	return g, t, nil
+}
+
+// ipcSweep is the table of each workload's IPC on every machine of the
+// plan, followed by the entries extra derives from those IPCs. With
+// geomean, a last row does the same for each machine's geomean IPC.
+func ipcSweep(r *Runner, p plan, t *stats.Table, geomean bool, extra func(ipc []float64) []stats.Entry) ([][]*cpu.Result, *stats.Table, error) {
+	row := func(ipc []float64) []stats.Entry {
+		es := make([]stats.Entry, len(ipc))
+		for j, v := range ipc {
+			es[j] = stats.Num(v)
+		}
+		if extra != nil {
+			es = append(es, extra(ipc)...)
+		}
+		return es
+	}
+	g, t, err := r.tabulate(p, t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		ipc := make([]float64, len(res))
+		for j, x := range res {
+			ipc[j] = x.IPC
+		}
+		return row(ipc)
+	})
+	if err != nil || !geomean {
+		return g, t, err
+	}
+	geo := make([]float64, len(p.machines))
+	for j := range geo {
+		geo[j] = geoMeanIPC(g, j)
+	}
+	t.AddEntries([]string{"geomean"}, row(geo)...)
+	return g, t, nil
+}
+
+// header is first followed by one column per value, named by format.
+func header(first, format string, values []int) []string {
+	h := []string{first}
+	for _, v := range values {
+		h = append(h, fmt.Sprintf(format, v))
+	}
+	return h
+}
+
+// ipcs are the results' IPCs as entries.
+func ipcs(res []*cpu.Result) []stats.Entry {
+	es := make([]stats.Entry, len(res))
+	for j, x := range res {
+		es[j] = stats.Num(x.IPC)
+	}
+	return es
+}
+
+// perInst is n as a fraction of the result's committed instructions.
+func perInst(res *cpu.Result, n uint64) float64 {
+	return stats.SafeRatio(float64(n), float64(res.Instructions))
+}
+
+// perKI is n per 1,000 of the result's committed instructions.
+func perKI(res *cpu.Result, n uint64) float64 {
+	return stats.SafeRatio(1000*float64(n), float64(res.Instructions))
+}
+
+// ofLoads is n as a fraction of the result's loads.
+func ofLoads(res *cpu.Result, n uint64) float64 {
+	return stats.SafeRatio(float64(n), float64(res.Loads))
+}
+
+// l1dMissRate is the fraction of L1D accesses that missed.
+func l1dMissRate(s *stats.Set) float64 {
+	misses := s.Get(stats.L1DMisses)
+	return stats.SafeRatio(float64(misses), float64(misses+s.Get(stats.L1DHits)))
+}
+
+// storesPerDrain is the program stores retired per store-buffer write to
+// the port.
+func storesPerDrain(s *stats.Set) float64 {
+	return stats.SafeRatio(float64(s.Get(stats.PortSBInserts)), float64(s.Get(stats.PortSBDrains)))
 }
 
 func t2Plan(s Spec) plan { return onWorkloads(s, config.Baseline()) }
 
 // T2Characterisation measures the workload properties the study depends on
 // (Table 2).
-func T2Characterisation(r *Runner) ([]T2Row, *stats.Table, error) {
+func T2Characterisation(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("T2: workload characterisation (baseline single-port machine)",
 		"workload", "loads", "stores", "branches", "kernel", "L1D miss", "mispred", "IPC")
-	g, err := r.runPlan(t2Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []T2Row
-	for i, w := range r.spec.Workloads {
-		res := g[i][0]
-		n := float64(res.Instructions)
-		s := res.Counters
-		row := T2Row{
-			Workload:      w,
-			LoadFrac:      stats.SafeRatio(float64(res.Loads), n),
-			StoreFrac:     stats.SafeRatio(float64(res.Stores), n),
-			BranchFrac:    stats.SafeRatio(float64(res.Branches), n),
-			KernelFrac:    stats.SafeRatio(float64(res.KernelInsts), n),
-			L1DMissRate:   stats.SafeRatio(float64(s.Get(stats.L1DMisses)), float64(s.Get(stats.L1DMisses)+s.Get(stats.L1DHits))),
-			MispredictPct: stats.SafeRatio(float64(res.Mispredicts), float64(res.Branches)),
-			BaselineIPC:   res.IPC,
+	return r.tabulate(t2Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		b := res[0]
+		return []stats.Entry{
+			stats.Pct(perInst(b, b.Loads)), stats.Pct(perInst(b, b.Stores)),
+			stats.Pct(perInst(b, b.Branches)), stats.Pct(perInst(b, b.KernelInsts)),
+			stats.Pct(l1dMissRate(b.Counters)),
+			stats.Pct(stats.SafeRatio(float64(b.Mispredicts), float64(b.Branches))),
+			stats.Num(b.IPC),
 		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Percent(row.LoadFrac), stats.Percent(row.StoreFrac),
-			stats.Percent(row.BranchFrac), stats.Percent(row.KernelFrac),
-			stats.Percent(row.L1DMissRate), stats.Percent(row.MispredictPct),
-			stats.Cell(row.BaselineIPC))
-	}
-	return rows, t, nil
-}
-
-// F1Row holds one workload's IPC across port counts.
-type F1Row struct {
-	Workload string
-	IPC      map[int]float64 // port count -> IPC
+	})
 }
 
 // f1Ports are the port counts F1 sweeps.
@@ -113,32 +172,19 @@ func f1Plan(s Spec) plan {
 
 // F1PortCount measures IPC against the number of ideal cache ports
 // (Figure 1): the motivation that a single port leaves performance behind.
-func F1PortCount(r *Runner) ([]F1Row, *stats.Table, error) {
-	t := stats.NewTable("F1: IPC vs number of cache ports",
-		"workload", "1 port", "2 ports", "4 ports", "1p/2p")
-	g, err := r.runPlan(f1Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []F1Row
-	for i, w := range r.spec.Workloads {
-		row := F1Row{Workload: w, IPC: map[int]float64{}}
-		for j, n := range f1Ports {
-			row.IPC[n] = g[i][j].IPC
+// Its columns are f1Ports' counts and the ratio of the first two.
+func F1PortCount(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	h := []string{"workload"}
+	for _, n := range f1Ports {
+		col := fmt.Sprintf("%d ports", n)
+		if n == 1 {
+			col = "1 port"
 		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.IPC[1]), stats.Cell(row.IPC[2]), stats.Cell(row.IPC[4]),
-			stats.Cell(stats.SafeRatio(row.IPC[1], row.IPC[2])))
+		h = append(h, col)
 	}
-	g1, g2, g4 := geoMeanIPC(g, 0), geoMeanIPC(g, 1), geoMeanIPC(g, 2)
-	t.AddRow("geomean", stats.Cell(g1), stats.Cell(g2), stats.Cell(g4), stats.Cell(stats.SafeRatio(g1, g2)))
-	return rows, t, nil
-}
-
-// F2Row holds the buffer-depth sweep for one workload.
-type F2Row struct {
-	Workload string
-	IPC      map[int]float64 // store-buffer depth -> IPC
+	h = append(h, fmt.Sprintf("%dp/%dp", f1Ports[0], f1Ports[1]))
+	return ipcSweep(r, f1Plan(r.spec), stats.NewTable("F1: IPC vs number of cache ports", h...), true,
+		func(ipc []float64) []stats.Entry { return []stats.Entry{stats.Num(stats.SafeRatio(ipc[0], ipc[1]))} })
 }
 
 // F2Depths are the store-buffer depths swept by F2.
@@ -151,48 +197,9 @@ func f2Plan(s Spec) plan {
 // F2BufferDepth sweeps the decoupling store-buffer depth on the single-port
 // machine (Figure 2): deeper buffering smooths store bursts away from the
 // port and then saturates.
-func F2BufferDepth(r *Runner) ([]F2Row, *stats.Table, error) {
-	return ipcSweep[F2Row](r, f2Plan(r.spec), F2Depths, "F2: single-port IPC vs store-buffer depth", "sb=%d", true)
-}
-
-// ipcSweep runs a sweep's plan, one machine per value, and derives a row
-// of IPCs per workload under columns named by format, plus a geomean row
-// when asked.
-func ipcSweep[R F2Row | F3Row](r *Runner, p plan, values []int, title, format string, geomean bool) ([]R, *stats.Table, error) {
-	header := []string{"workload"}
-	for _, v := range values {
-		header = append(header, fmt.Sprintf(format, v))
-	}
-	t := stats.NewTable(title, header...)
-	g, err := r.runPlan(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []R
-	for i, w := range r.spec.Workloads {
-		row := F2Row{Workload: w, IPC: map[int]float64{}}
-		rowCells := []string{w}
-		for j, v := range values {
-			row.IPC[v] = g[i][j].IPC
-			rowCells = append(rowCells, stats.Cell(g[i][j].IPC))
-		}
-		rows = append(rows, R(row))
-		t.AddRow(rowCells...)
-	}
-	if geomean {
-		rowCells := []string{"geomean"}
-		for j := range values {
-			rowCells = append(rowCells, stats.Cell(geoMeanIPC(g, j)))
-		}
-		t.AddRow(rowCells...)
-	}
-	return rows, t, nil
-}
-
-// F3Row holds the naive-wide-port sweep for one workload.
-type F3Row struct {
-	Workload string
-	IPC      map[int]float64 // port width -> IPC
+func F2BufferDepth(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	t := stats.NewTable("F2: single-port IPC vs store-buffer depth", header("workload", "sb=%d", F2Depths)...)
+	return ipcSweep(r, f2Plan(r.spec), t, true, nil)
 }
 
 // F3Widths are the port widths swept.
@@ -207,16 +214,10 @@ func f3Plan(s Spec) plan {
 // observation: width alone is wasted — scalar loads and stores cannot use
 // the extra bytes, so the techniques of F4/F5 are needed to convert width
 // into bandwidth.
-func F3PortWidth(r *Runner) ([]F3Row, *stats.Table, error) {
-	return ipcSweep[F3Row](r, f3Plan(r.spec), F3Widths,
-		"F3: single-port IPC vs naive port width (no load-all, no combining)", "%dB", false)
-}
-
-// F4Row holds the load-all sweep for one workload.
-type F4Row struct {
-	Workload string
-	IPC      map[int]float64 // line-buffer count -> IPC
-	HitRate  map[int]float64 // line-buffer count -> buffer hit rate
+func F3PortWidth(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	t := stats.NewTable("F3: single-port IPC vs naive port width (no load-all, no combining)",
+		header("workload", "%dB", F3Widths)...)
+	return ipcSweep(r, f3Plan(r.spec), t, false, nil)
 }
 
 // F4Buffers are the line-buffer counts swept.
@@ -231,37 +232,19 @@ func f4Plan(s Spec) plan {
 
 // F4LineBuffers enables the load-all policy on a single 32-byte port and
 // sweeps the number of line buffers (Figure 4).
-func F4LineBuffers(r *Runner) ([]F4Row, *stats.Table, error) {
-	header := []string{"workload"}
+func F4LineBuffers(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	h := []string{"workload"}
 	for _, n := range F4Buffers {
-		header = append(header, fmt.Sprintf("lb=%d", n), "hit")
+		h = append(h, fmt.Sprintf("lb=%d", n), "hit")
 	}
-	t := stats.NewTable("F4: load-all line buffers on a single 32B port (IPC and buffer hit rate)", header...)
-	g, err := r.runPlan(f4Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []F4Row
-	for i, w := range r.spec.Workloads {
-		row := F4Row{Workload: w, IPC: map[int]float64{}, HitRate: map[int]float64{}}
-		rowCells := []string{w}
-		for j, n := range F4Buffers {
-			res := g[i][j]
-			row.IPC[n] = res.IPC
-			row.HitRate[n] = stats.SafeRatio(float64(res.Counters.Get(stats.PortLoadsFromLineBuffer)), float64(res.Loads))
-			rowCells = append(rowCells, stats.Cell(res.IPC), stats.Percent(row.HitRate[n]))
+	t := stats.NewTable("F4: load-all line buffers on a single 32B port (IPC and buffer hit rate)", h...)
+	return r.tabulate(f4Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		var es []stats.Entry
+		for _, x := range res {
+			es = append(es, stats.Num(x.IPC), stats.Pct(ofLoads(x, x.Counters.Get(stats.PortLoadsFromLineBuffer))))
 		}
-		rows = append(rows, row)
-		t.AddRow(rowCells...)
-	}
-	return rows, t, nil
-}
-
-// F5Row holds the store-combining comparison for one workload.
-type F5Row struct {
-	Workload       string
-	IPCOff, IPCOn  map[int]float64 // depth -> IPC
-	StoresPerDrain map[int]float64 // depth -> program stores per port write (combining on)
+		return es
+	})
 }
 
 // F5Depths are the buffer depths compared with combining on and off.
@@ -283,36 +266,18 @@ func f5Plan(s Spec) plan {
 }
 
 // F5StoreCombining measures store combining on a single 32-byte port
-// (Figure 5): IPC and the number of program stores retired per port write.
-func F5StoreCombining(r *Runner) ([]F5Row, *stats.Table, error) {
-	t := stats.NewTable("F5: store combining on a single 32B port",
-		"workload", "off sb=8", "on sb=8", "off sb=16", "on sb=16", "stores/drain (on,16)")
-	p := f5Plan(r.spec)
-	g, err := r.runPlan(p)
-	if err != nil {
-		return nil, nil, err
+// (Figure 5): IPC with combining off and on at each depth, and the number
+// of program stores retired per port write at the deepest with combining.
+func F5StoreCombining(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	h := []string{"workload"}
+	for _, d := range F5Depths {
+		h = append(h, fmt.Sprintf("off sb=%d", d), fmt.Sprintf("on sb=%d", d))
 	}
-	var rows []F5Row
-	for i, w := range r.spec.Workloads {
-		row := F5Row{Workload: w, IPCOff: map[int]float64{}, IPCOn: map[int]float64{}, StoresPerDrain: map[int]float64{}}
-		for j, m := range p.machines {
-			res, d := g[i][j], m.Ports.StoreBufferEntries
-			if !m.Ports.StoreCombining {
-				row.IPCOff[d] = res.IPC
-				continue
-			}
-			row.IPCOn[d] = res.IPC
-			s := res.Counters
-			if drains := s.Get(stats.PortSBDrains); drains > 0 {
-				row.StoresPerDrain[d] = stats.SafeRatio(float64(s.Get(stats.PortSBInserts)), float64(drains))
-			}
-		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.IPCOff[8]), stats.Cell(row.IPCOn[8]),
-			stats.Cell(row.IPCOff[16]), stats.Cell(row.IPCOn[16]),
-			stats.Cell(row.StoresPerDrain[16]))
-	}
-	return rows, t, nil
+	h = append(h, fmt.Sprintf("stores/drain (on,%d)", F5Depths[len(F5Depths)-1]))
+	t := stats.NewTable("F5: store combining on a single 32B port", h...)
+	return r.tabulate(f5Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		return append(ipcs(res), stats.Num(storesPerDrain(res[len(res)-1].Counters)))
+	})
 }
 
 // F6Row is the headline comparison for one workload.
@@ -328,86 +293,45 @@ func f6Plan(s Spec) plan { return onWorkloads(s, headlineMachines()...) }
 
 // F6Headline reproduces the paper's headline result (Figure 6): the
 // technique-equipped single-ported cache against the dual-ported reference.
-// The paper reports 91%; EXPERIMENTS.md records the measured ratio.
+// The paper reports 91%; EXPERIMENTS.md records the measured ratio. Its
+// rows are read back from its table.
 func F6Headline(r *Runner) ([]F6Row, *stats.Table, error) {
 	t := stats.NewTable("F6: headline — single port + techniques vs dual port",
 		"workload", "single", "best-single", "dual", "single/dual", "best/dual")
-	g, err := r.runPlan(f6Plan(r.spec))
+	_, t, err := ipcSweep(r, f6Plan(r.spec), t, true, func(ipc []float64) []stats.Entry {
+		return []stats.Entry{stats.Pct(stats.SafeRatio(ipc[0], ipc[2])), stats.Pct(stats.SafeRatio(ipc[1], ipc[2]))}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows []F6Row
+	rows := make([]F6Row, len(r.spec.Workloads))
 	for i, w := range r.spec.Workloads {
-		s, b, d := g[i][0], g[i][1], g[i][2]
-		row := F6Row{Workload: w, SingleIPC: s.IPC, BestIPC: b.IPC, DualIPC: d.IPC,
-			BestOfDual: stats.SafeRatio(b.IPC, d.IPC)}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(s.IPC), stats.Cell(b.IPC), stats.Cell(d.IPC),
-			stats.Percent(stats.SafeRatio(s.IPC, d.IPC)), stats.Percent(row.BestOfDual))
+		v := func(col string) float64 { x, _ := t.Value(col, w); return x }
+		rows[i] = F6Row{Workload: w, SingleIPC: v("single"), BestIPC: v("best-single"), DualIPC: v("dual"), BestOfDual: v("best/dual")}
 	}
-	gs, gb, gd := geoMeanIPC(g, 0), geoMeanIPC(g, 1), geoMeanIPC(g, 2)
-	t.AddRow("geomean", stats.Cell(gs), stats.Cell(gb), stats.Cell(gd),
-		stats.Percent(stats.SafeRatio(gs, gd)), stats.Percent(stats.SafeRatio(gb, gd)))
 	return rows, t, nil
-}
-
-// T3Row is the port-utilisation accounting for one workload on the
-// best-single machine.
-type T3Row struct {
-	Workload        string
-	LoadsFromCache  float64
-	LoadsFromLB     float64
-	LoadsFromSB     float64
-	StoresPerDrain  float64
-	PortUtilisation float64
-	RefillShare     float64 // fraction of port grants consumed by refills
 }
 
 func t3Plan(s Spec) plan { return onWorkloads(s, config.BestSingle()) }
 
 // T3PortUtilisation accounts for where the best-single machine's loads come
-// from and what occupies its one port (Table 3).
-func T3PortUtilisation(r *Runner) ([]T3Row, *stats.Table, error) {
+// from and what occupies its one port (Table 3): the refill share is the
+// fraction of port grants consumed by refills.
+func T3PortUtilisation(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("T3: best-single port accounting",
 		"workload", "loads cache", "loads line-buf", "loads store-buf", "stores/drain", "port util", "refill share")
-	g, err := r.runPlan(t3Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []T3Row
-	for i, w := range r.spec.Workloads {
-		res := g[i][0]
-		s := res.Counters
-		loads := float64(res.Loads)
+	return r.tabulate(t3Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		b, s := res[0], res[0].Counters
 		grants := float64(s.Get(stats.PortGrants))
-		row := T3Row{
-			Workload:        w,
-			LoadsFromCache:  stats.SafeRatio(float64(s.Get(stats.PortLoadsFromCache)), loads),
-			LoadsFromLB:     stats.SafeRatio(float64(s.Get(stats.PortLoadsFromLineBuffer)), loads),
-			LoadsFromSB:     stats.SafeRatio(float64(s.Get(stats.PortLoadsFromStoreBuffer)), loads),
-			PortUtilisation: stats.SafeRatio(grants, float64(s.Get(stats.PortCycles))),
-			RefillShare:     stats.SafeRatio(float64(s.Get(stats.PortRefillCycles)), grants),
+		return []stats.Entry{
+			stats.Pct(ofLoads(b, s.Get(stats.PortLoadsFromCache))),
+			stats.Pct(ofLoads(b, s.Get(stats.PortLoadsFromLineBuffer))),
+			stats.Pct(ofLoads(b, s.Get(stats.PortLoadsFromStoreBuffer))),
+			stats.Num(storesPerDrain(s)),
+			stats.Pct(stats.SafeRatio(grants, float64(s.Get(stats.PortCycles)))),
+			stats.Pct(stats.SafeRatio(float64(s.Get(stats.PortRefillCycles)), grants)),
 		}
-		if drains := s.Get(stats.PortSBDrains); drains > 0 {
-			row.StoresPerDrain = stats.SafeRatio(float64(s.Get(stats.PortSBInserts)), float64(drains))
-		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Percent(row.LoadsFromCache), stats.Percent(row.LoadsFromLB),
-			stats.Percent(row.LoadsFromSB), stats.Cell(row.StoresPerDrain),
-			stats.Percent(row.PortUtilisation), stats.Percent(row.RefillShare))
-	}
-	return rows, t, nil
-}
-
-// F7Row holds one kernel-intensity point.
-type F7Row struct {
-	Label         string
-	KernelFrac    float64
-	SingleIPC     float64
-	BestIPC       float64
-	DualIPC       float64
-	TechniqueGain float64 // BestIPC / SingleIPC
-	GapRecovered  float64 // (Best-Single)/(Dual-Single)
+	})
 }
 
 // f7Points are F7's kernel intensities of the database workload.
@@ -438,51 +362,36 @@ func f7Plan(Spec) plan {
 }
 
 // F7KernelIntensity varies the OS intensity of the database workload and
-// measures how much the techniques recover at each level (Figure 7). The
-// expected shape: kernel episodes disrupt spatial locality and thrash the
-// line buffers, so the techniques help least at the highest OS intensity.
-func F7KernelIntensity(r *Runner) ([]F7Row, *stats.Table, error) {
+// measures how much the techniques recover at each level (Figure 7): the
+// technique gain is best/single, and the gap recovered is
+// (best-single)/(dual-single). The expected shape: kernel episodes disrupt
+// spatial locality and thrash the line buffers, so the techniques help
+// least at the highest OS intensity.
+func F7KernelIntensity(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("F7: technique gain vs kernel intensity (database workload)",
 		"intensity", "kernel frac", "single", "best-single", "dual", "best/single", "gap recovered")
-	g, err := r.runPlan(f7Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []F7Row
+	labels := make([]string, len(f7Points))
 	for i, pt := range f7Points {
-		single, best, dual := g[i][0], g[i][1], g[i][2]
-		row := F7Row{
-			Label:         pt.label,
-			KernelFrac:    stats.SafeRatio(float64(single.KernelInsts), float64(single.Instructions)),
-			SingleIPC:     single.IPC,
-			BestIPC:       best.IPC,
-			DualIPC:       dual.IPC,
-			TechniqueGain: stats.SafeRatio(best.IPC, single.IPC),
-		}
-		if gap := dual.IPC - single.IPC; gap > 0 {
-			row.GapRecovered = (best.IPC - single.IPC) / gap
-		}
-		rows = append(rows, row)
-		t.AddRow(pt.label, stats.Percent(row.KernelFrac), stats.Cell(row.SingleIPC),
-			stats.Cell(row.BestIPC), stats.Cell(row.DualIPC), stats.Cell(row.TechniqueGain),
-			stats.Percent(row.GapRecovered))
+		labels[i] = pt.label
 	}
-	return rows, t, nil
-}
-
-// A1Row is one ablation configuration's geomean IPC.
-type A1Row struct {
-	Label   string
-	Geomean float64
-	OfDual  float64
+	return r.tabulate(f7Plan(r.spec), t, labels, func(res []*cpu.Result) []stats.Entry {
+		single, best, dual := res[0], res[1], res[2]
+		recovered := 0.0
+		if gap := dual.IPC - single.IPC; gap > 0 {
+			recovered = (best.IPC - single.IPC) / gap
+		}
+		return []stats.Entry{stats.Pct(perInst(single, single.KernelInsts)),
+			stats.Num(single.IPC), stats.Num(best.IPC), stats.Num(dual.IPC),
+			stats.Num(stats.SafeRatio(best.IPC, single.IPC)), stats.Pct(recovered)}
+	})
 }
 
 // A1Ablation isolates each technique on the single-port machine (the
 // design-choice ablation DESIGN.md calls out): deep buffering alone,
 // combining alone, load-all alone, and all combined, against the plain
 // single port and the dual-ported reference.
-func A1Ablation(r *Runner) ([]A1Row, *stats.Table, error) {
-	return ablationTable[A1Row](r, "A1: technique ablation (geomean IPC over all workloads)", a1Configs())
+func A1Ablation(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	return ablationTable(r, "A1: technique ablation (geomean IPC over all workloads)", a1Configs())
 }
 
 // ablation is one row of A1 or A2: a machine and its label.
@@ -536,28 +445,18 @@ func dualLed(s Spec, configs []ablation) plan {
 
 // ablationTable runs an ablation's plan and derives each row's geomean IPC
 // and its ratio to the leading dual-port column.
-func ablationTable[R A1Row | A2Row](r *Runner, title string, configs []ablation) ([]R, *stats.Table, error) {
+func ablationTable(r *Runner, title string, configs []ablation) ([][]*cpu.Result, *stats.Table, error) {
 	g, err := r.runPlan(dualLed(r.spec, configs))
 	if err != nil {
 		return nil, nil, err
 	}
 	dualGeo := geoMeanIPC(g, 0)
 	t := stats.NewTable(title, "configuration", "geomean IPC", "of dual")
-	var rows []R
 	for j, cfg := range configs {
-		row := A1Row{Label: cfg.label, Geomean: geoMeanIPC(g, j+1)}
-		row.OfDual = stats.SafeRatio(row.Geomean, dualGeo)
-		rows = append(rows, R(row))
-		t.AddRow(cfg.label, stats.Cell(row.Geomean), stats.Percent(row.OfDual))
+		geo := geoMeanIPC(g, j+1)
+		t.AddEntries([]string{cfg.label}, stats.Num(geo), stats.Pct(stats.SafeRatio(geo, dualGeo)))
 	}
-	return rows, t, nil
-}
-
-// A2Row is one configuration of the banking comparison.
-type A2Row struct {
-	Label   string
-	Geomean float64
-	OfDual  float64
+	return g, t, nil
 }
 
 // A2Banking compares line-interleaved banking — the classic cheap
@@ -566,8 +465,8 @@ type A2Row struct {
 // shape: banking recovers much of the dual-port gap because most concurrent
 // accesses hit distinct lines, but same-line bursts (exactly the spatial
 // locality load-all exploits) still conflict.
-func A2Banking(r *Runner) ([]A2Row, *stats.Table, error) {
-	return ablationTable[A2Row](r, "A2: banking vs multi-porting vs the paper's techniques (geomean IPC)", a2Configs())
+func A2Banking(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
+	return ablationTable(r, "A2: banking vs multi-porting vs the paper's techniques (geomean IPC)", a2Configs())
 }
 
 // a2Configs are A2's rows: banked caches between the single and dual ports.
@@ -584,39 +483,18 @@ func a2Configs() []ablation {
 
 func a2Plan(s Spec) plan { return dualLed(s, a2Configs()) }
 
-// A3Row is one prefetch configuration's result for one workload.
-type A3Row struct {
-	Workload  string
-	BaseIPC   float64 // single port, no prefetch
-	PfIPC     float64 // single port, next-line prefetch
-	BestPfIPC float64 // best-single plus prefetch
-	Accuracy  float64 // useful prefetches / prefetches issued (single port)
-}
-
 // A3Prefetch measures next-line prefetching on the single-ported machine
 // (extension experiment): prefetch probes ride in idle port slots, so the
 // benefit of prefetching is itself gated by port bandwidth — streaming
-// workloads gain, pointer-chasing ones see mostly wasted fills.
-func A3Prefetch(r *Runner) ([]A3Row, *stats.Table, error) {
+// workloads gain, pointer-chasing ones see mostly wasted fills. Accuracy
+// is the single port's useful prefetches per prefetch issued.
+func A3Prefetch(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("A3: next-line prefetching through idle port slots",
 		"workload", "single", "single+pf", "best+pf", "pf accuracy")
-	g, err := r.runPlan(a3Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []A3Row
-	for i, w := range r.spec.Workloads {
-		base, withPf, best := g[i][0], g[i][1], g[i][2]
-		s := withPf.Counters
-		row := A3Row{Workload: w, BaseIPC: base.IPC, PfIPC: withPf.IPC, BestPfIPC: best.IPC}
-		if issued := s.Get(stats.PortPrefetches); issued > 0 {
-			row.Accuracy = stats.SafeRatio(float64(s.Get(stats.PortUsefulPrefetches)), float64(issued))
-		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.BaseIPC), stats.Cell(row.PfIPC), stats.Cell(row.BestPfIPC),
-			stats.Percent(row.Accuracy))
-	}
-	return rows, t, nil
+	return r.tabulate(a3Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		s := res[1].Counters
+		return append(ipcs(res), stats.Pct(stats.SafeRatio(float64(s.Get(stats.PortUsefulPrefetches)), float64(s.Get(stats.PortPrefetches)))))
+	})
 }
 
 func a3Plan(s Spec) plan {
@@ -632,14 +510,6 @@ func a3Plan(s Spec) plan {
 	return onWorkloads(s, config.Baseline(), pf, bestPf)
 }
 
-// A4Row is the disambiguation comparison for one workload.
-type A4Row struct {
-	Workload        string
-	Conservative    float64 // IPC with R10000-style conservative disambiguation
-	Speculative     float64 // IPC with memory-dependence speculation
-	ViolationsPerKI float64
-}
-
 func a4Plan(s Spec) plan {
 	spec := config.Baseline()
 	spec.Name = "mem-speculation"
@@ -652,37 +522,14 @@ func a4Plan(s Spec) plan {
 // wait for every older store address) against memory-dependence speculation
 // (loads issue past unknown stores and squash on a real conflict) on the
 // single-ported baseline (extension experiment).
-func A4MemSpeculation(r *Runner) ([]A4Row, *stats.Table, error) {
+func A4MemSpeculation(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("A4: conservative vs speculative memory disambiguation (single port)",
 		"workload", "conservative", "speculative", "speedup", "violations/kI")
-	g, err := r.runPlan(a4Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []A4Row
-	for i, w := range r.spec.Workloads {
-		cons, sp := g[i][0], g[i][1]
-		row := A4Row{
-			Workload:        w,
-			Conservative:    cons.IPC,
-			Speculative:     sp.IPC,
-			ViolationsPerKI: stats.SafeRatio(1000*float64(sp.Counters.Get(stats.LSQViolations)), float64(sp.Instructions)),
-		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.Conservative), stats.Cell(row.Speculative),
-			stats.Cell(stats.SafeRatio(row.Speculative, row.Conservative)), stats.Cell(row.ViolationsPerKI))
-	}
-	return rows, t, nil
-}
-
-// A5Row compares write policies for one workload.
-type A5Row struct {
-	Workload    string
-	WBPlain     float64 // write-back, no combining (the baseline policy)
-	WTPlain     float64 // write-through, no combining
-	WTCombining float64 // write-through with the combining buffer
-	WTDRAMPerKI float64 // DRAM accesses per 1000 instructions, WT plain
-	WBDRAMPerKI float64
+	return r.tabulate(a4Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		cons, sp := res[0], res[1]
+		return append(ipcs(res), stats.Num(stats.SafeRatio(sp.IPC, cons.IPC)),
+			stats.Num(perKI(sp, sp.Counters.Get(stats.LSQViolations))))
+	})
 }
 
 func a5Plan(s Spec) plan {
@@ -705,39 +552,14 @@ func a5Plan(s Spec) plan {
 // buffers were historically indispensable — so the expected shape is:
 // write-back >= write-through, with combining recovering part of the
 // write-through loss.
-func A5WritePolicy(r *Runner) ([]A5Row, *stats.Table, error) {
+func A5WritePolicy(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("A5: write-back vs write-through/no-allocate (single port)",
 		"workload", "write-back", "write-through", "WT+combining", "WB dram/kI", "WT dram/kI")
-	g, err := r.runPlan(a5Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []A5Row
-	for i, w := range r.spec.Workloads {
-		wb, plain, comb := g[i][0], g[i][1], g[i][2]
-		row := A5Row{
-			Workload:    w,
-			WBPlain:     wb.IPC,
-			WTPlain:     plain.IPC,
-			WTCombining: comb.IPC,
-			WBDRAMPerKI: stats.SafeRatio(1000*float64(wb.Counters.Get(stats.DRAMAccesses)), float64(wb.Instructions)),
-			WTDRAMPerKI: stats.SafeRatio(1000*float64(plain.Counters.Get(stats.DRAMAccesses)), float64(plain.Instructions)),
-		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.WBPlain), stats.Cell(row.WTPlain), stats.Cell(row.WTCombining),
-			stats.Cell(row.WBDRAMPerKI), stats.Cell(row.WTDRAMPerKI))
-	}
-	return rows, t, nil
-}
-
-// A6Row is one multiprogramming level's result.
-type A6Row struct {
-	Processes  int
-	SingleIPC  float64
-	BestIPC    float64
-	DualIPC    float64
-	L1DMiss    float64 // single-port L1D miss rate
-	DTLBMissKI float64 // single-port DTLB misses per 1000 instructions
+	return r.tabulate(a5Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		wb, wt := res[0], res[1]
+		return append(ipcs(res), stats.Num(perKI(wb, wb.Counters.Get(stats.DRAMAccesses))),
+			stats.Num(perKI(wt, wt.Counters.Get(stats.DRAMAccesses))))
+	})
 }
 
 // a6Levels are the compress multiprogramming levels A6 sweeps, switching
@@ -760,38 +582,20 @@ func a6Plan(Spec) plan {
 // address spaces cold-start the caches and TLBs, shifting the machine from
 // a port-bound to a miss-bound regime and shrinking what the port
 // techniques can recover — the same direction as F7's kernel-intensity
-// result, by a different mechanism.
-func A6Multiprogramming(r *Runner) ([]A6Row, *stats.Table, error) {
+// result, by a different mechanism. Its miss columns are the single
+// port's.
+func A6Multiprogramming(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("A6: multiprogramming level (compress, 5k-instruction quanta)",
 		"processes", "single", "best-single", "dual", "L1D miss", "dtlb miss/kI")
-	g, err := r.runPlan(a6Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []A6Row
+	labels := make([]string, len(a6Levels))
 	for i, n := range a6Levels {
-		single, best, dual := g[i][0], g[i][1], g[i][2]
-		s := single.Counters
-		row := A6Row{
-			Processes:  n,
-			SingleIPC:  single.IPC,
-			BestIPC:    best.IPC,
-			DualIPC:    dual.IPC,
-			L1DMiss:    stats.SafeRatio(float64(s.Get(stats.L1DMisses)), float64(s.Get(stats.L1DMisses)+s.Get(stats.L1DHits))),
-			DTLBMissKI: stats.SafeRatio(1000*float64(s.Get(stats.DTLBMisses)), float64(single.Instructions)),
-		}
-		rows = append(rows, row)
-		t.AddRow(fmt.Sprint(n), stats.Cell(row.SingleIPC), stats.Cell(row.BestIPC),
-			stats.Cell(row.DualIPC), stats.Percent(row.L1DMiss), stats.Cell(row.DTLBMissKI))
+		labels[i] = fmt.Sprint(n)
 	}
-	return rows, t, nil
-}
-
-// A7Row compares arbitration policies for one workload.
-type A7Row struct {
-	Workload    string
-	LoadsFirst  float64
-	StoresFirst float64
+	return r.tabulate(a6Plan(r.spec), t, labels, func(res []*cpu.Result) []stats.Entry {
+		single := res[0]
+		return append(ipcs(res), stats.Pct(l1dMissRate(single.Counters)),
+			stats.Num(perKI(single, single.Counters.Get(stats.DTLBMisses))))
+	})
 }
 
 func a7Plan(s Spec) plan {
@@ -805,30 +609,12 @@ func a7Plan(s Spec) plan {
 // choice) against store-priority on the single-ported machine (extension
 // experiment). Loads sit on the critical dependence path while committed
 // stores are already architecturally done, so loads-first should win.
-func A7ArbitrationPolicy(r *Runner) ([]A7Row, *stats.Table, error) {
+func A7ArbitrationPolicy(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("A7: port arbitration — loads-first vs stores-first (single port)",
 		"workload", "loads-first", "stores-first", "ratio")
-	g, err := r.runPlan(a7Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []A7Row
-	for i, w := range r.spec.Workloads {
-		lf, s := g[i][0], g[i][1]
-		row := A7Row{Workload: w, LoadsFirst: lf.IPC, StoresFirst: s.IPC}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.LoadsFirst), stats.Cell(row.StoresFirst),
-			stats.Cell(stats.SafeRatio(row.StoresFirst, row.LoadsFirst)))
-	}
-	return rows, t, nil
-}
-
-// T4Row is the per-cycle grant distribution of one machine on one workload.
-type T4Row struct {
-	Machine  string
-	Workload string
-	// Frac[k] is the fraction of cycles with exactly k port grants.
-	Frac []float64
+	return r.tabulate(a7Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		return append(ipcs(res), stats.Num(stats.SafeRatio(res[1].IPC, res[0].IPC)))
+	})
 }
 
 func t4Plan(s Spec) plan {
@@ -841,47 +627,27 @@ func t4Plan(s Spec) plan {
 // the single-, best- and dual-ported machines (Table 4): the burstiness
 // that makes the second port valuable is visible as the mass at the maximum
 // grant count.
-func T4GrantDistribution(r *Runner) ([]T4Row, *stats.Table, error) {
+func T4GrantDistribution(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("T4: per-cycle port-grant distribution",
 		"machine", "workload", "0 grants", "1 grant", "2 grants")
 	p := t4Plan(r.spec)
-	res, err := r.runPlan(p)
+	g, err := r.runPlan(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows []T4Row
 	for j, m := range p.machines {
-		maxG := m.Ports.Count
 		for i, w := range r.spec.Workloads {
-			s := res[i][j].Counters
+			s := g[i][j].Counters
 			cycles := float64(s.Get(stats.PortCycles))
-			row := T4Row{Machine: m.Name, Workload: w}
-			rowCells := []string{m.Name, w}
-			for g := 0; g <= 2; g++ {
-				frac := 0.0
-				if g <= maxG {
-					frac = stats.SafeRatio(float64(s.Get(stats.GrantBucket(g))), cycles)
-				}
-				row.Frac = append(row.Frac, frac)
-				if g <= maxG {
-					rowCells = append(rowCells, stats.Percent(frac))
-				} else {
-					rowCells = append(rowCells, "-")
-				}
+			// Grant counts above the machine's port count stay absent.
+			es := make([]stats.Entry, 3)
+			for k := 0; k <= min(m.Ports.Count, 2); k++ {
+				es[k] = stats.Pct(stats.SafeRatio(float64(s.Get(stats.GrantBucket(k))), cycles))
 			}
-			rows = append(rows, row)
-			t.AddRow(rowCells...)
+			t.AddEntries([]string{m.Name, w}, es...)
 		}
 	}
-	return rows, t, nil
-}
-
-// A8Row compares idealised vs wrong-path-polluting fetch for one workload.
-type A8Row struct {
-	Workload      string
-	IdealIPC      float64
-	PollutedIPC   float64
-	ExtraL1IPerKI float64 // additional L1I misses per 1000 instructions
+	return g, t, nil
 }
 
 func a8Plan(s Spec) plan {
@@ -897,27 +663,14 @@ func a8Plan(s Spec) plan {
 // pollution costs misses, but wrong and correct paths often reconverge, so
 // the wrong-path lines act as accidental instruction prefetch; the net IPC
 // effect is small while the extra cache traffic is real.
-func A8WrongPathFetch(r *Runner) ([]A8Row, *stats.Table, error) {
+func A8WrongPathFetch(r *Runner) ([][]*cpu.Result, *stats.Table, error) {
 	t := stats.NewTable("A8: idealised vs wrong-path-polluting fetch (single port)",
 		"workload", "idealised", "wrong-path", "ratio", "extra L1I miss/kI")
-	g, err := r.runPlan(a8Plan(r.spec))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []A8Row
-	for i, w := range r.spec.Workloads {
-		ideal, pol := g[i][0], g[i][1]
-		row := A8Row{
-			Workload:    w,
-			IdealIPC:    ideal.IPC,
-			PollutedIPC: pol.IPC,
-			ExtraL1IPerKI: stats.SafeRatio(
-				1000*(float64(pol.Counters.Get(stats.L1IMisses))-float64(ideal.Counters.Get(stats.L1IMisses))),
-				float64(pol.Instructions)),
-		}
-		rows = append(rows, row)
-		t.AddRow(w, stats.Cell(row.IdealIPC), stats.Cell(row.PollutedIPC),
-			stats.Cell(stats.SafeRatio(row.PollutedIPC, row.IdealIPC)), stats.Cell(row.ExtraL1IPerKI))
-	}
-	return rows, t, nil
+	return r.tabulate(a8Plan(r.spec), t, r.spec.Workloads, func(res []*cpu.Result) []stats.Entry {
+		ideal, pol := res[0], res[1]
+		extra := stats.SafeRatio(
+			1000*(float64(pol.Counters.Get(stats.L1IMisses))-float64(ideal.Counters.Get(stats.L1IMisses))),
+			float64(pol.Instructions))
+		return append(ipcs(res), stats.Num(stats.SafeRatio(pol.IPC, ideal.IPC)), stats.Num(extra))
+	})
 }

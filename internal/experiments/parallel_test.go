@@ -10,6 +10,7 @@ import (
 
 	"portsim/internal/config"
 	"portsim/internal/cpu"
+	"portsim/internal/stats"
 )
 
 // equivSpec is small enough to run the comparison grid three times over.
@@ -22,14 +23,10 @@ func equivSpec(parallel int) Spec {
 
 // suiteSnapshot runs a representative slice of the suite — memoised cells
 // (T2, F1, F6), profile cells (F7) and stream cells (A6) — and captures both
-// the rendered text and the typed rows.
+// the rendered text and each experiment's results (F6: its rows).
 type suiteSnapshot struct {
-	text string
-	t2   []T2Row
-	f1   []F1Row
-	f6   []F6Row
-	f7   []F7Row
-	a6   []A6Row
+	text    string
+	results []any
 }
 
 func snapshotSuite(t *testing.T, parallel int) suiteSnapshot {
@@ -37,35 +34,31 @@ func snapshotSuite(t *testing.T, parallel int) suiteSnapshot {
 	r := NewRunner(equivSpec(parallel))
 	var b strings.Builder
 	snap := suiteSnapshot{}
-	var err error
-	var table interface{ String() string }
-	if snap.t2, table, err = T2Characterisation(r); err != nil {
-		t.Fatalf("parallel=%d T2: %v", parallel, err)
+	record := func(id string, results any, table *stats.Table, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("parallel=%d %s: %v", parallel, id, err)
+		}
+		b.WriteString(table.String())
+		snap.results = append(snap.results, results)
 	}
-	b.WriteString(table.String())
-	if snap.f1, table, err = F1PortCount(r); err != nil {
-		t.Fatalf("parallel=%d F1: %v", parallel, err)
-	}
-	b.WriteString(table.String())
-	if snap.f6, table, err = F6Headline(r); err != nil {
-		t.Fatalf("parallel=%d F6: %v", parallel, err)
-	}
-	b.WriteString(table.String())
-	if snap.f7, table, err = F7KernelIntensity(r); err != nil {
-		t.Fatalf("parallel=%d F7: %v", parallel, err)
-	}
-	b.WriteString(table.String())
-	if snap.a6, table, err = A6Multiprogramming(r); err != nil {
-		t.Fatalf("parallel=%d A6: %v", parallel, err)
-	}
-	b.WriteString(table.String())
+	g, table, err := T2Characterisation(r)
+	record("T2", g, table, err)
+	g, table, err = F1PortCount(r)
+	record("F1", g, table, err)
+	rows, table, err := F6Headline(r)
+	record("F6", rows, table, err)
+	g, table, err = F7KernelIntensity(r)
+	record("F7", g, table, err)
+	g, table, err = A6Multiprogramming(r)
+	record("A6", g, table, err)
 	snap.text = b.String()
 	return snap
 }
 
 // TestSerialParallelEquivalence is the determinism guarantee: the rendered
-// tables and the typed rows must be byte- and bit-identical whether cells
-// run one at a time or eight at a time.
+// tables and the results they derive from must be byte- and bit-identical
+// whether cells run one at a time or eight at a time.
 func TestSerialParallelEquivalence(t *testing.T) {
 	serial := snapshotSuite(t, 1)
 	for _, p := range []int{4, 8} {
@@ -74,20 +67,10 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			t.Errorf("parallel=%d table text diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				p, serial.text, par.text)
 		}
-		if !reflect.DeepEqual(par.t2, serial.t2) {
-			t.Errorf("parallel=%d T2 rows diverged", p)
-		}
-		if !reflect.DeepEqual(par.f1, serial.f1) {
-			t.Errorf("parallel=%d F1 rows diverged", p)
-		}
-		if !reflect.DeepEqual(par.f6, serial.f6) {
-			t.Errorf("parallel=%d F6 rows diverged", p)
-		}
-		if !reflect.DeepEqual(par.f7, serial.f7) {
-			t.Errorf("parallel=%d F7 rows diverged", p)
-		}
-		if !reflect.DeepEqual(par.a6, serial.a6) {
-			t.Errorf("parallel=%d A6 rows diverged", p)
+		for i, id := range []string{"T2", "F1", "F6", "F7", "A6"} {
+			if !reflect.DeepEqual(par.results[i], serial.results[i]) {
+				t.Errorf("parallel=%d %s results diverged", p, id)
+			}
 		}
 	}
 }

@@ -142,7 +142,9 @@ func Suite() []Experiment {
 	}
 }
 
-// tableOf adapts a driver, which also returns its typed rows, to Run.
+// tableOf adapts an experiment's function to Run. The function also
+// returns the results its table derives from, by [stream][machine], or
+// for F6 its rows.
 func tableOf[R any](driver func(*Runner) (R, *stats.Table, error)) func(*Runner) (*stats.Table, error) {
 	return func(r *Runner) (*stats.Table, error) {
 		_, t, err := driver(r)

@@ -164,9 +164,10 @@ type Runner struct {
 	poolHits atomic.Uint64
 	poolMiss atomic.Uint64
 
-	// simCycles and simInsts accumulate over actual simulations only —
-	// memoised cache hits are excluded — so host-throughput reports
-	// (cmd/portbench) divide real simulated work by real wall time.
+	// simCycles and simInsts accumulate over the cells simulated to
+	// completion — memo hits, store hits and failed cells are excluded —
+	// so host-throughput reports (cmd/portbench) divide real simulated
+	// work by real wall time.
 	simCycles atomic.Uint64
 	simInsts  atomic.Uint64
 
@@ -306,12 +307,14 @@ func (r *Runner) emitCell(c *cellReq, ev CellEvent) {
 	r.observer(ev)
 }
 
-// SimulatedCycles returns the total simulated cycles across every
-// non-memoised run this runner has executed.
+// SimulatedCycles returns the total simulated cycles across the cells this
+// runner simulated to completion: memo hits, store hits and failed cells
+// are left out.
 func (r *Runner) SimulatedCycles() uint64 { return r.simCycles.Load() }
 
 // SimulatedInstructions returns the total committed instructions across
-// every non-memoised run this runner has executed.
+// the cells this runner simulated to completion: memo hits, store hits and
+// failed cells are left out.
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInsts.Load() }
 
 // streamSpec names a cell's instruction stream: a profile run alone or,

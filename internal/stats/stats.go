@@ -105,11 +105,57 @@ func GeoMean(xs []float64) float64 {
 }
 
 // Table accumulates rows and renders an aligned plain-text table, the output
-// format for every reproduced figure and table.
+// format for every reproduced figure and table. A row is its label cells
+// followed by numeric entries, which keep their numbers for Value.
 type Table struct {
 	title  string
 	header []string
-	rows   [][]string
+	rows   []row
+}
+
+// row is a table row: its label cells, then its entries. A row added
+// with AddRow or AddRowf holds all its cells as labels.
+type row struct {
+	labels  []string
+	entries []Entry
+}
+
+// cells renders the row's cells.
+func (r row) cells() []string {
+	if len(r.entries) == 0 {
+		return r.labels
+	}
+	cells := make([]string, 0, len(r.labels)+len(r.entries))
+	cells = append(cells, r.labels...)
+	for _, e := range r.entries {
+		cells = append(cells, e.String())
+	}
+	return cells
+}
+
+// Entry is one numeric cell of a table: a number and how it renders. The
+// zero Entry is absent: it renders "-" and holds no number.
+type Entry struct {
+	v       float64
+	pct, ok bool
+}
+
+// Num is an entry that renders its number like Cell.
+func Num(v float64) Entry { return Entry{v: v, ok: true} }
+
+// Pct is an entry that renders its fraction like Percent.
+func Pct(v float64) Entry { return Entry{v: v, pct: true, ok: true} }
+
+// String renders the entry.
+func (e Entry) String() string {
+	switch {
+	case !e.ok:
+		return "-"
+	case e.pct:
+		return Percent(e.v)
+	default:
+		return Cell(e.v)
+	}
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -120,16 +166,41 @@ func NewTable(title string, header ...string) *Table {
 // AddRow appends a row of pre-formatted cells. Short rows are padded with
 // empty cells; long rows extend the column count.
 func (t *Table) AddRow(cells ...string) {
-	t.rows = append(t.rows, cells)
+	t.rows = append(t.rows, row{labels: cells})
 }
 
 // AddRowf appends a row, formatting each cell with Cell.
 func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
+	r := make([]string, len(cells))
 	for i, c := range cells {
-		row[i] = Cell(c)
+		r[i] = Cell(c)
 	}
-	t.rows = append(t.rows, row)
+	t.AddRow(r...)
+}
+
+// AddEntries appends a row of label cells followed by numeric entries.
+func (t *Table) AddEntries(labels []string, entries ...Entry) {
+	t.rows = append(t.rows, row{labels: labels, entries: entries})
+}
+
+// Value returns the unrounded number of the entry in column col of the
+// row whose label cells are labels. It reports false for an unknown row,
+// a column the header does not name exactly once, and an absent entry.
+func (t *Table) Value(col string, labels ...string) (float64, bool) {
+	c := slices.Index(t.header, col)
+	if c < 0 || slices.Index(t.header[c+1:], col) >= 0 {
+		return 0, false
+	}
+	for _, r := range t.rows {
+		if !slices.Equal(r.labels, labels) {
+			continue
+		}
+		if i := c - len(labels); i >= 0 && i < len(r.entries) && r.entries[i].ok {
+			return r.entries[i].v, true
+		}
+		return 0, false
+	}
+	return 0, false
 }
 
 // Cell formats a single value for table output: floats with three decimals,
@@ -173,18 +244,18 @@ func (t *Table) CSV() string {
 		writeRow(t.header)
 	}
 	for _, r := range t.rows {
-		writeRow(r)
+		writeRow(r.cells())
 	}
 	return b.String()
 }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
+	rows := make([][]string, len(t.rows))
 	cols := len(t.header)
-	for _, r := range t.rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
+	for i, r := range t.rows {
+		rows[i] = r.cells()
+		cols = max(cols, len(rows[i]))
 	}
 	widths := make([]int, cols)
 	measure := func(r []string) {
@@ -195,7 +266,7 @@ func (t *Table) String() string {
 		}
 	}
 	measure(t.header)
-	for _, r := range t.rows {
+	for _, r := range rows {
 		measure(r)
 	}
 	var b strings.Builder
@@ -223,7 +294,7 @@ func (t *Table) String() string {
 		}
 		writeRow(sep)
 	}
-	for _, r := range t.rows {
+	for _, r := range rows {
 		writeRow(r)
 	}
 	return b.String()

@@ -138,6 +138,46 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTableEntries checks the typed rows: an AddEntries row renders byte for
+// byte like the AddRow row of the same pre-formatted cells, Value returns
+// the unrounded number, and unknown rows, unknown or repeated columns and
+// absent entries are not found.
+func TestTableEntries(t *testing.T) {
+	typed := NewTable("T", "machine", "workload", "ipc", "share", "hit", "hit")
+	plain := NewTable("T", "machine", "workload", "ipc", "share", "hit", "hit")
+	typed.AddEntries([]string{"dual", "compress"}, Num(1.23456), Pct(0.91234), Entry{}, Num(2))
+	plain.AddRow("dual", "compress", Cell(1.23456), Percent(0.91234), "-", Cell(2.0))
+	typed.AddRow("geomean", "x", "1.000")
+	plain.AddRow("geomean", "x", "1.000")
+	if typed.String() != plain.String() || typed.CSV() != plain.CSV() {
+		t.Errorf("typed rows render\n%s%s\nplain rows render\n%s%s", typed, typed.CSV(), plain, plain.CSV())
+	}
+	if v, ok := typed.Value("ipc", "dual", "compress"); !ok || v != 1.23456 {
+		t.Errorf("Value(ipc) = %v, %v; want 1.23456, true", v, ok)
+	}
+	if v, ok := typed.Value("share", "dual", "compress"); !ok || v != 0.91234 {
+		t.Errorf("Value(share) = %v, %v; want 0.91234, true", v, ok)
+	}
+	for _, q := range [][]string{
+		{"ipc", "dual"},             // unknown row: too few labels
+		{"ipc", "dual", "eqntott"},  // unknown row
+		{"ipc", "geomean", "x"},     // a row without entries
+		{"IPC", "dual", "compress"}, // unknown column
+		{"machine", "dual", "compress"},
+		{"hit", "dual", "compress"}, // a column named twice
+		{"share", "dual", "compress", "x"},
+	} {
+		if v, ok := typed.Value(q[0], q[1:]...); ok {
+			t.Errorf("Value(%q) = %v, found", q, v)
+		}
+	}
+	absent := NewTable("T", "workload", "0 grants", "1 grant", "2 grants")
+	absent.AddEntries([]string{"compress"}, Pct(0.5), Pct(0.5), Entry{})
+	if v, ok := absent.Value("2 grants", "compress"); ok {
+		t.Errorf("absent entry = %v, found", v)
+	}
+}
+
 func TestCellAndPercent(t *testing.T) {
 	if got := Cell(float32(1.5)); got != "1.500" {
 		t.Errorf("Cell(float32) = %q", got)

@@ -56,6 +56,13 @@ var (
 	rejectBounds = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1}
 )
 
+// The simulated-work series count only the cells simulated to completion
+// in this run (ManifestCell.simulated), and their HELP text says so.
+const (
+	simulatedOnly   = " (memo hits, store hits and failed cells left out)."
+	acrossSimulated = " across the cells simulated in this run" + simulatedOnly
+)
+
 // Metrics renders the record as the /metrics series, in a fixed order:
 // cell counts, simulated work, the per-cell histograms, the rates since
 // campaign start, one cycle counter per CPI bucket when accounting is on,
@@ -95,11 +102,11 @@ func (c *Campaign) Metrics() []MetricSnapshot {
 		counter("portsim_cells_failed_total", "Experiment cells that failed (panic, deadline, watchdog stall).", uint64(t.Failed)),
 		counter("portsim_cells_memo_hits_total", "Experiment cells satisfied from the runner's memo cache.", uint64(t.MemoHits)),
 		counter("portsim_cells_store_hits_total", "Experiment cells restored from the durable cell store.", uint64(t.StoreHits)),
-		counter("portsim_sim_cycles_total", "Simulated cycles across non-memoised cells.", t.SimCycles),
-		counter("portsim_sim_insts_total", "Committed instructions across non-memoised cells.", t.SimInsts),
-		histogram("portsim_cell_wall_seconds", "Wall-clock time per simulated (non-memoised) cell.", wallBounds, wall),
-		histogram("portsim_port_utilization", "Mean fraction of cache-port slots granted per cycle, one sample per cell.", utilBounds, util),
-		histogram("portsim_port_reject_rate", "Fraction of cache-port offers refused, one sample per cell.", rejectBounds, reject),
+		counter("portsim_sim_cycles_total", "Simulated cycles"+acrossSimulated, t.SimCycles),
+		counter("portsim_sim_insts_total", "Committed instructions"+acrossSimulated, t.SimInsts),
+		histogram("portsim_cell_wall_seconds", "Wall-clock time, one sample per cell simulated in this run"+simulatedOnly, wallBounds, wall),
+		histogram("portsim_port_utilization", "Mean fraction of cache-port slots granted per cycle, one sample per cell simulated in this run"+simulatedOnly, utilBounds, util),
+		histogram("portsim_port_reject_rate", "Fraction of cache-port offers refused, one sample per cell simulated in this run"+simulatedOnly, rejectBounds, reject),
 		gauge("portsim_sim_cycles_per_second", "Simulated cycles per wall second since campaign start.", cyclesPerSecond),
 		gauge("portsim_allocs_per_1k_cycles", "Heap allocations per thousand simulated cycles since campaign start.", allocsPer1k),
 	}
@@ -107,7 +114,7 @@ func (c *Campaign) Metrics() []MetricSnapshot {
 		// The exposition has no labels, so the bucket is part of the name.
 		for b := cpustack.Bucket(0); b < cpustack.NumBuckets; b++ {
 			out = append(out, counter("portsim_cpi_"+b.MetricName()+"_cycles_total",
-				"Simulated cycles attributed to "+b.String()+" across non-memoised cells.", t.cpi[b.String()]))
+				"Simulated cycles attributed to "+b.String()+acrossSimulated, t.cpi[b.String()]))
 		}
 	}
 	for _, g := range c.gauges {
