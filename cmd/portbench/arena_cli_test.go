@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"portsim/internal/telemetry"
 )
@@ -21,12 +22,13 @@ func stripArenas(out string) string {
 	return strings.Join(kept, "\n")
 }
 
-// TestArenaOnOffByteIdentical is the CLI-level statement of the tentpole
-// guarantee: every table is byte-identical with trace arenas on (default),
-// off, and squeezed into a budget that forces fallbacks — serial and
-// parallel. At 20000 instructions every A6 level switches processes, and
-// the squeezed budget is too small for a whole trace but holds A6's
-// per-process prefixes, so that run both falls back and replays.
+// TestArenaOnOffByteIdentical is the CLI-level statement of the arena
+// guarantee: every table is byte-identical with trace arenas shared
+// (default), private to each cell (off), and squeezed into a budget that
+// forces private builds — serial and parallel. At 20000 instructions every
+// A6 level switches processes, and the squeezed budget is too small for a
+// whole trace but holds A6's per-process prefixes, so that run both builds
+// privately and replays shared arenas.
 func TestArenaOnOffByteIdentical(t *testing.T) {
 	base := []string{"-quick", "-insts", "20000", "-only", "T2,F1,A6"}
 	on, err := runPB(t, base...)
@@ -51,10 +53,14 @@ func TestArenaOnOffByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tight, "fallbacks") || strings.Contains(tight, "arenas: 0 built") {
-		t.Errorf("tight budget did not both fall back and replay:\n%s", tight)
+		t.Errorf("tight budget did not both build privately and replay:\n%s", tight)
+	}
+	// 300kb is 300,000 bytes: the footer prints it, not a rounded 0 MiB.
+	if !strings.Contains(tight, "KiB of 293.0 KiB budget)") {
+		t.Errorf("tight budget footer does not print the budget:\n%s", tight)
 	}
 	if stripArenas(tight) != stripArenas(off) {
-		t.Errorf("fallback output diverged from arenas-off:\n--- tight ---\n%s\n--- off ---\n%s", tight, off)
+		t.Errorf("private-build output diverged from arenas-off:\n--- tight ---\n%s\n--- off ---\n%s", tight, off)
 	}
 	par, err := runPB(t, append(base, "-parallel", "8")...)
 	if err != nil {
@@ -73,7 +79,38 @@ func TestArenaBudgetRejected(t *testing.T) {
 	}
 }
 
-// TestManifestArenaSummary: a campaign with arenas enabled records their
+// TestHugeBudgetRefused: a cell whose trace may outgrow every arena
+// budget fails at once naming -arena-budget, for single programs (T2) and
+// multiprograms (A6) alike, instead of generating or counting without end.
+func TestHugeBudgetRefused(t *testing.T) {
+	type result struct {
+		out string
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := runPB(t, "-quick", "-only", "T2,A6", "-insts", "18446744073709551615")
+		done <- result{out, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err == nil {
+			t.Fatalf("a campaign of 2^64-1 instructions succeeded:\n%s", r.out)
+		}
+		for _, id := range []string{"T2", "A6"} {
+			if !strings.Contains(r.out, id+": FAILED: ") {
+				t.Errorf("%s did not fail:\n%s", id, r.out)
+			}
+		}
+		if !strings.Contains(r.out, "-arena-budget") {
+			t.Errorf("the failures do not name -arena-budget:\n%s", r.out)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a campaign of 2^64-1 instructions still ran after 10 s")
+	}
+}
+
+// TestManifestArenaSummary: a campaign that shares arenas records their
 // economics in the run manifest; with arenas off the section is absent.
 func TestManifestArenaSummary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "MANIFEST.json")

@@ -34,12 +34,12 @@
 // rather than failing the run. -inject-store drives those paths on
 // purpose for robustness testing.
 //
-// Trace arenas (on by default, see DESIGN.md "Trace arenas"): each
-// (workload, seed) dynamic trace is generated once into an immutable
-// in-memory arena and replayed by every cell that needs it, bounded by
-// -arena-budget (default 512MiB; off/0 disables). Cells that do not fit
-// fall back to live generation. Tables are byte-identical with arenas
-// on, off, or partially fallen back, serial or parallel.
+// Trace arenas (see DESIGN.md "Trace arenas"): each (workload, seed)
+// dynamic trace is generated once into an immutable in-memory arena and
+// replayed by every cell that needs it. -arena-budget (default 512MiB;
+// off shares none) bounds the arenas kept; a trace that does not fit is
+// built for its cell alone. Tables are byte-identical at any budget,
+// serial or parallel.
 //
 // Observability (all opt-in, see README.md "Observability"): -listen
 // serves live campaign metrics over HTTP (/metrics Prometheus text,
@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 		only     = fs.String("only", "", "comma-separated experiment ids to run (default: all)")
 		csv      = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		parallel = fs.Int("parallel", 0, "concurrent simulations (<=0: GOMAXPROCS); tables are byte-identical at any setting")
-		arena    = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off/0 disables); tables are byte-identical at any setting")
+		arena    = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off shares none); tables are byte-identical at any setting")
 		inject   = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge; after counts instructions as fetch's 128-instruction read-ahead pulls them, so a panic fires up to 128 instructions before fetch reaches instruction after+1")
 		repro    = fs.String("repro", "", "replay a repro bundle file instead of running the suite")
 		reproDir = fs.String("repro-dir", ".", "directory for repro bundles written on cell failure")
@@ -287,14 +287,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, line)
 	}
 	if ast, ok := runner.ArenaStats(); ok {
-		line := fmt.Sprintf("arenas: %d built, %d replays, %d resident (%.1f MiB of %.0f MiB budget)",
-			ast.Builds, ast.Hits, ast.Count,
-			float64(ast.Bytes)/(1<<20), float64(ast.Budget)/(1<<20))
+		line := fmt.Sprintf("arenas: %d built, %d replays, %d resident (%s of %s budget)",
+			ast.Builds, ast.Hits, ast.Count, byteSize(ast.Bytes), byteSize(ast.Budget))
 		if ast.Fallbacks > 0 {
 			line += fmt.Sprintf(", %d fallbacks", ast.Fallbacks)
-		}
-		if ast.Evictions > 0 {
-			line += fmt.Sprintf(", %d evictions", ast.Evictions)
 		}
 		fmt.Fprintln(out, line)
 	}
@@ -347,7 +343,6 @@ func run(args []string, out io.Writer) error {
 				Builds:      ast.Builds,
 				Hits:        ast.Hits,
 				Fallbacks:   ast.Fallbacks,
-				Evictions:   ast.Evictions,
 			}
 		}
 		if err := telemetry.WriteManifest(*manifest, sink.camp.BuildManifest(info)); err != nil {
@@ -453,6 +448,15 @@ func sanitizeName(s string) string {
 		}
 		return '_'
 	}, s)
+}
+
+// byteSize renders a byte count in MiB to one decimal place, or in KiB
+// below 1 MiB, so a small arena budget does not print as 0.
+func byteSize(n int64) string {
+	if n < 1<<20 {
+		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
+	}
+	return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
 }
 
 // runRepro replays a repro bundle with the flight recorder armed and prints

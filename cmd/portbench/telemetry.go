@@ -150,10 +150,8 @@ func scrapeGauges(runner *experiments.Runner, store *cellstore.Store) []telemetr
 				func(st experiments.ArenaStats) float64 { return float64(st.Bytes) }),
 			arena("portsim_arena_hits_total", "Cell acquisitions served from an already-materialised trace arena.",
 				func(st experiments.ArenaStats) float64 { return float64(st.Hits) }),
-			arena("portsim_arena_fallbacks_total", "Cell acquisitions that ran from live generation because the arena budget had no room.",
+			arena("portsim_arena_fallbacks_total", "Traces built for one cell alone because the arena budget had no room or the kept arena was shorter.",
 				func(st experiments.ArenaStats) float64 { return float64(st.Fallbacks) }),
-			arena("portsim_arena_evictions_total", "Idle trace arenas dropped to make room under the byte budget.",
-				func(st experiments.ArenaStats) float64 { return float64(st.Evictions) }),
 			arena("portsim_arena_budget_bytes", "Configured trace-arena byte budget.",
 				func(st experiments.ArenaStats) float64 { return float64(st.Budget) }))
 	}

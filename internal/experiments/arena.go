@@ -12,66 +12,62 @@ import (
 	"portsim/internal/workload"
 )
 
-// This file is the generate-once side of the trace arenas: a refcounted,
-// byte-budgeted registry that materialises each (profile, seed) dynamic
-// trace once, as long as the longest prefix any cell has asked of it, and
-// hands every cell of the sweep a zero-alloc cursor over it. The arena
-// itself lives in internal/trace; the registry owns the sharing policy —
-// singleflight builds, LRU eviction of idle arenas, and the fallback to
-// live streaming generation when the budget is exhausted.
-// Cursor replay and live generation are instruction-identical by
-// construction (the arena is a verbatim capture of the same generator), so
-// every experiment table is byte-identical with arenas on, off, or
-// partially fallen back; the CI arena diff gate enforces this end to end.
+// This file is the runner's one instruction source: a byte-budgeted
+// registry that materialises each (profile, seed) dynamic trace once, as
+// long as the prefix the first cell to need it asks for, keeps it for the
+// runner's life, and hands every cell of the sweep a zero-alloc cursor over
+// it. The arena itself lives in internal/trace; the registry owns the
+// sharing policy: singleflight builds, and a private arena, built for one
+// cell alone, when the budget has no room for a trace or a cell needs more
+// of it than the kept arena holds. Shared and private arenas are verbatim
+// captures of the same generator, so every experiment table is
+// byte-identical whatever the budget; the CI arena diff gate enforces this
+// end to end.
 
 // DefaultArenaBudget is the registry's byte budget when Spec.ArenaBudget is
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
-// trace costs ~1.9 MB) with room to spare.
+// trace costs ~1.9 MB) with room to spare. It is also the smallest
+// ceiling on one cell's trace: a cell whose trace may need more than the
+// larger of the budget and this fails (openStream).
 const DefaultArenaBudget int64 = 512 << 20
 
-// arenaEntry is one registry slot. refs counts live cursors plus, during
-// the build, the building caller — an entry under construction is never
-// evictable. Waiters block on ready. n is the prefix length the entry was
-// built for; a replaced entry has left the map but stays charged until
-// its last holder releases it.
+// arenaEntry is one shared trace. Waiters block on ready. n is the prefix
+// length the entry was built for; bytes is what it is charged, its worst
+// case while it builds and its actual size once built.
 type arenaEntry struct {
-	ready   chan struct{}
-	arena   *trace.Arena
-	err     error
-	n       uint64
-	bytes   int64
-	refs    int
-	lastUse uint64
+	ready chan struct{}
+	arena *trace.Arena
+	err   error
+	n     uint64
+	bytes int64
 }
 
 // ArenaStats is a snapshot of the registry for telemetry and manifests.
 type ArenaStats struct {
-	// Budget is the configured byte budget; Count is the number of arenas
-	// the registry serves from, and Bytes what every arena still held
-	// costs, replaced ones included.
+	// Budget is the configured byte budget; Count is the number of shared
+	// arenas kept, and Bytes what they cost.
 	Budget int64
 	Count  int
 	Bytes  int64
-	// Builds counts traces materialised, Hits cursor acquisitions served
-	// from an existing arena, Fallbacks cells sent to live generation
-	// because the budget was exhausted, Evictions idle arenas dropped to
-	// make room.
+	// Builds counts shared traces materialised, Hits cursor acquisitions
+	// served from a kept arena, and Fallbacks traces built for one cell
+	// alone, because the budget had no room or the kept arena was shorter.
+	// Evictions is always zero: the registry drops no arena it keeps.
 	Builds    uint64
 	Hits      uint64
 	Fallbacks uint64
 	Evictions uint64
 }
 
-// arenaRegistry is the refcounted arena cache. Safe for concurrent use.
+// arenaRegistry is the shared arena cache. Safe for concurrent use.
 type arenaRegistry struct {
-	budget int64
+	budget int64 // negative: share nothing
 
 	mu      sync.Mutex
 	entries map[cellstore.Key]*arenaEntry
 	bytes   int64
-	clock   uint64
 
-	builds, hits, fallbacks, evictions uint64
+	builds, hits, fallbacks uint64
 }
 
 func newArenaRegistry(budget int64) *arenaRegistry {
@@ -84,116 +80,87 @@ func arenaKey(s *streamSpec, seed int64) cellstore.Key {
 	return cellstore.Key{Stream: s.profHash, Seed: seed}
 }
 
+// errBuildPanicked is what the waiters on a shared build see when the
+// build panicked; the building cell reports the panic itself.
+var errBuildPanicked = fmt.Errorf("%w: building the shared trace panicked in another cell", ErrCellPanic)
+
 // acquire returns a cursor over the first n instructions of the
-// materialised (profile, seed) trace of the hashed stream s plus a release
-// closure, or (nil, nil, nil) when the byte budget forces this cell onto
-// live generation. The trace is keyed by arenaKey, so profiles that differ
-// only in name share one arena, and an arena of any length serves every
-// request for as many instructions or fewer. A longer request builds a longer arena that
-// replaces the short one. Concurrent acquires of the same key share one
-// build: the first caller materialises, the rest wait. A build reserves
-// the arena's worst-case footprint and, once built, charges what it
-// actually holds. A request for no instructions gets an empty cursor and
-// touches nothing.
-func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Cursor, func(), error) {
+// materialised (profile, seed) trace of the hashed stream s. The trace is
+// keyed by arenaKey, so profiles that differ only in name share one
+// arena, and a kept arena of any length serves every request for as many
+// instructions or fewer. Concurrent acquires of the same key share one
+// build: the first caller materialises, the rest wait. A shared build
+// reserves the arena's worst-case footprint and, once built, charges what
+// it actually holds. A request the budget has no room for, or one longer
+// than the kept arena, builds a private arena that the registry neither
+// keeps nor charges. A request for no instructions gets an empty cursor
+// and touches nothing.
+func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Cursor, error) {
 	if n == 0 {
 		// A process the interleave never reaches needs no arena.
-		return new(trace.Arena).NewCursor(), func() {}, nil
+		return new(trace.Arena).NewCursor(), nil
 	}
 	key := arenaKey(s, seed)
 	need := trace.MaxBytes(n)
 	ar.mu.Lock()
-	old, ok := ar.entries[key]
-	if ok && old.n >= n {
-		old.refs++
-		ar.clock++
-		old.lastUse = ar.clock
+	e, kept := ar.entries[key]
+	switch {
+	case kept && e.n >= n:
 		ar.hits++
 		ar.mu.Unlock()
-		<-old.ready
-		if old.err != nil {
-			ar.release(key, old)
-			return nil, nil, old.err
+		<-e.ready
+		if e.err != nil {
+			return nil, e.err
 		}
-		return old.arena.NewCursor(), func() { ar.release(key, old) }, nil
-	}
-	// Make room: evict idle arenas, least recently used first. need may be
-	// math.MaxInt64, so compare against the room left rather than add.
-	for need > ar.budget-ar.bytes && ar.evictOne() {
-	}
-	if need > ar.budget-ar.bytes {
+		return e.arena.NewCursor(), nil
+	case kept || need > ar.budget-ar.bytes:
+		// need may be math.MaxInt64, so it is compared with the room left
+		// rather than added.
 		ar.fallbacks++
 		ar.mu.Unlock()
-		return nil, nil, nil
+		a, err := materialize(s.prof, seed, n)
+		if err != nil {
+			return nil, err
+		}
+		return a.NewCursor(), nil
 	}
-	if ok && ar.entries[key] == old && old.refs == 0 {
-		// The shorter arena is replaced below and nothing holds it.
-		ar.bytes -= old.bytes
-	}
-	e := &arenaEntry{ready: make(chan struct{}), n: n, bytes: need, refs: 1}
-	ar.clock++
-	e.lastUse = ar.clock
+	e = &arenaEntry{ready: make(chan struct{}), err: errBuildPanicked, n: n, bytes: need}
 	ar.entries[key] = e
 	ar.bytes += need
 	ar.builds++
 	ar.mu.Unlock()
-
-	gen, genErr := workload.New(s.prof, seed)
-	if genErr != nil {
-		e.err = genErr
-	} else {
-		e.arena = trace.Materialize(gen, int(n))
-		actual := e.arena.Bytes()
-		ar.mu.Lock()
-		ar.bytes += actual - e.bytes
-		e.bytes = actual
-		ar.mu.Unlock()
+	defer ar.settle(key, e)
+	if e.arena, e.err = materialize(s.prof, seed, n); e.err != nil {
+		return nil, e.err
 	}
-	close(e.ready)
-	if e.err != nil {
-		ar.release(key, e)
-		return nil, nil, e.err
-	}
-	return e.arena.NewCursor(), func() { ar.release(key, e) }, nil
+	return e.arena.NewCursor(), nil
 }
 
-// release drops one reference. A failed build leaves the map, and a
-// replaced arena stops being charged, as soon as the last holder lets go,
-// so neither consumes budget nor pins its memory or error.
-func (ar *arenaRegistry) release(key cellstore.Key, e *arenaEntry) {
+// settle ends the shared build of e, also when it panicked: a built arena
+// is charged its actual size, a failed build leaves the registry and gives
+// back its reservation, so the key can build again, and then the waiters
+// wake.
+func (ar *arenaRegistry) settle(key cellstore.Key, e *arenaEntry) {
 	ar.mu.Lock()
-	defer ar.mu.Unlock()
-	e.refs--
-	if e.refs > 0 {
-		return
-	}
-	if ar.entries[key] == e {
-		if e.err == nil {
-			return // resident until evicted
-		}
+	if e.arena != nil {
+		ar.bytes += e.arena.Bytes() - e.bytes
+		e.bytes = e.arena.Bytes()
+	} else {
 		delete(ar.entries, key)
+		ar.bytes -= e.bytes
 	}
-	ar.bytes -= e.bytes
+	ar.mu.Unlock()
+	close(e.ready)
 }
 
-// evictOne drops the least recently used idle arena. Caller holds mu. The
-// map scan accumulates a minimum over unique lastUse stamps, so iteration
-// order cannot affect the victim.
-func (ar *arenaRegistry) evictOne() bool {
-	var victimKey cellstore.Key
-	var victim *arenaEntry
-	for k, e := range ar.entries {
-		if e.refs == 0 && (victim == nil || e.lastUse < victim.lastUse) {
-			victimKey, victim = k, e
-		}
+// materialize builds the first n instructions of prof's trace at seed: the
+// one place a runner cell's instructions are generated.
+func materialize(prof workload.Profile, seed int64, n uint64) (*trace.Arena, error) {
+	gen, err := workload.New(prof, seed)
+	if err != nil {
+		return nil, err
 	}
-	if victim == nil {
-		return false
-	}
-	delete(ar.entries, victimKey)
-	ar.bytes -= victim.bytes
-	ar.evictions++
-	return true
+	return trace.Materialize(gen, int(n)), nil
 }
 
 // stats snapshots the registry.
@@ -207,25 +174,23 @@ func (ar *arenaRegistry) stats() ArenaStats {
 		Builds:    ar.builds,
 		Hits:      ar.hits,
 		Fallbacks: ar.fallbacks,
-		Evictions: ar.evictions,
 	}
 }
 
-// ArenaStats reports the arena registry snapshot; ok is false when arenas
-// are disabled for this runner (negative Spec.ArenaBudget).
+// ArenaStats reports the arena registry snapshot; ok is false when the
+// runner shares no arena (negative Spec.ArenaBudget).
 func (r *Runner) ArenaStats() (ArenaStats, bool) {
-	if r.arenas == nil {
+	if r.arenas.budget < 0 {
 		return ArenaStats{}, false
 	}
 	return r.arenas.stats(), true
 }
 
 // arenaLen returns the prefix of each process's trace a multiprogram
-// stream asks the registry for, or nil when every trace the stream reads
-// is asked for the whole per-cell instruction budget: a single program, or
-// a runner without arenas. Fetch stops asking for instructions at the
-// budget, so a replay never runs dry inside it, and a read-ahead past the
-// budget only finds an arena's end.
+// stream asks the registry for, or nil for a single program, which asks
+// for the whole per-cell instruction budget. Fetch stops asking for
+// instructions at the budget, so a replay never runs dry inside it, and a
+// read-ahead past the budget only finds an arena's end.
 //
 // A multiprogram's quantum interleave pulls only part of the budget from
 // each process (workload.ProcessDemand). Every level of two or more
@@ -239,7 +204,7 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 // so each trace is built once whichever cell starts first. A single
 // process replays the whole budget.
 func (r *Runner) arenaLen(s *streamSpec) ([]uint64, error) {
-	if s.processes == 0 || r.arenas == nil {
+	if s.processes == 0 {
 		return nil, nil
 	}
 	lens := make([]uint64, s.processes)
@@ -277,69 +242,43 @@ func (r *Runner) processDemand(processes, quantum int) ([]uint64, error) {
 	return d, nil
 }
 
-// openStream returns the cell's instruction stream and its release
-// closure: cursors over the shared arenas when the registry holds every
-// process's trace, live generation otherwise. Each process's arena is
-// asked for the prefix the cell replays (arenaLen), and the registry
-// serves that from any arena at least as long. A multiprogrammed
-// stream replays the quantum interleave over per-process cursors —
-// instruction-identical to the live NewMultiprogram stream (golden-tested
-// in internal/workload) — and falls back to live generation wholesale.
-// On error nothing stays acquired.
-func (r *Runner) openStream(s *streamSpec) (stream trace.Stream, release func(), err error) {
-	seed, procs := r.spec.Seed, max(s.processes, 1)
-	var cursors []*trace.Cursor
-	var releases []func()
-	releaseAll := func() {
-		for _, rel := range releases {
-			rel()
-		}
+// openStream returns the cell's instruction stream: a cursor over its
+// trace for a single program, the quantum interleave over one cursor per
+// process for a multiprogram. Each process's trace is asked for the prefix
+// the cell replays (arenaLen), shared when the registry keeps or has room
+// for it and built for the cell alone otherwise. A cell whose trace may
+// need more bytes than the larger of the budget and DefaultArenaBudget
+// fails before it counts a demand or builds anything.
+func (r *Runner) openStream(s *streamSpec) (trace.Stream, error) {
+	if need, ceiling := trace.MaxBytes(r.spec.Insts), max(r.arenas.budget, DefaultArenaBudget); need > ceiling {
+		return nil, fmt.Errorf("experiments: a trace of %d instructions may take %d bytes, more than the %d bytes a cell may build; raise -arena-budget (Spec.ArenaBudget)",
+			r.spec.Insts, need, ceiling)
 	}
-	defer func() {
-		if err != nil {
-			releaseAll()
-		}
-	}()
 	demand, err := r.arenaLen(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for i := 0; r.arenas != nil && i < procs; i++ {
+	cursors := make([]*trace.Cursor, max(s.processes, 1))
+	for i := range cursors {
 		n := r.spec.Insts
 		if demand != nil {
 			n = demand[i]
 		}
-		cur, rel, err := r.arenas.acquire(s, seed+int64(i)*workload.SeedStride, n)
-		if err != nil {
-			return nil, nil, err
+		if cursors[i], err = r.arenas.acquire(s, r.spec.Seed+int64(i)*workload.SeedStride, n); err != nil {
+			return nil, err
 		}
-		if cur == nil {
-			break
-		}
-		cursors, releases = append(cursors, cur), append(releases, rel)
 	}
-	switch {
-	case len(cursors) < procs:
-		releaseAll()
-		releases = nil
-		if s.processes == 0 {
-			stream, err = workload.New(s.prof, seed)
-		} else {
-			stream, err = workload.NewMultiprogram(s.prof, s.processes, s.quantum, seed)
-		}
-	case s.processes == 0:
-		stream = cursors[0]
-	default:
-		stream, err = workload.NewMultiprogramReplay(cursors, s.quantum, seed)
+	if s.processes == 0 {
+		return cursors[0], nil
 	}
-	return stream, releaseAll, err
+	return workload.NewMultiprogramReplay(cursors, s.quantum, r.spec.Seed)
 }
 
 // ParseArenaBudget parses a -arena-budget flag value: a byte size with an
 // optional binary or decimal unit suffix ("256MiB", "1g", "64000000"),
-// "off" or "0" to disable arenas, or "" for the default budget. Returns 0
-// for the default, a negative value for disabled, a positive byte count
-// otherwise.
+// "off" or "0" to share no arena, or "" for the default budget. Returns 0
+// for the default, a negative value for sharing none, a positive byte
+// count otherwise.
 func ParseArenaBudget(s string) (int64, error) {
 	lower := strings.ToLower(strings.TrimSpace(s))
 	switch lower {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,11 +37,11 @@ func runArenaCampaign(t *testing.T, budget int64) (string, *Runner) {
 	return f1.String() + a6.String(), r
 }
 
-// TestTablesIdenticalArenasOnOff is the tentpole's hard constraint at the
-// experiments layer: every rendered table must be byte-identical whether
-// cells replay shared arenas (default budget), fall back to live
-// generation cell by cell (a budget big enough for single-program arenas
-// but not all multiprogram ones), or never see an arena at all (disabled).
+// TestTablesIdenticalArenasOnOff is the arena contract at the experiments
+// layer: every rendered table must be byte-identical whether cells replay
+// shared arenas (default budget), build private ones cell by cell (a
+// budget with room for A6's per-process prefixes but not for a whole
+// trace), or share none at all (off).
 func TestTablesIdenticalArenasOnOff(t *testing.T) {
 	want, withArenas := runArenaCampaign(t, 0)
 	st, ok := withArenas.ArenaStats()
@@ -60,16 +61,17 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 	}
 
 	// A budget one byte short of a whole trace's reservation: every
-	// single-program cell, and A6's one-process level, must fall back,
-	// while the other A6 levels replay per-process prefixes.
+	// single-program cell, and A6's one-process level, must build its
+	// trace privately, while the other A6 levels share per-process
+	// prefixes.
 	belowOneTrace := trace.MaxBytes(arenaTestSpec(0).Insts) - 1
 	partial, partialRunner := runArenaCampaign(t, belowOneTrace)
 	pst, _ := partialRunner.ArenaStats()
 	if pst.Fallbacks == 0 || pst.Builds == 0 {
-		t.Fatalf("expected both fallbacks and replays at %d bytes: %+v", belowOneTrace, pst)
+		t.Fatalf("expected both private and shared builds at %d bytes: %+v", belowOneTrace, pst)
 	}
 	if partial != want {
-		t.Errorf("tables diverge under partial fallback:\n--- arenas on ---\n%s\n--- partial ---\n%s", want, partial)
+		t.Errorf("tables diverge under private builds:\n--- arenas on ---\n%s\n--- partial ---\n%s", want, partial)
 	}
 }
 
@@ -134,56 +136,75 @@ func hashedStream(t *testing.T, name string) *streamSpec {
 	return &ps.streamSpec
 }
 
-// TestArenaRegistryEviction: idle arenas are dropped, least recently used
-// first, to make room inside the budget; held arenas are never evicted.
-func TestArenaRegistryEviction(t *testing.T) {
+// TestArenaRegistryPrivateBuild: with room for one arena, a second trace
+// is built for its cell alone. The kept arena and the charged bytes do not
+// change, the private cursor replays the generator's trace, and the
+// registry counts one shared build and one fallback.
+func TestArenaRegistryPrivateBuild(t *testing.T) {
 	s := hashedStream(t, "compress")
 	const n = 1_000
-	// Room for two arenas: the largest of the three built, plus the
-	// reservation the second build makes before it charges its own size.
-	var largest int64
-	for seed := int64(1); seed <= 3; seed++ {
-		largest = max(largest, arenaBytes(t, seed, n))
-	}
-	reg := newArenaRegistry(largest + trace.MaxBytes(n))
-	c1, rel1, err := reg.acquire(s, 1, n)
-	if err != nil || c1 == nil {
-		t.Fatalf("acquire seed 1: %v %v", c1, err)
-	}
-	c2, rel2, err := reg.acquire(s, 2, n)
-	if err != nil || c2 == nil {
-		t.Fatalf("acquire seed 2: %v %v", c2, err)
-	}
-	// Both held: a third must fall back, not evict.
-	c3, _, err := reg.acquire(s, 3, n)
+	reg := newArenaRegistry(trace.MaxBytes(n))
+	kept, err := reg.acquire(s, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3 != nil {
-		t.Fatal("third acquire succeeded with the budget full of held arenas")
+	want := ArenaStats{Budget: trace.MaxBytes(n), Count: 1, Bytes: arenaBytes(t, 1, n), Builds: 1}
+	if st := reg.stats(); st != want {
+		t.Fatalf("stats after the shared build: %+v, want %+v", st, want)
 	}
-	rel1()
-	// Seed 1 idle: now the third fits by evicting it.
-	c3, rel3, err := reg.acquire(s, 3, n)
-	if err != nil || c3 == nil {
-		t.Fatalf("acquire seed 3 after release: %v %v", c3, err)
+	private, err := reg.acquire(s, 2, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := reg.stats()
-	if st.Evictions != 1 || st.Fallbacks != 1 || st.Count != 2 {
-		t.Errorf("stats after eviction: %+v", st)
+	want.Fallbacks = 1
+	if st := reg.stats(); st != want {
+		t.Errorf("stats after the private build: %+v, want %+v", st, want)
 	}
-	// Seed 2 was held throughout: a re-acquire is a hit, not a rebuild.
-	before := reg.stats().Builds
-	c2b, rel2b, err := reg.acquire(s, 2, n)
-	if err != nil || c2b == nil {
-		t.Fatalf("re-acquire seed 2: %v %v", c2b, err)
+	replayPrefix(t, private, 2, n)
+	replayPrefix(t, kept, 1, n)
+}
+
+// panickingCompress returns compress with a Random region of 2^64-1
+// bytes, which hands rand.Int63n a negative bound: its generator panics on
+// its first access to the region.
+func panickingCompress() workload.Profile {
+	prof, _ := workload.ByName("compress")
+	prof.Regions = slices.Clone(prof.Regions)
+	i := slices.IndexFunc(prof.Regions, func(r workload.Region) bool { return r.Pattern == workload.Random })
+	prof.Regions[i].Size = math.MaxUint64
+	return prof
+}
+
+// TestArenaBuildPanicReleasesWaiters: a shared build that panics still
+// wakes the cells waiting on it, which fail with ErrCellPanic, and leaves
+// nothing kept or charged, so no cell hangs and no budget stays reserved.
+func TestArenaBuildPanicReleasesWaiters(t *testing.T) {
+	ps := named("compress")
+	ps.prof = panickingCompress()
+	ps = ps.hashed()
+	reg := newArenaRegistry(DefaultArenaBudget)
+	const cells = 8
+	errs := make(chan error, cells)
+	for range cells {
+		go func() {
+			// runStream's boundary, in miniature.
+			defer func() {
+				if p := recover(); p != nil {
+					errs <- fmt.Errorf("%w: %v", ErrCellPanic, p)
+				}
+			}()
+			_, err := reg.acquire(&ps.streamSpec, 42, 1_000_000)
+			errs <- err
+		}()
 	}
-	if reg.stats().Builds != before {
-		t.Error("re-acquiring a held arena rebuilt it")
+	for range cells {
+		if err := <-errs; !errors.Is(err, ErrCellPanic) {
+			t.Errorf("a cell of the panicking trace returned %v, want ErrCellPanic", err)
+		}
 	}
-	rel2()
-	rel2b()
-	rel3()
+	if st := reg.stats(); st.Count != 0 || st.Bytes != 0 {
+		t.Errorf("the panicked build left %d arenas and %d bytes charged", st.Count, st.Bytes)
+	}
 }
 
 // replayPrefix drains n instructions from cur and checks them against a
@@ -207,61 +228,47 @@ func replayPrefix(t *testing.T, cur *trace.Cursor, seed int64, n int) {
 	}
 }
 
-// TestArenaRegistryPrefixes pins the content-only key: a longer arena
-// serves a shorter request without a build, a longer request replaces a
-// shorter arena (which stays charged while a cursor holds it), a request
-// for nothing touches the registry not at all, and the byte count returns
-// to zero once everything is released and evicted.
+// TestArenaRegistryPrefixes pins the content-only key and the kept
+// length: a longer arena serves a shorter request without a build, a
+// request longer than the kept arena is built privately and leaves the
+// kept one as it was, and a request for nothing touches the registry not
+// at all.
 func TestArenaRegistryPrefixes(t *testing.T) {
 	s := hashedStream(t, "compress")
 	reg := newArenaRegistry(DefaultArenaBudget)
-	check := func(when string, builds, hits uint64, count int, bytes int64) {
+	kept := arenaBytes(t, 1, 2_000)
+	check := func(when string, hits, fallbacks uint64) {
 		t.Helper()
-		st := reg.stats()
-		if st.Builds != builds || st.Hits != hits || st.Count != count || st.Bytes != bytes {
-			t.Fatalf("%s: stats %+v, want %d builds, %d hits, %d arenas, %d bytes",
-				when, st, builds, hits, count, bytes)
+		want := ArenaStats{Budget: DefaultArenaBudget, Count: 1, Bytes: kept, Builds: 1, Hits: hits, Fallbacks: fallbacks}
+		if st := reg.stats(); st != want {
+			t.Fatalf("%s: stats %+v, want %+v", when, st, want)
 		}
 	}
-	acquire := func(n uint64) (*trace.Cursor, func()) {
+	acquire := func(n uint64) *trace.Cursor {
 		t.Helper()
-		cur, rel, err := reg.acquire(s, 1, n)
-		if err != nil || cur == nil {
-			t.Fatalf("acquire(%d): %v %v", n, cur, err)
+		cur, err := reg.acquire(s, 1, n)
+		if err != nil {
+			t.Fatalf("acquire(%d): %v", n, err)
 		}
-		return cur, rel
+		return cur
 	}
-	b500, b2000, b4000 := arenaBytes(t, 1, 500), arenaBytes(t, 1, 2_000), arenaBytes(t, 1, 4_000)
 
-	short, relShort := acquire(500)
-	check("first build", 1, 0, 1, b500)
-	long, relLong := acquire(2_000)
-	check("a longer request replaces the held short arena", 2, 0, 1, b500+b2000)
-	mid, relMid := acquire(1_000)
-	check("a shorter request replays the long arena", 2, 1, 1, b500+b2000)
-	replayPrefix(t, short, 1, 500)
+	long := acquire(2_000)
+	check("first build", 0, 0)
+	mid := acquire(1_000)
+	check("a shorter request replays the kept arena", 1, 0)
+	longer := acquire(4_000)
+	check("a longer request builds privately", 1, 1)
+	again := acquire(2_000)
+	check("the kept arena still serves its length", 2, 1)
 	replayPrefix(t, long, 1, 2_000)
 	replayPrefix(t, mid, 1, 1_000)
-	relShort()
-	check("the replaced arena's last release", 2, 1, 1, b2000)
-	empty, relEmpty := acquire(0)
-	if empty.Next(new(isa.Inst)) {
+	replayPrefix(t, longer, 1, 4_000)
+	replayPrefix(t, again, 1, 2_000)
+	if acquire(0).Next(new(isa.Inst)) {
 		t.Error("a request for no instructions yielded one")
 	}
-	relEmpty()
-	check("an empty request", 2, 1, 1, b2000)
-	relLong()
-	relMid()
-	check("all released", 2, 1, 1, b2000)
-	longer, relLonger := acquire(4_000)
-	check("a longer request replaces the idle arena", 3, 1, 1, b4000)
-	replayPrefix(t, longer, 1, 4_000)
-	relLonger()
-	reg.mu.Lock()
-	for reg.evictOne() {
-	}
-	reg.mu.Unlock()
-	check("all evicted", 3, 1, 0, 0)
+	check("an empty request", 2, 1)
 }
 
 // TestShortCellFails plants an arena shorter than the campaign's budget
@@ -296,24 +303,31 @@ func TestShortCellFails(t *testing.T) {
 	}
 }
 
-// TestArenaRegistryHugeReservation: a trace too long for any budget —
-// even one whose byte count overflows an int64 — falls back to live
-// generation and leaves nothing charged.
+// TestArenaRegistryHugeReservation: a cell whose trace may need more than
+// any budget allows — even one whose byte count overflows an int64 — fails
+// naming -arena-budget, for a single program and for an A6 multiprogram,
+// before it counts a process demand or builds a trace.
 func TestArenaRegistryHugeReservation(t *testing.T) {
-	s := hashedStream(t, "compress")
-	reg := newArenaRegistry(DefaultArenaBudget)
-	for _, n := range []uint64{math.MaxUint64, math.MaxInt64, 1 << 62, uint64(DefaultArenaBudget)} {
-		cur, rel, err := reg.acquire(s, 42, n)
-		if err != nil {
-			t.Fatalf("acquire(%d): %v", n, err)
+	single := named("compress").hashed()
+	streams := a6Plan(Spec{}).streams
+	multi := streams[len(streams)-1].hashed()
+	for _, n := range []uint64{math.MaxUint64, math.MaxInt64, 1 << 62, 1 << 29} {
+		r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: n, Seed: 42})
+		for _, ps := range []planStream{single, multi} {
+			if ps.err != nil {
+				t.Fatal(ps.err)
+			}
+			_, err := r.openStream(&ps.streamSpec)
+			if err == nil || !strings.Contains(err.Error(), "-arena-budget") {
+				t.Errorf("%s at %d instructions: %v, want the ceiling error", ps.workload, n, err)
+			}
 		}
-		if cur != nil || rel != nil {
-			t.Fatalf("acquire(%d) built an arena inside a %d-byte budget", n, DefaultArenaBudget)
+		if st, _ := r.ArenaStats(); st != (ArenaStats{Budget: DefaultArenaBudget}) {
+			t.Errorf("stats after refused cells of %d instructions: %+v", n, st)
 		}
-	}
-	st := reg.stats()
-	if st.Bytes != 0 || st.Count != 0 || st.Builds != 0 || st.Fallbacks != 4 {
-		t.Errorf("stats after oversized acquires: %+v", st)
+		if len(r.demands) != 0 {
+			t.Errorf("refused cells of %d instructions counted process demands", n)
+		}
 	}
 }
 

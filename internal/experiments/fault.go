@@ -94,15 +94,19 @@ func (f *Fault) applies(workloadName string) bool {
 	return f != nil && f.Workload == workloadName
 }
 
-// arm poisons one cell: it mutates the machine (wedge mode) and/or wraps
-// the instruction stream (panic and badinst modes). The machine is passed
-// by pointer to the cell's private copy; the caller's configuration is
+// arm poisons one cell's machine: wedge mode sets its FaultStuckDrain
+// knob. m is the cell's private copy; the caller's configuration is
 // untouched.
-func (f *Fault) arm(m *config.Machine, stream trace.Stream) trace.Stream {
-	switch f.Mode {
-	case FaultWedge:
+func (f *Fault) arm(m *config.Machine) {
+	if f.Mode == FaultWedge {
 		m.Ports.FaultStuckDrain = true
-		return stream
+	}
+}
+
+// wrap poisons one cell's instruction stream: panic and badinst modes
+// inject their fault into it.
+func (f *Fault) wrap(stream trace.Stream) trace.Stream {
+	switch f.Mode {
 	case FaultPanic, FaultBadInst:
 		return &faultStream{inner: stream, fault: f}
 	}

@@ -121,6 +121,28 @@ func TestObserverSeesFailures(t *testing.T) {
 	}
 }
 
+// TestObserverSeesStreamFailure: a cell whose stream cannot open (its
+// profile has no code block, so workload.New refuses it) is reported like
+// any failed cell, with one event carrying the error.
+func TestObserverSeesStreamFailure(t *testing.T) {
+	r := NewRunner(observerSpec())
+	var events []CellEvent
+	r.SetCellObserver(func(ev CellEvent) { events = append(events, ev) }, nil)
+	ps := named("compress")
+	ps.workload = "compress-no-code"
+	ps.prof.CodeBlocks = 0
+	_, err := r.run(cellReq{m: config.Baseline(), planStream: ps.hashed()})
+	if err == nil || !strings.Contains(err.Error(), "code block") {
+		t.Fatalf("cell with no code block returned %v, want workload.New's error", err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("observer fired %d times, want 1", len(events))
+	}
+	if ev := events[0]; ev.Err != err || ev.Result != nil || ev.Workload != "compress-no-code" {
+		t.Errorf("event %s: err %v result %v, want the cell's failure", ev.Workload, ev.Err, ev.Result)
+	}
+}
+
 // TestObserverDoesNotPerturbResults runs an experiment with and without
 // the observer and requires byte-identical tables — the telemetry-off
 // invariant at the engine level.

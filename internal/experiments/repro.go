@@ -161,9 +161,7 @@ func (b *Bundle) Replay(rec *diag.Recorder, cpiStack bool) (*cpu.Result, error) 
 		named, _ := workload.ByName(b.Workload)
 		prof = &named
 	}
-	// One cell runs once, so it generates its stream live rather than
-	// materialise an arena it would replay a single time.
-	r := NewRunner(Spec{Insts: b.Insts, Seed: b.Seed, Parallel: 1, Fault: b.Fault, CPIStack: cpiStack, ArenaBudget: -1})
+	r := NewRunner(Spec{Insts: b.Insts, Seed: b.Seed, Parallel: 1, Fault: b.Fault, CPIStack: cpiStack})
 	c := cellReq{m: b.Machine, planStream: planStream{workload: b.Workload,
 		streamSpec: streamSpec{prof: *prof, processes: b.Processes, quantum: b.Quantum}}}
 	return r.runStream(&c, rec)

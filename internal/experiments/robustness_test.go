@@ -303,6 +303,19 @@ func TestMultiprogramBundleReplays(t *testing.T) {
 	}
 }
 
+// TestReplayContainsTraceBuildPanic replays a bundle whose profile makes
+// the generator panic (panickingCompress). Building the cell's trace is
+// part of the cell, so the panic comes back as its CellError.
+func TestReplayContainsTraceBuildPanic(t *testing.T) {
+	prof := panickingCompress()
+	b := Bundle{Version: BundleVersion, Machine: config.Baseline(), Workload: "compress", Profile: &prof, Seed: 42, Insts: 5_000}
+	_, err := b.Replay(nil, false)
+	var ce *CellError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrCellPanic) || !strings.Contains(err.Error(), "invalid argument to Int63n") {
+		t.Fatalf("replay returned %v, want a CellError of the contained Int63n panic", err)
+	}
+}
+
 // TestCellErrorCarriesStreamFault checks that stream faults (which live
 // outside the machine config) travel in a failed cell's bundle, and
 // unrelated faults do not.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -45,12 +46,14 @@ type Spec struct {
 	// warm. Store trouble never fails a run: corrupt entries quarantine and
 	// re-simulate, a broken disk degrades the store to store-less operation.
 	Store *cellstore.Store
-	// ArenaBudget bounds the shared trace-arena registry in bytes: each
+	// ArenaBudget bounds the bytes of trace arenas the runner shares: each
 	// (profile, seed) dynamic trace is materialised once and replayed by
-	// every cell that needs it, falling back to live generation for cells
-	// the budget cannot hold. Zero selects DefaultArenaBudget; negative
-	// disables arenas entirely. Tables are byte-identical at any setting —
-	// replay and live generation produce the same instruction stream.
+	// every cell that needs it, and a trace the budget has no room for is
+	// built for its cell alone. Zero selects DefaultArenaBudget; negative
+	// shares none, so every cell builds its own. A cell whose trace may
+	// need more than the larger of the budget and DefaultArenaBudget fails.
+	// Tables are byte-identical at any setting: shared and private arenas
+	// replay the same instruction stream.
 	ArenaBudget int64
 	// CPIStack arms per-cell cycle accounting (cpu.Options.CPIStack):
 	// every simulated cell carries a conservation-checked attribution
@@ -190,8 +193,8 @@ type Runner struct {
 	// pprof labels, set by the driver between sweeps (SetExperiment).
 	experiment atomic.Value // string
 
-	// arenas is the shared trace-arena registry (see arena.go); nil when
-	// disabled by Spec.ArenaBudget.
+	// arenas is the trace-arena registry (see arena.go), every cell's
+	// instruction source.
 	arenas *arenaRegistry
 
 	// demands caches workload.ProcessDemand at the spec's seed and budget
@@ -206,21 +209,14 @@ func NewRunner(spec Spec) *Runner {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	r := &Runner{
+	return &Runner{
 		spec:     spec,
 		parallel: parallel,
 		cache:    make(map[cellstore.Key]*memoEntry),
 		configs:  make(map[config.Machine]string),
 		docs:     make(map[config.Machine][]byte),
+		arenas:   newArenaRegistry(cmp.Or(spec.ArenaBudget, DefaultArenaBudget)),
 	}
-	budget := spec.ArenaBudget
-	if budget == 0 {
-		budget = DefaultArenaBudget
-	}
-	if budget > 0 {
-		r.arenas = newArenaRegistry(budget)
-	}
-	return r
 }
 
 // Parallel returns the effective worker count.
@@ -496,8 +492,8 @@ func (r *Runner) run(c cellReq) (*cpu.Result, error) {
 // fixing the memo-poisoning bug where a panicking owner closed e.done with
 // res == nil, err == nil and every waiter received a silent nil result
 // forever. runStream contains panics with the recorder's events; this
-// recover is the backstop for panics outside the simulation itself (stream
-// setup, result accounting), reported against cell c as submitted.
+// recover is the backstop for panics outside the cell itself (the store
+// layer, result encoding), reported against cell c as submitted.
 func (r *Runner) fill(e *memoEntry, c *cellReq, run func() (*cpu.Result, error)) {
 	defer close(e.done)
 	defer func() {
@@ -555,29 +551,25 @@ func (r *Runner) PoolStats() (hits, misses uint64) {
 }
 
 // runStream opens the cell's stream and simulates it. This is the cell
-// crash boundary: a panic anywhere in the simulation — the stream, the
-// pipeline model, the memory system — is contained here into a CellError
-// carrying the machine configuration, the cell identity, the stack, and
-// the flight recorder's tail. Simulation errors (deadline, watchdog stall)
-// are wrapped into CellErrors with the same context, minus the stack.
-// rec is nil for campaign cells; Bundle.Replay passes the recorder its
-// replay records into.
+// crash boundary: a panic anywhere in the cell — building its trace, the
+// stream, the pipeline model, the memory system — is contained here into a
+// CellError carrying the machine configuration, the cell identity, the
+// stack, and the flight recorder's tail. Simulation errors (deadline,
+// watchdog stall) are wrapped into CellErrors with the same context, minus
+// the stack. A stream that cannot open fails the cell with its error. rec
+// is nil for campaign cells; Bundle.Replay passes the recorder its replay
+// records into.
 func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err error) {
-	stream, release, err := r.openStream(&c.streamSpec)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	// A campaign cell gets the forensic ring only when fault-poisoned.
 	// Arming a fault mutates the cell's private machine copy, so its core
 	// never pools.
 	m := c.m
 	armed := r.spec.Fault.applies(c.workload)
-	if rec == nil && armed {
-		rec = diag.NewRecorder(0)
-	}
 	if armed {
-		stream = r.spec.Fault.arm(&m, stream)
+		if rec == nil {
+			rec = diag.NewRecorder(0)
+		}
+		r.spec.Fault.arm(&m)
 	}
 	// Per-cell cycle accounting: a fresh caller-owned stack per cell, so
 	// the live object can be handed to the status plane (CellStart) while
@@ -626,6 +618,13 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 		})
 	}
 	simulate := func() {
+		var stream trace.Stream
+		if stream, err = r.openStream(&c.streamSpec); err != nil {
+			return
+		}
+		if armed {
+			stream = r.spec.Fault.wrap(stream)
+		}
 		var core *cpu.Core
 		core, err = r.acquireCore(&m, stream, !armed)
 		if err != nil {
@@ -646,9 +645,9 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 			return
 		}
 		if res.Instructions < r.spec.Insts {
-			// Every runner stream is endless or an arena at least as long
-			// as the cell's demand, so a short run is a sizing bug; its
-			// row would render truncated numbers as if they were whole.
+			// Every runner stream replays arenas at least as long as the
+			// cell's demand, so a short run is a sizing bug; its row
+			// would render truncated numbers as if they were whole.
 			err = r.cellError(c, m, rec, "", fmt.Errorf("experiments: %s on %s: stream ended after %d of %d instructions",
 				c.workload, m.Name, res.Instructions, r.spec.Insts))
 			res = nil

@@ -148,14 +148,14 @@ func (r *Runner) runDurable(c *cellReq) (*cpu.Result, error) {
 func (r *Runner) restoreEntry(entry *cellstore.Entry, c *cellReq) (*cpu.Result, error, error) {
 	if entry.Failure != nil {
 		f := entry.Failure
-		// Rebuild the CellError from the coordinates at hand. Wedge-mode
-		// faults mutate the cell's private machine copy before simulating;
-		// re-arm the knob so the restored failure reports the configuration
-		// as simulated. The flight-recorder events are forensics of the
+		// Rebuild the CellError from the coordinates at hand. An armed
+		// fault mutates the cell's private machine copy before simulating;
+		// re-arm it so the restored failure reports the configuration as
+		// simulated. The flight-recorder events are forensics of the
 		// original run and are not persisted — the stack is.
 		m := c.m
-		if r.spec.Fault.applies(c.workload) && r.spec.Fault.Mode == FaultWedge {
-			m.Ports.FaultStuckDrain = true
+		if r.spec.Fault.applies(c.workload) {
+			r.spec.Fault.arm(&m)
 		}
 		return nil, r.cellError(c, m, nil, f.Stack, &restoredError{msg: f.Message, panicked: f.Panicked}), nil
 	}

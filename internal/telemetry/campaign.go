@@ -368,7 +368,7 @@ type ManifestInfo struct {
 	// Store is the durable-store summary, nil when the campaign ran
 	// without one.
 	Store *ManifestStore
-	// Arenas is the trace-arena summary, nil when arenas were disabled.
+	// Arenas is the trace-arena summary, nil when no arena was shared.
 	Arenas *ManifestArenas
 }
 

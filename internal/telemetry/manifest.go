@@ -142,8 +142,8 @@ type Manifest struct {
 	// one (-store); nil otherwise.
 	Store *ManifestStore `json:"store,omitempty"`
 
-	// Arenas summarises the shared trace-arena registry when the campaign
-	// replayed materialised traces; nil when arenas were disabled.
+	// Arenas summarises the shared trace-arena registry; nil when the
+	// campaign shared no arena (-arena-budget off).
 	Arenas *ManifestArenas `json:"arenas,omitempty"`
 
 	Cells  []ManifestCell `json:"cells"`
@@ -179,25 +179,22 @@ type ManifestStore struct {
 
 // ManifestArenas records the shared trace-arena registry's behaviour over
 // a campaign: how many traces were materialised (generate-once), how often
-// cells replayed them, and how often the byte budget forced a cell back to
-// live generation. Arenas never change results — every table is
-// byte-identical with arenas on or off — so this section is purely a
-// performance record.
+// cells replayed them, and how many traces were built for one cell alone.
+// Arenas never change results — every table is byte-identical at any
+// budget — so this section is purely a performance record.
 type ManifestArenas struct {
 	// BudgetBytes is the registry's configured ceiling (-arena-budget).
 	BudgetBytes int64 `json:"budget_bytes"`
-	// Count and Bytes describe residency at campaign end.
+	// Count and Bytes describe the arenas kept at campaign end.
 	Count int   `json:"count"`
 	Bytes int64 `json:"bytes"`
-	// Builds counts traces materialised; Hits counts acquisitions served
-	// from an already-built arena.
+	// Builds counts shared traces materialised; Hits counts acquisitions
+	// served from a kept arena.
 	Builds uint64 `json:"builds"`
 	Hits   uint64 `json:"hits"`
-	// Fallbacks counts acquisitions that ran from live generation because
-	// the budget had no room; Evictions counts idle arenas dropped to make
-	// room.
+	// Fallbacks counts traces built for one cell alone, because the budget
+	// had no room or the kept arena was shorter.
 	Fallbacks uint64 `json:"fallbacks,omitempty"`
-	Evictions uint64 `json:"evictions,omitempty"`
 }
 
 // HashConfig fingerprints one machine-configuration JSON document. The

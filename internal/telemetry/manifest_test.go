@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -278,7 +279,7 @@ func TestManifestArenasSummary(t *testing.T) {
 	info := sampleInfo()
 	info.Arenas = &ManifestArenas{
 		BudgetBytes: 512 << 20, Count: 2, Bytes: 61_440,
-		Builds: 2, Hits: 9, Fallbacks: 1, Evictions: 0,
+		Builds: 2, Hits: 9, Fallbacks: 1,
 	}
 	m := sampleCampaign().BuildManifest(info)
 	if err := m.Validate(); err != nil {
@@ -294,6 +295,22 @@ func TestManifestArenasSummary(t *testing.T) {
 	}
 	if got.Arenas == nil || *got.Arenas != *info.Arenas {
 		t.Errorf("arena summary drifted: %+v", got.Arenas)
+	}
+	// Manifests written while the registry could evict carry an
+	// "evictions" count; they must still read.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archived := strings.Replace(string(data), `"fallbacks": 1`, `"fallbacks": 1, "evictions": 3`, 1)
+	if archived == string(data) {
+		t.Fatal("manifest has no fallbacks field to extend")
+	}
+	if err := os.WriteFile(path, []byte(archived), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(path); err != nil {
+		t.Errorf("a manifest with an evictions count no longer reads: %v", err)
 	}
 
 	fresh := func() *Manifest {

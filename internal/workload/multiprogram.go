@@ -21,11 +21,11 @@ const processStride uint64 = 1 << 33
 
 // SeedStride separates the per-process generator seeds of a multiprogrammed
 // workload: process i runs with seed + i*SeedStride. Exported so the arena
-// registry in internal/experiments can materialise per-process traces whose
-// replay is instruction-identical to NewMultiprogram's live generators.
+// registry in internal/experiments can materialise the per-process traces
+// NewMultiprogramReplay interleaves.
 const SeedStride int64 = 7919
 
-// MinQuantum is the shortest mean quantum NewMultiprogram accepts.
+// MinQuantum is the shortest mean quantum a multiprogram accepts.
 const MinQuantum = 100
 
 // Multiprogram interleaves N independent instances of a profile, switching
@@ -54,31 +54,22 @@ type Multiprogram struct {
 }
 
 // procStream is the per-process instruction source the interleaver pulls
-// from: a live Generator, or an arena replay cursor whose contents must be
-// the identical dynamic trace.
+// from: an arena replay cursor, ProcessDemand's counter, or, in tests, the
+// live Generator whose trace the cursor replays.
 type procStream interface {
 	Next(in *isa.Inst) bool
 }
 
-// NewMultiprogram builds a multiprogrammed stream of `processes` instances
-// of prof, switching every quantumMean instructions on average.
-func NewMultiprogram(prof Profile, processes, quantumMean int, seed int64) (*Multiprogram, error) {
-	return newMultiprogram(processes, quantumMean, seed, func(i int) (procStream, error) {
-		return New(prof, seed+int64(i)*SeedStride)
-	})
-}
-
-// NewMultiprogramReplay builds the same interleaved stream as
-// NewMultiprogram, but over pre-materialised per-process traces instead of
-// live generators. Cursor i must replay the dynamic trace of
-// New(prof, seed+int64(i)*SeedStride) — the arena registry in
-// internal/experiments guarantees this — and the quantum schedule is drawn
-// from the same seeded source as the live constructor's, so the interleave
-// is instruction-identical until a cursor runs out. Cursors are finite:
-// unlike live generators the replay ends (Next returns false) when the
-// current process's trace is exhausted. Cursor i must therefore hold at
-// least ProcessDemand's count for process i over the instructions the
-// caller will consume.
+// NewMultiprogramReplay builds a multiprogrammed stream of len(procs)
+// instances of a profile, switching every quantumMean instructions on
+// average, over pre-materialised per-process traces. Cursor i must replay
+// the dynamic trace of New(prof, seed+int64(i)*SeedStride) — the arena
+// registry in internal/experiments guarantees this — and the quantum
+// schedule is drawn from seed, so the interleave is the one live
+// generators would give until a cursor runs out. Cursors are finite: the
+// replay ends (Next returns false) when the current process's trace is
+// exhausted. Cursor i must therefore hold at least ProcessDemand's count
+// for process i over the instructions the caller will consume.
 func NewMultiprogramReplay(procs []*trace.Cursor, quantumMean int, seed int64) (*Multiprogram, error) {
 	return newMultiprogram(len(procs), quantumMean, seed, func(i int) (procStream, error) {
 		return procs[i], nil
@@ -86,8 +77,8 @@ func NewMultiprogramReplay(procs []*trace.Cursor, quantumMean int, seed int64) (
 }
 
 // ProcessDemand returns how many instructions each process supplies to the
-// first n instructions of NewMultiprogram(prof, processes, quantumMean,
-// seed), for any prof: the schedule depends only on the other arguments,
+// first n instructions of a multiprogram of processes at quantumMean and
+// seed, for any profile: the schedule depends only on those arguments,
 // and the context-switch markers it injects come from no process. It runs
 // Multiprogram.Next itself over counting stand-ins for the processes, so
 // the count cannot drift from the schedule a replay follows.

@@ -6,6 +6,16 @@ import (
 	"portsim/internal/isa"
 )
 
+// NewMultiprogram builds the live multiprogrammed stream of `processes`
+// instances of prof, switching every quantumMean instructions on average,
+// with process i generated from seed+i*SeedStride: the reference that
+// NewMultiprogramReplay over the same traces must reproduce.
+func NewMultiprogram(prof Profile, processes, quantumMean int, seed int64) (*Multiprogram, error) {
+	return newMultiprogram(processes, quantumMean, seed, func(i int) (procStream, error) {
+		return New(prof, seed+int64(i)*SeedStride)
+	})
+}
+
 func TestMultiprogramValidation(t *testing.T) {
 	p, _ := ByName("pmake")
 	if _, err := NewMultiprogram(p, 0, 5000, 1); err == nil {
