@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,6 +83,9 @@ func TestArenaBudgetRejected(t *testing.T) {
 // TestHugeBudgetRefused: a cell whose trace may outgrow every arena
 // budget fails at once naming -arena-budget, for single programs (T2) and
 // multiprograms (A6) alike, instead of generating or counting without end.
+// The ceiling is one plain failure: each FAILED line prints its message
+// once with the cells it stopped, the summary counts it once, and the
+// message leaves out the saturated worst-case size.
 func TestHugeBudgetRefused(t *testing.T) {
 	type result struct {
 		out string
@@ -97,13 +101,25 @@ func TestHugeBudgetRefused(t *testing.T) {
 		if r.err == nil {
 			t.Fatalf("a campaign of 2^64-1 instructions succeeded:\n%s", r.out)
 		}
-		for _, id := range []string{"T2", "A6"} {
-			if !strings.Contains(r.out, id+": FAILED: ") {
-				t.Errorf("%s did not fail:\n%s", id, r.out)
+		for _, f := range []struct {
+			id    string
+			cells int
+		}{{"T2", 3}, {"A6", 12}} {
+			if want := fmt.Sprintf("%s: FAILED: %d cells: experiments: a trace of", f.id, f.cells); !strings.Contains(r.out, want) {
+				t.Errorf("output lacks %q:\n%s", want, r.out)
 			}
+		}
+		if n := strings.Count(r.out, "a trace of"); n != 2 {
+			t.Errorf("the ceiling message is printed %d times, want once per experiment:\n%s", n, r.out)
 		}
 		if !strings.Contains(r.out, "-arena-budget") {
 			t.Errorf("the failures do not name -arena-budget:\n%s", r.out)
+		}
+		if strings.Contains(r.out, "9223372036854775807") {
+			t.Errorf("the message prints the saturated worst-case size:\n%s", r.out)
+		}
+		if want := "2 experiment(s) failed (T2,A6) with 1 distinct cell failure(s)"; r.err.Error() != want {
+			t.Errorf("summary = %q, want %q", r.err, want)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("a campaign of 2^64-1 instructions still ran after 10 s")

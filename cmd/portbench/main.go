@@ -57,6 +57,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -245,8 +246,8 @@ func run(args []string, out io.Writer) error {
 			// failure, keep rendering every healthy table, and report the
 			// forensics (with repro bundles) after the suite.
 			failed = append(failed, e.ID)
-			failures = append(failures, fmt.Errorf("%s: %w", e.ID, err))
-			fmt.Fprintf(out, "%s: FAILED: %v\n\n", e.ID, err)
+			failures = append(failures, err)
+			fmt.Fprintf(out, "%s: FAILED: %s\n\n", e.ID, failureText(err))
 			continue
 		}
 		if *csv {
@@ -400,19 +401,67 @@ func parseOnly(list string) ([]experiments.Experiment, error) {
 	}), nil
 }
 
+// cellFailures returns the cell failures an experiment's error joins, in
+// submission order; an error that joins none is one failure itself.
+func cellFailures(err error) []error {
+	j, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return []error{err}
+	}
+	var out []error
+	for _, e := range j.Unwrap() {
+		out = append(out, cellFailures(e)...)
+	}
+	return out
+}
+
+// failureText renders an experiment's error with each distinct cell
+// failure message once, in order of first appearance, led by the number
+// of cells that failed with it when more than one did. A plain failure
+// such as the arena ceiling names no cell, so every cell it stops fails
+// with the same message.
+func failureText(err error) string {
+	var msgs []string
+	cells := map[string]int{}
+	for _, f := range cellFailures(err) {
+		msg := f.Error()
+		if cells[msg] == 0 {
+			msgs = append(msgs, msg)
+		}
+		cells[msg]++
+	}
+	for i, msg := range msgs {
+		if n := cells[msg]; n > 1 {
+			msgs[i] = fmt.Sprintf("%d cells: %s", n, msg)
+		}
+	}
+	return strings.Join(msgs, "\n")
+}
+
 // reportFailures prints each distinct cell failure's forensic detail and
-// writes its repro bundle, returning the distinct-cell count and the
-// bundle paths written (for the run manifest). The memo cache shares one
-// CellError across every experiment that touched the dead cell, so
-// deduplication is by CellError identity.
+// writes its repro bundle, returning the count of distinct cell failures
+// and the bundle paths written (for the run manifest). The memo cache
+// shares one CellError across every experiment that touched the dead
+// cell, so CellErrors are distinct by identity. A plain failure (no
+// CellError: the arena ceiling, an unknown workload) has no forensics or
+// bundle; plain failures are distinct by message. They stay plain: the
+// arena ceiling depends on -arena-budget, which is not part of a cell's
+// key, so a stored failure would outlive a larger budget.
 func reportFailures(out io.Writer, failures []error, reproDir string) (int, []string) {
 	var distinct []*experiments.CellError
 	seen := map[*experiments.CellError]bool{}
+	plain := map[string]bool{}
 	for _, err := range failures {
 		for _, ce := range experiments.CellErrors(err) {
 			if !seen[ce] {
 				seen[ce] = true
 				distinct = append(distinct, ce)
+			}
+		}
+		for _, f := range cellFailures(err) {
+			var ce *experiments.CellError
+			if !errors.As(f, &ce) {
+				plain[f.Error()] = true
 			}
 		}
 	}
@@ -433,7 +482,7 @@ func reportFailures(out io.Writer, failures []error, reproDir string) (int, []st
 		fmt.Fprintf(out, "repro bundle written: %s (replay with: portbench -repro %s)\n", path, path)
 		written = append(written, path)
 	}
-	return len(distinct), written
+	return len(distinct) + len(plain), written
 }
 
 // sanitizeName makes a machine or workload name safe as a filename chunk.

@@ -186,8 +186,11 @@ func (s *Store) degrade(cause *StoreError) {
 }
 
 // entryPath returns the file path of a key's entry.
-func (s *Store) entryPath(k Key) string {
-	return filepath.Join(s.dir, k.ID()+entrySuffix)
+func (s *Store) entryPath(k Key) string { return s.idPath(k.ID()) }
+
+// idPath returns the file path of the entry whose key has ID id.
+func (s *Store) idPath(id string) string {
+	return filepath.Join(s.dir, id+entrySuffix)
 }
 
 // Get looks a cell up. A missing entry returns (nil, nil) — a plain
@@ -197,11 +200,16 @@ func (s *Store) entryPath(k Key) string {
 // re-simulates the cell and the next Put replaces the entry. Get only
 // returns a non-nil error for the degraded store sentinel, which callers
 // may treat as a miss too.
-func (s *Store) Get(k Key) (*Entry, error) {
+func (s *Store) Get(k Key) (*Entry, error) { return s.GetID(k, k.ID()) }
+
+// GetID is Get for a caller that holds the key's ID, id == k.ID(): the
+// key is not hashed again. A runner cell derives its ID once for its Get,
+// its Put and a Quarantine.
+func (s *Store) GetID(k Key, id string) (*Entry, error) {
 	if s.isDegraded() {
 		return nil, nil
 	}
-	path := s.entryPath(k)
+	path := s.idPath(id)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		s.count(func(st *Store) { st.stats.misses++ })
@@ -229,15 +237,15 @@ func (s *Store) Get(k Key) (*Entry, error) {
 	return e, nil
 }
 
-// Quarantine moves a key's entry aside with an experiments-layer reason
-// (e.g. an envelope that verified but whose payload the experiments layer
-// cannot decode) and records the StoreError. The next Get misses and the
-// cell is re-simulated.
-func (s *Store) Quarantine(k Key, reason error) {
+// Quarantine moves the entry of key k, whose ID is id (k.ID()), aside
+// with an experiments-layer reason (e.g. an envelope that verified but
+// whose payload the experiments layer cannot decode) and records the
+// StoreError. The next Get misses and the cell is re-simulated.
+func (s *Store) Quarantine(k Key, id string, reason error) {
 	if s.isDegraded() {
 		return
 	}
-	s.quarantine("get", s.entryPath(k), &k, reason)
+	s.quarantine("get", s.idPath(id), &k, reason)
 }
 
 // quarantine renames a corrupt entry to *.corrupt, records the error and
@@ -268,7 +276,11 @@ func (s *Store) count(fn func(*Store)) {
 // Failures are retried with backoff; exhausting the retries records the
 // failure and degrades the store to store-less operation. Put never
 // fails the campaign: the returned error is advisory.
-func (s *Store) Put(e *Entry) error {
+func (s *Store) Put(e *Entry) error { return s.PutID(e, e.Key.ID()) }
+
+// PutID is Put for a caller that holds the entry key's ID, id ==
+// e.Key.ID(): the key is not hashed again.
+func (s *Store) PutID(e *Entry, id string) error {
 	if s.isDegraded() {
 		return nil
 	}
@@ -278,7 +290,7 @@ func (s *Store) Put(e *Entry) error {
 		// not degrade the store over it.
 		return &StoreError{Op: "put", Key: &e.Key, Err: err}
 	}
-	path := s.entryPath(e.Key)
+	path := s.idPath(id)
 	var lastErr error
 	for attempt := 0; attempt < putAttempts; attempt++ {
 		if attempt > 0 {

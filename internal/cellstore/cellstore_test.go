@@ -293,7 +293,7 @@ func TestQuarantineByCaller(t *testing.T) {
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	s.Quarantine(e.Key, errors.New("payload schema mismatch"))
+	s.Quarantine(e.Key, e.Key.ID(), errors.New("payload schema mismatch"))
 	if got, _ := s.Get(e.Key); got != nil {
 		t.Error("entry still readable after caller quarantine")
 	}

@@ -20,6 +20,15 @@
 //   - Quarantine, not crash: a corrupt entry is renamed to *.corrupt,
 //     recorded as a structured StoreError and reported as a miss, so the
 //     campaign re-simulates the one cell instead of failing.
+//
+// A restore allocates a few dozen objects, none per counter of the stored
+// result. An entry's file name is its key's ID, a SHA-256 of the key's
+// JSON; a caller that holds the ID passes it to GetID, PutID and
+// Quarantine, so a runner cell derives its file name once for all three.
+// DecodeEntry sums and decodes the envelope body where it lies in the
+// file's bytes and copies only the payload out of it, and the experiments
+// layer decodes the payload's counter names into the stats vocabulary's
+// own strings instead of a copy per name.
 package cellstore
 
 import (
@@ -142,7 +151,30 @@ type envelope struct {
 // bodyChecksum computes the envelope checksum of an entry body.
 func bodyChecksum(body []byte) string {
 	sum := sha256.Sum256(body)
-	return "sha256:" + hex.EncodeToString(sum[:])
+	return string(appendChecksum(nil, &sum))
+}
+
+// appendChecksum appends the envelope checksum form of a body's SHA-256.
+func appendChecksum(dst []byte, sum *[sha256.Size]byte) []byte {
+	return hex.AppendEncode(append(dst, "sha256:"...), sum[:])
+}
+
+// entryBody decodes an envelope's entry body where it lies in the
+// envelope's bytes. encoding/json hands UnmarshalJSON the bytes a
+// json.RawMessage would copy, so the body is summed and decoded in place,
+// and only the entry's Result is copied out of it. The decode error waits
+// in err until DecodeEntry has checked the schema and the checksum.
+type entryBody struct {
+	size int
+	sum  [sha256.Size]byte
+	e    Entry
+	err  error
+}
+
+func (b *entryBody) UnmarshalJSON(data []byte) error {
+	*b = entryBody{size: len(data), sum: sha256.Sum256(data)}
+	b.err = json.Unmarshal(data, &b.e)
+	return nil
 }
 
 // EncodeEntry serialises an entry into envelope bytes ready for disk. The
@@ -173,25 +205,30 @@ func EncodeEntry(e *Entry) ([]byte, error) {
 // schema, checksum mismatch, structural nonsense — comes back as an
 // error, never a panic; the store turns that error into a quarantine.
 func DecodeEntry(data []byte) (*Entry, error) {
-	var env envelope
+	var env struct {
+		Schema   string    `json:"schema"`
+		Checksum string    `json:"checksum"`
+		Entry    entryBody `json:"entry"`
+	}
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("cellstore: envelope not parseable: %w", err)
 	}
 	if env.Schema != Schema {
 		return nil, fmt.Errorf("cellstore: envelope schema %q, want %q", env.Schema, Schema)
 	}
-	if len(env.Entry) == 0 {
+	body := &env.Entry
+	if body.size == 0 {
 		return nil, fmt.Errorf("cellstore: envelope has no entry body")
 	}
-	if got := bodyChecksum(env.Entry); got != env.Checksum {
-		return nil, fmt.Errorf("cellstore: checksum mismatch: envelope says %s, body is %s", env.Checksum, got)
+	var buf [len("sha256:") + 2*sha256.Size]byte
+	if got := appendChecksum(buf[:0], &body.sum); string(got) != env.Checksum {
+		return nil, fmt.Errorf("cellstore: checksum mismatch: envelope says %s, body is %s", env.Checksum, string(got))
 	}
-	var e Entry
-	if err := json.Unmarshal(env.Entry, &e); err != nil {
-		return nil, fmt.Errorf("cellstore: entry body not parseable: %w", err)
+	if body.err != nil {
+		return nil, fmt.Errorf("cellstore: entry body not parseable: %w", body.err)
 	}
-	if err := e.Validate(); err != nil {
+	if err := body.e.Validate(); err != nil {
 		return nil, err
 	}
-	return &e, nil
+	return &body.e, nil
 }

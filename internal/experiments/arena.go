@@ -250,9 +250,9 @@ func (r *Runner) processDemand(processes, quantum int) ([]uint64, error) {
 // need more bytes than the larger of the budget and DefaultArenaBudget
 // fails before it counts a demand or builds anything.
 func (r *Runner) openStream(s *streamSpec) (trace.Stream, error) {
-	if need, ceiling := trace.MaxBytes(r.spec.Insts), max(r.arenas.budget, DefaultArenaBudget); need > ceiling {
-		return nil, fmt.Errorf("experiments: a trace of %d instructions may take %d bytes, more than the %d bytes a cell may build; raise -arena-budget (Spec.ArenaBudget)",
-			r.spec.Insts, need, ceiling)
+	if ceiling := max(r.arenas.budget, DefaultArenaBudget); trace.MaxBytes(r.spec.Insts) > ceiling {
+		return nil, fmt.Errorf("experiments: a trace of %d instructions may need more than the %d bytes a cell may build; raise -arena-budget (Spec.ArenaBudget)",
+			r.spec.Insts, ceiling)
 	}
 	demand, err := r.arenaLen(s)
 	if err != nil {

@@ -389,7 +389,7 @@ type cellReq struct {
 }
 
 // keyID returns the cell's content address, hashed at most once per cell
-// and only when an observer or a profiler label asks for it.
+// and only when the store, an observer or a profiler label asks for it.
 func (c *cellReq) keyID() string {
 	if c.id == "" {
 		c.id = c.key.ID()

@@ -66,9 +66,36 @@ func encodeResult(res *cpu.Result) (json.RawMessage, error) {
 	return json.Marshal(&sr)
 }
 
+// counterName is a stored counter name. A name of the stats vocabulary
+// decodes into the vocabulary's own string, so a restored result shares
+// its counter names as a simulated one does; any other name decodes
+// verbatim.
+type counterName string
+
+func (n *counterName) UnmarshalJSON(b []byte) error {
+	// No vocabulary name has a character that JSON escapes, so a match on
+	// the raw bytes between the quotes is a match on the decoded string.
+	if len(b) >= 2 && b[0] == '"' && b[len(b)-1] == '"' {
+		if name, ok := stats.VocabularyName(b[1 : len(b)-1]); ok {
+			*n = counterName(name)
+			return nil
+		}
+	}
+	return json.Unmarshal(b, (*string)(n))
+}
+
 // decodeResult rebuilds a cpu.Result from a stored payload.
 func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
-	var sr storedResult
+	var sr struct {
+		storedResult
+		// CounterNames shadows the embedded field of the same JSON name,
+		// so the names decode through the vocabulary.
+		CounterNames []counterName `json:"counter_names"`
+	}
+	// A result of vocabulary names has at most VocabularySize counters,
+	// so the slices take every name and value without regrowing.
+	n := stats.VocabularySize()
+	sr.CounterNames, sr.CounterValues = make([]counterName, 0, n), make([]uint64, 0, n)
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		return nil, fmt.Errorf("experiments: stored result not parseable: %w", err)
 	}
@@ -89,7 +116,7 @@ func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
 		Counters:     stats.NewSetSize(len(sr.CounterNames)),
 	}
 	for i, name := range sr.CounterNames {
-		res.Counters.Add(name, sr.CounterValues[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
+		res.Counters.Add(string(name), sr.CounterValues[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
 	}
 	stack, err := cpustack.FromMap(sr.CPIStack)
 	if err != nil {
@@ -122,7 +149,7 @@ func (e *restoredError) Is(target error) bool {
 func (r *Runner) runDurable(c *cellReq) (*cpu.Result, error) {
 	st := r.spec.Store
 	if st != nil {
-		if entry, _ := st.Get(c.key); entry != nil {
+		if entry, _ := st.GetID(c.key, c.keyID()); entry != nil {
 			res, err, decErr := r.restoreEntry(entry, c)
 			if decErr == nil {
 				// Store hits never reach runStream's observer; report here.
@@ -132,7 +159,7 @@ func (r *Runner) runDurable(c *cellReq) (*cpu.Result, error) {
 			// The envelope verified but the experiments-layer payload did
 			// not decode (e.g. written by an incompatible build). Quarantine
 			// it and fall through to a fresh simulation.
-			st.Quarantine(c.key, decErr)
+			st.Quarantine(c.key, c.keyID(), decErr)
 		}
 	}
 	res, err := r.runStream(c, nil)
@@ -192,5 +219,5 @@ func (r *Runner) putEntry(st *cellstore.Store, c *cellReq, res *cpu.Result, err 
 			Stack:    ce.Stack,
 		}
 	}
-	_ = st.Put(&e)
+	_ = st.PutID(&e, c.keyID())
 }

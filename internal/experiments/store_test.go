@@ -11,6 +11,7 @@ import (
 	"portsim/internal/cellstore"
 	"portsim/internal/config"
 	"portsim/internal/cpu"
+	"portsim/internal/stats"
 )
 
 // storeSpec is QuickSpec over a durable store in dir.
@@ -46,6 +47,79 @@ func sameResult(t *testing.T, got, want *cpu.Result) {
 		if got.Counters.Get(name) != want.Counters.Get(name) {
 			t.Fatalf("counter %s: got %d want %d", name, got.Counters.Get(name), want.Counters.Get(name))
 		}
+	}
+}
+
+// simulatedResult simulates compress on the baseline machine, with cycle
+// accounting armed when cpi is set.
+func simulatedResult(t *testing.T, cpi bool) *cpu.Result {
+	t.Helper()
+	spec := QuickSpec()
+	spec.CPIStack = cpi
+	res, err := runCell(NewRunner(spec), config.Baseline(), "compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// restored encodes a result as a Put stores it and decodes it as a
+// restore does.
+func restored(t *testing.T, res *cpu.Result) *cpu.Result {
+	t.Helper()
+	raw, err := encodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeResult(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestRestoredResultMatchesSimulated restores an encoded result and
+// requires the simulated one back counter for counter, in creation order,
+// with its CPI stack bucket for bucket. Counter names outside the stats
+// vocabulary, one of them spelled with JSON escapes, restore verbatim.
+func TestRestoredResultMatchesSimulated(t *testing.T) {
+	sim := simulatedResult(t, true)
+	if sim.CPIStack == nil {
+		t.Fatal("simulated result carries no CPI stack")
+	}
+	got := restored(t, sim)
+	sameResult(t, got, sim)
+	if got.CPIStack == nil || *got.CPIStack != *sim.CPIStack {
+		t.Errorf("restored CPI stack = %v, want %v", got.CPIStack, sim.CPIStack.Buckets)
+	}
+
+	odd := *sim
+	odd.Counters = stats.NewSetSize(0)
+	for _, name := range sim.Counters.Names() {
+		odd.Counters.Add(name, sim.Counters.Get(name))
+	}
+	odd.Counters.Add("test.outside_vocabulary", 7)
+	odd.Counters.Add(`port.<"quoted">\name`, 9)
+	sameResult(t, restored(t, &odd), &odd)
+}
+
+// TestRestoreAllocations bounds what decoding a stored result allocates.
+// Its counter names decode into the stats vocabulary's own strings and
+// its counter slices are sized once, so the count does not grow with the
+// result's 60-odd counters; a decode that copied each name made about 80.
+func TestRestoreAllocations(t *testing.T) {
+	const maxAllocs = 20
+	raw, err := encodeResult(simulatedResult(t, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeResult(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > maxAllocs {
+		t.Errorf("decoding a stored result allocates %v objects; want at most %d", n, maxAllocs)
 	}
 }
 

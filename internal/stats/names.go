@@ -132,3 +132,49 @@ var classCounters, grantBuckets = func() (map[string]string, []string) {
 	}
 	return classes, grants
 }()
+
+// VocabularyName returns the vocabulary's own string for the counter name
+// spelled by b: a constant of this file, a ClassCounter name or a
+// precomputed GrantBucket name. It reports false for any other name. A
+// decoder that restores a stored result looks its names up here, so the
+// restored result shares these strings as a simulated one does instead of
+// allocating a copy of each. The lookup is read-only and safe for
+// concurrent use.
+func VocabularyName(b []byte) (string, bool) {
+	name, ok := vocabulary[string(b)]
+	return name, ok
+}
+
+// VocabularySize returns the number of names VocabularyName knows: the
+// most counters a result of these names holds, the capacity a decoder
+// sizes its name and value slices to.
+func VocabularySize() int { return len(vocabulary) }
+
+// vocabulary maps every name of the vocabulary to itself.
+// TestVocabularyCoversNamesFile keeps it in step with the constants above.
+var vocabulary = func() map[string]string {
+	names := []string{
+		Cycles, Instructions, InstsUser, InstsKernel, Loads, Stores, Branches, Mispredicts,
+		StallFetchCycles, StallROBFullCycles, StallCommitStoreBuffer,
+		LSQForwards, LSQViolations, FetchWrongPathLines,
+		L1DHits, L1DMisses, L1DWritebacks, L1IHits, L1IMisses, L2Hits, L2Misses, DRAMAccesses,
+		ITLBHits, ITLBMisses, DTLBHits, DTLBMisses,
+		PortCycles, PortGrants, PortLoadAccesses, PortStoreAccesses,
+		PortLoadsFromCache, PortLoadsFromLineBuffer, PortLoadsFromStoreBuffer,
+		PortRejectPortBusy, PortRejectMSHR, PortRejectStoreConflict, PortRejectBankConflict,
+		PortSBInserts, PortSBCombined, PortSBDrains, PortSBForwards,
+		PortLBHits, PortLBFills, PortLBInvalidations, PortRefillCycles,
+		PortPrefetches, PortUsefulPrefetches,
+	}
+	vocab := make(map[string]string, len(names)+len(classCounters)+len(grantBuckets))
+	for _, name := range names {
+		vocab[name] = name
+	}
+	for _, name := range classCounters {
+		vocab[name] = name
+	}
+	for _, name := range grantBuckets {
+		vocab[name] = name
+	}
+	return vocab
+}()

@@ -1,10 +1,16 @@
 package stats
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"portsim/internal/isa"
 )
 
 func TestSetBasics(t *testing.T) {
@@ -244,5 +250,60 @@ func TestPortRejects(t *testing.T) {
 	}
 	if len(PortRejectNames) != 4 {
 		t.Errorf("PortRejectNames has %d entries, want the 4 rejection reasons", len(PortRejectNames))
+	}
+}
+
+// TestVocabularyCoversNamesFile parses names.go and requires every string
+// constant it declares, every class counter and every precomputed grant
+// bucket to be a vocabulary name, and nothing else: a constant added to
+// the file without joining the lookup would make restored results copy
+// its name again.
+func TestVocabularyCoversNamesFile(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "names.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, v := range spec.(*ast.ValueSpec).Values {
+				lit, ok := v.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("names.go constant %v is not a string literal", v)
+				}
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, name)
+			}
+		}
+	}
+	for c := isa.Class(0); int(c) < isa.NumClasses; c++ {
+		want = append(want, ClassCounter(c.String()))
+	}
+	for n := 0; n <= 16; n++ {
+		want = append(want, GrantBucket(n))
+	}
+	for _, name := range want {
+		if got, ok := VocabularyName([]byte(name)); !ok || got != name {
+			t.Errorf("VocabularyName(%q) = %q, %v; want the name itself", name, got, ok)
+		}
+	}
+	if got := VocabularySize(); got != len(want) {
+		t.Errorf("VocabularySize() = %d, want the %d names above", got, len(want))
+	}
+	for _, name := range []string{"", "cycles ", "Cycles", GrantBucket(17), "class.bogus"} {
+		if got, ok := VocabularyName([]byte(name)); ok {
+			t.Errorf("VocabularyName(%q) = %q, true; want no such name", name, got)
+		}
+	}
+	b := []byte(PortGrants)
+	if n := testing.AllocsPerRun(100, func() { VocabularyName(b) }); n != 0 {
+		t.Errorf("VocabularyName allocates %v objects per lookup; want 0", n)
 	}
 }
