@@ -99,7 +99,7 @@ func profileCmd(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		a.Consume(trace.NewLimit(gen, *insts), 0)
+		a.Consume(gen, *insts)
 		title = fmt.Sprintf("%s (%d instructions, seed %d)", *name, *insts, *seed)
 	}
 	fmt.Fprint(out, a.Report(title))
@@ -133,11 +133,14 @@ func genCmd(args []string, out io.Writer) error {
 	}
 	defer f.Close()
 	w := trace.NewWriter(f)
-	var in isa.Inst
-	stream := trace.NewLimit(gen, *insts)
-	for stream.Next(&in) {
-		if err := w.Write(&in); err != nil {
-			return err
+	var buf [256]isa.Inst
+	for w.Count() < *insts {
+		batch := buf[:min(*insts-w.Count(), uint64(len(buf)))]
+		gen.NextBatch(batch)
+		for i := range batch {
+			if err := w.Write(&batch[i]); err != nil {
+				return err
+			}
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -165,10 +168,10 @@ func dumpCmd(args []string, out io.Writer) error {
 	}
 	defer f.Close()
 	r := trace.NewReader(f)
-	var inst isa.Inst
+	var inst [1]isa.Inst
 	count := 0
-	for r.Next(&inst) {
-		fmt.Fprintln(out, inst.String())
+	for r.NextBatch(inst[:]) == 1 {
+		fmt.Fprintln(out, inst[0].String())
 		count++
 		if *n > 0 && count >= *n {
 			break
@@ -189,10 +192,11 @@ func statCmd(args []string, out io.Writer) error {
 	}
 	defer f.Close()
 	r := trace.NewReader(f)
-	var inst isa.Inst
+	var buf [1]isa.Inst
+	inst := &buf[0]
 	var total, kernel, taken uint64
 	classes := map[isa.Class]uint64{}
-	for r.Next(&inst) {
+	for r.NextBatch(buf[:]) == 1 {
 		total++
 		classes[inst.Class]++
 		if inst.Kernel {

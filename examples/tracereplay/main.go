@@ -34,11 +34,14 @@ func main() {
 		log.Fatal(err)
 	}
 	w := trace.NewWriter(f)
-	var in isa.Inst
-	limited := trace.NewLimit(gen, insts)
-	for limited.Next(&in) {
-		if err := w.Write(&in); err != nil {
-			log.Fatal(err)
+	var buf [256]isa.Inst
+	for w.Count() < insts {
+		batch := buf[:min(insts-w.Count(), uint64(len(buf)))]
+		gen.NextBatch(batch)
+		for i := range batch {
+			if err := w.Write(&batch[i]); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	if err := w.Flush(); err != nil {

@@ -15,12 +15,12 @@ type mappedStream struct {
 	fn    func(*isa.Inst)
 }
 
-func (s *mappedStream) Next(in *isa.Inst) bool {
-	if !s.inner.Next(in) {
-		return false
+func (s *mappedStream) NextBatch(dst []isa.Inst) int {
+	n := s.inner.NextBatch(dst)
+	for i := range dst[:n] {
+		s.fn(&dst[i])
 	}
-	s.fn(in)
-	return true
+	return n
 }
 
 // shiftAddrs moves every data address by d.

@@ -73,8 +73,9 @@ func TestPredictGroupMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ctrl []isa.Inst
-		var in isa.Inst
-		for i := 0; i < insts && gen.Next(&in); i++ {
+		all := make([]isa.Inst, insts)
+		gen.NextBatch(all)
+		for _, in := range all {
 			if in.Class.IsCtrl() {
 				ctrl = append(ctrl, in)
 			}

@@ -221,12 +221,12 @@ type Core struct {
 	cycle uint64
 	seq   uint64
 
-	// The instruction stream, read through trace.Batched: fetch pulls
-	// instructions through batchBuf in streamChunk-sized refills, one
-	// dynamic dispatch per chunk instead of one per instruction. The
-	// generators' output is independent of when they are called, so pulling
-	// ahead of the pipeline changes nothing the core observes.
-	stream             trace.Batcher
+	// The instruction stream: fetch pulls instructions through batchBuf in
+	// streamChunk-sized refills, one dynamic dispatch per chunk instead of
+	// one per instruction. The generators' output is independent of when
+	// they are called, so pulling ahead of the pipeline changes nothing the
+	// core observes.
+	stream             trace.Stream
 	batchBuf           []isa.Inst
 	batchPos, batchLen int
 
@@ -412,7 +412,7 @@ func (c *Core) reset(stream trace.Stream) {
 		sys:          c.sys,
 		port:         c.port,
 		pred:         c.pred,
-		stream:       trace.Batched(stream),
+		stream:       stream,
 		batchBuf:     c.batchBuf,
 		rob:          c.rob,
 		live:         c.live,

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 
 	"portsim/internal/config"
@@ -71,19 +72,12 @@ func TestRunCursorMatchesGenerator(t *testing.T) {
 	}
 }
 
-// nextOnly hides every method of a stream but Next. It is the shape
-// faultStream gives a fault-armed cell's cursor: the core then reads the
-// stream one Next call per instruction instead of in NextBatch chunks.
-type nextOnly struct{ s trace.Stream }
-
-func (n nextOnly) Next(in *isa.Inst) bool { return n.s.Next(in) }
-
-// TestBatchedMatchesNextOnly pins the front end's one read path:
-// fetch takes NextBatch chunks from a trace.Batcher, and any other
-// stream reaches it through trace.Batched, whose NextBatch calls Next once
-// per instruction. One arena replayed both ways must produce the identical
-// Result, counter for counter. As in TestRunCursorMatchesGenerator, each
-// machine's case runs as noskip.
+// TestBatchedMatchesNextOnly pins the front end's one read path for a
+// stream that produces one instruction per step: one trace replayed from
+// an arena cursor, which decodes a whole chunk per NextBatch, and from a
+// trace file through trace.Reader, whose NextBatch decodes one record per
+// step, must produce the identical Result, counter for counter. As in
+// TestRunCursorMatchesGenerator, each machine's case runs as noskip.
 func TestBatchedMatchesNextOnly(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
@@ -100,27 +94,35 @@ func TestBatchedMatchesNextOnly(t *testing.T) {
 			t.Run("noskip", func(t *testing.T) {
 				for _, wl := range []string{"compress", "database"} {
 					a := arenaFor(t, wl, 42, insts)
-					cur := a.NewCursor()
-					batchedCore, err := New(&m, cur)
+					all := make([]isa.Inst, insts)
+					a.NewCursor().NextBatch(all)
+					var file bytes.Buffer
+					w := trace.NewWriter(&file)
+					for i := range all {
+						if err := w.Write(&all[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					batchedCore, err := New(&m, a.NewCursor())
 					if err != nil {
 						t.Fatal(err)
 					}
-					scalarCore, err := New(&m, nextOnly{a.NewCursor()})
+					steppedCore, err := New(&m, trace.NewReader(bytes.NewReader(file.Bytes())))
 					if err != nil {
 						t.Fatal(err)
-					}
-					if batchedCore.stream != trace.Batcher(cur) {
-						t.Fatal("the cursor must be read in chunks directly, not through the Next adapter")
 					}
 					batched, err := batchedCore.Run(opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					scalar, err := scalarCore.Run(opts)
+					stepped, err := steppedCore.Run(opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					compareResults(t, wl, batched, scalar)
+					compareResults(t, wl, batched, stepped)
 				}
 			})
 		})

@@ -211,11 +211,11 @@ func TestTraceRoundTripThroughCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := config.Baseline()
-	c, err := New(&m, trace.NewLimit(g, n))
+	c, err := New(&m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := c.Run(Options{DeadlineCycles: 20_000_000})
+	live, err := c.Run(Options{MaxInstructions: n, DeadlineCycles: 20_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,8 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 	}
 }
 
-// arenaBytes is the footprint of compress's n-instruction trace for seed.
-func arenaBytes(t *testing.T, seed int64, n uint64) int64 {
+// compressArena materialises compress's n-instruction trace for seed.
+func compressArena(t *testing.T, seed int64, n int) *trace.Arena {
 	t.Helper()
 	prof, ok := workload.ByName("compress")
 	if !ok {
@@ -86,7 +86,13 @@ func arenaBytes(t *testing.T, seed int64, n uint64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace.Materialize(gen, int(n)).Bytes()
+	return trace.Materialize(gen, n)
+}
+
+// arenaBytes is the footprint of compress's n-instruction trace for seed.
+func arenaBytes(t *testing.T, seed int64, n uint64) int64 {
+	t.Helper()
+	return compressArena(t, seed, int(n)).Bytes()
 }
 
 // TestArenaRegistrySharing pins the generate-once property: a sweep that
@@ -216,14 +222,14 @@ func replayPrefix(t *testing.T, cur *trace.Cursor, seed int64, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got isa.Inst
-	for i := 0; i < n; i++ {
-		gen.Next(&want)
-		if !cur.Next(&got) {
-			t.Fatalf("cursor ended at %d of %d", i, n)
-		}
-		if got != want {
-			t.Fatalf("instruction %d diverged:\n live   %+v\n replay %+v", i, want, got)
+	want, got := make([]isa.Inst, n), make([]isa.Inst, n)
+	gen.NextBatch(want)
+	if k := cur.NextBatch(got); k != n {
+		t.Fatalf("cursor ended at %d of %d", k, n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("instruction %d diverged:\n live   %+v\n replay %+v", i, want[i], got[i])
 		}
 	}
 }
@@ -265,7 +271,7 @@ func TestArenaRegistryPrefixes(t *testing.T) {
 	replayPrefix(t, mid, 1, 1_000)
 	replayPrefix(t, longer, 1, 4_000)
 	replayPrefix(t, again, 1, 2_000)
-	if acquire(0).Next(new(isa.Inst)) {
+	if acquire(0).NextBatch(make([]isa.Inst, 1)) != 0 {
 		t.Error("a request for no instructions yielded one")
 	}
 	check("an empty request", 2, 1)

@@ -108,28 +108,32 @@ func (f *Fault) arm(m *config.Machine) {
 func (f *Fault) wrap(stream trace.Stream) trace.Stream {
 	switch f.Mode {
 	case FaultPanic, FaultBadInst:
-		return &faultStream{inner: stream, fault: f}
+		return &faultStream{inner: stream, fault: f, clean: f.After}
 	}
 	return stream
 }
 
-// faultStream wraps a trace.Stream and injects the fault after the
-// configured number of clean instructions.
+// faultStream wraps a trace.Stream and injects the fault into instruction
+// After+1. It reads its inner stream batch for batch, so a fault-armed
+// cell pulls its cursor exactly as an unarmed one does.
 type faultStream struct {
 	inner trace.Stream
 	fault *Fault
-	n     uint64
+	clean uint64 // instructions still to deliver before the fault
 	fired bool
 }
 
-// Next delivers the underlying stream until the fault point.
-func (s *faultStream) Next(in *isa.Inst) bool {
-	if !s.inner.Next(in) {
-		return false
+// NextBatch delivers the underlying stream and poisons the batch that
+// holds instruction After+1: panic mode panics in the pull that reaches
+// it, badinst mode corrupts it.
+func (s *faultStream) NextBatch(dst []isa.Inst) int {
+	got := s.inner.NextBatch(dst)
+	if s.fired {
+		return got
 	}
-	s.n++
-	if s.fired || s.n <= s.fault.After {
-		return true
+	if n := uint64(got); n <= s.clean {
+		s.clean -= n
+		return got
 	}
 	s.fired = true
 	switch s.fault.Mode {
@@ -140,8 +144,8 @@ func (s *faultStream) Next(in *isa.Inst) bool {
 		// A zero-size store passes fetch, rename and issue, then hits the
 		// store buffer's size validation at commit — the documented
 		// misuse panic in core.StoreBuffer.Insert.
-		in.Class = isa.Store
-		in.Size = 0
+		dst[s.clean].Class = isa.Store
+		dst[s.clean].Size = 0
 	}
-	return true
+	return got
 }

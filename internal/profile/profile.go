@@ -120,11 +120,21 @@ func (a *Analysis) Observe(in *isa.Inst) {
 // Consume drains a stream into the analysis, up to max instructions
 // (0 = unbounded), returning the count observed.
 func (a *Analysis) Consume(s trace.Stream, max uint64) uint64 {
-	var in isa.Inst
+	var buf [256]isa.Inst
 	var n uint64
-	for (max == 0 || n < max) && s.Next(&in) {
-		a.Observe(&in)
-		n++
+	for max == 0 || n < max {
+		want := uint64(len(buf))
+		if max != 0 {
+			want = min(want, max-n)
+		}
+		got := s.NextBatch(buf[:want])
+		for i := range buf[:got] {
+			a.Observe(&buf[i])
+		}
+		n += uint64(got)
+		if uint64(got) < want {
+			break
+		}
 	}
 	return n
 }

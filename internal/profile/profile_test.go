@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"portsim/internal/isa"
-	"portsim/internal/trace"
 	"portsim/internal/workload"
 )
 
@@ -109,7 +108,7 @@ func TestGeneratorsMatchIntendedLocality(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := New(Options{})
-		a.Consume(trace.NewLimit(g, 100_000), 0)
+		a.Consume(g, 100_000)
 		return a
 	}
 	eq := analyse("eqntott")

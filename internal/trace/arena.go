@@ -114,18 +114,17 @@ func MaxBytes(n uint64) int64 {
 const wordChunk = 8192
 
 // Materialize drains up to n instructions from s into a new arena, in
-// chunks through Batched. A shorter arena means the stream ended early. It
+// 128-instruction batches. A shorter arena means the stream ended early. It
 // panics on an instruction the arena could not replay exactly: one that
 // sets the operand field its class does not use (Target on a load or
 // store, Addr on any other class), or a class, register or size the packed
 // word cannot hold.
 func Materialize(s Stream, n int) *Arena {
 	b := &builder{packed: make([]uint32, 0, n)}
-	bs := Batched(s)
 	var buf [128]isa.Inst
 	for len(b.packed) < n {
 		want := min(n-len(b.packed), len(buf))
-		got := bs.NextBatch(buf[:want])
+		got := s.NextBatch(buf[:want])
 		for i := 0; i < got; i++ {
 			b.push(&buf[i])
 		}
@@ -296,9 +295,10 @@ func (a *Arena) columns() *columns {
 	a.expand.Do(func() {
 		n := a.Len()
 		c := &columns{pc: make([]uint64, n), op: make([]uint64, n), class: make([]uint8, n), meta: make([]uint8, n)}
-		cur := a.NewCursor()
 		var in isa.Inst
-		for i := 0; cur.Next(&in); i++ {
+		w, next := 0, uint64(0)
+		for i, x := range a.packed {
+			w, next = decode(x, a.words, w, next, &in)
 			var m uint8
 			if in.Taken {
 				m |= MetaTaken
@@ -349,8 +349,8 @@ func (a *Arena) Inst(i int, in *isa.Inst) {
 // cheap; one arena serves any number of them concurrently.
 func (a *Arena) NewCursor() *Cursor { return &Cursor{a: a} }
 
-// Cursor replays an arena from the beginning. It implements Stream and
-// Batcher with zero allocations.
+// Cursor replays an arena from the beginning. It implements Stream with
+// zero allocations.
 type Cursor struct {
 	a    *Arena
 	pos  int    // next instruction
@@ -358,19 +358,7 @@ type Cursor struct {
 	next uint64 // its predecessor's NextPC
 }
 
-// Next implements Stream.
-//
-//portlint:hotpath
-func (c *Cursor) Next(in *isa.Inst) bool {
-	if c.pos >= len(c.a.packed) {
-		return false
-	}
-	c.w, c.next = decode(c.a.packed[c.pos], c.a.words, c.w, c.next, in)
-	c.pos++
-	return true
-}
-
-// NextBatch implements Batcher.
+// NextBatch implements Stream.
 //
 //portlint:hotpath
 func (c *Cursor) NextBatch(dst []isa.Inst) int {

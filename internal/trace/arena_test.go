@@ -7,8 +7,6 @@ import (
 	"portsim/internal/isa"
 )
 
-var _ Batcher = (*Cursor)(nil)
-
 // arenaTestProgram builds a varied synthetic trace: every class kind,
 // taken and not-taken branches, kernel episodes, memory operations with
 // sizes — enough to exercise every metadata bit.
@@ -115,11 +113,11 @@ func layoutBytes(prog []isa.Inst) int64 {
 
 // TestArenaReplayMatchesSource is the arena's core contract: a cursor over
 // a materialised stream replays instruction-for-instruction what the
-// source stream produced, via Next, via NextBatch in awkward chunk sizes
-// and via random-access Inst, on a program that follows NextPC and on one
-// that breaks every assumption the packed layout leans on; the arena costs
-// exactly the layout's arithmetic; and the metadata bits restate the
-// instruction's own properties exactly.
+// source stream produced, one instruction at a time, in awkward chunk
+// sizes and via random-access Inst, on a program that follows NextPC and
+// on one that breaks every assumption the packed layout leans on; the
+// arena costs exactly the layout's arithmetic; and the metadata bits
+// restate the instruction's own properties exactly.
 func TestArenaReplayMatchesSource(t *testing.T) {
 	const n = 5_000
 	for _, prog := range []struct {
@@ -151,14 +149,14 @@ func checkReplay(t *testing.T, want []isa.Inst) {
 	cur := a.NewCursor()
 	var got isa.Inst
 	for i := range want {
-		if !cur.Next(&got) {
+		if !read1(cur, &got) {
 			t.Fatalf("cursor exhausted at %d", i)
 		}
 		if got != want[i] {
 			t.Fatalf("instruction %d diverged:\n source %+v\n replay %+v", i, want[i], got)
 		}
 	}
-	if cur.Next(&got) {
+	if read1(cur, &got) {
 		t.Fatal("cursor yielded past the arena's end")
 	}
 
@@ -244,31 +242,22 @@ func TestMaterializeBounds(t *testing.T) {
 	if got := Materialize(NewSliceStream(prog), 1000).Len(); got != 300 {
 		t.Errorf("over-asking Materialize kept %d instructions, want 300", got)
 	}
-	// The batch path must land on identical contents.
 	sliced := Materialize(NewSliceStream(prog), 300)
 	var in isa.Inst
 	cur := sliced.NewCursor()
-	for i := 0; cur.Next(&in); i++ {
+	for i := 0; read1(cur, &in); i++ {
 		if in != prog[i] {
-			t.Fatalf("instruction %d diverged through the non-batch path", i)
+			t.Fatalf("instruction %d diverged", i)
 		}
 	}
 }
 
 // TestCursorDoesNotAllocate is the zero-alloc proof for the replay path:
-// once the arena exists, streaming from it — scalar, batched, or via the
-// direct decode the core's fetch stage uses — never touches the heap.
+// once the arena exists, streaming from it, batch by batch or by random
+// access, never touches the heap.
 func TestCursorDoesNotAllocate(t *testing.T) {
 	a := Materialize(NewSliceStream(arenaTestProgram(4096)), 4096)
-	cur := a.NewCursor()
 	var in isa.Inst
-	if avg := testing.AllocsPerRun(1000, func() {
-		if !cur.Next(&in) {
-			cur = a.NewCursor()
-		}
-	}); avg != 0 {
-		t.Errorf("Cursor.Next allocates %v objects/call; want 0", avg)
-	}
 	buf := make([]isa.Inst, 64)
 	bcur := a.NewCursor()
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -286,8 +275,8 @@ func TestCursorDoesNotAllocate(t *testing.T) {
 // TestMaterializeRejectsUnusedOperand pins the operand-word rule: an arena
 // keeps one operand per instruction, so an instruction that sets the field
 // its class does not use cannot be replayed exactly and must not be
-// captured — through the batch path or the scalar one. Nor may a class,
-// register or size the packed word has no bits for.
+// captured. Nor may a class, register or size the packed word has no bits
+// for.
 func TestMaterializeRejectsUnusedOperand(t *testing.T) {
 	cases := []struct {
 		name string
@@ -307,20 +296,13 @@ func TestMaterializeRejectsUnusedOperand(t *testing.T) {
 	}
 	for _, c := range cases {
 		prog := append(arenaTestProgram(20), c.in)
-		for _, s := range []Stream{NewSliceStream(prog), scalarStream{NewSliceStream(prog)}} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: Materialize(%T) accepted it", c.name, s)
-					}
-				}()
-				Materialize(s, len(prog))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Materialize accepted it", c.name)
+				}
 			}()
-		}
+			Materialize(NewSliceStream(prog), len(prog))
+		}()
 	}
 }
-
-// scalarStream hides a stream's batch interface.
-type scalarStream struct{ s Stream }
-
-func (s scalarStream) Next(in *isa.Inst) bool { return s.s.Next(in) }

@@ -13,9 +13,9 @@ const (
 	readAheadBlock  = 4096
 )
 
-// ReadAhead reads a Batcher on a producer goroutine, ahead of its
+// ReadAhead reads a Stream on a producer goroutine, ahead of its
 // consumer, through a fixed ring of instruction blocks. The consumer's
-// Next and NextBatch copy the blocks out in order and yield exactly the
+// NextBatch copies the blocks out in order and yields exactly the
 // sequence the source would have, so a ReadAhead over a source whose
 // output does not depend on when it is called changes nothing its
 // consumer observes.
@@ -30,7 +30,7 @@ const (
 // caller can recover it. Read-ahead suits sources that do not panic,
 // such as the built-in workload generators.
 type ReadAhead struct {
-	src  Batcher
+	src  Stream
 	ring []isa.Inst
 
 	// filled carries the length of each filled block, in ring order, and
@@ -50,7 +50,7 @@ type ReadAhead struct {
 
 // NewReadAhead returns a read-ahead over src that reads nothing until
 // Start.
-func NewReadAhead(src Batcher) *ReadAhead { return &ReadAhead{src: src} }
+func NewReadAhead(src Stream) *ReadAhead { return &ReadAhead{src: src} }
 
 // Start begins reading at most limit instructions of the source on a new
 // goroutine.
@@ -88,49 +88,22 @@ func (r *ReadAhead) Stop() {
 	}
 }
 
-// next makes the next filled block current. It reports false once the
-// producer has exited and every block has been read.
-//
-//portlint:hotpath
-func (r *ReadAhead) next() bool {
-	n, ok := <-r.filled
-	if !ok {
-		return false
-	}
-	r.pos = r.blk * readAheadBlock
-	r.end = r.pos + n
-	r.blk++
-	if r.blk == readAheadBlocks {
-		r.blk = 0
-	}
-	return true
-}
-
-// Next implements Stream.
-//
-//portlint:hotpath
-func (r *ReadAhead) Next(in *isa.Inst) bool {
-	for r.pos == r.end {
-		if !r.next() {
-			return false
-		}
-	}
-	*in = r.ring[r.pos]
-	r.pos++
-	return true
-}
-
-// NextBatch implements Batcher: it fills dst unless the source ends
-// first.
+// NextBatch implements Stream: it fills dst unless the source ends
+// first. Receiving a block's length makes that block current and hands
+// the previous one back to the producer.
 //
 //portlint:hotpath
 func (r *ReadAhead) NextBatch(dst []isa.Inst) int {
 	n := 0
 	for n < len(dst) {
 		if r.pos == r.end {
-			if !r.next() {
+			filled, ok := <-r.filled
+			if !ok {
 				break
 			}
+			r.pos = r.blk * readAheadBlock
+			r.end = r.pos + filled
+			r.blk = (r.blk + 1) % readAheadBlocks
 			continue
 		}
 		k := copy(dst[n:], r.ring[r.pos:r.end])

@@ -10,8 +10,6 @@ import (
 	"portsim/internal/workload"
 )
 
-var _ trace.Batcher = (*trace.ReadAhead)(nil)
-
 // generator returns a fresh built-in workload generator; equal calls
 // yield equal streams.
 func generator(t *testing.T) *workload.Generator {
@@ -28,22 +26,18 @@ func generator(t *testing.T) *workload.Generator {
 }
 
 // readAll drains r through NextBatch calls of len(dst), and every third
-// call through Next instead, checking NextBatch's short-count contract.
+// call of one instruction, checking NextBatch's short-count contract.
 func readAll(t *testing.T, r *trace.ReadAhead, dst []isa.Inst) []isa.Inst {
 	t.Helper()
 	var got []isa.Inst
 	for call := 0; ; call++ {
+		b := dst
 		if call%3 == 2 {
-			var in isa.Inst
-			if !r.Next(&in) {
-				return got
-			}
-			got = append(got, in)
-			continue
+			b = dst[:1]
 		}
-		n := r.NextBatch(dst)
-		got = append(got, dst[:n]...)
-		if n < len(dst) {
+		n := r.NextBatch(b)
+		got = append(got, b[:n]...)
+		if n < len(b) {
 			if r.NextBatch(dst) != 0 {
 				t.Fatal("NextBatch yielded after a short count")
 			}
@@ -75,7 +69,7 @@ func TestReadAheadYieldsSource(t *testing.T) {
 			checkPrefix(t, "generator", limit, dstLen, got, want[:limit])
 
 			// A source shorter than the limit ends the stream early.
-			r = trace.NewReadAhead(trace.Batched(trace.NewSliceStream(short)))
+			r = trace.NewReadAhead(trace.NewSliceStream(short))
 			r.Start(uint64(limit) + uint64(len(short)))
 			got = readAll(t, r, dst)
 			r.Stop()

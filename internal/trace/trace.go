@@ -17,45 +17,12 @@ import (
 // Stream produces a dynamic instruction stream. Implementations must be
 // deterministic for a given construction (same seed, same stream).
 type Stream interface {
-	// Next fills in with the next dynamic instruction and returns true,
-	// or returns false when the stream is exhausted. The pointed-to value
-	// is owned by the caller between calls.
-	Next(in *isa.Inst) bool
-}
-
-// Batcher is an optional extension of Stream: implementations can fill a
-// whole slice of instructions in one call, so a consumer pays one dynamic
-// dispatch per chunk instead of one per instruction. NextBatch fills a
-// prefix of dst and returns its length; a count shorter than len(dst)
-// means the stream is exhausted. The filled prefix must be exactly the
-// sequence the same number of Next calls would have produced — batching is
-// a calling convention, never a semantic change.
-type Batcher interface {
-	Stream
+	// NextBatch fills a prefix of dst with the stream's next instructions
+	// and returns its length; a count shorter than len(dst) means the
+	// stream is exhausted. The sequence never depends on how a reader
+	// sizes its batches: n instructions read in batches of any sizes are
+	// the same n instructions.
 	NextBatch(dst []isa.Inst) int
-}
-
-// Batched returns s as a Batcher: s itself when it already batches,
-// otherwise a wrapper whose NextBatch calls Next once per instruction, so
-// every consumer reads every stream one way.
-func Batched(s Stream) Batcher {
-	if b, ok := s.(Batcher); ok {
-		return b
-	}
-	return nextBatcher{s}
-}
-
-// nextBatcher adapts a Next-only stream to Batcher.
-type nextBatcher struct{ Stream }
-
-// NextBatch implements Batcher.
-func (n nextBatcher) NextBatch(dst []isa.Inst) int {
-	for i := range dst {
-		if !n.Next(&dst[i]) {
-			return i
-		}
-	}
-	return len(dst)
 }
 
 // SliceStream replays a fixed instruction slice; used heavily in tests to
@@ -70,38 +37,11 @@ func NewSliceStream(insts []isa.Inst) *SliceStream {
 	return &SliceStream{insts: insts}
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next(in *isa.Inst) bool {
-	if s.pos >= len(s.insts) {
-		return false
-	}
-	*in = s.insts[s.pos]
-	s.pos++
-	return true
-}
-
-// Limit wraps a stream and truncates it after n instructions.
-type Limit struct {
-	inner Stream
-	left  uint64
-}
-
-// NewLimit returns a stream yielding at most n instructions of inner.
-func NewLimit(inner Stream, n uint64) *Limit {
-	return &Limit{inner: inner, left: n}
-}
-
-// Next implements Stream.
-func (l *Limit) Next(in *isa.Inst) bool {
-	if l.left == 0 {
-		return false
-	}
-	if !l.inner.Next(in) {
-		l.left = 0
-		return false
-	}
-	l.left--
-	return true
+// NextBatch implements Stream.
+func (s *SliceStream) NextBatch(dst []isa.Inst) int {
+	n := copy(dst, s.insts[s.pos:])
+	s.pos += n
+	return n
 }
 
 // Binary format
@@ -228,8 +168,8 @@ type Reader struct {
 	err    error
 }
 
-// NewReader returns a Reader over r. Header validation happens on first
-// Next; Err reports any format error afterwards.
+// NewReader returns a Reader over r. Header validation happens on the
+// first read; Err reports any format error afterwards.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
@@ -248,11 +188,21 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// Next implements Stream. On malformed input it stops the stream and
+// NextBatch implements Stream. On malformed input it stops the stream and
 // records the error, retrievable via Err.
+func (r *Reader) NextBatch(dst []isa.Inst) int {
+	for i := range dst {
+		if !r.next(&dst[i]) {
+			return i
+		}
+	}
+	return len(dst)
+}
+
+// next decodes one record into in, or reports the end of the stream.
 //
 //portlint:coldpath file-trace decode is cmd/tracegen tooling, I/O-bound by construction; experiment campaigns stream from generators or arenas, never through a Reader
-func (r *Reader) Next(in *isa.Inst) bool {
+func (r *Reader) next(in *isa.Inst) bool {
 	if r.err != nil {
 		return false
 	}

@@ -21,46 +21,30 @@ func sampleInsts() []isa.Inst {
 	}
 }
 
+// read1 reads one instruction of s through a one-instruction batch.
+func read1(s Stream, in *isa.Inst) bool {
+	var b [1]isa.Inst
+	if s.NextBatch(b[:]) == 0 {
+		return false
+	}
+	*in = b[0]
+	return true
+}
+
 func TestSliceStream(t *testing.T) {
 	insts := sampleInsts()
 	s := NewSliceStream(insts)
 	var in isa.Inst
 	for i := range insts {
-		if !s.Next(&in) {
+		if !read1(s, &in) {
 			t.Fatalf("stream ended at %d", i)
 		}
 		if in != insts[i] {
 			t.Fatalf("inst %d = %+v, want %+v", i, in, insts[i])
 		}
 	}
-	if s.Next(&in) {
+	if read1(s, &in) {
 		t.Error("stream yielded past the end")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	s := NewLimit(NewSliceStream(sampleInsts()), 3)
-	var in isa.Inst
-	n := 0
-	for s.Next(&in) {
-		n++
-	}
-	if n != 3 {
-		t.Errorf("limited stream yielded %d, want 3", n)
-	}
-	// Limit larger than the stream just passes everything.
-	s = NewLimit(NewSliceStream(sampleInsts()), 100)
-	n = 0
-	for s.Next(&in) {
-		n++
-	}
-	if n != len(sampleInsts()) {
-		t.Errorf("over-limit yielded %d", n)
-	}
-	// Zero limit yields nothing.
-	s = NewLimit(NewSliceStream(sampleInsts()), 0)
-	if s.Next(&in) {
-		t.Error("zero limit yielded")
 	}
 }
 
@@ -82,14 +66,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	r := NewReader(&buf)
 	var in isa.Inst
 	for i := range insts {
-		if !r.Next(&in) {
+		if !read1(r, &in) {
 			t.Fatalf("reader ended at %d: %v", i, r.Err())
 		}
 		if in != insts[i] {
 			t.Errorf("inst %d = %+v, want %+v", i, in, insts[i])
 		}
 	}
-	if r.Next(&in) {
+	if read1(r, &in) {
 		t.Error("reader yielded past the end")
 	}
 	if r.Err() != nil {
@@ -108,7 +92,7 @@ func TestWriterRejectsInvalid(t *testing.T) {
 func TestReaderRejectsGarbage(t *testing.T) {
 	r := NewReader(bytes.NewReader([]byte("not a trace at all")))
 	var in isa.Inst
-	if r.Next(&in) {
+	if read1(r, &in) {
 		t.Error("garbage accepted")
 	}
 	if r.Err() == nil {
@@ -122,7 +106,7 @@ func TestReaderRejectsWrongVersion(t *testing.T) {
 	buf.WriteByte(99)
 	r := NewReader(&buf)
 	var in isa.Inst
-	if r.Next(&in) || r.Err() == nil {
+	if read1(r, &in) || r.Err() == nil {
 		t.Error("wrong version accepted")
 	}
 }
@@ -144,7 +128,7 @@ func TestReaderTruncated(t *testing.T) {
 	r := NewReader(bytes.NewReader(full[:len(full)-2]))
 	var in isa.Inst
 	n := 0
-	for r.Next(&in) {
+	for read1(r, &in) {
 		n++
 	}
 	if r.Err() == nil {
@@ -163,7 +147,7 @@ func TestEmptyTrace(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	var in isa.Inst
-	if r.Next(&in) {
+	if read1(r, &in) {
 		t.Error("empty trace yielded an instruction")
 	}
 	if r.Err() != nil {
@@ -224,11 +208,11 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		r := NewReader(&buf)
 		var in isa.Inst
 		for i := range insts {
-			if !r.Next(&in) || in != insts[i] {
+			if !read1(r, &in) || in != insts[i] {
 				return false
 			}
 		}
-		return !r.Next(&in) && r.Err() == nil
+		return !read1(r, &in) && r.Err() == nil
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {
@@ -239,7 +223,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 func TestReaderTruncatedHeader(t *testing.T) {
 	r := NewReader(bytes.NewReader([]byte("PORTSIM"))) // shorter than magic+version
 	var in isa.Inst
-	if r.Next(&in) || r.Err() == nil {
+	if read1(r, &in) || r.Err() == nil {
 		t.Error("truncated header accepted")
 	}
 }
@@ -262,7 +246,7 @@ func TestReaderTruncatedRecordFields(t *testing.T) {
 	for cut := headerLen + 1; cut < len(full); cut++ {
 		r := NewReader(bytes.NewReader(full[:cut]))
 		var got isa.Inst
-		if r.Next(&got) {
+		if read1(r, &got) {
 			t.Fatalf("cut at %d of %d yielded an instruction", cut, len(full))
 		}
 		if r.Err() == nil {
@@ -287,7 +271,7 @@ func TestReaderRejectsCorruptClass(t *testing.T) {
 	data[len("PORTSIMTRC")+1+1] = 0xee
 	r := NewReader(bytes.NewReader(data))
 	var got isa.Inst
-	if r.Next(&got) || r.Err() == nil {
+	if read1(r, &got) || r.Err() == nil {
 		t.Error("corrupt class accepted")
 	}
 }

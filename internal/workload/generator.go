@@ -244,9 +244,17 @@ func (g *Generator) exp(mean int) int {
 	return n
 }
 
-// Next implements trace.Stream. The generator never exhausts; wrap it in
-// trace.NewLimit for a bounded run.
-func (g *Generator) Next(in *isa.Inst) bool {
+// NextBatch implements trace.Stream: it fills all of dst, since the
+// generator never exhausts; a bounded run bounds its own reads.
+func (g *Generator) NextBatch(dst []isa.Inst) int {
+	for i := range dst {
+		g.next(&dst[i])
+	}
+	return len(dst)
+}
+
+// next emits the generator's next instruction into in.
+func (g *Generator) next(in *isa.Inst) {
 	ms := g.cur
 	blk := ms.block
 	pc := ms.layout.starts[blk] + uint64(4*ms.posInBlk)
@@ -261,17 +269,6 @@ func (g *Generator) Next(in *isa.Inst) bool {
 		ms.posInBlk++
 	}
 	g.tickKernelCadence(ms)
-	return true
-}
-
-// NextBatch implements trace.Batcher: it fills all of dst (the generator
-// never exhausts) with exactly the instructions the same number of Next
-// calls would have produced, at one dynamic dispatch for the whole chunk.
-func (g *Generator) NextBatch(dst []isa.Inst) int {
-	for i := range dst {
-		g.Next(&dst[i])
-	}
-	return len(dst)
 }
 
 // tickKernelCadence advances the user->kernel->user state machine. Traps

@@ -40,7 +40,7 @@ const MinQuantum = 100
 // single coherent control-flow walk across switch boundaries — exactly like
 // a trace that includes interrupts.
 type Multiprogram struct {
-	procs   []procStream
+	procs   []trace.Stream
 	offsets []uint64
 	rng     *rand.Rand
 
@@ -53,13 +53,6 @@ type Multiprogram struct {
 	switchPending bool
 }
 
-// procStream is the per-process instruction source the interleaver pulls
-// from: an arena replay cursor, ProcessDemand's counter, or, in tests, the
-// live Generator whose trace the cursor replays.
-type procStream interface {
-	Next(in *isa.Inst) bool
-}
-
 // NewMultiprogramReplay builds a multiprogrammed stream of len(procs)
 // instances of a profile, switching every quantumMean instructions on
 // average, over pre-materialised per-process traces. Cursor i must replay
@@ -67,11 +60,11 @@ type procStream interface {
 // registry in internal/experiments guarantees this — and the quantum
 // schedule is drawn from seed, so the interleave is the one live
 // generators would give until a cursor runs out. Cursors are finite: the
-// replay ends (Next returns false) when the current process's trace is
-// exhausted. Cursor i must therefore hold at least ProcessDemand's count
-// for process i over the instructions the caller will consume.
+// replay ends (NextBatch returns short) when the current process's trace
+// is exhausted. Cursor i must therefore hold at least ProcessDemand's
+// count for process i over the instructions the caller will consume.
 func NewMultiprogramReplay(procs []*trace.Cursor, quantumMean int, seed int64) (*Multiprogram, error) {
-	return newMultiprogram(len(procs), quantumMean, seed, func(i int) (procStream, error) {
+	return newMultiprogram(len(procs), quantumMean, seed, func(i int) (trace.Stream, error) {
 		return procs[i], nil
 	})
 }
@@ -80,35 +73,36 @@ func NewMultiprogramReplay(procs []*trace.Cursor, quantumMean int, seed int64) (
 // first n instructions of a multiprogram of processes at quantumMean and
 // seed, for any profile: the schedule depends only on those arguments,
 // and the context-switch markers it injects come from no process. It runs
-// Multiprogram.Next itself over counting stand-ins for the processes, so
-// the count cannot drift from the schedule a replay follows.
+// Multiprogram.NextBatch itself over counting stand-ins for the
+// processes, so the count cannot drift from the schedule a replay follows.
 func ProcessDemand(processes, quantumMean int, seed int64, n uint64) ([]uint64, error) {
 	demand := make([]uint64, max(processes, 0))
-	m, err := newMultiprogram(processes, quantumMean, seed, func(i int) (procStream, error) {
+	m, err := newMultiprogram(processes, quantumMean, seed, func(i int) (trace.Stream, error) {
 		return (*pullCounter)(&demand[i]), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var in isa.Inst
-	for range n {
-		m.Next(&in)
+	var buf [128]isa.Inst
+	for read := uint64(0); read < n; {
+		read += uint64(m.NextBatch(buf[:min(uint64(len(buf)), n-read)]))
 	}
 	return demand, nil
 }
 
 // pullCounter is ProcessDemand's stand-in for a process: an endless stream
-// that counts the instructions pulled from it into its demand slot.
+// that counts the instructions pulled from it into its demand slot. It
+// leaves dst as it finds it, since ProcessDemand reads no instruction.
 type pullCounter uint64
 
-func (c *pullCounter) Next(*isa.Inst) bool {
-	*c++
-	return true
+func (c *pullCounter) NextBatch(dst []isa.Inst) int {
+	*c += pullCounter(len(dst))
+	return len(dst)
 }
 
 // newMultiprogram validates the schedule's parameters, then builds the
 // interleaver over proc(i) for each of the processes.
-func newMultiprogram(processes, quantumMean int, seed int64, proc func(i int) (procStream, error)) (*Multiprogram, error) {
+func newMultiprogram(processes, quantumMean int, seed int64, proc func(i int) (trace.Stream, error)) (*Multiprogram, error) {
 	if processes < 1 {
 		return nil, fmt.Errorf("workload: need at least one process")
 	}
@@ -116,7 +110,7 @@ func newMultiprogram(processes, quantumMean int, seed int64, proc func(i int) (p
 		return nil, fmt.Errorf("workload: quantum %d too short to be meaningful", quantumMean)
 	}
 	m := &Multiprogram{
-		procs:       make([]procStream, 0, processes),
+		procs:       make([]trace.Stream, 0, processes),
 		offsets:     make([]uint64, 0, processes),
 		rng:         rand.New(rand.NewSource(seed)),
 		quantumMean: quantumMean,
@@ -145,48 +139,51 @@ func (m *Multiprogram) drawQuantum() int {
 	return n
 }
 
-// Next implements trace.Stream.
-func (m *Multiprogram) Next(in *isa.Inst) bool {
-	if m.switchPending {
-		// The context-switch marker: a serialising kernel entry at the
-		// outgoing process's last PC. The core drains its pipeline on
-		// it, charging the switch's direct cost; the indirect cost
-		// (cold caches, cold TLB) follows from the address-space jump.
-		m.switchPending = false
-		*in = isa.Inst{
-			PC:     m.lastUserPC(),
-			Class:  isa.Syscall,
-			Target: kernelCodeBase,
-			Kernel: false,
-		}
-		return true
-	}
-	if m.left <= 0 && len(m.procs) > 1 {
-		m.current = (m.current + 1) % len(m.procs)
-		m.left = m.drawQuantum()
-		m.switchPending = true
-		return m.Next(in)
-	}
-	g := m.procs[m.current]
-	if !g.Next(in) {
-		return false
-	}
-	m.relocate(in, m.offsets[m.current])
-	m.left--
-	return true
-}
-
-// NextBatch implements trace.Batcher; see Generator.NextBatch. The quantum
-// countdown and switch markers run inside the loop exactly as they would
-// across individual Next calls. A short count only happens on replayed
-// (finite) process streams; live generators never end.
+// NextBatch implements trace.Stream. Each quantum's run is read from its
+// process in one batch and relocated in place; a switch injects its
+// marker between runs. A short count only happens on replayed (finite)
+// process streams; live generators never end.
 func (m *Multiprogram) NextBatch(dst []isa.Inst) int {
-	for i := range dst {
-		if !m.Next(&dst[i]) {
-			return i
+	n := 0
+	for n < len(dst) {
+		if m.switchPending {
+			// The context-switch marker: a serialising kernel entry at
+			// the outgoing process's last PC. The core drains its
+			// pipeline on it, charging the switch's direct cost; the
+			// indirect cost (cold caches, cold TLB) follows from the
+			// address-space jump.
+			m.switchPending = false
+			dst[n] = isa.Inst{
+				PC:     m.lastUserPC(),
+				Class:  isa.Syscall,
+				Target: kernelCodeBase,
+				Kernel: false,
+			}
+			n++
+			continue
+		}
+		run := len(dst) - n
+		if len(m.procs) > 1 {
+			if m.left <= 0 {
+				m.current = (m.current + 1) % len(m.procs)
+				m.left = m.drawQuantum()
+				m.switchPending = true
+				continue
+			}
+			run = min(run, m.left)
+		}
+		got := m.procs[m.current].NextBatch(dst[n : n+run])
+		off := m.offsets[m.current]
+		for i := n; i < n+got; i++ {
+			m.relocate(&dst[i], off)
+		}
+		n += got
+		m.left -= got
+		if got < run {
+			break
 		}
 	}
-	return len(dst)
+	return n
 }
 
 // lastUserPC gives a stable PC in the current process's code range for the

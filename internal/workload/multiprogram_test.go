@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"portsim/internal/isa"
+	"portsim/internal/trace"
 )
 
 // NewMultiprogram builds the live multiprogrammed stream of `processes`
@@ -11,9 +12,43 @@ import (
 // with process i generated from seed+i*SeedStride: the reference that
 // NewMultiprogramReplay over the same traces must reproduce.
 func NewMultiprogram(prof Profile, processes, quantumMean int, seed int64) (*Multiprogram, error) {
-	return newMultiprogram(processes, quantumMean, seed, func(i int) (procStream, error) {
+	return newMultiprogram(processes, quantumMean, seed, func(i int) (trace.Stream, error) {
 		return New(prof, seed+int64(i)*SeedStride)
 	})
+}
+
+// next is the reference interleave: the multiprogram's next instruction,
+// one process read of one instruction at a time, or false when the
+// current process's stream has ended. NextBatch must reproduce it at
+// every batch size.
+func (m *Multiprogram) next(in *isa.Inst) bool {
+	if m.switchPending {
+		m.switchPending = false
+		*in = isa.Inst{PC: m.lastUserPC(), Class: isa.Syscall, Target: kernelCodeBase}
+		return true
+	}
+	if m.left <= 0 && len(m.procs) > 1 {
+		m.current = (m.current + 1) % len(m.procs)
+		m.left = m.drawQuantum()
+		m.switchPending = true
+		return m.next(in)
+	}
+	if !read1(m.procs[m.current], in) {
+		return false
+	}
+	m.relocate(in, m.offsets[m.current])
+	m.left--
+	return true
+}
+
+// read1 reads one instruction of s through a one-instruction batch.
+func read1(s trace.Stream, in *isa.Inst) bool {
+	var one [1]isa.Inst
+	if s.NextBatch(one[:]) == 0 {
+		return false
+	}
+	*in = one[0]
+	return true
 }
 
 func TestMultiprogramValidation(t *testing.T) {
@@ -43,9 +78,10 @@ func TestMultiprogramSingleProcessMatchesGenerator(t *testing.T) {
 	}
 	var a, b isa.Inst
 	for i := 0; i < 20000; i++ {
-		if !m.Next(&a) || !g.Next(&b) {
+		if !read1(m, &a) {
 			t.Fatal("stream ended")
 		}
+		g.next(&b)
 		if a != b {
 			t.Fatalf("inst %d: single-process multiprogram diverged from the raw generator", i)
 		}
@@ -63,7 +99,7 @@ func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
 	syscallMarkers, switches := 0, 0
 	for i := 0; i < 100000; i++ {
 		cur := m.current
-		if !m.Next(&in) {
+		if !read1(m, &in) {
 			t.Fatal("stream ended")
 		}
 		if m.current != cur {
@@ -109,10 +145,8 @@ func TestMultiprogramDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]isa.Inst, 30000)
-		for i := range out {
-			if !m.Next(&out[i]) {
-				t.Fatal("ended")
-			}
+		if m.NextBatch(out) != len(out) {
+			t.Fatal("ended")
 		}
 		return out
 	}
@@ -133,10 +167,10 @@ func TestMultiprogramProcessesUseDistinctSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in isa.Inst
+	insts := make([]isa.Inst, 50000)
+	m.NextBatch(insts)
 	perProc := map[uint64][]uint64{}
-	for i := 0; i < 50000; i++ {
-		m.Next(&in)
+	for _, in := range insts {
 		if in.Kernel || in.Class == isa.Syscall {
 			continue
 		}
@@ -163,20 +197,21 @@ func TestMultiprogramProcessesUseDistinctSeeds(t *testing.T) {
 // countedProc counts the instructions a multiprogram pulls from one of its
 // processes.
 type countedProc struct {
-	procStream
+	trace.Stream
 	pulls uint64
 }
 
-func (c *countedProc) Next(in *isa.Inst) bool {
-	c.pulls++
-	return c.procStream.Next(in)
+func (c *countedProc) NextBatch(dst []isa.Inst) int {
+	n := c.Stream.NextBatch(dst)
+	c.pulls += uint64(n)
+	return n
 }
 
 // TestProcessDemandMatchesLivePulls checks ProcessDemand against the
 // instructions a live NewMultiprogram actually pulls from each generator
-// while emitting n instructions, for budgets below one mean quantum, off
-// the 128-instruction refill grain, and at the campaign benchmark's and
-// the full campaign's lengths.
+// while emitting n instructions one at a time, for budgets below one mean
+// quantum, off the 128-instruction refill grain, and at the campaign
+// benchmark's and the full campaign's lengths.
 func TestProcessDemandMatchesLivePulls(t *testing.T) {
 	const quantum = 5_000
 	prof, _ := ByName("compress")
@@ -189,14 +224,14 @@ func TestProcessDemandMatchesLivePulls(t *testing.T) {
 				}
 				counted := make([]*countedProc, procs)
 				for i, p := range m.procs {
-					counted[i] = &countedProc{procStream: p}
+					counted[i] = &countedProc{Stream: p}
 					m.procs[i] = counted[i]
 				}
 				var in isa.Inst
 				var switches uint64
 				for range n {
 					cur := m.current
-					m.Next(&in)
+					read1(m, &in)
 					if m.current != cur {
 						switches++
 					}

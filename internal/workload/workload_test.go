@@ -89,11 +89,7 @@ func drive(t *testing.T, name string, seed int64, n int) []isa.Inst {
 		t.Fatal(err)
 	}
 	out := make([]isa.Inst, n)
-	for i := range out {
-		if !g.Next(&out[i]) {
-			t.Fatal("generator exhausted")
-		}
-	}
+	g.NextBatch(out)
 	return out
 }
 

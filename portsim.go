@@ -52,7 +52,12 @@ type Profile = workload.Profile
 // simulator with their own streams.
 type Instruction = isa.Inst
 
-// InstructionStream supplies dynamic instructions to a Simulation.
+// InstructionStream supplies dynamic instructions to a Simulation through
+// one method, NextBatch(dst []Instruction) int: it fills a prefix of dst
+// with the stream's next instructions and returns its length, and a count
+// shorter than len(dst) means the stream has ended. The simulation reads
+// it 128 instructions at a time, ahead of fetch, so the sequence must not
+// depend on the batch sizes or on when a batch is read.
 type InstructionStream = trace.Stream
 
 // BaselineConfig returns the paper's baseline: a single 8-byte cache port
@@ -137,7 +142,7 @@ func NewFromProfile(cfg Config, prof Profile, seed int64) (*Simulation, error) {
 
 // NewFromStream builds a simulation over a caller-supplied instruction
 // stream (for replaying captured traces or custom generators). The stream
-// must be non-nil.
+// must be non-nil; Run reads it through NextBatch (see InstructionStream).
 func NewFromStream(cfg Config, stream InstructionStream) (*Simulation, error) {
 	if stream == nil {
 		return nil, fmt.Errorf("portsim: nil instruction stream")
