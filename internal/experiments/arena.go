@@ -187,10 +187,10 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 }
 
 // arenaLen returns the prefix of each process's trace a multiprogram
-// stream asks the registry for, or nil for a single program, which asks
-// for the whole per-cell instruction budget. Fetch stops asking for
-// instructions at the budget, so a replay never runs dry inside it, and a
-// read-ahead past the budget only finds an arena's end.
+// stream asks the registry for; a single program asks for the whole
+// per-cell instruction budget. Fetch stops asking for instructions at the
+// budget, so a replay never runs dry inside it, and a read-ahead past the
+// budget only finds an arena's end.
 //
 // A multiprogram's quantum interleave pulls only part of the budget from
 // each process (workload.ProcessDemand). Every level of two or more
@@ -204,9 +204,6 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 // so each trace is built once whichever cell starts first. A single
 // process replays the whole budget.
 func (r *Runner) arenaLen(s *streamSpec) ([]uint64, error) {
-	if s.processes == 0 {
-		return nil, nil
-	}
 	lens := make([]uint64, s.processes)
 	for i := range lens {
 		level := max(i+1, min(s.processes, 2))
@@ -254,22 +251,22 @@ func (r *Runner) openStream(s *streamSpec) (trace.Stream, error) {
 		return nil, fmt.Errorf("experiments: a trace of %d instructions may need more than the %d bytes a cell may build; raise -arena-budget (Spec.ArenaBudget)",
 			r.spec.Insts, ceiling)
 	}
+	if s.processes == 0 {
+		cur, err := r.arenas.acquire(s, r.spec.Seed, r.spec.Insts)
+		if err != nil {
+			return nil, err
+		}
+		return cur, nil
+	}
 	demand, err := r.arenaLen(s)
 	if err != nil {
 		return nil, err
 	}
-	cursors := make([]*trace.Cursor, max(s.processes, 1))
+	cursors := make([]*trace.Cursor, s.processes)
 	for i := range cursors {
-		n := r.spec.Insts
-		if demand != nil {
-			n = demand[i]
-		}
-		if cursors[i], err = r.arenas.acquire(s, r.spec.Seed+int64(i)*workload.SeedStride, n); err != nil {
+		if cursors[i], err = r.arenas.acquire(s, r.spec.Seed+int64(i)*workload.SeedStride, demand[i]); err != nil {
 			return nil, err
 		}
-	}
-	if s.processes == 0 {
-		return cursors[0], nil
 	}
 	return workload.NewMultiprogramReplay(cursors, s.quantum, r.spec.Seed)
 }

@@ -16,7 +16,7 @@ func quickRunner() *Runner { return NewRunner(QuickSpec()) }
 // runCell submits one named workload on one machine through the runner's
 // cell path, as a plan row of its own.
 func runCell(r *Runner, m config.Machine, workloadName string) (*cpu.Result, error) {
-	return r.run(cellReq{m: m, planStream: named(workloadName).hashed()})
+	return r.run(&cellReq{m: m, planStream: named(workloadName).hashed()})
 }
 
 func TestT1RendersAllParameters(t *testing.T) {

@@ -131,7 +131,7 @@ func TestObserverSeesStreamFailure(t *testing.T) {
 	ps := named("compress")
 	ps.workload = "compress-no-code"
 	ps.prof.CodeBlocks = 0
-	_, err := r.run(cellReq{m: config.Baseline(), planStream: ps.hashed()})
+	_, err := r.run(&cellReq{m: config.Baseline(), planStream: ps.hashed()})
 	if err == nil || !strings.Contains(err.Error(), "code block") {
 		t.Fatalf("cell with no code block returned %v, want workload.New's error", err)
 	}

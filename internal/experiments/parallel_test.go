@@ -128,26 +128,30 @@ func TestMemoCacheSingleflight(t *testing.T) {
 }
 
 // TestRunAllPreservesSubmissionOrder checks the merge layer directly with
-// synthetic cells.
+// synthetic cells: every cell runs exactly once, and the failures are
+// joined in cell order whatever order the workers finish in.
 func TestRunAllPreservesSubmissionOrder(t *testing.T) {
 	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: 1, Seed: 1, Parallel: 8})
 	const n = 100
-	cells := make([]cell, n)
-	for i := 0; i < n; i++ {
-		res := &cpu.Result{Instructions: uint64(i)}
-		cells[i] = func() (*cpu.Result, error) { return res, nil }
-	}
-	results, err := r.runAll(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != n {
-		t.Fatalf("%d results for %d cells", len(results), n)
-	}
-	for i, res := range results {
-		if res.Instructions != uint64(i) {
-			t.Fatalf("result %d carries payload %d; order not preserved", i, res.Instructions)
+	runs := make([]int, n)
+	err := r.runAll(n, func(i int) error {
+		runs[i]++
+		if i%3 == 0 {
+			return fmt.Errorf("cell %d failed", i)
 		}
+		return nil
+	})
+	for i, k := range runs {
+		if k != 1 {
+			t.Fatalf("cell %d ran %d times", i, k)
+		}
+	}
+	var want []string
+	for i := 0; i < n; i += 3 {
+		want = append(want, fmt.Sprintf("cell %d failed", i))
+	}
+	if err == nil || err.Error() != strings.Join(want, "\n") {
+		t.Fatalf("joined failures = %v; want cells 0, 3, ... 99 in order", err)
 	}
 }
 
@@ -158,21 +162,21 @@ func TestRunAllPreservesSubmissionOrder(t *testing.T) {
 func TestRunAllRunsToCompletion(t *testing.T) {
 	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: 1, Seed: 1, Parallel: 1})
 	var ran []int
-	cells := []cell{
-		func() (*cpu.Result, error) { ran = append(ran, 0); return &cpu.Result{Instructions: 10}, nil },
-		func() (*cpu.Result, error) { ran = append(ran, 1); return nil, fmt.Errorf("cell 1 exploded") },
-		func() (*cpu.Result, error) { ran = append(ran, 2); return &cpu.Result{Instructions: 30}, nil },
-	}
-	results, err := r.runAll(cells)
+	results := make([]*cpu.Result, 3)
+	err := r.runAll(len(results), func(i int) error {
+		ran = append(ran, i)
+		if i == 1 {
+			return fmt.Errorf("cell 1 exploded")
+		}
+		results[i] = &cpu.Result{Instructions: uint64(10 * (i + 1))}
+		return nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "cell 1 exploded") {
 		t.Fatalf("err = %v, want the cell failure", err)
 	}
 	// With one worker, execution is in order and continues past the failure.
 	if !reflect.DeepEqual(ran, []int{0, 1, 2}) {
 		t.Errorf("cells run = %v, want all three despite the failure", ran)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results for 3 cells", len(results))
 	}
 	if results[0] == nil || results[0].Instructions != 10 {
 		t.Errorf("healthy cell 0 result missing from failed batch: %v", results[0])
@@ -186,16 +190,18 @@ func TestRunAllRunsToCompletion(t *testing.T) {
 }
 
 // TestRunAllContainsCellPanic checks the pool's last line of defence: a
-// panic inside a cell closure becomes a CellError instead of killing the
+// panic inside a cell's run becomes a CellError instead of killing the
 // process, and the other cells still complete.
 func TestRunAllContainsCellPanic(t *testing.T) {
 	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: 1, Seed: 1, Parallel: 2})
-	cells := []cell{
-		func() (*cpu.Result, error) { return &cpu.Result{Instructions: 10}, nil },
-		func() (*cpu.Result, error) { panic("synthetic cell panic") },
-		func() (*cpu.Result, error) { return &cpu.Result{Instructions: 30}, nil },
-	}
-	results, err := r.runAll(cells)
+	results := make([]*cpu.Result, 3)
+	err := r.runAll(len(results), func(i int) error {
+		if i == 1 {
+			panic("synthetic cell panic")
+		}
+		results[i] = &cpu.Result{Instructions: uint64(i)}
+		return nil
+	})
 	if err == nil || !errors.Is(err, ErrCellPanic) {
 		t.Fatalf("err = %v, want ErrCellPanic", err)
 	}
@@ -209,7 +215,7 @@ func TestRunAllContainsCellPanic(t *testing.T) {
 	if ces[0].Stack == "" {
 		t.Error("contained panic carries no stack trace")
 	}
-	// The closure's cell is unknown here, but portbench still writes its
+	// The panicking cell is unknown here, but portbench still writes its
 	// bundle, which must stay a versioned document.
 	if data, err := ces[0].Bundle.Encode(); err != nil || !strings.Contains(string(data), `"version": 1`) {
 		t.Errorf("backstop bundle (%v) does not encode version 1:\n%s", err, data)

@@ -19,39 +19,46 @@ type plan struct {
 	byMachine bool
 }
 
+// cell returns the (stream, machine) indices of the plan's i-th cell in
+// submission order.
+func (p plan) cell(i int) (s, m int) {
+	if p.byMachine {
+		return i % len(p.streams), i / len(p.streams)
+	}
+	return i / len(p.machines), i % len(p.machines)
+}
+
 // each calls fn with the (stream, machine) indices of every cell, in
 // submission order.
 func (p plan) each(fn func(s, m int)) {
-	ns, nm := len(p.streams), len(p.machines)
-	for i := 0; i < ns*nm; i++ {
-		if p.byMachine {
-			fn(i%ns, i/ns)
-		} else {
-			fn(i/nm, i%nm)
-		}
+	for i := range len(p.streams) * len(p.machines) {
+		fn(p.cell(i))
 	}
 }
 
 // runPlan submits every cell of the plan through runAll and returns the
-// results by [stream][machine]; a failed cell's slot stays nil. Each
-// stream is hashed once here, for all of its cells.
+// results by [stream][machine]; a failed cell's slot stays nil. The plan's
+// streams are hashed in place, once per distinct stream per runner
+// (hashStream). Its cells run as data: one cellReq per cell, filled in by
+// the worker that runs it, and one result array behind the grid's rows.
 func (r *Runner) runPlan(p plan) ([][]*cpu.Result, error) {
-	grid := make([][]*cpu.Result, len(p.streams))
-	streams := make([]planStream, len(p.streams))
-	for s := range grid {
-		grid[s] = make([]*cpu.Result, len(p.machines))
-		streams[s] = p.streams[s].hashed()
+	ns, nm := len(p.streams), len(p.machines)
+	for s := range p.streams {
+		r.hashStream(&p.streams[s])
 	}
-	var cells []cell
-	p.each(func(s, m int) {
-		c := cellReq{m: p.machines[m], planStream: streams[s]}
-		cells = append(cells, func() (res *cpu.Result, err error) {
-			res, err = r.run(c)
-			grid[s][m] = res
-			return res, err
-		})
+	cells := make([]cellReq, ns*nm)
+	results := make([]*cpu.Result, ns*nm)
+	grid := make([][]*cpu.Result, ns)
+	for s := range grid {
+		grid[s] = results[s*nm : (s+1)*nm : (s+1)*nm]
+	}
+	err := r.runAll(len(cells), func(i int) (err error) {
+		s, m := p.cell(i)
+		c := &cells[i]
+		c.m, c.planStream = p.machines[m], p.streams[s]
+		grid[s][m], err = r.run(c)
+		return err
 	})
-	_, err := r.runAll(cells)
 	return grid, err
 }
 

@@ -67,3 +67,34 @@ func TestZeroInstsFails(t *testing.T) {
 		t.Fatal("a zero-budget cell was still simulating after 10s")
 	}
 }
+
+// TestMemoisedPlanAllocations pins the pool's cells-as-data contract:
+// re-running a plan whose cells the memo already holds allocates the same
+// at 2 cells as at 9, nothing per cell beyond the plan's result grid. A
+// closure, a cell copy or a machine copy per cell would show as a
+// difference of at least 7.
+func TestMemoisedPlanAllocations(t *testing.T) {
+	spec := QuickSpec()
+	spec.Insts = 2_000
+	spec.Parallel = 2
+	r := NewRunner(spec)
+	small := plan{streams: []planStream{named("compress")}, machines: []config.Machine{config.Baseline(), config.DualPort()}}
+	large := onWorkloads(spec, headlineMachines()...)
+	for _, p := range []plan{small, large} {
+		if _, err := r.runPlan(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(p plan) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := r.runPlan(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(small), allocs(large)
+	t.Logf("re-running a memoised plan allocates %v objects at 2 cells and %v at 9", a, b)
+	if a != b {
+		t.Errorf("re-running a memoised plan allocates %v objects at 2 cells and %v at 9; want the same", a, b)
+	}
+}

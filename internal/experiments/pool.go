@@ -6,24 +6,15 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"portsim/internal/cpu"
 )
 
-// cell is one schedulable simulation of an experiment's plan. Cells must
-// be independent and deterministic — the pool runs them in any order and
-// merges results by submission index.
-type cell func() (*cpu.Result, error)
-
-// runCellContained executes one cell with a panic backstop. The runner's
-// own simulation path (runStream) already contains panics with full cell
-// context; this catches panics in the cell closures themselves — the last
-// line of defence keeping a worker goroutine's panic from killing the whole
-// process.
-func runCellContained(c cell) (res *cpu.Result, err error) {
+// runCellContained runs cell i with a panic backstop. The runner's own
+// simulation path (runStream) already contains panics with full cell
+// context; this catches panics in run itself — the last line of defence
+// keeping a worker goroutine's panic from killing the whole process.
+func runCellContained(run func(cell int) error, i int) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res = nil
 			err = &CellError{
 				Bundle: Bundle{Version: BundleVersion},
 				Stack:  string(debug.Stack()),
@@ -31,31 +22,25 @@ func runCellContained(c cell) (res *cpu.Result, err error) {
 			}
 		}
 	}()
-	return c()
+	return run(i)
 }
 
-// runAll executes cells on a bounded worker pool of r.Parallel() goroutines
-// and returns the results in submission order, so every consumer — table
-// rows, geomeans, ratio columns — sees exactly the sequence a serial run
-// would have produced. Every cell runs to completion even when others fail:
-// one poisoned cell must not abandon the rest of a long campaign, and the
-// memo cache makes a retried duplicate cheap anyway. Cell failures are
-// aggregated (in submission order) into the returned error; the partial
-// results are returned alongside so callers that can render a healthy
-// subset may do so.
-func (r *Runner) runAll(cells []cell) ([]*cpu.Result, error) {
-	n := len(cells)
-	results := make([]*cpu.Result, n)
+// runAll runs cells 0 to n-1, each by one call of run, on a bounded worker
+// pool of r.Parallel() goroutines. Cells are data to run: the caller keeps
+// each cell's request and result in slices indexed by cell, so every
+// consumer — table rows, geomeans, ratio columns — reads exactly what a
+// serial run would have produced, and the pool allocates nothing per cell.
+// Every cell runs to completion even when others fail: one poisoned cell
+// must not abandon the rest of a long campaign, and the memo cache makes a
+// retried duplicate cheap anyway. Cell failures are aggregated, in cell
+// order, into the returned error.
+func (r *Runner) runAll(n int, run func(cell int) error) error {
 	cellErrs := make([]error, n)
-	workers := r.parallel
-	if workers > n {
-		workers = n
-	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for range min(r.parallel, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -64,25 +49,12 @@ func (r *Runner) runAll(cells []cell) ([]*cpu.Result, error) {
 				if i >= n {
 					return
 				}
-				res, err := runCellContained(cells[i])
-				if err != nil {
-					cellErrs[i] = err
-					continue
+				if cellErrs[i] = runCellContained(run, i); cellErrs[i] == nil {
+					r.noteProgress()
 				}
-				results[i] = res
-				r.noteProgress()
 			}
 		}()
 	}
 	wg.Wait()
-	var errs []error
-	for _, err := range cellErrs {
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return results, errors.Join(errs...)
-	}
-	return results, nil
+	return errors.Join(cellErrs...)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"portsim/internal/config"
 	"portsim/internal/cpu"
@@ -156,16 +157,23 @@ func TestMemoCachesFailures(t *testing.T) {
 }
 
 // TestFillContainsPanicBeforeRelease unit-tests the singleflight owner path
-// directly: the deferred recover must store the error before done closes.
+// directly: the deferred recover must store the error before the waiters
+// are released.
 func TestFillContainsPanicBeforeRelease(t *testing.T) {
 	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: 7, Seed: 3, Parallel: 1})
-	e := &memoEntry{done: make(chan struct{})}
+	e := new(memoEntry)
+	e.wg.Add(1)
 	c := cellReq{m: config.Baseline(), planStream: named("compress")}
-	r.fill(e, &c, func() (*cpu.Result, error) { panic("owner exploded") })
+	r.fill(e, &c, func(*cellReq) (*cpu.Result, error) { panic("owner exploded") })
+	released := make(chan struct{})
+	go func() {
+		e.wg.Wait()
+		close(released)
+	}()
 	select {
-	case <-e.done:
-	default:
-		t.Fatal("fill returned without closing done")
+	case <-released:
+	case <-time.After(10 * time.Second):
+		t.Fatal("fill returned without releasing the waiters")
 	}
 	if e.res != nil {
 		t.Errorf("panicked fill stored a result: %v", e.res)
@@ -289,7 +297,7 @@ func TestMultiprogramBundleReplays(t *testing.T) {
 	clean := spec
 	clean.Fault = nil
 	r := NewRunner(clean)
-	want, err := r.run(cellReq{m: b.Machine, planStream: a6Plan(clean).streams[1].hashed()})
+	want, err := r.run(&cellReq{m: b.Machine, planStream: a6Plan(clean).streams[1].hashed()})
 	if err != nil {
 		t.Fatal(err)
 	}

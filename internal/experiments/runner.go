@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -131,11 +132,12 @@ func QuickSpec() Spec {
 }
 
 // memoEntry is one singleflight slot in the runner's memo cache: the first
-// caller of a cell key owns the simulation and everyone else blocks on done.
+// caller of a cell key owns the simulation and everyone else waits on wg,
+// which the owner adds one to before it publishes the entry.
 type memoEntry struct {
-	done chan struct{}
-	res  *cpu.Result
-	err  error
+	wg  sync.WaitGroup
+	res *cpu.Result
+	err error
 }
 
 // Runner executes simulations and memoises results by content (cellKey),
@@ -152,9 +154,11 @@ type Runner struct {
 	// configs memoises each machine's content hash, the cell key's Config,
 	// by the value of the machine with its display name cleared; docs
 	// memoises the configuration document observers receive, by the
-	// machine as labelled. Both are guarded by mu.
+	// machine as labelled; streams memoises plan streams' content hashes
+	// (hashStream), by profile name. All three are guarded by mu.
 	configs map[config.Machine]string
 	docs    map[config.Machine][]byte
+	streams map[string][]streamSpec
 
 	// Core pool: a free list of at most parallel finished cores. Every
 	// machine of the campaign shares one array shape and differs only in
@@ -215,6 +219,7 @@ func NewRunner(spec Spec) *Runner {
 		cache:    make(map[cellstore.Key]*memoEntry),
 		configs:  make(map[config.Machine]string),
 		docs:     make(map[config.Machine][]byte),
+		streams:  make(map[string][]streamSpec),
 		arenas:   newArenaRegistry(cmp.Or(spec.ArenaBudget, DefaultArenaBudget)),
 	}
 }
@@ -379,8 +384,35 @@ func (s planStream) hashed() planStream {
 	return s
 }
 
+// hashStream derives the row's content hashes in place, unless they
+// already are, once per distinct stream per runner: a row whose stream
+// equals one hashed before takes its hashes, so a campaign's hundred-odd
+// plan rows hash their twenty-odd streams once each. Streams compare by
+// value (reflect.DeepEqual), labels included, so a renamed or mutated
+// profile never takes another's hashes; profiles that differ only in the
+// sign of a zero compare equal, and they generate the same trace.
+func (r *Runner) hashStream(ps *planStream) {
+	if ps.err != nil || ps.hash != "" {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := r.streams[ps.prof.Name]
+	for i := range seen {
+		if h := &seen[i]; h.processes == ps.processes && h.quantum == ps.quantum && reflect.DeepEqual(&h.prof, &ps.prof) {
+			ps.profHash, ps.hash = h.profHash, h.hash
+			return
+		}
+	}
+	if *ps = ps.hashed(); ps.err == nil {
+		r.streams[ps.prof.Name] = append(seen, ps.streamSpec)
+	}
+}
+
 // cellReq is one experiment cell as submitted: a stream on a machine, and
-// the key run derives for it.
+// the key run derives for it. runPlan keeps one per cell of a plan in a
+// slice; run and every step after it read the cell there, and an unarmed
+// cell's core runs on the slice's copy of its machine.
 type cellReq struct {
 	m config.Machine
 	planStream
@@ -418,7 +450,8 @@ func (r *Runner) cellKey(m *config.Machine, s *streamSpec, fault string) (cellst
 
 // configHash returns the content hash of m with its display name cleared,
 // derived once per distinct machine: config.Machine is comparable, so the
-// memo keys on its value.
+// memo keys on its value. Only a machine not seen before is copied to the
+// heap, to be hashed.
 func (r *Runner) configHash(m *config.Machine) (string, error) {
 	anon := *m
 	anon.Name = ""
@@ -427,7 +460,8 @@ func (r *Runner) configHash(m *config.Machine) (string, error) {
 	if h, ok := r.configs[anon]; ok {
 		return h, nil
 	}
-	h, err := cellstore.ContentHash(&anon)
+	doc := anon
+	h, err := cellstore.ContentHash(&doc)
 	if err == nil {
 		r.configs[anon] = h
 	}
@@ -454,8 +488,9 @@ func (r *Runner) configDoc(m *config.Machine) []byte {
 // simulation. Failures are memoised like results: the simulator is
 // deterministic, so the campaign reports one failure per distinct cell
 // instead of re-dying once per experiment that shares it. c's stream must
-// be hashed; runPlan hashes each plan row once.
-func (r *Runner) run(c cellReq) (*cpu.Result, error) {
+// be hashed; runPlan hashes each plan row once. run fills in c's key, and
+// every later step of the cell reads c where the caller keeps it.
+func (r *Runner) run(c *cellReq) (*cpu.Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -475,34 +510,36 @@ func (r *Runner) run(c cellReq) (*cpu.Result, error) {
 	r.mu.Lock()
 	if e, ok := r.cache[c.key]; ok {
 		r.mu.Unlock()
-		<-e.done
-		r.emitCell(&c, CellEvent{MemoHit: true, Result: e.res, Err: e.err})
+		e.wg.Wait()
+		r.emitCell(c, CellEvent{MemoHit: true, Result: e.res, Err: e.err})
 		return e.res, e.err
 	}
-	e := &memoEntry{done: make(chan struct{})}
+	e := new(memoEntry)
+	e.wg.Add(1)
 	r.cache[c.key] = e
 	r.mu.Unlock()
-	r.fill(e, &c, func() (*cpu.Result, error) { return r.runDurable(&c) })
+	r.fill(e, c, r.runDurable)
 	return e.res, e.err
 }
 
-// fill runs the owning caller's simulation into the memo entry and then
-// releases the waiters. The deferred recover sits between the work and the
-// close (LIFO order: recover stores the error first, then done is closed),
-// fixing the memo-poisoning bug where a panicking owner closed e.done with
-// res == nil, err == nil and every waiter received a silent nil result
-// forever. runStream contains panics with the recorder's events; this
-// recover is the backstop for panics outside the cell itself (the store
-// layer, result encoding), reported against cell c as submitted.
-func (r *Runner) fill(e *memoEntry, c *cellReq, run func() (*cpu.Result, error)) {
-	defer close(e.done)
+// fill runs the owning caller's simulation of c (runDurable) into the memo
+// entry and then releases the waiters. The deferred recover sits between
+// the work and the release (LIFO order: recover stores the error first,
+// then the waiters wake), fixing the memo-poisoning bug where a panicking
+// owner released the waiters with res == nil, err == nil and every waiter
+// received a silent nil result forever. runStream contains panics with the
+// recorder's events; this recover is the backstop for panics outside the
+// cell itself (the store layer, result encoding), reported against cell c
+// as submitted.
+func (r *Runner) fill(e *memoEntry, c *cellReq, run func(*cellReq) (*cpu.Result, error)) {
+	defer e.wg.Done()
 	defer func() {
 		if p := recover(); p != nil {
 			e.res = nil
 			e.err = r.cellError(c, c.m, nil, string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
 		}
 	}()
-	e.res, e.err = run()
+	e.res, e.err = run(c)
 }
 
 // acquireCore returns a core for the machine: a pooled one retargeted to
@@ -561,15 +598,17 @@ func (r *Runner) PoolStats() (hits, misses uint64) {
 // records into.
 func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err error) {
 	// A campaign cell gets the forensic ring only when fault-poisoned.
-	// Arming a fault mutates the cell's private machine copy, so its core
-	// never pools.
-	m := c.m
+	// Arming a fault mutates a private copy of the cell's machine, so its
+	// core never pools; an unarmed cell's core runs on c's machine itself.
+	m := &c.m
 	armed := r.spec.Fault.applies(c.workload)
 	if armed {
 		if rec == nil {
 			rec = diag.NewRecorder(0)
 		}
-		r.spec.Fault.arm(&m)
+		poisoned := c.m
+		r.spec.Fault.arm(&poisoned)
+		m = &poisoned
 	}
 	// Per-cell cycle accounting: a fresh caller-owned stack per cell, so
 	// the live object can be handed to the status plane (CellStart) while
@@ -586,7 +625,7 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 	// reports the cell's final outcome.
 	var cfgJSON []byte
 	if obs != nil || startObs != nil {
-		cfgJSON = r.configDoc(&m)
+		cfgJSON = r.configDoc(m)
 	}
 	var cellStart time.Time
 	if obs != nil && obsNow != nil {
@@ -605,7 +644,7 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
-			err = r.cellError(c, m, rec, string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
+			err = r.cellError(c, *m, rec, string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
 		}
 	}()
 	if startObs != nil {
@@ -626,7 +665,7 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 			stream = r.spec.Fault.wrap(stream)
 		}
 		var core *cpu.Core
-		core, err = r.acquireCore(&m, stream, !armed)
+		core, err = r.acquireCore(m, stream, !armed)
 		if err != nil {
 			return
 		}
@@ -641,14 +680,14 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 			// The failed core is dropped, not pooled: its state is part
 			// of the failure evidence and may be wedged.
 			res = nil
-			err = r.cellError(c, m, rec, "", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
+			err = r.cellError(c, *m, rec, "", fmt.Errorf("experiments: %s on %s: %w", c.workload, m.Name, err))
 			return
 		}
 		if res.Instructions < r.spec.Insts {
 			// Every runner stream replays arenas at least as long as the
 			// cell's demand, so a short run is a sizing bug; its row
 			// would render truncated numbers as if they were whole.
-			err = r.cellError(c, m, rec, "", fmt.Errorf("experiments: %s on %s: stream ended after %d of %d instructions",
+			err = r.cellError(c, *m, rec, "", fmt.Errorf("experiments: %s on %s: stream ended after %d of %d instructions",
 				c.workload, m.Name, res.Instructions, r.spec.Insts))
 			res = nil
 			return

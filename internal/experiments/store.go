@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"portsim/internal/cellstore"
 	"portsim/internal/cpu"
@@ -84,13 +86,66 @@ func (n *counterName) UnmarshalJSON(b []byte) error {
 	return json.Unmarshal(b, (*string)(n))
 }
 
+// cpiStack is a stored CPI stack, the bucket name → cycles object that
+// Snapshot.Map writes. It decodes straight into a snapshot: each name
+// resolves through the bucket table on its raw bytes, so a restore builds
+// no map and copies no name. An unknown name ends the decode into err,
+// which decodeResult reports as it reports FromMap's.
+type cpiStack struct {
+	snap cpustack.Snapshot
+	err  error
+}
+
+func (s *cpiStack) UnmarshalJSON(b []byte) error {
+	// encoding/json hands over one well-formed value, so the object's
+	// structure needs no checks beyond its first byte.
+	if b[0] != '{' {
+		return fmt.Errorf("experiments: cpi_stack is not an object: %.20s", b)
+	}
+	skip := func(b []byte) []byte { return bytes.TrimLeft(b, " \t\r\n,:") }
+	for b = skip(b[1:]); b[0] != '}'; b = skip(b) {
+		end := 1 // the name's closing quote
+		for ; b[end] != '"'; end++ {
+			if b[end] == '\\' {
+				end++
+			}
+		}
+		name := b[1:end]
+		if bytes.IndexByte(name, '\\') >= 0 {
+			// No bucket name has a character JSON escapes, but an escaped
+			// spelling of one must still resolve.
+			var unquoted string
+			if err := json.Unmarshal(b[:end+1], &unquoted); err != nil {
+				return err
+			}
+			name = []byte(unquoted)
+		}
+		bucket, ok := cpustack.BucketByName(string(name))
+		if !ok {
+			s.err = fmt.Errorf("cpustack: unknown bucket %q", name)
+			return nil
+		}
+		b = skip(b[end+1:])
+		n := bytes.IndexAny(b, " \t\r\n,}")
+		v, err := strconv.ParseUint(string(b[:n]), 10, 64)
+		if err != nil {
+			return fmt.Errorf("experiments: cpi_stack %s cycles: %w", name, err)
+		}
+		s.snap.Buckets[bucket] = v
+		b = b[n:]
+	}
+	return nil
+}
+
 // decodeResult rebuilds a cpu.Result from a stored payload.
 func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
 	var sr struct {
 		storedResult
-		// CounterNames shadows the embedded field of the same JSON name,
-		// so the names decode through the vocabulary.
+		// CounterNames and CPIStack shadow the embedded fields of the
+		// same JSON names, so the counter names decode through the
+		// vocabulary and the stack through the bucket table.
 		CounterNames []counterName `json:"counter_names"`
+		CPIStack     *cpiStack     `json:"cpi_stack"`
 	}
 	// A result of vocabulary names has at most VocabularySize counters,
 	// so the slices take every name and value without regrowing.
@@ -118,11 +173,12 @@ func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
 	for i, name := range sr.CounterNames {
 		res.Counters.Add(string(name), sr.CounterValues[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
 	}
-	stack, err := cpustack.FromMap(sr.CPIStack)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: stored result: %w", err)
+	if st := sr.CPIStack; st != nil {
+		if st.err != nil {
+			return nil, fmt.Errorf("experiments: stored result: %w", st.err)
+		}
+		res.CPIStack = &st.snap
 	}
-	res.CPIStack = stack
 	return res, nil
 }
 

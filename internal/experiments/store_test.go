@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"portsim/internal/cellstore"
 	"portsim/internal/config"
 	"portsim/internal/cpu"
+	"portsim/internal/cpustack"
 	"portsim/internal/stats"
 )
 
@@ -107,19 +109,67 @@ func TestRestoredResultMatchesSimulated(t *testing.T) {
 // Its counter names decode into the stats vocabulary's own strings and
 // its counter slices are sized once, so the count does not grow with the
 // result's 60-odd counters; a decode that copied each name made about 80.
+// A stored CPI stack decodes straight into its snapshot, so arming cycle
+// accounting adds at most 3; a decode through a name → cycles map added 27.
 func TestRestoreAllocations(t *testing.T) {
-	const maxAllocs = 20
-	raw, err := encodeResult(simulatedResult(t, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(100, func() {
-		if _, err := decodeResult(raw); err != nil {
+	const maxAllocs, maxStackAllocs = 20, 3
+	decodeAllocs := func(cpi bool) float64 {
+		raw, err := encodeResult(simulatedResult(t, cpi))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if n > maxAllocs {
-		t.Errorf("decoding a stored result allocates %v objects; want at most %d", n, maxAllocs)
+		return testing.AllocsPerRun(100, func() {
+			if _, err := decodeResult(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, armed := decodeAllocs(false), decodeAllocs(true)
+	t.Logf("decodeResult allocates %v objects, %v with a CPI stack", plain, armed)
+	if plain > maxAllocs {
+		t.Errorf("decoding a stored result allocates %v objects; want at most %d", plain, maxAllocs)
+	}
+	if armed > plain+maxStackAllocs {
+		t.Errorf("decoding a stored result with a CPI stack allocates %v objects, %v without; want at most %d more",
+			armed, plain, maxStackAllocs)
+	}
+}
+
+// TestStoredCPIStackDecodes feeds decodeResult the cpi_stack spellings a
+// JSON writer may produce: null and an empty object, whitespace, and an
+// escaped bucket name decode as encoding/json would decode them into a
+// map; an unknown bucket fails with the error FromMap gives it, and a
+// value that is no uint64 fails.
+func TestStoredCPIStackDecodes(t *testing.T) {
+	payload := func(stack string) json.RawMessage {
+		return json.RawMessage(`{"cycles":5,"counter_names":[],"counter_values":[],"cpi_stack":` + stack + `}`)
+	}
+	for _, tc := range []struct {
+		stack string
+		want  *cpustack.Snapshot
+	}{
+		{`null`, nil},
+		{`{}`, &cpustack.Snapshot{}},
+		{` { "useful" : 3 , "mem.fill-wait":2 } `, &cpustack.Snapshot{Buckets: [cpustack.NumBuckets]uint64{cpustack.Useful: 3, cpustack.MemFillWait: 2}}},
+		{`{"\u0075seful":4,"commit-stall":18446744073709551615}`, &cpustack.Snapshot{Buckets: [cpustack.NumBuckets]uint64{cpustack.Useful: 4, cpustack.CommitStall: 1<<64 - 1}}},
+	} {
+		res, err := decodeResult(payload(tc.stack))
+		if err != nil {
+			t.Errorf("cpi_stack %s: %v", tc.stack, err)
+			continue
+		}
+		if !reflect.DeepEqual(res.CPIStack, tc.want) {
+			t.Errorf("cpi_stack %s decodes to %v, want %v", tc.stack, res.CPIStack, tc.want)
+		}
+	}
+	_, err := decodeResult(payload(`{"useful":1,"no-such-bucket":2}`))
+	if want := `experiments: stored result: cpustack: unknown bucket "no-such-bucket"`; err == nil || err.Error() != want {
+		t.Errorf("unknown bucket: err = %v, want %s", err, want)
+	}
+	for _, bad := range []string{`{"useful":-1}`, `{"useful":1.5}`, `{"useful":"1"}`, `{"useful":18446744073709551616}`, `[1]`} {
+		if _, err := decodeResult(payload(bad)); err == nil {
+			t.Errorf("cpi_stack %s decoded", bad)
+		}
 	}
 }
 

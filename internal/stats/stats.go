@@ -8,7 +8,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Set is a collection of named counters. Counter names are created on first
@@ -120,18 +122,8 @@ type row struct {
 	entries []Entry
 }
 
-// cells renders the row's cells.
-func (r row) cells() []string {
-	if len(r.entries) == 0 {
-		return r.labels
-	}
-	cells := make([]string, 0, len(r.labels)+len(r.entries))
-	cells = append(cells, r.labels...)
-	for _, e := range r.entries {
-		cells = append(cells, e.String())
-	}
-	return cells
-}
+// len is the row's cell count.
+func (r *row) len() int { return len(r.labels) + len(r.entries) }
 
 // Entry is one numeric cell of a table: a number and how it renders. The
 // zero Entry is absent: it renders "-" and holds no number.
@@ -148,14 +140,26 @@ func Pct(v float64) Entry { return Entry{v: v, pct: true, ok: true} }
 
 // String renders the entry.
 func (e Entry) String() string {
+	var buf [24]byte
+	return string(e.appendTo(buf[:0]))
+}
+
+// appendTo appends the entry as String renders it: ASCII only, never a
+// comma, quote or newline.
+func (e Entry) appendTo(dst []byte) []byte {
 	switch {
 	case !e.ok:
-		return "-"
+		return append(dst, '-')
 	case e.pct:
-		return Percent(e.v)
+		return appendPercent(dst, e.v)
 	default:
-		return Cell(e.v)
+		return strconv.AppendFloat(dst, e.v, 'f', 3, 64)
 	}
+}
+
+// appendPercent appends f as Percent renders it, like fmt's %.1f%%.
+func appendPercent(dst []byte, f float64) []byte {
+	return append(strconv.AppendFloat(dst, 100*f, 'f', 1, 64), '%')
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -217,85 +221,180 @@ func Cell(v any) string {
 }
 
 // Percent formats a fraction in [0,1] as a percentage with one decimal.
-func Percent(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
+func Percent(f float64) string {
+	var buf [24]byte
+	return string(appendPercent(buf[:0], f))
+}
+
+// The renderers below measure the table first and then append every cell
+// into one buffer of exactly the rendering's size, so a table renders in
+// one allocation however many rows it has. An entry renders into a stack
+// scratch buffer wherever its width is measured.
 
 // CSV renders the table as RFC-4180-style comma-separated values (title as
 // a comment line, header, then rows). Cells containing commas or quotes are
 // quoted.
 func (t *Table) CSV() string {
-	var b strings.Builder
+	var scratch [32]byte
+	size := 0
 	if t.title != "" {
-		fmt.Fprintf(&b, "# %s\n", t.title)
+		size += len("# \n") + len(t.title)
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
+	field := func(s string) int {
+		if !strings.ContainsAny(s, ",\"\n") {
+			return len(s)
+		}
+		return len(s) + 2 + strings.Count(s, `"`)
+	}
+	measure := func(r *row) {
+		size += max(r.len(), 1) // the commas and the newline
+		for _, l := range r.labels {
+			size += field(l)
+		}
+		for _, e := range r.entries {
+			size += len(e.appendTo(scratch[:0]))
+		}
+	}
+	header := row{labels: t.header}
+	if len(t.header) > 0 {
+		measure(&header)
+	}
+	for i := range t.rows {
+		measure(&t.rows[i])
+	}
+
+	var b strings.Builder
+	b.Grow(size)
+	if t.title != "" {
+		b.WriteString("# ")
+		b.WriteString(t.title)
+		b.WriteByte('\n')
+	}
+	write := func(r *row) {
+		for i, l := range r.labels {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				b.WriteString(c)
+			if !strings.ContainsAny(l, ",\"\n") {
+				b.WriteString(l)
+				continue
+			}
+			b.WriteByte('"')
+			for j := 0; j < len(l); j++ {
+				if l[j] == '"' {
+					b.WriteByte('"')
+				}
+				b.WriteByte(l[j])
+			}
+			b.WriteByte('"')
+		}
+		for j, e := range r.entries {
+			if len(r.labels)+j > 0 {
+				b.WriteByte(',')
+			}
+			b.Write(e.appendTo(scratch[:0]))
+		}
+		b.WriteByte('\n')
+	}
+	if len(t.header) > 0 {
+		write(&header)
+	}
+	for i := range t.rows {
+		write(&t.rows[i])
+	}
+	return b.String()
+}
+
+// String renders the table with aligned columns. A column is as wide as
+// its longest cell in bytes, and a cell is padded with spaces to that
+// width counted in runes, as fmt's %-*s pads.
+func (t *Table) String() string {
+	var scratch [32]byte
+	cols := len(t.header)
+	for i := range t.rows {
+		cols = max(cols, t.rows[i].len())
+	}
+	var widthBuf [16]int
+	widths := widthBuf[:]
+	if cols > len(widthBuf) {
+		widths = make([]int, cols)
+	}
+	widths = widths[:cols]
+	// A cell takes its column's width in bytes, plus the bytes its runes
+	// take beyond one each.
+	extra := 0
+	measure := func(r *row) {
+		for i, l := range r.labels {
+			widths[i] = max(widths[i], len(l))
+			extra += len(l) - utf8.RuneCountInString(l)
+		}
+		for j, e := range r.entries {
+			i := len(r.labels) + j
+			widths[i] = max(widths[i], len(e.appendTo(scratch[:0])))
+		}
+	}
+	header := row{labels: t.header}
+	measure(&header)
+	for i := range t.rows {
+		measure(&t.rows[i])
+	}
+	lines := len(t.rows)
+	if len(t.header) > 0 {
+		lines += 2
+	}
+	line := 1 + 2*max(cols-1, 0)
+	for _, w := range widths {
+		line += w
+	}
+	size := lines*line + extra
+	if t.title != "" {
+		size += len(t.title) + 1
+	}
+
+	var b strings.Builder
+	b.Grow(size)
+	if t.title != "" {
+		b.WriteString(t.title)
+		b.WriteByte('\n')
+	}
+	pad := func(from, to int) {
+		for ; from < to; from++ {
+			b.WriteByte(' ')
+		}
+	}
+	write := func(r *row) {
+		for i := range widths {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			switch j := i - len(r.labels); {
+			case j < 0:
+				b.WriteString(r.labels[i])
+				pad(utf8.RuneCountInString(r.labels[i]), widths[i])
+			case j < len(r.entries):
+				c := r.entries[j].appendTo(scratch[:0])
+				b.Write(c)
+				pad(len(c), widths[i])
+			default:
+				pad(0, widths[i])
 			}
 		}
 		b.WriteByte('\n')
 	}
 	if len(t.header) > 0 {
-		writeRow(t.header)
-	}
-	for _, r := range t.rows {
-		writeRow(r.cells())
-	}
-	return b.String()
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	rows := make([][]string, len(t.rows))
-	cols := len(t.header)
-	for i, r := range t.rows {
-		rows[i] = r.cells()
-		cols = max(cols, len(rows[i]))
-	}
-	widths := make([]int, cols)
-	measure := func(r []string) {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	measure(t.header)
-	for _, r := range rows {
-		measure(r)
-	}
-	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "%s\n", t.title)
-	}
-	writeRow := func(r []string) {
-		for i := 0; i < cols; i++ {
-			cell := ""
-			if i < len(r) {
-				cell = r[i]
-			}
+		write(&header)
+		for i, w := range widths {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			for ; w > 0; w-- {
+				b.WriteByte('-')
+			}
 		}
-		b.WriteString("\n")
+		b.WriteByte('\n')
 	}
-	if len(t.header) > 0 {
-		writeRow(t.header)
-		sep := make([]string, cols)
-		for i := range sep {
-			sep[i] = strings.Repeat("-", widths[i])
-		}
-		writeRow(sep)
-	}
-	for _, r := range rows {
-		writeRow(r)
+	for i := range t.rows {
+		write(&t.rows[i])
 	}
 	return b.String()
 }
