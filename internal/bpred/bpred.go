@@ -101,7 +101,8 @@ type btbEntry struct {
 // a taken prediction without a BTB hit cannot be redirected and costs the
 // same bubble as a misprediction.
 type BTB struct {
-	sets    [][]btbEntry
+	ways    []btbEntry // set s occupies ways[s*assoc : (s+1)*assoc]
+	assoc   uint64
 	setMask uint64
 	clock   uint64
 }
@@ -118,19 +119,21 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("bpred: BTB set count %d not a power of two", nsets)
 	}
-	sets := make([][]btbEntry, nsets)
-	for i := range sets {
-		sets[i] = make([]btbEntry, assoc)
-	}
-	return &BTB{sets: sets, setMask: uint64(nsets - 1)}, nil
+	return &BTB{ways: make([]btbEntry, entries), assoc: uint64(assoc), setMask: uint64(nsets - 1)}, nil
+}
+
+// set returns the ways of the set that pc indexes.
+func (b *BTB) set(pc uint64) []btbEntry {
+	base := ((pc >> 2) & b.setMask) * b.assoc
+	return b.ways[base : base+b.assoc]
 }
 
 // Lookup returns the stored target for pc and whether it was present.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	if len(b.sets) == 0 {
+	if len(b.ways) == 0 {
 		return 0, false
 	}
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	for i := range set {
 		if set[i].valid && set[i].tag == pc {
 			b.clock++
@@ -143,10 +146,10 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 
 // Insert records the target of the branch at pc, replacing the LRU way.
 func (b *BTB) Insert(pc, target uint64) {
-	if len(b.sets) == 0 {
+	if len(b.ways) == 0 {
 		return
 	}
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	b.clock++
 	victim := 0
 	for i := range set {
@@ -168,9 +171,7 @@ func (b *BTB) Insert(pc, target uint64) {
 
 // Reset empties the BTB, restoring its just-constructed state.
 func (b *BTB) Reset() {
-	for _, set := range b.sets {
-		clear(set)
-	}
+	clear(b.ways)
 	b.clock = 0
 }
 

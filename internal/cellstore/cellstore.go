@@ -108,6 +108,8 @@ type Options struct {
 type Store struct {
 	dir  string
 	opts Options
+	// prefix starts every entry path, so a path is one concatenation.
+	prefix string
 
 	mu       sync.Mutex
 	degraded bool
@@ -128,7 +130,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, &StoreError{Op: "open", Path: dir, Err: err}
 	}
-	s := &Store{dir: dir, opts: opts}
+	// filepath.Join(dir, name) is the same prefix before any plain file
+	// name: the prefix is what it puts before a one-byte name.
+	joined := filepath.Join(dir, "x")
+	s := &Store{dir: dir, opts: opts, prefix: joined[:len(joined)-1]}
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, &StoreError{Op: "open", Path: dir, Err: err}
@@ -189,9 +194,7 @@ func (s *Store) degrade(cause *StoreError) {
 func (s *Store) entryPath(k Key) string { return s.idPath(k.ID()) }
 
 // idPath returns the file path of the entry whose key has ID id.
-func (s *Store) idPath(id string) string {
-	return filepath.Join(s.dir, id+entrySuffix)
-}
+func (s *Store) idPath(id string) string { return s.prefix + id + entrySuffix }
 
 // Get looks a cell up. A missing entry returns (nil, nil) — a plain
 // miss. A corrupt entry (unreadable, bad schema, checksum mismatch,
@@ -219,18 +222,18 @@ func (s *Store) GetID(k Key, id string) (*Entry, error) {
 		// Unreadable but present (permissions, I/O error): quarantine so
 		// the campaign makes progress; if even the rename fails the entry
 		// simply stays and the next run retries it.
-		s.quarantine("get", path, &k, err)
+		s.quarantine("get", path, keyRef(k), err)
 		return nil, nil
 	}
-	e, err := DecodeEntry(data)
+	e, err := decodeEntry(data, &k)
 	if err != nil {
-		s.quarantine("get", path, &k, err)
+		s.quarantine("get", path, keyRef(k), err)
 		return nil, nil
 	}
 	if e.Key != k {
 		// A content-addressed store should make this impossible; seeing
 		// it means the file was overwritten or the hash scheme changed.
-		s.quarantine("get", path, &k, fmt.Errorf("stored key %+v does not match requested %+v", e.Key, k))
+		s.quarantine("get", path, keyRef(k), fmt.Errorf("stored key %+v does not match requested %+v", e.Key, k))
 		return nil, nil
 	}
 	s.count(func(st *Store) { st.stats.hits++ })
@@ -245,8 +248,12 @@ func (s *Store) Quarantine(k Key, id string, reason error) {
 	if s.isDegraded() {
 		return
 	}
-	s.quarantine("get", s.idPath(id), &k, reason)
+	s.quarantine("get", s.idPath(id), keyRef(k), reason)
 }
+
+// keyRef returns a pointer to a copy of k, for a StoreError: a pointer to
+// a caller's own key would move that key to the heap on every call.
+func keyRef(k Key) *Key { return &k }
 
 // quarantine renames a corrupt entry to *.corrupt, records the error and
 // counts the miss.
@@ -288,7 +295,7 @@ func (s *Store) PutID(e *Entry, id string) error {
 	if err != nil {
 		// An unencodable entry is a caller bug, not a disk failure; do
 		// not degrade the store over it.
-		return &StoreError{Op: "put", Key: &e.Key, Err: err}
+		return &StoreError{Op: "put", Key: keyRef(e.Key), Err: err}
 	}
 	path := s.idPath(id)
 	var lastErr error
@@ -306,7 +313,7 @@ func (s *Store) PutID(e *Entry, id string) error {
 		return nil
 	}
 	s.count(func(st *Store) { st.stats.putFailures++ })
-	se := &StoreError{Op: "put", Path: path, Key: &e.Key,
+	se := &StoreError{Op: "put", Path: path, Key: keyRef(e.Key),
 		Err: fmt.Errorf("%w: %d attempts failed, last: %v", ErrDegraded, putAttempts, lastErr)}
 	s.degrade(se)
 	return se

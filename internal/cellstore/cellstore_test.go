@@ -1,6 +1,7 @@
 package cellstore
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"os"
@@ -242,6 +243,12 @@ func TestCorruptShapesQuarantine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bodyChecksum computes the envelope checksum of an entry body.
+func bodyChecksum(body []byte) string {
+	sum := sha256.Sum256(body)
+	return string(appendChecksum(nil, &sum))
 }
 
 // mustEncodeRaw hand-builds an envelope whose body passes the checksum
@@ -500,5 +507,34 @@ func TestContentHashWidth(t *testing.T) {
 	}
 	if h == hashOf(`{"ports":2}`) {
 		t.Error("distinct documents hash identically")
+	}
+}
+
+// TestStoreOpAllocations bounds what one Put and one Get hit allocate on
+// a store that skips its fsyncs, 12 and 10 objects: the entry path and
+// the file system's own (the temp file, its name and the rename on a Put;
+// the file, its size and its bytes on a Get), plus the encoded entry on a
+// Put and, on a Get, the decoded entry, its labels and its result; the
+// key's strings are the caller's. The encoding/json codecs made 18 and
+// 28, and a Key.ID 3.
+func TestStoreOpAllocations(t *testing.T) {
+	const maxPut, maxGet = 14, 12
+	s := open(t, t.TempDir(), Options{noSync: true})
+	e := testEntry("compress")
+	id := e.Key.ID()
+	put := testing.AllocsPerRun(50, func() {
+		if err := s.PutID(e, id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	get := testing.AllocsPerRun(50, func() {
+		if got, err := s.GetID(e.Key, id); got == nil || err != nil {
+			t.Fatalf("Get = %v, %v", got, err)
+		}
+	})
+	keyID := testing.AllocsPerRun(50, func() { _ = e.Key.ID() })
+	t.Logf("Put allocates %v objects, a Get hit %v, Key.ID %v", put, get, keyID)
+	if put > maxPut || get > maxGet || keyID > 1 {
+		t.Errorf("Put allocates %v objects, a Get hit %v, Key.ID %v; want at most %d, %d and 1", put, get, keyID, maxPut, maxGet)
 	}
 }

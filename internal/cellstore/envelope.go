@@ -21,14 +21,20 @@
 //     recorded as a structured StoreError and reported as a miss, so the
 //     campaign re-simulates the one cell instead of failing.
 //
-// A restore allocates a few dozen objects, none per counter of the stored
-// result. An entry's file name is its key's ID, a SHA-256 of the key's
-// JSON; a caller that holds the ID passes it to GetID, PutID and
-// Quarantine, so a runner cell derives its file name once for all three.
-// DecodeEntry sums and decodes the envelope body where it lies in the
-// file's bytes and copies only the payload out of it, and the experiments
-// layer decodes the payload's counter names into the stats vocabulary's
-// own strings instead of a copy per name.
+// Both codecs are written by hand over internal/jsonwire. An entry
+// encodes into one buffer, byte for byte as encoding/json wrote it, so a
+// store written before keeps its bytes and its file names, and decodes in
+// one pass without reflection. A Get hit allocates ten objects: the path,
+// the file system's five (the open file's two, its name, its size and
+// its bytes), and the entry with its two labels and its payload; the
+// key's strings are the caller's. A Put allocates the path and the encoded
+// entry, and the file system's own for the temp file and the rename. An
+// entry's file name is its key's ID, a SHA-256 of the key's JSON, which
+// Key.ID appends on the stack, so the ID is all it allocates; a caller
+// that holds the ID passes it to GetID, PutID and Quarantine, so a runner
+// cell derives its file name once for all three. The experiments layer
+// decodes the payload's counter names into the stats vocabulary's own
+// strings instead of a copy per name.
 package cellstore
 
 import (
@@ -36,6 +42,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
+
+	"portsim/internal/jsonwire"
 )
 
 // Schema identifies the on-disk envelope format. Bump the suffix on any
@@ -72,24 +81,87 @@ func ContentHash(v any) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return hashDoc(doc), nil
+}
+
+// hashDoc is ContentHash of the document doc.
+func hashDoc(doc []byte) string {
 	sum := sha256.Sum256(doc)
 	var out [32]byte
 	hex.Encode(out[:], sum[:16])
-	return string(out[:]), nil
+	return string(out[:])
 }
 
 // ID returns the entry's content address, the ContentHash of the key. It
-// is the base of the entry's filename.
+// is the base of the entry's filename. The key's JSON is appended by hand,
+// byte for byte as json.Marshal writes it, so hashing it allocates only
+// the ID.
 func (k Key) ID() string {
-	id, err := ContentHash(k)
-	if err != nil {
-		// Key is a struct of plain strings and integers; Marshal cannot
-		// fail on it. Guard anyway so a future field type keeps the
-		// invariant visible.
-		panic(fmt.Sprintf("cellstore: key not marshalable: %v", err))
-	}
-	return id
+	var buf [192]byte
+	return hashDoc(k.appendJSON(buf[:0]))
 }
+
+// appendJSON appends the key's JSON, as json.Marshal writes it.
+func (k *Key) appendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	if k.Config != "" {
+		dst = jsonwire.AppendString(append(dst, `"config":`...), k.Config)
+		dst = append(dst, ',')
+	}
+	dst = jsonwire.AppendString(append(dst, `"stream":`...), k.Stream)
+	dst = strconv.AppendInt(append(dst, `,"seed":`...), k.Seed, 10)
+	dst = strconv.AppendUint(append(dst, `,"insts":`...), k.Insts, 10)
+	if k.Fault != "" {
+		dst = jsonwire.AppendString(append(dst, `,"fault":`...), k.Fault)
+	}
+	return append(dst, '}')
+}
+
+// readJSON reads the key's JSON members into k, as json.Unmarshal would.
+// A string that equals the same field of want takes want's string, so a
+// Get of the key it asked for copies none of the key's strings.
+func (k *Key) readJSON(r *jsonwire.Reader, want *Key) {
+	if !r.Object() {
+		return
+	}
+	for name, ok := r.Member(keyFields); ok; name, ok = r.Member(keyFields) {
+		switch name {
+		case "config":
+			readString(r, &k.Config, want.Config)
+		case "stream":
+			readString(r, &k.Stream, want.Stream)
+		case "seed":
+			r.Int(&k.Seed)
+		case "insts":
+			r.Uint(&k.Insts)
+		case "fault":
+			readString(r, &k.Fault, want.Fault)
+		default:
+			r.Skip()
+		}
+	}
+}
+
+// readString reads a string into *p as Reader.String does, but takes like
+// instead of a copy when the two are equal.
+func readString(r *jsonwire.Reader, p *string, like string) {
+	if text, ok := r.Text(); ok {
+		if string(text) == like {
+			*p = like
+		} else {
+			*p = string(text)
+		}
+	}
+}
+
+// The JSON field names of Key, Failure, Entry and the envelope, in field
+// order, for jsonwire.Reader.Member.
+var (
+	keyFields      = []string{"config", "stream", "seed", "insts", "fault"}
+	failureFields  = []string{"message", "panicked", "stack"}
+	entryFields    = []string{"key", "machine", "workload", "result", "failure"}
+	envelopeFields = []string{"schema", "checksum", "entry"}
+)
 
 // Failure is the stored form of a deterministic cell failure. The
 // simulator is deterministic, so a cell that died once dies identically
@@ -140,95 +212,190 @@ func (e *Entry) Validate() error {
 	return nil
 }
 
-// envelope is the on-disk wrapper: schema, checksum, body. The body is
-// kept as raw bytes so the checksum covers the exact serialised form.
-type envelope struct {
-	Schema   string          `json:"schema"`
-	Checksum string          `json:"checksum"`
-	Entry    json.RawMessage `json:"entry"`
-}
-
-// bodyChecksum computes the envelope checksum of an entry body.
-func bodyChecksum(body []byte) string {
-	sum := sha256.Sum256(body)
-	return string(appendChecksum(nil, &sum))
-}
+// An entry file is the envelope {"schema":...,"checksum":...,"entry":...}
+// on one line: the schema, the SHA-256 of the entry body as "sha256:" and
+// 64 hex digits, and the body, the entry's JSON, whose exact bytes the
+// checksum covers. EncodeEntry writes the envelope's fixed text around
+// the body. envelopeSize bounds the rest of a file's length, beyond its
+// strings and its payload, when nothing needs escaping: the envelope's
+// and the body's field names and punctuation, the checksum and two
+// 20-digit numbers, 313 bytes at most.
+const (
+	envelopePrefix = `{"schema":"` + Schema + `","checksum":"sha256:`
+	envelopeBody   = `","entry":`
+	envelopeSize   = 320
+)
 
 // appendChecksum appends the envelope checksum form of a body's SHA-256.
 func appendChecksum(dst []byte, sum *[sha256.Size]byte) []byte {
 	return hex.AppendEncode(append(dst, "sha256:"...), sum[:])
 }
 
-// entryBody decodes an envelope's entry body where it lies in the
-// envelope's bytes. encoding/json hands UnmarshalJSON the bytes a
-// json.RawMessage would copy, so the body is summed and decoded in place,
-// and only the entry's Result is copied out of it. The decode error waits
-// in err until DecodeEntry has checked the schema and the checksum.
-type entryBody struct {
-	size int
-	sum  [sha256.Size]byte
-	e    Entry
-	err  error
+// appendJSON appends the entry's JSON, as json.Marshal writes it.
+func (e *Entry) appendJSON(dst []byte) ([]byte, error) {
+	dst = e.Key.appendJSON(append(dst, `{"key":`...))
+	if e.Machine != "" {
+		dst = jsonwire.AppendString(append(dst, `,"machine":`...), e.Machine)
+	}
+	if e.Workload != "" {
+		dst = jsonwire.AppendString(append(dst, `,"workload":`...), e.Workload)
+	}
+	if len(e.Result) > 0 {
+		var err error
+		if dst, err = jsonwire.AppendCompact(append(dst, `,"result":`...), e.Result); err != nil {
+			return nil, err
+		}
+	}
+	if f := e.Failure; f != nil {
+		dst = jsonwire.AppendString(append(dst, `,"failure":{"message":`...), f.Message)
+		if f.Panicked {
+			dst = append(dst, `,"panicked":true`...)
+		}
+		if f.Stack != "" {
+			dst = jsonwire.AppendString(append(dst, `,"stack":`...), f.Stack)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
 }
 
-func (b *entryBody) UnmarshalJSON(data []byte) error {
-	*b = entryBody{size: len(data), sum: sha256.Sum256(data)}
-	b.err = json.Unmarshal(data, &b.e)
-	return nil
+// readJSON reads an entry's JSON into e, as json.Unmarshal would, its key
+// as Key.readJSON reads it.
+func (e *Entry) readJSON(r *jsonwire.Reader, want *Key) {
+	if !r.Object() {
+		return
+	}
+	for name, ok := r.Member(entryFields); ok; name, ok = r.Member(entryFields) {
+		switch name {
+		case "key":
+			e.Key.readJSON(r, want)
+		case "machine":
+			r.String(&e.Machine)
+		case "workload":
+			r.String(&e.Workload)
+		case "result":
+			// A json.RawMessage takes the value's bytes, null included.
+			if raw := r.Raw(); raw != nil {
+				e.Result = append(e.Result[:0], raw...)
+			}
+		case "failure":
+			if r.Null() {
+				e.Failure = nil
+				continue
+			}
+			if e.Failure == nil {
+				e.Failure = new(Failure)
+			}
+			e.Failure.readJSON(r)
+		default:
+			r.Skip()
+		}
+	}
+}
+
+// readJSON reads a failure's JSON into f, as json.Unmarshal would.
+func (f *Failure) readJSON(r *jsonwire.Reader) {
+	if !r.Object() {
+		return
+	}
+	for name, ok := r.Member(failureFields); ok; name, ok = r.Member(failureFields) {
+		switch name {
+		case "message":
+			r.String(&f.Message)
+		case "panicked":
+			r.Bool(&f.Panicked)
+		case "stack":
+			r.String(&f.Stack)
+		default:
+			r.Skip()
+		}
+	}
 }
 
 // EncodeEntry serialises an entry into envelope bytes ready for disk. The
 // output is deterministic: the same entry always encodes to the same
 // bytes, so a re-Put of an identical cell is byte-identical — the
-// content-addressing invariant.
+// content-addressing invariant. The bytes are those json.Marshal writes
+// for the envelope. EncodeEntry appends the envelope, the body and the
+// result payload into one buffer, sized for them up front, and writes the
+// body's checksum into its place in the envelope last.
 func EncodeEntry(e *Entry) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(e)
+	size := envelopeSize + len(e.Key.Config) + len(e.Key.Stream) + len(e.Key.Fault) +
+		len(e.Machine) + len(e.Workload) + len(e.Result)
+	if f := e.Failure; f != nil {
+		size += len(f.Message) + len(f.Stack)
+	}
+	dst := append(make([]byte, 0, size), envelopePrefix...)
+	sumAt := len(dst)
+	dst = append(dst, make([]byte, hex.EncodedLen(sha256.Size))...)
+	dst = append(dst, envelopeBody...)
+	bodyAt := len(dst)
+	dst, err := e.appendJSON(dst)
 	if err != nil {
 		return nil, fmt.Errorf("cellstore: encoding entry: %w", err)
 	}
-	// The envelope is marshalled compactly: MarshalIndent would re-indent
-	// the embedded raw body, and the checksum covers the body's exact
-	// bytes as stored.
-	env := envelope{Schema: Schema, Checksum: bodyChecksum(body), Entry: body}
-	data, err := json.Marshal(&env)
-	if err != nil {
-		return nil, fmt.Errorf("cellstore: encoding envelope: %w", err)
-	}
-	return append(data, '\n'), nil
+	sum := sha256.Sum256(dst[bodyAt:])
+	hex.Encode(dst[sumAt:], sum[:])
+	return append(dst, "}\n"...), nil
 }
 
 // DecodeEntry parses and verifies envelope bytes: schema, checksum, entry
 // structure. Every corruption shape — truncation, bit flips, wrong
 // schema, checksum mismatch, structural nonsense — comes back as an
 // error, never a panic; the store turns that error into a quarantine.
-func DecodeEntry(data []byte) (*Entry, error) {
-	var env struct {
-		Schema   string    `json:"schema"`
-		Checksum string    `json:"checksum"`
-		Entry    entryBody `json:"entry"`
+//
+// It reads the envelope in one pass, as json.Unmarshal would read it,
+// with the body decoded straight into the returned Entry where it lies
+// in data, summed there, and only the entry's strings and Result copied
+// out of it.
+func DecodeEntry(data []byte) (*Entry, error) { return decodeEntry(data, &Key{}) }
+
+// decodeEntry is DecodeEntry for a reader that expects the key want: a
+// key string equal to want's is want's string, not a copy.
+func decodeEntry(data []byte, want *Key) (*Entry, error) {
+	var schema, checksum, body []byte
+	e := new(Entry)
+	r := jsonwire.NewReader(data)
+	if r.Object() {
+		for name, ok := r.Member(envelopeFields); ok; name, ok = r.Member(envelopeFields) {
+			switch name {
+			case "schema":
+				if text, ok := r.Text(); ok {
+					schema = text
+				}
+			case "checksum":
+				if text, ok := r.Text(); ok {
+					checksum = text
+				}
+			case "entry":
+				*e = Entry{}
+				start := r.Start()
+				e.readJSON(&r, want)
+				body = r.Span(start)
+			default:
+				r.Skip()
+			}
+		}
 	}
-	if err := json.Unmarshal(data, &env); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("cellstore: envelope not parseable: %w", err)
 	}
-	if env.Schema != Schema {
-		return nil, fmt.Errorf("cellstore: envelope schema %q, want %q", env.Schema, Schema)
+	if string(schema) != Schema {
+		return nil, fmt.Errorf("cellstore: envelope schema %q, want %q", schema, Schema)
 	}
-	body := &env.Entry
-	if body.size == 0 {
+	if len(body) == 0 {
 		return nil, fmt.Errorf("cellstore: envelope has no entry body")
 	}
+	sum := sha256.Sum256(body)
 	var buf [len("sha256:") + 2*sha256.Size]byte
-	if got := appendChecksum(buf[:0], &body.sum); string(got) != env.Checksum {
-		return nil, fmt.Errorf("cellstore: checksum mismatch: envelope says %s, body is %s", env.Checksum, string(got))
+	if got := appendChecksum(buf[:0], &sum); string(got) != string(checksum) {
+		return nil, fmt.Errorf("cellstore: checksum mismatch: envelope says %s, body is %s", checksum, string(got))
 	}
-	if body.err != nil {
-		return nil, fmt.Errorf("cellstore: entry body not parseable: %w", body.err)
-	}
-	if err := body.e.Validate(); err != nil {
+	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	return &body.e, nil
+	return e, nil
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"portsim/internal/config"
+	"portsim/internal/workload"
 )
 
 // TestPlannedCellsMatchSubmissions runs every Suite entry on a fresh
@@ -96,5 +98,36 @@ func TestMemoisedPlanAllocations(t *testing.T) {
 	t.Logf("re-running a memoised plan allocates %v objects at 2 cells and %v at 9", a, b)
 	if a != b {
 		t.Errorf("re-running a memoised plan allocates %v objects at 2 cells and %v at 9; want the same", a, b)
+	}
+}
+
+// TestPlansLeaveProfilesUnchanged runs the quick suite and then requires
+// the built-in profiles that plan rows share to equal a fresh
+// workload.Profiles(): no plan, derived rows (F7's database-k-*, A6's
+// compress-xN) included, writes through a shared region slice. It also
+// checks that the rows do share those slices, which is what makes the
+// first check matter.
+func TestPlansLeaveProfilesUnchanged(t *testing.T) {
+	spec := QuickSpec()
+	spec.Insts = 2_000
+	r := NewRunner(spec)
+	for _, e := range Suite() {
+		if _, err := e.Run(r); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	if !reflect.DeepEqual(builtinProfiles, workload.Profiles()) {
+		t.Error("running the quick suite changed the built-in profiles the plans share")
+	}
+	for _, tc := range []struct {
+		p    plan
+		base string
+	}{{f7Plan(spec), "database"}, {a6Plan(spec), "compress"}} {
+		base := builtinProfiles[slices.IndexFunc(builtinProfiles, func(p workload.Profile) bool { return p.Name == tc.base })]
+		for _, s := range tc.p.streams {
+			if &s.prof.Regions[0] != &base.Regions[0] {
+				t.Errorf("%s: the row has its own copy of %s's region table", s.workload, tc.base)
+			}
+		}
 	}
 }

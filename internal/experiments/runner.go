@@ -366,13 +366,20 @@ type planStream struct {
 	err error
 }
 
+// builtinProfiles are the built-in workload profiles that plan rows copy.
+// A row's copy shares the table's region slices: plans change a profile's
+// scalars and replace its kernel spec (F7), but never write through a
+// slice, so no row pays for its own region tables.
+var builtinProfiles = workload.Profiles()
+
 // named returns the stream of a workload profile, labelled by its name.
 func named(name string) planStream {
-	prof, ok := workload.ByName(name)
-	if !ok {
-		return planStream{workload: name, err: fmt.Errorf("experiments: unknown workload %q", name)}
+	for _, prof := range builtinProfiles {
+		if prof.Name == name {
+			return planStream{workload: name, streamSpec: streamSpec{prof: prof}}
+		}
 	}
-	return planStream{workload: name, streamSpec: streamSpec{prof: prof}}
+	return planStream{workload: name, err: fmt.Errorf("experiments: unknown workload %q", name)}
 }
 
 // hashed returns the row with its stream's content hashes derived, unless

@@ -1,15 +1,17 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 
 	"portsim/internal/cellstore"
 	"portsim/internal/cpu"
 	"portsim/internal/cpustack"
+	"portsim/internal/jsonwire"
 	"portsim/internal/stats"
 )
 
@@ -20,166 +22,224 @@ import (
 // portlint's layerimports roster forbids it from importing the model
 // packages — so everything crossing the boundary is serialised here.
 
-// storedResult is the persisted form of a cpu.Result. Counters are encoded
-// as parallel name/value slices in creation order, because rebuilding a
-// stats.Set by Add-ing in that order reproduces the original set exactly —
-// table rendering walks Names(), so restored cells render byte-identically
-// to simulated ones.
-type storedResult struct {
-	Cycles       uint64 `json:"cycles"`
-	Instructions uint64 `json:"instructions"`
-	UserInsts    uint64 `json:"user_insts"`
-	KernelInsts  uint64 `json:"kernel_insts"`
-	Loads        uint64 `json:"loads"`
-	Stores       uint64 `json:"stores"`
-	Branches     uint64 `json:"branches"`
-	Mispredicts  uint64 `json:"mispredicts"`
-	// IPC roundtrips exactly: encoding/json renders float64 with the
-	// shortest representation that parses back to the same bits.
-	IPC           float64  `json:"ipc"`
-	CounterNames  []string `json:"counter_names"`
-	CounterValues []uint64 `json:"counter_values"`
-	// CPIStack is the cycle-accounting breakdown keyed by bucket name,
-	// present only when the cell was simulated with accounting armed.
-	CPIStack map[string]uint64 `json:"cpi_stack,omitempty"`
-}
+// A stored result is one JSON object, the persisted form of a cpu.Result:
+// its eight counts and its IPC under the names in resultFields, its
+// counters as parallel name and value arrays in creation order, and, when
+// the cell was simulated with cycle accounting armed, its CPI stack as an
+// object of the nonzero buckets keyed by bucket name. Rebuilding a
+// stats.Set by Add-ing in creation order reproduces the original set
+// exactly — table rendering walks Names(), so restored cells render
+// byte-identically to simulated ones — and the IPC round-trips exactly,
+// as JSON carries the shortest decimal that parses back to its bits.
+// encodeResult and decodeResult write and read the object by hand, byte
+// for byte as json.Marshal writes and value for value as json.Unmarshal
+// reads the storedResult struct the codec's tests keep as their reference.
 
-// encodeResult serialises a result into the store's opaque payload.
+// resultFields are a stored result's field names, in the order written.
+var resultFields = []string{"cycles", "instructions", "user_insts", "kernel_insts", "loads", "stores",
+	"branches", "mispredicts", "ipc", "counter_names", "counter_values", "cpi_stack"}
+
+// bucketsByName are the CPI-stack buckets in the order of their names,
+// the order json.Marshal writes a map's keys in.
+var bucketsByName = func() []cpustack.Bucket {
+	bs := make([]cpustack.Bucket, cpustack.NumBuckets)
+	for i := range bs {
+		bs[i] = cpustack.Bucket(i)
+	}
+	slices.SortFunc(bs, func(a, b cpustack.Bucket) int { return strings.Compare(a.String(), b.String()) })
+	return bs
+}()
+
+// resultSize is the most a stored result's fixed fields take: 149 bytes
+// of names and punctuation, 20 digits for each of the eight counts and 24
+// for the IPC.
+const resultSize = 333
+
+// encodeResult serialises a result into the store's opaque payload, in
+// one buffer sized for it up front.
 func encodeResult(res *cpu.Result) (json.RawMessage, error) {
-	sr := storedResult{
-		Cycles:       res.Cycles,
-		Instructions: res.Instructions,
-		UserInsts:    res.UserInsts,
-		KernelInsts:  res.KernelInsts,
-		Loads:        res.Loads,
-		Stores:       res.Stores,
-		Branches:     res.Branches,
-		Mispredicts:  res.Mispredicts,
-		IPC:          res.IPC,
-		CPIStack:     res.CPIStack.Map(),
-	}
-	if res.Counters != nil {
-		sr.CounterNames = res.Counters.Names()
-		sr.CounterValues = make([]uint64, len(sr.CounterNames))
-		for i, name := range sr.CounterNames {
-			sr.CounterValues[i] = res.Counters.Get(name) //portlint:ignore counterhygiene name ranges over Counters.Names()
+	set, st := res.Counters, res.CPIStack
+	size := resultSize
+	if set != nil {
+		for i := range set.Len() {
+			name, _ := set.At(i)
+			size += len(name) + 24 // quotes, commas and the value's digits
 		}
 	}
-	return json.Marshal(&sr)
-}
-
-// counterName is a stored counter name. A name of the stats vocabulary
-// decodes into the vocabulary's own string, so a restored result shares
-// its counter names as a simulated one does; any other name decodes
-// verbatim.
-type counterName string
-
-func (n *counterName) UnmarshalJSON(b []byte) error {
-	// No vocabulary name has a character that JSON escapes, so a match on
-	// the raw bytes between the quotes is a match on the decoded string.
-	if len(b) >= 2 && b[0] == '"' && b[len(b)-1] == '"' {
-		if name, ok := stats.VocabularyName(b[1 : len(b)-1]); ok {
-			*n = counterName(name)
-			return nil
+	if st != nil {
+		size += int(cpustack.NumBuckets) * 48 // a name of at most 18 bytes, punctuation and digits
+	}
+	dst := make([]byte, 0, size)
+	dst = strconv.AppendUint(append(dst, `{"cycles":`...), res.Cycles, 10)
+	dst = strconv.AppendUint(append(dst, `,"instructions":`...), res.Instructions, 10)
+	dst = strconv.AppendUint(append(dst, `,"user_insts":`...), res.UserInsts, 10)
+	dst = strconv.AppendUint(append(dst, `,"kernel_insts":`...), res.KernelInsts, 10)
+	dst = strconv.AppendUint(append(dst, `,"loads":`...), res.Loads, 10)
+	dst = strconv.AppendUint(append(dst, `,"stores":`...), res.Stores, 10)
+	dst = strconv.AppendUint(append(dst, `,"branches":`...), res.Branches, 10)
+	dst = strconv.AppendUint(append(dst, `,"mispredicts":`...), res.Mispredicts, 10)
+	dst, err := jsonwire.AppendFloat(append(dst, `,"ipc":`...), res.IPC)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case set == nil:
+		dst = append(dst, `,"counter_names":null,"counter_values":null`...)
+	case set.Len() == 0 && set.Names() == nil:
+		// A zero Set's names are a nil slice, which Marshal writes null.
+		dst = append(dst, `,"counter_names":null,"counter_values":[]`...)
+	default:
+		dst = append(dst, `,"counter_names":[`...)
+		for i := range set.Len() {
+			name, _ := set.At(i)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonwire.AppendString(dst, name)
 		}
+		dst = append(dst, `],"counter_values":[`...)
+		for i := range set.Len() {
+			_, v := set.At(i)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, v, 10)
+		}
+		dst = append(dst, ']')
 	}
-	return json.Unmarshal(b, (*string)(n))
-}
-
-// cpiStack is a stored CPI stack, the bucket name → cycles object that
-// Snapshot.Map writes. It decodes straight into a snapshot: each name
-// resolves through the bucket table on its raw bytes, so a restore builds
-// no map and copies no name. An unknown name ends the decode into err,
-// which decodeResult reports as it reports FromMap's.
-type cpiStack struct {
-	snap cpustack.Snapshot
-	err  error
-}
-
-func (s *cpiStack) UnmarshalJSON(b []byte) error {
-	// encoding/json hands over one well-formed value, so the object's
-	// structure needs no checks beyond its first byte.
-	if b[0] != '{' {
-		return fmt.Errorf("experiments: cpi_stack is not an object: %.20s", b)
-	}
-	skip := func(b []byte) []byte { return bytes.TrimLeft(b, " \t\r\n,:") }
-	for b = skip(b[1:]); b[0] != '}'; b = skip(b) {
-		end := 1 // the name's closing quote
-		for ; b[end] != '"'; end++ {
-			if b[end] == '\\' {
-				end++
+	// The stack is a map of its nonzero buckets; omitempty leaves out an
+	// empty one.
+	if st != nil && *st != (cpustack.Snapshot{}) {
+		sep := `,"cpi_stack":{`
+		for _, b := range bucketsByName {
+			if v := st.Buckets[b]; v > 0 {
+				dst = jsonwire.AppendString(append(dst, sep...), b.String())
+				dst = strconv.AppendUint(append(dst, ':'), v, 10)
+				sep = ","
 			}
 		}
-		name := b[1:end]
-		if bytes.IndexByte(name, '\\') >= 0 {
-			// No bucket name has a character JSON escapes, but an escaped
-			// spelling of one must still resolve.
-			var unquoted string
-			if err := json.Unmarshal(b[:end+1], &unquoted); err != nil {
-				return err
-			}
-			name = []byte(unquoted)
-		}
-		bucket, ok := cpustack.BucketByName(string(name))
-		if !ok {
-			s.err = fmt.Errorf("cpustack: unknown bucket %q", name)
-			return nil
-		}
-		b = skip(b[end+1:])
-		n := bytes.IndexAny(b, " \t\r\n,}")
-		v, err := strconv.ParseUint(string(b[:n]), 10, 64)
-		if err != nil {
-			return fmt.Errorf("experiments: cpi_stack %s cycles: %w", name, err)
-		}
-		s.snap.Buckets[bucket] = v
-		b = b[n:]
+		dst = append(dst, '}')
 	}
-	return nil
+	return append(dst, '}'), nil
 }
 
-// decodeResult rebuilds a cpu.Result from a stored payload.
+// decodeResult rebuilds a cpu.Result from a stored payload, read in one
+// pass. Counter names
+// of the stats vocabulary decode into the vocabulary's own strings, so a
+// restored result shares its counter names as a simulated one does, and
+// a stored CPI stack decodes straight into its snapshot, each bucket name
+// resolved through the bucket table.
 func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
-	var sr struct {
-		storedResult
-		// CounterNames and CPIStack shadow the embedded fields of the
-		// same JSON names, so the counter names decode through the
-		// vocabulary and the stack through the bucket table.
-		CounterNames []counterName `json:"counter_names"`
-		CPIStack     *cpiStack     `json:"cpi_stack"`
+	res := new(cpu.Result)
+	// The names and values wait here until their count is known; a
+	// result of vocabulary names fits without allocating.
+	var nameBuf [stats.MaxVocabulary]string
+	var valueBuf [stats.MaxVocabulary]uint64
+	names, values := nameBuf[:0], valueBuf[:0]
+	var stackErr error
+	r := jsonwire.NewReader(raw)
+	if r.Object() {
+		for name, ok := r.Member(resultFields); ok; name, ok = r.Member(resultFields) {
+			switch name {
+			case "cycles":
+				r.Uint(&res.Cycles)
+			case "instructions":
+				r.Uint(&res.Instructions)
+			case "user_insts":
+				r.Uint(&res.UserInsts)
+			case "kernel_insts":
+				r.Uint(&res.KernelInsts)
+			case "loads":
+				r.Uint(&res.Loads)
+			case "stores":
+				r.Uint(&res.Stores)
+			case "branches":
+				r.Uint(&res.Branches)
+			case "mispredicts":
+				r.Uint(&res.Mispredicts)
+			case "ipc":
+				r.Float(&res.IPC)
+			case "counter_names":
+				names = names[:0]
+				if r.Array() {
+					for r.Elem() {
+						names = append(names, counterName(&r))
+					}
+				}
+			case "counter_values":
+				values = values[:0]
+				if r.Array() {
+					for r.Elem() {
+						var v uint64
+						r.Uint(&v)
+						values = append(values, v)
+					}
+				}
+			case "cpi_stack":
+				if r.Null() {
+					res.CPIStack = nil
+					continue
+				}
+				if res.CPIStack == nil {
+					res.CPIStack = new(cpustack.Snapshot)
+				}
+				if err := readStack(&r, res.CPIStack); stackErr == nil {
+					stackErr = err
+				}
+			default:
+				r.Skip()
+			}
+		}
 	}
-	// A result of vocabulary names has at most VocabularySize counters,
-	// so the slices take every name and value without regrowing.
-	n := stats.VocabularySize()
-	sr.CounterNames, sr.CounterValues = make([]counterName, 0, n), make([]uint64, 0, n)
-	if err := json.Unmarshal(raw, &sr); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("experiments: stored result not parseable: %w", err)
 	}
-	if len(sr.CounterNames) != len(sr.CounterValues) {
+	if len(names) != len(values) {
 		return nil, fmt.Errorf("experiments: stored result has %d counter names but %d values",
-			len(sr.CounterNames), len(sr.CounterValues))
+			len(names), len(values))
 	}
-	res := &cpu.Result{
-		Cycles:       sr.Cycles,
-		Instructions: sr.Instructions,
-		UserInsts:    sr.UserInsts,
-		KernelInsts:  sr.KernelInsts,
-		Loads:        sr.Loads,
-		Stores:       sr.Stores,
-		Branches:     sr.Branches,
-		Mispredicts:  sr.Mispredicts,
-		IPC:          sr.IPC,
-		Counters:     stats.NewSetSize(len(sr.CounterNames)),
+	if stackErr != nil {
+		return nil, fmt.Errorf("experiments: stored result: %w", stackErr)
 	}
-	for i, name := range sr.CounterNames {
-		res.Counters.Add(string(name), sr.CounterValues[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
-	}
-	if st := sr.CPIStack; st != nil {
-		if st.err != nil {
-			return nil, fmt.Errorf("experiments: stored result: %w", st.err)
-		}
-		res.CPIStack = &st.snap
+	res.Counters = stats.NewSetSize(len(names))
+	for i, name := range names {
+		res.Counters.Add(name, values[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
 	}
 	return res, nil
+}
+
+// counterName reads a stored counter name: a name of the stats vocabulary
+// as the vocabulary's own string, any other name as read.
+func counterName(r *jsonwire.Reader) string {
+	text, ok := r.Text()
+	if !ok {
+		return ""
+	}
+	if name, ok := stats.VocabularyName(text); ok {
+		return name
+	}
+	return string(text)
+}
+
+// readStack reads a stored CPI stack, the bucket name → cycles object
+// that Snapshot.Map writes, into snap, as json.Unmarshal reads it into a
+// map that cpustack.FromMap then converts. An unknown bucket name is the
+// error FromMap gives it, returned once the object is read.
+func readStack(r *jsonwire.Reader, snap *cpustack.Snapshot) error {
+	if !r.Object() {
+		return nil
+	}
+	var err error
+	for name, ok := r.Key(); ok; name, ok = r.Key() {
+		var v uint64
+		r.Uint(&v)
+		if bucket, known := cpustack.BucketByName(string(name)); known {
+			snap.Buckets[bucket] = v
+		} else if err == nil {
+			err = fmt.Errorf("cpustack: unknown bucket %q", name)
+		}
+	}
+	return err
 }
 
 // restoredError is the underlying error of a CellError rebuilt from the

@@ -105,14 +105,16 @@ func TestRestoredResultMatchesSimulated(t *testing.T) {
 	sameResult(t, restored(t, &odd), &odd)
 }
 
-// TestRestoreAllocations bounds what decoding a stored result allocates.
-// Its counter names decode into the stats vocabulary's own strings and
-// its counter slices are sized once, so the count does not grow with the
-// result's 60-odd counters; a decode that copied each name made about 80.
-// A stored CPI stack decodes straight into its snapshot, so arming cycle
-// accounting adds at most 3; a decode through a name → cycles map added 27.
+// TestRestoreAllocations bounds what decoding a stored result allocates:
+// the result, its counter set's three objects and, with cycle accounting
+// armed, its CPI stack, 4 and 5 objects in all. The payload is read in
+// one pass without reflection, its counter names decode into the stats
+// vocabulary's own strings and its names and values wait in arrays on the
+// stack, so the count does not grow with the result's 60-odd counters.
+// The encoding/json decoder made 13 (and about 80 when it copied each
+// name); one that sized its counter slices on the heap again would make 6.
 func TestRestoreAllocations(t *testing.T) {
-	const maxAllocs, maxStackAllocs = 20, 3
+	const maxAllocs, maxStackAllocs = 5, 3
 	decodeAllocs := func(cpi bool) float64 {
 		raw, err := encodeResult(simulatedResult(t, cpi))
 		if err != nil {
@@ -414,5 +416,95 @@ func TestStoreDegradedRunsClean(t *testing.T) {
 	}
 	if s := st.Stats(); !s.Degraded || s.PutFailures != 1 {
 		t.Fatalf("store stats = %+v, want degraded with 1 put failure", s)
+	}
+}
+
+// goldenEntries are entry files written by the encoding/json codecs the
+// hand-written ones replaced, at -quick -insts 4000 on T2's baseline-1port:
+// compress with cycle accounting armed, and compress poisoned with
+// panic:compress:100.
+var goldenEntries = []struct {
+	file  string
+	fault string
+}{
+	{"testdata/store/c86ccd37db6d82915412ff458bea2e4d.cell.json", ""},
+	{"testdata/store/d0413ac4f8f369adde7b38d3b54538dd.cell.json", "panic:compress:100"},
+}
+
+// TestGoldenEntriesRoundTrip decodes each golden entry and re-encodes it
+// byte for byte, its result payload too, under the file name it has: a
+// store written by the older codecs keeps its bytes and its addresses.
+func TestGoldenEntriesRoundTrip(t *testing.T) {
+	for _, g := range goldenEntries {
+		data, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := cellstore.DecodeEntry(data)
+		if err != nil {
+			t.Fatalf("%s: %v", g.file, err)
+		}
+		if name := e.Key.ID() + ".cell.json"; name != filepath.Base(g.file) {
+			t.Errorf("%s: the key's ID names the file %s", g.file, name)
+		}
+		again, err := cellstore.EncodeEntry(e)
+		if err != nil || string(again) != string(data) {
+			t.Errorf("%s: re-encoded entry differs (err %v):\ngot  %s\nwant %s", g.file, err, again, data)
+		}
+		if g.fault != "" {
+			if e.Failure == nil || !e.Failure.Panicked || e.Failure.Stack == "" {
+				t.Errorf("%s: failure = %+v, want a contained panic with its stack", g.file, e.Failure)
+			}
+			continue
+		}
+		res, err := decodeResult(e.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CPIStack == nil || res.CPIStack.CheckConservation(res.Cycles) != nil {
+			t.Errorf("%s: restored CPI stack %v does not account for %d cycles", g.file, res.CPIStack, res.Cycles)
+		}
+		payload, err := encodeResult(res)
+		if err != nil || string(payload) != string(e.Result) {
+			t.Errorf("%s: re-encoded result differs (err %v):\ngot  %s\nwant %s", g.file, err, payload, e.Result)
+		}
+	}
+}
+
+// TestGoldenStoreRestores runs each golden entry's cell against a store
+// holding the golden files: both restore, with nothing simulated and
+// nothing quarantined, the poisoned cell as its contained panic.
+func TestGoldenStoreRestores(t *testing.T) {
+	dir := t.TempDir()
+	for _, g := range goldenEntries {
+		data, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(g.file)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range goldenEntries {
+		spec, st := storeSpec(t, dir)
+		spec.Insts, spec.CPIStack = 4_000, g.fault == ""
+		if g.fault != "" {
+			f, err := ParseFault(g.fault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Fault = f
+		}
+		r := NewRunner(spec)
+		res, err := runCell(r, config.Baseline(), "compress")
+		if s := st.Stats(); s.Hits != 1 || s.Quarantined != 0 || r.SimulatedCycles() != 0 {
+			t.Errorf("%s: store stats %+v after simulating %d cycles; want 1 hit", g.file, s, r.SimulatedCycles())
+		}
+		switch {
+		case g.fault == "" && (err != nil || res.CPIStack == nil):
+			t.Errorf("%s: restored %v, %v; want a result with its CPI stack", g.file, res, err)
+		case g.fault != "" && !errors.Is(err, ErrCellPanic):
+			t.Errorf("%s: restored error %v, want a contained panic", g.file, err)
+		}
 	}
 }

@@ -145,11 +145,6 @@ func VocabularyName(b []byte) (string, bool) {
 	return name, ok
 }
 
-// VocabularySize returns the number of names VocabularyName knows: the
-// most counters a result of these names holds, the capacity a decoder
-// sizes its name and value slices to.
-func VocabularySize() int { return len(vocabulary) }
-
 // vocabulary maps every name of the vocabulary to itself.
 // TestVocabularyCoversNamesFile keeps it in step with the constants above.
 var vocabulary = func() map[string]string {

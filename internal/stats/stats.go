@@ -25,6 +25,11 @@ type Set struct {
 	values []uint64
 }
 
+// MaxVocabulary bounds the number of names VocabularyName knows, and so
+// the counters a result of these names holds: a decoder that restores one
+// gathers its names and values in arrays of this length.
+const MaxVocabulary = 128
+
 // NewSetSize returns an empty counter set with room for n counters, so a
 // producer that knows its counter count fills it without regrowing.
 func NewSetSize(n int) *Set {
@@ -61,6 +66,14 @@ func (s *Set) Get(name string) uint64 {
 
 // Names returns the counter names in creation order.
 func (s *Set) Names() []string { return slices.Clone(s.names) }
+
+// Len returns the number of counters.
+func (s *Set) Len() int { return len(s.names) }
+
+// At returns the name and value of the i-th counter in creation order,
+// 0 <= i < Len(), for a caller that walks the set without copying its
+// names.
+func (s *Set) At(i int) (name string, value uint64) { return s.names[i], s.values[i] }
 
 // SafeRatio returns num/den, or 0 when den is exactly zero. Every rate the
 // experiment harness renders (miss rates, mispredict rates, per-kI counts,

@@ -294,8 +294,8 @@ func TestVocabularyCoversNamesFile(t *testing.T) {
 			t.Errorf("VocabularyName(%q) = %q, %v; want the name itself", name, got, ok)
 		}
 	}
-	if got := VocabularySize(); got != len(want) {
-		t.Errorf("VocabularySize() = %d, want the %d names above", got, len(want))
+	if got := len(vocabulary); got != len(want) || got > MaxVocabulary {
+		t.Errorf("the vocabulary holds %d names, want the %d names above and at most MaxVocabulary (%d)", got, len(want), MaxVocabulary)
 	}
 	for _, name := range []string{"", "cycles ", "Cycles", GrantBucket(17), "class.bogus"} {
 		if got, ok := VocabularyName([]byte(name)); ok {
