@@ -21,20 +21,20 @@
 //     recorded as a structured StoreError and reported as a miss, so the
 //     campaign re-simulates the one cell instead of failing.
 //
-// Both codecs are written by hand over internal/jsonwire. An entry
-// encodes into one buffer, byte for byte as encoding/json wrote it, so a
-// store written before keeps its bytes and its file names, and decodes in
-// one pass without reflection. A Get hit allocates ten objects: the path,
-// the file system's five (the open file's two, its name, its size and
-// its bytes), and the entry with its two labels and its payload; the
-// key's strings are the caller's. A Put allocates the path and the encoded
-// entry, and the file system's own for the temp file and the rename. An
-// entry's file name is its key's ID, a SHA-256 of the key's JSON, which
-// Key.ID appends on the stack, so the ID is all it allocates; a caller
-// that holds the ID passes it to GetID, PutID and Quarantine, so a runner
-// cell derives its file name once for all three. The experiments layer
-// decodes the payload's counter names into the stats vocabulary's own
-// strings instead of a copy per name.
+// Both codecs are written by hand over internal/jsonwire. An entry encodes
+// into one buffer, byte for byte as encoding/json wrote it, so a store
+// written before keeps its bytes and its file names, and decodes in one
+// pass without reflection. A Get hit allocates nine objects: the path, the
+// file system's five (the open file's two, its name, its size and its
+// bytes), and the entry with its two labels; the key's strings are the
+// caller's, and the payload stays in the file's bytes. A Put allocates the
+// path and the encoded entry, and the file system's own for the temp file
+// and the rename. An entry's file name is its key's ID, a SHA-256 of the
+// key's JSON, which Key.ID appends on the stack, so the ID is all it
+// allocates; a caller that holds the ID passes it to GetID, PutID and
+// Quarantine, so a runner cell derives its file name once for all three.
+// The experiments layer decodes the payload's counter names into the stats
+// vocabulary's own strings instead of a copy per name.
 package cellstore
 
 import (
@@ -60,7 +60,7 @@ const Schema = "portsim-cell/v2"
 // that differ only in display names share a Key and are simulated once.
 type Key struct {
 	// Config fingerprints the machine configuration with its display name
-	// cleared (its ContentHash).
+	// cleared (the HashJSON of its JSON).
 	Config string `json:"config,omitempty"`
 	// Stream fingerprints the instruction stream: the workload profile
 	// with its name and description cleared, plus the process count and
@@ -74,31 +74,24 @@ type Key struct {
 	Fault string `json:"fault,omitempty"`
 }
 
-// ContentHash fingerprints v's canonical JSON for a Key component:
-// SHA-256, first 16 bytes, hex.
-func ContentHash(v any) (string, error) {
-	doc, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	return hashDoc(doc), nil
-}
-
-// hashDoc is ContentHash of the document doc.
-func hashDoc(doc []byte) string {
+// HashJSON fingerprints a JSON document for a Key component: the first
+// 16 bytes of its SHA-256, in hex. A component's document is a value as
+// json.Marshal writes it; callers append theirs by hand, byte for byte as
+// Marshal would, so the hash is all hashing allocates.
+func HashJSON(doc []byte) string {
 	sum := sha256.Sum256(doc)
 	var out [32]byte
 	hex.Encode(out[:], sum[:16])
 	return string(out[:])
 }
 
-// ID returns the entry's content address, the ContentHash of the key. It
-// is the base of the entry's filename. The key's JSON is appended by hand,
+// ID returns the entry's content address, the HashJSON of the key. It is
+// the base of the entry's filename. The key's JSON is appended by hand,
 // byte for byte as json.Marshal writes it, so hashing it allocates only
 // the ID.
 func (k Key) ID() string {
 	var buf [192]byte
-	return hashDoc(k.appendJSON(buf[:0]))
+	return HashJSON(k.appendJSON(buf[:0]))
 }
 
 // appendJSON appends the key's JSON, as json.Marshal writes it.
@@ -275,8 +268,10 @@ func (e *Entry) readJSON(r *jsonwire.Reader, want *Key) {
 			r.String(&e.Workload)
 		case "result":
 			// A json.RawMessage takes the value's bytes, null included.
+			// They stay where they lie in the input, capped there so an
+			// append to Result cannot write over what follows them.
 			if raw := r.Raw(); raw != nil {
-				e.Result = append(e.Result[:0], raw...)
+				e.Result = raw[:len(raw):len(raw)]
 			}
 		case "failure":
 			if r.Null() {
@@ -349,8 +344,9 @@ func EncodeEntry(e *Entry) ([]byte, error) {
 //
 // It reads the envelope in one pass, as json.Unmarshal would read it,
 // with the body decoded straight into the returned Entry where it lies
-// in data, summed there, and only the entry's strings and Result copied
-// out of it.
+// in data and summed there. The entry's strings are copied out of data;
+// its Result is the payload's bytes in data itself, so the caller must
+// leave data as it is while it holds the entry.
 func DecodeEntry(data []byte) (*Entry, error) { return decodeEntry(data, &Key{}) }
 
 // decodeEntry is DecodeEntry for a reader that expects the key want: a

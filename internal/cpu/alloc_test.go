@@ -6,6 +6,7 @@ import (
 
 	"portsim/internal/config"
 	"portsim/internal/core"
+	"portsim/internal/cpustack"
 	"portsim/internal/diag"
 	"portsim/internal/workload"
 )
@@ -84,14 +85,17 @@ func TestStepDoesNotAllocateWithRecorder(t *testing.T) {
 }
 
 // TestResultAllocations pins the per-cell cost of building a Result: the
-// counter set is sized once (resultCounters covers every counter written)
-// and the data-dependent counter names are precomputed, so the count is a
-// small constant independent of how many counters a machine reports: the
-// Result, the Set and its name and value slices (it was 31-38 when the
-// set grew per counter and the names were built per call).
+// result, its counter set and the set's names and values are one block
+// (NewResult), sized for every counter result writes, and the
+// data-dependent counter names are precomputed, so a result is one
+// allocation whatever the machine, and one more with a CPI stack, its
+// snapshot. It was 4 when the result, the set and its two slices were
+// separate objects, and 31-38 when the set grew per counter and the names
+// were built per call.
 func TestResultAllocations(t *testing.T) {
-	const maxAllocs = 4
-	for _, m := range []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort(), config.Banked(8)} {
+	const maxAllocs = 1
+	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort(), config.QuadPort(), config.Banked(8)}
+	for _, m := range machines {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			g, err := workload.New(mustProfile(t, "database"), 42)
@@ -105,11 +109,15 @@ func TestResultAllocations(t *testing.T) {
 			for i := 0; i < 20_000; i++ {
 				c.step()
 			}
-			if n, limit := len(c.result().Counters.Names()), resultCounters+core.SlotsPerCycle(m.Ports); n > limit {
-				t.Errorf("result wrote %d counters, more than the %d it sizes for", n, limit)
+			if n, limit := c.result().Counters.Len(), resultCounters+core.SlotsPerCycle(m.Ports); n > limit || n > resultRoom {
+				t.Errorf("result wrote %d counters, more than the %d it bounds them by or the %d a result holds", n, limit, resultRoom)
 			}
 			if avg := testing.AllocsPerRun(100, func() { c.result() }); avg > maxAllocs {
 				t.Errorf("result allocates %v objects; want at most %d", avg, maxAllocs)
+			}
+			c.acct = cpustack.NewStack()
+			if avg := testing.AllocsPerRun(100, func() { c.result() }); avg > maxAllocs+1 {
+				t.Errorf("result with a CPI stack allocates %v objects; want at most %d", avg, maxAllocs+1)
 			}
 		})
 	}

@@ -636,6 +636,32 @@ func (c *Core) step() {
 // per-slot grant buckets: core, memory, per-class and fixed port counters.
 const resultCounters = 26 + isa.NumClasses + 22
 
+// resultRoom is the number of counters a Result holds in its own
+// allocation: every counter result writes on a machine of up to 16 access
+// slots per cycle, as many grant buckets as stats names without
+// formatting. A set that outgrows it moves its counters to the heap.
+const resultRoom = resultCounters + 16
+
+// resultBlock is a Result with its counter set and the set's room, so a
+// result is one allocation. On a 64-bit host it takes 2,008 bytes, which
+// the runtime's 2,048-byte size class holds.
+type resultBlock struct {
+	res    Result
+	set    stats.Set
+	names  [resultRoom]string
+	values [resultRoom]uint64
+}
+
+// NewResult returns a zero Result whose Counters is an empty set with room
+// for every counter a simulated result holds, all in one allocation. The
+// core builds its results here, and so does a decoder of stored ones.
+func NewResult() *Result {
+	b := new(resultBlock)
+	b.set = stats.MakeSet(b.names[:], b.values[:])
+	b.res.Counters = &b.set
+	return &b.res
+}
+
 // result assembles the Result from the counters.
 func (c *Core) result() *Result {
 	// Every committed instruction is a user or a kernel one.
@@ -643,7 +669,8 @@ func (c *Core) result() *Result {
 	if c.kernelInsts <= c.committed {
 		users = c.committed - c.kernelInsts
 	}
-	s := stats.NewSetSize(resultCounters + core.SlotsPerCycle(c.cfg.Ports))
+	res := NewResult()
+	s := res.Counters
 	s.Add(stats.Cycles, c.cycle)
 	s.Add(stats.Instructions, c.committed)
 	s.Add(stats.InstsUser, users)
@@ -680,7 +707,7 @@ func (c *Core) result() *Result {
 	if c.cycle > 0 {
 		ipc = float64(c.committed) / float64(c.cycle)
 	}
-	return &Result{
+	*res = Result{
 		Cycles:       c.cycle,
 		Instructions: c.committed,
 		UserInsts:    users,
@@ -693,6 +720,7 @@ func (c *Core) result() *Result {
 		Counters:     s,
 		CPIStack:     c.acct.Snapshot(),
 	}
+	return res
 }
 
 // robIndex converts a ring offset from head into a slice index. The offset

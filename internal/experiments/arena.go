@@ -15,14 +15,14 @@ import (
 // This file is the runner's one instruction source: a byte-budgeted
 // registry that materialises each (profile, seed) dynamic trace once, as
 // long as the prefix the first cell to need it asks for, keeps it for the
-// runner's life, and hands every cell of the sweep a zero-alloc cursor over
-// it. The arena itself lives in internal/trace; the registry owns the
-// sharing policy: singleflight builds, and a private arena, built for one
-// cell alone, when the budget has no room for a trace or a cell needs more
-// of it than the kept arena holds. Shared and private arenas are verbatim
-// captures of the same generator, so every experiment table is
-// byte-identical whatever the budget; the CI arena diff gate enforces this
-// end to end.
+// runner's life, and hands it to every cell of the sweep, which replays it
+// through a cursor. The arena itself lives in internal/trace; the registry
+// owns the sharing policy: singleflight builds, and a private arena, built
+// for one cell alone, when the budget has no room for a trace or a cell
+// needs more of it than the kept arena holds. Shared and private arenas
+// are verbatim captures of the same generator, so every experiment table
+// is byte-identical whatever the budget; the CI arena diff gate enforces
+// this end to end.
 
 // DefaultArenaBudget is the registry's byte budget when Spec.ArenaBudget is
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
@@ -49,8 +49,8 @@ type ArenaStats struct {
 	Budget int64
 	Count  int
 	Bytes  int64
-	// Builds counts shared traces materialised, Hits cursor acquisitions
-	// served from a kept arena, and Fallbacks traces built for one cell
+	// Builds counts shared traces materialised, Hits acquisitions served
+	// from a kept arena, and Fallbacks traces built for one cell
 	// alone, because the budget had no room or the kept arena was shorter.
 	// Evictions is always zero: the registry drops no arena it keeps.
 	Builds    uint64
@@ -84,7 +84,7 @@ func arenaKey(s *streamSpec, seed int64) cellstore.Key {
 // build panicked; the building cell reports the panic itself.
 var errBuildPanicked = fmt.Errorf("%w: building the shared trace panicked in another cell", ErrCellPanic)
 
-// acquire returns a cursor over the first n instructions of the
+// acquire returns an arena of at least the first n instructions of the
 // materialised (profile, seed) trace of the hashed stream s. The trace is
 // keyed by arenaKey, so profiles that differ only in name share one
 // arena, and a kept arena of any length serves every request for as many
@@ -93,12 +93,12 @@ var errBuildPanicked = fmt.Errorf("%w: building the shared trace panicked in ano
 // reserves the arena's worst-case footprint and, once built, charges what
 // it actually holds. A request the budget has no room for, or one longer
 // than the kept arena, builds a private arena that the registry neither
-// keeps nor charges. A request for no instructions gets an empty cursor
+// keeps nor charges. A request for no instructions gets an empty arena
 // and touches nothing.
-func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Cursor, error) {
+func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Arena, error) {
 	if n == 0 {
 		// A process the interleave never reaches needs no arena.
-		return new(trace.Arena).NewCursor(), nil
+		return new(trace.Arena), nil
 	}
 	key := arenaKey(s, seed)
 	need := trace.MaxBytes(n)
@@ -109,20 +109,13 @@ func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Cu
 		ar.hits++
 		ar.mu.Unlock()
 		<-e.ready
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.arena.NewCursor(), nil
+		return e.arena, e.err
 	case kept || need > ar.budget-ar.bytes:
 		// need may be math.MaxInt64, so it is compared with the room left
 		// rather than added.
 		ar.fallbacks++
 		ar.mu.Unlock()
-		a, err := materialize(s.prof, seed, n)
-		if err != nil {
-			return nil, err
-		}
-		return a.NewCursor(), nil
+		return materialize(s.prof, seed, n)
 	}
 	e = &arenaEntry{ready: make(chan struct{}), err: errBuildPanicked, n: n, bytes: need}
 	ar.entries[key] = e
@@ -130,10 +123,8 @@ func (ar *arenaRegistry) acquire(s *streamSpec, seed int64, n uint64) (*trace.Cu
 	ar.builds++
 	ar.mu.Unlock()
 	defer ar.settle(key, e)
-	if e.arena, e.err = materialize(s.prof, seed, n); e.err != nil {
-		return nil, e.err
-	}
-	return e.arena.NewCursor(), nil
+	e.arena, e.err = materialize(s.prof, seed, n)
+	return e.arena, e.err
 }
 
 // settle ends the shared build of e, also when it panicked: a built arena
@@ -239,23 +230,24 @@ func (r *Runner) processDemand(processes, quantum int) ([]uint64, error) {
 	return d, nil
 }
 
-// openStream returns the cell's instruction stream: a cursor over its
-// trace for a single program, the quantum interleave over one cursor per
-// process for a multiprogram. Each process's trace is asked for the prefix
-// the cell replays (arenaLen), shared when the registry keeps or has room
-// for it and built for the cell alone otherwise. A cell whose trace may
-// need more bytes than the larger of the budget and DefaultArenaBudget
-// fails before it counts a demand or builds anything.
-func (r *Runner) openStream(s *streamSpec) (trace.Stream, error) {
+// openStream returns the cell's instruction stream: cur, reset to the
+// start of its trace, for a single program, the quantum interleave over a
+// new cursor per process for a multiprogram. Each process's trace is asked
+// for the prefix the cell replays (arenaLen), shared when the registry
+// keeps or has room for it and built for the cell alone otherwise. A cell
+// whose trace may need more bytes than the larger of the budget and
+// DefaultArenaBudget fails before it counts a demand or builds anything.
+func (r *Runner) openStream(s *streamSpec, cur *trace.Cursor) (trace.Stream, error) {
 	if ceiling := max(r.arenas.budget, DefaultArenaBudget); trace.MaxBytes(r.spec.Insts) > ceiling {
 		return nil, fmt.Errorf("experiments: a trace of %d instructions may need more than the %d bytes a cell may build; raise -arena-budget (Spec.ArenaBudget)",
 			r.spec.Insts, ceiling)
 	}
 	if s.processes == 0 {
-		cur, err := r.arenas.acquire(s, r.spec.Seed, r.spec.Insts)
+		a, err := r.arenas.acquire(s, r.spec.Seed, r.spec.Insts)
 		if err != nil {
 			return nil, err
 		}
+		cur.Reset(a)
 		return cur, nil
 	}
 	demand, err := r.arenaLen(s)
@@ -264,9 +256,11 @@ func (r *Runner) openStream(s *streamSpec) (trace.Stream, error) {
 	}
 	cursors := make([]*trace.Cursor, s.processes)
 	for i := range cursors {
-		if cursors[i], err = r.arenas.acquire(s, r.spec.Seed+int64(i)*workload.SeedStride, demand[i]); err != nil {
+		a, err := r.arenas.acquire(s, r.spec.Seed+int64(i)*workload.SeedStride, demand[i])
+		if err != nil {
 			return nil, err
 		}
+		cursors[i] = a.NewCursor()
 	}
 	return workload.NewMultiprogramReplay(cursors, s.quantum, r.spec.Seed)
 }

@@ -144,7 +144,7 @@ func hashedStream(t *testing.T, name string) *streamSpec {
 
 // TestArenaRegistryPrivateBuild: with room for one arena, a second trace
 // is built for its cell alone. The kept arena and the charged bytes do not
-// change, the private cursor replays the generator's trace, and the
+// change, the private arena replays the generator's trace, and the
 // registry counts one shared build and one fallback.
 func TestArenaRegistryPrivateBuild(t *testing.T) {
 	s := hashedStream(t, "compress")
@@ -213,9 +213,9 @@ func TestArenaBuildPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// replayPrefix drains n instructions from cur and checks them against a
-// fresh compress generator for seed.
-func replayPrefix(t *testing.T, cur *trace.Cursor, seed int64, n int) {
+// replayPrefix drains n instructions from a cursor over a and checks
+// them against a fresh compress generator for seed.
+func replayPrefix(t *testing.T, a *trace.Arena, seed int64, n int) {
 	t.Helper()
 	prof, _ := workload.ByName("compress")
 	gen, err := workload.New(prof, seed)
@@ -224,7 +224,7 @@ func replayPrefix(t *testing.T, cur *trace.Cursor, seed int64, n int) {
 	}
 	want, got := make([]isa.Inst, n), make([]isa.Inst, n)
 	gen.NextBatch(want)
-	if k := cur.NextBatch(got); k != n {
+	if k := a.NewCursor().NextBatch(got); k != n {
 		t.Fatalf("cursor ended at %d of %d", k, n)
 	}
 	for i := range want {
@@ -250,13 +250,13 @@ func TestArenaRegistryPrefixes(t *testing.T) {
 			t.Fatalf("%s: stats %+v, want %+v", when, st, want)
 		}
 	}
-	acquire := func(n uint64) *trace.Cursor {
+	acquire := func(n uint64) *trace.Arena {
 		t.Helper()
-		cur, err := reg.acquire(s, 1, n)
+		a, err := reg.acquire(s, 1, n)
 		if err != nil {
 			t.Fatalf("acquire(%d): %v", n, err)
 		}
-		return cur
+		return a
 	}
 
 	long := acquire(2_000)
@@ -271,7 +271,7 @@ func TestArenaRegistryPrefixes(t *testing.T) {
 	replayPrefix(t, mid, 1, 1_000)
 	replayPrefix(t, longer, 1, 4_000)
 	replayPrefix(t, again, 1, 2_000)
-	if acquire(0).NextBatch(make([]isa.Inst, 1)) != 0 {
+	if acquire(0).NewCursor().NextBatch(make([]isa.Inst, 1)) != 0 {
 		t.Error("a request for no instructions yielded one")
 	}
 	check("an empty request", 2, 1)
@@ -323,7 +323,7 @@ func TestArenaRegistryHugeReservation(t *testing.T) {
 			if ps.err != nil {
 				t.Fatal(ps.err)
 			}
-			_, err := r.openStream(&ps.streamSpec)
+			_, err := r.openStream(&ps.streamSpec, new(trace.Cursor))
 			if err == nil || !strings.Contains(err.Error(), "-arena-budget") {
 				t.Errorf("%s at %d instructions: %v, want the ceiling error", ps.workload, n, err)
 			}

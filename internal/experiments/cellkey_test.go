@@ -67,11 +67,7 @@ func TestCellKeyCoversEveryField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := r.cellKey(&m, &s, fault)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
+		return r.cellKey(&m, &s, fault)
 	}
 	r := NewRunner(Spec{Seed: 42, Insts: 40_000})
 	key := func() cellstore.Key { return keyOn(r, streamSpec{prof: prof}, "") }
@@ -271,10 +267,7 @@ func TestPlanLabelsNameOneCellKey(t *testing.T) {
 			}
 			p.each(func(s, m int) {
 				submissions++
-				key, err := r.cellKey(&p.machines[m], &streams[s].streamSpec, "")
-				if err != nil {
-					t.Fatal(err)
-				}
+				key := r.cellKey(&p.machines[m], &streams[s].streamSpec, "")
 				label := PlannedCell{Workload: streams[s].workload, Machine: p.machines[m].Name}
 				if prev, ok := keys[label]; ok && prev != key {
 					t.Errorf("%s %s: %s@%s names two cell keys", name, e.ID, label.Workload, label.Machine)

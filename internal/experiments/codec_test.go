@@ -80,10 +80,11 @@ func jsonDecodeResult(raw json.RawMessage) (*cpu.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stored result: %w", err)
 	}
+	counters := stats.MakeSet(make([]string, len(sr.CounterNames)), make([]uint64, len(sr.CounterNames)))
 	res := &cpu.Result{
 		Cycles: sr.Cycles, Instructions: sr.Instructions, UserInsts: sr.UserInsts, KernelInsts: sr.KernelInsts,
 		Loads: sr.Loads, Stores: sr.Stores, Branches: sr.Branches, Mispredicts: sr.Mispredicts,
-		IPC: sr.IPC, Counters: stats.NewSetSize(len(sr.CounterNames)), CPIStack: stack,
+		IPC: sr.IPC, Counters: &counters, CPIStack: stack,
 	}
 	for i, name := range sr.CounterNames {
 		res.Counters.Add(name, sr.CounterValues[i]) //portlint:ignore counterhygiene the reference restores stored names verbatim
@@ -217,7 +218,7 @@ func (g *codecGen) result() *cpu.Result {
 	case 1:
 		res.Counters = new(stats.Set)
 	default:
-		res.Counters = stats.NewSetSize(0)
+		res.Counters = cpu.NewResult().Counters
 		names := []string{stats.Cycles, stats.PortGrants, stats.L1DMisses, stats.DRAMAccesses}
 		for range g.rng.Intn(12) {
 			name := g.str(3)
@@ -451,7 +452,7 @@ func FuzzEntryCodecMatchesJSON(f *testing.F) {
 				sameOutcome(t, "encodeResult", string(got), gotErr, string(want), wantErr)
 			}
 			if id, want := e.Key.ID(), mustHash(t, e.Key); id != want {
-				t.Fatalf("Key.ID = %s, ContentHash = %s for %+v", id, want, e.Key)
+				t.Fatalf("Key.ID = %s, contentHash = %s for %+v", id, want, e.Key)
 			}
 			data, err := cellstore.EncodeEntry(e)
 			want, wantErr := jsonEncodeEntry(e)
@@ -478,10 +479,20 @@ func FuzzEntryCodecMatchesJSON(f *testing.F) {
 	})
 }
 
-// mustHash is ContentHash of a key, the reference of Key.ID.
+// contentHash is the reference of every hand-written key component: the
+// HashJSON of v as json.Marshal writes it.
+func contentHash(v any) (string, error) {
+	doc, err := json.Marshal(v)
+	if err != nil {
+		return "", err
+	}
+	return cellstore.HashJSON(doc), nil
+}
+
+// mustHash is contentHash of a key, the reference of Key.ID.
 func mustHash(t *testing.T, k cellstore.Key) string {
 	t.Helper()
-	h, err := cellstore.ContentHash(k)
+	h, err := contentHash(k)
 	if err != nil {
 		t.Fatal(err)
 	}

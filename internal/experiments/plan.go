@@ -38,13 +38,14 @@ func (p plan) each(fn func(s, m int)) {
 
 // runPlan submits every cell of the plan through runAll and returns the
 // results by [stream][machine]; a failed cell's slot stays nil. The plan's
-// streams are hashed in place, once per distinct stream per runner
-// (hashStream). Its cells run as data: one cellReq per cell, filled in by
-// the worker that runs it, and one result array behind the grid's rows.
+// streams are hashed in place, unless they already are: a row's hashes
+// cost a document appended on the stack and one string each. Its cells
+// run as data: one cellReq per cell, filled in by the worker that runs
+// it, and one result array behind the grid's rows.
 func (r *Runner) runPlan(p plan) ([][]*cpu.Result, error) {
 	ns, nm := len(p.streams), len(p.machines)
 	for s := range p.streams {
-		r.hashStream(&p.streams[s])
+		p.streams[s] = p.streams[s].hashed()
 	}
 	cells := make([]cellReq, ns*nm)
 	results := make([]*cpu.Result, ns*nm)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -98,6 +99,50 @@ func TestMemoisedPlanAllocations(t *testing.T) {
 	t.Logf("re-running a memoised plan allocates %v objects at 2 cells and %v at 9", a, b)
 	if a != b {
 		t.Errorf("re-running a memoised plan allocates %v objects at 2 cells and %v at 9; want the same", a, b)
+	}
+}
+
+// TestFreshPlanAllocations pins what a simulated cell costs the runner's
+// bookkeeping: its memo entry and its result, one cpu.NewResult block, so
+// 2 objects, whatever else the plan allocates once. On a warm runner,
+// whose pool holds a core with its cursor and whose machines are hashed,
+// a plan of one stream no cell has run on 17 machines may allocate at most
+// 2 per cell more than the same plan on one machine, with room for the
+// memo map to grow once. A cell that takes a cursor, a counter set or a
+// copy of its own puts 16 more objects past the bound per object.
+func TestFreshPlanAllocations(t *testing.T) {
+	const perCell, growth = 2, 6
+	spec := QuickSpec()
+	spec.Insts = 2_000
+	spec.Parallel = 1
+	r := NewRunner(spec)
+	depths := make([]int, 17)
+	for i := range depths {
+		depths[i] = i + 1
+	}
+	machines := variants(depths, "sb-%d", func(m *config.Machine, v int) { m.Ports.StoreBufferEntries = v })
+	if _, err := r.runPlan(plan{streams: []planStream{named("compress")}, machines: machines}); err != nil {
+		t.Fatal(err)
+	}
+	// fresh runs a plan of a compress variant no cell has run, so every
+	// cell simulates, on the first n machines.
+	fresh := func(variant, n int) uint64 {
+		ps := named("compress")
+		ps.prof.CodeBlocks += variant
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := r.runPlan(plan{streams: []planStream{ps}, machines: machines[:n]}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	n := uint64(len(machines))
+	one, all := fresh(1, 1), fresh(2, len(machines))
+	t.Logf("a fresh plan allocates %d objects on one machine and %d on %d", one, all, n)
+	if all > one+perCell*(n-1)+growth {
+		t.Errorf("a fresh plan allocates %d objects on one machine and %d on %d: %.1f per extra cell, want at most %d",
+			one, all, n, float64(all-one)/float64(n-1), perCell)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -154,20 +153,20 @@ type Runner struct {
 	// configs memoises each machine's content hash, the cell key's Config,
 	// by the value of the machine with its display name cleared; docs
 	// memoises the configuration document observers receive, by the
-	// machine as labelled; streams memoises plan streams' content hashes
-	// (hashStream), by profile name. All three are guarded by mu.
+	// machine as labelled. Both are guarded by mu.
 	configs map[config.Machine]string
 	docs    map[config.Machine][]byte
-	streams map[string][]streamSpec
 
-	// Core pool: a free list of at most parallel finished cores. Every
+	// Core pool: a free list of at most parallel finished cores, each
+	// with the cursor its single-program cells replay through. Every
 	// machine of the campaign shares one array shape and differs only in
 	// its ports and policy flags, so a later cell retargets whichever core
 	// it pops (cpu.Core.Retarget) instead of allocating cache tags,
-	// predictor tables and register files. Cores from failed, panicked or
-	// fault-armed cells are never returned.
+	// predictor tables and register files, and resets the cursor in place
+	// over its arena. Cores from failed, panicked or fault-armed cells are
+	// never returned.
 	poolMu   sync.Mutex
-	pool     []*cpu.Core
+	pool     []*pooledCore
 	poolHits atomic.Uint64
 	poolMiss atomic.Uint64
 
@@ -219,7 +218,6 @@ func NewRunner(spec Spec) *Runner {
 		cache:    make(map[cellstore.Key]*memoEntry),
 		configs:  make(map[config.Machine]string),
 		docs:     make(map[config.Machine][]byte),
-		streams:  make(map[string][]streamSpec),
 		arenas:   newArenaRegistry(cmp.Or(spec.ArenaBudget, DefaultArenaBudget)),
 	}
 }
@@ -329,29 +327,27 @@ type streamSpec struct {
 	profHash, hash     string
 }
 
-// hashed returns s with its content hashes derived. Display labels
-// (Profile.Name, Profile.Description) never reach the model, so they are
-// cleared and renamed profiles are one stream. A single program's stream
-// hash is its profile hash.
+// hashed returns s with its content hashes derived, each the HashJSON of
+// a streamDoc appended on the stack. Display labels (Profile.Name,
+// Profile.Description) never reach the model, so they are cleared and
+// renamed profiles are one stream. A single program's stream hash is its
+// profile hash.
 func (s streamSpec) hashed() (streamSpec, error) {
-	prof := s.prof
-	prof.Name, prof.Description = "", ""
-	hash := func(processes, quantum int) (string, error) {
-		return cellstore.ContentHash(struct {
-			Profile   workload.Profile
-			Processes int `json:",omitempty"`
-			Quantum   int `json:",omitempty"`
-		}{prof, processes, quantum})
-	}
-	var err error
-	if s.profHash, err = hash(0, 0); err != nil {
+	doc := streamDoc{Profile: s.prof}
+	doc.Profile.Name, doc.Profile.Description = "", ""
+	var buf [hashDocSize]byte
+	b, err := appendStream(buf[:0], &doc)
+	if err != nil {
 		return s, err
 	}
+	s.profHash = cellstore.HashJSON(b)
 	s.hash = s.profHash
 	if s.processes != 0 || s.quantum != 0 {
-		s.hash, err = hash(s.processes, s.quantum)
+		doc.Processes, doc.Quantum = s.processes, s.quantum
+		b, _ = appendStream(buf[:0], &doc) // its floats appended once already
+		s.hash = cellstore.HashJSON(b)
 	}
-	return s, err
+	return s, nil
 }
 
 // planStream is one row of an experiment's plan: the instruction stream its
@@ -391,31 +387,6 @@ func (s planStream) hashed() planStream {
 	return s
 }
 
-// hashStream derives the row's content hashes in place, unless they
-// already are, once per distinct stream per runner: a row whose stream
-// equals one hashed before takes its hashes, so a campaign's hundred-odd
-// plan rows hash their twenty-odd streams once each. Streams compare by
-// value (reflect.DeepEqual), labels included, so a renamed or mutated
-// profile never takes another's hashes; profiles that differ only in the
-// sign of a zero compare equal, and they generate the same trace.
-func (r *Runner) hashStream(ps *planStream) {
-	if ps.err != nil || ps.hash != "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := r.streams[ps.prof.Name]
-	for i := range seen {
-		if h := &seen[i]; h.processes == ps.processes && h.quantum == ps.quantum && reflect.DeepEqual(&h.prof, &ps.prof) {
-			ps.profHash, ps.hash = h.profHash, h.hash
-			return
-		}
-	}
-	if *ps = ps.hashed(); ps.err == nil {
-		r.streams[ps.prof.Name] = append(seen, ps.streamSpec)
-	}
-}
-
 // cellReq is one experiment cell as submitted: a stream on a machine, and
 // the key run derives for it. runPlan keeps one per cell of a plan in a
 // slice; run and every step after it read the cell there, and an unarmed
@@ -450,29 +421,26 @@ func (r *Runner) cellError(c *cellReq, m config.Machine, rec *diag.Recorder, sta
 // simulation. fault is the spec's fault descriptor when it poisons the
 // cell. s must be hashed; the machine's hash is memoised (configHash), so
 // a key derives nothing per cell.
-func (r *Runner) cellKey(m *config.Machine, s *streamSpec, fault string) (cellstore.Key, error) {
-	cfg, err := r.configHash(m)
-	return cellstore.Key{Config: cfg, Stream: s.hash, Seed: r.spec.Seed, Insts: r.spec.Insts, Fault: fault}, err
+func (r *Runner) cellKey(m *config.Machine, s *streamSpec, fault string) cellstore.Key {
+	return cellstore.Key{Config: r.configHash(m), Stream: s.hash, Seed: r.spec.Seed, Insts: r.spec.Insts, Fault: fault}
 }
 
 // configHash returns the content hash of m with its display name cleared,
-// derived once per distinct machine: config.Machine is comparable, so the
-// memo keys on its value. Only a machine not seen before is copied to the
-// heap, to be hashed.
-func (r *Runner) configHash(m *config.Machine) (string, error) {
+// the HashJSON of its JSON appended on the stack, derived once per
+// distinct machine: config.Machine is comparable, so the memo keys on its
+// value.
+func (r *Runner) configHash(m *config.Machine) string {
 	anon := *m
 	anon.Name = ""
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.configs[anon]; ok {
-		return h, nil
-	}
-	doc := anon
-	h, err := cellstore.ContentHash(&doc)
-	if err == nil {
+	h, ok := r.configs[anon]
+	if !ok {
+		var buf [hashDocSize]byte
+		h = cellstore.HashJSON(appendMachine(buf[:0], &anon))
 		r.configs[anon] = h
 	}
-	return h, err
+	return h
 }
 
 // configDoc returns m's configuration document for observers (CellEvent
@@ -510,10 +478,7 @@ func (r *Runner) run(c *cellReq) (*cpu.Result, error) {
 	if r.spec.Fault.applies(c.workload) {
 		fault = r.spec.Fault.String()
 	}
-	var err error
-	if c.key, err = r.cellKey(&c.m, &c.streamSpec, fault); err != nil {
-		return nil, err
-	}
+	c.key = r.cellKey(&c.m, &c.streamSpec, fault)
 	r.mu.Lock()
 	if e, ok := r.cache[c.key]; ok {
 		r.mu.Unlock()
@@ -549,41 +514,59 @@ func (r *Runner) fill(e *memoEntry, c *cellReq, run func(*cellReq) (*cpu.Result,
 	e.res, e.err = run(c)
 }
 
-// acquireCore returns a core for the machine: a pooled one retargeted to
-// it when the pool holds one of the same array shape, else a new one. A
-// popped core of another shape is dropped; the new core takes its place
-// on release. Unpooled cells (fault-armed ones, whose arming mutates the
-// machine) neither draw nor count.
-func (r *Runner) acquireCore(m *config.Machine, stream trace.Stream, pooled bool) (*cpu.Core, error) {
-	if pooled {
-		var c *cpu.Core
-		r.poolMu.Lock()
-		if n := len(r.pool); n > 0 {
-			c = r.pool[n-1]
-			r.pool = r.pool[:n-1]
-		}
-		r.poolMu.Unlock()
-		if c != nil {
-			ok, err := c.Retarget(m, stream)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				r.poolHits.Add(1)
-				return c, nil
-			}
-		}
-		r.poolMiss.Add(1)
-	}
-	return cpu.New(m, stream)
+// pooledCore is a core and the cursor its single-program cells replay
+// their arenas through, reset in place for each cell. core is nil until
+// a cell builds it.
+type pooledCore struct {
+	core   *cpu.Core
+	cursor trace.Cursor
 }
 
-// releaseCore returns a healthy core to the pool, which holds at most one
-// core per worker: no more can ever be in use at once.
-func (r *Runner) releaseCore(c *cpu.Core) {
+// popCore takes an entry from the core pool, or returns a new empty one
+// when the pool is empty.
+func (r *Runner) popCore() *pooledCore {
+	r.poolMu.Lock()
+	defer r.poolMu.Unlock()
+	n := len(r.pool)
+	if n == 0 {
+		return new(pooledCore)
+	}
+	p := r.pool[n-1]
+	r.pool = r.pool[:n-1]
+	return p
+}
+
+// acquireCore sets p's core up for the machine and the stream: its core
+// retargeted when it has one of the same array shape, else a new one. A
+// core of another shape is dropped; the new core takes its place. Only
+// pooled cells count: fault-armed ones, whose arming mutates the machine,
+// run on entries of their own.
+func (r *Runner) acquireCore(p *pooledCore, m *config.Machine, stream trace.Stream, pooled bool) (*cpu.Core, error) {
+	if p.core != nil {
+		ok, err := p.core.Retarget(m, stream)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			r.poolHits.Add(1)
+			return p.core, nil
+		}
+	}
+	if pooled {
+		r.poolMiss.Add(1)
+	}
+	var err error
+	p.core, err = cpu.New(m, stream)
+	return p.core, err
+}
+
+// releaseCore returns an entry with a healthy core, or none yet, to the
+// pool, which holds at most one entry per worker: no more can ever be in
+// use at once.
+func (r *Runner) releaseCore(p *pooledCore) {
 	r.poolMu.Lock()
 	if len(r.pool) < r.parallel {
-		r.pool = append(r.pool, c)
+		r.pool = append(r.pool, p)
 	}
 	r.poolMu.Unlock()
 }
@@ -664,15 +647,26 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 		})
 	}
 	simulate := func() {
+		// An unarmed cell draws its core and cursor from the pool; an
+		// armed cell's never return to it, so it takes an entry of its own.
+		var p *pooledCore
+		if armed {
+			p = new(pooledCore)
+		} else {
+			p = r.popCore()
+		}
 		var stream trace.Stream
-		if stream, err = r.openStream(&c.streamSpec); err != nil {
+		if stream, err = r.openStream(&c.streamSpec, &p.cursor); err != nil {
+			if !armed {
+				r.releaseCore(p) // its core, if any, is untouched
+			}
 			return
 		}
 		if armed {
 			stream = r.spec.Fault.wrap(stream)
 		}
 		var core *cpu.Core
-		core, err = r.acquireCore(m, stream, !armed)
+		core, err = r.acquireCore(p, m, stream, !armed)
 		if err != nil {
 			return
 		}
@@ -702,7 +696,7 @@ func (r *Runner) runStream(c *cellReq, rec *diag.Recorder) (res *cpu.Result, err
 		r.simCycles.Add(res.Cycles)
 		r.simInsts.Add(res.Instructions)
 		if !armed {
-			r.releaseCore(core)
+			r.releaseCore(p)
 		}
 	}
 	if obs != nil || startObs != nil {

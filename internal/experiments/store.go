@@ -124,13 +124,13 @@ func encodeResult(res *cpu.Result) (json.RawMessage, error) {
 }
 
 // decodeResult rebuilds a cpu.Result from a stored payload, read in one
-// pass. Counter names
-// of the stats vocabulary decode into the vocabulary's own strings, so a
-// restored result shares its counter names as a simulated one does, and
-// a stored CPI stack decodes straight into its snapshot, each bucket name
-// resolved through the bucket table.
+// pass into one cpu.NewResult, the allocation a simulated result takes.
+// Counter names of the stats vocabulary decode into the vocabulary's own
+// strings, so a restored result shares its counter names as a simulated
+// one does, and a stored CPI stack decodes straight into its snapshot,
+// each bucket name resolved through the bucket table.
 func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
-	res := new(cpu.Result)
+	res := cpu.NewResult()
 	// The names and values wait here until their count is known; a
 	// result of vocabulary names fits without allocating.
 	var nameBuf [stats.MaxVocabulary]string
@@ -201,7 +201,6 @@ func decodeResult(raw json.RawMessage) (*cpu.Result, error) {
 	if stackErr != nil {
 		return nil, fmt.Errorf("experiments: stored result: %w", stackErr)
 	}
-	res.Counters = stats.NewSetSize(len(names))
 	for i, name := range names {
 		res.Counters.Add(name, values[i]) //portlint:ignore counterhygiene restoring the simulator's own recorded names verbatim
 	}

@@ -13,7 +13,6 @@ import (
 	"portsim/internal/config"
 	"portsim/internal/cpu"
 	"portsim/internal/cpustack"
-	"portsim/internal/stats"
 )
 
 // storeSpec is QuickSpec over a durable store in dir.
@@ -96,7 +95,7 @@ func TestRestoredResultMatchesSimulated(t *testing.T) {
 	}
 
 	odd := *sim
-	odd.Counters = stats.NewSetSize(0)
+	odd.Counters = cpu.NewResult().Counters
 	for _, name := range sim.Counters.Names() {
 		odd.Counters.Add(name, sim.Counters.Get(name))
 	}
@@ -106,15 +105,17 @@ func TestRestoredResultMatchesSimulated(t *testing.T) {
 }
 
 // TestRestoreAllocations bounds what decoding a stored result allocates:
-// the result, its counter set's three objects and, with cycle accounting
-// armed, its CPI stack, 4 and 5 objects in all. The payload is read in
-// one pass without reflection, its counter names decode into the stats
-// vocabulary's own strings and its names and values wait in arrays on the
-// stack, so the count does not grow with the result's 60-odd counters.
-// The encoding/json decoder made 13 (and about 80 when it copied each
-// name); one that sized its counter slices on the heap again would make 6.
+// one cpu.NewResult block, which holds the result, its counter set and
+// the set's names and values, and, with cycle accounting armed, its CPI
+// stack, 1 and 2 objects in all. The payload is read in one pass without
+// reflection, its counter names decode into the stats vocabulary's own
+// strings and its names and values wait in arrays on the stack, so the
+// count does not grow with the result's 60-odd counters. The
+// encoding/json decoder made 13 (and about 80 when it copied each name);
+// one that built the result and its set as four objects, as the decoder
+// before the result block did, makes 4.
 func TestRestoreAllocations(t *testing.T) {
-	const maxAllocs, maxStackAllocs = 5, 3
+	const maxAllocs, maxStackAllocs = 2, 1
 	decodeAllocs := func(cpi bool) float64 {
 		raw, err := encodeResult(simulatedResult(t, cpi))
 		if err != nil {

@@ -4,7 +4,8 @@
 // layer's result payload append their fields by hand into one buffer and
 // decode in one pass straight into their Go values, where encoding/json
 // would build its type caches and run its scanner over a document once
-// per nested Unmarshal.
+// per nested Unmarshal; the documents a cell key hashes are appended the
+// same way.
 //
 // The writer's bytes equal json.Marshal's: AppendString escapes as
 // Marshal escapes, with HTML escaping on, AppendFloat formats as Marshal

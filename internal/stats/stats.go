@@ -30,10 +30,11 @@ type Set struct {
 // gathers its names and values in arrays of this length.
 const MaxVocabulary = 128
 
-// NewSetSize returns an empty counter set with room for n counters, so a
-// producer that knows its counter count fills it without regrowing.
-func NewSetSize(n int) *Set {
-	return &Set{names: make([]string, 0, n), values: make([]uint64, 0, n)}
+// MakeSet returns an empty set that keeps its counters in names and
+// values until it outgrows them, so a producer can allocate a set's room
+// with the set and whatever holds it in one object (cpu.NewResult).
+func MakeSet(names []string, values []uint64) Set {
+	return Set{names: names[:0], values: values[:0]}
 }
 
 // index returns the position of the named counter, or -1.

@@ -358,6 +358,10 @@ type Cursor struct {
 	next uint64 // its predecessor's NextPC
 }
 
+// Reset rewinds the cursor to the start of arena a, so a consumer that
+// replays one arena after another keeps one cursor.
+func (c *Cursor) Reset(a *Arena) { *c = Cursor{a: a} }
+
 // NextBatch implements Stream.
 //
 //portlint:hotpath

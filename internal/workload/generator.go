@@ -209,7 +209,13 @@ func New(p Profile, seed int64) (*Generator, error) {
 }
 
 func newModeState(mix Mix, regions []Region, layout *codeLayout, kernel bool) modeState {
-	ms := modeState{layout: layout, mix: mix, kernel: kernel}
+	ms := modeState{
+		layout:  layout,
+		mix:     mix,
+		kernel:  kernel,
+		regions: make([]regionState, 0, len(regions)),
+		weights: make([]float64, 0, len(regions)),
+	}
 	total := 0.0
 	for _, r := range regions {
 		total += r.Weight

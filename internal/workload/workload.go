@@ -152,7 +152,7 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload: %s: memory mix but no regions", p.Name)
 	}
 	for i, r := range p.Regions {
-		if err := validateRegion(p.Name, r); err != nil {
+		if err := validateRegion(p.Name, false, r); err != nil {
 			return fmt.Errorf("%w (region %d)", err, i)
 		}
 	}
@@ -180,7 +180,7 @@ func (p *Profile) Validate() error {
 			return fmt.Errorf("workload: %s: kernel memory mix but no kernel regions", p.Name)
 		}
 		for i, r := range k.Regions {
-			if err := validateRegion(p.Name+"/kernel", r); err != nil {
+			if err := validateRegion(p.Name, true, r); err != nil {
 				return fmt.Errorf("%w (kernel region %d)", err, i)
 			}
 		}
@@ -191,18 +191,27 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-func validateRegion(who string, r Region) error {
+// validateRegion checks one region of the named profile, a kernel region
+// when kernel is set, whose errors name the profile as name/kernel. It
+// builds no string unless the region is invalid.
+func validateRegion(name string, kernel bool, r Region) error {
+	var problem string
 	switch {
 	case r.Weight <= 0:
-		return fmt.Errorf("workload: %s: region %q weight must be positive", who, r.Name)
+		problem = "weight must be positive"
 	case r.Size < 64:
-		return fmt.Errorf("workload: %s: region %q smaller than a cache line", who, r.Name)
+		problem = "smaller than a cache line"
 	case r.Base%8 != 0:
-		return fmt.Errorf("workload: %s: region %q base not 8-byte aligned", who, r.Name)
+		problem = "base not 8-byte aligned"
 	case (r.Pattern == Sequential || r.Pattern == Strided) && (r.StrideBytes == 0 || r.StrideBytes%8 != 0):
-		return fmt.Errorf("workload: %s: region %q needs an 8-byte-multiple stride", who, r.Name)
+		problem = "needs an 8-byte-multiple stride"
 	case r.Run < 0:
-		return fmt.Errorf("workload: %s: region %q negative run", who, r.Name)
+		problem = "negative run"
+	default:
+		return nil
 	}
-	return nil
+	if kernel {
+		name += "/kernel"
+	}
+	return fmt.Errorf("workload: %s: region %q %s", name, r.Name, problem)
 }

@@ -63,6 +63,29 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestGeneratorSetupAllocations pins what a generator's set-up costs
+// beyond its tables: validating a valid profile allocates nothing, where
+// it built a "name/kernel" label per kernel region, and each mode's region
+// and weight tables are one allocation apiece, sized once, where append
+// grew them. The label still names an invalid kernel region's profile.
+func TestGeneratorSetupAllocations(t *testing.T) {
+	for _, p := range Profiles() {
+		if n := testing.AllocsPerRun(20, func() { _ = p.Validate() }); n != 0 {
+			t.Errorf("%s: Validate allocates %v objects on a valid profile; want 0", p.Name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { newModeState(p.Kernel.Mix, p.Kernel.Regions, nil, true) }); n > 2 {
+			t.Errorf("%s: a mode over %d regions allocates %v objects; want 2", p.Name, len(p.Kernel.Regions), n)
+		}
+	}
+	p, _ := ByName("database")
+	p.Kernel.Regions = append([]Region(nil), p.Kernel.Regions...)
+	p.Kernel.Regions[0].Weight = 0
+	want := `workload: database/kernel: region "` + p.Kernel.Regions[0].Name + `" weight must be positive (kernel region 0)`
+	if err := p.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %s", err, want)
+	}
+}
+
 func TestPatternString(t *testing.T) {
 	for p, want := range map[Pattern]string{
 		Sequential: "sequential", Strided: "strided", Random: "random",
