@@ -179,6 +179,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		store = st
 		spec.Store = store
 	}

@@ -2,11 +2,17 @@ package main
 
 import (
 	"encoding/csv"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"portsim/internal/experiments"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick-2000.csv from this run")
 
 func runPB(t *testing.T, args ...string) (string, error) {
 	t.Helper()
@@ -139,6 +145,9 @@ func TestThroughputReportFinite(t *testing.T) {
 // TestCSVOutput checks the CSV of every table of the quick suite: each
 // has its "# title" line, a header, and rows of exactly the header's column
 // count (csv.Reader holds every record to the first one's field count).
+// The tables, footer lines stripped, must equal testdata/quick-2000.csv
+// byte for byte; a change that moves a table on purpose rewrites it with
+// go test ./cmd/portbench -run TestCSVOutput -update.
 func TestCSVOutput(t *testing.T) {
 	out, err := runPB(t, "-quick", "-insts", "2000", "-csv")
 	if err != nil {
@@ -174,4 +183,40 @@ func TestCSVOutput(t *testing.T) {
 	if len(tables) != len(suite) {
 		t.Errorf("%d CSV tables, want one per experiment (%d)", len(tables), len(suite))
 	}
+
+	got := stripStore(out)
+	path := filepath.Join("testdata", "quick-2000.csv")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("tables drifted from %s:\n%s", path, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines where got differs from want, by line number,
+// the first 20 of them.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i, n := 0, 0; i < max(len(w), len(g)) && n < 20; i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n  want %q\n  got  %q\n", i+1, wl, gl)
+			n++
+		}
+	}
+	return b.String()
 }

@@ -249,10 +249,21 @@ func TestKillAndResume(t *testing.T) {
 
 	// The interrupted run may have died mid-Put; the write discipline means
 	// at worst a swept temp file, never a half-visible entry, so the store
-	// directory must now be fully healthy.
+	// directory must now be fully healthy, every entry at the 0600 mode
+	// its temp file was created with.
 	leftover, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	if len(leftover) != 0 {
 		t.Errorf("temp files survived the resume sweep: %v", leftover)
+	}
+	entries, _ = filepath.Glob(filepath.Join(dir, "*.cell.json"))
+	for _, path := range entries {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().Perm() != 0o600 {
+			t.Errorf("entry %s: mode %v, want 0600", path, info.Mode())
+		}
 	}
 	if strings.Contains(resumed, "quarantined") {
 		t.Errorf("crash-safe writes should never need a quarantine on resume:\n%s", resumed)

@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 )
 
 // File-layout constants. Entries are flat files named <key-id>.cell.json;
-// in-flight writes use a .tmp suffix (swept on Open); quarantined entries
-// keep their content under a .corrupt suffix for post-mortems.
+// an in-flight write is its entry's name plus a .tmp suffix (swept on
+// Open); quarantined entries keep their content under a .corrupt suffix
+// for post-mortems.
 const (
 	entrySuffix   = ".cell.json"
 	tmpSuffix     = ".tmp"
@@ -105,14 +106,24 @@ type Options struct {
 
 // Store is a durable, content-addressed cell store over one directory.
 // It is safe for concurrent use by the experiment runner's worker pool.
+//
+// A store answers lookups from a snapshot: the entries its directory held
+// at Open, plus the ones it wrote since, minus the ones it quarantined.
+// An entry another process writes after Open is not seen until the next
+// Open; its cell is re-simulated and rewritten with identical bytes.
 type Store struct {
 	dir  string
 	opts Options
 	// prefix starts every entry path, so a path is one concatenation.
 	prefix string
+	// dirf is the directory, open for the store's life: Open reads the
+	// entry IDs through it and every Put fsyncs it.
+	dirf *os.File
 
 	mu       sync.Mutex
 	degraded bool
+	// ids is the snapshot: the IDs of the entries the store may read.
+	ids map[string]struct{}
 
 	stats struct {
 		hits, misses, puts, putFailures, quarantined uint64
@@ -120,9 +131,11 @@ type Store struct {
 	faultN uint64 // operation counter driving deterministic fault rates
 }
 
-// Open opens (creating if necessary) a store over dir. Leftover temp
-// files from a previous crash are swept away — they were never visible
-// as entries, so removing them is always safe.
+// Open opens (creating if necessary) a store over dir, through one
+// directory handle it keeps until Close. It reads the directory once:
+// leftover temp files from a previous crash are swept away — they were
+// never visible as entries, so removing them is always safe — and the IDs
+// of the entries present become the store's snapshot (see Store).
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cellstore: empty store directory")
@@ -130,17 +143,26 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, &StoreError{Op: "open", Path: dir, Err: err}
 	}
-	// filepath.Join(dir, name) is the same prefix before any plain file
-	// name: the prefix is what it puts before a one-byte name.
-	joined := filepath.Join(dir, "x")
-	s := &Store{dir: dir, opts: opts, prefix: joined[:len(joined)-1]}
-	names, err := os.ReadDir(dir)
+	d, err := os.Open(dir)
 	if err != nil {
 		return nil, &StoreError{Op: "open", Path: dir, Err: err}
 	}
-	for _, de := range names {
-		if strings.HasSuffix(de.Name(), tmpSuffix) {
-			path := filepath.Join(dir, de.Name())
+	names, err := d.Readdirnames(-1)
+	if err != nil {
+		d.Close()
+		return nil, &StoreError{Op: "open", Path: dir, Err: err}
+	}
+	slices.Sort(names) // so the sweep logs in name order
+	// filepath.Join(dir, name) is the same prefix before any plain file
+	// name: the prefix is what it puts before a one-byte name.
+	joined := filepath.Join(dir, "x")
+	s := &Store{dir: dir, opts: opts, prefix: joined[:len(joined)-1], dirf: d,
+		ids: make(map[string]struct{}, len(names))}
+	for _, name := range names {
+		if id, ok := strings.CutSuffix(name, entrySuffix); ok {
+			s.ids[id] = struct{}{}
+		} else if strings.HasSuffix(name, tmpSuffix) {
+			path := s.prefix + name
 			if err := os.Remove(path); err == nil {
 				s.logf("cellstore: swept stale temp file %s (crashed mid-write)", path)
 			}
@@ -149,6 +171,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// Close releases the directory handle the store keeps. A closed store's
+// Stats stay readable; its Gets and Puts must not be called.
+func (s *Store) Close() error { return s.dirf.Close() }
+
 // logf emits one store event line when a logger is installed.
 func (s *Store) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
@@ -156,7 +182,7 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
-// Stats returns a snapshot of the operation counters.
+// Stats returns a copy of the operation counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -197,43 +223,56 @@ func (s *Store) entryPath(k Key) string { return s.idPath(k.ID()) }
 func (s *Store) idPath(id string) string { return s.prefix + id + entrySuffix }
 
 // Get looks a cell up. A missing entry returns (nil, nil) — a plain
-// miss. A corrupt entry (unreadable, bad schema, checksum mismatch,
-// structural nonsense, or an entry whose stored key disagrees with the
-// requested one) is quarantined and also reported as a miss: the campaign
-// re-simulates the cell and the next Put replaces the entry. Get only
-// returns a non-nil error for the degraded store sentinel, which callers
-// may treat as a miss too.
+// miss, answered from the store's snapshot (see Store) without touching
+// the file system or allocating. A corrupt entry (unreadable, bad schema,
+// checksum mismatch, structural nonsense, or an entry whose stored key
+// disagrees with the requested one) is quarantined and also reported as a
+// miss: the campaign re-simulates the cell and the next Put replaces the
+// entry. Get only returns a non-nil error for the degraded store
+// sentinel, which callers may treat as a miss too.
 func (s *Store) Get(k Key) (*Entry, error) { return s.GetID(k, k.ID()) }
 
 // GetID is Get for a caller that holds the key's ID, id == k.ID(): the
 // key is not hashed again. A runner cell derives its ID once for its Get,
-// its Put and a Quarantine.
+// its Put and a Quarantine. An id outside the store's snapshot is a miss
+// at the cost of a map lookup under the store's lock.
 func (s *Store) GetID(k Key, id string) (*Entry, error) {
-	if s.isDegraded() {
+	s.mu.Lock()
+	_, present := s.ids[id]
+	degraded := s.degraded
+	if !present && !degraded {
+		s.stats.misses++
+	}
+	s.mu.Unlock()
+	if !present || degraded {
 		return nil, nil
 	}
 	path := s.idPath(id)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		s.count(func(st *Store) { st.stats.misses++ })
+		// Removed behind the store's back: a miss, and no longer present.
+		s.count(func(st *Store) {
+			delete(st.ids, id)
+			st.stats.misses++
+		})
 		return nil, nil
 	}
 	if err != nil {
 		// Unreadable but present (permissions, I/O error): quarantine so
 		// the campaign makes progress; if even the rename fails the entry
 		// simply stays and the next run retries it.
-		s.quarantine("get", path, keyRef(k), err)
+		s.quarantine("get", path, id, keyRef(k), err)
 		return nil, nil
 	}
 	e, err := decodeEntry(data, &k)
 	if err != nil {
-		s.quarantine("get", path, keyRef(k), err)
+		s.quarantine("get", path, id, keyRef(k), err)
 		return nil, nil
 	}
 	if e.Key != k {
 		// A content-addressed store should make this impossible; seeing
 		// it means the file was overwritten or the hash scheme changed.
-		s.quarantine("get", path, keyRef(k), fmt.Errorf("stored key %+v does not match requested %+v", e.Key, k))
+		s.quarantine("get", path, id, keyRef(k), fmt.Errorf("stored key %+v does not match requested %+v", e.Key, k))
 		return nil, nil
 	}
 	s.count(func(st *Store) { st.stats.hits++ })
@@ -248,22 +287,24 @@ func (s *Store) Quarantine(k Key, id string, reason error) {
 	if s.isDegraded() {
 		return
 	}
-	s.quarantine("get", s.idPath(id), keyRef(k), reason)
+	s.quarantine("get", s.idPath(id), id, keyRef(k), reason)
 }
 
 // keyRef returns a pointer to a copy of k, for a StoreError: a pointer to
 // a caller's own key would move that key to the heap on every call.
 func keyRef(k Key) *Key { return &k }
 
-// quarantine renames a corrupt entry to *.corrupt, records the error and
-// counts the miss.
-func (s *Store) quarantine(op, path string, k *Key, cause error) {
+// quarantine renames a corrupt entry, whose ID is id, to *.corrupt,
+// records the error, counts the miss and drops the ID from the snapshot,
+// so the next Get of the cell misses without reading it.
+func (s *Store) quarantine(op, path, id string, k *Key, cause error) {
 	qpath := path + corruptSuffix
 	se := &StoreError{Op: op, Path: path, Key: k, Err: cause}
 	if err := os.Rename(path, qpath); err == nil {
 		se.Quarantined = qpath
 	}
 	s.mu.Lock()
+	delete(s.ids, id)
 	s.stats.quarantined++
 	s.stats.misses++
 	s.mu.Unlock()
@@ -283,10 +324,17 @@ func (s *Store) count(fn func(*Store)) {
 // Failures are retried with backoff; exhausting the retries records the
 // failure and degrades the store to store-less operation. Put never
 // fails the campaign: the returned error is advisory.
+//
+// The temp file is the entry's path plus .tmp, created exclusively at
+// mode 0600 (a random name only when another writer holds that one), and
+// the directory fsync goes through the handle Open keeps. A Put thus
+// opens one file and no directory, and allocates the same objects at any
+// store path length.
 func (s *Store) Put(e *Entry) error { return s.PutID(e, e.Key.ID()) }
 
 // PutID is Put for a caller that holds the entry key's ID, id ==
-// e.Key.ID(): the key is not hashed again.
+// e.Key.ID(): the key is not hashed again. A successful PutID adds id to
+// the store's snapshot, so a later Get of the cell reads the entry.
 func (s *Store) PutID(e *Entry, id string) error {
 	if s.isDegraded() {
 		return nil
@@ -309,7 +357,10 @@ func (s *Store) PutID(e *Entry, id string) error {
 			continue
 		}
 		s.faultAfterPut(path, data)
-		s.count(func(st *Store) { st.stats.puts++ })
+		s.count(func(st *Store) {
+			st.ids[id] = struct{}{}
+			st.stats.puts++
+		})
 		return nil
 	}
 	s.count(func(st *Store) { st.stats.putFailures++ })
@@ -341,11 +392,19 @@ func (s *Store) writeEntry(path string, data []byte) error {
 		s.logf("cellstore: fault: tearing write of %s", path)
 		return os.WriteFile(path, data[:len(data)/2], 0o644)
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*"+tmpSuffix)
+	tmpName := path + tmpSuffix
+	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	if errors.Is(err, os.ErrExist) {
+		// Another writer holds the name (a second process putting the
+		// same cell, or a temp file a failed attempt could not remove).
+		tmp, err = os.CreateTemp(s.dir, "put-*"+tmpSuffix)
+		if err == nil {
+			tmpName = tmp.Name()
+		}
+	}
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	// Any failure past here removes the temp file; the entry path is
 	// untouched until the rename.
 	if _, err := tmp.Write(data); err != nil {
@@ -371,18 +430,9 @@ func (s *Store) writeEntry(path string, data []byte) error {
 	if s.opts.noSync {
 		return nil
 	}
-	return syncDir(s.dir)
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Not every filesystem supports it; unsupported is not an error.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
+	// The directory fsync makes the completed rename survive power loss.
+	// Not every filesystem supports it; unsupported is not an error.
+	if err := s.dirf.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
 		return err
 	}
 	return nil
@@ -391,33 +441,32 @@ func syncDir(dir string) error {
 // Scan decodes every entry in the store in filename order (deterministic
 // across runs) and calls fn for each. Corrupt entries are quarantined
 // exactly as Get would, counted, and skipped. The returned count is the
-// number of healthy entries visited.
+// number of healthy entries visited. Scan lists the directory afresh, so
+// unlike Get it also visits entries written after Open.
 func (s *Store) Scan(fn func(*Entry) error) (int, error) {
 	if s.isDegraded() {
 		return 0, nil
 	}
-	des, err := os.ReadDir(s.dir)
+	des, err := os.ReadDir(s.dir) // sorted by name
 	if err != nil {
 		return 0, &StoreError{Op: "scan", Path: s.dir, Err: err}
 	}
-	names := make([]string, 0, len(des))
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), entrySuffix) {
-			names = append(names, de.Name())
-		}
-	}
-	sort.Strings(names)
 	n := 0
-	for _, name := range names {
-		path := filepath.Join(s.dir, name)
+	for _, de := range des {
+		name := de.Name()
+		id, ok := strings.CutSuffix(name, entrySuffix)
+		if !ok {
+			continue
+		}
+		path := s.prefix + name
 		data, err := os.ReadFile(path)
 		if err != nil {
-			s.quarantine("scan", path, nil, err)
+			s.quarantine("scan", path, id, nil, err)
 			continue
 		}
 		e, err := DecodeEntry(data)
 		if err != nil {
-			s.quarantine("scan", path, nil, err)
+			s.quarantine("scan", path, id, nil, err)
 			continue
 		}
 		n++

@@ -9,11 +9,17 @@
 // opaque JSON payload (portlint's layerimports analyzer forbids this
 // package from importing internal/{core,cpu,mem}), and the experiments
 // layer owns the encoding of results and cell failures. What the store
-// does own is durability and integrity:
+// does own is durability, integrity and the cost of a lookup:
 //
 //   - Crash-safe writes: every Put lands via temp file + fsync + atomic
 //     rename (+ directory fsync), so a process killed mid-Put leaves at
 //     worst an ignorable temp file, never a half-visible entry.
+//   - Lookups from a snapshot: Open reads the directory once, through a
+//     handle the store keeps until Close, and records the entries
+//     present. A Get outside that set is a miss with no system call; an
+//     entry another process writes after Open is seen from the next Open
+//     on, and until then its cell is re-simulated and rewritten with the
+//     same bytes.
 //   - Per-entry integrity: entries are wrapped in a portsim-cell/v2
 //     envelope carrying a SHA-256 checksum of the body; any mismatch —
 //     torn write, bit rot, truncation — is detected on read.
@@ -27,12 +33,16 @@
 // pass without reflection. A Get hit allocates nine objects: the path, the
 // file system's five (the open file's two, its name, its size and its
 // bytes), and the entry with its two labels; the key's strings are the
-// caller's, and the payload stays in the file's bytes. A Put allocates the
-// path and the encoded entry, and the file system's own for the temp file
-// and the rename. An entry's file name is its key's ID, a SHA-256 of the
-// key's JSON, which Key.ID appends on the stack, so the ID is all it
-// allocates; a caller that holds the ID passes it to GetID, PutID and
-// Quarantine, so a runner cell derives its file name once for all three.
+// caller's, and the payload stays in the file's bytes. A miss allocates
+// nothing. A Put allocates ten at any store path length: the path, its
+// temp name and the encoded entry, and the file system's seven for the
+// temp file (its name and the open file's two) and the rename (two names
+// and os.Rename's lstat of the entry, two, three with the error of an
+// entry not yet there); the directory it fsyncs is the handle Open keeps.
+// An entry's file name is its key's ID, a SHA-256 of the key's JSON,
+// which Key.ID appends on the stack, so the ID is all it allocates; a
+// caller that holds the ID passes it to GetID, PutID and Quarantine, so a
+// runner cell derives its file name once for all three.
 // The experiments layer decodes the payload's counter names into the stats
 // vocabulary's own strings instead of a copy per name.
 package cellstore
@@ -325,7 +335,10 @@ func EncodeEntry(e *Entry) ([]byte, error) {
 	}
 	dst := append(make([]byte, 0, size), envelopePrefix...)
 	sumAt := len(dst)
-	dst = append(dst, make([]byte, hex.EncodedLen(sha256.Size))...)
+	// Room for the checksum's hex, written last. A stack array, because
+	// under the race detector append(dst, make(...)...) allocates.
+	var room [2 * sha256.Size]byte
+	dst = append(dst, room[:]...)
 	dst = append(dst, envelopeBody...)
 	bodyAt := len(dst)
 	dst, err := e.appendJSON(dst)

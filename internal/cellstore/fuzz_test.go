@@ -97,9 +97,14 @@ func FuzzGetNeverPanics(f *testing.F) {
 
 	// One store serves every exec: the fuzz target overwrites the same
 	// entry slot each round, so corpus growth does not pay a per-exec
-	// tempdir+Open tax.
+	// tempdir+Open tax. The slot holds an entry the store wrote, and each
+	// exec ends with a Put, so every Get reads the planted bytes.
 	s, err := Open(f.TempDir(), Options{noSync: true})
 	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	if err := s.Put(&Entry{Key: k, Result: json.RawMessage(`{"cycles":2}`)}); err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

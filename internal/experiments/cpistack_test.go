@@ -129,6 +129,7 @@ func TestCPIStackSurvivesStoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
 		return st
 	}
 

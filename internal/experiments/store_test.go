@@ -15,13 +15,15 @@ import (
 	"portsim/internal/cpustack"
 )
 
-// storeSpec is QuickSpec over a durable store in dir.
+// storeSpec is QuickSpec over a durable store in dir, closed when the
+// test ends.
 func storeSpec(t *testing.T, dir string) (Spec, *cellstore.Store) {
 	t.Helper()
 	st, err := cellstore.Open(dir, cellstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	spec := QuickSpec()
 	spec.Store = st
 	return spec, st
@@ -405,8 +407,8 @@ func TestStoreDegradedRunsClean(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Plant a file where the store's temp files would go so CreateTemp
-	// cannot succeed.
+	// Plant a file where the store's directory was, so no temp file can
+	// be created.
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
